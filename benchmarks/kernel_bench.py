@@ -47,12 +47,15 @@ def main() -> None:
     centroids = rng.standard_normal((320, 64))
     labels = rng.integers(0, 320, size=200_000).astype(np.int64)
 
-    # ADC scan over 8 probed partitions of ~1,560 codes each
-    lut = rng.standard_normal((8, 256)).astype(np.float32)
-    flat_codes = rng.integers(0, 256, size=(12_500, 8)).astype(np.uint8)
-    starts = np.arange(0, 12_500, 1_563, dtype=np.int64)[:8]
-    ends = np.minimum(starts + 1_563, 12_500)
-    bases = rng.standard_normal(starts.shape[0])
+    # ADC top-k: 64 query rows, each probing 8 of 64 partitions of ~3,125
+    # codes (M=16, K=256), keeping 16 codes per row
+    luts = rng.standard_normal((64, 16, 256)).astype(np.float32)
+    flat_codes = rng.integers(0, 256, size=(200_000, 16)).astype(np.uint8)
+    flat_ids = np.arange(200_000, dtype=np.uint64)
+    part_offsets = np.linspace(0, 200_000, 65).astype(np.int64)
+    probes = np.sort(np.stack([rng.choice(64, 8, replace=False) for _ in range(64)]), axis=1)
+    starts, ends = part_offsets[probes], part_offsets[probes + 1]
+    bases = rng.standard_normal(probes.shape)
 
     cases = [
         ("maxsim_packed", (_kernels.maxsim_packed_np, _kernels.maxsim_packed_nb),
@@ -61,8 +64,8 @@ def main() -> None:
          (points, centroids)),
         ("centroid_sums", (_kernels.centroid_sums_np, _kernels.centroid_sums_nb),
          (points, labels, 320)),
-        ("adc_scan_probes", (_kernels.adc_scan_probes_np, _kernels.adc_scan_probes_nb),
-         (lut, flat_codes, starts, ends, bases)),
+        ("adc_topk_rows", (_kernels.adc_topk_rows_np, _kernels.adc_topk_rows_nb),
+         (luts, flat_codes, flat_ids, starts, ends, bases, 16)),
     ]
 
     print("kernel,backend,mean_s,speedup_vs_numpy")

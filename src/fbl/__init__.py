@@ -30,7 +30,7 @@ from .embed import (
     triplet_loss,
 )
 from .encode import EncodedSequence, Strategy, Vocabulary, encode_document, encode_query, wordpiece_tokenize
-from .index import IvfPqIndex, build_index, candidate_docs, kmeans, search
+from .index import IvfPqIndex, build_index, candidate_docs, kmeans
 from .pipeline import Config, build_session
 from .retrieve import (
     PackedCorpus,
@@ -82,7 +82,6 @@ __all__ = [
     "parse_unified_diff",
     "rank_exact",
     "rank_two_stage",
-    "search",
     "split_train_test",
     "train_projection",
     "triplet_loss",

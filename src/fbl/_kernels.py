@@ -1,18 +1,25 @@
 """Hot numeric kernels with two interchangeable backends.
 
-Every kernel exists twice: a numba ``@njit`` version and a pure-numpy
-fallback. The active backend is picked once at import time from the
-``FBL_KERNELS`` environment variable:
+There is one kernel per operation, and each exists twice with the same
+contract: a numba ``@njit`` version (``*_nb``) and a pure-numpy one
+(``*_np``). The operations are
+
+    maxsim_packed    late-interaction score of every packed document
+    assign_nearest   nearest centroid per point (k-means assignment)
+    centroid_sums    per-cluster sums and counts (k-means update)
+    adc_topk_rows    per query row, the top codes of its probed partitions
+
+The active backend is picked once at import time from the ``FBL_KERNELS``
+environment variable:
 
     FBL_KERNELS=auto    use numba when importable, else numpy (default)
     FBL_KERNELS=numba   require numba, fail fast if missing
     FBL_KERNELS=numpy   force the numpy fallback
 
-Both variants of each kernel stay importable (``*_np`` / ``*_nb``) so the
-kernel benchmark and the equivalence tests can time and compare them
-directly. Results are deterministic within a backend; across backends they
-agree to floating-point tolerance, not bit-for-bit (summation orders
-differ).
+Both variants stay importable so the kernel benchmark and the equivalence
+tests can time and compare them directly. Results are deterministic within
+a backend; across backends they agree to floating-point tolerance, not
+bit-for-bit (summation orders differ).
 """
 
 from __future__ import annotations
@@ -49,14 +56,12 @@ BACKEND = "numba" if HAVE_NUMBA else "numpy"
 # against the document's rows. A document with no rows scores -inf.
 
 
-def maxsim_segments_np(
-    query: np.ndarray, rows: np.ndarray, starts: np.ndarray, ends: np.ndarray
-) -> np.ndarray:
-    nseg = starts.shape[0]
+def maxsim_packed_np(query: np.ndarray, rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    nseg = offsets.shape[0] - 1
     out = np.empty(nseg, dtype=np.float64)
     qt = np.ascontiguousarray(query.T)
     for i in range(nseg):
-        s, e = starts[i], ends[i]
+        s, e = offsets[i], offsets[i + 1]
         if e <= s:
             out[i] = -np.inf
         else:
@@ -65,8 +70,15 @@ def maxsim_segments_np(
     return out
 
 
-def maxsim_packed_np(query: np.ndarray, rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    return maxsim_segments_np(query, rows, offsets[:-1], offsets[1:])
+def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Positions start..end-1 of every range (end >= start), concatenated in order.
+
+    Output slot j of range i holds start_i + (j - where range i begins in the
+    output), so one arange plus a per-range shift builds it without a loop.
+    """
+    lengths = ends - starts
+    shift = starts - (np.cumsum(lengths) - lengths)
+    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(shift, lengths)
 
 
 # -- k-means helpers ----------------------------------------------------------
@@ -103,77 +115,85 @@ def centroid_sums_np(points: np.ndarray, labels: np.ndarray, k: int):
 
 # -- asymmetric distance scan -------------------------------------------------
 #
-# lut[m, k] holds the inner product of the query's m-th subvector with
-# codebook centroid k; `base` is the query·coarse-centroid term shared by
-# every entry of the partition being scanned.
+# luts[r, m, k] holds the inner product of query row r's m-th subvector with
+# codebook centroid k. Row r scans the partitions starts[r, p]:ends[r, p] of
+# one contiguous code block; bases[r, p] is the row·coarse-centroid term
+# shared by every entry of that partition. Each row keeps its top `per_row`
+# codes by (score desc, id asc); the rows' results are concatenated.
 
-
-def adc_scan_np(lut: np.ndarray, codes: np.ndarray, base: float) -> np.ndarray:
-    m = codes.shape[1]
-    acc = lut[0, codes[:, 0]].astype(np.float64)
-    for s in range(1, m):
-        acc += lut[s, codes[:, s]]
-    acc += base
-    return acc
+_ADC_BLOCK_CODES = 1 << 18  # codes scored at once; bounds the scan's temporaries
 
 
 def adc_scan_probes_np(
-    lut: np.ndarray,
+    luts: np.ndarray,
     flat_codes: np.ndarray,
     starts: np.ndarray,
     ends: np.ndarray,
     bases: np.ndarray,
-) -> np.ndarray:
-    """ADC over several partitions of one contiguous code block, concatenated."""
-    total = int((ends - starts).sum())
-    out = np.empty(total, dtype=np.float64)
-    pos = 0
-    for p in range(starts.shape[0]):
-        s, e = int(starts[p]), int(ends[p])
-        if e > s:
-            out[pos : pos + (e - s)] = adc_scan_np(lut, flat_codes[s:e], float(bases[p]))
-            pos += e - s
-    return out
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ADC score of every probed code for every query row.
+
+    Returns (row, flat position, score) per scanned code, rows ascending and
+    partitions in probe order. Terms add in float64 in subspace order, then
+    the base, so a code's score does not depend on what else is scanned.
+    """
+    nq, m, k = luts.shape
+    lengths = ends - starts
+    pos = concat_ranges(starts.ravel(), ends.ravel())
+    rows = np.repeat(np.arange(nq, dtype=np.int64), lengths.sum(axis=1))
+    codes = np.take(flat_codes, pos, axis=0)
+    lut_flat = luts.reshape(-1)
+    row_base = rows * (m * k)
+    acc = np.take(lut_flat, row_base + codes[:, 0]).astype(np.float64)
+    for s in range(1, m):
+        acc += np.take(lut_flat, row_base + (s * k) + codes[:, s])
+    acc += np.repeat(bases.ravel(), lengths.ravel())
+    return rows, pos, acc
+
+
+def adc_topk_rows_np(luts, flat_codes, flat_ids, starts, ends, bases, per_row):
+    row_codes = (ends - starts).sum(axis=1)
+    nq = row_codes.shape[0]
+    step = max(1, _ADC_BLOCK_CODES // max(1, int(row_codes.max(initial=0))))
+    id_parts, score_parts = [], []
+    for r0 in range(0, max(nq, 1), step):  # no rows still makes one (empty) block
+        r1 = min(r0 + step, nq)
+        rows, pos, scores = adc_scan_probes_np(
+            luts[r0:r1], flat_codes, starts[r0:r1], ends[r0:r1], bases[r0:r1]
+        )
+        ids = np.take(flat_ids, pos)
+        lengths = row_codes[r0:r1]
+        if per_row < lengths.max(initial=0):
+            # keep only codes scoring at least their row's per_row-th best
+            # (ties included), so the sort below sees about per_row per row
+            row_start = np.cumsum(lengths) - lengths
+            padded = np.full((r1 - r0, int(lengths.max())), np.inf)
+            padded[rows, np.arange(rows.shape[0]) - row_start[rows]] = -scores
+            cut = np.partition(padded, per_row - 1, axis=1)[:, per_row - 1]
+            keep = -scores <= cut[rows]
+            rows, scores, ids = rows[keep], scores[keep], ids[keep]
+        order = np.lexsort((ids, -scores, rows))
+        # rows stay ascending, so sorting leaves each row's span in place
+        rank = np.arange(order.shape[0]) - np.searchsorted(rows, rows)
+        order = order[rank < per_row]
+        id_parts.append(ids[order])
+        score_parts.append(scores[order])
+    return np.concatenate(id_parts), np.concatenate(score_parts)
 
 
 if HAVE_NUMBA:
 
     @numba.njit(parallel=True, fastmath=True, cache=True)
-    def _maxsim_segments_jit(query, rows, starts, ends, out):  # pragma: no cover - jitted
+    def _maxsim_packed_jit(query, rows, offsets, out):  # pragma: no cover - jitted
         # f32 inner accumulation + fastmath so the dot loop vectorizes;
         # per-document results are position-independent, so exact-scan and
         # candidate re-scoring stay bit-identical for the same document
-        nseg = starts.shape[0]
+        nseg = offsets.shape[0] - 1
         nq = query.shape[0]
         d = query.shape[1]
         for i in numba.prange(nseg):
-            s = starts[i]
-            e = ends[i]
-            if e <= s:
-                out[i] = -np.inf
-                continue
-            total = 0.0
-            for a in range(nq):
-                best = np.float32(-np.inf)
-                for j in range(s, e):
-                    acc = np.float32(0.0)
-                    for c in range(d):
-                        acc += query[a, c] * rows[j, c]
-                    if acc > best:
-                        best = acc
-                total += best
-            out[i] = total
-
-    @numba.njit(fastmath=True, cache=True)
-    def _maxsim_segments_ser_jit(query, rows, starts, ends, out):  # pragma: no cover
-        # serial twin of the scan above: the parallel region costs more than
-        # it buys below a few tens of thousands of rows (re-ranking sized)
-        nseg = starts.shape[0]
-        nq = query.shape[0]
-        d = query.shape[1]
-        for i in range(nseg):
-            s = starts[i]
-            e = ends[i]
+            s = offsets[i]
+            e = offsets[i + 1]
             if e <= s:
                 out[i] = -np.inf
                 continue
@@ -216,34 +236,13 @@ if HAVE_NUMBA:
             for c in range(d):
                 sums[j, c] += points[i, c]
 
-    @numba.njit(cache=True)
-    def _adc_scan_jit(lut, codes, base, out):  # pragma: no cover - jitted
-        n, m = codes.shape
-        for i in range(n):
-            acc = base
-            for s in range(m):
-                acc += lut[s, codes[i, s]]
-            out[i] = acc
-
-    @numba.njit(cache=True)
-    def _adc_scan_probes_jit(lut, flat_codes, starts, ends, bases, out):  # pragma: no cover
-        m = flat_codes.shape[1]
-        pos = 0
-        for p in range(starts.shape[0]):
-            base = bases[p]
-            for i in range(starts[p], ends[p]):
-                acc = base
-                for s in range(m):
-                    acc += lut[s, flat_codes[i, s]]
-                out[pos] = acc
-                pos += 1
-
     @numba.njit(parallel=True, cache=True)
     def _adc_topk_rows_jit(  # pragma: no cover - jitted
         luts, flat_codes, flat_ids, starts, ends, bases, out_ids, out_scores, out_counts
     ):
         # all query rows scanned in one parallel pass; per row a running
-        # top-k ordered by (score desc, id asc), matching the sort contract
+        # top-k ordered by (score desc, id asc), matching the sort contract.
+        # Needs out_ids.shape[1] >= 1: the full-buffer test reads its last slot.
         nq, nprobe = starts.shape
         per_row = out_ids.shape[1]
         m = flat_codes.shape[1]
@@ -277,29 +276,10 @@ if HAVE_NUMBA:
                     out_ids[r, j] = eid
             out_counts[r] = count
 
-    _PARALLEL_MIN_ROWS = 32_768
-
-    def maxsim_segments_nb(query, rows, starts, ends):
-        out = np.empty(starts.shape[0], dtype=np.float64)
-        span = int((ends - starts).sum())
-        if span >= _PARALLEL_MIN_ROWS:
-            _maxsim_segments_jit(query, rows, starts, ends, out)
-        else:
-            _maxsim_segments_ser_jit(query, rows, starts, ends, out)
-        return out
-
     def maxsim_packed_nb(query, rows, offsets):
-        return maxsim_segments_nb(query, rows, offsets[:-1], offsets[1:])
-
-    def adc_topk_rows_nb(luts, flat_codes, flat_ids, starts, ends, bases, per_row):
-        nq = starts.shape[0]
-        out_ids = np.zeros((nq, per_row), dtype=np.uint64)
-        out_scores = np.full((nq, per_row), -np.inf, dtype=np.float64)
-        out_counts = np.zeros(nq, dtype=np.int64)
-        _adc_topk_rows_jit(
-            luts, flat_codes, flat_ids, starts, ends, bases, out_ids, out_scores, out_counts
-        )
-        return out_ids, out_scores, out_counts
+        out = np.empty(offsets.shape[0] - 1, dtype=np.float64)
+        _maxsim_packed_jit(query, rows, offsets, out)
+        return out
 
     def assign_nearest_nb(points, centroids):
         n = points.shape[0]
@@ -314,31 +294,31 @@ if HAVE_NUMBA:
         _centroid_sums_jit(points.astype(np.float64, copy=False), labels, sums, counts)
         return sums, counts
 
-    def adc_scan_nb(lut, codes, base):
-        out = np.empty(codes.shape[0], dtype=np.float64)
-        _adc_scan_jit(lut, codes, float(base), out)
-        return out
-
-    def adc_scan_probes_nb(lut, flat_codes, starts, ends, bases):
-        total = int((ends - starts).sum())
-        out = np.empty(total, dtype=np.float64)
-        _adc_scan_probes_jit(lut, flat_codes, starts, ends, bases, out)
-        return out
+    def adc_topk_rows_nb(luts, flat_codes, flat_ids, starts, ends, bases, per_row):
+        nq = starts.shape[0]
+        per_row = min(per_row, int((ends - starts).sum(axis=1).max(initial=0)))
+        out_ids = np.zeros((nq, per_row), dtype=np.uint64)
+        out_scores = np.full((nq, per_row), -np.inf, dtype=np.float64)
+        out_counts = np.zeros(nq, dtype=np.int64)
+        if per_row > 0:
+            _adc_topk_rows_jit(
+                luts, flat_codes, flat_ids, starts, ends, bases, out_ids, out_scores, out_counts
+            )
+        keep = np.arange(per_row)[None, :] < out_counts[:, None]
+        return out_ids[keep], out_scores[keep]
 
 
 if BACKEND == "numba":
     maxsim_packed = maxsim_packed_nb
-    maxsim_segments = maxsim_segments_nb
     assign_nearest = assign_nearest_nb
     centroid_sums = centroid_sums_nb
-    adc_scan = adc_scan_nb
-    adc_scan_probes = adc_scan_probes_nb
     adc_topk_rows = adc_topk_rows_nb
 else:
     maxsim_packed = maxsim_packed_np
-    maxsim_segments = maxsim_segments_np
     assign_nearest = assign_nearest_np
     centroid_sums = centroid_sums_np
-    adc_scan = adc_scan_np
-    adc_scan_probes = adc_scan_probes_np
-    adc_topk_rows = None  # numpy path keeps the per-row loop in index.py
+    adc_topk_rows = adc_topk_rows_np
+
+# the numpy scan stays reachable under this name for instrumentation that
+# times it; production code calls adc_topk_rows
+adc_scan_probes = adc_scan_probes_np

@@ -77,13 +77,24 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--changeset-limit", type=int, default=512)
 
 
+def _positive(flag: str, raw) -> int:
+    value = int(raw) if str(raw).isdecimal() else 0
+    if value < 1:
+        raise UsageError(EXIT_USAGE, f"{flag} must be a positive integer, got {raw!r}")
+    return value
+
+
+def _candidates(raw: str) -> int | None:
+    return None if raw == "all" else _positive("--candidates", raw)
+
+
 def _config_from_args(args) -> Config:
     embedder_kind, embedder_path = "hash", None
     if args.embedder != "hash":
         if not args.embedder.startswith("file:"):
             raise UsageError(EXIT_USAGE, f"bad --embedder {args.embedder!r}")
         embedder_kind, embedder_path = "file", args.embedder[5:]
-    candidates = None if args.candidates == "all" else int(args.candidates)
+    candidates = _candidates(args.candidates)
     return Config(
         granularity=Granularity(args.granularity),
         strategy=Strategy(args.strategy),
@@ -245,11 +256,12 @@ def _open_session(args):
 
 
 def cmd_query(args) -> int:
+    _positive("--topk", args.topk)
     artifacts, vocab, config = _open_session(args)
     if args.nprobe is not None:
         config.nprobe = args.nprobe
     if args.candidates is not None:
-        config.candidates = None if args.candidates == "all" else int(args.candidates)
+        config.candidates = _candidates(args.candidates)
     embedder = make_embedder(config)
 
     if args.text is not None:
@@ -324,11 +336,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _positive("--topk", args.topk)
     artifacts, _, config = _open_session(args)
     if args.nprobe is not None:
         config.nprobe = args.nprobe
     if args.candidates is not None:
-        config.candidates = None if args.candidates == "all" else int(args.candidates)
+        config.candidates = _candidates(args.candidates)
     sizes = [int(s) for s in args.sizes.split(",") if s]
     rows = sweep_latency(
         artifacts.doc_matrices, sizes, config, n_queries=args.queries, k=args.topk

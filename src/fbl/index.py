@@ -258,137 +258,32 @@ def build_index(
     )
 
 
-def _search_arrays(
-    index: IvfPqIndex, q: np.ndarray, nprobe: int, topk: int
-) -> tuple[np.ndarray, np.ndarray]:
-    coarse_sims = index.coarse @ q  # (P,)
-    probes = np.argsort(-coarse_sims, kind="stable")[:nprobe]
-    starts = index.part_offsets[probes]
-    ends = index.part_offsets[probes + 1]
-    keep = ends > starts
-    starts, ends, probes = starts[keep], ends[keep], probes[keep]
-    if starts.size == 0:
-        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.float64)
-
-    m = index.n_subspaces
-    dsub = index.dim // m
-    lut = np.empty((m, index.n_codewords), dtype=np.float32)
-    for s in range(m):
-        lut[s] = index.codebooks[s] @ q[s * dsub : (s + 1) * dsub]
-
-    scores = _kernels.adc_scan_probes(
-        lut, index.flat_codes, starts, ends, coarse_sims[probes].astype(np.float64)
-    )
-    ids = (
-        index.flat_ids[starts[0] : ends[0]]
-        if starts.size == 1
-        else np.concatenate([index.flat_ids[s:e] for s, e in zip(starts, ends)])
-    )
-
-    n = scores.shape[0]
-    if topk < n:
-        # partition by score, then complete the boundary tie group so the
-        # final (score desc, id asc) order is exact
-        part = np.argpartition(-scores, topk - 1)[:topk]
-        thresh = scores[part].min()
-        cand = np.nonzero(scores >= thresh)[0]
-    else:
-        cand = np.arange(n)
-    order = cand[np.lexsort((ids[cand], -scores[cand]))][:topk]
-    return ids[order], scores[order]
-
-
-def search(
-    index: IvfPqIndex, query_vec: np.ndarray, nprobe: int, topk: int
-) -> list[tuple[int, float]]:
-    """Top-k embeddings by approximate inner product, scanning nprobe partitions.
-
-    Ties break toward the lower embedding id.
-    """
-    if index.n_embeddings == 0:
-        raise EmptyIndex("index holds no embeddings")
-    if not 1 <= nprobe <= index.n_partitions:
-        raise ValueError(f"nprobe must be in [1, {index.n_partitions}]")
-    q = np.ascontiguousarray(query_vec, dtype=np.float32)
-    ids, scores = _search_arrays(index, q, nprobe, topk)
-    return [(int(i), float(s)) for i, s in zip(ids, scores)]
-
-
 def _batched_row_search(
     index: IvfPqIndex, q_rows: np.ndarray, nprobe: int, per_row: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row top-per_row fetch with the coarse/LUT work hoisted out of the loop."""
+    """Each query row's top per_row embeddings over its nprobe nearest partitions.
+
+    Returns (embedding ids, scores), each row's hits ordered by (score desc,
+    id asc) and the rows concatenated in order.
+    """
     nq = q_rows.shape[0]
     m = index.n_subspaces
     dsub = index.dim // m
     coarse_all = (q_rows @ index.coarse.T).astype(np.float64)  # (nq, P)
-    if nprobe < index.n_partitions:
-        probe_all = np.argpartition(-coarse_all, nprobe - 1, axis=1)[:, :nprobe]
-        probe_all.sort(axis=1)  # ascending partitions = sequential code reads
-    else:
-        probe_all = np.broadcast_to(
-            np.arange(index.n_partitions), (nq, index.n_partitions)
-        ).copy()
+    probe_all = np.argpartition(-coarse_all, nprobe - 1, axis=1)[:, :nprobe]
+    probe_all.sort(axis=1)  # ascending partitions = sequential code reads
     luts = np.empty((nq, m, index.n_codewords), dtype=np.float32)
     for s in range(m):
         luts[:, s, :] = q_rows[:, s * dsub : (s + 1) * dsub] @ index.codebooks[s].T
-
-    if _kernels.adc_topk_rows is not None and per_row < index.n_embeddings:
-        starts = index.part_offsets[probe_all]
-        ends = index.part_offsets[probe_all + 1]
-        bases = np.take_along_axis(coarse_all, probe_all, axis=1)
-        out_ids, out_scores, out_counts = _kernels.adc_topk_rows(
-            luts,
-            index.flat_codes,
-            index.flat_ids,
-            np.ascontiguousarray(starts),
-            np.ascontiguousarray(ends),
-            np.ascontiguousarray(bases),
-            per_row,
-        )
-        keep_rows = [
-            (out_ids[r, : out_counts[r]], out_scores[r, : out_counts[r]])
-            for r in range(nq)
-            if out_counts[r] > 0
-        ]
-        if not keep_rows:
-            return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.float64)
-        return (
-            np.concatenate([i for i, _ in keep_rows]),
-            np.concatenate([s for _, s in keep_rows]),
-        )
-
-    id_parts = []
-    score_parts = []
-    for r in range(nq):
-        probes = probe_all[r]
-        starts = index.part_offsets[probes]
-        ends = index.part_offsets[probes + 1]
-        keep = ends > starts
-        starts, ends = starts[keep], ends[keep]
-        if starts.size == 0:
-            continue
-        scores = _kernels.adc_scan_probes(
-            luts[r], index.flat_codes, starts, ends, coarse_all[r, probes[keep]]
-        )
-        ids = (
-            index.flat_ids[starts[0] : ends[0]]
-            if starts.size == 1
-            else np.concatenate([index.flat_ids[s:e] for s, e in zip(starts, ends)])
-        )
-        n = scores.shape[0]
-        if per_row < n:
-            part = np.argpartition(-scores, per_row - 1)[:per_row]
-            thresh = scores[part].min()
-            pick = np.nonzero(scores >= thresh)[0]
-            order = pick[np.lexsort((ids[pick], -scores[pick]))][:per_row]
-        else:
-            order = np.lexsort((ids, -scores))
-        id_parts.append(ids[order])
-        score_parts.append(scores[order])
-    if not id_parts:
-        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.float64)
-    return np.concatenate(id_parts), np.concatenate(score_parts)
+    return _kernels.adc_topk_rows(
+        luts,
+        index.flat_codes,
+        index.flat_ids,
+        index.part_offsets[probe_all],
+        index.part_offsets[probe_all + 1],
+        np.take_along_axis(coarse_all, probe_all, axis=1),
+        per_row,
+    )
 
 
 def candidate_docs(
@@ -404,6 +299,8 @@ def candidate_docs(
     index, every row fetches everything. Documents are ordered by first
     appearance while walking all fetched embeddings by descending score.
     """
+    if n_prime is not None and n_prime < 1:
+        raise ValueError(f"candidate count must be >= 1 (or None for all), got {n_prime}")
     if index.n_embeddings == 0:
         raise EmptyIndex("index holds no embeddings")
     if not 1 <= nprobe <= index.n_partitions:
@@ -421,13 +318,8 @@ def candidate_docs(
     all_ids, all_scores = _batched_row_search(index, q_rows, nprobe, per_row)
     order = np.lexsort((all_ids, -all_scores))
     doc_indices = index.registry_doc_idx[all_ids[order].astype(np.int64)]
-    seen: set[int] = set()
-    out: list[str] = []
-    for di in doc_indices.tolist():
-        if di not in seen:
-            seen.add(di)
-            out.append(index.doc_ids[di])
-    return out
+    uniq, first = np.unique(doc_indices, return_index=True)
+    return [index.doc_ids[di] for di in uniq[np.argsort(first)].tolist()]
 
 
 # -- serialization (FBLI) -------------------------------------------------------
@@ -478,6 +370,13 @@ def save_index(index: IvfPqIndex, path: str | Path) -> None:
             fh.write(raw)
 
 
+def _is_permutation(ids: np.ndarray, n: int) -> bool:
+    """True when ids holds each of 0..n-1 exactly once."""
+    if ids.shape[0] != n or (n and int(ids.max()) >= n):
+        return False
+    return bool(np.all(np.bincount(ids.astype(np.int64), minlength=n) == 1))
+
+
 def load_index(path: str | Path) -> IvfPqIndex:
     path = Path(path)
     with open(path, "rb") as fh:
@@ -490,6 +389,8 @@ def load_index(path: str | Path) -> IvfPqIndex:
         off += 20
         if version != FBLI_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
+        if n_part < 1 or m < 1 or d % m != 0:
+            raise FormatError(f"{path}: bad shape: {n_part} partitions, {m} subspaces, dim {d}")
         coarse = np.frombuffer(data, dtype="<f4", count=n_part * d, offset=off).reshape(n_part, d)
         off += n_part * d * 4
         dsub = d // m
@@ -509,20 +410,25 @@ def load_index(path: str | Path) -> IvfPqIndex:
             counts[p] = count
             id_blocks.append(block["id"])
             code_blocks.append(block["code"].reshape(count, m))
-        flat_ids = (
-            np.concatenate(id_blocks) if id_blocks else np.zeros(0, dtype=np.uint64)
-        ).astype(np.uint64)
-        flat_codes = (
-            np.concatenate(code_blocks)
-            if code_blocks
-            else np.zeros((0, m), dtype=np.uint8)
-        ).astype(np.uint8)
+        flat_ids = np.concatenate(id_blocks).astype(np.uint64)
+        flat_codes = np.concatenate(code_blocks).astype(np.uint8)
         part_offsets = np.zeros(n_part + 1, dtype=np.int64)
         part_offsets[1:] = np.cumsum(counts)
         (n_emb,) = struct.unpack_from("<Q", data, off)
         off += 8
         reg = np.frombuffer(data, dtype=_REGISTRY_DTYPE, count=n_emb, offset=off)
         off += n_emb * _REGISTRY_DTYPE.itemsize
+        # every id indexes a registry array or a LUT at query time
+        if part_offsets[-1] != n_emb:
+            raise FormatError(
+                f"{path}: partitions hold {part_offsets[-1]} entries, registry {n_emb}"
+            )
+        if not _is_permutation(flat_ids, n_emb):
+            raise FormatError(f"{path}: inverted-list ids are not each of 0..{n_emb - 1} once")
+        if not _is_permutation(reg["id"], n_emb):
+            raise FormatError(f"{path}: registry ids are not each of 0..{n_emb - 1} once")
+        if flat_codes.size and int(flat_codes.max()) >= k:
+            raise FormatError(f"{path}: code {int(flat_codes.max())} >= codebook size {k}")
         doc_idx = np.empty(n_emb, dtype=np.uint32)
         pos = np.empty(n_emb, dtype=np.uint32)
         doc_idx[reg["id"].astype(np.int64)] = reg["doc"]
@@ -535,6 +441,8 @@ def load_index(path: str | Path) -> IvfPqIndex:
             off += 4
             doc_ids.append(data[off : off + slen].decode("utf-8"))
             off += slen
+        if n_emb and int(doc_idx.max()) >= n_docs:
+            raise FormatError(f"{path}: doc index {int(doc_idx.max())} >= {n_docs} doc ids")
     except (struct.error, ValueError, IndexError) as exc:
         raise FormatError(f"{path}: truncated or corrupt index ({exc})") from exc
     return IvfPqIndex(

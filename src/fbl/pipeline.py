@@ -63,6 +63,8 @@ class Config:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.candidates is not None and self.candidates < 1:
+            raise ValueError("candidates must be positive (or None for all)")
 
     def doc_limit(self) -> int:
         return {

@@ -118,18 +118,6 @@ def maxsim(q: EmbeddingMatrix, d: EmbeddingMatrix) -> float:
     return float(_kernels.maxsim_packed(q_rows, np.ascontiguousarray(d_rows), offsets)[0])
 
 
-def _gather_segments(rows, starts, ends):
-    """Copy scattered row segments (all non-empty) into one contiguous block."""
-    lengths = (ends - starts).astype(np.int64)
-    offsets = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    step = np.ones(int(offsets[-1]), dtype=np.int64)
-    step[0] = starts[0]
-    step[offsets[1:-1]] = starts[1:] - ends[:-1] + 1
-    gather = np.cumsum(step)
-    return rows[gather], offsets
-
-
 def _rank_positions(
     query: EmbeddingMatrix, pack: PackedCorpus, positions: np.ndarray
 ) -> list[tuple[str, float]]:
@@ -149,11 +137,10 @@ def _rank_positions(
     else:
         starts = pack.offsets[positions]
         ends = pack.offsets[positions + 1]
-        nz = np.nonzero(ends > starts)[0]
-        scores = np.full(positions.shape[0], -np.inf, dtype=np.float64)
-        if nz.size:
-            seg_rows, seg_offsets = _gather_segments(pack.rows, starts[nz], ends[nz])
-            scores[nz] = _kernels.maxsim_packed(q_rows, seg_rows, seg_offsets)
+        offsets = np.zeros(positions.shape[0] + 1, dtype=np.int64)
+        np.cumsum(ends - starts, out=offsets[1:])
+        rows = np.take(pack.rows, _kernels.concat_ranges(starts, ends), axis=0)
+        scores = _kernels.maxsim_packed(q_rows, rows, offsets)
     finite = np.nonzero(np.isfinite(scores))[0]
     order = finite[np.lexsort((pack.id_rank[positions[finite]], -scores[finite]))]
     return [(pack.ids[positions[i]], float(scores[i])) for i in order]

@@ -9,10 +9,10 @@ A session directory holds everything a query needs:
     vocab.txt       the vocabulary the session was encoded with
     embedder.fble   (only for file-backed embedders)
 
-Writes go through a temp file + rename so a crashed save never leaves a
-half-written artifact behind. Loading verifies magic bytes and sha256
-checksums; querying a session under a different configuration raises
-ConfigMismatch.
+Writes go through a uniquely named temp file + rename so a crashed save
+never leaves a half-written artifact behind. Loading verifies magic bytes
+and sha256 checksums; querying a session under a different configuration
+raises ConfigMismatch.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 import struct
+import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -105,9 +106,18 @@ def sha256_bytes(data: bytes) -> str:
 
 
 def _atomic_write(path: Path, writer) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+    # a unique temp name, so concurrent saves into one directory never share one
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    try:
+        writer(Path(tmp))
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() would give; mkstemp makes 0600
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # -- document matrix pack (FBLP) --------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fbl.cli import main
+from fbl.pipeline import Config
 
 WORDS = [
     "widget", "handler", "parser", "buffer", "cursor", "stream", "socket",
@@ -233,6 +234,33 @@ def test_bench_emits_csv(corpus_dir, capsys, tmp_path):
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0].startswith("embeddings,docs,partitions")
     assert len(lines) == 3
+
+
+def test_out_of_range_counts_exit_1_naming_the_flag(corpus_dir, capsys):
+    tmp_path, corpus, vocab = corpus_dir
+    session = tmp_path / "session"
+    assert main(_index_args(corpus, vocab, session)) == 0
+    bad = [
+        ("--candidates", "0"),
+        ("--candidates", "-3"),
+        ("--candidates", "x"),
+        ("--topk", "0"),
+        ("--topk", "-1"),
+    ]
+    for command, extra in (("query", ["--text", "widget"]), ("bench", ["--sizes", "40"])):
+        for flag, value in bad:
+            capsys.readouterr()
+            assert main([command, "--session", str(session), *extra, flag, value]) == 1
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert err["kind"] == "usage" and flag in err["error"], (command, flag, value)
+    assert main(_index_args(corpus, vocab, tmp_path / "s2") + ["--candidates", "0"]) == 1
+    assert "--candidates" in capsys.readouterr().err
+
+
+def test_config_rejects_candidates_below_one():
+    with pytest.raises(ValueError, match="candidates"):
+        Config(candidates=0)
+    assert Config(candidates=None).candidates is None
 
 
 def test_session_env_var_default(corpus_dir, capsys, monkeypatch):

@@ -5,12 +5,12 @@ from fbl.embed import EmbeddingMatrix
 from fbl.errors import EmptyIndex, FormatError, InsufficientData
 from fbl.index import (
     IvfPqIndex,
+    _batched_row_search,
     build_index,
     candidate_docs,
     kmeans,
     load_index,
     save_index,
-    search,
 )
 
 
@@ -170,6 +170,13 @@ def test_pq_reconstruction_mse_improves_with_k():
 # -- search -----------------------------------------------------------------------
 
 
+def _one_row_search(idx, query_vec, nprobe, topk):
+    """A one-row query through the batched candidate path, as (id, score) pairs."""
+    q_rows = np.ascontiguousarray(query_vec, dtype=np.float32)[None, :]
+    ids, scores = _batched_row_search(idx, q_rows, nprobe, topk)
+    return [(int(i), float(s)) for i, s in zip(ids, scores)]
+
+
 def test_search_lossless_limit_matches_exact_argmax():
     docs, centers = _centroid_aligned_corpus(dim=8, n_centers=4, reps=6)
     idx = build_index(docs, n_partitions=4, n_subspaces=4, n_codewords=4, seed=0)
@@ -177,7 +184,7 @@ def test_search_lossless_limit_matches_exact_argmax():
     rng = np.random.default_rng(2)
     for _ in range(10):
         q = _unit_rows(rng.standard_normal((1, 8)))[0]
-        hits = search(idx, q, nprobe=idx.n_partitions, topk=1)
+        hits = _one_row_search(idx, q, nprobe=idx.n_partitions, topk=1)
         exact_scores = all_rows @ q
         best = float(exact_scores.max())
         assert hits[0][1] == pytest.approx(best, abs=1e-5)
@@ -188,7 +195,7 @@ def test_search_topk_saturation_returns_all_sorted():
     docs, _ = _centroid_aligned_corpus()
     idx = build_index(docs, n_partitions=4, n_subspaces=4, n_codewords=4, seed=0)
     q = np.ones(8, dtype=np.float32) / np.sqrt(8)
-    hits = search(idx, q, nprobe=4, topk=10_000)
+    hits = _one_row_search(idx, q, nprobe=4, topk=10_000)
     assert len(hits) == idx.n_embeddings
     scores = [s for _, s in hits]
     assert scores == sorted(scores, reverse=True)
@@ -203,7 +210,7 @@ def test_search_tie_break_by_embedding_id():
         "b:0:0": EmbeddingMatrix(rows=np.stack([v, v])),
     }
     idx = build_index(docs, n_partitions=1, n_subspaces=2, n_codewords=2, seed=0)
-    hits = search(idx, v, nprobe=1, topk=4)
+    hits = _one_row_search(idx, v, nprobe=1, topk=4)
     assert [h[0] for h in hits] == [0, 1, 2, 3]
 
 
@@ -219,7 +226,7 @@ def test_search_empty_index():
         doc_ids=[],
     )
     with pytest.raises(EmptyIndex):
-        search(idx, np.zeros(4, dtype=np.float32), nprobe=1, topk=1)
+        candidate_docs(idx, EmbeddingMatrix(rows=np.zeros((1, 4), dtype=np.float32)), 1, 1)
     with pytest.raises(EmptyIndex):
         candidate_docs(idx, EmbeddingMatrix(rows=np.eye(4, dtype=np.float32)), 10, 1)
 
@@ -235,7 +242,7 @@ def test_search_recall_against_exact_scan():
     for _ in range(10):
         raw = centers[rng.integers(64)][None] + 0.15 * rng.standard_normal((1, 32))
         q = _unit_rows(raw)[0]
-        approx = {e for e, _ in search(idx, q, nprobe=8, topk=100)}
+        approx = {e for e, _ in _one_row_search(idx, q, nprobe=8, topk=100)}
         exact = set(np.argsort(-(rows @ q), kind="stable")[:100].tolist())
         hits_total += len(approx & exact)
     assert hits_total / 10 >= 90
@@ -280,6 +287,16 @@ def test_candidates_toy_union_matches_brute_force():
     # per row fetch = ceil(2/2) = 1: row0 -> embedding e0 (doc a), row1 -> e2 (doc c)
     cands = candidate_docs(idx, q, n_prime=2, nprobe=4)
     assert set(cands) == {"a:0:0", "c:0:0"}
+
+
+@pytest.mark.parametrize("n_prime", [0, -1, -5, -100])
+def test_candidates_reject_count_below_one(n_prime):
+    rng = np.random.default_rng(8)
+    docs, _ = _random_corpus(rng, n_docs=30, tokens_per_doc=4, dim=8)
+    idx = build_index(docs, n_partitions=4, n_subspaces=2, n_codewords=16, seed=0)
+    q = EmbeddingMatrix(rows=_unit_rows(rng.standard_normal((3, 8))), is_query=True)
+    with pytest.raises(ValueError, match="candidate count"):
+        candidate_docs(idx, q, n_prime=n_prime, nprobe=4)
 
 
 def test_monotone_recall_in_nprobe():
@@ -327,11 +344,89 @@ def test_index_roundtrip_identical_search(tmp_path):
     save_index(idx, p)
     back = load_index(p)
     q = _unit_rows(rng.standard_normal((1, 16)))[0]
-    assert search(idx, q, nprobe=8, topk=20) == search(back, q, nprobe=8, topk=20)
+    assert _one_row_search(idx, q, nprobe=8, topk=20) == _one_row_search(
+        back, q, nprobe=8, topk=20
+    )
     # byte-identical re-serialization
     p2 = tmp_path / "idx2.fbli"
     save_index(back, p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def _saved_index(tmp_path):
+    rng = np.random.default_rng(23)
+    docs, _ = _random_corpus(rng, n_docs=20, tokens_per_doc=4, dim=8)
+    idx = build_index(docs, n_partitions=4, n_subspaces=2, n_codewords=8, seed=0)
+    p = tmp_path / "idx.fbli"
+    save_index(idx, p)
+    return idx, p, bytearray(p.read_bytes())
+
+
+def _fbli_layout(idx):
+    """Byte offsets of each list's count field, the entry size and the registry."""
+    m, p_count, d = idx.n_subspaces, idx.n_partitions, idx.dim
+    off = 24 + p_count * d * 4 + m * idx.n_codewords * (d // m) * 4
+    entry = 8 + m
+    lists = []
+    for p in range(p_count):
+        n = int(idx.part_offsets[p + 1] - idx.part_offsets[p])
+        lists.append((off, n))
+        off += 8 + n * entry
+    return lists, entry, off + 8
+
+
+def _first_list(idx):
+    lists, entry, _ = _fbli_layout(idx)
+    count_at, _ = next(item for item in lists if item[1] > 0)
+    return count_at + 8, entry  # offset of the list's first entry
+
+
+def test_load_index_rejects_duplicate_registry_ids(tmp_path):
+    idx, p, raw = _saved_index(tmp_path)
+    _, _, reg = _fbli_layout(idx)
+    raw[reg + 16 : reg + 24] = (0).to_bytes(8, "little")  # entry 1 claims id 0
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="registry ids"):
+        load_index(p)
+
+
+def test_load_index_rejects_list_id_out_of_range(tmp_path):
+    idx, p, raw = _saved_index(tmp_path)
+    at, _ = _first_list(idx)
+    raw[at : at + 8] = idx.n_embeddings.to_bytes(8, "little")
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="inverted-list ids"):
+        load_index(p)
+
+
+def test_load_index_rejects_code_out_of_range(tmp_path):
+    idx, p, raw = _saved_index(tmp_path)
+    at, _ = _first_list(idx)
+    raw[at + 8] = idx.n_codewords
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="codebook size"):
+        load_index(p)
+
+
+def test_load_index_rejects_partition_counts_off_total(tmp_path):
+    idx, p, raw = _saved_index(tmp_path)
+    lists, entry, _ = _fbli_layout(idx)
+    count_at, n = next(item for item in lists if item[1] > 0)
+    raw[count_at : count_at + 8] = (n - 1).to_bytes(8, "little")
+    last = count_at + 8 + (n - 1) * entry
+    del raw[last : last + entry]  # drop the list's last entry with its count
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="partitions hold"):
+        load_index(p)
+
+
+def test_load_index_rejects_doc_index_out_of_range(tmp_path):
+    idx, p, raw = _saved_index(tmp_path)
+    _, _, reg = _fbli_layout(idx)
+    raw[reg + 8 : reg + 12] = len(idx.doc_ids).to_bytes(4, "little")
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="doc index"):
+        load_index(p)
 
 
 def test_index_bad_magic(tmp_path):
@@ -349,7 +444,7 @@ def test_k1_codebooks_degenerate_to_coarse_ranking():
     docs, _ = _random_corpus(rng, n_docs=40, tokens_per_doc=3, dim=8)
     idx = build_index(docs, n_partitions=6, n_subspaces=8, n_codewords=1, seed=2)
     q = _unit_rows(rng.standard_normal((1, 8)))[0]
-    hits = search(idx, q, nprobe=6, topk=idx.n_embeddings)
+    hits = _one_row_search(idx, q, nprobe=6, topk=idx.n_embeddings)
     coarse_sims = idx.coarse @ q
     shift = float(sum(idx.codebooks[s, 0] @ q[s : s + 1] for s in range(8)))
     # every embedding's score equals its partition's coarse sim plus the shift

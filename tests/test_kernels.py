@@ -108,17 +108,83 @@ def test_centroid_sums(name, suffix):
     np.testing.assert_array_equal(sums[7], 0)
 
 
+def _adc_fixture(rng, nq=7, m=3, k=5):
+    """Integer-valued LUTs and bases, so every score is exact and ties are common."""
+    part_offsets = np.array([0, 7, 7, 15, 22, 22, 30, 41], dtype=np.int64)  # 2 empty
+    n = int(part_offsets[-1])
+    luts = rng.integers(-3, 4, size=(nq, m, k)).astype(np.float32)
+    flat_codes = rng.integers(0, k, size=(n, m)).astype(np.uint8)
+    flat_ids = rng.permutation(n).astype(np.uint64)  # ids not in scan order
+    probes = np.stack([rng.choice(7, size=3, replace=False) for _ in range(nq)])
+    probes[0] = [1, 4, 0]  # empty, empty, then 7 codes: shorter than most per_row
+    probes[1] = [4, 1, 4]  # scans nothing
+    starts = part_offsets[probes]
+    ends = part_offsets[probes + 1]
+    bases = rng.integers(-2, 3, size=probes.shape).astype(np.float64)
+    return luts, flat_codes, flat_ids, starts, ends, bases
+
+
+def _reference_topk(luts, flat_codes, flat_ids, starts, ends, bases, per_row):
+    """Full scan, then each row sorted by (score desc, id asc) and truncated."""
+    ids, scores = [], []
+    for r in range(starts.shape[0]):
+        hits = []
+        for p in range(starts.shape[1]):
+            for i in range(starts[r, p], ends[r, p]):
+                score = sum(float(luts[r, s, flat_codes[i, s]]) for s in range(luts.shape[1]))
+                hits.append((-(score + bases[r, p]), int(flat_ids[i])))
+        for neg, eid in sorted(hits)[:per_row]:
+            ids.append(eid)
+            scores.append(-neg)
+    return np.asarray(ids, dtype=np.uint64), np.asarray(scores, dtype=np.float64)
+
+
+@pytest.mark.parametrize("block_codes", [1 << 18, 12])
+@pytest.mark.parametrize("per_row", [1, 4, 9, 100])
 @pytest.mark.parametrize("name,suffix", BACKENDS)
-def test_adc_scan(name, suffix):
+def test_adc_topk_rows_matches_reference(name, suffix, per_row, block_codes, monkeypatch):
+    # a 12-code cap splits the query into several row blocks (numpy backend)
+    monkeypatch.setattr(_kernels, "_ADC_BLOCK_CODES", block_codes)
     rng = np.random.default_rng(6)
-    m, k = 4, 16
-    lut = rng.standard_normal((m, k)).astype(np.float32)
-    codes = rng.integers(0, k, size=(30, m)).astype(np.uint8)
-    base = 0.25
-    got = _impl("adc_scan", suffix)(lut, codes, base)
-    lut64 = lut.astype(np.float64)
-    want = base + np.stack([lut64[s, codes[:, s]] for s in range(m)]).sum(axis=0)
-    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+    args = _adc_fixture(rng)
+    ids, scores = _impl("adc_topk_rows", suffix)(*args, per_row)
+    want_ids, want_scores = _reference_topk(*args, per_row)
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(scores, want_scores)
+    assert ids.dtype == np.uint64 and scores.dtype == np.float64
+
+
+def test_adc_topk_rows_ties_straddle_the_cut():
+    # the fixture really exercises the tie-break: some row's per_row-th and
+    # (per_row+1)-th codes share a score, so only the id decides who stays
+    args = _adc_fixture(np.random.default_rng(6))
+    _, full = _reference_topk(*args, 10_000)
+    lengths = (args[4] - args[3]).sum(axis=1)
+    rows = np.split(full, np.cumsum(lengths)[:-1])
+    assert any(row.size > 4 and row[3] == row[4] for row in rows)
+
+
+def test_adc_topk_rows_backends_agree():
+    if not _kernels.HAVE_NUMBA:
+        pytest.skip("numba unavailable")
+    rng = np.random.default_rng(7)
+    nq, m, k, n = 9, 8, 256, 3_000
+    luts = rng.standard_normal((nq, m, k)).astype(np.float32)
+    flat_codes = rng.integers(0, k, size=(n, m)).astype(np.uint8)
+    flat_ids = rng.permutation(n).astype(np.uint64)
+    part_offsets = np.linspace(0, n, 33).astype(np.int64)
+    probes = np.sort(np.stack([rng.choice(32, 5, replace=False) for _ in range(nq)]), axis=1)
+    starts, ends = part_offsets[probes], part_offsets[probes + 1]
+    bases = rng.standard_normal(probes.shape)
+    for per_row in (1, 17, 600):
+        a_ids, a_scores = _kernels.adc_topk_rows_np(
+            luts, flat_codes, flat_ids, starts, ends, bases, per_row
+        )
+        b_ids, b_scores = _kernels.adc_topk_rows_nb(
+            luts, flat_codes, flat_ids, starts, ends, bases, per_row
+        )
+        np.testing.assert_array_equal(a_ids, b_ids)
+        np.testing.assert_allclose(a_scores, b_scores, rtol=1e-9, atol=1e-9)
 
 
 def test_backend_selection_reported():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fbl.store import (
     INDEX_NAME,
     Manifest,
     SessionArtifacts,
+    _atomic_write,
     load_session,
     read_doc_pack,
     save_session,
@@ -134,3 +137,27 @@ def test_session_checksum_violation(tmp_path, session_pieces):
 def test_manifest_missing(tmp_path):
     with pytest.raises(FormatError):
         load_session(tmp_path / "nowhere")
+
+
+def test_save_leaves_a_stray_temp_file_alone(tmp_path, session_pieces):
+    # another writer's temp file under the old fixed name is neither read nor removed
+    manifest, index, projection, docs = session_pieces
+    stray = tmp_path / (INDEX_NAME + ".tmp")
+    stray.write_bytes(b"half of another writer's index")
+    save_session(tmp_path, manifest, index, projection, docs)
+    assert stray.read_bytes() == b"half of another writer's index"
+    assert load_session(tmp_path).index.n_embeddings == index.n_embeddings
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == [stray.name]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert (tmp_path / INDEX_NAME).stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_failed_write_removes_its_temp_file(tmp_path):
+    def writer(path):
+        path.write_bytes(b"partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _atomic_write(tmp_path / INDEX_NAME, writer)
+    assert list(tmp_path.iterdir()) == []
