@@ -295,15 +295,18 @@ if HAVE_NUMBA:
         return sums, counts
 
     def adc_topk_rows_nb(luts, flat_codes, flat_ids, starts, ends, bases, per_row):
+        longest = int((ends - starts).sum(axis=1).max(initial=0))
+        if per_row >= longest:
+            # nothing to cut: one sort beats the jit's insertion, which is
+            # quadratic in per_row
+            return adc_topk_rows_np(luts, flat_codes, flat_ids, starts, ends, bases, per_row)
         nq = starts.shape[0]
-        per_row = min(per_row, int((ends - starts).sum(axis=1).max(initial=0)))
         out_ids = np.zeros((nq, per_row), dtype=np.uint64)
         out_scores = np.full((nq, per_row), -np.inf, dtype=np.float64)
         out_counts = np.zeros(nq, dtype=np.int64)
-        if per_row > 0:
-            _adc_topk_rows_jit(
-                luts, flat_codes, flat_ids, starts, ends, bases, out_ids, out_scores, out_counts
-            )
+        _adc_topk_rows_jit(
+            luts, flat_codes, flat_ids, starts, ends, bases, out_ids, out_scores, out_counts
+        )
         keep = np.arange(per_row)[None, :] < out_counts[:, None]
         return out_ids[keep], out_scores[keep]
 

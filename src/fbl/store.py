@@ -20,8 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import secrets
 import struct
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -107,16 +107,12 @@ def sha256_bytes(data: bytes) -> str:
 
 def _atomic_write(path: Path, writer) -> None:
     # a unique temp name, so concurrent saves into one directory never share one
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-    os.close(fd)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(8)}.tmp")
     try:
-        writer(Path(tmp))
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # the mode open() would give; mkstemp makes 0600
+        writer(tmp)
         os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
