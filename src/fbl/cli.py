@@ -94,22 +94,21 @@ def _config_from_args(args) -> Config:
         if not args.embedder.startswith("file:"):
             raise UsageError(EXIT_USAGE, f"bad --embedder {args.embedder!r}")
         embedder_kind, embedder_path = "file", args.embedder[5:]
-    candidates = _candidates(args.candidates)
     return Config(
         granularity=Granularity(args.granularity),
         strategy=Strategy(args.strategy),
-        query_limit=args.query_limit,
-        hunk_limit=args.hunk_limit,
-        file_limit=args.file_limit,
-        changeset_limit=args.changeset_limit,
-        n_partitions=args.partitions,
-        candidates=candidates,
-        nprobe=args.nprobe,
-        n_subspaces=args.subspaces,
-        n_codewords=args.codewords,
+        query_limit=_positive("--query-limit", args.query_limit),
+        hunk_limit=_positive("--hunk-limit", args.hunk_limit),
+        file_limit=_positive("--file-limit", args.file_limit),
+        changeset_limit=_positive("--changeset-limit", args.changeset_limit),
+        n_partitions=_positive("--partitions", args.partitions),
+        candidates=_candidates(args.candidates),
+        nprobe=_positive("--nprobe", args.nprobe),
+        n_subspaces=_positive("--subspaces", args.subspaces),
+        n_codewords=_positive("--codewords", args.codewords),
         seed=args.seed,
-        d_in=args.d_in,
-        d_out=args.d_out,
+        d_in=_positive("--d-in", args.d_in),
+        d_out=_positive("--d-out", args.d_out),
         embedder_kind=embedder_kind,
         embedder_path=embedder_path,
     )
@@ -252,16 +251,16 @@ def _open_session(args):
             str(session_dir / store.EMBEDDER_NAME) if m.embedder_kind == "file" else None
         ),
     )
+    if args.nprobe is not None:
+        config.nprobe = _positive("--nprobe", args.nprobe)
+    if args.candidates is not None:
+        config.candidates = _candidates(args.candidates)
     return artifacts, vocab, config
 
 
 def cmd_query(args) -> int:
     _positive("--topk", args.topk)
     artifacts, vocab, config = _open_session(args)
-    if args.nprobe is not None:
-        config.nprobe = args.nprobe
-    if args.candidates is not None:
-        config.candidates = _candidates(args.candidates)
     embedder = make_embedder(config)
 
     if args.text is not None:
@@ -278,7 +277,6 @@ def cmd_query(args) -> int:
     else:
         raise UsageError(EXIT_USAGE, "query needs --text or --bug-file")
 
-    pack = retrieve.PackedCorpus.from_matrices(artifacts.doc_matrices)
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for report in reports:
@@ -286,7 +284,7 @@ def cmd_query(args) -> int:
             result = run_query(
                 q,
                 artifacts.index,
-                pack,
+                artifacts.doc_matrices,
                 config,
                 k=args.topk,
                 exact=args.exact,
@@ -338,10 +336,6 @@ def cmd_evaluate(args) -> int:
 def cmd_bench(args) -> int:
     _positive("--topk", args.topk)
     artifacts, _, config = _open_session(args)
-    if args.nprobe is not None:
-        config.nprobe = args.nprobe
-    if args.candidates is not None:
-        config.candidates = _candidates(args.candidates)
     sizes = [int(s) for s in args.sizes.split(",") if s]
     rows = sweep_latency(
         artifacts.doc_matrices, sizes, config, n_queries=args.queries, k=args.topk

@@ -45,6 +45,63 @@ class EmbeddingMatrix:
         return self.rows.shape[0]
 
 
+class PackedCorpus(Mapping[str, EmbeddingMatrix]):
+    """Document embeddings as one contiguous (rows, offsets, ids) layout.
+
+    Document i owns rows[offsets[i]:offsets[i + 1]], and a row's index in
+    ``rows`` is its embedding id in the index. This is the only stacked form
+    of document embeddings: the index is built from it, ``docs.fblp`` stores
+    it, and the scoring kernels read it. Zero rows are dropped when packing,
+    so no consumer needs a mask. Read-only: looking up a document returns an
+    ``EmbeddingMatrix`` whose rows are a view into the row block.
+    """
+
+    def __init__(self, rows: np.ndarray, offsets: np.ndarray, ids: Sequence[str]):
+        self.rows = rows  # (N, d) float32, contiguous
+        self.offsets = offsets  # (ndocs + 1,) int64
+        self.ids = list(ids)
+        self._pos = {doc_id: i for i, doc_id in enumerate(self.ids)}
+        if len(self._pos) != len(self.ids):
+            raise ValueError("document ids must be unique")
+        # lexicographic rank of each id (the inverse of the sort order), for tie-breaks
+        order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
+        self.id_rank = np.argsort(np.asarray(order, dtype=np.int64))
+
+    @classmethod
+    def from_matrices(cls, matrices: Mapping[str, EmbeddingMatrix]) -> "PackedCorpus":
+        """Pack document matrices (or raw row arrays); a pack passes through."""
+        if isinstance(matrices, PackedCorpus):
+            return matrices
+        blocks = [
+            np.asarray(m.rows if isinstance(m, EmbeddingMatrix) else m, dtype=np.float32)
+            for m in matrices.values()
+        ]
+        if not blocks:
+            return cls(np.zeros((0, 1), dtype=np.float32), np.zeros(1, dtype=np.int64), [])
+        rows = np.concatenate(blocks)
+        ends = np.cumsum([b.shape[0] for b in blocks])
+        keep = np.einsum("ij,ij->i", rows, rows) > 0  # a nonzero norm, without a temporary
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        offsets = np.concatenate(([0], kept[ends])).astype(np.int64)
+        rows = rows if keep.all() else rows[keep]
+        return cls(np.ascontiguousarray(rows), offsets, matrices.keys())
+
+    def __getitem__(self, doc_id: str) -> EmbeddingMatrix:
+        i = self._pos[doc_id]
+        return EmbeddingMatrix(rows=self.rows[self.offsets[i] : self.offsets[i + 1]])
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def positions(self, doc_ids: Sequence[str]) -> np.ndarray:
+        """Pack positions of the given documents (unknown ids dropped)."""
+        out = [self._pos[d] for d in doc_ids if d in self._pos]
+        return np.asarray(out, dtype=np.int64)
+
+
 class TokenEmbedder(Protocol):
     d_in: int
 
@@ -262,6 +319,15 @@ def _pair_score_and_grad(q_raw: np.ndarray, d_raw: np.ndarray, w: np.ndarray):
     return score, grad
 
 
+def _triplet_loss_and_grad(q_raw, pos_raw, neg_raw, w: np.ndarray, margin: float):
+    """Triplet loss and its gradient from one score-and-gradient pass per pair."""
+    s_pos, g_pos = _pair_score_and_grad(q_raw, pos_raw, w)
+    s_neg, g_neg = _pair_score_and_grad(q_raw, neg_raw, w)
+    hinge = margin - s_pos + s_neg
+    grad = np.zeros_like(w) if hinge <= 0.0 else g_neg - g_pos
+    return max(0.0, hinge), grad
+
+
 def gradient_of_loss(
     q_raw: np.ndarray,
     pos_raw: np.ndarray,
@@ -274,12 +340,7 @@ def gradient_of_loss(
     Inputs are raw (pre-projection) matrices. In the flat region of the
     hinge the gradient is exactly zero.
     """
-    w = projection.weights
-    s_pos, g_pos = _pair_score_and_grad(q_raw, pos_raw, w)
-    s_neg, g_neg = _pair_score_and_grad(q_raw, neg_raw, w)
-    if margin - s_pos + s_neg <= 0.0:
-        return np.zeros_like(w)
-    return g_neg - g_pos
+    return _triplet_loss_and_grad(q_raw, pos_raw, neg_raw, projection.weights, margin)[1]
 
 
 def loss_from_raw(
@@ -290,10 +351,7 @@ def loss_from_raw(
     margin: float,
 ) -> float:
     """Triplet loss computed from raw matrices; the target of gradient_of_loss."""
-    w = projection.weights
-    s_pos, _ = _pair_score_and_grad(q_raw, pos_raw, w)
-    s_neg, _ = _pair_score_and_grad(q_raw, neg_raw, w)
-    return max(0.0, margin - s_pos + s_neg)
+    return _triplet_loss_and_grad(q_raw, pos_raw, neg_raw, projection.weights, margin)[0]
 
 
 # -- training ------------------------------------------------------------------
@@ -349,12 +407,13 @@ def train_projection(
             batch = order[start : start + cfg.batch_size]
             grad = np.zeros_like(w)
             batch_loss = 0.0
-            proj = LinearProjection(w)
+            proj = LinearProjection(w)  # rejects non-finite weights
             for idx in batch:
                 t = triplets[idx]
                 a, p, ng = raw_q[t.bug_id], raw_d[t.positive_doc], raw_d[t.negative_doc]
-                batch_loss += loss_from_raw(a, p, ng, proj, cfg.margin)
-                grad += gradient_of_loss(a, p, ng, proj, cfg.margin)
+                loss, g = _triplet_loss_and_grad(a, p, ng, proj.weights, cfg.margin)
+                batch_loss += loss
+                grad += g
             batch_loss /= len(batch)
             if not np.isfinite(batch_loss):
                 raise NonFiniteLoss(

@@ -2,15 +2,18 @@
 
 The embedding space is partitioned by a k-means coarse quantizer; each
 embedding is stored in its partition's inverted list as a product-quantized
-residual code (M bytes, one per subspace). A registry maps embedding ids
-back to (document, token position). Queries score candidates with
+residual code (M bytes, one per subspace). Embedding ids are the row
+indices of the ``PackedCorpus`` the index was built from, so the pack's
+offsets (kept as ``doc_offsets``) map an id back to its document with one
+binary search. Queries score candidates with
 asymmetric distance computation: an inner-product lookup table per
 subspace plus the query-to-coarse-centroid term, so the raw vectors never
 need to be touched during the scan.
 
 Inverted lists live in one contiguous code block grouped by partition
 (``part_offsets`` delimits them), which keeps a multi-partition scan a
-single kernel call. k-means trains in float64 (monotone distortion
+single kernel call. On disk (FBLI v2) the index is these same arrays
+written back to back. k-means trains in float64 (monotone distortion
 trace); the stored centroids, codebooks, and all query-time math are
 float32.
 """
@@ -25,11 +28,11 @@ from typing import Mapping
 import numpy as np
 
 from . import _kernels
-from .embed import EmbeddingMatrix
+from .embed import EmbeddingMatrix, PackedCorpus
 from .errors import EmptyIndex, FormatError, InsufficientData
 
 FBLI_MAGIC = b"FBLI"
-FBLI_VERSION = 1
+FBLI_VERSION = 2
 
 _TRAIN_SUBSAMPLE_CAP = 256_000
 
@@ -110,8 +113,7 @@ class IvfPqIndex:
     part_offsets: np.ndarray  # (P + 1,) int64 into the flat blocks
     flat_ids: np.ndarray  # (N,) uint64 embedding ids, grouped by partition
     flat_codes: np.ndarray  # (N, M) uint8, same order as flat_ids
-    registry_doc_idx: np.ndarray  # (N,) uint32, indexed by embedding id
-    registry_pos: np.ndarray  # (N,) uint32
+    doc_offsets: np.ndarray  # (ndocs + 1,) int64: doc i owns embedding ids [o[i], o[i+1])
     doc_ids: list[str]
 
     @property
@@ -132,7 +134,7 @@ class IvfPqIndex:
 
     @property
     def n_embeddings(self) -> int:
-        return int(self.registry_doc_idx.shape[0])
+        return int(self.flat_ids.shape[0])
 
     def partition(self, p: int) -> tuple[np.ndarray, np.ndarray]:
         """(embedding ids, codes) views for one partition."""
@@ -140,9 +142,10 @@ class IvfPqIndex:
         return self.flat_ids[s:e], self.flat_codes[s:e]
 
     def doc_of(self, embedding_id: int) -> tuple[str, int]:
-        return self.doc_ids[self.registry_doc_idx[embedding_id]], int(
-            self.registry_pos[embedding_id]
-        )
+        """(doc id, row) of an embedding; the row counts the doc's packed rows."""
+        embedding_id = int(embedding_id)
+        doc = int(_doc_indices(self.doc_offsets, embedding_id))
+        return self.doc_ids[doc], embedding_id - int(self.doc_offsets[doc])
 
     def partition_of(self, embedding_id: int) -> int:
         flat_pos = int(np.nonzero(self.flat_ids == embedding_id)[0][0])
@@ -161,31 +164,12 @@ class IvfPqIndex:
         return out
 
 
-def _stack_rows(doc_matrices: Mapping[str, EmbeddingMatrix]):
-    """Flatten all nonzero document rows; returns (rows, doc_idx, pos, doc_ids)."""
-    doc_ids: list[str] = []
-    blocks: list[np.ndarray] = []
-    doc_idx: list[np.ndarray] = []
-    pos: list[np.ndarray] = []
-    for doc_id, mat in doc_matrices.items():
-        rows = mat.rows if isinstance(mat, EmbeddingMatrix) else np.asarray(mat)
-        rows = np.asarray(rows, dtype=np.float32)
-        keep = np.linalg.norm(rows, axis=1) > 0
-        idx = len(doc_ids)
-        doc_ids.append(doc_id)
-        if not keep.any():
-            continue
-        blocks.append(rows[keep])
-        doc_idx.append(np.full(int(keep.sum()), idx, dtype=np.uint32))
-        pos.append(np.nonzero(keep)[0].astype(np.uint32))
-    if blocks:
-        return (
-            np.concatenate(blocks),
-            np.concatenate(doc_idx),
-            np.concatenate(pos),
-            doc_ids,
-        )
-    return np.zeros((0, 1), dtype=np.float32), np.zeros(0, np.uint32), np.zeros(0, np.uint32), doc_ids
+def _doc_indices(doc_offsets: np.ndarray, embedding_ids) -> np.ndarray:
+    """The document holding each embedding id (empty documents hold none)."""
+    ids = np.asarray(embedding_ids)
+    docs = np.searchsorted(doc_offsets.astype(ids.dtype), ids, side="right")
+    docs -= 1
+    return docs
 
 
 def build_index(
@@ -196,8 +180,13 @@ def build_index(
     seed: int = 0,
     max_iters: int = 25,
 ) -> IvfPqIndex:
-    """Train coarse + PQ quantizers on all rows and encode the corpus."""
-    rows, doc_idx, pos, doc_ids = _stack_rows(doc_matrices)
+    """Train coarse + PQ quantizers on all rows and encode the corpus.
+
+    Embedding ids are row indices of the packed corpus, so the pack's
+    offsets map them back to documents.
+    """
+    pack = PackedCorpus.from_matrices(doc_matrices)
+    rows = pack.rows
     total = rows.shape[0]
     if total < n_partitions:
         raise InsufficientData(
@@ -252,9 +241,8 @@ def build_index(
         part_offsets=part_offsets,
         flat_ids=flat_ids,
         flat_codes=flat_codes,
-        registry_doc_idx=doc_idx,
-        registry_pos=pos,
-        doc_ids=doc_ids,
+        doc_offsets=pack.offsets,
+        doc_ids=pack.ids,
     )
 
 
@@ -297,7 +285,8 @@ def candidate_docs(
     Each query row fetches its share (ceil(n_prime / rows)) of the
     n_prime nearest embeddings; when n_prime is None or covers the whole
     index, every row fetches everything. Documents are ordered by first
-    appearance while walking all fetched embeddings by descending score.
+    appearance while walking all fetched embeddings by descending score
+    (ties by ascending embedding id).
     """
     if n_prime is not None and n_prime < 1:
         raise ValueError(f"candidate count must be >= 1 (or None for all), got {n_prime}")
@@ -316,58 +305,90 @@ def candidate_docs(
         per_row = -(-int(n_prime) // q_rows.shape[0])  # ceil division
 
     all_ids, all_scores = _batched_row_search(index, q_rows, nprobe, per_row)
-    order = np.lexsort((all_ids, -all_scores))
-    doc_indices = index.registry_doc_idx[all_ids[order].astype(np.int64)]
-    uniq, first = np.unique(doc_indices, return_index=True)
-    return [index.doc_ids[di] for di in uniq[np.argsort(first)].tolist()]
+    # a document first appears at its best hit, so order documents by that hit
+    docs = _doc_indices(index.doc_offsets, all_ids)
+    n_docs = len(index.doc_ids)
+    best = np.full(n_docs, -np.inf)
+    np.maximum.at(best, docs, all_scores)
+    at_best = all_scores == best[docs]
+    best_id = np.full(n_docs, np.iinfo(np.uint64).max, dtype=np.uint64)
+    np.minimum.at(best_id, docs[at_best], all_ids[at_best])
+    hit = np.nonzero(np.bincount(docs, minlength=n_docs))[0]
+    return [index.doc_ids[d] for d in hit[np.lexsort((best_id[hit], -best[hit]))].tolist()]
 
 
 # -- serialization (FBLI) -------------------------------------------------------
+#
+# magic "FBLI", then a header (version, P, M, K, dim, embeddings, docs), then
+# the index's arrays back to back, little-endian: coarse (P, dim) f4,
+# codebooks (M, K, dim/M) f4, part_offsets (P+1) i8, flat_ids (N) u8,
+# flat_codes (N, M) u1, doc_offsets (docs+1) i8, and the doc-id table.
+
+_FBLI_HEADER = struct.Struct("<IIIIIQI")
 
 
-def _entry_dtype(m: int) -> np.dtype:
-    return np.dtype([("id", "<u8"), ("code", "u1", (m,))])
+def check_version(path: Path, version: int, expected: int) -> None:
+    if version != expected:
+        raise FormatError(
+            f"{path}: format version {version} is not supported (expected {expected}); "
+            "re-run `fbl index` to rebuild the session"
+        )
 
 
-_REGISTRY_DTYPE = np.dtype([("id", "<u8"), ("doc", "<u4"), ("pos", "<u4")])
+def read_array(data: bytes, off: int, dtype: str, count: int) -> tuple[np.ndarray, int]:
+    """A read-only view of count items at byte offset off, and the offset past them."""
+    end = off + count * np.dtype(dtype).itemsize
+    if end > len(data):
+        raise ValueError(f"{count} x {dtype} at byte {off} runs past the end")
+    return np.frombuffer(data, dtype=dtype, count=count, offset=off), end
+
+
+def offsets_span(offsets: np.ndarray, total: int) -> bool:
+    """True when offsets start at 0, never decrease and end at total."""
+    return offsets[0] == 0 and offsets[-1] == total and bool(np.all(np.diff(offsets) >= 0))
+
+
+def write_ids(fh, ids: list[str]) -> None:
+    """A doc-id table: every id's UTF-8 byte length (u4), then the bytes."""
+    raw = [doc_id.encode("utf-8") for doc_id in ids]
+    fh.write(np.asarray([len(r) for r in raw], dtype="<u4").tobytes())
+    fh.write(b"".join(raw))
+
+
+def read_ids(data: bytes, off: int, count: int) -> tuple[list[str], int]:
+    lengths, off = read_array(data, off, "<u4", count)
+    ends = off + np.cumsum(lengths, dtype=np.int64)
+    if count and ends[-1] > len(data):
+        raise ValueError("doc-id table runs past the end")
+    starts = (ends - lengths).tolist()
+    ids = [data[a:b].decode("utf-8") for a, b in zip(starts, ends.tolist())]
+    return ids, int(ends[-1]) if count else off
 
 
 def save_index(index: IvfPqIndex, path: str | Path) -> None:
-    m = index.n_subspaces
-    entry_dt = _entry_dtype(m)
     with open(path, "wb") as fh:
         fh.write(FBLI_MAGIC)
         fh.write(
-            struct.pack(
-                "<IIIII",
+            _FBLI_HEADER.pack(
                 FBLI_VERSION,
                 index.n_partitions,
-                m,
+                index.n_subspaces,
                 index.n_codewords,
                 index.dim,
+                index.n_embeddings,
+                len(index.doc_ids),
             )
         )
-        fh.write(np.ascontiguousarray(index.coarse, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(index.codebooks, dtype="<f4").tobytes())
-        for p in range(index.n_partitions):
-            ids, codes = index.partition(p)
-            fh.write(struct.pack("<Q", ids.shape[0]))
-            block = np.empty(ids.shape[0], dtype=entry_dt)
-            block["id"] = ids
-            block["code"] = codes
-            fh.write(block.tobytes())
-        n = index.n_embeddings
-        fh.write(struct.pack("<Q", n))
-        reg = np.empty(n, dtype=_REGISTRY_DTYPE)
-        reg["id"] = np.arange(n, dtype=np.uint64)
-        reg["doc"] = index.registry_doc_idx
-        reg["pos"] = index.registry_pos
-        fh.write(reg.tobytes())
-        fh.write(struct.pack("<I", len(index.doc_ids)))
-        for doc_id in index.doc_ids:
-            raw = doc_id.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+        for arr, dtype in (
+            (index.coarse, "<f4"),
+            (index.codebooks, "<f4"),
+            (index.part_offsets, "<i8"),
+            (index.flat_ids, "<u8"),
+            (index.flat_codes, "u1"),
+            (index.doc_offsets, "<i8"),
+        ):
+            fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        write_ids(fh, index.doc_ids)
 
 
 def _is_permutation(ids: np.ndarray, n: int) -> bool:
@@ -378,80 +399,45 @@ def _is_permutation(ids: np.ndarray, n: int) -> bool:
 
 
 def load_index(path: str | Path) -> IvfPqIndex:
+    """Read and validate an FBLI file; every array is checked before use."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = path.read_bytes()
     if data[:4] != FBLI_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {FBLI_MAGIC!r}")
-    off = 4
     try:
-        version, n_part, m, k, d = struct.unpack_from("<IIIII", data, off)
-        off += 20
-        if version != FBLI_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        if n_part < 1 or m < 1 or d % m != 0:
-            raise FormatError(f"{path}: bad shape: {n_part} partitions, {m} subspaces, dim {d}")
-        coarse = np.frombuffer(data, dtype="<f4", count=n_part * d, offset=off).reshape(n_part, d)
-        off += n_part * d * 4
-        dsub = d // m
-        codebooks = np.frombuffer(data, dtype="<f4", count=m * k * dsub, offset=off).reshape(
-            m, k, dsub
-        )
-        off += m * k * dsub * 4
-        entry_dt = _entry_dtype(m)
-        id_blocks = []
-        code_blocks = []
-        counts = np.zeros(n_part, dtype=np.int64)
-        for p in range(n_part):
-            (count,) = struct.unpack_from("<Q", data, off)
-            off += 8
-            block = np.frombuffer(data, dtype=entry_dt, count=count, offset=off)
-            off += count * entry_dt.itemsize
-            counts[p] = count
-            id_blocks.append(block["id"])
-            code_blocks.append(block["code"].reshape(count, m))
-        flat_ids = np.concatenate(id_blocks).astype(np.uint64)
-        flat_codes = np.concatenate(code_blocks).astype(np.uint8)
-        part_offsets = np.zeros(n_part + 1, dtype=np.int64)
-        part_offsets[1:] = np.cumsum(counts)
-        (n_emb,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        reg = np.frombuffer(data, dtype=_REGISTRY_DTYPE, count=n_emb, offset=off)
-        off += n_emb * _REGISTRY_DTYPE.itemsize
-        # every id indexes a registry array or a LUT at query time
-        if part_offsets[-1] != n_emb:
+        version, n_part, m, k, d, n_emb, n_docs = _FBLI_HEADER.unpack_from(data, 4)
+        check_version(path, version, FBLI_VERSION)
+        if n_part < 1 or m < 1 or not 1 <= k <= 256 or d % m != 0:
             raise FormatError(
-                f"{path}: partitions hold {part_offsets[-1]} entries, registry {n_emb}"
+                f"{path}: bad shape: {n_part} partitions, {m} subspaces, {k} codewords, dim {d}"
             )
-        if not _is_permutation(flat_ids, n_emb):
-            raise FormatError(f"{path}: inverted-list ids are not each of 0..{n_emb - 1} once")
-        if not _is_permutation(reg["id"], n_emb):
-            raise FormatError(f"{path}: registry ids are not each of 0..{n_emb - 1} once")
-        if flat_codes.size and int(flat_codes.max()) >= k:
-            raise FormatError(f"{path}: code {int(flat_codes.max())} >= codebook size {k}")
-        doc_idx = np.empty(n_emb, dtype=np.uint32)
-        pos = np.empty(n_emb, dtype=np.uint32)
-        doc_idx[reg["id"].astype(np.int64)] = reg["doc"]
-        pos[reg["id"].astype(np.int64)] = reg["pos"]
-        (n_docs,) = struct.unpack_from("<I", data, off)
-        off += 4
-        doc_ids: list[str] = []
-        for _ in range(n_docs):
-            (slen,) = struct.unpack_from("<I", data, off)
-            off += 4
-            doc_ids.append(data[off : off + slen].decode("utf-8"))
-            off += slen
-        if n_emb and int(doc_idx.max()) >= n_docs:
-            raise FormatError(f"{path}: doc index {int(doc_idx.max())} >= {n_docs} doc ids")
-    except (struct.error, ValueError, IndexError) as exc:
+        off = 4 + _FBLI_HEADER.size
+        coarse, off = read_array(data, off, "<f4", n_part * d)
+        codebooks, off = read_array(data, off, "<f4", k * d)
+        part_offsets, off = read_array(data, off, "<i8", n_part + 1)
+        flat_ids, off = read_array(data, off, "<u8", n_emb)
+        flat_codes, off = read_array(data, off, "u1", n_emb * m)
+        doc_offsets, off = read_array(data, off, "<i8", n_docs + 1)
+        doc_ids, off = read_ids(data, off, n_docs)
+    except (struct.error, ValueError, OverflowError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: truncated or corrupt index ({exc})") from exc
+    if off != len(data):
+        raise FormatError(f"{path}: {len(data) - off} bytes past the doc-id table")
+    # every id and offset below indexes an array or a LUT at query time
+    if not offsets_span(part_offsets, n_emb):
+        raise FormatError(f"{path}: partition offsets do not run from 0 up to {n_emb}")
+    if not offsets_span(doc_offsets, n_emb):
+        raise FormatError(f"{path}: doc offsets do not run from 0 up to {n_emb}")
+    if not _is_permutation(flat_ids, n_emb):
+        raise FormatError(f"{path}: inverted-list ids are not each of 0..{n_emb - 1} once")
+    if flat_codes.size and int(flat_codes.max()) >= k:
+        raise FormatError(f"{path}: code {int(flat_codes.max())} >= codebook size {k}")
     return IvfPqIndex(
-        coarse=coarse.copy(),
-        codebooks=codebooks.copy(),
-        part_offsets=part_offsets,
-        flat_ids=flat_ids,
-        flat_codes=flat_codes,
-        registry_doc_idx=doc_idx,
-        registry_pos=pos,
+        coarse=coarse.reshape(n_part, d).copy(),
+        codebooks=codebooks.reshape(m, k, d // m).copy(),
+        part_offsets=part_offsets.copy(),
+        flat_ids=flat_ids.copy(),
+        flat_codes=flat_codes.reshape(n_emb, m).copy(),
+        doc_offsets=doc_offsets.copy(),
         doc_ids=doc_ids,
     )

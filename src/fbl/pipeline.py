@@ -119,7 +119,7 @@ class BuiltSession:
     manifest: Manifest
     index: IvfPqIndex
     projection: LinearProjection
-    doc_matrices: dict[str, EmbeddingMatrix]
+    doc_matrices: PackedCorpus
     documents: list[Document] = field(default_factory=list)
 
 
@@ -137,7 +137,7 @@ def build_session(
     embedder = make_embedder(config)
     if projection is None:
         projection = LinearProjection.seeded_init(config.d_in, config.d_out, config.seed)
-    matrices = embed_documents(seqs, embedder, projection)
+    matrices = PackedCorpus.from_matrices(embed_documents(seqs, embedder, projection))
     index = build_index(
         matrices,
         n_partitions=config.n_partitions,
@@ -176,7 +176,7 @@ def build_session(
 def run_query(
     query: EmbeddingMatrix,
     index: IvfPqIndex,
-    docs: Mapping[str, EmbeddingMatrix] | PackedCorpus,
+    docs: Mapping[str, EmbeddingMatrix],
     config: Config,
     k: int,
     exact: bool = False,
@@ -259,28 +259,28 @@ def sweep_latency(
     rng = np.random.default_rng(config.seed)
     rows_out: list[BenchRow] = []
     for target in sizes:
-        subset = _subsample_to_size(doc_matrices, target)
-        n_rows = sum(m.n_rows for m in subset.values())
+        # packed once, for the build and the queries, like a live session
+        pack = PackedCorpus.from_matrices(_subsample_to_size(doc_matrices, target))
+        n_rows = pack.rows.shape[0]
         p_eff = min(config.n_partitions, max(1, n_rows))
         cfg = replace(config, n_partitions=p_eff, nprobe=min(config.nprobe, p_eff))
         index = build_index(
-            subset,
+            pack,
             n_partitions=cfg.n_partitions,
             n_subspaces=cfg.n_subspaces,
             n_codewords=min(cfg.n_codewords, max(1, n_rows)),
             seed=cfg.seed,
             max_iters=build_max_iters,
         )
-        pack = PackedCorpus.from_matrices(subset)  # packed once, like a live session
-        doc_ids = list(subset.keys())
+        doc_ids = pack.ids
         queries = []
         for _ in range(n_queries):
             rows: list[np.ndarray] = []
             have = 0
             while have < query_rows:
                 pick = doc_ids[int(rng.integers(len(doc_ids)))]
-                rows.append(subset[pick].rows)
-                have += subset[pick].rows.shape[0]
+                rows.append(pack[pick].rows)
+                have += pack[pick].n_rows
             stacked = np.concatenate(rows)[:query_rows]
             queries.append(EmbeddingMatrix(np.ascontiguousarray(stacked), is_query=True))
 
@@ -301,7 +301,7 @@ def sweep_latency(
         rows_out.append(
             BenchRow(
                 embeddings=n_rows,
-                docs=len(subset),
+                docs=len(pack),
                 partitions=cfg.n_partitions,
                 nprobe=cfg.nprobe,
                 candidates=cfg.candidates,

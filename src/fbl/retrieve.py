@@ -8,9 +8,9 @@ unbounded candidates) it reproduces the exact ranking bit for bit, since
 both paths score a document with the same kernel and sort by the same
 total order (score descending, doc_id ascending).
 
-Both ranking entry points accept either a mapping of document matrices or
-a prebuilt ``PackedCorpus``; sessions serving many queries should pack
-once and reuse.
+Both ranking entry points take any mapping of document matrices; a
+``PackedCorpus`` (what a loaded session holds) is used as it is, anything
+else is packed per call, so sessions serving many queries pack once.
 
 Documents that are empty after truncation score -inf and are excluded
 from rankings rather than ranked last: they are unscorable, not
@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
-from typing import IO, Mapping, Sequence
+from dataclasses import dataclass
+from typing import IO, Mapping
 
 import numpy as np
 
 from . import _kernels
 from .corpus import changeset_of_doc
-from .embed import EmbeddingMatrix
+from .embed import EmbeddingMatrix, PackedCorpus
 from .index import IvfPqIndex, candidate_docs
 
 
@@ -44,66 +44,9 @@ class RankedResult:
     mode: RankMode
 
 
-def _doc_rows(mat: EmbeddingMatrix | np.ndarray) -> np.ndarray:
-    rows = mat.rows if isinstance(mat, EmbeddingMatrix) else np.asarray(mat)
-    rows = np.asarray(rows, dtype=np.float32)
-    keep = np.linalg.norm(rows, axis=1) > 0
-    return rows if keep.all() else rows[keep]
-
-
-@dataclass
-class PackedCorpus:
-    """Documents packed into one contiguous row block for the scoring kernel.
-
-    Zero rows are dropped at pack time so the kernel never needs a mask;
-    id_rank caches the lexicographic rank of each doc_id for fast
-    tie-break sorting.
-    """
-
-    rows: np.ndarray  # (N, d) float32, contiguous
-    offsets: np.ndarray  # (ndocs + 1,) int64
-    ids: list[str]
-    id_rank: np.ndarray = field(default=None)  # (ndocs,) int64
-    _pos: dict[str, int] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.id_rank is None:
-            self.id_rank = np.empty(len(self.ids), dtype=np.int64)
-            order = sorted(range(len(self.ids)), key=lambda i: self.ids[i])
-            self.id_rank[order] = np.arange(len(self.ids))
-        if self._pos is None:
-            self._pos = {doc_id: i for i, doc_id in enumerate(self.ids)}
-
-    @classmethod
-    def from_matrices(cls, matrices: Mapping[str, EmbeddingMatrix]) -> "PackedCorpus":
-        blocks = []
-        offsets = [0]
-        ids = []
-        for doc_id, mat in matrices.items():
-            rows = _doc_rows(mat)
-            blocks.append(rows)
-            offsets.append(offsets[-1] + rows.shape[0])
-            ids.append(doc_id)
-        rows = np.concatenate(blocks) if blocks else np.zeros((0, 1), dtype=np.float32)
-        return cls(
-            rows=np.ascontiguousarray(rows, dtype=np.float32),
-            offsets=np.asarray(offsets, dtype=np.int64),
-            ids=ids,
-        )
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def positions(self, doc_ids: Sequence[str]) -> np.ndarray:
-        """Pack positions of the given documents (unknown ids dropped)."""
-        out = [self._pos[d] for d in doc_ids if d in self._pos]
-        return np.asarray(out, dtype=np.int64)
-
-
-def _as_pack(docs: Mapping[str, EmbeddingMatrix] | PackedCorpus) -> PackedCorpus:
-    if isinstance(docs, PackedCorpus):
-        return docs
-    return PackedCorpus.from_matrices(docs)
+def _as_pack(docs: Mapping[str, EmbeddingMatrix]) -> PackedCorpus:
+    # a loaded session's pack is used as it is: a query makes no call into the packer
+    return docs if isinstance(docs, PackedCorpus) else PackedCorpus.from_matrices(docs)
 
 
 def maxsim(q: EmbeddingMatrix, d: EmbeddingMatrix) -> float:
@@ -113,9 +56,8 @@ def maxsim(q: EmbeddingMatrix, d: EmbeddingMatrix) -> float:
     document with no scorable rows.
     """
     q_rows = np.ascontiguousarray(np.asarray(q.rows, dtype=np.float32))
-    d_rows = _doc_rows(d)
-    offsets = np.asarray([0, d_rows.shape[0]], dtype=np.int64)
-    return float(_kernels.maxsim_packed(q_rows, np.ascontiguousarray(d_rows), offsets)[0])
+    pack = PackedCorpus.from_matrices({"": d})
+    return float(_kernels.maxsim_packed(q_rows, pack.rows, pack.offsets)[0])
 
 
 def _rank_positions(
@@ -148,7 +90,7 @@ def _rank_positions(
 
 def rank_exact(
     query: EmbeddingMatrix,
-    docs: Mapping[str, EmbeddingMatrix] | PackedCorpus,
+    docs: Mapping[str, EmbeddingMatrix],
     bug_id: str = "",
 ) -> RankedResult:
     """Score every document; the oracle the two-stage path is checked against."""
@@ -162,7 +104,7 @@ def rank_exact(
 def rank_two_stage(
     query: EmbeddingMatrix,
     index: IvfPqIndex,
-    docs: Mapping[str, EmbeddingMatrix] | PackedCorpus,
+    docs: Mapping[str, EmbeddingMatrix],
     n_prime: int | None,
     nprobe: int,
     k: int,

@@ -5,14 +5,21 @@ A session directory holds everything a query needs:
     manifest.json   configuration fingerprint + artifact checksums
     index.fbli      the IVFPQ index
     projection.fble the linear projection weights
-    docs.fblp       per-document embedding matrices, packed contiguously
+    docs.fblp       the packed corpus: doc offsets, one row block, doc ids
     vocab.txt       the vocabulary the session was encoded with
     embedder.fble   (only for file-backed embedders)
 
+``index.fbli`` and ``docs.fblp`` hold the in-memory arrays of an
+``IvfPqIndex`` and a ``PackedCorpus`` back to back, so loading is a
+validation pass plus views, with no per-document work; the loaded pack
+is what queries score against. The manifest records a sha256 of every
+artifact a save writes.
+
 Writes go through a uniquely named temp file + rename so a crashed save
-never leaves a half-written artifact behind. Loading verifies magic bytes
-and sha256 checksums; querying a session under a different configuration
-raises ConfigMismatch.
+never leaves a half-written artifact behind. Loading verifies checksums,
+magic bytes, format versions and every offset and id the query path
+indexes with; querying a session under a different configuration raises
+ConfigMismatch.
 """
 
 from __future__ import annotations
@@ -28,12 +35,22 @@ from typing import Mapping
 
 import numpy as np
 
-from .embed import EmbeddingMatrix, LinearProjection
+from .embed import FBLE_VERSION, EmbeddingMatrix, LinearProjection, PackedCorpus
 from .errors import ConfigMismatch, FormatError
-from .index import IvfPqIndex, load_index, save_index
+from .index import (
+    FBLI_VERSION,
+    IvfPqIndex,
+    check_version,
+    load_index,
+    offsets_span,
+    read_array,
+    read_ids,
+    save_index,
+    write_ids,
+)
 
 FBLP_MAGIC = b"FBLP"
-FBLP_VERSION = 1
+FBLP_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 INDEX_NAME = "index.fbli"
@@ -61,7 +78,7 @@ class Manifest:
     doc_limit: int
     matrix_dtype: str = "f32"  # or "f16"
     format_versions: dict = field(
-        default_factory=lambda: {"fbli": 1, "fble": 1, "fblp": FBLP_VERSION}
+        default_factory=lambda: {"fbli": FBLI_VERSION, "fble": FBLE_VERSION, "fblp": FBLP_VERSION}
     )
     checksums: dict = field(default_factory=dict)
 
@@ -117,63 +134,56 @@ def _atomic_write(path: Path, writer) -> None:
 
 
 # -- document matrix pack (FBLP) --------------------------------------------------
+#
+# magic "FBLP", then a header (version, dtype flag, docs, dim, rows), then the
+# pack's arrays back to back, little-endian: offsets (docs+1) i8, rows
+# (rows, dim) f4 or f2, and the doc-id table.
+
+_FBLP_HEADER = struct.Struct("<IIIIQ")
+_ROW_DTYPES = ("f32", "f16")  # the manifest's matrix_dtype, by dtype flag
+_ROW_NP_DTYPES = ("<f4", "<f2")
 
 
 def write_doc_pack(
     path: str | Path, matrices: Mapping[str, EmbeddingMatrix], dtype: str = "f32"
 ) -> None:
-    if dtype not in ("f32", "f16"):
+    if dtype not in _ROW_DTYPES:
         raise ValueError("dtype must be 'f32' or 'f16'")
-    np_dtype = "<f4" if dtype == "f32" else "<f2"
-    items = list(matrices.items())
-    dim = items[0][1].rows.shape[1] if items else 0
+    pack = PackedCorpus.from_matrices(matrices)
+    n_rows, dim = pack.rows.shape
     with open(path, "wb") as fh:
         fh.write(FBLP_MAGIC)
-        fh.write(struct.pack("<IIIB", FBLP_VERSION, len(items), dim, 0 if dtype == "f32" else 1))
-        offset = 0
-        for doc_id, mat in items:
-            raw = doc_id.encode("utf-8")
-            rows = mat.rows.shape[0]
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<QI", offset, rows))
-            offset += rows
-        for _, mat in items:
-            fh.write(np.ascontiguousarray(mat.rows, dtype=np_dtype).tobytes())
+        flag = _ROW_DTYPES.index(dtype)
+        fh.write(_FBLP_HEADER.pack(FBLP_VERSION, flag, len(pack), dim, n_rows))
+        fh.write(np.ascontiguousarray(pack.offsets, dtype="<i8").tobytes())
+        fh.write(np.ascontiguousarray(pack.rows, dtype=_ROW_NP_DTYPES[flag]).data)
+        write_ids(fh, pack.ids)
 
 
-def read_doc_pack(path: str | Path) -> dict[str, EmbeddingMatrix]:
+def read_doc_pack(path: str | Path) -> PackedCorpus:
+    """Read and validate an FBLP file; f32 rows stay a view of the file's bytes."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = path.read_bytes()
     if data[:4] != FBLP_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {FBLP_MAGIC!r}")
     try:
-        version, count, dim, dtype_flag = struct.unpack_from("<IIIB", data, 4)
-        if version != FBLP_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        np_dtype = "<f4" if dtype_flag == 0 else "<f2"
-        item_size = 4 if dtype_flag == 0 else 2
-        off = 17
-        table: list[tuple[str, int, int]] = []
-        for _ in range(count):
-            (slen,) = struct.unpack_from("<I", data, off)
-            off += 4
-            doc_id = data[off : off + slen].decode("utf-8")
-            off += slen
-            row_off, rows = struct.unpack_from("<QI", data, off)
-            off += 12
-            table.append((doc_id, row_off, rows))
-        out: dict[str, EmbeddingMatrix] = {}
-        for doc_id, row_off, rows in table:
-            start = off + row_off * dim * item_size
-            block = np.frombuffer(data, dtype=np_dtype, count=rows * dim, offset=start)
-            out[doc_id] = EmbeddingMatrix(
-                rows=block.reshape(rows, dim).astype(np.float32), is_query=False
-            )
-    except (struct.error, ValueError, UnicodeDecodeError) as exc:
+        version, dtype_flag, n_docs, dim, n_rows = _FBLP_HEADER.unpack_from(data, 4)
+        check_version(path, version, FBLP_VERSION)
+        if dtype_flag >= len(_ROW_DTYPES):
+            raise FormatError(f"{path}: unknown row dtype flag {dtype_flag}")
+        off = 4 + _FBLP_HEADER.size
+        offsets, off = read_array(data, off, "<i8", n_docs + 1)
+        rows, off = read_array(data, off, _ROW_NP_DTYPES[dtype_flag], n_rows * dim)
+        ids, off = read_ids(data, off, n_docs)
+        if off != len(data):
+            raise FormatError(f"{path}: {len(data) - off} bytes past the doc-id table")
+        if not offsets_span(offsets, n_rows):
+            raise FormatError(f"{path}: doc offsets do not run from 0 up to {n_rows} rows")
+        return PackedCorpus(
+            rows.reshape(n_rows, dim).astype(np.float32, copy=False), offsets.copy(), ids
+        )
+    except (struct.error, ValueError, OverflowError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: truncated or corrupt pack ({exc})") from exc
-    return out
 
 
 # -- session save/load -------------------------------------------------------------
@@ -184,7 +194,7 @@ class SessionArtifacts:
     manifest: Manifest
     index: IvfPqIndex
     projection: LinearProjection
-    doc_matrices: dict[str, EmbeddingMatrix]
+    doc_matrices: PackedCorpus
 
 
 def save_session(
@@ -205,20 +215,19 @@ def save_session(
         directory / DOCS_NAME,
         lambda p: write_doc_pack(p, doc_matrices, dtype=manifest.matrix_dtype),
     )
+    written = [INDEX_NAME, PROJECTION_NAME, DOCS_NAME]
     if vocab_text is not None:
         _atomic_write(
             directory / VOCAB_NAME,
             lambda p: Path(p).write_text(vocab_text, encoding="utf-8"),
         )
+        written.append(VOCAB_NAME)
     if embedder_matrix_path is not None:
         data = Path(embedder_matrix_path).read_bytes()
         _atomic_write(directory / EMBEDDER_NAME, lambda p: Path(p).write_bytes(data))
+        written.append(EMBEDDER_NAME)
 
-    manifest.checksums = {
-        INDEX_NAME: sha256_file(directory / INDEX_NAME),
-        PROJECTION_NAME: sha256_file(directory / PROJECTION_NAME),
-        DOCS_NAME: sha256_file(directory / DOCS_NAME),
-    }
+    manifest.checksums = {name: sha256_file(directory / name) for name in written}
     payload = json.dumps(asdict(manifest), indent=2, sort_keys=True)
     _atomic_write(
         directory / MANIFEST_NAME, lambda p: Path(p).write_text(payload, encoding="utf-8")
@@ -237,7 +246,10 @@ def load_manifest(directory: str | Path) -> Manifest:
 
 
 def load_session(directory: str | Path, expect: Mapping | None = None) -> SessionArtifacts:
-    """Load all artifacts, verifying checksums; `expect` fields must match."""
+    """Load all artifacts, verifying checksums; `expect` fields must match.
+
+    ``doc_matrices`` is the packed corpus as stored, ready to rank against.
+    """
     directory = Path(directory)
     manifest = load_manifest(directory)
     if expect:

@@ -246,6 +246,8 @@ def test_out_of_range_counts_exit_1_naming_the_flag(corpus_dir, capsys):
         ("--candidates", "x"),
         ("--topk", "0"),
         ("--topk", "-1"),
+        ("--nprobe", "0"),
+        ("--nprobe", "-2"),
     ]
     for command, extra in (("query", ["--text", "widget"]), ("bench", ["--sizes", "40"])):
         for flag, value in bad:
@@ -253,8 +255,17 @@ def test_out_of_range_counts_exit_1_naming_the_flag(corpus_dir, capsys):
             assert main([command, "--session", str(session), *extra, flag, value]) == 1
             err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
             assert err["kind"] == "usage" and flag in err["error"], (command, flag, value)
-    assert main(_index_args(corpus, vocab, tmp_path / "s2") + ["--candidates", "0"]) == 1
-    assert "--candidates" in capsys.readouterr().err
+    index_flags = [
+        "--candidates", "--partitions", "--subspaces", "--codewords", "--nprobe",
+        "--query-limit", "--hunk-limit", "--file-limit", "--changeset-limit",
+        "--d-in", "--d-out",
+    ]
+    for flag in index_flags:
+        for value in ("0", "-1"):
+            capsys.readouterr()
+            assert main(_index_args(corpus, vocab, tmp_path / "s2") + [flag, value]) == 1
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert err["kind"] == "usage" and flag in err["error"], (flag, value)
 
 
 def test_config_rejects_candidates_below_one():

@@ -142,6 +142,25 @@ def test_registry_bijection():
     assert lengths.sum() == idx.n_embeddings
 
 
+def test_doc_of_maps_ids_past_empty_and_dead_docs():
+    rng = np.random.default_rng(6)
+    b = _unit_rows(rng.standard_normal((3, 4)))
+    b[1] = 0.0  # a dead token is not embedded
+    docs = {
+        "a:0:0": _mat(rng.standard_normal((2, 4))),
+        "empty:0:0": EmbeddingMatrix(rows=np.zeros((0, 4), dtype=np.float32)),
+        "dead:0:0": EmbeddingMatrix(rows=np.zeros((2, 4), dtype=np.float32)),
+        "b:0:0": EmbeddingMatrix(rows=b),
+    }
+    idx = build_index(docs, n_partitions=2, n_subspaces=2, n_codewords=2, seed=0)
+    np.testing.assert_array_equal(idx.doc_offsets, [0, 2, 2, 2, 4])
+    assert [idx.doc_of(e) for e in range(4)] == [
+        ("a:0:0", 0), ("a:0:0", 1), ("b:0:0", 0), ("b:0:0", 1)
+    ]
+    q = EmbeddingMatrix(rows=b[[2]], is_query=True)
+    assert sorted(candidate_docs(idx, q, None, 2)) == ["a:0:0", "b:0:0"]
+
+
 def test_pq_reconstruction_mse_improves_with_k():
     rng = np.random.default_rng(11)
     docs, _ = _random_corpus(rng, n_docs=500, tokens_per_doc=20, dim=32)
@@ -221,8 +240,7 @@ def test_search_empty_index():
         part_offsets=np.zeros(2, dtype=np.int64),
         flat_ids=np.zeros(0, dtype=np.uint64),
         flat_codes=np.zeros((0, 2), dtype=np.uint8),
-        registry_doc_idx=np.zeros(0, dtype=np.uint32),
-        registry_pos=np.zeros(0, dtype=np.uint32),
+        doc_offsets=np.zeros(1, dtype=np.int64),
         doc_ids=[],
     )
     # only candidate_docs guards the empty index; the batched scan below it does not
@@ -363,37 +381,32 @@ def _saved_index(tmp_path):
 
 
 def _fbli_layout(idx):
-    """Byte offsets of each list's count field, the entry size and the registry."""
-    m, p_count, d = idx.n_subspaces, idx.n_partitions, idx.dim
-    off = 24 + p_count * d * 4 + m * idx.n_codewords * (d // m) * 4
-    entry = 8 + m
-    lists = []
-    for p in range(p_count):
-        n = int(idx.part_offsets[p + 1] - idx.part_offsets[p])
-        lists.append((off, n))
-        off += 8 + n * entry
-    return lists, entry, off + 8
+    """Byte offsets of part_offsets, flat_ids, flat_codes and doc_offsets in FBLI v2."""
+    m, p_count, d, n = idx.n_subspaces, idx.n_partitions, idx.dim, idx.n_embeddings
+    part = 4 + 32 + p_count * d * 4 + idx.n_codewords * d * 4
+    ids = part + (p_count + 1) * 8
+    codes = ids + n * 8
+    docs = codes + n * m
+    return part, ids, codes, docs
 
 
-def _first_list(idx):
-    lists, entry, _ = _fbli_layout(idx)
-    count_at, _ = next(item for item in lists if item[1] > 0)
-    return count_at + 8, entry  # offset of the list's first entry
+def _put_i8(raw, at, value):
+    raw[at : at + 8] = int(value).to_bytes(8, "little", signed=True)
 
 
-def test_load_index_rejects_duplicate_registry_ids(tmp_path):
+def test_load_index_rejects_decreasing_doc_offsets(tmp_path):
     idx, p, raw = _saved_index(tmp_path)
-    _, _, reg = _fbli_layout(idx)
-    raw[reg + 16 : reg + 24] = (0).to_bytes(8, "little")  # entry 1 claims id 0
+    _, _, _, docs = _fbli_layout(idx)
+    _put_i8(raw, docs + 8, idx.doc_offsets[2] + 1)  # doc 0 ends past where doc 1 does
     p.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="registry ids"):
+    with pytest.raises(FormatError, match="doc offsets"):
         load_index(p)
 
 
 def test_load_index_rejects_list_id_out_of_range(tmp_path):
     idx, p, raw = _saved_index(tmp_path)
-    at, _ = _first_list(idx)
-    raw[at : at + 8] = idx.n_embeddings.to_bytes(8, "little")
+    _, ids, _, _ = _fbli_layout(idx)
+    raw[ids : ids + 8] = idx.n_embeddings.to_bytes(8, "little")
     p.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="inverted-list ids"):
         load_index(p)
@@ -401,8 +414,8 @@ def test_load_index_rejects_list_id_out_of_range(tmp_path):
 
 def test_load_index_rejects_code_out_of_range(tmp_path):
     idx, p, raw = _saved_index(tmp_path)
-    at, _ = _first_list(idx)
-    raw[at + 8] = idx.n_codewords
+    _, _, codes, _ = _fbli_layout(idx)
+    raw[codes] = idx.n_codewords
     p.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="codebook size"):
         load_index(p)
@@ -410,22 +423,27 @@ def test_load_index_rejects_code_out_of_range(tmp_path):
 
 def test_load_index_rejects_partition_counts_off_total(tmp_path):
     idx, p, raw = _saved_index(tmp_path)
-    lists, entry, _ = _fbli_layout(idx)
-    count_at, n = next(item for item in lists if item[1] > 0)
-    raw[count_at : count_at + 8] = (n - 1).to_bytes(8, "little")
-    last = count_at + 8 + (n - 1) * entry
-    del raw[last : last + entry]  # drop the list's last entry with its count
+    part, _, _, _ = _fbli_layout(idx)
+    _put_i8(raw, part + idx.n_partitions * 8, idx.n_embeddings - 1)
     p.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="partitions hold"):
+    with pytest.raises(FormatError, match="partition offsets"):
         load_index(p)
 
 
-def test_load_index_rejects_doc_index_out_of_range(tmp_path):
+def test_load_index_rejects_doc_offsets_off_total(tmp_path):
     idx, p, raw = _saved_index(tmp_path)
-    _, _, reg = _fbli_layout(idx)
-    raw[reg + 8 : reg + 12] = len(idx.doc_ids).to_bytes(4, "little")
+    _, _, _, docs = _fbli_layout(idx)
+    _put_i8(raw, docs + len(idx.doc_ids) * 8, idx.n_embeddings + 1)
     p.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="doc index"):
+    with pytest.raises(FormatError, match="doc offsets"):
+        load_index(p)
+
+
+def test_load_index_rejects_version_1_naming_the_fix(tmp_path):
+    idx, p, raw = _saved_index(tmp_path)
+    raw[4:8] = (1).to_bytes(4, "little")
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="version 1.*re-run `fbl index`"):
         load_index(p)
 
 

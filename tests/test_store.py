@@ -2,13 +2,17 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fbl.embed import EmbeddingMatrix, LinearProjection
+from fbl.embed import EmbeddingMatrix, LinearProjection, PackedCorpus
 from fbl.errors import ConfigMismatch, FormatError
-from fbl.index import build_index
+from fbl.index import build_index, candidate_docs, load_index
+from fbl.retrieve import rank_exact, rank_two_stage
 from fbl.store import (
     DOCS_NAME,
     INDEX_NAME,
+    VOCAB_NAME,
     Manifest,
     SessionArtifacts,
     _atomic_write,
@@ -24,8 +28,7 @@ def _unit(a):
     return a / np.linalg.norm(a, axis=1, keepdims=True)
 
 
-@pytest.fixture
-def session_pieces():
+def _pieces():
     rng = np.random.default_rng(0)
     docs = {
         f"c{i}:0:0": EmbeddingMatrix(rows=_unit(rng.standard_normal((4, 8))))
@@ -52,6 +55,11 @@ def session_pieces():
     return manifest, index, projection, docs
 
 
+@pytest.fixture
+def session_pieces():
+    return _pieces()
+
+
 def test_doc_pack_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     docs = {
@@ -62,9 +70,33 @@ def test_doc_pack_roundtrip(tmp_path):
     p = tmp_path / "docs.fblp"
     write_doc_pack(p, docs)
     back = read_doc_pack(p)
+    assert isinstance(back, PackedCorpus)
     assert list(back.keys()) == list(docs.keys())
     for k in docs:
         np.testing.assert_array_equal(back[k].rows, docs[k].rows)
+
+
+def test_doc_pack_drops_zero_rows_and_keeps_empty_docs(tmp_path):
+    rng = np.random.default_rng(5)
+    a = _unit(rng.standard_normal((3, 4)))
+    a[1] = 0.0
+    docs = {"a:0:0": EmbeddingMatrix(rows=a), "z:0:0": EmbeddingMatrix(rows=np.zeros((2, 4)))}
+    p = tmp_path / "docs.fblp"
+    write_doc_pack(p, docs)
+    back = read_doc_pack(p)
+    np.testing.assert_array_equal(back["a:0:0"].rows, a[[0, 2]])
+    assert back["z:0:0"].n_rows == 0
+    np.testing.assert_array_equal(back.offsets, [0, 2, 2])
+
+
+def test_doc_pack_version_1_names_the_fix(tmp_path):
+    p = tmp_path / "docs.fblp"
+    write_doc_pack(p, {"a:0:0": EmbeddingMatrix(rows=_unit(np.ones((1, 4))))})
+    raw = bytearray(p.read_bytes())
+    raw[4:8] = (1).to_bytes(4, "little")
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="version 1.*re-run `fbl index`"):
+        read_doc_pack(p)
 
 
 def test_doc_pack_f16_mode(tmp_path):
@@ -83,6 +115,7 @@ def test_session_roundtrip(tmp_path, session_pieces):
     arts = load_session(tmp_path)
     assert isinstance(arts, SessionArtifacts)
     assert arts.manifest == manifest
+    assert manifest.format_versions == {"fbli": 2, "fble": 1, "fblp": 2}
     np.testing.assert_array_equal(
         arts.projection.weights.astype(np.float32), projection.weights.astype(np.float32)
     )
@@ -134,6 +167,17 @@ def test_session_checksum_violation(tmp_path, session_pieces):
     assert "checksum" in str(exc.value)
 
 
+def test_session_vocab_checksum_violation(tmp_path, session_pieces):
+    manifest, index, projection, docs = session_pieces
+    save_session(tmp_path, manifest, index, projection, docs, vocab_text="a\nb\n")
+    target = tmp_path / VOCAB_NAME
+    blob = bytearray(target.read_bytes())
+    blob[0] ^= 0x01
+    target.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="vocab.txt: checksum mismatch"):
+        load_session(tmp_path)
+
+
 def test_manifest_missing(tmp_path):
     with pytest.raises(FormatError):
         load_session(tmp_path / "nowhere")
@@ -161,3 +205,70 @@ def test_failed_write_removes_its_temp_file(tmp_path):
     with pytest.raises(OSError, match="disk full"):
         _atomic_write(tmp_path / INDEX_NAME, writer)
     assert list(tmp_path.iterdir()) == []
+
+
+# -- untrusted artifacts ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A saved session's index and pack bytes, their regions, and two queries."""
+    manifest, index, projection, docs = _pieces()
+    docs["empty:0:0"] = EmbeddingMatrix(rows=np.zeros((0, 8), dtype=np.float32))
+    index = build_index(docs, n_partitions=4, n_subspaces=2, n_codewords=8, seed=1)
+    directory = tmp_path_factory.mktemp("session")
+    save_session(directory, manifest, index, projection, docs)
+    n, p, m, d, k = index.n_embeddings, index.n_partitions, 2, index.dim, index.n_codewords
+    n_docs = len(docs)
+    # (start, end) byte ranges of the header, offset and id regions of each file
+    part = 36 + p * d * 4 + k * d * 4
+    doc_offsets = part + (p + 1) * 8 + n * 8 + n * m
+    index_regions = [(0, 36), (part, part + (p + 1) * 8 + n * 8), (doc_offsets, None)]
+    rows = 28 + (n_docs + 1) * 8
+    pack_regions = [(0, rows), (rows + n * d * 4, None)]
+    rng = np.random.default_rng(8)
+    queries = [EmbeddingMatrix(rows=_unit(rng.standard_normal((3, 8))), is_query=True)
+               for _ in range(2)]
+    return {
+        INDEX_NAME: ((directory / INDEX_NAME).read_bytes(), index_regions),
+        DOCS_NAME: ((directory / DOCS_NAME).read_bytes(), pack_regions),
+        "session": (index, docs, queries),
+        "dir": tmp_path_factory.mktemp("corrupt"),
+    }
+
+
+_LOADERS = {INDEX_NAME: load_index, DOCS_NAME: read_doc_pack}
+
+
+@pytest.mark.parametrize("name", [INDEX_NAME, DOCS_NAME])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_truncated_artifact_raises_format_error(saved, name, data):
+    blob, _ = saved[name]
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    path = saved["dir"] / name
+    path.write_bytes(blob[:cut])
+    with pytest.raises(FormatError):
+        _LOADERS[name](path)
+
+
+@pytest.mark.parametrize("name", [INDEX_NAME, DOCS_NAME])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_overwritten_byte_raises_format_error_or_still_answers(saved, name, data):
+    blob, regions = saved[name]
+    start, end = data.draw(st.sampled_from(regions))
+    at = data.draw(st.integers(start, (end or len(blob)) - 1))
+    value = data.draw(st.integers(0, 255).filter(lambda v: v != blob[at]))
+    path = saved["dir"] / name
+    path.write_bytes(blob[:at] + bytes([value]) + blob[at + 1 :])
+    try:
+        loaded = _LOADERS[name](path)
+    except FormatError:
+        return
+    index, docs, queries = saved["session"]
+    index, docs = (loaded, docs) if name == INDEX_NAME else (index, loaded)
+    for q in queries:
+        candidate_docs(index, q, 10, 2)
+        rank_two_stage(q, index, docs, n_prime=None, nprobe=index.n_partitions, k=5)
+        rank_exact(q, docs)
