@@ -89,12 +89,17 @@ def assign_nearest_np(points: np.ndarray, centroids: np.ndarray):
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
     c2 = np.einsum("kd,kd->k", centroids, centroids, dtype=np.float64)
-    chunk = 8192
+    x2 = np.einsum("nd,nd->n", points, points, dtype=np.float64)
+    chunk = 8192  # fixed: a GEMM's rounding may depend on its row count
     for s in range(0, n, chunk):
         e = min(n, s + chunk)
-        block = points[s:e]
-        d2 = c2[None, :] - 2.0 * (block @ centroids.T)
-        d2 += np.einsum("nd,nd->n", block, block, dtype=np.float64)[:, None]
+        # ||x||^2 + ||c||^2 - 2 x.c in place, in the input dtype until the
+        # float64 terms join; (-2g) + c2 is c2 - 2g exactly
+        d2 = points[s:e] @ centroids.T
+        d2 *= -2.0
+        d2 = d2.astype(np.float64, copy=False)
+        d2 += c2
+        d2 += x2[s:e, None]
         lab = np.argmin(d2, axis=1)
         labels[s:e] = lab
         dists[s:e] = np.maximum(d2[np.arange(e - s), lab], 0.0)

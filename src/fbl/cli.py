@@ -24,7 +24,7 @@ from .embed import (
     train_projection,
 )
 from .encode import Strategy, Vocabulary, encode_query
-from .errors import DataError, FblError
+from .errors import DataError, FblError, FormatError
 from .pipeline import (
     BENCH_CSV_HEADER,
     Config,
@@ -237,20 +237,23 @@ def _open_session(args):
     artifacts = store.load_session(session_dir)
     vocab = Vocabulary.from_file(session_dir / store.VOCAB_NAME)
     m = artifacts.manifest
-    config = Config(
-        granularity=Granularity(m.granularity),
-        strategy=Strategy(m.strategy),
-        n_partitions=m.n_partitions,
-        n_subspaces=m.n_subspaces,
-        n_codewords=m.n_codewords,
-        seed=m.seed,
-        d_in=m.d_in,
-        d_out=m.d_out,
-        embedder_kind=m.embedder_kind,
-        embedder_path=(
-            str(session_dir / store.EMBEDDER_NAME) if m.embedder_kind == "file" else None
-        ),
-    )
+    try:
+        config = Config(
+            granularity=Granularity(m.granularity),
+            strategy=Strategy(m.strategy),
+            n_partitions=m.n_partitions,
+            n_subspaces=m.n_subspaces,
+            n_codewords=m.n_codewords,
+            seed=m.seed,
+            d_in=m.d_in,
+            d_out=m.d_out,
+            embedder_kind=m.embedder_kind,
+            embedder_path=(
+                str(session_dir / store.EMBEDDER_NAME) if m.embedder_kind == "file" else None
+            ),
+        )
+    except ValueError as exc:  # the values came from the session, not from flags
+        raise FormatError(f"{session_dir / store.MANIFEST_NAME}: {exc}") from exc
     if args.nprobe is not None:
         config.nprobe = _positive("--nprobe", args.nprobe)
     if args.candidates is not None:

@@ -187,7 +187,10 @@ class LinearProjection:
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearProjection":
-        return cls(read_matrix_file(path))
+        try:
+            return cls(read_matrix_file(path))
+        except ValueError as exc:
+            raise FormatError(f"{path}: not a usable projection ({exc})") from exc
 
 
 @dataclass
@@ -222,20 +225,21 @@ def write_matrix_file(path: str | Path, matrix: np.ndarray) -> None:
 
 def read_matrix_file(path: str | Path) -> np.ndarray:
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FBLE_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {FBLE_MAGIC!r}")
-        header = fh.read(12)
-        if len(header) != 12:
-            raise FormatError(f"{path}: truncated header")
-        version, rows, dim = struct.unpack("<III", header)
-        if version != FBLE_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        payload = fh.read(rows * dim * 4)
-        if len(payload) != rows * dim * 4:
-            raise FormatError(f"{path}: truncated payload")
-        return np.frombuffer(payload, dtype="<f4").reshape(rows, dim).copy()
+    data = path.read_bytes()
+    if data[:4] != FBLE_MAGIC:
+        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {FBLE_MAGIC!r}")
+    if len(data) < 16:
+        raise FormatError(f"{path}: truncated header")
+    version, rows, dim = struct.unpack_from("<III", data, 4)
+    if version != FBLE_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    # the size check comes first, so a corrupt header never sizes an allocation
+    size = 16 + rows * dim * 4
+    if len(data) < size:
+        raise FormatError(f"{path}: truncated payload")
+    if len(data) > size:
+        raise FormatError(f"{path}: {len(data) - size} bytes past the {rows}x{dim} payload")
+    return np.frombuffer(data, dtype="<f4", offset=16).reshape(rows, dim).copy()
 
 
 # -- embedding -----------------------------------------------------------------
@@ -286,37 +290,54 @@ def triplet_loss(
     return max(0.0, margin - s_pos + s_neg)
 
 
-def _pair_score_and_grad(q_raw: np.ndarray, d_raw: np.ndarray, w: np.ndarray):
-    """Late-interaction score of a (query, doc) raw-matrix pair and d(score)/dW."""
+def _pair_forward(q_raw: np.ndarray, d_raw: np.ndarray, w: np.ndarray):
+    """Late-interaction forward pass of a (query, doc) raw-matrix pair.
+
+    Returns None for a document with no scorable row (score -inf), else
+    (qi, j, s, uq, ud, nq, nd): the query rows with a non-zero projection,
+    each one's best doc row (ties to the lowest index) and their
+    similarities, plus the unit rows and norms the gradient needs. The
+    score is ``s.sum()``.
+    """
     yq = q_raw @ w
     yd = d_raw @ w
     nq = np.linalg.norm(yq, axis=1)
     nd = np.linalg.norm(yd, axis=1)
-    uq = yq / np.where(nq > 0, nq, 1.0)[:, None]
-    ud = yd / np.where(nd > 0, nd, 1.0)[:, None]
     valid_d = nd > 0
     if not valid_d.any():
+        return None
+    uq = yq / np.where(nq > 0, nq, 1.0)[:, None]
+    ud = yd / np.where(valid_d, nd, 1.0)[:, None]
+    sims = uq @ ud.T
+    sims[:, ~valid_d] = -np.inf
+    qi = np.nonzero(nq > 0)[0]
+    j = np.argmax(sims[qi], axis=1)
+    return qi, j, sims[qi, j], uq, ud, nq, nd
+
+
+def _pair_score(q_raw: np.ndarray, d_raw: np.ndarray, w: np.ndarray) -> float:
+    """Late-interaction score of a (query, doc) raw-matrix pair."""
+    fwd = _pair_forward(q_raw, d_raw, w)
+    return float("-inf") if fwd is None else float(fwd[2].sum())
+
+
+def _pair_score_and_grad(q_raw: np.ndarray, d_raw: np.ndarray, w: np.ndarray):
+    """Late-interaction score of a (query, doc) raw-matrix pair and d(score)/dW."""
+    fwd = _pair_forward(q_raw, d_raw, w)
+    if fwd is None:
         # unscorable document: -inf score, flat gradient; training aborts
         # with NonFiniteLoss when this reaches a batch
         return float("-inf"), np.zeros_like(w)
-    sims = uq @ ud.T
-    sims[:, ~valid_d] = -np.inf
-    picks = np.argmax(sims, axis=1)  # ties resolve to the lowest index
-
+    qi, j, s, uq, ud, nq, nd = fwd
     grad = np.zeros_like(w)
-    score = 0.0
-    qi = np.nonzero(nq > 0)[0]
     if qi.size:
-        j = picks[qi]
-        s = sims[qi, j]
-        score = float(s.sum())
         u = uq[qi]
         v = ud[j]
         gq = (v - s[:, None] * u) / nq[qi, None]
         gd = (u - s[:, None] * v) / nd[j, None]
         grad += q_raw[qi].T @ gq
         grad += d_raw[j].T @ gd
-    return score, grad
+    return float(s.sum()), grad
 
 
 def _triplet_loss_and_grad(q_raw, pos_raw, neg_raw, w: np.ndarray, margin: float):
@@ -350,8 +371,13 @@ def loss_from_raw(
     projection: LinearProjection,
     margin: float,
 ) -> float:
-    """Triplet loss computed from raw matrices; the target of gradient_of_loss."""
-    return _triplet_loss_and_grad(q_raw, pos_raw, neg_raw, projection.weights, margin)[0]
+    """Triplet loss computed from raw matrices; the target of gradient_of_loss.
+
+    Scores only: the same forward pass as the gradient, with no gradient.
+    """
+    w = projection.weights
+    s_pos, s_neg = _pair_score(q_raw, pos_raw, w), _pair_score(q_raw, neg_raw, w)
+    return max(0.0, margin - s_pos + s_neg)
 
 
 # -- training ------------------------------------------------------------------

@@ -90,19 +90,47 @@ def kmeans(points: np.ndarray, k: int, max_iters: int = 25, seed: int = 0) -> Km
 
 
 def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = pts.shape[0]
-    centroids = np.empty((k, pts.shape[1]), dtype=np.float64)
+    """k-means++ seeds; every squared distance is the exact difference form.
+
+    After each pick c, a point's distance falls only where the exact
+    difference form ||x - c||^2 is below its current d2. A GEMM-form
+    estimate ||x||^2 - 2 x.c + ||c||^2, lowered by a slack, finds those
+    points, and only they get the exact update. With u = eps/2 and
+    S = ||x||^2 + ||c||^2, in any summation order the difference form is
+    within 2(d + 2)u S of the true distance (which is at most 2S) and the
+    estimate within (2d + 5)u S, plus at most (5d + 2) * 2^-1075 from
+    products that underflow. The slack exceeds the sum of both, so no
+    point whose exact distance falls is skipped. Row sums do not depend on
+    the other rows, so d2, every draw and the centroids equal those of a
+    loop that updates every point. The bound needs ||x||^2 far from
+    overflow; otherwise every point is updated.
+    """
+    n, dim = pts.shape
+    centroids = np.empty((k, dim), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = pts[first]
     d2 = np.sum((pts - centroids[0]) ** 2, axis=1)
+    slack = (2 * dim + 7) * np.finfo(np.float64).eps  # (4d + 14)u > (4d + 9)u
+    floor = (4 * dim + 9) * np.finfo(np.float64).smallest_subnormal
+    x2 = np.einsum("nd,nd->n", pts, pts)
+    bounded = bool(np.all(x2 < 1e300))
+    x2_lo = x2 * (1.0 - slack)
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
             idx = int(rng.integers(n))
         else:
             idx = int(rng.choice(n, p=d2 / total))
-        centroids[i] = pts[idx]
-        d2 = np.minimum(d2, np.sum((pts - centroids[i]) ** 2, axis=1))
+        c = centroids[i] = pts[idx]
+        if bounded:
+            est = pts @ c
+            est *= -2.0
+            est += x2_lo
+            est += float(c @ c) * (1.0 - slack) - floor
+            near = np.flatnonzero(est < d2)
+        else:
+            near = np.arange(n)
+        d2[near] = np.minimum(d2[near], np.sum((pts[near] - c) ** 2, axis=1))
     return centroids
 
 

@@ -29,7 +29,7 @@ import json
 import os
 import secrets
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -234,14 +234,41 @@ def save_session(
     )
 
 
+_ARTIFACT_NAMES = {INDEX_NAME, PROJECTION_NAME, DOCS_NAME, VOCAB_NAME, EMBEDDER_NAME}
+
+
+def _is(value, kind: type) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _manifest_problem(data) -> str | None:
+    """What is wrong with the field types of a parsed manifest, or None."""
+    if not isinstance(data, dict):
+        return "not a JSON object"
+    kinds = {"str": str, "int": int, "dict": dict}
+    for f in fields(Manifest):
+        if f.name in data and not _is(data[f.name], kinds[f.type]):
+            return f"{f.name} is not a JSON {f.type}"
+    if not all(_is(v, int) for v in data.get("format_versions", {}).values()):
+        return "a format version is not an integer"
+    for name, digest in data.get("checksums", {}).items():
+        if name not in _ARTIFACT_NAMES or not _is(digest, str):
+            return f"checksum entry {name!r} is not a session artifact and its digest"
+    return None
+
+
 def load_manifest(directory: str | Path) -> Manifest:
     path = Path(directory) / MANIFEST_NAME
     if not path.exists():
         raise FormatError(f"{path}: manifest not found")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+        problem = _manifest_problem(data)
+        if problem:
+            raise FormatError(f"{path}: bad manifest ({problem})")
         return Manifest(**data)
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise FormatError(f"{path}: bad manifest ({exc})") from exc
 
 
@@ -255,6 +282,8 @@ def load_session(directory: str | Path, expect: Mapping | None = None) -> Sessio
     if expect:
         manifest.require_match(**dict(expect))
     for name, recorded in manifest.checksums.items():
+        if not (directory / name).is_file():
+            raise FormatError(f"{directory / name}: listed in the manifest but missing")
         actual = sha256_file(directory / name)
         if actual != recorded:
             raise FormatError(f"{directory / name}: checksum mismatch")

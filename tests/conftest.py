@@ -1,6 +1,7 @@
 import random
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 
 from fbl.corpus import Document, Granularity
@@ -69,3 +70,40 @@ def tiny_vocab() -> Vocabulary:
 @pytest.fixture
 def golden_hunk() -> Hunk:
     return make_hunk([(" ", "a"), ("+", "b"), ("+", "c"), ("-", "d")])
+
+
+# -- k-means references: the plain forms the numpy kernels must equal bit for bit
+
+
+def assign_nearest_reference(points, centroids):
+    """The allocating form of assign_nearest_np that the in-place one replaced."""
+    n = points.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    dists = np.empty(n, dtype=np.float64)
+    c2 = np.einsum("kd,kd->k", centroids, centroids, dtype=np.float64)
+    for s in range(0, n, 8192):
+        e = min(n, s + 8192)
+        block = points[s:e]
+        d2 = c2[None, :] - 2.0 * (block @ centroids.T)
+        d2 += np.einsum("nd,nd->n", block, block, dtype=np.float64)[:, None]
+        lab = np.argmin(d2, axis=1)
+        labels[s:e] = lab
+        dists[s:e] = np.maximum(d2[np.arange(e - s), lab], 0.0)
+    return labels, dists
+
+
+def kmeans_pp_init_reference(pts, k, rng):
+    """k-means++ seeding that updates every point's exact distance at every pick."""
+    n = pts.shape[0]
+    centroids = np.empty((k, pts.shape[1]), dtype=np.float64)
+    centroids[0] = pts[int(rng.integers(n))]
+    d2 = np.sum((pts - centroids[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centroids[i] = pts[idx]
+        d2 = np.minimum(d2, np.sum((pts - centroids[i]) ** 2, axis=1))
+    return centroids

@@ -302,6 +302,35 @@ def test_exit_codes(tmp_path, capsys):
     assert json.loads(err)["kind"] in ("data", "usage") or "error" in json.loads(err)
 
 
+def _non_utf8(blob: bytes) -> bytes:
+    return blob[:20] + b"\xff" + blob[21:]
+
+
+def _set(field, value):
+    def edit(blob: bytes) -> bytes:
+        data = json.loads(blob)
+        data[field] = value
+        return json.dumps(data).encode()
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_non_utf8, _set("checksums", 5), _set("granularity", "paragraph"), _set("d_in", -3)],
+    ids=["non_utf8", "checksums_int", "unknown_granularity", "negative_d_in"],
+)
+def test_query_on_a_bad_manifest_exits_2(corpus_dir, capsys, edit):
+    base_tmp, corpus, vocab = corpus_dir
+    session = base_tmp / "session"
+    assert main(_index_args(corpus, vocab, session)) == 0
+    manifest = session / "manifest.json"
+    manifest.write_bytes(edit(manifest.read_bytes()))
+    capsys.readouterr()
+    assert main(["query", "--session", str(session), "--text", "widget"]) == 2
+    assert "manifest.json" in capsys.readouterr().err
+
+
 def test_data_error_on_malformed_diff(tmp_path, capsys):
     bad = tmp_path / "changesets.jsonl"
     bad.write_text(

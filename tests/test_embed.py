@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,31 @@ def test_fble_bad_magic(tmp_path):
     with pytest.raises(FormatError) as exc:
         read_matrix_file(p)
     assert "m.fble" in str(exc.value)
+
+
+def test_fble_rejects_bytes_past_the_payload(tmp_path):
+    p = tmp_path / "m.fble"
+    write_matrix_file(p, np.ones((2, 3), dtype=np.float32))
+    p.write_bytes(p.read_bytes() + b"\x00")
+    with pytest.raises(FormatError, match="past"):
+        read_matrix_file(p)
+
+
+def test_fble_header_claiming_a_huge_payload_raises_format_error(tmp_path):
+    # checked against the file's size; the header never sizes a read
+    p = tmp_path / "m.fble"
+    p.write_bytes(b"FBLE" + struct.pack("<III", 1, 0xFFFFFFFF, 0xFFFFFFFF) + b"\x00" * 8)
+    with pytest.raises(FormatError, match="truncated payload"):
+        read_matrix_file(p)
+
+
+def test_projection_with_non_finite_weight_raises_format_error(tmp_path):
+    p = tmp_path / "proj.fble"
+    weights = np.ones((4, 2), dtype=np.float32)
+    weights[1, 1] = np.nan
+    write_matrix_file(p, weights)
+    with pytest.raises(FormatError, match="proj.fble"):
+        LinearProjection.load(p)
 
 
 def test_file_embedder_range_check(tmp_path):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from conftest import assign_nearest_reference, kmeans_pp_init_reference
 
+from fbl import _kernels
+from fbl import index as index_module
 from fbl.embed import EmbeddingMatrix
 from fbl.errors import EmptyIndex, FormatError, InsufficientData
 from fbl.index import (
     IvfPqIndex,
     _batched_row_search,
+    _kmeans_pp_init,
     build_index,
     candidate_docs,
     kmeans,
@@ -81,6 +85,55 @@ def test_kmeans_k_exceeds_points_pads_by_reuse():
     res = kmeans(pts, k=5, seed=0)
     assert res.centroids.shape == (5, 2)
     assert res.distortions[-1] == pytest.approx(0.0, abs=1e-12)
+
+
+def _seeding_inputs():
+    rng = np.random.default_rng(11)
+    centres = rng.standard_normal((24, 128))
+    clustered = centres[rng.integers(24, size=3000)] + 0.05 * rng.standard_normal((3000, 128))
+    sub_vectors = 0.1 * rng.standard_normal((4000, 8))
+    far = 1e3 * _unit_rows(rng.standard_normal((2000, 32))).astype(np.float64) + 5.0
+    few = rng.standard_normal((5, 16))[rng.integers(5, size=400)]
+    # distances within a cluster sit far below the GEMM form's rounding
+    # error, so only the exact update tells its points apart
+    dupes = rng.standard_normal((8, 16))[rng.integers(8, size=800)]
+    dupes += 1e-9 * rng.standard_normal(dupes.shape)
+    # products underflow: only the slack's absolute floor covers their error
+    tiny = 1e-162 * (dupes[:300] + 1e-3 * rng.standard_normal((300, 16)))
+    # squared norms overflow, distances do not: the GEMM bound does not
+    # hold, so every point takes the exact update
+    huge = 1e155 * (1.0 + 1e-4 * rng.standard_normal((500, 16)))
+    return {
+        "clustered_d128": (clustered, 96),
+        "sub_vectors_d8": (sub_vectors, 256),
+        "norm_1e3": (far, 64),
+        "fewer_distinct_than_k": (few, 12),  # picks 6 to 12 take the total <= 0 branch
+        "near_duplicates": (dupes, 40),
+        "underflow": (tiny, 20),
+        "near_overflow": (huge, 16),
+    }
+
+
+@pytest.mark.parametrize("case", list(_seeding_inputs()))
+def test_kmeans_pp_init_is_bit_identical_to_the_full_update(case):
+    pts, k = _seeding_inputs()[case]
+    got = _kmeans_pp_init(pts, k, np.random.default_rng(3))
+    ref = kmeans_pp_init_reference(pts, k, np.random.default_rng(3))
+    assert got.tobytes() == ref.tobytes()
+    if case == "fewer_distinct_than_k":
+        assert len(np.unique(got, axis=0)) == 5
+
+
+def test_build_index_is_bit_identical_with_the_reference_kernels(monkeypatch):
+    docs, _ = _random_corpus(np.random.default_rng(12), 1100, 8, 16)  # 8800 rows: two chunks
+    args = dict(n_partitions=24, n_subspaces=4, n_codewords=32, seed=4, max_iters=4)
+    monkeypatch.setattr(_kernels, "assign_nearest", _kernels.assign_nearest_np)
+    fast = build_index(docs, **args)
+    monkeypatch.setattr(index_module, "_kmeans_pp_init", kmeans_pp_init_reference)
+    monkeypatch.setattr(_kernels, "assign_nearest", assign_nearest_reference)
+    ref = build_index(docs, **args)
+    for name in ("coarse", "codebooks", "part_offsets", "flat_ids", "flat_codes", "doc_offsets"):
+        assert getattr(fast, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 # -- build ------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import assign_nearest_reference
 from fbl import _kernels
 
 BACKENDS = [("numpy", "_np")]
@@ -85,6 +86,22 @@ def test_assign_backends_agree():
     lb, db = _kernels.assign_nearest_nb(points, centroids)
     np.testing.assert_allclose(da, db, rtol=1e-9, atol=1e-9)
     np.testing.assert_array_equal(la, lb)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,dim,k", [(2 * 8192 + 97, 8, 64), (8192 + 1, 128, 20), (3, 16, 5)])
+def test_assign_nearest_np_is_bit_identical_to_the_allocating_form(n, dim, k, dtype):
+    # a strided view, as build_index passes PQ sub-vectors; every centroid
+    # appears twice, so exact ties must keep resolving to the lower index
+    rng = np.random.default_rng(n + dim)
+    points = rng.standard_normal((n, 2 * dim)).astype(dtype)[:, :dim]
+    half = rng.standard_normal((k, dim)).astype(dtype)
+    centroids = np.concatenate([half, half])
+    labels, dists = _kernels.assign_nearest_np(points, centroids)
+    ref_labels, ref_dists = assign_nearest_reference(points, centroids)
+    np.testing.assert_array_equal(labels, ref_labels)
+    assert dists.tobytes() == ref_dists.tobytes()
+    assert labels.max() < k  # the tie at every point went to the first copy
 
 
 @pytest.mark.parametrize("name,suffix", BACKENDS)

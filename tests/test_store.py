@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -5,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbl.embed import EmbeddingMatrix, LinearProjection, PackedCorpus
+from fbl.embed import EmbeddingMatrix, LinearProjection, PackedCorpus, _normalize_rows
 from fbl.errors import ConfigMismatch, FormatError
 from fbl.index import build_index, candidate_docs, load_index
 from fbl.retrieve import rank_exact, rank_two_stage
 from fbl.store import (
     DOCS_NAME,
     INDEX_NAME,
+    MANIFEST_NAME,
+    PROJECTION_NAME,
     VOCAB_NAME,
     Manifest,
     SessionArtifacts,
@@ -183,6 +186,48 @@ def test_manifest_missing(tmp_path):
         load_session(tmp_path / "nowhere")
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda blob: blob[:20] + b"\xff" + blob[21:],  # not UTF-8
+        lambda blob: b"[" * 100_000,  # nested past the parser's recursion limit
+        lambda blob: b"[" + blob + b"]",  # not an object
+    ],
+    ids=["non_utf8", "deeply_nested", "array"],
+)
+def test_unparsable_manifest_raises_format_error(tmp_path, session_pieces, edit):
+    manifest, index, projection, docs = session_pieces
+    save_session(tmp_path, manifest, index, projection, docs)
+    path = tmp_path / MANIFEST_NAME
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(FormatError, match="manifest"):
+        load_session(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("checksums", 5),
+        ("checksums", {INDEX_NAME: 7}),
+        ("checksums", {"../outside.bin": "00"}),
+        ("checksums", {VOCAB_NAME: "00"}),  # an artifact this save did not write
+        ("n_partitions", "4"),
+        ("d_in", True),
+        ("granularity", None),
+        ("format_versions", {"fbli": "2"}),
+    ],
+)
+def test_manifest_field_of_wrong_type_raises_format_error(tmp_path, session_pieces, field, value):
+    manifest, index, projection, docs = session_pieces
+    save_session(tmp_path, manifest, index, projection, docs)
+    path = tmp_path / MANIFEST_NAME
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError):
+        load_session(tmp_path)
+
+
 def test_save_leaves_a_stray_temp_file_alone(tmp_path, session_pieces):
     # another writer's temp file under the old fixed name is neither read nor removed
     manifest, index, projection, docs = session_pieces
@@ -212,7 +257,7 @@ def test_failed_write_removes_its_temp_file(tmp_path):
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
-    """A saved session's index and pack bytes, their regions, and two queries."""
+    """A saved session: each artifact's bytes and regions, the session, and queries."""
     manifest, index, projection, docs = _pieces()
     docs["empty:0:0"] = EmbeddingMatrix(rows=np.zeros((0, 8), dtype=np.float32))
     index = build_index(docs, n_partitions=4, n_subspaces=2, n_codewords=8, seed=1)
@@ -229,30 +274,60 @@ def saved(tmp_path_factory):
     rng = np.random.default_rng(8)
     queries = [EmbeddingMatrix(rows=_unit(rng.standard_normal((3, 8))), is_query=True)
                for _ in range(2)]
+    raw_queries = [rng.standard_normal((3, projection.d_in)) for _ in range(2)]
     return {
         INDEX_NAME: ((directory / INDEX_NAME).read_bytes(), index_regions),
         DOCS_NAME: ((directory / DOCS_NAME).read_bytes(), pack_regions),
-        "session": (index, docs, queries),
+        MANIFEST_NAME: ((directory / MANIFEST_NAME).read_bytes(), [(0, None)]),
+        PROJECTION_NAME: ((directory / PROJECTION_NAME).read_bytes(), [(0, None)]),
+        "session": (index, docs, projection, queries, raw_queries),
+        "expect": {f: getattr(manifest, f) for f in Manifest.CONFIG_FIELDS},
+        # a manifest is read from its session; the other files stand alone
+        "dirs": {MANIFEST_NAME: directory},
         "dir": tmp_path_factory.mktemp("corrupt"),
     }
 
 
-_LOADERS = {INDEX_NAME: load_index, DOCS_NAME: read_doc_pack}
+def _open(saved, name, path):
+    """(index, docs, queries) of the session with `path` in place of artifact `name`.
+
+    Besides the fixed queries, raw query rows go through the session's projection.
+    """
+    index, docs, projection, queries, raw_queries = saved["session"]
+    if name == INDEX_NAME:
+        index = load_index(path)
+    elif name == DOCS_NAME:
+        docs = read_doc_pack(path)
+    elif name == PROJECTION_NAME:
+        projection = LinearProjection.load(path)
+    else:
+        arts = load_session(path.parent, expect=saved["expect"])
+        index, docs, projection = arts.index, arts.doc_matrices, arts.projection
+    projected = [_normalize_rows(raw @ projection.weights).astype(np.float32)
+                 for raw in raw_queries]
+    return index, docs, queries + [EmbeddingMatrix(rows=r, is_query=True) for r in projected]
 
 
-@pytest.mark.parametrize("name", [INDEX_NAME, DOCS_NAME])
+_ARTIFACTS = [INDEX_NAME, DOCS_NAME, MANIFEST_NAME, PROJECTION_NAME]
+
+
+def _corrupt_path(saved, name):
+    return saved["dirs"].get(name, saved["dir"]) / name
+
+
+@pytest.mark.parametrize("name", _ARTIFACTS)
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_truncated_artifact_raises_format_error(saved, name, data):
     blob, _ = saved[name]
     cut = data.draw(st.integers(0, len(blob) - 1))
-    path = saved["dir"] / name
+    path = _corrupt_path(saved, name)
     path.write_bytes(blob[:cut])
     with pytest.raises(FormatError):
-        _LOADERS[name](path)
+        _open(saved, name, path)
 
 
-@pytest.mark.parametrize("name", [INDEX_NAME, DOCS_NAME])
+@pytest.mark.parametrize("name", _ARTIFACTS)
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_overwritten_byte_raises_format_error_or_still_answers(saved, name, data):
@@ -260,14 +335,12 @@ def test_overwritten_byte_raises_format_error_or_still_answers(saved, name, data
     start, end = data.draw(st.sampled_from(regions))
     at = data.draw(st.integers(start, (end or len(blob)) - 1))
     value = data.draw(st.integers(0, 255).filter(lambda v: v != blob[at]))
-    path = saved["dir"] / name
+    path = _corrupt_path(saved, name)
     path.write_bytes(blob[:at] + bytes([value]) + blob[at + 1 :])
     try:
-        loaded = _LOADERS[name](path)
-    except FormatError:
+        index, docs, queries = _open(saved, name, path)
+    except (FormatError, ConfigMismatch):
         return
-    index, docs, queries = saved["session"]
-    index, docs = (loaded, docs) if name == INDEX_NAME else (index, loaded)
     for q in queries:
         candidate_docs(index, q, 10, 2)
         rank_two_stage(q, index, docs, n_prime=None, nprobe=index.n_partitions, k=5)
