@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -77,11 +78,19 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--changeset-limit", type=int, default=512)
 
 
-def _positive(flag: str, raw) -> int:
-    value = int(raw) if str(raw).isdecimal() else 0
-    if value < 1:
-        raise UsageError(EXIT_USAGE, f"{flag} must be a positive integer, got {raw!r}")
+def _positive(flag: str, raw, least: int = 1) -> int:
+    """The flag's integer value; one below `least` is a usage error naming the flag."""
+    value = int(raw) if str(raw).isdecimal() else -1
+    if value < least:
+        kind = "positive" if least else "non-negative"
+        raise UsageError(EXIT_USAGE, f"{flag} must be a {kind} integer, got {raw!r}")
     return value
+
+
+def _positive_real(flag: str, raw: float) -> float:
+    if not (math.isfinite(raw) and raw > 0):
+        raise UsageError(EXIT_USAGE, f"{flag} must be a positive finite number, got {raw!r}")
+    return raw
 
 
 def _candidates(raw: str) -> int | None:
@@ -106,7 +115,7 @@ def _config_from_args(args) -> Config:
         nprobe=_positive("--nprobe", args.nprobe),
         n_subspaces=_positive("--subspaces", args.subspaces),
         n_codewords=_positive("--codewords", args.codewords),
-        seed=args.seed,
+        seed=_positive("--seed", args.seed, least=0),
         d_in=_positive("--d-in", args.d_in),
         d_out=_positive("--d-out", args.d_out),
         embedder_kind=embedder_kind,
@@ -167,6 +176,13 @@ def _load_corpus_dir(corpus_dir: Path):
 
 def cmd_train_projection(args) -> int:
     config = _config_from_args(args)
+    cfg = TripletTrainConfig(
+        margin=_positive_real("--margin", args.margin),
+        learning_rate=_positive_real("--learning-rate", args.learning_rate),
+        epochs=_positive("--epochs", args.epochs, least=0),
+        batch_size=_positive("--batch-size", args.batch_size),
+        seed=config.seed,
+    )
     corpus_dir = Path(args.corpus)
     changesets, bugs, links = _load_corpus_dir(corpus_dir)
     if not links:
@@ -181,13 +197,6 @@ def cmd_train_projection(args) -> int:
         b.bug_id: encode_query(b, vocab, config.query_limit) for b in bugs
     }
     embedder = make_embedder(config)
-    cfg = TripletTrainConfig(
-        margin=args.margin,
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=config.seed,
-    )
     result = train_projection(
         triplets, query_seqs, doc_seqs, embedder, cfg, d_out=config.d_out
     )
@@ -338,11 +347,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bench(args) -> int:
     _positive("--topk", args.topk)
+    n_queries = _positive("--queries", args.queries)
+    sizes = [_positive("--sizes", s) for s in args.sizes.split(",") if s]
     artifacts, _, config = _open_session(args)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    rows = sweep_latency(
-        artifacts.doc_matrices, sizes, config, n_queries=args.queries, k=args.topk
-    )
+    rows = sweep_latency(artifacts.doc_matrices, sizes, config, n_queries=n_queries, k=args.topk)
     lines = [BENCH_CSV_HEADER] + [bench_row_csv(r) for r in rows]
     payload = "\n".join(lines) + "\n"
     if args.out:

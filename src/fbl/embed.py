@@ -50,10 +50,11 @@ class PackedCorpus(Mapping[str, EmbeddingMatrix]):
 
     Document i owns rows[offsets[i]:offsets[i + 1]], and a row's index in
     ``rows`` is its embedding id in the index. This is the only stacked form
-    of document embeddings: the index is built from it, ``docs.fblp`` stores
-    it, and the scoring kernels read it. Zero rows are dropped when packing,
-    so no consumer needs a mask. Read-only: looking up a document returns an
-    ``EmbeddingMatrix`` whose rows are a view into the row block.
+    of document embeddings: the index is built from it and borrows its
+    offsets and ids, ``docs.fblp`` stores it, and the scoring kernels read
+    it. Zero rows are dropped when packing, so no consumer needs a mask.
+    Read-only: looking up a document returns an ``EmbeddingMatrix`` whose
+    rows are a view into the row block.
     """
 
     def __init__(self, rows: np.ndarray, offsets: np.ndarray, ids: Sequence[str]):
@@ -95,11 +96,6 @@ class PackedCorpus(Mapping[str, EmbeddingMatrix]):
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def positions(self, doc_ids: Sequence[str]) -> np.ndarray:
-        """Pack positions of the given documents (unknown ids dropped)."""
-        out = [self._pos[d] for d in doc_ids if d in self._pos]
-        return np.asarray(out, dtype=np.int64)
 
 
 class TokenEmbedder(Protocol):
@@ -186,9 +182,9 @@ class LinearProjection:
         write_matrix_file(path, self.weights)
 
     @classmethod
-    def load(cls, path: str | Path) -> "LinearProjection":
+    def load(cls, path: str | Path, data: bytes | None = None) -> "LinearProjection":
         try:
-            return cls(read_matrix_file(path))
+            return cls(read_matrix_file(path, data))
         except ValueError as exc:
             raise FormatError(f"{path}: not a usable projection ({exc})") from exc
 
@@ -202,10 +198,10 @@ class TripletTrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError("margin must be > 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (np.isfinite(self.margin) and self.margin > 0):
+            raise ValueError("margin must be finite and > 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
 
@@ -223,9 +219,10 @@ def write_matrix_file(path: str | Path, matrix: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
-def read_matrix_file(path: str | Path) -> np.ndarray:
+def read_matrix_file(path: str | Path, data: bytes | None = None) -> np.ndarray:
+    """Read and validate an FBLE file, or its bytes when given as ``data``."""
     path = Path(path)
-    data = path.read_bytes()
+    data = path.read_bytes() if data is None else data
     if data[:4] != FBLE_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {FBLE_MAGIC!r}")
     if len(data) < 16:

@@ -50,7 +50,3 @@ class EmptyIndex(DataError):
 
 class FormatError(DataError):
     """A binary or JSON artifact failed structural validation."""
-
-
-class ConfigMismatch(DataError):
-    """Session artifacts were built under a different configuration."""

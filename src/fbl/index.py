@@ -3,19 +3,20 @@
 The embedding space is partitioned by a k-means coarse quantizer; each
 embedding is stored in its partition's inverted list as a product-quantized
 residual code (M bytes, one per subspace). Embedding ids are the row
-indices of the ``PackedCorpus`` the index was built from, so the pack's
-offsets (kept as ``doc_offsets``) map an id back to its document with one
-binary search. Queries score candidates with
-asymmetric distance computation: an inner-product lookup table per
-subspace plus the query-to-coarse-centroid term, so the raw vectors never
-need to be touched during the scan.
+indices of the ``PackedCorpus`` the index was built from, and the index
+borrows that pack's offsets and ids (``doc_offsets``, ``doc_ids``), so an id
+maps to its document's pack position with one binary search. Queries score
+candidates with asymmetric distance computation: an inner-product lookup
+table per subspace plus the query-to-coarse-centroid term, so the raw
+vectors never need to be touched during the scan.
 
 Inverted lists live in one contiguous code block grouped by partition
 (``part_offsets`` delimits them), which keeps a multi-partition scan a
-single kernel call. On disk (FBLI v2) the index is these same arrays
-written back to back. k-means trains in float64 (monotone distortion
-trace); the stored centroids, codebooks, and all query-time math are
-float32.
+single kernel call. On disk (FBLI v3) the index is these same arrays
+written back to back, with no document table: the pack stored beside it
+owns that, and ``load_index`` takes it from the loaded pack. k-means trains
+in float64 (monotone distortion trace); the stored centroids, codebooks,
+and all query-time math are float32.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .embed import EmbeddingMatrix, PackedCorpus
 from .errors import EmptyIndex, FormatError, InsufficientData
 
 FBLI_MAGIC = b"FBLI"
-FBLI_VERSION = 2
+FBLI_VERSION = 3
 
 _TRAIN_SUBSAMPLE_CAP = 256_000
 
@@ -141,8 +142,8 @@ class IvfPqIndex:
     part_offsets: np.ndarray  # (P + 1,) int64 into the flat blocks
     flat_ids: np.ndarray  # (N,) uint64 embedding ids, grouped by partition
     flat_codes: np.ndarray  # (N, M) uint8, same order as flat_ids
-    doc_offsets: np.ndarray  # (ndocs + 1,) int64: doc i owns embedding ids [o[i], o[i+1])
-    doc_ids: list[str]
+    doc_offsets: np.ndarray  # the pack's offsets: doc i owns embedding ids [o[i], o[i+1])
+    doc_ids: list[str]  # the pack's ids
 
     @property
     def n_partitions(self) -> int:
@@ -210,8 +211,8 @@ def build_index(
 ) -> IvfPqIndex:
     """Train coarse + PQ quantizers on all rows and encode the corpus.
 
-    Embedding ids are row indices of the packed corpus, so the pack's
-    offsets map them back to documents.
+    Embedding ids are row indices of the packed corpus; the index borrows
+    the pack's offsets and ids, which map them back to documents.
     """
     pack = PackedCorpus.from_matrices(doc_matrices)
     rows = pack.rows
@@ -307,8 +308,8 @@ def candidate_docs(
     query_matrix: EmbeddingMatrix,
     n_prime: int | None,
     nprobe: int,
-) -> list[str]:
-    """Unique candidate documents for a query matrix.
+) -> np.ndarray:
+    """Pack positions (int64) of the unique candidate documents for a query matrix.
 
     Each query row fetches its share (ceil(n_prime / rows)) of the
     n_prime nearest embeddings; when n_prime is None or covers the whole
@@ -325,7 +326,7 @@ def candidate_docs(
     q_rows = np.asarray(query_matrix.rows, dtype=np.float32)
     q_rows = np.ascontiguousarray(q_rows[np.linalg.norm(q_rows, axis=1) > 0])
     if q_rows.shape[0] == 0:
-        return []
+        return np.zeros(0, dtype=np.int64)
     total = index.n_embeddings
     if n_prime is None or n_prime >= total:
         per_row = total
@@ -335,24 +336,24 @@ def candidate_docs(
     all_ids, all_scores = _batched_row_search(index, q_rows, nprobe, per_row)
     # a document first appears at its best hit, so order documents by that hit
     docs = _doc_indices(index.doc_offsets, all_ids)
-    n_docs = len(index.doc_ids)
+    n_docs = index.doc_offsets.shape[0] - 1
     best = np.full(n_docs, -np.inf)
     np.maximum.at(best, docs, all_scores)
     at_best = all_scores == best[docs]
     best_id = np.full(n_docs, np.iinfo(np.uint64).max, dtype=np.uint64)
     np.minimum.at(best_id, docs[at_best], all_ids[at_best])
-    hit = np.nonzero(np.bincount(docs, minlength=n_docs))[0]
-    return [index.doc_ids[d] for d in hit[np.lexsort((best_id[hit], -best[hit]))].tolist()]
+    hit = np.flatnonzero(np.bincount(docs, minlength=n_docs))
+    return hit[np.lexsort((best_id[hit], -best[hit]))].astype(np.int64, copy=False)
 
 
 # -- serialization (FBLI) -------------------------------------------------------
 #
-# magic "FBLI", then a header (version, P, M, K, dim, embeddings, docs), then
-# the index's arrays back to back, little-endian: coarse (P, dim) f4,
-# codebooks (M, K, dim/M) f4, part_offsets (P+1) i8, flat_ids (N) u8,
-# flat_codes (N, M) u1, doc_offsets (docs+1) i8, and the doc-id table.
+# magic "FBLI", then a header (version, P, M, K, dim, embeddings), then the
+# index's arrays back to back, little-endian: coarse (P, dim) f4, codebooks
+# (M, K, dim/M) f4, part_offsets (P+1) i8, flat_ids (N) u8, flat_codes
+# (N, M) u1. The document table is the doc pack's.
 
-_FBLI_HEADER = struct.Struct("<IIIIIQI")
+_FBLI_HEADER = struct.Struct("<IIIIIQ")
 
 
 def check_version(path: Path, version: int, expected: int) -> None:
@@ -376,23 +377,6 @@ def offsets_span(offsets: np.ndarray, total: int) -> bool:
     return offsets[0] == 0 and offsets[-1] == total and bool(np.all(np.diff(offsets) >= 0))
 
 
-def write_ids(fh, ids: list[str]) -> None:
-    """A doc-id table: every id's UTF-8 byte length (u4), then the bytes."""
-    raw = [doc_id.encode("utf-8") for doc_id in ids]
-    fh.write(np.asarray([len(r) for r in raw], dtype="<u4").tobytes())
-    fh.write(b"".join(raw))
-
-
-def read_ids(data: bytes, off: int, count: int) -> tuple[list[str], int]:
-    lengths, off = read_array(data, off, "<u4", count)
-    ends = off + np.cumsum(lengths, dtype=np.int64)
-    if count and ends[-1] > len(data):
-        raise ValueError("doc-id table runs past the end")
-    starts = (ends - lengths).tolist()
-    ids = [data[a:b].decode("utf-8") for a, b in zip(starts, ends.tolist())]
-    return ids, int(ends[-1]) if count else off
-
-
 def save_index(index: IvfPqIndex, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(FBLI_MAGIC)
@@ -404,7 +388,6 @@ def save_index(index: IvfPqIndex, path: str | Path) -> None:
                 index.n_codewords,
                 index.dim,
                 index.n_embeddings,
-                len(index.doc_ids),
             )
         )
         for arr, dtype in (
@@ -413,10 +396,8 @@ def save_index(index: IvfPqIndex, path: str | Path) -> None:
             (index.part_offsets, "<i8"),
             (index.flat_ids, "<u8"),
             (index.flat_codes, "u1"),
-            (index.doc_offsets, "<i8"),
         ):
             fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-        write_ids(fh, index.doc_ids)
 
 
 def _is_permutation(ids: np.ndarray, n: int) -> bool:
@@ -426,18 +407,28 @@ def _is_permutation(ids: np.ndarray, n: int) -> bool:
     return bool(np.all(np.bincount(ids.astype(np.int64), minlength=n) == 1))
 
 
-def load_index(path: str | Path) -> IvfPqIndex:
-    """Read and validate an FBLI file; every array is checked before use."""
+def load_index(path: str | Path, docs: PackedCorpus, data: bytes | None = None) -> IvfPqIndex:
+    """Read and validate an FBLI file over the pack it was built from.
+
+    The index borrows the pack's offsets and ids, so its header must count
+    the pack's rows and dimension. ``data`` is the file's bytes when the
+    caller has read them already.
+    """
     path = Path(path)
-    data = path.read_bytes()
+    data = path.read_bytes() if data is None else data
     if data[:4] != FBLI_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {FBLI_MAGIC!r}")
     try:
-        version, n_part, m, k, d, n_emb, n_docs = _FBLI_HEADER.unpack_from(data, 4)
+        version, n_part, m, k, d, n_emb = _FBLI_HEADER.unpack_from(data, 4)
         check_version(path, version, FBLI_VERSION)
         if n_part < 1 or m < 1 or not 1 <= k <= 256 or d % m != 0:
             raise FormatError(
                 f"{path}: bad shape: {n_part} partitions, {m} subspaces, {k} codewords, dim {d}"
+            )
+        if (n_emb, d) != docs.rows.shape:
+            raise FormatError(
+                f"{path}: indexes {n_emb} embeddings of dim {d}, but the doc pack holds "
+                f"{docs.rows.shape[0]} of dim {docs.rows.shape[1]}"
             )
         off = 4 + _FBLI_HEADER.size
         coarse, off = read_array(data, off, "<f4", n_part * d)
@@ -445,17 +436,13 @@ def load_index(path: str | Path) -> IvfPqIndex:
         part_offsets, off = read_array(data, off, "<i8", n_part + 1)
         flat_ids, off = read_array(data, off, "<u8", n_emb)
         flat_codes, off = read_array(data, off, "u1", n_emb * m)
-        doc_offsets, off = read_array(data, off, "<i8", n_docs + 1)
-        doc_ids, off = read_ids(data, off, n_docs)
-    except (struct.error, ValueError, OverflowError, UnicodeDecodeError) as exc:
+    except (struct.error, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: truncated or corrupt index ({exc})") from exc
     if off != len(data):
-        raise FormatError(f"{path}: {len(data) - off} bytes past the doc-id table")
+        raise FormatError(f"{path}: {len(data) - off} bytes past the codes")
     # every id and offset below indexes an array or a LUT at query time
     if not offsets_span(part_offsets, n_emb):
         raise FormatError(f"{path}: partition offsets do not run from 0 up to {n_emb}")
-    if not offsets_span(doc_offsets, n_emb):
-        raise FormatError(f"{path}: doc offsets do not run from 0 up to {n_emb}")
     if not _is_permutation(flat_ids, n_emb):
         raise FormatError(f"{path}: inverted-list ids are not each of 0..{n_emb - 1} once")
     if flat_codes.size and int(flat_codes.max()) >= k:
@@ -466,6 +453,6 @@ def load_index(path: str | Path) -> IvfPqIndex:
         part_offsets=part_offsets.copy(),
         flat_ids=flat_ids.copy(),
         flat_codes=flat_codes.reshape(n_emb, m).copy(),
-        doc_offsets=doc_offsets.copy(),
-        doc_ids=doc_ids,
+        doc_offsets=docs.offsets,
+        doc_ids=docs.ids,
     )

@@ -65,6 +65,8 @@ class Config:
                 raise ValueError(f"{name} must be positive")
         if self.candidates is not None and self.candidates < 1:
             raise ValueError("candidates must be positive (or None for all)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     def doc_limit(self) -> int:
         return {

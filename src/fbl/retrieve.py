@@ -110,10 +110,18 @@ def rank_two_stage(
     k: int,
     bug_id: str = "",
 ) -> RankedResult:
-    """ANN candidate generation followed by exact re-scoring of candidates."""
+    """ANN candidate generation followed by exact re-scoring of candidates.
+
+    Candidates are positions in the index's document table, so ``docs``
+    must hold the documents the index was built from, in the same order.
+    """
     pack = _as_pack(docs)
-    cands = candidate_docs(index, query, n_prime, nprobe)
-    positions = np.sort(pack.positions(cands))  # ascending = prefetch-friendly gather
+    if pack.offsets is not index.doc_offsets and not (
+        np.array_equal(pack.offsets, index.doc_offsets) and pack.ids == index.doc_ids
+    ):
+        raise ValueError("the documents differ from those the index was built from")
+    # ascending positions = prefetch-friendly gather
+    positions = np.sort(candidate_docs(index, query, n_prime, nprobe))
     entries = _rank_positions(query, pack, positions)[:k]
     return RankedResult(bug_id=bug_id, entries=entries, mode=RankMode.TWO_STAGE)
 

@@ -3,7 +3,7 @@
 A session directory holds everything a query needs:
 
     manifest.json   configuration fingerprint + artifact checksums
-    index.fbli      the IVFPQ index
+    index.fbli      the IVFPQ index: quantizers and inverted lists
     projection.fble the linear projection weights
     docs.fblp       the packed corpus: doc offsets, one row block, doc ids
     vocab.txt       the vocabulary the session was encoded with
@@ -11,15 +11,16 @@ A session directory holds everything a query needs:
 
 ``index.fbli`` and ``docs.fblp`` hold the in-memory arrays of an
 ``IvfPqIndex`` and a ``PackedCorpus`` back to back, so loading is a
-validation pass plus views, with no per-document work; the loaded pack
-is what queries score against. The manifest records a sha256 of every
-artifact a save writes.
+validation pass plus views, with no per-document work. The pack is the
+only document table: the loaded index borrows its offsets and ids, and
+the loaded pack is what queries score against. The manifest records a
+sha256 of every artifact a save writes.
 
 Writes go through a uniquely named temp file + rename so a crashed save
-never leaves a half-written artifact behind. Loading verifies checksums,
-magic bytes, format versions and every offset and id the query path
-indexes with; querying a session under a different configuration raises
-ConfigMismatch.
+never leaves a half-written artifact behind. Loading reads each artifact it
+parses once, verifies the checksum of those bytes, and then checks magic
+bytes, format versions and every offset and id the query path indexes
+with.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Mapping
 import numpy as np
 
 from .embed import FBLE_VERSION, EmbeddingMatrix, LinearProjection, PackedCorpus
-from .errors import ConfigMismatch, FormatError
+from .errors import FormatError
 from .index import (
     FBLI_VERSION,
     IvfPqIndex,
@@ -44,13 +45,11 @@ from .index import (
     load_index,
     offsets_span,
     read_array,
-    read_ids,
     save_index,
-    write_ids,
 )
 
 FBLP_MAGIC = b"FBLP"
-FBLP_VERSION = 2
+FBLP_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 INDEX_NAME = "index.fbli"
@@ -58,6 +57,8 @@ PROJECTION_NAME = "projection.fble"
 DOCS_NAME = "docs.fblp"
 VOCAB_NAME = "vocab.txt"
 EMBEDDER_NAME = "embedder.fble"
+
+_FORMAT_VERSIONS = {"fbli": FBLI_VERSION, "fble": FBLE_VERSION, "fblp": FBLP_VERSION}
 
 
 @dataclass
@@ -76,38 +77,8 @@ class Manifest:
     n_codewords: int
     seed: int
     doc_limit: int
-    matrix_dtype: str = "f32"  # or "f16"
-    format_versions: dict = field(
-        default_factory=lambda: {"fbli": FBLI_VERSION, "fble": FBLE_VERSION, "fblp": FBLP_VERSION}
-    )
+    format_versions: dict = field(default_factory=_FORMAT_VERSIONS.copy)
     checksums: dict = field(default_factory=dict)
-
-    CONFIG_FIELDS = (
-        "corpus_hash",
-        "granularity",
-        "strategy",
-        "vocab_hash",
-        "embedder_kind",
-        "embedder_seed",
-        "d_in",
-        "d_out",
-        "projection_hash",
-        "n_partitions",
-        "n_subspaces",
-        "n_codewords",
-        "seed",
-        "doc_limit",
-        "matrix_dtype",
-    )
-
-    def require_match(self, **expected) -> None:
-        """Raise ConfigMismatch on the first field that disagrees."""
-        for key, value in expected.items():
-            if key not in self.CONFIG_FIELDS:
-                raise ValueError(f"unknown manifest field {key!r}")
-            actual = getattr(self, key)
-            if actual != value:
-                raise ConfigMismatch(f"manifest {key}={actual!r} != expected {value!r}")
 
 
 def sha256_file(path: str | Path) -> str:
@@ -135,45 +106,56 @@ def _atomic_write(path: Path, writer) -> None:
 
 # -- document matrix pack (FBLP) --------------------------------------------------
 #
-# magic "FBLP", then a header (version, dtype flag, docs, dim, rows), then the
-# pack's arrays back to back, little-endian: offsets (docs+1) i8, rows
-# (rows, dim) f4 or f2, and the doc-id table.
+# magic "FBLP", then a header (version, docs, dim, rows), then the pack's
+# arrays back to back, little-endian: offsets (docs+1) i8, rows (rows, dim)
+# f4, and the doc-id table.
 
-_FBLP_HEADER = struct.Struct("<IIIIQ")
-_ROW_DTYPES = ("f32", "f16")  # the manifest's matrix_dtype, by dtype flag
-_ROW_NP_DTYPES = ("<f4", "<f2")
+_FBLP_HEADER = struct.Struct("<IIIQ")
 
 
-def write_doc_pack(
-    path: str | Path, matrices: Mapping[str, EmbeddingMatrix], dtype: str = "f32"
-) -> None:
-    if dtype not in _ROW_DTYPES:
-        raise ValueError("dtype must be 'f32' or 'f16'")
+def write_ids(fh, ids: list[str]) -> None:
+    """A doc-id table: every id's UTF-8 byte length (u4), then the bytes."""
+    raw = [doc_id.encode("utf-8") for doc_id in ids]
+    fh.write(np.asarray([len(r) for r in raw], dtype="<u4").tobytes())
+    fh.write(b"".join(raw))
+
+
+def read_ids(data: bytes, off: int, count: int) -> tuple[list[str], int]:
+    lengths, off = read_array(data, off, "<u4", count)
+    ends = off + np.cumsum(lengths, dtype=np.int64)
+    if count and ends[-1] > len(data):
+        raise ValueError("doc-id table runs past the end")
+    starts = (ends - lengths).tolist()
+    ids = [data[a:b].decode("utf-8") for a, b in zip(starts, ends.tolist())]
+    return ids, int(ends[-1]) if count else off
+
+
+def write_doc_pack(path: str | Path, matrices: Mapping[str, EmbeddingMatrix]) -> None:
     pack = PackedCorpus.from_matrices(matrices)
     n_rows, dim = pack.rows.shape
     with open(path, "wb") as fh:
         fh.write(FBLP_MAGIC)
-        flag = _ROW_DTYPES.index(dtype)
-        fh.write(_FBLP_HEADER.pack(FBLP_VERSION, flag, len(pack), dim, n_rows))
+        fh.write(_FBLP_HEADER.pack(FBLP_VERSION, len(pack), dim, n_rows))
         fh.write(np.ascontiguousarray(pack.offsets, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(pack.rows, dtype=_ROW_NP_DTYPES[flag]).data)
+        fh.write(np.ascontiguousarray(pack.rows, dtype="<f4").data)
         write_ids(fh, pack.ids)
 
 
-def read_doc_pack(path: str | Path) -> PackedCorpus:
-    """Read and validate an FBLP file; f32 rows stay a view of the file's bytes."""
+def read_doc_pack(path: str | Path, data: bytes | None = None) -> PackedCorpus:
+    """Read and validate an FBLP file; the rows stay a view of its bytes.
+
+    ``data`` is the file's bytes when the caller has read them already.
+    """
     path = Path(path)
-    data = path.read_bytes()
+    data = path.read_bytes() if data is None else data
     if data[:4] != FBLP_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {FBLP_MAGIC!r}")
     try:
-        version, dtype_flag, n_docs, dim, n_rows = _FBLP_HEADER.unpack_from(data, 4)
+        version, n_docs, dim, n_rows = _FBLP_HEADER.unpack_from(data, 4)
         check_version(path, version, FBLP_VERSION)
-        if dtype_flag >= len(_ROW_DTYPES):
-            raise FormatError(f"{path}: unknown row dtype flag {dtype_flag}")
         off = 4 + _FBLP_HEADER.size
         offsets, off = read_array(data, off, "<i8", n_docs + 1)
-        rows, off = read_array(data, off, _ROW_NP_DTYPES[dtype_flag], n_rows * dim)
+        rows, off = read_array(data, off, "<f4", n_rows * dim)
         ids, off = read_ids(data, off, n_docs)
         if off != len(data):
             raise FormatError(f"{path}: {len(data) - off} bytes past the doc-id table")
@@ -182,7 +164,7 @@ def read_doc_pack(path: str | Path) -> PackedCorpus:
         return PackedCorpus(
             rows.reshape(n_rows, dim).astype(np.float32, copy=False), offsets.copy(), ids
         )
-    except (struct.error, ValueError, OverflowError, UnicodeDecodeError) as exc:
+    except (struct.error, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: truncated or corrupt pack ({exc})") from exc
 
 
@@ -211,10 +193,7 @@ def save_session(
 
     _atomic_write(directory / INDEX_NAME, lambda p: save_index(index, p))
     _atomic_write(directory / PROJECTION_NAME, lambda p: projection.save(p))
-    _atomic_write(
-        directory / DOCS_NAME,
-        lambda p: write_doc_pack(p, doc_matrices, dtype=manifest.matrix_dtype),
-    )
+    _atomic_write(directory / DOCS_NAME, lambda p: write_doc_pack(p, doc_matrices))
     written = [INDEX_NAME, PROJECTION_NAME, DOCS_NAME]
     if vocab_text is not None:
         _atomic_write(
@@ -234,7 +213,8 @@ def save_session(
     )
 
 
-_ARTIFACT_NAMES = {INDEX_NAME, PROJECTION_NAME, DOCS_NAME, VOCAB_NAME, EMBEDDER_NAME}
+_PARSED_NAMES = (INDEX_NAME, PROJECTION_NAME, DOCS_NAME)
+_ARTIFACT_NAMES = {*_PARSED_NAMES, VOCAB_NAME, EMBEDDER_NAME}
 
 
 def _is(value, kind: type) -> bool:
@@ -267,29 +247,38 @@ def load_manifest(directory: str | Path) -> Manifest:
         problem = _manifest_problem(data)
         if problem:
             raise FormatError(f"{path}: bad manifest ({problem})")
+        found = data.get("format_versions", _FORMAT_VERSIONS)
+        if found != _FORMAT_VERSIONS:
+            raise FormatError(
+                f"{path}: session formats {found} are not {_FORMAT_VERSIONS}; "
+                "re-run `fbl index` to rebuild the session"
+            )
         return Manifest(**data)
     except (ValueError, TypeError, RecursionError) as exc:
         raise FormatError(f"{path}: bad manifest ({exc})") from exc
 
 
-def load_session(directory: str | Path, expect: Mapping | None = None) -> SessionArtifacts:
-    """Load all artifacts, verifying checksums; `expect` fields must match.
+def load_session(directory: str | Path) -> SessionArtifacts:
+    """Load all artifacts, verifying checksums.
 
-    ``doc_matrices`` is the packed corpus as stored, ready to rank against.
+    The index, projection and doc pack are each read once, and the bytes
+    whose checksum is verified are the bytes parsed. ``doc_matrices`` is the
+    packed corpus as stored, ready to rank against; the index borrows its
+    document table.
     """
     directory = Path(directory)
     manifest = load_manifest(directory)
-    if expect:
-        manifest.require_match(**dict(expect))
-    for name, recorded in manifest.checksums.items():
+    for name in manifest.checksums:
         if not (directory / name).is_file():
             raise FormatError(f"{directory / name}: listed in the manifest but missing")
-        actual = sha256_file(directory / name)
+    data = {name: (directory / name).read_bytes() for name in _PARSED_NAMES}
+    for name, recorded in manifest.checksums.items():
+        actual = sha256_bytes(data[name]) if name in data else sha256_file(directory / name)
         if actual != recorded:
             raise FormatError(f"{directory / name}: checksum mismatch")
-    index = load_index(directory / INDEX_NAME)
-    projection = LinearProjection.load(directory / PROJECTION_NAME)
-    doc_matrices = read_doc_pack(directory / DOCS_NAME)
+    doc_matrices = read_doc_pack(directory / DOCS_NAME, data[DOCS_NAME])
+    index = load_index(directory / INDEX_NAME, doc_matrices, data[INDEX_NAME])
+    projection = LinearProjection.load(directory / PROJECTION_NAME, data[PROJECTION_NAME])
     return SessionArtifacts(
         manifest=manifest, index=index, projection=projection, doc_matrices=doc_matrices
     )

@@ -249,12 +249,32 @@ def test_out_of_range_counts_exit_1_naming_the_flag(corpus_dir, capsys):
         ("--nprobe", "0"),
         ("--nprobe", "-2"),
     ]
-    for command, extra in (("query", ["--text", "widget"]), ("bench", ["--sizes", "40"])):
-        for flag, value in bad:
+    bench_only = [("--queries", "0"), ("--sizes", "abc"), ("--sizes", "-5"), ("--sizes", "40,0")]
+    for command, extra, flags in (
+        ("query", ["--text", "widget"], bad),
+        ("bench", ["--sizes", "40"], bad + bench_only),
+    ):
+        for flag, value in flags:
             capsys.readouterr()
             assert main([command, "--session", str(session), *extra, flag, value]) == 1
             err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
             assert err["kind"] == "usage" and flag in err["error"], (command, flag, value)
+    train = ["train-projection", "--corpus", str(corpus), "--vocab", str(vocab),
+             "--out", str(tmp_path / "never.fble"), "--d-in", "32", "--d-out", "16"]
+    for flag, value in [
+        ("--margin", "nan"), ("--margin", "0"), ("--learning-rate", "nan"),
+        ("--learning-rate", "inf"), ("--learning-rate", "-1"), ("--epochs", "-1"),
+        ("--batch-size", "0"), ("--seed", "-1"),
+    ]:
+        capsys.readouterr()
+        assert main([*train, flag, value]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["kind"] == "usage" and flag in err["error"], (flag, value)
+        assert not (tmp_path / "never.fble").exists()
+    capsys.readouterr()
+    assert main(_index_args(corpus, vocab, tmp_path / "s2") + ["--seed", "-1"]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "usage" and "--seed" in err["error"]
     index_flags = [
         "--candidates", "--partitions", "--subspaces", "--codewords", "--nprobe",
         "--query-limit", "--hunk-limit", "--file-limit", "--changeset-limit",
@@ -272,6 +292,9 @@ def test_config_rejects_candidates_below_one():
     with pytest.raises(ValueError, match="candidates"):
         Config(candidates=0)
     assert Config(candidates=None).candidates is None
+    with pytest.raises(ValueError, match="seed"):
+        Config(seed=-1)
+    assert Config(seed=0).seed == 0
 
 
 def test_session_env_var_default(corpus_dir, capsys, monkeypatch):

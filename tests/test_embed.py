@@ -271,6 +271,11 @@ def test_config_validation():
         TripletTrainConfig(margin=0.0)
     with pytest.raises(ValueError):
         TripletTrainConfig(learning_rate=-1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="margin"):
+            TripletTrainConfig(margin=bad)
+        with pytest.raises(ValueError, match="learning_rate"):
+            TripletTrainConfig(learning_rate=bad)
 
 
 def test_maxsim_invariant_to_embedder_rescaling():

@@ -4,7 +4,7 @@ from conftest import assign_nearest_reference, kmeans_pp_init_reference
 
 from fbl import _kernels
 from fbl import index as index_module
-from fbl.embed import EmbeddingMatrix
+from fbl.embed import EmbeddingMatrix, PackedCorpus
 from fbl.errors import EmptyIndex, FormatError, InsufficientData
 from fbl.index import (
     IvfPqIndex,
@@ -211,7 +211,7 @@ def test_doc_of_maps_ids_past_empty_and_dead_docs():
         ("a:0:0", 0), ("a:0:0", 1), ("b:0:0", 0), ("b:0:0", 1)
     ]
     q = EmbeddingMatrix(rows=b[[2]], is_query=True)
-    assert sorted(candidate_docs(idx, q, None, 2)) == ["a:0:0", "b:0:0"]
+    assert sorted(candidate_docs(idx, q, None, 2).tolist()) == [0, 3]  # a and b
 
 
 def test_pq_reconstruction_mse_improves_with_k():
@@ -331,7 +331,7 @@ def test_candidates_collapse_to_single_doc():
     idx = build_index(docs, n_partitions=2, n_subspaces=2, n_codewords=4, seed=0)
     q = EmbeddingMatrix(rows=v[:2], is_query=True)
     cands = candidate_docs(idx, q, n_prime=2, nprobe=1)
-    assert cands == ["one:0:0"]
+    assert cands.dtype == np.int64 and cands.tolist() == [0]  # "one:0:0"
 
 
 def test_candidates_saturation_returns_all_docs():
@@ -340,9 +340,9 @@ def test_candidates_saturation_returns_all_docs():
     idx = build_index(docs, n_partitions=4, n_subspaces=2, n_codewords=16, seed=0)
     q = EmbeddingMatrix(rows=_unit_rows(rng.standard_normal((3, 8))), is_query=True)
     cands = candidate_docs(idx, q, n_prime=None, nprobe=4)
-    assert sorted(cands) == sorted(docs.keys())
+    assert sorted(cands.tolist()) == list(range(len(docs)))
     cands2 = candidate_docs(idx, q, n_prime=idx.n_embeddings, nprobe=4)
-    assert sorted(cands2) == sorted(docs.keys())
+    assert sorted(cands2.tolist()) == list(range(len(docs)))
 
 
 def test_candidates_toy_union_matches_brute_force():
@@ -357,7 +357,7 @@ def test_candidates_toy_union_matches_brute_force():
     q = EmbeddingMatrix(rows=np.stack([e[0], e[2]]), is_query=True)
     # per row fetch = ceil(2/2) = 1: row0 -> embedding e0 (doc a), row1 -> e2 (doc c)
     cands = candidate_docs(idx, q, n_prime=2, nprobe=4)
-    assert set(cands) == {"a:0:0", "c:0:0"}
+    assert set(cands.tolist()) == {0, 2}  # docs a and c
 
 
 @pytest.mark.parametrize("n_prime", [0, -1, -5, -100])
@@ -395,7 +395,7 @@ def test_monotone_recall_in_nprobe():
     for nprobe in (1, 2, 4, 8, 16, 32):
         total = 0.0
         for q in queries:
-            cands = set(candidate_docs(idx, q, n_prime=100, nprobe=nprobe))
+            cands = {idx.doc_ids[i] for i in candidate_docs(idx, q, n_prime=100, nprobe=nprobe)}
             gold = exact_top_docs(q)
             total += len(cands & set(gold)) / len(gold)
         recalls.append(total / len(queries))
@@ -410,10 +410,12 @@ def test_monotone_recall_in_nprobe():
 def test_index_roundtrip_identical_search(tmp_path):
     rng = np.random.default_rng(17)
     docs, _ = _random_corpus(rng, n_docs=50, tokens_per_doc=5, dim=16)
-    idx = build_index(docs, n_partitions=8, n_subspaces=4, n_codewords=32, seed=6)
+    pack = PackedCorpus.from_matrices(docs)
+    idx = build_index(pack, n_partitions=8, n_subspaces=4, n_codewords=32, seed=6)
     p = tmp_path / "idx.fbli"
     save_index(idx, p)
-    back = load_index(p)
+    back = load_index(p, pack)
+    assert back.doc_offsets is pack.offsets and back.doc_ids is pack.ids
     q = _unit_rows(rng.standard_normal((1, 16)))[0]
     assert _one_row_search(idx, q, nprobe=8, topk=20) == _one_row_search(
         back, q, nprobe=8, topk=20
@@ -427,84 +429,83 @@ def test_index_roundtrip_identical_search(tmp_path):
 def _saved_index(tmp_path):
     rng = np.random.default_rng(23)
     docs, _ = _random_corpus(rng, n_docs=20, tokens_per_doc=4, dim=8)
-    idx = build_index(docs, n_partitions=4, n_subspaces=2, n_codewords=8, seed=0)
+    pack = PackedCorpus.from_matrices(docs)
+    idx = build_index(pack, n_partitions=4, n_subspaces=2, n_codewords=8, seed=0)
     p = tmp_path / "idx.fbli"
     save_index(idx, p)
-    return idx, p, bytearray(p.read_bytes())
+    return idx, pack, p, bytearray(p.read_bytes())
 
 
 def _fbli_layout(idx):
-    """Byte offsets of part_offsets, flat_ids, flat_codes and doc_offsets in FBLI v2."""
-    m, p_count, d, n = idx.n_subspaces, idx.n_partitions, idx.dim, idx.n_embeddings
-    part = 4 + 32 + p_count * d * 4 + idx.n_codewords * d * 4
+    """Byte offsets of part_offsets, flat_ids and flat_codes in FBLI v3."""
+    p_count, d, n = idx.n_partitions, idx.dim, idx.n_embeddings
+    part = 4 + 28 + p_count * d * 4 + idx.n_codewords * d * 4
     ids = part + (p_count + 1) * 8
-    codes = ids + n * 8
-    docs = codes + n * m
-    return part, ids, codes, docs
+    return part, ids, ids + n * 8
 
 
 def _put_i8(raw, at, value):
     raw[at : at + 8] = int(value).to_bytes(8, "little", signed=True)
 
 
-def test_load_index_rejects_decreasing_doc_offsets(tmp_path):
-    idx, p, raw = _saved_index(tmp_path)
-    _, _, _, docs = _fbli_layout(idx)
-    _put_i8(raw, docs + 8, idx.doc_offsets[2] + 1)  # doc 0 ends past where doc 1 does
-    p.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="doc offsets"):
-        load_index(p)
+def test_fbli_ends_with_the_codes(tmp_path):
+    idx, _, _, raw = _saved_index(tmp_path)
+    _, _, codes = _fbli_layout(idx)
+    assert bytes(raw[codes:]) == idx.flat_codes.tobytes()  # no document table follows
 
 
 def test_load_index_rejects_list_id_out_of_range(tmp_path):
-    idx, p, raw = _saved_index(tmp_path)
-    _, ids, _, _ = _fbli_layout(idx)
+    idx, pack, p, raw = _saved_index(tmp_path)
+    _, ids, _ = _fbli_layout(idx)
     raw[ids : ids + 8] = idx.n_embeddings.to_bytes(8, "little")
     p.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="inverted-list ids"):
-        load_index(p)
+        load_index(p, pack)
 
 
 def test_load_index_rejects_code_out_of_range(tmp_path):
-    idx, p, raw = _saved_index(tmp_path)
-    _, _, codes, _ = _fbli_layout(idx)
+    idx, pack, p, raw = _saved_index(tmp_path)
+    _, _, codes = _fbli_layout(idx)
     raw[codes] = idx.n_codewords
     p.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="codebook size"):
-        load_index(p)
+        load_index(p, pack)
 
 
 def test_load_index_rejects_partition_counts_off_total(tmp_path):
-    idx, p, raw = _saved_index(tmp_path)
-    part, _, _, _ = _fbli_layout(idx)
+    idx, pack, p, raw = _saved_index(tmp_path)
+    part, _, _ = _fbli_layout(idx)
     _put_i8(raw, part + idx.n_partitions * 8, idx.n_embeddings - 1)
     p.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="partition offsets"):
-        load_index(p)
+        load_index(p, pack)
 
 
 def test_load_index_rejects_doc_offsets_off_total(tmp_path):
-    idx, p, raw = _saved_index(tmp_path)
-    _, _, _, docs = _fbli_layout(idx)
-    _put_i8(raw, docs + len(idx.doc_ids) * 8, idx.n_embeddings + 1)
-    p.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="doc offsets"):
-        load_index(p)
+    # a pack whose offsets end short of the index's embeddings is not its pack
+    idx, pack, p, _ = _saved_index(tmp_path)
+    shorter = PackedCorpus(pack.rows[:-4], pack.offsets[:-1], pack.ids[:-1])
+    with pytest.raises(FormatError, match=f"indexes {idx.n_embeddings} embeddings"):
+        load_index(p, shorter)
+    wider = PackedCorpus(np.zeros((idx.n_embeddings, 16), np.float32), pack.offsets, pack.ids)
+    with pytest.raises(FormatError, match="of dim 16"):
+        load_index(p, wider)
 
 
 def test_load_index_rejects_version_1_naming_the_fix(tmp_path):
-    idx, p, raw = _saved_index(tmp_path)
-    raw[4:8] = (1).to_bytes(4, "little")
-    p.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="version 1.*re-run `fbl index`"):
-        load_index(p)
+    _, pack, p, raw = _saved_index(tmp_path)
+    for version in (1, 2):  # v2 held its own copy of the document table
+        raw[4:8] = version.to_bytes(4, "little")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"version {version}.*re-run `fbl index`"):
+            load_index(p, pack)
 
 
 def test_index_bad_magic(tmp_path):
     p = tmp_path / "x.fbli"
     p.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(FormatError) as exc:
-        load_index(p)
+        load_index(p, PackedCorpus.from_matrices({}))
     assert "x.fbli" in str(exc.value)
 
 

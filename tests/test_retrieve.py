@@ -179,6 +179,20 @@ def test_two_stage_k_beyond_candidates_returns_all():
     assert len(two.entries) == 10
 
 
+def test_two_stage_rejects_documents_other_than_the_indexed_ones():
+    rng = np.random.default_rng(6)
+    docs = _clustered_corpus(rng, n_docs=10)
+    idx = build_index(docs, n_partitions=2, n_subspaces=4, n_codewords=8, seed=2)
+    q = _q(_unit_rows(rng.standard_normal((2, 16))))
+    rank_two_stage(q, idx, dict(docs), n_prime=None, nprobe=2, k=5)  # equal, not the same
+    first = next(iter(docs))
+    shorter = dict(docs, **{first: _d(docs[first].rows[:4])})  # offsets differ
+    reordered = dict(reversed(docs.items()))  # equal lengths, so only the ids differ
+    for other in (shorter, reordered):
+        with pytest.raises(ValueError, match="the index was built from"):
+            rank_two_stage(q, idx, other, n_prime=None, nprobe=2, k=5)
+
+
 def test_aggregate_max_rule():
     res = RankedResult(
         bug_id="b",

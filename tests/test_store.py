@@ -1,5 +1,9 @@
+import builtins
+import hashlib
+import io
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbl.embed import EmbeddingMatrix, LinearProjection, PackedCorpus, _normalize_rows
-from fbl.errors import ConfigMismatch, FormatError
+from fbl.errors import FormatError
 from fbl.index import build_index, candidate_docs, load_index
 from fbl.retrieve import rank_exact, rank_two_stage
 from fbl.store import (
@@ -96,20 +100,24 @@ def test_doc_pack_version_1_names_the_fix(tmp_path):
     p = tmp_path / "docs.fblp"
     write_doc_pack(p, {"a:0:0": EmbeddingMatrix(rows=_unit(np.ones((1, 4))))})
     raw = bytearray(p.read_bytes())
-    raw[4:8] = (1).to_bytes(4, "little")
-    p.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="version 1.*re-run `fbl index`"):
-        read_doc_pack(p)
+    for version in (1, 2):  # v2 held a row-dtype flag
+        raw[4:8] = version.to_bytes(4, "little")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"version {version}.*re-run `fbl index`"):
+            read_doc_pack(p)
 
 
-def test_doc_pack_f16_mode(tmp_path):
-    rng = np.random.default_rng(4)
-    docs = {"a:0:0": EmbeddingMatrix(rows=_unit(rng.standard_normal((3, 4))))}
+def test_doc_pack_rejects_decreasing_doc_offsets(tmp_path):
+    rng = np.random.default_rng(23)
+    docs = {f"d{i}:0:0": EmbeddingMatrix(rows=_unit(rng.standard_normal((2, 4))))
+            for i in range(3)}
     p = tmp_path / "docs.fblp"
-    write_doc_pack(p, docs, dtype="f16")
-    back = read_doc_pack(p)
-    assert back["a:0:0"].rows.dtype == np.float32
-    np.testing.assert_allclose(back["a:0:0"].rows, docs["a:0:0"].rows, atol=2e-3)
+    write_doc_pack(p, docs)
+    raw = bytearray(p.read_bytes())
+    raw[24 + 8 : 24 + 16] = (5).to_bytes(8, "little")  # doc 0 ends past where doc 1 does
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="doc offsets"):
+        read_doc_pack(p)
 
 
 def test_session_roundtrip(tmp_path, session_pieces):
@@ -118,7 +126,10 @@ def test_session_roundtrip(tmp_path, session_pieces):
     arts = load_session(tmp_path)
     assert isinstance(arts, SessionArtifacts)
     assert arts.manifest == manifest
-    assert manifest.format_versions == {"fbli": 2, "fble": 1, "fblp": 2}
+    assert manifest.format_versions == {"fbli": 3, "fble": 1, "fblp": 3}
+    # one document table: the index borrows the loaded pack's
+    assert arts.index.doc_offsets is arts.doc_matrices.offsets
+    assert arts.index.doc_ids is arts.doc_matrices.ids
     np.testing.assert_array_equal(
         arts.projection.weights.astype(np.float32), projection.weights.astype(np.float32)
     )
@@ -138,12 +149,50 @@ def test_session_reserialization_is_byte_identical(tmp_path, session_pieces):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
-def test_session_config_mismatch(tmp_path, session_pieces):
+def test_index_of_another_size_raises_format_error(tmp_path, session_pieces):
+    manifest, index, projection, docs = session_pieces
+    save_session(tmp_path / "a", manifest, index, projection, docs)
+    fewer = dict(list(docs.items())[:-1])
+    other = build_index(fewer, n_partitions=4, n_subspaces=2, n_codewords=8, seed=1)
+    save_session(tmp_path / "b", manifest, other, projection, fewer)
+    # b's index under a's pack, with the manifest vouching for it
+    swapped = (tmp_path / "b" / INDEX_NAME).read_bytes()
+    (tmp_path / "a" / INDEX_NAME).write_bytes(swapped)
+    path = tmp_path / "a" / MANIFEST_NAME
+    data = json.loads(path.read_text())
+    data["checksums"][INDEX_NAME] = hashlib.sha256(swapped).hexdigest()
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match="indexes 44 embeddings"):
+        load_session(tmp_path / "a")
+
+
+def test_load_session_opens_each_artifact_once(tmp_path, session_pieces, monkeypatch):
+    manifest, index, projection, docs = session_pieces
+    save_session(tmp_path, manifest, index, projection, docs, vocab_text="a\nb\n")
+    opened = Counter()
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[os.path.basename(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    load_session(tmp_path)
+    assert opened == {MANIFEST_NAME: 1, INDEX_NAME: 1, DOCS_NAME: 1, PROJECTION_NAME: 1,
+                      VOCAB_NAME: 1}
+
+
+def test_session_of_an_older_format_names_the_fix(tmp_path, session_pieces):
     manifest, index, projection, docs = session_pieces
     save_session(tmp_path, manifest, index, projection, docs)
-    load_session(tmp_path, expect={"vocab_hash": "vh"})
-    with pytest.raises(ConfigMismatch):
-        load_session(tmp_path, expect={"vocab_hash": "other"})
+    path = tmp_path / MANIFEST_NAME
+    data = json.loads(path.read_text())
+    data["format_versions"]["fblp"] = 2
+    data["matrix_dtype"] = "f32"  # the field v2 sessions recorded
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match="re-run `fbl index`"):
+        load_session(tmp_path)
 
 
 def test_session_corrupted_magic_names_file(tmp_path, session_pieces):
@@ -258,18 +307,18 @@ def test_failed_write_removes_its_temp_file(tmp_path):
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
     """A saved session: each artifact's bytes and regions, the session, and queries."""
-    manifest, index, projection, docs = _pieces()
+    manifest, _, projection, docs = _pieces()
     docs["empty:0:0"] = EmbeddingMatrix(rows=np.zeros((0, 8), dtype=np.float32))
-    index = build_index(docs, n_partitions=4, n_subspaces=2, n_codewords=8, seed=1)
+    pack = PackedCorpus.from_matrices(docs)
+    index = build_index(pack, n_partitions=4, n_subspaces=2, n_codewords=8, seed=1)
     directory = tmp_path_factory.mktemp("session")
-    save_session(directory, manifest, index, projection, docs)
-    n, p, m, d, k = index.n_embeddings, index.n_partitions, 2, index.dim, index.n_codewords
-    n_docs = len(docs)
-    # (start, end) byte ranges of the header, offset and id regions of each file
-    part = 36 + p * d * 4 + k * d * 4
-    doc_offsets = part + (p + 1) * 8 + n * 8 + n * m
-    index_regions = [(0, 36), (part, part + (p + 1) * 8 + n * 8), (doc_offsets, None)]
-    rows = 28 + (n_docs + 1) * 8
+    save_session(directory, manifest, index, projection, pack)
+    n, p, d, k = index.n_embeddings, index.n_partitions, index.dim, index.n_codewords
+    # (start, end) byte ranges of the header, offset, id and code regions of each file
+    part = 32 + p * d * 4 + k * d * 4
+    codes = part + (p + 1) * 8 + n * 8
+    index_regions = [(0, 32), (part, codes), (codes, None)]
+    rows = 24 + (len(pack) + 1) * 8
     pack_regions = [(0, rows), (rows + n * d * 4, None)]
     rng = np.random.default_rng(8)
     queries = [EmbeddingMatrix(rows=_unit(rng.standard_normal((3, 8))), is_query=True)
@@ -280,8 +329,7 @@ def saved(tmp_path_factory):
         DOCS_NAME: ((directory / DOCS_NAME).read_bytes(), pack_regions),
         MANIFEST_NAME: ((directory / MANIFEST_NAME).read_bytes(), [(0, None)]),
         PROJECTION_NAME: ((directory / PROJECTION_NAME).read_bytes(), [(0, None)]),
-        "session": (index, docs, projection, queries, raw_queries),
-        "expect": {f: getattr(manifest, f) for f in Manifest.CONFIG_FIELDS},
+        "session": (pack, projection, queries, raw_queries),
         # a manifest is read from its session; the other files stand alone
         "dirs": {MANIFEST_NAME: directory},
         "dir": tmp_path_factory.mktemp("corrupt"),
@@ -291,18 +339,20 @@ def saved(tmp_path_factory):
 def _open(saved, name, path):
     """(index, docs, queries) of the session with `path` in place of artifact `name`.
 
-    Besides the fixed queries, raw query rows go through the session's projection.
+    The index is loaded over the pack in use, as a session loads it. Besides
+    the fixed queries, raw query rows go through the session's projection.
     """
-    index, docs, projection, queries, raw_queries = saved["session"]
-    if name == INDEX_NAME:
-        index = load_index(path)
-    elif name == DOCS_NAME:
-        docs = read_doc_pack(path)
-    elif name == PROJECTION_NAME:
-        projection = LinearProjection.load(path)
-    else:
-        arts = load_session(path.parent, expect=saved["expect"])
+    docs, projection, queries, raw_queries = saved["session"]
+    if name == MANIFEST_NAME:
+        arts = load_session(path.parent)
         index, docs, projection = arts.index, arts.doc_matrices, arts.projection
+    else:
+        if name == DOCS_NAME:
+            docs = read_doc_pack(path)
+        elif name == PROJECTION_NAME:
+            projection = LinearProjection.load(path)
+        index_path = path if name == INDEX_NAME else saved["dirs"][MANIFEST_NAME] / INDEX_NAME
+        index = load_index(index_path, docs)
     projected = [_normalize_rows(raw @ projection.weights).astype(np.float32)
                  for raw in raw_queries]
     return index, docs, queries + [EmbeddingMatrix(rows=r, is_query=True) for r in projected]
@@ -339,7 +389,7 @@ def test_overwritten_byte_raises_format_error_or_still_answers(saved, name, data
     path.write_bytes(blob[:at] + bytes([value]) + blob[at + 1 :])
     try:
         index, docs, queries = _open(saved, name, path)
-    except (FormatError, ConfigMismatch):
+    except FormatError:
         return
     for q in queries:
         candidate_docs(index, q, 10, 2)
