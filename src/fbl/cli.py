@@ -244,8 +244,11 @@ def _open_session(args):
         raise UsageError(EXIT_USAGE, "no session: pass --session or set FBL_SESSION")
     session_dir = Path(raw)
     artifacts = store.load_session(session_dir)
-    vocab = Vocabulary.from_file(session_dir / store.VOCAB_NAME)
     m = artifacts.manifest
+    for name in [store.VOCAB_NAME] + [store.EMBEDDER_NAME] * (m.embedder_kind == "file"):
+        if name not in m.checksums:
+            raise FormatError(f"{session_dir / store.MANIFEST_NAME}: no checksum for {name}")
+    vocab = Vocabulary.from_bytes(artifacts.vocab)
     try:
         config = Config(
             granularity=Granularity(m.granularity),
@@ -273,7 +276,7 @@ def _open_session(args):
 def cmd_query(args) -> int:
     _positive("--topk", args.topk)
     artifacts, vocab, config = _open_session(args)
-    embedder = make_embedder(config)
+    embedder = make_embedder(config, artifacts.embedder)
 
     if args.text is not None:
         reports = [

@@ -172,74 +172,83 @@ def split_train_test(
 # Timestamps are ISO-8601 strings.
 
 
-def _parse_ts(value: str) -> datetime:
-    dt = datetime.fromisoformat(value)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt
-
-
 def _iter_jsonl(path: Path):
+    """(``path:line``, object) for every non-blank line; each must be a JSON object."""
     with open(path, encoding="utf-8", errors="replace") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield line_no, json.loads(line)
+                obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{line_no}: bad JSON ({exc})") from exc
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{line_no}: not a JSON object")
+            yield f"{path}:{line_no}", obj
+
+
+def _text(obj: dict, key: str, where: str, default: str | None = None) -> str:
+    """A string field; a required one that is missing, or a non-string, is a DataError."""
+    if key not in obj:
+        if default is None:
+            raise DataError(f"{where}: missing field {key!r}")
+        return default
+    if not isinstance(obj[key], str):
+        raise DataError(f"{where}: field {key!r} is not a string")
+    return obj[key]
+
+
+def _timestamp(obj: dict, key: str, where: str) -> datetime:
+    try:
+        dt = datetime.fromisoformat(_text(obj, key, where))
+    except ValueError as exc:
+        raise DataError(f"{where}: field {key!r} is not an ISO-8601 timestamp") from exc
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt
 
 
 def load_changesets(path: str | Path) -> list[Changeset]:
     out: list[Changeset] = []
     seen: set[str] = set()
-    for line_no, obj in _iter_jsonl(Path(path)):
-        try:
-            cs_id = obj["id"]
-            if cs_id in seen:
-                raise DataError(f"{path}:{line_no}: duplicate changeset id {cs_id!r}")
-            seen.add(cs_id)
-            out.append(
-                parse_unified_diff(
-                    obj["diff"],
-                    changeset_id=cs_id,
-                    log_message=obj.get("log", ""),
-                    committed_at=_parse_ts(obj["timestamp"]),
-                )
+    for where, obj in _iter_jsonl(Path(path)):
+        cs_id = _text(obj, "id", where)
+        if cs_id in seen:
+            raise DataError(f"{where}: duplicate changeset id {cs_id!r}")
+        seen.add(cs_id)
+        out.append(
+            parse_unified_diff(
+                _text(obj, "diff", where),
+                changeset_id=cs_id,
+                log_message=_text(obj, "log", where, ""),
+                committed_at=_timestamp(obj, "timestamp", where),
             )
-        except KeyError as exc:
-            raise DataError(f"{path}:{line_no}: missing field {exc}") from exc
+        )
     return out
 
 
 def load_bugs(path: str | Path) -> list[BugReport]:
     out: list[BugReport] = []
     seen: set[str] = set()
-    for line_no, obj in _iter_jsonl(Path(path)):
-        try:
-            bug_id = obj["id"]
-            if bug_id in seen:
-                raise DataError(f"{path}:{line_no}: duplicate bug id {bug_id!r}")
-            seen.add(bug_id)
-            out.append(
-                BugReport(
-                    bug_id=bug_id,
-                    summary=obj.get("summary", ""),
-                    description=obj.get("description", ""),
-                    opened_at=_parse_ts(obj["opened_at"]),
-                )
+    for where, obj in _iter_jsonl(Path(path)):
+        bug_id = _text(obj, "id", where)
+        if bug_id in seen:
+            raise DataError(f"{where}: duplicate bug id {bug_id!r}")
+        seen.add(bug_id)
+        out.append(
+            BugReport(
+                bug_id=bug_id,
+                summary=_text(obj, "summary", where, ""),
+                description=_text(obj, "description", where, ""),
+                opened_at=_timestamp(obj, "opened_at", where),
             )
-        except KeyError as exc:
-            raise DataError(f"{path}:{line_no}: missing field {exc}") from exc
+        )
     return out
 
 
 def load_links(path: str | Path) -> list[GoldLink]:
-    out: list[GoldLink] = []
-    for line_no, obj in _iter_jsonl(Path(path)):
-        try:
-            out.append(GoldLink(bug_id=obj["bug_id"], changeset_id=obj["changeset_id"]))
-        except KeyError as exc:
-            raise DataError(f"{path}:{line_no}: missing field {exc}") from exc
-    return out
+    return [
+        GoldLink(_text(obj, "bug_id", where), _text(obj, "changeset_id", where))
+        for where, obj in _iter_jsonl(Path(path))
+    ]

@@ -139,8 +139,8 @@ class FileEmbedder:
         self.d_in = self.matrix.shape[1]
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "FileEmbedder":
-        return cls(read_matrix_file(path))
+    def from_file(cls, path: str | Path, data: bytes | None = None) -> "FileEmbedder":
+        return cls(read_matrix_file(path, data))
 
     def embed_ids(self, ids: Sequence[int]) -> np.ndarray:
         arr = np.asarray(ids, dtype=np.int64)

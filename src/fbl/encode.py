@@ -101,15 +101,21 @@ class Vocabulary:
         return cls(token_to_id, id_to_token, appended_specials=tuple(appended))
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "Vocabulary":
-        """Load a plain-text vocab (one token per line, id = line number)."""
-        tokens = []
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            for line in fh:
-                tokens.append(line.rstrip("\r\n"))
+    def from_bytes(cls, data: bytes) -> "Vocabulary":
+        """Parse a plain-text vocab (one token per line, id = line number).
+
+        Lines end at \\n, \\r or \\r\\n, as in a file read as text; bytes
+        that are not UTF-8 become U+FFFD.
+        """
+        text = data.decode("utf-8", errors="replace")
+        tokens = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
         while tokens and tokens[-1] == "":
             tokens.pop()  # trailing newline artifacts
         return cls.from_tokens(tokens)
+
+    @classmethod
+    def from_file(cls, path: str | Path) -> "Vocabulary":
+        return cls.from_bytes(Path(path).read_bytes())
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -136,20 +136,22 @@ def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("{"):
-                obj = json.loads(line)
-                try:
-                    raw.setdefault(obj["bug_id"], []).append(
-                        (int(obj["rank"]), obj.get("changeset_id", obj["doc_id"]), float(obj["score"]))
-                    )
-                except KeyError as exc:
-                    raise DataError(f"{path}:{line_no}: missing field {exc}") from exc
-            else:
-                parts = line.split()
-                if len(parts) < 6:
-                    raise DataError(f"{path}:{line_no}: not a TREC run line")
-                bug_id, _, doc_id, rank, score = parts[0], parts[1], parts[2], parts[3], parts[4]
-                raw.setdefault(bug_id, []).append((int(rank), doc_id, float(score)))
+            try:
+                if line.startswith("{"):
+                    obj = json.loads(line)
+                    bug_id, rank, score = obj["bug_id"], obj["rank"], obj["score"]
+                    doc_id = obj.get("changeset_id", obj["doc_id"])
+                else:
+                    parts = line.split()
+                    if len(parts) < 6:
+                        raise DataError(f"{path}:{line_no}: not a TREC run line")
+                    bug_id, _, doc_id, rank, score = parts[:5]
+                # str() first, so a fractional or boolean rank fails instead of truncating
+                raw.setdefault(bug_id, []).append((int(str(rank)), doc_id, float(score)))
+            except KeyError as exc:
+                raise DataError(f"{path}:{line_no}: missing field {exc}") from exc
+            except (ValueError, TypeError) as exc:  # bad JSON, a rank or score of the wrong kind
+                raise DataError(f"{path}:{line_no}: bad run line ({exc})") from exc
     out: dict[str, list[tuple[str, float]]] = {}
     for bug_id, rows in raw.items():
         rows.sort(key=lambda r: r[0])

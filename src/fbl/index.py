@@ -165,33 +165,6 @@ class IvfPqIndex:
     def n_embeddings(self) -> int:
         return int(self.flat_ids.shape[0])
 
-    def partition(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """(embedding ids, codes) views for one partition."""
-        s, e = self.part_offsets[p], self.part_offsets[p + 1]
-        return self.flat_ids[s:e], self.flat_codes[s:e]
-
-    def doc_of(self, embedding_id: int) -> tuple[str, int]:
-        """(doc id, row) of an embedding; the row counts the doc's packed rows."""
-        embedding_id = int(embedding_id)
-        doc = int(_doc_indices(self.doc_offsets, embedding_id))
-        return self.doc_ids[doc], embedding_id - int(self.doc_offsets[doc])
-
-    def partition_of(self, embedding_id: int) -> int:
-        flat_pos = int(np.nonzero(self.flat_ids == embedding_id)[0][0])
-        return int(np.searchsorted(self.part_offsets, flat_pos, side="right") - 1)
-
-    def reconstruct(self, embedding_id: int) -> np.ndarray:
-        """Decode one embedding back to its approximate vector (for tests)."""
-        p = self.partition_of(embedding_id)
-        flat_pos = int(np.nonzero(self.flat_ids == embedding_id)[0][0])
-        code = self.flat_codes[flat_pos]
-        m = self.n_subspaces
-        dsub = self.dim // m
-        out = self.coarse[p].copy()
-        for s in range(m):
-            out[s * dsub : (s + 1) * dsub] += self.codebooks[s, code[s]]
-        return out
-
 
 def _doc_indices(doc_offsets: np.ndarray, embedding_ids) -> np.ndarray:
     """The document holding each embedding id (empty documents hold none)."""

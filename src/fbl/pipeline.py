@@ -76,13 +76,14 @@ class Config:
         }[self.granularity]
 
 
-def make_embedder(config: Config) -> TokenEmbedder:
+def make_embedder(config: Config, data: bytes | None = None) -> TokenEmbedder:
+    """The configured embedder; ``data`` is the file's bytes when already read."""
     if config.embedder_kind == "hash":
         return ReferenceHashEmbedder(d_in=config.d_in, seed=config.seed)
     if config.embedder_kind == "file":
         if not config.embedder_path:
             raise ValueError("file embedder needs a path")
-        emb = FileEmbedder.from_file(config.embedder_path)
+        emb = FileEmbedder.from_file(config.embedder_path, data)
         if emb.d_in != config.d_in:
             raise ValueError(f"embedder file dim {emb.d_in} != configured d_in {config.d_in}")
         return emb
@@ -286,7 +287,7 @@ def sweep_latency(
             stacked = np.concatenate(rows)[:query_rows]
             queries.append(EmbeddingMatrix(np.ascontiguousarray(stacked), is_query=True))
 
-        # warm both paths (JIT compilation, caches) before timing
+        # one untimed run of each path first, so caches are warm when timing starts
         run_query(queries[0], index, pack, cfg, k=k, exact=True)
         run_query(queries[0], index, pack, cfg, k=k, exact=False)
 

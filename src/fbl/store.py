@@ -17,8 +17,8 @@ the loaded pack is what queries score against. The manifest records a
 sha256 of every artifact a save writes.
 
 Writes go through a uniquely named temp file + rename so a crashed save
-never leaves a half-written artifact behind. Loading reads each artifact it
-parses once, verifies the checksum of those bytes, and then checks magic
+never leaves a half-written artifact behind. Loading reads each listed
+artifact once, verifies the checksum of those bytes, and then checks magic
 bytes, format versions and every offset and id the query path indexes
 with.
 """
@@ -177,6 +177,8 @@ class SessionArtifacts:
     index: IvfPqIndex
     projection: LinearProjection
     doc_matrices: PackedCorpus
+    vocab: bytes | None = None  # vocab.txt and embedder.fble, when the manifest lists them
+    embedder: bytes | None = None
 
 
 def save_session(
@@ -261,24 +263,27 @@ def load_manifest(directory: str | Path) -> Manifest:
 def load_session(directory: str | Path) -> SessionArtifacts:
     """Load all artifacts, verifying checksums.
 
-    The index, projection and doc pack are each read once, and the bytes
-    whose checksum is verified are the bytes parsed. ``doc_matrices`` is the
-    packed corpus as stored, ready to rank against; the index borrows its
-    document table.
+    Every artifact the manifest lists is read once, and the bytes whose
+    checksum is verified are the bytes parsed; the index, projection and
+    doc pack must be listed. ``doc_matrices`` is the packed corpus as
+    stored, ready to rank against; the index borrows its document table.
+    The vocabulary and embedder come back as bytes, for the caller to parse.
     """
     directory = Path(directory)
     manifest = load_manifest(directory)
-    for name in manifest.checksums:
+    for name in _PARSED_NAMES:
+        if name not in manifest.checksums:
+            raise FormatError(f"{directory / MANIFEST_NAME}: no checksum for {name}")
+    data = {}
+    for name, recorded in manifest.checksums.items():
         if not (directory / name).is_file():
             raise FormatError(f"{directory / name}: listed in the manifest but missing")
-    data = {name: (directory / name).read_bytes() for name in _PARSED_NAMES}
-    for name, recorded in manifest.checksums.items():
-        actual = sha256_bytes(data[name]) if name in data else sha256_file(directory / name)
-        if actual != recorded:
+        data[name] = (directory / name).read_bytes()
+        if sha256_bytes(data[name]) != recorded:
             raise FormatError(f"{directory / name}: checksum mismatch")
     doc_matrices = read_doc_pack(directory / DOCS_NAME, data[DOCS_NAME])
     index = load_index(directory / INDEX_NAME, doc_matrices, data[INDEX_NAME])
     projection = LinearProjection.load(directory / PROJECTION_NAME, data[PROJECTION_NAME])
     return SessionArtifacts(
-        manifest=manifest, index=index, projection=projection, doc_matrices=doc_matrices
+        manifest, index, projection, doc_matrices, data.get(VOCAB_NAME), data.get(EMBEDDER_NAME)
     )

@@ -7,6 +7,7 @@ import pytest
 from fbl.corpus import Document, Granularity
 from fbl.diffs import Changeset, DiffLine, FileDiff, Hunk, LineKind
 from fbl.encode import Vocabulary
+from fbl.index import _doc_indices
 
 
 def ts(day: int) -> datetime:
@@ -72,11 +73,11 @@ def golden_hunk() -> Hunk:
     return make_hunk([(" ", "a"), ("+", "b"), ("+", "c"), ("-", "d")])
 
 
-# -- k-means references: the plain forms the numpy kernels must equal bit for bit
+# -- k-means references: the plain forms the kernels must equal bit for bit
 
 
 def assign_nearest_reference(points, centroids):
-    """The allocating form of assign_nearest_np that the in-place one replaced."""
+    """The allocating form of assign_nearest that the in-place one replaced."""
     n = points.shape[0]
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
@@ -107,3 +108,35 @@ def kmeans_pp_init_reference(pts, k, rng):
         centroids[i] = pts[idx]
         d2 = np.minimum(d2, np.sum((pts - centroids[i]) ** 2, axis=1))
     return centroids
+
+
+# -- index inspection: an embedding id's document, partition and decoded vector
+
+
+def partition(index, p):
+    """(embedding ids, codes) views for one partition."""
+    s, e = index.part_offsets[p], index.part_offsets[p + 1]
+    return index.flat_ids[s:e], index.flat_codes[s:e]
+
+
+def doc_of(index, embedding_id):
+    """(doc id, row) of an embedding; the row counts the doc's packed rows."""
+    embedding_id = int(embedding_id)
+    doc = int(_doc_indices(index.doc_offsets, embedding_id))
+    return index.doc_ids[doc], embedding_id - int(index.doc_offsets[doc])
+
+
+def partition_of(index, embedding_id):
+    flat_pos = int(np.nonzero(index.flat_ids == embedding_id)[0][0])
+    return int(np.searchsorted(index.part_offsets, flat_pos, side="right") - 1)
+
+
+def reconstruct(index, embedding_id):
+    """Decode one embedding back to its approximate vector."""
+    p = partition_of(index, embedding_id)
+    code = index.flat_codes[int(np.nonzero(index.flat_ids == embedding_id)[0][0])]
+    dsub = index.dim // index.n_subspaces
+    out = index.coarse[p].copy()
+    for s in range(index.n_subspaces):
+        out[s * dsub : (s + 1) * dsub] += index.codebooks[s, code[s]]
+    return out

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import hunk_doc, random_hunk
+from conftest import doc_of, hunk_doc, partition, random_hunk, reconstruct
 from fbl.corpus import BugReport, GoldLink, Granularity, build_triplets, explode_corpus
 from fbl.diffs import parse_unified_diff
 from fbl.embed import (
@@ -236,10 +236,10 @@ def test_criterion_5_quantization_properties():
     def recon_mse(idx):
         total, count = 0.0, 0
         for p in range(idx.n_partitions):
-            ids, codes = idx.partition(p)
+            ids, codes = partition(idx, p)
             dsub = idx.dim // idx.n_subspaces
             for i, emb_id in enumerate(ids):
-                doc_id, pos = idx.doc_of(int(emb_id))
+                doc_id, pos = doc_of(idx, int(emb_id))
                 original = docs[doc_id].rows[pos]
                 rec = idx.coarse[p].copy()
                 for s in range(idx.n_subspaces):
@@ -262,8 +262,8 @@ def test_criterion_5_quantization_properties():
     idx0 = build_index(aligned, n_partitions=4, n_subspaces=4, n_codewords=4, seed=0)
     worst_aligned = 0.0
     for emb_id in range(idx0.n_embeddings):
-        doc_id, pos = idx0.doc_of(emb_id)
-        err = float(np.sum((idx0.reconstruct(emb_id) - aligned[doc_id].rows[pos]) ** 2))
+        doc_id, pos = doc_of(idx0, emb_id)
+        err = float(np.sum((reconstruct(idx0, emb_id) - aligned[doc_id].rows[pos]) ** 2))
         worst_aligned = max(worst_aligned, err)
 
     ok = monotone and mse_hi < mse_lo and worst_aligned < 1e-6

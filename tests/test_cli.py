@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import fbl
 
 from fbl.cli import main
 from fbl.pipeline import Config
@@ -325,6 +331,51 @@ def test_exit_codes(tmp_path, capsys):
     assert json.loads(err)["kind"] in ("data", "usage") or "error" in json.loads(err)
 
 
+def test_stderr_is_one_json_line():
+    # a fresh interpreter, so import-time output would land on stderr too
+    env = {k: v for k, v in os.environ.items() if k != "FBL_SESSION"}
+    paths = [str(Path(fbl.__file__).parents[1]), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run([sys.executable, "-m", "fbl.cli", "query"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["kind"] == "usage"
+
+
+_GOOD_CHANGESET = {"id": "c0", "diff": _diff("A.java", ["int x;"]), "timestamp": "2021-01-01"}
+_GOOD_RUN = {"bug_id": "b1", "doc_id": "c0:0:0", "rank": 1, "score": 0.5}
+
+
+@pytest.mark.parametrize(
+    "name,bad_line,command",
+    [
+        ("changesets.jsonl", "[1]", "ingest"),
+        ("changesets.jsonl", json.dumps({**_GOOD_CHANGESET, "id": "c1", "timestamp": "yesterday"}),
+         "ingest"),
+        ("run.jsonl", "{bad json", "evaluate"),
+        ("run.trec", "b1 Q0 c0:0:0 first 0.5 fbl", "evaluate"),
+    ],
+    ids=["line_not_an_object", "bad_timestamp", "bad_json_run_line", "non_integer_trec_rank"],
+)
+def test_malformed_input_line_exits_2_naming_file_and_line(
+    tmp_path, capsys, name, bad_line, command
+):
+    first = json.dumps(_GOOD_CHANGESET if command == "ingest" else _GOOD_RUN)
+    path = tmp_path / name
+    path.write_text(first + "\n" + bad_line + "\n")
+    links = tmp_path / "links.jsonl"
+    links.write_text(json.dumps({"bug_id": "b1", "changeset_id": "c0"}) + "\n")
+    if command == "ingest":
+        argv = ["ingest", "--changesets", str(path), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["evaluate", "--run", str(path), "--qrels", str(links)]
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["kind"] == "data"
+    assert f"{path}:2:" in payload["error"]
+
+
 def _non_utf8(blob: bytes) -> bytes:
     return blob[:20] + b"\xff" + blob[21:]
 
@@ -338,10 +389,17 @@ def _set(field, value):
     return edit
 
 
+def _no_vocab_checksum(blob: bytes) -> bytes:
+    data = json.loads(blob)
+    del data["checksums"]["vocab.txt"]
+    return json.dumps(data).encode()
+
+
 @pytest.mark.parametrize(
     "edit",
-    [_non_utf8, _set("checksums", 5), _set("granularity", "paragraph"), _set("d_in", -3)],
-    ids=["non_utf8", "checksums_int", "unknown_granularity", "negative_d_in"],
+    [_non_utf8, _set("checksums", 5), _set("granularity", "paragraph"), _set("d_in", -3),
+     _no_vocab_checksum],
+    ids=["non_utf8", "checksums_int", "unknown_granularity", "negative_d_in", "no_vocab_checksum"],
 )
 def test_query_on_a_bad_manifest_exits_2(corpus_dir, capsys, edit):
     base_tmp, corpus, vocab = corpus_dir

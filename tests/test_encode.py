@@ -40,6 +40,18 @@ def test_vocab_duplicate_rejected(tmp_path):
         Vocabulary.from_file(p)
 
 
+def test_vocab_from_bytes_splits_lines_as_text_mode_reading_does(tmp_path):
+    # \r and \r\n end lines; form feed and U+2028 do not; bad UTF-8 is replaced
+    blob = b"a\r\nb\rc\x0cd\ne\xe2\x80\xa8f\ng\xffh\n\n\r\n"
+    p = tmp_path / "vocab.txt"
+    p.write_bytes(blob)
+    with open(p, encoding="utf-8", errors="replace") as fh:
+        want = [line.rstrip("\r\n") for line in fh][:-2]
+    assert want == ["a", "b", "c\x0cd", "e\u2028f", "g\ufffdh"]
+    assert Vocabulary.from_bytes(blob).id_to_token[: len(want)] == want
+    assert Vocabulary.from_file(p).id_to_token == Vocabulary.from_bytes(blob).id_to_token
+
+
 def test_vocab_save_load_roundtrip(tmp_path):
     v = Vocabulary.from_tokens(["x", "y"])
     p = tmp_path / "v.txt"

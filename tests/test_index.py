@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from conftest import assign_nearest_reference, kmeans_pp_init_reference
+from conftest import (
+    assign_nearest_reference,
+    doc_of,
+    kmeans_pp_init_reference,
+    partition,
+    reconstruct,
+)
 
 from fbl import _kernels
 from fbl import index as index_module
@@ -127,7 +133,6 @@ def test_kmeans_pp_init_is_bit_identical_to_the_full_update(case):
 def test_build_index_is_bit_identical_with_the_reference_kernels(monkeypatch):
     docs, _ = _random_corpus(np.random.default_rng(12), 1100, 8, 16)  # 8800 rows: two chunks
     args = dict(n_partitions=24, n_subspaces=4, n_codewords=32, seed=4, max_iters=4)
-    monkeypatch.setattr(_kernels, "assign_nearest", _kernels.assign_nearest_np)
     fast = build_index(docs, **args)
     monkeypatch.setattr(index_module, "_kmeans_pp_init", kmeans_pp_init_reference)
     monkeypatch.setattr(_kernels, "assign_nearest", assign_nearest_reference)
@@ -155,9 +160,9 @@ def test_build_centroid_aligned_reconstructs_exactly():
     docs, centers = _centroid_aligned_corpus()
     idx = build_index(docs, n_partitions=4, n_subspaces=4, n_codewords=4, seed=0)
     for emb_id in range(idx.n_embeddings):
-        doc_id, pos = idx.doc_of(emb_id)
+        doc_id, pos = doc_of(idx, emb_id)
         original = docs[doc_id].rows[pos]
-        rec = idx.reconstruct(emb_id)
+        rec = reconstruct(idx, emb_id)
         assert float(np.sum((rec - original) ** 2)) < 1e-6
 
 
@@ -188,7 +193,7 @@ def test_registry_bijection():
     rng = np.random.default_rng(4)
     docs, _ = _random_corpus(rng, n_docs=25, tokens_per_doc=5, dim=8)
     idx = build_index(docs, n_partitions=4, n_subspaces=2, n_codewords=16, seed=1)
-    pairs = {idx.doc_of(e) for e in range(idx.n_embeddings)}
+    pairs = {doc_of(idx, e) for e in range(idx.n_embeddings)}
     assert len(pairs) == idx.n_embeddings == 25 * 5
     assert idx.flat_ids.size == idx.n_embeddings
     lengths = np.diff(idx.part_offsets)
@@ -207,7 +212,7 @@ def test_doc_of_maps_ids_past_empty_and_dead_docs():
     }
     idx = build_index(docs, n_partitions=2, n_subspaces=2, n_codewords=2, seed=0)
     np.testing.assert_array_equal(idx.doc_offsets, [0, 2, 2, 2, 4])
-    assert [idx.doc_of(e) for e in range(4)] == [
+    assert [doc_of(idx, e) for e in range(4)] == [
         ("a:0:0", 0), ("a:0:0", 1), ("b:0:0", 0), ("b:0:0", 1)
     ]
     q = EmbeddingMatrix(rows=b[[2]], is_query=True)
@@ -225,9 +230,9 @@ def test_pq_reconstruction_mse_improves_with_k():
         total = 0.0
         count = 0
         for p in range(idx.n_partitions):
-            ids, codes = idx.partition(p)
+            ids, codes = partition(idx, p)
             for i, emb_id in enumerate(ids):
-                doc_id, pos = idx.doc_of(int(emb_id))
+                doc_id, pos = doc_of(idx, int(emb_id))
                 original = docs[doc_id].rows[pos]
                 rec = idx.coarse[p] + np.concatenate(
                     [idx.codebooks[s, codes[i, s]] for s in range(idx.n_subspaces)]
@@ -252,7 +257,7 @@ def _one_row_search(idx, query_vec, nprobe, topk):
 def test_search_lossless_limit_matches_exact_argmax():
     docs, centers = _centroid_aligned_corpus(dim=8, n_centers=4, reps=6)
     idx = build_index(docs, n_partitions=4, n_subspaces=4, n_codewords=4, seed=0)
-    all_rows = np.vstack([docs[idx.doc_of(e)[0]].rows[idx.doc_of(e)[1]] for e in range(idx.n_embeddings)])
+    all_rows = np.vstack([docs[doc_of(idx, e)[0]].rows[doc_of(idx, e)[1]] for e in range(idx.n_embeddings)])
     rng = np.random.default_rng(2)
     for _ in range(10):
         q = _unit_rows(rng.standard_normal((1, 8)))[0]
@@ -522,7 +527,7 @@ def test_k1_codebooks_degenerate_to_coarse_ranking():
     # every embedding's score equals its partition's coarse sim plus the shift
     by_part = {}
     for p in range(6):
-        ids, _ = idx.partition(p)
+        ids, _ = partition(idx, p)
         for e in ids:
             by_part[int(e)] = p
     for emb_id, score in hits:

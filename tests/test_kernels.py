@@ -1,4 +1,4 @@
-"""Both kernel backends must agree (to float tolerance) on every kernel."""
+"""Every kernel against a plain reference form."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,9 @@ import pytest
 from conftest import assign_nearest_reference
 from fbl import _kernels
 
-BACKENDS = [("numpy", "_np")]
-if _kernels.HAVE_NUMBA:
-    BACKENDS.append(("numba", "_nb"))
-
-
-def _impl(name, suffix):
-    return getattr(_kernels, name + suffix)
+# each kernel has one implementation; the id keeps the backend tag these
+# tests' names have always carried, so test histories stay comparable
+SAME_IDS = pytest.mark.parametrize("backend", [_kernels.BACKEND], ids=["numpy-_np"])
 
 
 def _packed_fixture(rng, ndocs=20, dim=8):
@@ -37,55 +33,33 @@ def _reference_maxsim(query, rows, offsets):
     return np.asarray(out)
 
 
-@pytest.mark.parametrize("name,suffix", BACKENDS)
-def test_maxsim_packed_matches_reference(name, suffix):
+@SAME_IDS
+def test_maxsim_packed_matches_reference(backend):
     rng = np.random.default_rng(0)
     query, rows, offsets = _packed_fixture(rng)
-    got = _impl("maxsim_packed", suffix)(query, rows, offsets)
+    got = _kernels.maxsim_packed(query, rows, offsets)
     np.testing.assert_allclose(got, _reference_maxsim(query, rows, offsets), rtol=1e-5)
 
 
-@pytest.mark.parametrize("name,suffix", BACKENDS)
-def test_maxsim_packed_empty_doc_is_minus_inf(name, suffix):
+@SAME_IDS
+def test_maxsim_packed_empty_doc_is_minus_inf(backend):
     rng = np.random.default_rng(1)
     query, rows, _ = _packed_fixture(rng, ndocs=3)
     offsets = np.array([0, 2, 2, rows.shape[0]], dtype=np.int64)  # middle doc empty
-    got = _impl("maxsim_packed", suffix)(query, rows, offsets)
+    got = _kernels.maxsim_packed(query, rows, offsets)
     assert got[1] == -np.inf
     assert np.isfinite(got[0]) and np.isfinite(got[2])
 
 
-def test_maxsim_backends_agree():
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(2)
-    query, rows, offsets = _packed_fixture(rng, ndocs=50, dim=16)
-    a = _kernels.maxsim_packed_np(query, rows, offsets)
-    b = _kernels.maxsim_packed_nb(query, rows, offsets)
-    np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
-
-
-@pytest.mark.parametrize("name,suffix", BACKENDS)
-def test_assign_nearest_well_separated(name, suffix):
+@SAME_IDS
+def test_assign_nearest_well_separated(backend):
     rng = np.random.default_rng(3)
     centroids = np.array([[10.0, 0.0], [-10.0, 0.0], [0.0, 10.0]])
     labels_true = rng.integers(0, 3, size=200)
     points = centroids[labels_true] + 0.1 * rng.standard_normal((200, 2))
-    labels, dists = _impl("assign_nearest", suffix)(points, centroids)
+    labels, dists = _kernels.assign_nearest(points, centroids)
     np.testing.assert_array_equal(labels, labels_true)
     assert np.all(dists >= 0)
-
-
-def test_assign_backends_agree():
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(4)
-    points = rng.standard_normal((500, 8))
-    centroids = rng.standard_normal((13, 8))
-    la, da = _kernels.assign_nearest_np(points, centroids)
-    lb, db = _kernels.assign_nearest_nb(points, centroids)
-    np.testing.assert_allclose(da, db, rtol=1e-9, atol=1e-9)
-    np.testing.assert_array_equal(la, lb)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -97,27 +71,27 @@ def test_assign_nearest_np_is_bit_identical_to_the_allocating_form(n, dim, k, dt
     points = rng.standard_normal((n, 2 * dim)).astype(dtype)[:, :dim]
     half = rng.standard_normal((k, dim)).astype(dtype)
     centroids = np.concatenate([half, half])
-    labels, dists = _kernels.assign_nearest_np(points, centroids)
+    labels, dists = _kernels.assign_nearest(points, centroids)
     ref_labels, ref_dists = assign_nearest_reference(points, centroids)
     np.testing.assert_array_equal(labels, ref_labels)
     assert dists.tobytes() == ref_dists.tobytes()
     assert labels.max() < k  # the tie at every point went to the first copy
 
 
-@pytest.mark.parametrize("name,suffix", BACKENDS)
-def test_assign_tie_breaks_to_lowest_index(name, suffix):
+@SAME_IDS
+def test_assign_tie_breaks_to_lowest_index(backend):
     centroids = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     points = np.array([[1.0, 0.0]])
-    labels, _ = _impl("assign_nearest", suffix)(points, centroids)
+    labels, _ = _kernels.assign_nearest(points, centroids)
     assert labels[0] == 0
 
 
-@pytest.mark.parametrize("name,suffix", BACKENDS)
-def test_centroid_sums(name, suffix):
+@SAME_IDS
+def test_centroid_sums(backend):
     rng = np.random.default_rng(5)
     points = rng.standard_normal((100, 4))
     labels = rng.integers(0, 7, size=100).astype(np.int64)
-    sums, counts = _impl("centroid_sums", suffix)(points, labels, 9)
+    sums, counts = _kernels.centroid_sums(points, labels, 9)
     assert counts.sum() == 100
     assert counts[7] == 0 and counts[8] == 0
     for j in range(7):
@@ -158,13 +132,13 @@ def _reference_topk(luts, flat_codes, flat_ids, starts, ends, bases, per_row):
 
 @pytest.mark.parametrize("block_codes", [1 << 18, 12])
 @pytest.mark.parametrize("per_row", [1, 4, 9, 100])
-@pytest.mark.parametrize("name,suffix", BACKENDS)
-def test_adc_topk_rows_matches_reference(name, suffix, per_row, block_codes, monkeypatch):
-    # a 12-code cap splits the query into several row blocks (numpy backend)
+@SAME_IDS
+def test_adc_topk_rows_matches_reference(backend, per_row, block_codes, monkeypatch):
+    # a 12-code cap splits the query into several row blocks
     monkeypatch.setattr(_kernels, "_ADC_BLOCK_CODES", block_codes)
     rng = np.random.default_rng(6)
     args = _adc_fixture(rng)
-    ids, scores = _impl("adc_topk_rows", suffix)(*args, per_row)
+    ids, scores = _kernels.adc_topk_rows(*args, per_row)
     want_ids, want_scores = _reference_topk(*args, per_row)
     np.testing.assert_array_equal(ids, want_ids)
     np.testing.assert_array_equal(scores, want_scores)
@@ -179,32 +153,3 @@ def test_adc_topk_rows_ties_straddle_the_cut():
     lengths = (args[4] - args[3]).sum(axis=1)
     rows = np.split(full, np.cumsum(lengths)[:-1])
     assert any(row.size > 4 and row[3] == row[4] for row in rows)
-
-
-def test_adc_topk_rows_backends_agree():
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(7)
-    nq, m, k, n = 9, 8, 256, 3_000
-    luts = rng.standard_normal((nq, m, k)).astype(np.float32)
-    flat_codes = rng.integers(0, k, size=(n, m)).astype(np.uint8)
-    flat_ids = rng.permutation(n).astype(np.uint64)
-    part_offsets = np.linspace(0, n, 33).astype(np.int64)
-    probes = np.sort(np.stack([rng.choice(32, 5, replace=False) for _ in range(nq)]), axis=1)
-    starts, ends = part_offsets[probes], part_offsets[probes + 1]
-    bases = rng.standard_normal(probes.shape)
-    for per_row in (1, 17, 600):
-        a_ids, a_scores = _kernels.adc_topk_rows_np(
-            luts, flat_codes, flat_ids, starts, ends, bases, per_row
-        )
-        b_ids, b_scores = _kernels.adc_topk_rows_nb(
-            luts, flat_codes, flat_ids, starts, ends, bases, per_row
-        )
-        np.testing.assert_array_equal(a_ids, b_ids)
-        np.testing.assert_allclose(a_scores, b_scores, rtol=1e-9, atol=1e-9)
-
-
-def test_backend_selection_reported():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    if _kernels.HAVE_NUMBA:
-        assert _kernels.BACKEND == "numba"

@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,12 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbl.embed import EmbeddingMatrix, LinearProjection, PackedCorpus, _normalize_rows
+from fbl.cli import main
+from fbl.embed import (
+    EmbeddingMatrix,
+    LinearProjection,
+    PackedCorpus,
+    _normalize_rows,
+    write_matrix_file,
+)
 from fbl.errors import FormatError
 from fbl.index import build_index, candidate_docs, load_index
 from fbl.retrieve import rank_exact, rank_two_stage
 from fbl.store import (
     DOCS_NAME,
+    EMBEDDER_NAME,
     INDEX_NAME,
     MANIFEST_NAME,
     PROJECTION_NAME,
@@ -166,9 +175,13 @@ def test_index_of_another_size_raises_format_error(tmp_path, session_pieces):
         load_session(tmp_path / "a")
 
 
-def test_load_session_opens_each_artifact_once(tmp_path, session_pieces, monkeypatch):
+def test_load_session_opens_each_artifact_once(tmp_path, session_pieces, monkeypatch, capsys):
     manifest, index, projection, docs = session_pieces
-    save_session(tmp_path, manifest, index, projection, docs, vocab_text="a\nb\n")
+    emb = tmp_path / "emb.fble"
+    write_matrix_file(emb, np.random.default_rng(4).standard_normal((16, 16)))
+    session = tmp_path / "session"
+    save_session(session, dataclasses.replace(manifest, embedder_kind="file"), index,
+                 projection, docs, vocab_text="a\nb\n", embedder_matrix_path=emb)
     opened = Counter()
     real_open = io.open
 
@@ -178,9 +191,27 @@ def test_load_session_opens_each_artifact_once(tmp_path, session_pieces, monkeyp
 
     monkeypatch.setattr(io, "open", counting_open)
     monkeypatch.setattr(builtins, "open", counting_open)
-    load_session(tmp_path)
-    assert opened == {MANIFEST_NAME: 1, INDEX_NAME: 1, DOCS_NAME: 1, PROJECTION_NAME: 1,
-                      VOCAB_NAME: 1}
+    once = {MANIFEST_NAME: 1, INDEX_NAME: 1, DOCS_NAME: 1, PROJECTION_NAME: 1, VOCAB_NAME: 1,
+            EMBEDDER_NAME: 1}
+    load_session(session)
+    assert opened == once
+    # the query parses the vocabulary and embedder from the bytes load_session verified
+    opened.clear()
+    assert main(["query", "--session", str(session), "--text", "a b", "--topk", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert opened == once
+
+
+@pytest.mark.parametrize("name", [INDEX_NAME, DOCS_NAME, PROJECTION_NAME])
+def test_a_parsed_artifact_without_a_checksum_raises(tmp_path, session_pieces, name):
+    manifest, index, projection, docs = session_pieces
+    save_session(tmp_path, manifest, index, projection, docs)
+    path = tmp_path / MANIFEST_NAME
+    data = json.loads(path.read_text())
+    del data["checksums"][name]
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match=f"no checksum for {name}"):
+        load_session(tmp_path)
 
 
 def test_session_of_an_older_format_names_the_fix(tmp_path, session_pieces):
