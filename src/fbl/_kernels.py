@@ -1,9 +1,9 @@
 """Hot numeric kernels, one numpy function per operation.
 
-    maxsim_packed    late-interaction score of every packed document
+    maxsim_packed    late-interaction score of packed documents, in place
     assign_nearest   nearest centroid per point (k-means assignment)
     centroid_sums    per-cluster sums and counts (k-means update)
-    adc_topk_rows    per query row, the top codes of its probed partitions
+    adc_topk_rows    per query row, the top embeddings of its probed partitions
 
 Each is deterministic: the same inputs give the same bits.
 """
@@ -17,18 +17,20 @@ BACKEND = "numpy"  # reported as fbl.kernel_backend and in the `fbl bench` CSV
 
 # -- late-interaction scoring -------------------------------------------------
 #
-# Documents are packed into one contiguous row block plus an offsets array
-# (offsets[i]:offsets[i+1] are document i's embedding rows, zero rows already
-# dropped). Score per document: sum over query rows of the max inner product
-# against the document's rows. A document with no rows scores -inf.
+# Documents are packed into one contiguous row block; document i of a call
+# owns rows starts[i]:ends[i] (zero rows already dropped), so any subset of a
+# pack is scored in place. Score per document: sum over query rows of the max
+# inner product against the document's rows, one GEMM per document, so a
+# document's score does not depend on which others are scored with it. A
+# document with no rows scores -inf.
 
 
-def maxsim_packed(query: np.ndarray, rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    nseg = offsets.shape[0] - 1
-    out = np.empty(nseg, dtype=np.float64)
+def maxsim_packed(
+    query: np.ndarray, rows: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    out = np.empty(starts.shape[0], dtype=np.float64)
     qt = np.ascontiguousarray(query.T)
-    for i in range(nseg):
-        s, e = offsets[i], offsets[i + 1]
+    for i, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
         if e <= s:
             out[i] = -np.inf
         else:
@@ -87,25 +89,28 @@ def centroid_sums(points: np.ndarray, labels: np.ndarray, k: int):
 
 # -- asymmetric distance scan -------------------------------------------------
 #
-# luts[r, m, k] holds the inner product of query row r's m-th subvector with
-# codebook centroid k. Row r scans the partitions starts[r, p]:ends[r, p] of
-# one contiguous code block; bases[r, p] is the row·coarse-centroid term
-# shared by every entry of that partition. Each row keeps its top `per_row`
-# codes by (score desc, id asc); the rows' results are concatenated.
+# Inverted lists are runs: a run is one distinct PQ code of one partition and
+# the ascending embedding ids that share it, flat_ids[run_offsets[u]:
+# run_offsets[u+1]] for run u. luts[r, m, k] holds the inner product of query
+# row r's m-th subvector with codebook centroid k. Row r scans the runs
+# starts[r, p]:ends[r, p] of its probed partitions; bases[r, p] is the
+# row-to-coarse-centroid term shared by every run of that partition. Each row
+# keeps its top `per_row` ids by (score desc, id asc); the rows' results are
+# concatenated. A run's ids share its score, so each run is scored once.
 
-_ADC_BLOCK_CODES = 1 << 18  # codes scored at once; bounds the scan's temporaries
+_ADC_BLOCK_CODES = 1 << 18  # runs scored at once; bounds the scan's temporaries
 
 
 def _adc_scan_probes(
     luts: np.ndarray,
-    flat_codes: np.ndarray,
+    codes: np.ndarray,
     starts: np.ndarray,
     ends: np.ndarray,
     bases: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ADC score of every probed code for every query row.
 
-    Returns (row, flat position, score) per scanned code, rows ascending and
+    Returns (row, code position, score) per scanned code, rows ascending and
     partitions in probe order. Terms add in float64 in subspace order, then
     the base, so a code's score does not depend on what else is scanned.
     """
@@ -113,37 +118,58 @@ def _adc_scan_probes(
     lengths = ends - starts
     pos = concat_ranges(starts.ravel(), ends.ravel())
     rows = np.repeat(np.arange(nq, dtype=np.int64), lengths.sum(axis=1))
-    codes = np.take(flat_codes, pos, axis=0)
+    picked = np.take(codes, pos, axis=0)
     lut_flat = luts.reshape(-1)
     row_base = rows * (m * k)
-    acc = np.take(lut_flat, row_base + codes[:, 0]).astype(np.float64)
+    acc = np.take(lut_flat, row_base + picked[:, 0]).astype(np.float64)
     for s in range(1, m):
-        acc += np.take(lut_flat, row_base + (s * k) + codes[:, s])
+        acc += np.take(lut_flat, row_base + (s * k) + picked[:, s])
     acc += np.repeat(bases.ravel(), lengths.ravel())
     return rows, pos, acc
 
 
-def adc_topk_rows(luts, flat_codes, flat_ids, starts, ends, bases, per_row):
-    row_codes = (ends - starts).sum(axis=1)
-    nq = row_codes.shape[0]
-    step = max(1, _ADC_BLOCK_CODES // max(1, int(row_codes.max(initial=0))))
+def adc_topk_rows(luts, run_codes, run_offsets, starts, ends, bases, flat_ids, per_row):
+    row_runs = (ends - starts).sum(axis=1)
+    row_ids = (run_offsets[ends] - run_offsets[starts]).sum(axis=1)
+    nq = row_runs.shape[0]
+    step = max(1, _ADC_BLOCK_CODES // max(1, int(row_runs.max(initial=0))))
     id_parts, score_parts = [], []
     for r0 in range(0, max(nq, 1), step):  # no rows still makes one (empty) block
         r1 = min(r0 + step, nq)
-        rows, pos, scores = _adc_scan_probes(
-            luts[r0:r1], flat_codes, starts[r0:r1], ends[r0:r1], bases[r0:r1]
+        rows, run, scores = _adc_scan_probes(
+            luts[r0:r1], run_codes, starts[r0:r1], ends[r0:r1], bases[r0:r1]
         )
-        ids = np.take(flat_ids, pos)
-        lengths = row_codes[r0:r1]
+        lengths = row_runs[r0:r1]
         if per_row < lengths.max(initial=0):
-            # keep only codes scoring at least their row's per_row-th best
-            # (ties included), so the sort below sees about per_row per row
+            # keep only runs scoring at least their row's per_row-th best run;
+            # at least per_row ids score that high, so no kept id is lost
             row_start = np.cumsum(lengths) - lengths
             padded = np.full((r1 - r0, int(lengths.max())), np.inf)
             padded[rows, np.arange(rows.shape[0]) - row_start[rows]] = -scores
             cut = np.partition(padded, per_row - 1, axis=1)[:, per_row - 1]
             keep = -scores <= cut[rows]
-            rows, scores, ids = rows[keep], scores[keep], ids[keep]
+            rows, run, scores = rows[keep], run[keep], scores[keep]
+        first = run_offsets[run]
+        counts = run_offsets[run + 1] - first
+        if per_row < row_ids[r0:r1].max(initial=0) and counts.max(initial=0) > 1:
+            # count-aware trim: a run stays while fewer than per_row ids of its
+            # row score strictly higher, and expands to at most `room` ids, the
+            # places its score can still take. A run's ids ascend, so the ids
+            # of a tie group that place are among each run's first `room`.
+            # (Runs of one id need none: the cut above already kept just them.)
+            order = np.lexsort((-scores, rows))
+            rows, first, counts, scores = rows[order], first[order], counts[order], scores[order]
+            before = np.cumsum(counts) - counts  # ids in the runs sorted ahead
+            group = np.ones(rows.shape[0], dtype=bool)
+            group[1:] = (rows[1:] != rows[:-1]) | (scores[1:] != scores[:-1])
+            higher = before[np.flatnonzero(group)][np.cumsum(group) - 1]
+            room = per_row - (higher - before[np.searchsorted(rows, rows)])
+            keep = room > 0
+            rows, first, scores = rows[keep], first[keep], scores[keep]
+            counts = np.minimum(counts[keep], room[keep])
+        ids = np.take(flat_ids, concat_ranges(first, first + counts))
+        rows = np.repeat(rows, counts)
+        scores = np.repeat(scores, counts)
         order = np.lexsort((ids, -scores, rows))
         # rows stay ascending, so sorting leaves each row's span in place
         rank = np.arange(order.shape[0]) - np.searchsorted(rows, rows)

@@ -52,7 +52,6 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are 1 here
-        self.print_usage(sys.stderr)
         raise UsageError(EXIT_USAGE, f"usage: {message}")
 
 
@@ -82,8 +81,10 @@ def _positive(flag: str, raw, least: int = 1) -> int:
     """The flag's integer value; one below `least` is a usage error naming the flag."""
     value = int(raw) if str(raw).isdecimal() else -1
     if value < least:
-        kind = "positive" if least else "non-negative"
-        raise UsageError(EXIT_USAGE, f"{flag} must be a {kind} integer, got {raw!r}")
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer >= {least}"
+        )
+        raise UsageError(EXIT_USAGE, f"{flag} must be {kind}, got {raw!r}")
     return value
 
 
@@ -106,10 +107,10 @@ def _config_from_args(args) -> Config:
     return Config(
         granularity=Granularity(args.granularity),
         strategy=Strategy(args.strategy),
-        query_limit=_positive("--query-limit", args.query_limit),
-        hunk_limit=_positive("--hunk-limit", args.hunk_limit),
-        file_limit=_positive("--file-limit", args.file_limit),
-        changeset_limit=_positive("--changeset-limit", args.changeset_limit),
+        query_limit=_positive("--query-limit", args.query_limit, least=3),
+        hunk_limit=_positive("--hunk-limit", args.hunk_limit, least=4),
+        file_limit=_positive("--file-limit", args.file_limit, least=4),
+        changeset_limit=_positive("--changeset-limit", args.changeset_limit, least=4),
         n_partitions=_positive("--partitions", args.partitions),
         candidates=_candidates(args.candidates),
         nprobe=_positive("--nprobe", args.nprobe),
@@ -253,6 +254,7 @@ def _open_session(args):
         config = Config(
             granularity=Granularity(m.granularity),
             strategy=Strategy(m.strategy),
+            query_limit=m.query_limit,
             n_partitions=m.n_partitions,
             n_subspaces=m.n_subspaces,
             n_codewords=m.n_codewords,

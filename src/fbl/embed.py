@@ -156,7 +156,9 @@ class LinearProjection:
     weights: np.ndarray  # (d_in, d_out) float64
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        # a signalling NaN warns when cast; the finiteness check below rejects it
+        with np.errstate(invalid="ignore"):
+            self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.ndim != 2:
             raise ValueError("projection weights must be 2-D")
         if not np.all(np.isfinite(self.weights)):

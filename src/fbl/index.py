@@ -10,13 +10,16 @@ candidates with asymmetric distance computation: an inner-product lookup
 table per subspace plus the query-to-coarse-centroid term, so the raw
 vectors never need to be touched during the scan.
 
-Inverted lists live in one contiguous code block grouped by partition
-(``part_offsets`` delimits them), which keeps a multi-partition scan a
-single kernel call. On disk (FBLI v3) the index is these same arrays
-written back to back, with no document table: the pack stored beside it
-owns that, and ``load_index`` takes it from the loaded pack. k-means trains
-in float64 (monotone distortion trace); the stored centroids, codebooks,
-and all query-time math are float32.
+Inverted lists are runs: each partition's embeddings are ordered by
+(code, id), and a run is one distinct code with the ids that share it, so
+a scan scores every (partition, code) once however many embeddings repeat
+it. Partitions index into runs (``part_runs``) and runs into one id block
+(``run_offsets``), which keeps a multi-partition scan a single kernel
+call. On disk (FBLI v4) the index is these same arrays written back to
+back, with no document table: the pack stored beside it owns that, and
+``load_index`` takes it from the loaded pack. k-means trains in float64
+(monotone distortion trace); the stored centroids, codebooks, and all
+query-time math are float32.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .embed import EmbeddingMatrix, PackedCorpus
 from .errors import EmptyIndex, FormatError, InsufficientData
 
 FBLI_MAGIC = b"FBLI"
-FBLI_VERSION = 3
+FBLI_VERSION = 4
 
 _TRAIN_SUBSAMPLE_CAP = 256_000
 
@@ -139,11 +142,17 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 class IvfPqIndex:
     coarse: np.ndarray  # (P, d) float32 centroids
     codebooks: np.ndarray  # (M, K, d // M) float32
-    part_offsets: np.ndarray  # (P + 1,) int64 into the flat blocks
-    flat_ids: np.ndarray  # (N,) uint64 embedding ids, grouped by partition
-    flat_codes: np.ndarray  # (N, M) uint8, same order as flat_ids
+    part_runs: np.ndarray  # (P + 1,) int64: partition p owns runs part_runs[p]:part_runs[p+1]
+    run_offsets: np.ndarray  # (U + 1,) int64: run u owns flat_ids[run_offsets[u]:run_offsets[u+1]]
+    flat_ids: np.ndarray  # (N,) uint64 embedding ids by partition, then code; ascending in a run
+    run_codes: np.ndarray  # (U, M) uint8, the code each run's ids share
     doc_offsets: np.ndarray  # the pack's offsets: doc i owns embedding ids [o[i], o[i+1])
     doc_ids: list[str]  # the pack's ids
+
+    @property
+    def part_offsets(self) -> np.ndarray:
+        """(P + 1,) int64: partition p owns flat_ids[part_offsets[p]:part_offsets[p+1]]."""
+        return self.run_offsets[self.part_runs]
 
     @property
     def n_partitions(self) -> int:
@@ -230,19 +239,23 @@ def build_index(
         lab, _ = _kernels.assign_nearest(sub, codebooks[s])
         codes[:, s] = lab.astype(np.uint8)
 
-    order = np.argsort(part, kind="stable")  # groups by partition, ids ascending within
-    flat_ids = np.arange(total, dtype=np.uint64)[order]
-    flat_codes = np.ascontiguousarray(codes[order])
-    counts = np.bincount(part, minlength=n_partitions)
-    part_offsets = np.zeros(n_partitions + 1, dtype=np.int64)
-    part_offsets[1:] = np.cumsum(counts)
+    # by partition, then code (first subspace most significant); lexsort is
+    # stable, so the ids of one (partition, code) run stay ascending
+    order = np.lexsort((*codes.T[::-1], part))
+    part, codes = part[order], codes[order]
+    new_run = np.ones(total, dtype=bool)
+    new_run[1:] = (part[1:] != part[:-1]) | np.any(codes[1:] != codes[:-1], axis=1)
+    run_starts = np.flatnonzero(new_run)
+    part_runs = np.zeros(n_partitions + 1, dtype=np.int64)
+    part_runs[1:] = np.cumsum(np.bincount(part[run_starts], minlength=n_partitions))
 
     return IvfPqIndex(
         coarse=coarse,
         codebooks=codebooks,
-        part_offsets=part_offsets,
-        flat_ids=flat_ids,
-        flat_codes=flat_codes,
+        part_runs=part_runs,
+        run_offsets=np.append(run_starts, total).astype(np.int64),
+        flat_ids=order.astype(np.uint64),
+        run_codes=codes[run_starts],
         doc_offsets=pack.offsets,
         doc_ids=pack.ids,
     )
@@ -267,11 +280,12 @@ def _batched_row_search(
         luts[:, s, :] = q_rows[:, s * dsub : (s + 1) * dsub] @ index.codebooks[s].T
     return _kernels.adc_topk_rows(
         luts,
-        index.flat_codes,
-        index.flat_ids,
-        index.part_offsets[probe_all],
-        index.part_offsets[probe_all + 1],
+        index.run_codes,
+        index.run_offsets,
+        index.part_runs[probe_all],
+        index.part_runs[probe_all + 1],
         np.take_along_axis(coarse_all, probe_all, axis=1),
+        index.flat_ids,
         per_row,
     )
 
@@ -321,12 +335,12 @@ def candidate_docs(
 
 # -- serialization (FBLI) -------------------------------------------------------
 #
-# magic "FBLI", then a header (version, P, M, K, dim, embeddings), then the
-# index's arrays back to back, little-endian: coarse (P, dim) f4, codebooks
-# (M, K, dim/M) f4, part_offsets (P+1) i8, flat_ids (N) u8, flat_codes
-# (N, M) u1. The document table is the doc pack's.
+# magic "FBLI", then a header (version, P, M, K, dim, embeddings N, runs U),
+# then the index's arrays back to back, little-endian: coarse (P, dim) f4,
+# codebooks (M, K, dim/M) f4, part_runs (P+1) i8, run_offsets (U+1) i8,
+# flat_ids (N) u8, run_codes (U, M) u1. The document table is the doc pack's.
 
-_FBLI_HEADER = struct.Struct("<IIIIIQ")
+_FBLI_HEADER = struct.Struct("<IIIIIQQ")
 
 
 def check_version(path: Path, version: int, expected: int) -> None:
@@ -361,14 +375,16 @@ def save_index(index: IvfPqIndex, path: str | Path) -> None:
                 index.n_codewords,
                 index.dim,
                 index.n_embeddings,
+                index.run_codes.shape[0],
             )
         )
         for arr, dtype in (
             (index.coarse, "<f4"),
             (index.codebooks, "<f4"),
-            (index.part_offsets, "<i8"),
+            (index.part_runs, "<i8"),
+            (index.run_offsets, "<i8"),
             (index.flat_ids, "<u8"),
-            (index.flat_codes, "u1"),
+            (index.run_codes, "u1"),
         ):
             fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
@@ -392,7 +408,7 @@ def load_index(path: str | Path, docs: PackedCorpus, data: bytes | None = None) 
     if data[:4] != FBLI_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {FBLI_MAGIC!r}")
     try:
-        version, n_part, m, k, d, n_emb = _FBLI_HEADER.unpack_from(data, 4)
+        version, n_part, m, k, d, n_emb, n_runs = _FBLI_HEADER.unpack_from(data, 4)
         check_version(path, version, FBLI_VERSION)
         if n_part < 1 or m < 1 or not 1 <= k <= 256 or d % m != 0:
             raise FormatError(
@@ -406,26 +422,38 @@ def load_index(path: str | Path, docs: PackedCorpus, data: bytes | None = None) 
         off = 4 + _FBLI_HEADER.size
         coarse, off = read_array(data, off, "<f4", n_part * d)
         codebooks, off = read_array(data, off, "<f4", k * d)
-        part_offsets, off = read_array(data, off, "<i8", n_part + 1)
+        part_runs, off = read_array(data, off, "<i8", n_part + 1)
+        run_offsets, off = read_array(data, off, "<i8", n_runs + 1)
         flat_ids, off = read_array(data, off, "<u8", n_emb)
-        flat_codes, off = read_array(data, off, "u1", n_emb * m)
+        run_codes, off = read_array(data, off, "u1", n_runs * m)
     except (struct.error, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: truncated or corrupt index ({exc})") from exc
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} bytes past the codes")
     # every id and offset below indexes an array or a LUT at query time
-    if not offsets_span(part_offsets, n_emb):
-        raise FormatError(f"{path}: partition offsets do not run from 0 up to {n_emb}")
+    if not offsets_span(part_runs, n_runs):
+        raise FormatError(f"{path}: partition offsets do not run from 0 up to {n_runs} runs")
+    if not offsets_span(run_offsets, n_emb):
+        raise FormatError(f"{path}: run offsets do not run from 0 up to {n_emb}")
+    run_lengths = np.diff(run_offsets)
+    if not np.all(run_lengths > 0):
+        raise FormatError(f"{path}: run {int(np.argmin(run_lengths))} holds no ids")
     if not _is_permutation(flat_ids, n_emb):
         raise FormatError(f"{path}: inverted-list ids are not each of 0..{n_emb - 1} once")
-    if flat_codes.size and int(flat_codes.max()) >= k:
-        raise FormatError(f"{path}: code {int(flat_codes.max())} >= codebook size {k}")
+    # candidate generation takes a run's first ids as its smallest
+    in_run = np.ones(max(n_emb - 1, 0), dtype=bool)
+    in_run[run_offsets[1:-1] - 1] = False
+    if not np.all(flat_ids[1:][in_run] > flat_ids[:-1][in_run]):
+        raise FormatError(f"{path}: the ids of a run are not ascending")
+    if run_codes.size and int(run_codes.max()) >= k:
+        raise FormatError(f"{path}: code {int(run_codes.max())} >= codebook size {k}")
     return IvfPqIndex(
         coarse=coarse.reshape(n_part, d).copy(),
         codebooks=codebooks.reshape(m, k, d // m).copy(),
-        part_offsets=part_offsets.copy(),
+        part_runs=part_runs.copy(),
+        run_offsets=run_offsets.copy(),
         flat_ids=flat_ids.copy(),
-        flat_codes=flat_codes.reshape(n_emb, m).copy(),
+        run_codes=run_codes.reshape(n_runs, m).copy(),
         doc_offsets=docs.offsets,
         doc_ids=docs.ids,
     )

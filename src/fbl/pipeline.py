@@ -49,11 +49,13 @@ class Config:
     embedder_path: str | None = None
 
     def __post_init__(self):
+        # the encoder's minima: [CLS] [Q] [SEP] for a query, one mark more for a document
+        if self.query_limit < 3:
+            raise ValueError(f"query_limit must be >= 3, got {self.query_limit}")
+        for name in ("hunk_limit", "file_limit", "changeset_limit"):
+            if getattr(self, name) < 4:
+                raise ValueError(f"{name} must be >= 4, got {getattr(self, name)}")
         for name in (
-            "query_limit",
-            "hunk_limit",
-            "file_limit",
-            "changeset_limit",
             "n_partitions",
             "nprobe",
             "n_subspaces",
@@ -166,6 +168,7 @@ def build_session(
         n_codewords=config.n_codewords,
         seed=config.seed,
         doc_limit=config.doc_limit(),
+        query_limit=config.query_limit,
     )
     return BuiltSession(
         manifest=manifest,

@@ -57,7 +57,7 @@ def maxsim(q: EmbeddingMatrix, d: EmbeddingMatrix) -> float:
     """
     q_rows = np.ascontiguousarray(np.asarray(q.rows, dtype=np.float32))
     pack = PackedCorpus.from_matrices({"": d})
-    return float(_kernels.maxsim_packed(q_rows, pack.rows, pack.offsets)[0])
+    return float(_kernels.maxsim_packed(q_rows, pack.rows, pack.offsets[:1], pack.offsets[1:])[0])
 
 
 def _rank_positions(
@@ -65,24 +65,16 @@ def _rank_positions(
 ) -> list[tuple[str, float]]:
     """Score the documents at the given pack positions and sort the result.
 
-    Candidate rows are gathered into a contiguous block before scoring
-    (sequential scans beat scattered ones); the copy preserves row values,
-    so re-scored candidates stay bitwise equal to the exhaustive scan.
+    Each document's rows are contiguous in the pack, so they are scored in
+    place, with the same GEMM as in the exhaustive scan: re-scored
+    candidates stay bitwise equal to it.
     """
     if positions.size == 0:
         return []
     q_rows = np.ascontiguousarray(np.asarray(query.rows, dtype=np.float32))
-    if positions.shape[0] == len(pack.ids) and np.array_equal(
-        positions, np.arange(len(pack.ids))
-    ):
-        scores = _kernels.maxsim_packed(q_rows, pack.rows, pack.offsets)
-    else:
-        starts = pack.offsets[positions]
-        ends = pack.offsets[positions + 1]
-        offsets = np.zeros(positions.shape[0] + 1, dtype=np.int64)
-        np.cumsum(ends - starts, out=offsets[1:])
-        rows = np.take(pack.rows, _kernels.concat_ranges(starts, ends), axis=0)
-        scores = _kernels.maxsim_packed(q_rows, rows, offsets)
+    scores = _kernels.maxsim_packed(
+        q_rows, pack.rows, pack.offsets[positions], pack.offsets[positions + 1]
+    )
     finite = np.nonzero(np.isfinite(scores))[0]
     order = finite[np.lexsort((pack.id_rank[positions[finite]], -scores[finite]))]
     return [(pack.ids[positions[i]], float(scores[i])) for i in order]
@@ -120,7 +112,7 @@ def rank_two_stage(
         np.array_equal(pack.offsets, index.doc_offsets) and pack.ids == index.doc_ids
     ):
         raise ValueError("the documents differ from those the index was built from")
-    # ascending positions = prefetch-friendly gather
+    # ascending positions read the pack front to back
     positions = np.sort(candidate_docs(index, query, n_prime, nprobe))
     entries = _rank_positions(query, pack, positions)[:k]
     return RankedResult(bug_id=bug_id, entries=entries, mode=RankMode.TWO_STAGE)

@@ -77,6 +77,7 @@ class Manifest:
     n_codewords: int
     seed: int
     doc_limit: int
+    query_limit: int = 256  # `fbl query` encodes bug reports to this many tokens
     format_versions: dict = field(default_factory=_FORMAT_VERSIONS.copy)
     checksums: dict = field(default_factory=dict)
 

@@ -113,10 +113,15 @@ def kmeans_pp_init_reference(pts, k, rng):
 # -- index inspection: an embedding id's document, partition and decoded vector
 
 
+def flat_codes(index):
+    """(N, M): the code of every flat_ids entry, each run's code repeated per id."""
+    return np.repeat(index.run_codes, np.diff(index.run_offsets), axis=0)
+
+
 def partition(index, p):
-    """(embedding ids, codes) views for one partition."""
+    """(embedding ids, codes) of one partition, one code per id."""
     s, e = index.part_offsets[p], index.part_offsets[p + 1]
-    return index.flat_ids[s:e], index.flat_codes[s:e]
+    return index.flat_ids[s:e], flat_codes(index)[s:e]
 
 
 def doc_of(index, embedding_id):
@@ -126,17 +131,54 @@ def doc_of(index, embedding_id):
     return index.doc_ids[doc], embedding_id - int(index.doc_offsets[doc])
 
 
+def _flat_pos(index, embedding_id):
+    return int(np.nonzero(index.flat_ids == embedding_id)[0][0])
+
+
 def partition_of(index, embedding_id):
-    flat_pos = int(np.nonzero(index.flat_ids == embedding_id)[0][0])
+    flat_pos = _flat_pos(index, embedding_id)
     return int(np.searchsorted(index.part_offsets, flat_pos, side="right") - 1)
 
 
 def reconstruct(index, embedding_id):
     """Decode one embedding back to its approximate vector."""
     p = partition_of(index, embedding_id)
-    code = index.flat_codes[int(np.nonzero(index.flat_ids == embedding_id)[0][0])]
+    code = flat_codes(index)[_flat_pos(index, embedding_id)]
     dsub = index.dim // index.n_subspaces
     out = index.coarse[p].copy()
     for s in range(index.n_subspaces):
         out[s * dsub : (s + 1) * dsub] += index.codebooks[s, code[s]]
     return out
+
+
+def candidate_docs_reference(index, query_matrix, n_prime, nprobe):
+    """candidate_docs by the flat scan: every embedding scored on its own.
+
+    Probes, LUTs and the float64 sum of terms are candidate_docs's own, so
+    the scores are its bits; runs play no part.
+    """
+    q_rows = np.asarray(query_matrix.rows, dtype=np.float32)
+    q_rows = np.ascontiguousarray(q_rows[np.linalg.norm(q_rows, axis=1) > 0])
+    total = index.n_embeddings
+    per_row = total if n_prime is None or n_prime >= total else -(-n_prime // len(q_rows))
+    coarse = (q_rows @ index.coarse.T).astype(np.float64)
+    probes = np.sort(np.argpartition(-coarse, nprobe - 1, axis=1)[:, :nprobe], axis=1)
+    m = index.n_subspaces
+    dsub = index.dim // m
+    codes = flat_codes(index)
+    offsets = index.part_offsets
+    luts = [q_rows[:, s * dsub : (s + 1) * dsub] @ index.codebooks[s].T for s in range(m)]
+    best = {}  # doc -> (-score, id) of its best hit
+    for r in range(len(q_rows)):
+        hits = []
+        for p in probes[r]:
+            c = codes[offsets[p] : offsets[p + 1]]
+            score = luts[0][r, c[:, 0]].astype(np.float64)
+            for s in range(1, m):
+                score += luts[s][r, c[:, s]]
+            score += coarse[r, p]
+            hits += zip((-score).tolist(), index.flat_ids[offsets[p] : offsets[p + 1]].tolist())
+        for hit in sorted(hits)[:per_row]:
+            doc = int(_doc_indices(index.doc_offsets, hit[1]))
+            best[doc] = min(best.get(doc, hit), hit)
+    return np.asarray(sorted(best, key=best.get), dtype=np.int64)

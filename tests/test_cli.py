@@ -292,6 +292,35 @@ def test_out_of_range_counts_exit_1_naming_the_flag(corpus_dir, capsys):
             assert main(_index_args(corpus, vocab, tmp_path / "s2") + [flag, value]) == 1
             err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
             assert err["kind"] == "usage" and flag in err["error"], (flag, value)
+    # below the encoder's minima, and rejected before the corpus is read: the
+    # corpus directory does not exist
+    no_corpus = _index_args(tmp_path / "no-corpus", vocab, tmp_path / "s3")
+    for flag, value in [
+        ("--query-limit", "2"), ("--hunk-limit", "3"), ("--file-limit", "3"),
+        ("--changeset-limit", "3"),
+    ]:
+        capsys.readouterr()
+        assert main(no_corpus + [flag, value]) == 1, flag
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["kind"] == "usage" and flag in err["error"], (flag, value)
+        assert not (tmp_path / "s3").exists()
+
+
+def test_query_encodes_to_the_indexed_query_limit(corpus_dir, capsys):
+    # [CLS] [Q] turbo encabulator [SEP]: the rest of a long text is cut
+    tmp_path, corpus, vocab = corpus_dir
+    long_text, head = "turbo encabulator overflow flux grommet widget", "turbo encabulator"
+    outputs = {}
+    for limit in ("5", "256"):
+        session = tmp_path / f"session{limit}"
+        assert main(_index_args(corpus, vocab, session) + ["--query-limit", limit]) == 0
+        for text in (long_text, head):
+            capsys.readouterr()
+            assert main(["query", "--session", str(session), "--text", text, "--topk", "8"]) == 0
+            outputs[limit, text] = capsys.readouterr().out
+    assert outputs["5", long_text] == outputs["5", head]
+    assert outputs["256", long_text] != outputs["256", head]
+    assert outputs["5", head] == outputs["256", head]
 
 
 def test_config_rejects_candidates_below_one():
@@ -331,16 +360,21 @@ def test_exit_codes(tmp_path, capsys):
     assert json.loads(err)["kind"] in ("data", "usage") or "error" in json.loads(err)
 
 
-def test_stderr_is_one_json_line():
+def test_stderr_is_one_json_line(tmp_path):
     # a fresh interpreter, so import-time output would land on stderr too
     env = {k: v for k, v in os.environ.items() if k != "FBL_SESSION"}
     paths = [str(Path(fbl.__file__).parents[1]), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    proc = subprocess.run([sys.executable, "-m", "fbl.cli", "query"], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["kind"] == "usage"
+    for argv in (
+        ["query"],  # no session
+        ["query", "--bogus"],  # an unknown flag
+        ["ingest", "--out", str(tmp_path / "x")],  # a required flag missing
+    ):
+        proc = subprocess.run([sys.executable, "-m", "fbl.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, argv
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["kind"] == "usage", (argv, lines)
 
 
 _GOOD_CHANGESET = {"id": "c0", "diff": _diff("A.java", ["int x;"]), "timestamp": "2021-01-01"}

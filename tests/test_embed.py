@@ -21,6 +21,7 @@ from fbl.embed import (
 )
 from fbl.encode import EncodedSequence
 from fbl.errors import DimensionMismatch, FormatError
+from fbl.pipeline import Config
 
 
 def _seq(ids, limit, pad_id=0):
@@ -81,11 +82,13 @@ def test_fble_header_claiming_a_huge_payload_raises_format_error(tmp_path):
 
 def test_projection_with_non_finite_weight_raises_format_error(tmp_path):
     p = tmp_path / "proj.fble"
-    weights = np.ones((4, 2), dtype=np.float32)
-    weights[1, 1] = np.nan
-    write_matrix_file(p, weights)
-    with pytest.raises(FormatError, match="proj.fble"):
-        LinearProjection.load(p)
+    # a quiet NaN, and a signalling one, whose cast to float64 warns
+    for bits in (0x7FC00000, 0x7F800001):
+        weights = np.ones((4, 2), dtype=np.float32)
+        weights.view(np.uint32)[1, 1] = bits
+        write_matrix_file(p, weights)
+        with pytest.raises(FormatError, match="proj.fble"):
+            LinearProjection.load(p)
 
 
 def test_file_embedder_range_check(tmp_path):
@@ -276,6 +279,13 @@ def test_config_validation():
             TripletTrainConfig(margin=bad)
         with pytest.raises(ValueError, match="learning_rate"):
             TripletTrainConfig(learning_rate=bad)
+    # the encoder's minima: a query needs 3 tokens, a document 4
+    for name, least in [("query_limit", 3), ("hunk_limit", 4), ("file_limit", 4),
+                        ("changeset_limit", 4)]:
+        for bad in (least - 1, 0, -1):
+            with pytest.raises(ValueError, match=name):
+                Config(**{name: bad})
+        assert getattr(Config(**{name: least}), name) == least
 
 
 def test_maxsim_invariant_to_embedder_rescaling():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from conftest import (
     assign_nearest_reference,
+    candidate_docs_reference,
     doc_of,
+    flat_codes,
     kmeans_pp_init_reference,
     partition,
     reconstruct,
@@ -137,7 +139,9 @@ def test_build_index_is_bit_identical_with_the_reference_kernels(monkeypatch):
     monkeypatch.setattr(index_module, "_kmeans_pp_init", kmeans_pp_init_reference)
     monkeypatch.setattr(_kernels, "assign_nearest", assign_nearest_reference)
     ref = build_index(docs, **args)
-    for name in ("coarse", "codebooks", "part_offsets", "flat_ids", "flat_codes", "doc_offsets"):
+    for name in (
+        "coarse", "codebooks", "part_runs", "run_offsets", "flat_ids", "run_codes", "doc_offsets"
+    ):
         assert getattr(fast, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
@@ -198,6 +202,45 @@ def test_registry_bijection():
     assert idx.flat_ids.size == idx.n_embeddings
     lengths = np.diff(idx.part_offsets)
     assert lengths.sum() == idx.n_embeddings
+
+
+def _repeated_rows_corpus(rng, n_docs=60, vocab=40, dim=16):
+    """Docs drawn from a small table of token vectors, frequent tokens repeated,
+    as a context-free embedder gives them."""
+    table = _unit_rows(rng.standard_normal((vocab, dim)))
+    weights = 1.0 / np.arange(1, vocab + 1)
+    docs = {}
+    for i in range(n_docs):
+        tokens = rng.choice(vocab, size=int(rng.integers(1, 12)), p=weights / weights.sum())
+        docs[f"r{i:03d}:0:0"] = EmbeddingMatrix(rows=table[tokens])
+    return docs, table
+
+
+def test_runs_hold_each_distinct_code_of_a_partition_once():
+    docs, _ = _repeated_rows_corpus(np.random.default_rng(5))
+    idx = build_index(docs, n_partitions=6, n_subspaces=4, n_codewords=16, seed=2)
+    assert idx.run_codes.shape[0] < idx.n_embeddings  # repeated rows share runs
+    assert np.all(np.diff(idx.run_offsets) > 0)
+    codes = flat_codes(idx)
+    for p in range(idx.n_partitions):
+        ids, part_codes = partition(idx, p)
+        # ordered by (code, id); a run is a maximal block of one code
+        key = [tuple(c) + (int(e),) for c, e in zip(part_codes, ids)]
+        assert key == sorted(key)
+        runs = idx.run_codes[idx.part_runs[p] : idx.part_runs[p + 1]]
+        assert len({tuple(c) for c in runs}) == len(runs) == len({tuple(c) for c in part_codes})
+    # each embedding keeps the (partition, code) its own assignment gives
+    rows = PackedCorpus.from_matrices(docs).rows
+    part, _ = _kernels.assign_nearest(rows, idx.coarse)
+    residuals = rows - idx.coarse[part]
+    dsub = idx.dim // idx.n_subspaces
+    want = np.stack([
+        _kernels.assign_nearest(residuals[:, s * dsub : (s + 1) * dsub], idx.codebooks[s])[0]
+        for s in range(idx.n_subspaces)
+    ], axis=1)
+    by_id = np.argsort(idx.flat_ids)
+    assert np.array_equal(np.repeat(np.arange(6), np.diff(idx.part_offsets))[by_id], part)
+    assert np.array_equal(codes[by_id], want)
 
 
 def test_doc_of_maps_ids_past_empty_and_dead_docs():
@@ -295,9 +338,10 @@ def test_search_empty_index():
     idx = IvfPqIndex(
         coarse=np.zeros((1, 4), dtype=np.float32),
         codebooks=np.zeros((2, 1, 2), dtype=np.float32),
-        part_offsets=np.zeros(2, dtype=np.int64),
+        part_runs=np.zeros(2, dtype=np.int64),
+        run_offsets=np.zeros(1, dtype=np.int64),
         flat_ids=np.zeros(0, dtype=np.uint64),
-        flat_codes=np.zeros((0, 2), dtype=np.uint8),
+        run_codes=np.zeros((0, 2), dtype=np.uint8),
         doc_offsets=np.zeros(1, dtype=np.int64),
         doc_ids=[],
     )
@@ -363,6 +407,23 @@ def test_candidates_toy_union_matches_brute_force():
     # per row fetch = ceil(2/2) = 1: row0 -> embedding e0 (doc a), row1 -> e2 (doc c)
     cands = candidate_docs(idx, q, n_prime=2, nprobe=4)
     assert set(cands.tolist()) == {0, 2}  # docs a and c
+
+
+@pytest.mark.parametrize("nprobe", [1, 3, 6])
+def test_candidate_docs_on_repeated_rows_matches_the_flat_scan(nprobe):
+    rng = np.random.default_rng(14)
+    docs, table = _repeated_rows_corpus(rng)
+    idx = build_index(docs, n_partitions=6, n_subspaces=4, n_codewords=16, seed=3)
+    queries = [
+        table[[0, 0, 1, 2, 0, 5]],  # frequent tokens, one of them three times
+        table[rng.choice(40, size=9)],
+        _unit_rows(rng.standard_normal((4, 16))),
+    ]
+    for rows in queries:
+        q = EmbeddingMatrix(rows=rows, is_query=True)
+        for n_prime in (1, 7, 50, None):
+            want = candidate_docs_reference(idx, q, n_prime, nprobe)
+            assert candidate_docs(idx, q, n_prime, nprobe).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("n_prime", [0, -1, -5, -100])
@@ -431,9 +492,9 @@ def test_index_roundtrip_identical_search(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
-def _saved_index(tmp_path):
-    rng = np.random.default_rng(23)
-    docs, _ = _random_corpus(rng, n_docs=20, tokens_per_doc=4, dim=8)
+def _saved_index(tmp_path, docs=None):
+    if docs is None:
+        docs, _ = _random_corpus(np.random.default_rng(23), n_docs=20, tokens_per_doc=4, dim=8)
     pack = PackedCorpus.from_matrices(docs)
     idx = build_index(pack, n_partitions=4, n_subspaces=2, n_codewords=8, seed=0)
     p = tmp_path / "idx.fbli"
@@ -442,11 +503,12 @@ def _saved_index(tmp_path):
 
 
 def _fbli_layout(idx):
-    """Byte offsets of part_offsets, flat_ids and flat_codes in FBLI v3."""
-    p_count, d, n = idx.n_partitions, idx.dim, idx.n_embeddings
-    part = 4 + 28 + p_count * d * 4 + idx.n_codewords * d * 4
-    ids = part + (p_count + 1) * 8
-    return part, ids, ids + n * 8
+    """Byte offsets of part_runs, run_offsets, flat_ids and run_codes in FBLI v4."""
+    p_count, d, n, u = idx.n_partitions, idx.dim, idx.n_embeddings, idx.run_codes.shape[0]
+    part = 4 + 36 + p_count * d * 4 + idx.n_codewords * d * 4
+    runs = part + (p_count + 1) * 8
+    ids = runs + (u + 1) * 8
+    return part, runs, ids, ids + n * 8
 
 
 def _put_i8(raw, at, value):
@@ -455,13 +517,13 @@ def _put_i8(raw, at, value):
 
 def test_fbli_ends_with_the_codes(tmp_path):
     idx, _, _, raw = _saved_index(tmp_path)
-    _, _, codes = _fbli_layout(idx)
-    assert bytes(raw[codes:]) == idx.flat_codes.tobytes()  # no document table follows
+    *_, codes = _fbli_layout(idx)
+    assert bytes(raw[codes:]) == idx.run_codes.tobytes()  # no document table follows
 
 
 def test_load_index_rejects_list_id_out_of_range(tmp_path):
     idx, pack, p, raw = _saved_index(tmp_path)
-    _, ids, _ = _fbli_layout(idx)
+    _, _, ids, _ = _fbli_layout(idx)
     raw[ids : ids + 8] = idx.n_embeddings.to_bytes(8, "little")
     p.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="inverted-list ids"):
@@ -470,7 +532,7 @@ def test_load_index_rejects_list_id_out_of_range(tmp_path):
 
 def test_load_index_rejects_code_out_of_range(tmp_path):
     idx, pack, p, raw = _saved_index(tmp_path)
-    _, _, codes = _fbli_layout(idx)
+    *_, codes = _fbli_layout(idx)
     raw[codes] = idx.n_codewords
     p.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="codebook size"):
@@ -479,10 +541,40 @@ def test_load_index_rejects_code_out_of_range(tmp_path):
 
 def test_load_index_rejects_partition_counts_off_total(tmp_path):
     idx, pack, p, raw = _saved_index(tmp_path)
-    part, _, _ = _fbli_layout(idx)
-    _put_i8(raw, part + idx.n_partitions * 8, idx.n_embeddings - 1)
+    part, *_ = _fbli_layout(idx)
+    _put_i8(raw, part + idx.n_partitions * 8, idx.run_codes.shape[0] - 1)
     p.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="partition offsets"):
+        load_index(p, pack)
+
+
+def test_load_index_rejects_run_offsets_off_total(tmp_path):
+    idx, pack, p, raw = _saved_index(tmp_path)
+    _, runs, _, _ = _fbli_layout(idx)
+    _put_i8(raw, runs + idx.run_codes.shape[0] * 8, idx.n_embeddings - 1)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="run offsets"):
+        load_index(p, pack)
+
+
+def test_load_index_rejects_an_empty_run(tmp_path):
+    idx, pack, p, raw = _saved_index(tmp_path)
+    _, runs, _, _ = _fbli_layout(idx)
+    _put_i8(raw, runs + 8, 0)  # run 0 ends where it starts
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="run 0 holds no ids"):
+        load_index(p, pack)
+
+
+def test_load_index_rejects_a_run_whose_ids_descend(tmp_path):
+    docs, _ = _repeated_rows_corpus(np.random.default_rng(5))
+    idx, pack, p, raw = _saved_index(tmp_path, docs)
+    _, _, ids, _ = _fbli_layout(idx)
+    u = int(np.argmax(np.diff(idx.run_offsets)))  # a run of several ids
+    a = ids + int(idx.run_offsets[u]) * 8
+    raw[a : a + 16] = raw[a + 8 : a + 16] + raw[a : a + 8]  # swap its first two ids
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="ids of a run are not ascending"):
         load_index(p, pack)
 
 
@@ -499,7 +591,8 @@ def test_load_index_rejects_doc_offsets_off_total(tmp_path):
 
 def test_load_index_rejects_version_1_naming_the_fix(tmp_path):
     _, pack, p, raw = _saved_index(tmp_path)
-    for version in (1, 2):  # v2 held its own copy of the document table
+    # v2 held its own copy of the document table, v3 one code per embedding
+    for version in (1, 2, 3):
         raw[4:8] = version.to_bytes(4, "little")
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=f"version {version}.*re-run `fbl index`"):

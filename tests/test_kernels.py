@@ -37,7 +37,7 @@ def _reference_maxsim(query, rows, offsets):
 def test_maxsim_packed_matches_reference(backend):
     rng = np.random.default_rng(0)
     query, rows, offsets = _packed_fixture(rng)
-    got = _kernels.maxsim_packed(query, rows, offsets)
+    got = _kernels.maxsim_packed(query, rows, offsets[:-1], offsets[1:])
     np.testing.assert_allclose(got, _reference_maxsim(query, rows, offsets), rtol=1e-5)
 
 
@@ -46,7 +46,7 @@ def test_maxsim_packed_empty_doc_is_minus_inf(backend):
     rng = np.random.default_rng(1)
     query, rows, _ = _packed_fixture(rng, ndocs=3)
     offsets = np.array([0, 2, 2, rows.shape[0]], dtype=np.int64)  # middle doc empty
-    got = _kernels.maxsim_packed(query, rows, offsets)
+    got = _kernels.maxsim_packed(query, rows, offsets[:-1], offsets[1:])
     assert got[1] == -np.inf
     assert np.isfinite(got[0]) and np.isfinite(got[2])
 
@@ -99,31 +99,53 @@ def test_centroid_sums(backend):
     np.testing.assert_array_equal(sums[7], 0)
 
 
+def test_maxsim_packed_scores_any_subset_in_place():
+    # documents named by (start, end) in any order score as in the full scan
+    rng = np.random.default_rng(2)
+    query, rows, offsets = _packed_fixture(rng)
+    full = _kernels.maxsim_packed(query, rows, offsets[:-1], offsets[1:])
+    pick = np.array([7, 0, 19, 7, 3])
+    got = _kernels.maxsim_packed(query, rows, offsets[pick], offsets[pick + 1])
+    assert got.tobytes() == full[pick].tobytes()
+
+
 def _adc_fixture(rng, nq=7, m=3, k=5):
-    """Integer-valued LUTs and bases, so every score is exact and ties are common."""
-    part_offsets = np.array([0, 7, 7, 15, 22, 22, 30, 41], dtype=np.int64)  # 2 empty
-    n = int(part_offsets[-1])
+    """Inverted lists of runs, with integer-valued LUTs and bases.
+
+    Every score is exact, so distinct codes tie often. Some runs are long
+    enough to straddle any per_row cut, and two partitions are empty.
+    """
+    part_runs = np.array([0, 3, 3, 6, 9, 9, 12, 16], dtype=np.int64)
+    n_runs = int(part_runs[-1])
+    lengths = rng.integers(1, 4, size=n_runs)
+    lengths[[1, 4, 10, 13]] = [9, 6, 11, 5]
+    run_offsets = np.zeros(n_runs + 1, dtype=np.int64)
+    run_offsets[1:] = np.cumsum(lengths)
+    flat_ids = rng.permutation(int(run_offsets[-1])).astype(np.uint64)  # not in scan order
+    for u in range(n_runs):  # but ascending within each run
+        flat_ids[run_offsets[u] : run_offsets[u + 1]].sort()
     luts = rng.integers(-3, 4, size=(nq, m, k)).astype(np.float32)
-    flat_codes = rng.integers(0, k, size=(n, m)).astype(np.uint8)
-    flat_ids = rng.permutation(n).astype(np.uint64)  # ids not in scan order
+    run_codes = rng.integers(0, k, size=(n_runs, m)).astype(np.uint8)
     probes = np.stack([rng.choice(7, size=3, replace=False) for _ in range(nq)])
-    probes[0] = [1, 4, 0]  # empty, empty, then 7 codes: shorter than most per_row
+    probes[0] = [1, 4, 0]  # empty, empty, then 3 runs of 11+ ids
     probes[1] = [4, 1, 4]  # scans nothing
-    starts = part_offsets[probes]
-    ends = part_offsets[probes + 1]
+    starts = part_runs[probes]
+    ends = part_runs[probes + 1]
     bases = rng.integers(-2, 3, size=probes.shape).astype(np.float64)
-    return luts, flat_codes, flat_ids, starts, ends, bases
+    return luts, run_codes, run_offsets, starts, ends, bases, flat_ids
 
 
-def _reference_topk(luts, flat_codes, flat_ids, starts, ends, bases, per_row):
-    """Full scan, then each row sorted by (score desc, id asc) and truncated."""
+def _reference_topk(luts, run_codes, run_offsets, starts, ends, bases, flat_ids, per_row):
+    """Every id scored on its own, then each row sorted by (score desc, id asc) and truncated."""
     ids, scores = [], []
     for r in range(starts.shape[0]):
         hits = []
         for p in range(starts.shape[1]):
-            for i in range(starts[r, p], ends[r, p]):
-                score = sum(float(luts[r, s, flat_codes[i, s]]) for s in range(luts.shape[1]))
-                hits.append((-(score + bases[r, p]), int(flat_ids[i])))
+            for u in range(starts[r, p], ends[r, p]):
+                for i in range(run_offsets[u], run_offsets[u + 1]):
+                    code = run_codes[u]
+                    score = sum(float(luts[r, s, code[s]]) for s in range(luts.shape[1]))
+                    hits.append((-(score + bases[r, p]), int(flat_ids[i])))
         for neg, eid in sorted(hits)[:per_row]:
             ids.append(eid)
             scores.append(-neg)
@@ -134,7 +156,8 @@ def _reference_topk(luts, flat_codes, flat_ids, starts, ends, bases, per_row):
 @pytest.mark.parametrize("per_row", [1, 4, 9, 100])
 @SAME_IDS
 def test_adc_topk_rows_matches_reference(backend, per_row, block_codes, monkeypatch):
-    # a 12-code cap splits the query into several row blocks
+    # a 12-run cap splits the query into several row blocks; per_row 100
+    # keeps every id
     monkeypatch.setattr(_kernels, "_ADC_BLOCK_CODES", block_codes)
     rng = np.random.default_rng(6)
     args = _adc_fixture(rng)
@@ -146,10 +169,19 @@ def test_adc_topk_rows_matches_reference(backend, per_row, block_codes, monkeypa
 
 
 def test_adc_topk_rows_ties_straddle_the_cut():
-    # the fixture really exercises the tie-break: some row's per_row-th and
-    # (per_row+1)-th codes share a score, so only the id decides who stays
-    args = _adc_fixture(np.random.default_rng(6))
-    _, full = _reference_topk(*args, 10_000)
-    lengths = (args[4] - args[3]).sum(axis=1)
-    rows = np.split(full, np.cumsum(lengths)[:-1])
-    assert any(row.size > 4 and row[3] == row[4] for row in rows)
+    # the fixture really exercises the tie-breaks: at some row's 4th place
+    # two runs of distinct codes tie, and some run's ids fall on both sides
+    luts, run_codes, run_offsets, starts, ends, bases, flat_ids = args = _adc_fixture(
+        np.random.default_rng(6)
+    )
+    ids, full = _reference_topk(*args, 10_000)
+    run_of = np.empty(flat_ids.shape[0], dtype=np.int64)
+    run_of[flat_ids.astype(np.int64)] = np.repeat(np.arange(len(run_codes)), np.diff(run_offsets))
+    row_ids = (run_offsets[ends] - run_offsets[starts]).sum(axis=1)
+    split = np.cumsum(row_ids)[:-1]
+    rows = list(zip(np.split(full, split), np.split(run_of[ids.astype(np.int64)], split)))
+    assert any(s.size > 4 and s[3] == s[4] and u[3] != u[4] for s, u in rows)
+    assert any(s.size > 4 and u[3] == u[4] for s, u in rows)
+    # per_row 1 cuts every scanning row's runs; 9 keeps every run but cuts ids
+    row_runs = (ends - starts).sum(axis=1)
+    assert 1 < row_runs[row_runs > 0].min() and row_runs.max() < 9 < row_ids[row_ids > 0].min()

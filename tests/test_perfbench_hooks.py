@@ -1,0 +1,63 @@
+"""perfbench's hooks against the functions they wrap.
+
+perfbench times fbl by wrapping its functions by name from outside, so a
+renamed function or a changed kernel signature would break traced
+benchmark runs without failing any fbl test. This runs the hooks on one
+two-stage query.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fbl import pipeline
+from fbl.embed import EmbeddingMatrix, PackedCorpus
+from fbl.index import build_index
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def layers_and_tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracer
+
+    return layers, tracer
+
+
+def test_perfbench_hooks_resolve_and_count_the_runs_scanned(layers_and_tracer):
+    layers, tracer = layers_and_tracer
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((12, 16)).astype(np.float32)
+    table /= np.linalg.norm(table, axis=1, keepdims=True)
+    # a context-free embedder's documents: a few token vectors, repeated
+    docs = {
+        f"d{i}:0:0": EmbeddingMatrix(rows=table[rng.integers(0, 12, size=6)]) for i in range(30)
+    }
+    pack = PackedCorpus.from_matrices(docs)
+    index = build_index(pack, n_partitions=4, n_subspaces=4, n_codewords=16, seed=1)
+    query = EmbeddingMatrix(rows=table[[0, 3, 3, 7]], is_query=True)
+    config = pipeline.Config(n_partitions=4, nprobe=2, candidates=10, d_in=16, d_out=16)
+
+    t = tracer.Tracer()
+    layers.instrument(t)  # raises if a hooked name no longer resolves
+    patches = list(t._patches)
+    try:
+        assert patches and all(vars(owner)[attr] is not raw for owner, attr, raw in patches)
+        pipeline.run_query(query, index, pack, config, k=5)
+    finally:
+        t.restore()
+    for owner, attr, raw in patches:
+        assert vars(owner)[attr] is raw, attr
+
+    # the scan span counts runs: each query row's probed partitions' runs
+    coarse = query.rows @ index.coarse.T
+    probed = np.argsort(-coarse, axis=1, kind="stable")[:, :2]
+    runs = int((index.part_runs[probed + 1] - index.part_runs[probed]).sum())
+    ids = int((index.part_offsets[probed + 1] - index.part_offsets[probed]).sum())
+    scans = [s for s in t.spans if s.name == "kernels.adc_scan"]
+    assert [s.attrs["codes"] for s in scans] == [runs]
+    assert runs < ids  # repeated rows share runs
+    assert {s.name for s in t.spans} >= {"retrieve.two_stage", "index.candidates", "kernels.maxsim"}

@@ -135,7 +135,7 @@ def test_session_roundtrip(tmp_path, session_pieces):
     arts = load_session(tmp_path)
     assert isinstance(arts, SessionArtifacts)
     assert arts.manifest == manifest
-    assert manifest.format_versions == {"fbli": 3, "fble": 1, "fblp": 3}
+    assert manifest.format_versions == {"fbli": 4, "fble": 1, "fblp": 3}
     # one document table: the index borrows the loaded pack's
     assert arts.index.doc_offsets is arts.doc_matrices.offsets
     assert arts.index.doc_ids is arts.doc_matrices.ids
@@ -340,15 +340,23 @@ def saved(tmp_path_factory):
     """A saved session: each artifact's bytes and regions, the session, and queries."""
     manifest, _, projection, docs = _pieces()
     docs["empty:0:0"] = EmbeddingMatrix(rows=np.zeros((0, 8), dtype=np.float32))
+    # rows that repeat others', so some runs hold several ids
+    docs["repeat:0:0"] = EmbeddingMatrix(
+        rows=np.concatenate([docs["c0:0:0"].rows, docs["c1:0:0"].rows[:2]])
+    )
     pack = PackedCorpus.from_matrices(docs)
     index = build_index(pack, n_partitions=4, n_subspaces=2, n_codewords=8, seed=1)
+    assert np.diff(index.run_offsets).max() > 1
     directory = tmp_path_factory.mktemp("session")
     save_session(directory, manifest, index, projection, pack)
     n, p, d, k = index.n_embeddings, index.n_partitions, index.dim, index.n_codewords
-    # (start, end) byte ranges of the header, offset, id and code regions of each file
-    part = 32 + p * d * 4 + k * d * 4
-    codes = part + (p + 1) * 8 + n * 8
-    index_regions = [(0, 32), (part, codes), (codes, None)]
+    # (start, end) byte ranges of the header, offset, id and code regions of each
+    # file; FBLI v4: part_runs, run_offsets, flat_ids, run_codes
+    part = 40 + p * d * 4 + k * d * 4
+    runs = part + (p + 1) * 8
+    ids = runs + (index.run_codes.shape[0] + 1) * 8
+    codes = ids + n * 8
+    index_regions = [(0, 40), (part, runs), (runs, ids), (ids, codes), (codes, None)]
     rows = 24 + (len(pack) + 1) * 8
     pack_regions = [(0, rows), (rows + n * d * 4, None)]
     rng = np.random.default_rng(8)
