@@ -27,7 +27,6 @@ from .embed import (
     embed_sequence,
     gradient_of_loss,
     train_projection,
-    triplet_loss,
 )
 from .encode import EncodedSequence, Strategy, Vocabulary, encode_document, encode_query, wordpiece_tokenize
 from .index import IvfPqIndex, build_index, candidate_docs, kmeans
@@ -84,6 +83,5 @@ __all__ = [
     "rank_two_stage",
     "split_train_test",
     "train_projection",
-    "triplet_loss",
     "wordpiece_tokenize",
 ]

@@ -139,12 +139,8 @@ def _corpus_hash(corpus_dir: Path) -> str:
     return store.sha256_bytes("\n".join(parts).encode())
 
 
-def cmd_ingest(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    changesets = load_changesets(args.changesets)
-    bugs = load_bugs(args.bugs) if args.bugs else []
-    links = load_links(args.links) if args.links else []
+def _check_links(changesets, bugs, links) -> None:
+    """Every link must name a bug and a changeset of the corpus."""
     bug_ids = {b.bug_id for b in bugs}
     cs_ids = {c.changeset_id for c in changesets}
     for link in links:
@@ -152,6 +148,15 @@ def cmd_ingest(args) -> int:
             raise DataError(f"link references unknown bug {link.bug_id!r}")
         if link.changeset_id not in cs_ids:
             raise DataError(f"link references unknown changeset {link.changeset_id!r}")
+
+
+def cmd_ingest(args) -> int:
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    changesets = load_changesets(args.changesets)
+    bugs = load_bugs(args.bugs) if args.bugs else []
+    links = load_links(args.links) if args.links else []
+    _check_links(changesets, bugs, links)
     for name, src in (
         ("changesets.jsonl", args.changesets),
         ("bugs.jsonl", args.bugs),
@@ -188,7 +193,9 @@ def cmd_train_projection(args) -> int:
     changesets, bugs, links = _load_corpus_dir(corpus_dir)
     if not links:
         raise DataError("training needs links.jsonl in the corpus directory")
+    _check_links(changesets, bugs, links)
     vocab = Vocabulary.from_file(args.vocab)
+    embedder = make_embedder(config, vocab=vocab)
     bug_map = {b.bug_id: b for b in bugs}
     train_links, _ = corpus.split_train_test(links, bug_map)
     docs = corpus.explode_corpus(changesets, config.granularity)
@@ -197,7 +204,6 @@ def cmd_train_projection(args) -> int:
     query_seqs = {
         b.bug_id: encode_query(b, vocab, config.query_limit) for b in bugs
     }
-    embedder = make_embedder(config)
     result = train_projection(
         triplets, query_seqs, doc_seqs, embedder, cfg, d_out=config.d_out
     )
@@ -278,7 +284,7 @@ def _open_session(args):
 def cmd_query(args) -> int:
     _positive("--topk", args.topk)
     artifacts, vocab, config = _open_session(args)
-    embedder = make_embedder(config, artifacts.embedder)
+    embedder = make_embedder(config, artifacts.embedder, vocab=vocab)
 
     if args.text is not None:
         reports = [
@@ -309,7 +315,6 @@ def cmd_query(args) -> int:
             )
             if args.aggregate:
                 result = retrieve.aggregate_to_changeset(result)
-                result.entries = result.entries[: args.topk]
             if args.format == "trec":
                 retrieve.write_trec(result, out_fh)
             else:
@@ -327,9 +332,7 @@ def cmd_evaluate(args) -> int:
     # aggregate document entries to changeset level before scoring
     results: dict[str, list[str]] = {}
     for bug_id, entries in run.items():
-        ranked = retrieve.aggregate_to_changeset(
-            retrieve.RankedResult(bug_id=bug_id, entries=list(entries), mode=retrieve.RankMode.EXACT)
-        )
+        ranked = retrieve.aggregate_to_changeset(retrieve.RankedResult(bug_id, list(entries)))
         results[bug_id] = [cs for cs, _ in ranked.entries]
     categories = None
     if args.bugs and args.changesets:

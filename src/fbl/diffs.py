@@ -36,12 +36,6 @@ class Hunk:
     new_start: int
     lines: tuple[DiffLine, ...]
 
-    def counts(self) -> tuple[int, int]:
-        """(old_count, new_count) as they would appear in the @@ header."""
-        old = sum(1 for l in self.lines if l.kind is not LineKind.ADDED)
-        new = sum(1 for l in self.lines if l.kind is not LineKind.REMOVED)
-        return old, new
-
 
 @dataclass(frozen=True)
 class FileDiff:
@@ -161,22 +155,3 @@ def parse_unified_diff(raw: str, changeset_id: str, log_message: str = "",
         files=tuple(files),
         committed_at=committed_at or datetime.fromtimestamp(0, tz=timezone.utc),
     )
-
-
-def render_unified_diff(cs: Changeset) -> str:
-    """Serialize a Changeset back to git-style unified diff text.
-
-    parse_unified_diff(render_unified_diff(cs), ...) reproduces the same
-    file/hunk/line structure.
-    """
-    out: list[str] = []
-    for fd in cs.files:
-        out.append(f"diff --git a/{fd.path} b/{fd.path}")
-        out.append(f"--- a/{fd.path}")
-        out.append(f"+++ b/{fd.path}")
-        for h in fd.hunks:
-            old_count, new_count = h.counts()
-            out.append(f"@@ -{h.old_start},{old_count} +{h.new_start},{new_count} @@")
-            for dl in h.lines:
-                out.append(dl.kind.value + dl.text)
-    return "\n".join(out) + ("\n" if out else "")

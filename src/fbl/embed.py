@@ -270,25 +270,6 @@ def embed_sequence(
 # -- loss and gradient ---------------------------------------------------------
 
 
-def _maxsim_f64(q_rows: np.ndarray, d_rows: np.ndarray) -> float:
-    """Float64 late-interaction score; zero rows excluded from maxima."""
-    q = np.asarray(q_rows, dtype=np.float64)
-    d = np.asarray(d_rows, dtype=np.float64)
-    d = d[np.linalg.norm(d, axis=1) > 0]
-    if d.shape[0] == 0:
-        return float("-inf")
-    sims = q @ d.T
-    return float(sims.max(axis=1).sum())
-
-
-def triplet_loss(
-    q: EmbeddingMatrix, pos: EmbeddingMatrix, neg: EmbeddingMatrix, margin: float
-) -> float:
-    s_pos = _maxsim_f64(q.rows, pos.rows)
-    s_neg = _maxsim_f64(q.rows, neg.rows)
-    return max(0.0, margin - s_pos + s_neg)
-
-
 def _pair_forward(q_raw: np.ndarray, d_raw: np.ndarray, w: np.ndarray):
     """Late-interaction forward pass of a (query, doc) raw-matrix pair.
 

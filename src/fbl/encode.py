@@ -28,7 +28,7 @@ survives truncation), and padded to its exact length limit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import BugReport, Document
@@ -60,7 +60,6 @@ class Strategy(enum.Enum):
 class Vocabulary:
     token_to_id: dict[str, int]
     id_to_token: list[str]
-    appended_specials: tuple[str, ...] = ()
 
     def __post_init__(self):
         self._special_ids = {t: self.token_to_id[t] for t in SPECIAL_TOKENS}
@@ -92,13 +91,11 @@ class Vocabulary:
                 raise FormatError(f"duplicate vocabulary token {tok!r}")
             token_to_id[tok] = len(id_to_token)
             id_to_token.append(tok)
-        appended = []
         for special in SPECIAL_TOKENS:
             if special not in token_to_id:
                 token_to_id[special] = len(id_to_token)
                 id_to_token.append(special)
-                appended.append(special)
-        return cls(token_to_id, id_to_token, appended_specials=tuple(appended))
+        return cls(token_to_id, id_to_token)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Vocabulary":
@@ -116,11 +113,6 @@ class Vocabulary:
     @classmethod
     def from_file(cls, path: str | Path) -> "Vocabulary":
         return cls.from_bytes(Path(path).read_bytes())
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.id_to_token:
-                fh.write(tok + "\n")
 
 
 @dataclass(frozen=True)
@@ -262,8 +254,3 @@ def encode_query(report: BugReport, vocab: Vocabulary, limit: int) -> EncodedSeq
     stream = [vocab.id_of(CLS), vocab.id_of(Q_MARK)]
     stream.extend(_tokens_to_ids(wordpiece_tokenize(report.query_text(), vocab), vocab))
     return _finish(stream, vocab, limit)
-
-
-def decode(seq: EncodedSequence, vocab: Vocabulary) -> list[str]:
-    """Surface forms of the real (non-padding) tokens; handy in tests."""
-    return [vocab.id_to_token[i] for i in seq.ids[: seq.real_length]]

@@ -296,13 +296,13 @@ def candidate_docs(
     n_prime: int | None,
     nprobe: int,
 ) -> np.ndarray:
-    """Pack positions (int64) of the unique candidate documents for a query matrix.
+    """Ascending pack positions (int64) of the documents a query's hits land in.
 
     Each query row fetches its share (ceil(n_prime / rows)) of the
     n_prime nearest embeddings; when n_prime is None or covers the whole
-    index, every row fetches everything. Documents are ordered by first
-    appearance while walking all fetched embeddings by descending score
-    (ties by ascending embedding id).
+    index, every row fetches everything. The result is a set: each
+    candidate appears once, and ascending positions read the pack front
+    to back when the candidates are re-scored.
     """
     if n_prime is not None and n_prime < 1:
         raise ValueError(f"candidate count must be >= 1 (or None for all), got {n_prime}")
@@ -320,17 +320,10 @@ def candidate_docs(
     else:
         per_row = -(-int(n_prime) // q_rows.shape[0])  # ceil division
 
-    all_ids, all_scores = _batched_row_search(index, q_rows, nprobe, per_row)
-    # a document first appears at its best hit, so order documents by that hit
+    all_ids, _ = _batched_row_search(index, q_rows, nprobe, per_row)
     docs = _doc_indices(index.doc_offsets, all_ids)
     n_docs = index.doc_offsets.shape[0] - 1
-    best = np.full(n_docs, -np.inf)
-    np.maximum.at(best, docs, all_scores)
-    at_best = all_scores == best[docs]
-    best_id = np.full(n_docs, np.iinfo(np.uint64).max, dtype=np.uint64)
-    np.minimum.at(best_id, docs[at_best], all_ids[at_best])
-    hit = np.flatnonzero(np.bincount(docs, minlength=n_docs))
-    return hit[np.lexsort((best_id[hit], -best[hit]))].astype(np.int64, copy=False)
+    return np.flatnonzero(np.bincount(docs, minlength=n_docs)).astype(np.int64, copy=False)
 
 
 # -- serialization (FBLI) -------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,9 +24,10 @@ from .embed import (
     embed_sequence,
 )
 from .encode import EncodedSequence, Strategy, Vocabulary, encode_document, encode_query
+from .errors import DataError
 from .index import IvfPqIndex, build_index
 from .retrieve import PackedCorpus, RankedResult, rank_exact, rank_two_stage
-from .store import Manifest
+from .store import Manifest, SessionArtifacts
 
 
 @dataclass
@@ -78,8 +79,15 @@ class Config:
         }[self.granularity]
 
 
-def make_embedder(config: Config, data: bytes | None = None) -> TokenEmbedder:
-    """The configured embedder; ``data`` is the file's bytes when already read."""
+def make_embedder(
+    config: Config, data: bytes | None = None, vocab: Vocabulary | None = None
+) -> TokenEmbedder:
+    """The configured embedder; ``data`` is the file's bytes when already read.
+
+    Given the vocabulary it will embed, a file table must hold a row for
+    each of its ids; a shorter one is a data error, raised before any
+    document is embedded.
+    """
     if config.embedder_kind == "hash":
         return ReferenceHashEmbedder(d_in=config.d_in, seed=config.seed)
     if config.embedder_kind == "file":
@@ -88,6 +96,12 @@ def make_embedder(config: Config, data: bytes | None = None) -> TokenEmbedder:
         emb = FileEmbedder.from_file(config.embedder_path, data)
         if emb.d_in != config.d_in:
             raise ValueError(f"embedder file dim {emb.d_in} != configured d_in {config.d_in}")
+        rows = emb.matrix.shape[0]
+        if vocab is not None and rows < len(vocab):
+            raise DataError(
+                f"{config.embedder_path}: {rows} rows cannot embed the {len(vocab)} ids "
+                "of the vocabulary"
+            )
         return emb
     raise ValueError(f"unknown embedder kind {config.embedder_kind!r}")
 
@@ -119,15 +133,6 @@ def embed_query_text(
     return embed_sequence(seq, embedder, projection, is_query=True)
 
 
-@dataclass
-class BuiltSession:
-    manifest: Manifest
-    index: IvfPqIndex
-    projection: LinearProjection
-    doc_matrices: PackedCorpus
-    documents: list[Document] = field(default_factory=list)
-
-
 def build_session(
     changesets: Sequence[Changeset],
     vocab: Vocabulary,
@@ -135,11 +140,11 @@ def build_session(
     projection: LinearProjection | None = None,
     corpus_hash: str = "",
     vocab_hash: str = "",
-) -> BuiltSession:
+) -> SessionArtifacts:
     """Encode, embed, and index a corpus under one configuration."""
+    embedder = make_embedder(config, vocab=vocab)
     docs = explode_corpus(changesets, config.granularity)
     seqs = encode_documents(docs, config.strategy, vocab, config.doc_limit())
-    embedder = make_embedder(config)
     if projection is None:
         projection = LinearProjection.seeded_init(config.d_in, config.d_out, config.seed)
     matrices = PackedCorpus.from_matrices(embed_documents(seqs, embedder, projection))
@@ -170,13 +175,7 @@ def build_session(
         doc_limit=config.doc_limit(),
         query_limit=config.query_limit,
     )
-    return BuiltSession(
-        manifest=manifest,
-        index=index,
-        projection=projection,
-        doc_matrices=matrices,
-        documents=docs,
-    )
+    return SessionArtifacts(manifest, index, projection, matrices)
 
 
 def run_query(
@@ -190,7 +189,8 @@ def run_query(
 ) -> RankedResult:
     if exact:
         result = rank_exact(query, docs, bug_id=bug_id)
-        return RankedResult(bug_id=bug_id, entries=result.entries[:k], mode=result.mode)
+        result.entries = result.entries[:k]
+        return result
     return rank_two_stage(
         query,
         index,
@@ -253,14 +253,16 @@ def sweep_latency(
     config: Config,
     n_queries: int = 5,
     k: int = 10,
-    build_max_iters: int = 8,
     query_rows: int = 64,
 ) -> list[BenchRow]:
     """Exact vs two-stage mean per-query latency at several corpus sizes.
 
     Queries are stitched from sampled document rows (bug reports run longer
     than hunks, hence query_rows). Quantizer quality barely affects scan
-    latency, so index builds here run few k-means iterations.
+    latency, so index builds here run few k-means iterations. Each path's
+    query loop runs in three rounds, alternating which path goes first, and
+    reports its fastest round: load from other processes that slows one
+    round does not reach the ratio.
     """
     rng = np.random.default_rng(config.seed)
     rows_out: list[BenchRow] = []
@@ -276,7 +278,7 @@ def sweep_latency(
             n_subspaces=cfg.n_subspaces,
             n_codewords=min(cfg.n_codewords, max(1, n_rows)),
             seed=cfg.seed,
-            max_iters=build_max_iters,
+            max_iters=8,
         )
         doc_ids = pack.ids
         queries = []
@@ -294,15 +296,14 @@ def sweep_latency(
         run_query(queries[0], index, pack, cfg, k=k, exact=True)
         run_query(queries[0], index, pack, cfg, k=k, exact=False)
 
-        t0 = time.perf_counter()
-        for q in queries:
-            run_query(q, index, pack, cfg, k=k, exact=True)
-        exact_mean = (time.perf_counter() - t0) / len(queries)
-
-        t0 = time.perf_counter()
-        for q in queries:
-            run_query(q, index, pack, cfg, k=k, exact=False)
-        two_stage_mean = (time.perf_counter() - t0) / len(queries)
+        fastest = {True: float("inf"), False: float("inf")}  # per-query mean, by exact
+        for r in range(3):
+            for exact in (r % 2 == 0, r % 2 == 1):
+                t0 = time.perf_counter()
+                for q in queries:
+                    run_query(q, index, pack, cfg, k=k, exact=exact)
+                fastest[exact] = min(fastest[exact], (time.perf_counter() - t0) / len(queries))
+        exact_mean, two_stage_mean = fastest[True], fastest[False]
 
         rows_out.append(
             BenchRow(

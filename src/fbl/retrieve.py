@@ -19,7 +19,6 @@ dissimilar.
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass
 from typing import IO, Mapping
@@ -32,16 +31,10 @@ from .embed import EmbeddingMatrix, PackedCorpus
 from .index import IvfPqIndex, candidate_docs
 
 
-class RankMode(enum.Enum):
-    EXACT = "exact"
-    TWO_STAGE = "two_stage"
-
-
 @dataclass
 class RankedResult:
     bug_id: str
     entries: list[tuple[str, float]]  # (doc_id, score), score non-increasing
-    mode: RankMode
 
 
 def _as_pack(docs: Mapping[str, EmbeddingMatrix]) -> PackedCorpus:
@@ -90,7 +83,7 @@ def rank_exact(
     if len(pack) == 0:
         raise ValueError("at least one document is required")
     entries = _rank_positions(query, pack, np.arange(len(pack), dtype=np.int64))
-    return RankedResult(bug_id=bug_id, entries=entries, mode=RankMode.EXACT)
+    return RankedResult(bug_id=bug_id, entries=entries)
 
 
 def rank_two_stage(
@@ -112,27 +105,18 @@ def rank_two_stage(
         np.array_equal(pack.offsets, index.doc_offsets) and pack.ids == index.doc_ids
     ):
         raise ValueError("the documents differ from those the index was built from")
-    # ascending positions read the pack front to back
-    positions = np.sort(candidate_docs(index, query, n_prime, nprobe))
-    entries = _rank_positions(query, pack, positions)[:k]
-    return RankedResult(bug_id=bug_id, entries=entries, mode=RankMode.TWO_STAGE)
+    entries = _rank_positions(query, pack, candidate_docs(index, query, n_prime, nprobe))[:k]
+    return RankedResult(bug_id=bug_id, entries=entries)
 
 
-def aggregate_to_changeset(result: RankedResult, how: str = "max") -> RankedResult:
-    """Collapse document-level entries to changeset level (max, or sum)."""
-    if how not in ("max", "sum"):
-        raise ValueError("aggregation must be 'max' or 'sum'")
+def aggregate_to_changeset(result: RankedResult) -> RankedResult:
+    """Collapse document-level entries to changeset level, each at its best document."""
     scores: dict[str, float] = {}
     for doc_id, score in result.entries:
         cs = changeset_of_doc(doc_id)
-        if cs not in scores:
-            scores[cs] = score
-        elif how == "max":
-            scores[cs] = max(scores[cs], score)
-        else:
-            scores[cs] += score
+        scores[cs] = max(scores.get(cs, score), score)
     entries = sorted(scores.items(), key=lambda e: (-e[1], e[0]))
-    return RankedResult(bug_id=result.bug_id, entries=entries, mode=result.mode)
+    return RankedResult(bug_id=result.bug_id, entries=entries)
 
 
 # -- result emission ------------------------------------------------------------
@@ -155,6 +139,6 @@ def write_jsonl(result: RankedResult, fh: IO[str]) -> None:
         )
 
 
-def write_trec(result: RankedResult, fh: IO[str], tag: str = "fbl") -> None:
+def write_trec(result: RankedResult, fh: IO[str]) -> None:
     for rank, (doc_id, score) in enumerate(result.entries, start=1):
-        fh.write(f"{result.bug_id} Q0 {doc_id} {rank} {score:.6f} {tag}\n")
+        fh.write(f"{result.bug_id} Q0 {doc_id} {rank} {score:.6f} fbl\n")

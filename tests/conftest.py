@@ -6,7 +6,7 @@ import pytest
 
 from fbl.corpus import Document, Granularity
 from fbl.diffs import Changeset, DiffLine, FileDiff, Hunk, LineKind
-from fbl.encode import Vocabulary
+from fbl.encode import EncodedSequence, Vocabulary
 from fbl.index import _doc_indices
 
 
@@ -56,6 +56,31 @@ def random_hunk(rng: random.Random, words=("alpha", "beta", "gamma", "delta")) -
     if not has_mod:
         lines.append(("+", rng.choice(words)))
     return make_hunk(lines)
+
+
+def decode(seq: EncodedSequence, vocab: Vocabulary) -> list[str]:
+    """Surface forms of the real (non-padding) tokens."""
+    return [vocab.id_to_token[i] for i in seq.ids[: seq.real_length]]
+
+
+def render_unified_diff(cs: Changeset) -> str:
+    """Serialize a Changeset back to git-style unified diff text.
+
+    parse_unified_diff(render_unified_diff(cs), ...) reproduces the same
+    file/hunk/line structure.
+    """
+    out: list[str] = []
+    for fd in cs.files:
+        out.append(f"diff --git a/{fd.path} b/{fd.path}")
+        out.append(f"--- a/{fd.path}")
+        out.append(f"+++ b/{fd.path}")
+        for h in fd.hunks:
+            old_count = sum(1 for dl in h.lines if dl.kind is not LineKind.ADDED)
+            new_count = sum(1 for dl in h.lines if dl.kind is not LineKind.REMOVED)
+            out.append(f"@@ -{h.old_start},{old_count} +{h.new_start},{new_count} @@")
+            for dl in h.lines:
+                out.append(dl.kind.value + dl.text)
+    return "\n".join(out) + ("\n" if out else "")
 
 
 @pytest.fixture
@@ -155,7 +180,8 @@ def candidate_docs_reference(index, query_matrix, n_prime, nprobe):
     """candidate_docs by the flat scan: every embedding scored on its own.
 
     Probes, LUTs and the float64 sum of terms are candidate_docs's own, so
-    the scores are its bits; runs play no part.
+    the scores are its bits; runs play no part. Returns the ascending
+    positions of the documents the kept hits land in.
     """
     q_rows = np.asarray(query_matrix.rows, dtype=np.float32)
     q_rows = np.ascontiguousarray(q_rows[np.linalg.norm(q_rows, axis=1) > 0])
@@ -168,7 +194,7 @@ def candidate_docs_reference(index, query_matrix, n_prime, nprobe):
     codes = flat_codes(index)
     offsets = index.part_offsets
     luts = [q_rows[:, s * dsub : (s + 1) * dsub] @ index.codebooks[s].T for s in range(m)]
-    best = {}  # doc -> (-score, id) of its best hit
+    hit = set()
     for r in range(len(q_rows)):
         hits = []
         for p in probes[r]:
@@ -178,7 +204,6 @@ def candidate_docs_reference(index, query_matrix, n_prime, nprobe):
                 score += luts[s][r, c[:, s]]
             score += coarse[r, p]
             hits += zip((-score).tolist(), index.flat_ids[offsets[p] : offsets[p + 1]].tolist())
-        for hit in sorted(hits)[:per_row]:
-            doc = int(_doc_indices(index.doc_offsets, hit[1]))
-            best[doc] = min(best.get(doc, hit), hit)
-    return np.asarray(sorted(best, key=best.get), dtype=np.int64)
+        for _, embedding_id in sorted(hits)[:per_row]:
+            hit.add(int(_doc_indices(index.doc_offsets, embedding_id)))
+    return np.asarray(sorted(hit), dtype=np.int64)

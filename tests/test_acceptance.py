@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import doc_of, hunk_doc, partition, random_hunk, reconstruct
+from conftest import decode, doc_of, hunk_doc, partition, random_hunk, reconstruct
 from fbl.corpus import BugReport, GoldLink, Granularity, build_triplets, explode_corpus
 from fbl.diffs import parse_unified_diff
 from fbl.embed import (
@@ -24,7 +24,7 @@ from fbl.embed import (
     loss_from_raw,
     train_projection,
 )
-from fbl.encode import Strategy, Vocabulary, decode, encode_document, encode_query
+from fbl.encode import Strategy, Vocabulary, encode_document, encode_query
 from fbl.evaluation import (
     mean_average_precision,
     mean_precision_at_k,

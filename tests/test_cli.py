@@ -488,6 +488,84 @@ def test_file_embedder_roundtrip(corpus_dir, capsys, tmp_path):
     assert top["changeset_id"] == "c3"
 
 
+def _short_table(vocab, path):
+    """An FBLE table one row short of the vocabulary; returns its row count."""
+    import numpy as np
+    from fbl.embed import write_matrix_file
+    from fbl.encode import Vocabulary
+
+    rows = len(Vocabulary.from_file(vocab)) - 1
+    write_matrix_file(path, np.random.default_rng(0).standard_normal((rows, 32)))
+    return rows
+
+
+def _assert_short_table_error(capsys, path, rows):
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["kind"] == "data"
+    assert str(path) in payload["error"]
+    assert f"{rows} rows" in payload["error"] and f"{rows + 1} ids" in payload["error"]
+
+
+@pytest.mark.parametrize("command", ["index", "train-projection"])
+def test_file_embedder_short_of_the_vocabulary_exits_2(corpus_dir, capsys, tmp_path,
+                                                       monkeypatch, command):
+    from fbl.embed import FileEmbedder
+
+    base_tmp, corpus, vocab = corpus_dir
+    emb_path = tmp_path / "short.fble"
+    rows = _short_table(vocab, emb_path)
+
+    def embedded(self, ids):
+        raise AssertionError("a document was embedded")
+
+    monkeypatch.setattr(FileEmbedder, "embed_ids", embedded)
+    if command == "index":
+        argv = _index_args(corpus, vocab, tmp_path / "session")
+    else:
+        argv = ["train-projection", "--corpus", str(corpus), "--vocab", str(vocab),
+                "--out", str(tmp_path / "proj.fble"), "--d-in", "32", "--d-out", "16"]
+    capsys.readouterr()
+    assert main(argv + ["--embedder", f"file:{emb_path}"]) == 2
+    _assert_short_table_error(capsys, emb_path, rows)
+
+
+def test_query_on_a_session_whose_embedder_is_short_exits_2(corpus_dir, capsys, tmp_path):
+    import hashlib
+
+    import numpy as np
+    from fbl.embed import write_matrix_file
+    from fbl.encode import Vocabulary
+
+    base_tmp, corpus, vocab = corpus_dir
+    full = tmp_path / "full.fble"
+    write_matrix_file(full, np.ones((len(Vocabulary.from_file(vocab)), 32)))
+    session = tmp_path / "session"
+    assert main(_index_args(corpus, vocab, session) + ["--embedder", f"file:{full}"]) == 0
+    # swap in a shorter table, with a checksum that matches it
+    emb_path = session / "embedder.fble"
+    rows = _short_table(vocab, emb_path)
+    manifest = session / "manifest.json"
+    data = json.loads(manifest.read_bytes())
+    data["checksums"]["embedder.fble"] = hashlib.sha256(emb_path.read_bytes()).hexdigest()
+    manifest.write_text(json.dumps(data))
+    capsys.readouterr()
+    # "turbo" and the query marks all have rows; only the vocabulary's last id has none
+    assert main(["query", "--session", str(session), "--text", "turbo"]) == 2
+    _assert_short_table_error(capsys, emb_path, rows)
+
+
+def test_train_projection_rejects_a_link_to_an_unknown_bug(corpus_dir, capsys, tmp_path):
+    base_tmp, corpus, vocab = corpus_dir
+    with open(corpus / "links.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"bug_id": "b9", "changeset_id": "c1"}) + "\n")
+    capsys.readouterr()
+    argv = ["train-projection", "--corpus", str(corpus), "--vocab", str(vocab),
+            "--out", str(tmp_path / "proj.fble"), "--d-in", "32", "--d-out", "16"]
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload == {"error": "link references unknown bug 'b9'", "kind": "data"}
+
+
 def test_query_deterministic_across_runs(corpus_dir, capsys, tmp_path):
     base_tmp, corpus, vocab = corpus_dir
     session = base_tmp / "session"

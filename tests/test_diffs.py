@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import make_changeset, make_hunk, random_hunk
-from fbl.diffs import LineKind, parse_unified_diff, render_unified_diff
+from conftest import make_changeset, make_hunk, random_hunk, render_unified_diff
+from fbl.diffs import LineKind, parse_unified_diff
 from fbl.errors import MalformedDiff
 
 SIMPLE = """diff --git a/src/Main.java b/src/Main.java

@@ -16,7 +16,6 @@ from fbl.embed import (
     loss_from_raw,
     read_matrix_file,
     train_projection,
-    triplet_loss,
     write_matrix_file,
 )
 from fbl.encode import EncodedSequence
@@ -139,6 +138,12 @@ def test_projection_rejects_widening():
 def _unit(v):
     v = np.asarray(v, dtype=np.float64)
     return v / np.linalg.norm(v)
+
+
+def triplet_loss(q, pos, neg, margin):
+    """The training loss of unit rows: loss_from_raw through an identity projection."""
+    eye = LinearProjection(np.eye(q.rows.shape[1]))
+    return loss_from_raw(q.rows, pos.rows, neg.rows, eye, margin)
 
 
 def test_triplet_loss_symmetric_case_gives_margin():

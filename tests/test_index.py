@@ -423,7 +423,9 @@ def test_candidate_docs_on_repeated_rows_matches_the_flat_scan(nprobe):
         q = EmbeddingMatrix(rows=rows, is_query=True)
         for n_prime in (1, 7, 50, None):
             want = candidate_docs_reference(idx, q, n_prime, nprobe)
-            assert candidate_docs(idx, q, n_prime, nprobe).tolist() == want.tolist()
+            got = candidate_docs(idx, q, n_prime, nprobe)
+            assert got.dtype == np.int64 and np.all(np.diff(got) > 0)  # a set, ascending
+            assert got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("n_prime", [0, -1, -5, -100])

@@ -10,7 +10,6 @@ from fbl.embed import EmbeddingMatrix
 from fbl.index import build_index
 from fbl.retrieve import (
     RankedResult,
-    RankMode,
     aggregate_to_changeset,
     maxsim,
     rank_exact,
@@ -100,7 +99,6 @@ def test_rank_exact_single_doc():
     res = rank_exact(_q(E[:1]), {"only:0:0": _d(E[:1])})
     assert len(res.entries) == 1
     assert res.entries[0][0] == "only:0:0"
-    assert res.mode is RankMode.EXACT
 
 
 def test_rank_exact_tie_breaks_by_doc_id():
@@ -157,7 +155,6 @@ def test_two_stage_exhaustive_equals_exact():
         exact = rank_exact(q, docs)
         two = rank_two_stage(q, idx, docs, n_prime=None, nprobe=8, k=len(docs))
         assert two.entries == exact.entries
-        assert two.mode is RankMode.TWO_STAGE
 
 
 def test_two_stage_k_truncates():
@@ -197,7 +194,6 @@ def test_aggregate_max_rule():
     res = RankedResult(
         bug_id="b",
         entries=[("cs1:0:1", 0.9), ("cs1:0:2", 0.4), ("cs1:0:0", 0.2)],
-        mode=RankMode.EXACT,
     )
     agg = aggregate_to_changeset(res)
     assert agg.entries == [("cs1", 0.9)]
@@ -207,7 +203,6 @@ def test_aggregate_disjoint_preserves_order():
     res = RankedResult(
         bug_id="b",
         entries=[("a:0:0", 0.9), ("b:0:0", 0.5), ("c:0:0", 0.1)],
-        mode=RankMode.EXACT,
     )
     agg = aggregate_to_changeset(res)
     assert agg.entries == [("a", 0.9), ("b", 0.5), ("c", 0.1)]
@@ -218,16 +213,13 @@ def test_aggregate_interleaved_hand_fixture():
     res = RankedResult(
         bug_id="b",
         entries=[("x:0:0", 0.8), ("y:0:0", 0.7), ("x:0:1", 0.6), ("y:1:0", 0.2)],
-        mode=RankMode.EXACT,
     )
     agg = aggregate_to_changeset(res)
     assert agg.entries == [("x", 0.8), ("y", 0.7)]
-    summed = aggregate_to_changeset(res, how="sum")
-    assert summed.entries == [("x", pytest.approx(1.4)), ("y", pytest.approx(0.9))]
 
 
 def test_emission_formats():
-    res = RankedResult(bug_id="bug7", entries=[("cs9:0:3", 1.25)], mode=RankMode.EXACT)
+    res = RankedResult(bug_id="bug7", entries=[("cs9:0:3", 1.25)])
     buf = io.StringIO()
     write_jsonl(res, buf)
     row = json.loads(buf.getvalue())
@@ -239,5 +231,5 @@ def test_emission_formats():
         "score": 1.25,
     }
     buf = io.StringIO()
-    write_trec(res, buf, tag="run1")
-    assert buf.getvalue() == "bug7 Q0 cs9:0:3 1 1.250000 run1\n"
+    write_trec(res, buf)
+    assert buf.getvalue() == "bug7 Q0 cs9:0:3 1 1.250000 fbl\n"
