@@ -2,7 +2,7 @@
 
     maxsim_packed    late-interaction score of packed documents, in place
     assign_nearest   nearest centroid per point (k-means assignment)
-    centroid_sums    per-cluster sums and counts (k-means update)
+    centroid_sums    per-cluster (weighted) sums and counts (k-means update)
     adc_topk_rows    per query row, the top embeddings of its probed partitions
 
 Each is deterministic: the same inputs give the same bits.
@@ -75,15 +75,25 @@ def assign_nearest(points: np.ndarray, centroids: np.ndarray):
     return labels, dists
 
 
-def centroid_sums(points: np.ndarray, labels: np.ndarray, k: int):
-    counts = np.bincount(labels, minlength=k).astype(np.int64)
+def centroid_sums(points: np.ndarray, labels: np.ndarray, k: int, weights=None):
+    """Per-cluster sums of w * x and totals of w (counts when weights is None).
+
+    The weighted points add in stable label order, so the sums do not
+    depend on how the labels were computed. Unweighted counts are int64.
+    """
+    counts = np.bincount(labels, weights=weights, minlength=k)
     sums = np.zeros((k, points.shape[1]), dtype=np.float64)
     order = np.argsort(labels, kind="stable")
-    sorted_pts = points[order]
+    sorted_pts = points[order].astype(np.float64, copy=False)  # a fresh array
+    if weights is not None:
+        sorted_pts *= weights[order, None]
     sorted_lab = labels[order]
-    uniq, first = np.unique(sorted_lab, return_index=True)
-    if uniq.size:
-        sums[uniq] = np.add.reduceat(sorted_pts.astype(np.float64, copy=False), first, axis=0)
+    if sorted_lab.size:
+        # each cluster's block starts where the sorted label changes
+        new = np.ones(sorted_lab.shape[0], dtype=bool)
+        np.not_equal(sorted_lab[1:], sorted_lab[:-1], out=new[1:])
+        first = np.flatnonzero(new)
+        sums[sorted_lab[first]] = np.add.reduceat(sorted_pts, first, axis=0)
     return sums, counts
 
 

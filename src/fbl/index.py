@@ -20,6 +20,14 @@ back, with no document table: the pack stored beside it owns that, and
 ``load_index`` takes it from the loaded pack. k-means trains in float64
 (monotone distortion trace); the stored centroids, codebooks, and all
 query-time math are float32.
+
+Training sees each distinct row once. A context-free embedder gives every
+occurrence of a token the same row, so a corpus holds at most |vocab|
+distinct rows; the build dedupes the rows by their bytes, trains the
+coarse quantizer and every PQ codebook on the distinct rows weighted by
+their multiplicity, assigns and encodes each distinct row once, and every
+copy takes its distinct row's partition and code. A corpus without
+repeated rows trains on its rows as they are.
 """
 
 from __future__ import annotations
@@ -48,12 +56,26 @@ class KmeansResult:
     distortions: list[float]  # mean squared distance per Lloyd iteration
 
 
-def kmeans(points: np.ndarray, k: int, max_iters: int = 25, seed: int = 0) -> KmeansResult:
+def kmeans(
+    points: np.ndarray,
+    k: int,
+    max_iters: int = 25,
+    seed: int = 0,
+    weights: np.ndarray | None = None,
+) -> KmeansResult:
     """Lloyd's algorithm from a seeded k-means++ start.
 
     Stops when assignments are stable or max_iters is hit. An empty
     cluster is re-seeded with the point farthest from its current
     centroid, which keeps the distortion trace non-increasing.
+
+    ``weights`` (one positive, finite value per point) makes point i count
+    as weights[i] copies of itself: seeds after the first are drawn in
+    proportion to w * d^2 (the first is still a uniform draw over the
+    points), a centroid is the weighted mean of its points and the
+    distortion is the weighted mean squared distance. Weights of 1 give
+    the unweighted run bit for bit, and scaling every weight by a power
+    of two changes no bit. With weights None every point weighs 1.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
@@ -61,6 +83,16 @@ def kmeans(points: np.ndarray, k: int, max_iters: int = 25, seed: int = 0) -> Km
         raise ValueError("kmeans needs at least one point")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (n,):
+            raise ValueError(
+                f"weights must hold one value per point ({n}), got shape {weights.shape}"
+            )
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
+        if not np.all(weights > 0):
+            raise ValueError(f"weights must be > 0, got {float(weights.min())}")
     rng = np.random.default_rng(seed)
 
     if k >= n:
@@ -68,18 +100,18 @@ def kmeans(points: np.ndarray, k: int, max_iters: int = 25, seed: int = 0) -> Km
         reps = [pts[i % n] for i in range(k)]
         centroids = np.stack(reps)
         labels, dists = _kernels.assign_nearest(pts, centroids)
-        return KmeansResult(centroids, labels, [float(np.mean(dists))])
+        return KmeansResult(centroids, labels, [float(np.average(dists, weights=weights))])
 
-    centroids = _kmeans_pp_init(pts, k, rng)
+    centroids = _kmeans_pp_init(pts, k, rng, weights)
     labels = np.full(n, -1, dtype=np.int64)
     distortions: list[float] = []
     for _ in range(max_iters):
         new_labels, dists = _kernels.assign_nearest(pts, centroids)
-        distortions.append(float(np.mean(dists)))
+        distortions.append(float(np.average(dists, weights=weights)))
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        sums, counts = _kernels.centroid_sums(pts, labels, k)
+        sums, counts = _kernels.centroid_sums(pts, labels, k, weights)
         nonempty = counts > 0
         centroids = centroids.copy()
         centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
@@ -93,8 +125,14 @@ def kmeans(points: np.ndarray, k: int, max_iters: int = 25, seed: int = 0) -> Km
     return KmeansResult(centroids, labels, distortions)
 
 
-def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(
+    pts: np.ndarray, k: int, rng: np.random.Generator, weights: np.ndarray | None = None
+) -> np.ndarray:
     """k-means++ seeds; every squared distance is the exact difference form.
+
+    The first seed is a uniform draw; each later one is drawn in proportion
+    to w * d2, the weight (1 without weights) times the squared distance to
+    the nearest seed so far.
 
     After each pick c, a point's distance falls only where the exact
     difference form ||x - c||^2 is below its current d2. A GEMM-form
@@ -120,11 +158,12 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     bounded = bool(np.all(x2 < 1e300))
     x2_lo = x2 * (1.0 - slack)
     for i in range(1, k):
-        total = d2.sum()
+        wd2 = d2 if weights is None else weights * d2
+        total = wd2.sum()
         if total <= 0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            idx = int(rng.choice(n, p=wd2 / total))
         c = centroids[i] = pts[idx]
         if bounded:
             est = pts @ c
@@ -183,6 +222,26 @@ def _doc_indices(doc_offsets: np.ndarray, embedding_ids) -> np.ndarray:
     return docs
 
 
+def _distinct_rows(rows: np.ndarray):
+    """The distinct rows, by their bytes, in order of first appearance.
+
+    Returns (first, inverse, counts): distinct row j is rows[first[j]] and
+    occurs counts[j] (float64) times, and row i is distinct row inverse[i].
+    All three are None when no row repeats, so callers use rows as they are.
+    """
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    if first.shape[0] == rows.shape[0]:
+        return None, None, None
+    order = np.argsort(first)  # np.unique orders by bytes
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    return first[order], rank[inverse], counts[order].astype(np.float64)
+
+
 def build_index(
     doc_matrices: Mapping[str, EmbeddingMatrix],
     n_partitions: int,
@@ -191,10 +250,14 @@ def build_index(
     seed: int = 0,
     max_iters: int = 25,
 ) -> IvfPqIndex:
-    """Train coarse + PQ quantizers on all rows and encode the corpus.
+    """Train coarse + PQ quantizers on the distinct rows and encode the corpus.
 
     Embedding ids are row indices of the packed corpus; the index borrows
-    the pack's offsets and ids, which map them back to documents.
+    the pack's offsets and ids, which map them back to documents. Rows
+    that repeat (a context-free embedder gives every occurrence of a token
+    the same row) are trained on, assigned and encoded once, weighted by
+    their multiplicity, and every copy takes its distinct row's partition
+    and code. Without repeats this is training on every row.
     """
     pack = PackedCorpus.from_matrices(doc_matrices)
     rows = pack.rows
@@ -210,34 +273,41 @@ def build_index(
         raise ValueError("codebook size must be in [1, 256]")
     dsub = d // n_subspaces
 
-    train = rows
-    if total > _TRAIN_SUBSAMPLE_CAP:
-        pick = np.sort(
-            np.random.default_rng(seed).choice(total, _TRAIN_SUBSAMPLE_CAP, replace=False)
-        )
-        train = rows[pick]
+    first, inverse, weights = _distinct_rows(rows)
+    distinct = rows if first is None else rows[first]
+    n_distinct = distinct.shape[0]
 
-    coarse = kmeans(train, n_partitions, max_iters=max_iters, seed=seed).centroids.astype(
-        np.float32
-    )
-    part, _ = _kernels.assign_nearest(rows, coarse)
-    residuals = rows - coarse[part]
+    train, train_w = distinct, weights
+    if n_distinct > _TRAIN_SUBSAMPLE_CAP:
+        pick = np.sort(
+            np.random.default_rng(seed).choice(n_distinct, _TRAIN_SUBSAMPLE_CAP, replace=False)
+        )
+        train = distinct[pick]
+        train_w = None if weights is None else weights[pick]
+
+    coarse = kmeans(
+        train, n_partitions, max_iters=max_iters, seed=seed, weights=train_w
+    ).centroids.astype(np.float32)
+    part, _ = _kernels.assign_nearest(distinct, coarse)
+    residuals = distinct - coarse[part]
 
     train_res = residuals
-    if total > _TRAIN_SUBSAMPLE_CAP:
+    if n_distinct > _TRAIN_SUBSAMPLE_CAP:
         train_res = residuals[pick]
     codebooks = np.empty((n_subspaces, n_codewords, dsub), dtype=np.float32)
     for s in range(n_subspaces):
         sub = train_res[:, s * dsub : (s + 1) * dsub]
         codebooks[s] = kmeans(
-            sub, n_codewords, max_iters=max_iters, seed=seed + 1 + s
+            sub, n_codewords, max_iters=max_iters, seed=seed + 1 + s, weights=train_w
         ).centroids.astype(np.float32)
 
-    codes = np.empty((total, n_subspaces), dtype=np.uint8)
+    codes = np.empty((n_distinct, n_subspaces), dtype=np.uint8)
     for s in range(n_subspaces):
         sub = residuals[:, s * dsub : (s + 1) * dsub]
         lab, _ = _kernels.assign_nearest(sub, codebooks[s])
         codes[:, s] = lab.astype(np.uint8)
+    if inverse is not None:  # each row takes its distinct row's partition and code
+        part, codes = part[inverse], codes[inverse]
 
     # by partition, then code (first subspace most significant); lexsort is
     # stable, so the ids of one (partition, code) run stay ascending

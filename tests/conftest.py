@@ -118,18 +118,22 @@ def assign_nearest_reference(points, centroids):
     return labels, dists
 
 
-def kmeans_pp_init_reference(pts, k, rng):
-    """k-means++ seeding that updates every point's exact distance at every pick."""
+def kmeans_pp_init_reference(pts, k, rng, weights=None):
+    """k-means++ seeding that updates every point's exact distance at every pick.
+
+    Later picks are drawn in proportion to weight * d2 (weight 1 without weights).
+    """
     n = pts.shape[0]
+    w = np.ones(n) if weights is None else weights
     centroids = np.empty((k, pts.shape[1]), dtype=np.float64)
     centroids[0] = pts[int(rng.integers(n))]
     d2 = np.sum((pts - centroids[0]) ** 2, axis=1)
     for i in range(1, k):
-        total = d2.sum()
+        total = (w * d2).sum()
         if total <= 0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            idx = int(rng.choice(n, p=w * d2 / total))
         centroids[i] = pts[idx]
         d2 = np.minimum(d2, np.sum((pts - centroids[i]) ** 2, axis=1))
     return centroids

@@ -82,10 +82,37 @@ def test_kmeans_distortion_non_increasing():
     for seed in (1, 2, 3):
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((300, 6))
-        res = kmeans(pts, k=12, max_iters=30, seed=seed)
-        assert len(res.distortions) >= 1
-        for a, b in zip(res.distortions, res.distortions[1:]):
-            assert b <= a + 1e-12
+        weights = rng.integers(1, 50, size=300).astype(np.float64)
+        weights[::7] *= 0.01  # non-integer weights too
+        for w in (None, weights):  # the weighted trace is the weighted mean
+            res = kmeans(pts, k=12, max_iters=30, seed=seed, weights=w)
+            assert len(res.distortions) >= 1
+            for a, b in zip(res.distortions, res.distortions[1:]):
+                assert b <= a + 1e-12
+
+
+def test_kmeans_weight_pulls_the_centroid_to_the_weighted_mean():
+    pts = np.array([[0.0, 0.0], [4.0, 0.0]])
+    res = kmeans(pts, k=1, seed=0, weights=[3.0, 1.0])
+    np.testing.assert_array_equal(res.centroids[0], [1.0, 0.0])
+    assert res.distortions[-1] == pytest.approx((3 * 1.0 + 1 * 9.0) / 4)
+
+
+@pytest.mark.parametrize(
+    "weights, problem",
+    [
+        (np.ones(9), "one value per point"),
+        (np.ones((10, 1)), "one value per point"),
+        (np.r_[np.ones(9), np.nan], "finite"),
+        (np.r_[np.ones(9), np.inf], "finite"),
+        (np.r_[np.ones(9), 0.0], "> 0"),
+        (np.r_[np.ones(9), -2.0], "> 0"),
+    ],
+)
+def test_kmeans_rejects_bad_weights_naming_the_problem(weights, problem):
+    pts = np.random.default_rng(0).standard_normal((10, 3))
+    with pytest.raises(ValueError, match=problem):
+        kmeans(pts, k=3, weights=weights)
 
 
 def test_kmeans_k_exceeds_points_pads_by_reuse():
@@ -125,24 +152,33 @@ def _seeding_inputs():
 @pytest.mark.parametrize("case", list(_seeding_inputs()))
 def test_kmeans_pp_init_is_bit_identical_to_the_full_update(case):
     pts, k = _seeding_inputs()[case]
-    got = _kmeans_pp_init(pts, k, np.random.default_rng(3))
-    ref = kmeans_pp_init_reference(pts, k, np.random.default_rng(3))
-    assert got.tobytes() == ref.tobytes()
-    if case == "fewer_distinct_than_k":
-        assert len(np.unique(got, axis=0)) == 5
+    multiplicities = np.random.default_rng(4).integers(1, 30, size=pts.shape[0])
+    for weights in (None, multiplicities.astype(np.float64)):
+        got = _kmeans_pp_init(pts, k, np.random.default_rng(3), weights)
+        ref = kmeans_pp_init_reference(pts, k, np.random.default_rng(3), weights)
+        assert got.tobytes() == ref.tobytes()
+        if case == "fewer_distinct_than_k":
+            assert len(np.unique(got, axis=0)) == 5
 
 
 def test_build_index_is_bit_identical_with_the_reference_kernels(monkeypatch):
-    docs, _ = _random_corpus(np.random.default_rng(12), 1100, 8, 16)  # 8800 rows: two chunks
+    rng = np.random.default_rng(12)
+    corpora = [
+        _random_corpus(rng, 1100, 8, 16)[0],  # 8800 rows: two chunks
+        _repeated_rows_corpus(rng, n_docs=400, vocab=300)[0],  # the weighted path
+    ]
     args = dict(n_partitions=24, n_subspaces=4, n_codewords=32, seed=4, max_iters=4)
-    fast = build_index(docs, **args)
-    monkeypatch.setattr(index_module, "_kmeans_pp_init", kmeans_pp_init_reference)
-    monkeypatch.setattr(_kernels, "assign_nearest", assign_nearest_reference)
-    ref = build_index(docs, **args)
-    for name in (
-        "coarse", "codebooks", "part_runs", "run_offsets", "flat_ids", "run_codes", "doc_offsets"
-    ):
-        assert getattr(fast, name).tobytes() == getattr(ref, name).tobytes(), name
+    for docs in corpora:
+        fast = build_index(docs, **args)
+        with monkeypatch.context() as patch:
+            patch.setattr(index_module, "_kmeans_pp_init", kmeans_pp_init_reference)
+            patch.setattr(_kernels, "assign_nearest", assign_nearest_reference)
+            ref = build_index(docs, **args)
+        for name in (
+            "coarse", "codebooks", "part_runs", "run_offsets", "flat_ids", "run_codes",
+            "doc_offsets",
+        ):
+            assert getattr(fast, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 # -- build ------------------------------------------------------------------------
@@ -241,6 +277,64 @@ def test_runs_hold_each_distinct_code_of_a_partition_once():
     by_id = np.argsort(idx.flat_ids)
     assert np.array_equal(np.repeat(np.arange(6), np.diff(idx.part_offsets))[by_id], part)
     assert np.array_equal(codes[by_id], want)
+
+
+def _run_of(idx):
+    """The run index of every embedding id."""
+    run_of = np.empty(idx.n_embeddings, dtype=np.int64)
+    run_of[idx.flat_ids.astype(np.int64)] = np.repeat(
+        np.arange(idx.run_codes.shape[0]), np.diff(idx.run_offsets)
+    )
+    return run_of
+
+
+@pytest.mark.parametrize("repeats", [False, True], ids=["distinct_rows", "repeated_rows"])
+def test_every_document_twice_builds_the_same_quantizers_and_runs(repeats):
+    # doubling every multiplicity scales each weight by two, which is exact,
+    # so training sees the same distinct rows and draws the same seeds
+    rng = np.random.default_rng(15)
+    if repeats:
+        docs, _ = _repeated_rows_corpus(rng, n_docs=120, vocab=80)
+    else:
+        docs, _ = _random_corpus(rng, n_docs=150, tokens_per_doc=6, dim=16)
+    twice = dict(docs)
+    twice.update({f"z{i:05d}:0:0": m for i, m in enumerate(docs.values())})  # packed after
+    args = dict(n_partitions=8, n_subspaces=4, n_codewords=16, seed=6)
+    once_idx = build_index(docs, **args)
+    twice_idx = build_index(twice, **args)
+    for name in ("coarse", "codebooks", "part_runs", "run_codes"):
+        assert getattr(twice_idx, name).tobytes() == getattr(once_idx, name).tobytes(), name
+    n = once_idx.n_embeddings
+    assert twice_idx.n_embeddings == 2 * n
+    run_of = _run_of(twice_idx)
+    assert np.array_equal(run_of[:n], _run_of(once_idx))
+    assert np.array_equal(run_of[n:], run_of[:n])
+
+
+def test_unit_weights_build_the_bytes_of_the_unweighted_path(monkeypatch):
+    # a corpus without repeated rows trains unweighted on the rows as they
+    # are; forcing the weighted path with every weight 1 changes no byte
+    docs, _ = _random_corpus(np.random.default_rng(16), n_docs=300, tokens_per_doc=6, dim=16)
+    args = dict(n_partitions=12, n_subspaces=4, n_codewords=32, seed=2)
+    plain = build_index(docs, **args)
+
+    def unit_weights(rows):
+        n = rows.shape[0]
+        return np.arange(n), np.arange(n), np.ones(n)
+
+    monkeypatch.setattr(index_module, "_distinct_rows", unit_weights)
+    weighted = build_index(docs, **args)
+    for name in ("coarse", "codebooks", "part_runs", "run_offsets", "flat_ids", "run_codes"):
+        assert getattr(weighted, name).tobytes() == getattr(plain, name).tobytes(), name
+
+
+def test_distinct_rows_are_in_first_appearance_order():
+    rows = np.array([[2, 0], [1, 0], [2, 0], [0, 3], [1, 0], [2, 0]], dtype=np.float32)
+    first, inverse, counts = index_module._distinct_rows(rows)
+    assert first.tolist() == [0, 1, 3]
+    assert inverse.tolist() == [0, 1, 0, 2, 1, 0]
+    assert counts.tolist() == [3.0, 2.0, 1.0]
+    assert index_module._distinct_rows(rows[[0, 1, 3]]) == (None, None, None)
 
 
 def test_doc_of_maps_ids_past_empty_and_dead_docs():

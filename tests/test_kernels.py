@@ -97,6 +97,34 @@ def test_centroid_sums(backend):
     for j in range(7):
         np.testing.assert_allclose(sums[j], points[labels == j].sum(axis=0), atol=1e-9)
     np.testing.assert_array_equal(sums[7], 0)
+    # the same bits as segment starts found by np.unique, in stable label order
+    order = np.argsort(labels, kind="stable")
+    uniq, first = np.unique(labels[order], return_index=True)
+    want = np.zeros_like(sums)
+    want[uniq] = np.add.reduceat(points[order], first, axis=0)
+    assert sums.tobytes() == want.tobytes()
+
+
+def test_weighted_centroid_sums_count_multiplicities_exactly():
+    rng = np.random.default_rng(6)
+    points = rng.standard_normal((200, 5))
+    labels = rng.integers(0, 11, size=200).astype(np.int64)
+    mult = rng.integers(1, 9, size=200)
+    sums, counts = _kernels.centroid_sums(points, labels, 12, mult.astype(np.float64))
+    # the points as their multiplicities would repeat them
+    exp_sums, exp_counts = _kernels.centroid_sums(
+        np.repeat(points, mult, axis=0), np.repeat(labels, mult), 12
+    )
+    assert counts.tolist() == exp_counts.tolist()  # exact counts
+    assert counts[11] == 0
+    np.testing.assert_allclose(sums, exp_sums, rtol=1e-12, atol=1e-12)
+    # unit weights change no bit, and power-of-two weights scale exactly
+    plain, plain_counts = _kernels.centroid_sums(points, labels, 12)
+    unit, _ = _kernels.centroid_sums(points, labels, 12, np.ones(200))
+    doubled, doubled_counts = _kernels.centroid_sums(points, labels, 12, np.full(200, 2.0))
+    assert unit.tobytes() == plain.tobytes()
+    assert doubled.tobytes() == (2.0 * plain).tobytes()
+    assert doubled_counts.tolist() == (2 * plain_counts).tolist()
 
 
 def test_maxsim_packed_scores_any_subset_in_place():
