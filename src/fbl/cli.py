@@ -208,8 +208,9 @@ def cmd_train_projection(args) -> int:
         triplets, query_seqs, doc_seqs, embedder, cfg, d_out=config.d_out
     )
     result.projection.save(args.out)
+    done = f"trained on {len(triplets)} triplets for {cfg.epochs} epochs"
     trace = ", ".join(f"{x:.4f}" for x in result.epoch_losses)
-    print(f"trained on {len(triplets)} triplets; mean loss per epoch: {trace}")
+    print(f"{done}; mean loss per epoch: {trace}" if trace else done)
     print(f"projection -> {args.out}")
     return EXIT_OK
 

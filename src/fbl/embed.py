@@ -12,9 +12,12 @@ The projection is trained with a margin loss over triplets
     loss = max(0, margin - score(q, pos) + score(q, neg))
 
 with score the late-interaction sum of per-query-row maxima. Training is
-plain mini-batch SGD; the analytic gradient (including the row
-normalization Jacobian) is exposed separately so it can be checked against
-finite differences. Gradient and loss math run in float64; stored
+plain mini-batch SGD. A step projects and normalises each raw matrix of a
+triplet once and computes the analytic gradient (including the row
+normalization Jacobian) only when the hinge is open; ``loss_from_raw`` and
+``gradient_of_loss`` share that forward pass, so the gradient can be
+checked against finite differences. An epoch's loss is the mean of the
+losses its steps computed. Gradient and loss math run in float64; stored
 matrices are float32.
 """
 
@@ -135,12 +138,21 @@ class FileEmbedder:
     """Static token-id-indexed matrix loaded from an FBLE file."""
 
     def __init__(self, matrix: np.ndarray):
-        self.matrix = np.asarray(matrix, dtype=np.float64)
+        # a signalling NaN warns when cast; the finiteness check below rejects it
+        with np.errstate(invalid="ignore"):
+            self.matrix = np.asarray(matrix, dtype=np.float64)
+        bad = np.nonzero(~np.isfinite(self.matrix).all(axis=1))[0]
+        if bad.size:
+            raise ValueError(f"row {bad[0]} of the token table is not finite")
         self.d_in = self.matrix.shape[1]
 
     @classmethod
     def from_file(cls, path: str | Path, data: bytes | None = None) -> "FileEmbedder":
-        return cls(read_matrix_file(path, data))
+        matrix = read_matrix_file(path, data)
+        try:
+            return cls(matrix)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
     def embed_ids(self, ids: Sequence[int]) -> np.ndarray:
         arr = np.asarray(ids, dtype=np.int64)
@@ -270,63 +282,59 @@ def embed_sequence(
 # -- loss and gradient ---------------------------------------------------------
 
 
-def _pair_forward(q_raw: np.ndarray, d_raw: np.ndarray, w: np.ndarray):
-    """Late-interaction forward pass of a (query, doc) raw-matrix pair.
+def _forward(raws: Sequence[np.ndarray], w: np.ndarray, margin: float):
+    """One triplet's loss, with each raw matrix projected and normalised once.
 
-    Returns None for a document with no scorable row (score -inf), else
-    (qi, j, s, uq, ud, nq, nd): the query rows with a non-zero projection,
-    each one's best doc row (ties to the lowest index) and their
-    similarities, plus the unit rows and norms the gradient needs. The
-    score is ``s.sum()``.
+    ``raws`` is (query, positive, negative); an unscorable document (no
+    non-zero row) scores -inf. A hinge at most 0 gives (0.0, None): no loss,
+    nothing to differentiate. Any other hinge, NaN included, is the loss,
+    returned with what ``_gradient`` needs: the query's unit rows, norms and
+    non-zero rows qi, and per document None (unscorable) or (j, s, ud, nd),
+    each qi row's best doc row (ties to the lowest index), their
+    similarities, and the doc's unit rows and norms.
     """
-    yq = q_raw @ w
-    yd = d_raw @ w
-    nq = np.linalg.norm(yq, axis=1)
-    nd = np.linalg.norm(yd, axis=1)
-    valid_d = nd > 0
-    if not valid_d.any():
-        return None
-    uq = yq / np.where(nq > 0, nq, 1.0)[:, None]
-    ud = yd / np.where(valid_d, nd, 1.0)[:, None]
-    sims = uq @ ud.T
-    sims[:, ~valid_d] = -np.inf
+    units = []
+    for raw in raws:
+        y = raw @ w
+        n = np.linalg.norm(y, axis=1)
+        units.append((y / np.where(n > 0, n, 1.0)[:, None], n))
+    uq, nq = units[0]
     qi = np.nonzero(nq > 0)[0]
-    j = np.argmax(sims[qi], axis=1)
-    return qi, j, sims[qi, j], uq, ud, nq, nd
+    scores, docs = [], []
+    for ud, nd in units[1:]:
+        valid = nd > 0
+        if not valid.any():
+            scores.append(float("-inf"))
+            docs.append(None)
+            continue
+        sims = uq @ ud.T
+        sims[:, ~valid] = -np.inf
+        j = np.argmax(sims[qi], axis=1)
+        s = sims[qi, j]
+        scores.append(float(s.sum()))
+        docs.append((j, s, ud, nd))
+    hinge = margin - scores[0] + scores[1]
+    if hinge <= 0.0:
+        return 0.0, None
+    return hinge, (uq, nq, qi, docs)
 
 
-def _pair_score(q_raw: np.ndarray, d_raw: np.ndarray, w: np.ndarray) -> float:
-    """Late-interaction score of a (query, doc) raw-matrix pair."""
-    fwd = _pair_forward(q_raw, d_raw, w)
-    return float("-inf") if fwd is None else float(fwd[2].sum())
+def _gradient(raws: Sequence[np.ndarray], cache) -> np.ndarray:
+    """d(hinge)/dW of a triplet whose hinge ``_forward`` found open.
 
-
-def _pair_score_and_grad(q_raw: np.ndarray, d_raw: np.ndarray, w: np.ndarray):
-    """Late-interaction score of a (query, doc) raw-matrix pair and d(score)/dW."""
-    fwd = _pair_forward(q_raw, d_raw, w)
-    if fwd is None:
-        # unscorable document: -inf score, flat gradient; training aborts
-        # with NonFiniteLoss when this reaches a batch
-        return float("-inf"), np.zeros_like(w)
-    qi, j, s, uq, ud, nq, nd = fwd
-    grad = np.zeros_like(w)
-    if qi.size:
-        u = uq[qi]
-        v = ud[j]
-        gq = (v - s[:, None] * u) / nq[qi, None]
-        gd = (u - s[:, None] * v) / nd[j, None]
-        grad += q_raw[qi].T @ gq
-        grad += d_raw[j].T @ gd
-    return float(s.sum()), grad
-
-
-def _triplet_loss_and_grad(q_raw, pos_raw, neg_raw, w: np.ndarray, margin: float):
-    """Triplet loss and its gradient from one score-and-gradient pass per pair."""
-    s_pos, g_pos = _pair_score_and_grad(q_raw, pos_raw, w)
-    s_neg, g_neg = _pair_score_and_grad(q_raw, neg_raw, w)
-    hinge = margin - s_pos + s_neg
-    grad = np.zeros_like(w) if hinge <= 0.0 else g_neg - g_pos
-    return max(0.0, hinge), grad
+    Each score's gradient runs through the row normalisation Jacobian of its
+    best-matching pairs; an unscorable document contributes zero.
+    """
+    uq, nq, qi, docs = cache
+    grad = np.zeros((raws[0].shape[1], uq.shape[1]))
+    for sign, d_raw, doc in zip((-1.0, 1.0), raws[1:], docs):
+        if doc is not None:
+            j, s, ud, nd = doc
+            u, v = uq[qi], ud[j]
+            g = raws[0][qi].T @ ((v - s[:, None] * u) / nq[qi, None])
+            g += d_raw[j].T @ ((u - s[:, None] * v) / nd[j, None])
+            grad += sign * g
+    return grad
 
 
 def gradient_of_loss(
@@ -341,7 +349,9 @@ def gradient_of_loss(
     Inputs are raw (pre-projection) matrices. In the flat region of the
     hinge the gradient is exactly zero.
     """
-    return _triplet_loss_and_grad(q_raw, pos_raw, neg_raw, projection.weights, margin)[1]
+    raws = (q_raw, pos_raw, neg_raw)
+    _, cache = _forward(raws, projection.weights, margin)
+    return np.zeros_like(projection.weights) if cache is None else _gradient(raws, cache)
 
 
 def loss_from_raw(
@@ -353,11 +363,9 @@ def loss_from_raw(
 ) -> float:
     """Triplet loss computed from raw matrices; the target of gradient_of_loss.
 
-    Scores only: the same forward pass as the gradient, with no gradient.
+    Scores only: the forward pass that training and the gradient share.
     """
-    w = projection.weights
-    s_pos, s_neg = _pair_score(q_raw, pos_raw, w), _pair_score(q_raw, neg_raw, w)
-    return max(0.0, margin - s_pos + s_neg)
+    return _forward((q_raw, pos_raw, neg_raw), projection.weights, margin)[0]
 
 
 # -- training ------------------------------------------------------------------
@@ -366,7 +374,7 @@ def loss_from_raw(
 @dataclass
 class TrainResult:
     projection: LinearProjection
-    epoch_losses: list[float]  # mean loss over all triplets: init, then per epoch
+    epoch_losses: list[float]  # per epoch, the mean triplet loss its steps saw before updating
 
 
 def train_projection(
@@ -377,54 +385,43 @@ def train_projection(
     cfg: TripletTrainConfig,
     d_out: int = 128,
 ) -> TrainResult:
-    """Mini-batch SGD on the mean triplet loss; returns the trained projection."""
+    """Mini-batch SGD on the mean triplet loss; returns the trained projection.
+
+    A triplet whose hinge is closed adds neither loss nor gradient, so only
+    open hinges are differentiated.
+    """
     if not triplets:
         raise ValueError("at least one triplet is required")
 
-    d_in = embedder.d_in
-    raw_q: dict[str, np.ndarray] = {}
-    raw_d: dict[str, np.ndarray] = {}
-    for t in triplets:
-        if t.bug_id not in raw_q:
-            seq = query_seqs[t.bug_id]
-            raw_q[t.bug_id] = embedder.embed_ids(seq.ids[: seq.real_length])
-        for doc_id in (t.positive_doc, t.negative_doc):
-            if doc_id not in raw_d:
-                seq = doc_seqs[doc_id]
-                raw_d[doc_id] = embedder.embed_ids(seq.ids[: seq.real_length])
+    def raw(seq: EncodedSequence) -> np.ndarray:
+        return embedder.embed_ids(seq.ids[: seq.real_length])
+
+    raw_q = {b: raw(query_seqs[b]) for b in dict.fromkeys(t.bug_id for t in triplets)}
+    doc_ids = dict.fromkeys(d for t in triplets for d in (t.positive_doc, t.negative_doc))
+    raw_d = {d: raw(doc_seqs[d]) for d in doc_ids}
+    raws = [(raw_q[t.bug_id], raw_d[t.positive_doc], raw_d[t.negative_doc]) for t in triplets]
 
     rng = np.random.default_rng(cfg.seed)
-    projection = LinearProjection.seeded_init(d_in, d_out, cfg.seed)
-
-    def mean_loss(w: np.ndarray) -> float:
-        proj = LinearProjection(w)
-        total = 0.0
-        for t in triplets:
-            total += loss_from_raw(
-                raw_q[t.bug_id], raw_d[t.positive_doc], raw_d[t.negative_doc], proj, cfg.margin
-            )
-        return total / len(triplets)
-
-    w = projection.weights
-    losses = [mean_loss(w)]
+    w = LinearProjection.seeded_init(embedder.d_in, d_out, cfg.seed).weights
+    losses = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(triplets))
+        epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
+            w = LinearProjection(w).weights  # rejects non-finite weights
             grad = np.zeros_like(w)
             batch_loss = 0.0
-            proj = LinearProjection(w)  # rejects non-finite weights
             for idx in batch:
-                t = triplets[idx]
-                a, p, ng = raw_q[t.bug_id], raw_d[t.positive_doc], raw_d[t.negative_doc]
-                loss, g = _triplet_loss_and_grad(a, p, ng, proj.weights, cfg.margin)
-                batch_loss += loss
-                grad += g
-            batch_loss /= len(batch)
+                loss, cache = _forward(raws[idx], w, cfg.margin)
+                if cache is not None:
+                    batch_loss += loss
+                    grad += _gradient(raws[idx], cache)
             if not np.isfinite(batch_loss):
                 raise NonFiniteLoss(
                     f"non-finite loss at epoch {epoch + 1}, batch starting {start}"
                 )
+            epoch_loss += batch_loss
             w = w - cfg.learning_rate * (grad / len(batch))
-        losses.append(mean_loss(w))
+        losses.append(epoch_loss / len(triplets))
     return TrainResult(projection=LinearProjection(w), epoch_losses=losses)

@@ -6,6 +6,7 @@ import pytest
 
 from fbl.corpus import Document, Granularity
 from fbl.diffs import Changeset, DiffLine, FileDiff, Hunk, LineKind
+from fbl.embed import LinearProjection, gradient_of_loss
 from fbl.encode import EncodedSequence, Vocabulary
 from fbl.index import _doc_indices
 
@@ -211,3 +212,32 @@ def candidate_docs_reference(index, query_matrix, n_prime, nprobe):
         for _, embedding_id in sorted(hits)[:per_row]:
             hit.add(int(_doc_indices(index.doc_offsets, embedding_id)))
     return np.asarray(sorted(hit), dtype=np.int64)
+
+
+# -- training reference: the SGD rule train_projection must equal bit for bit
+
+
+def train_projection_reference(triplets, query_seqs, doc_seqs, embedder, cfg, d_out):
+    """Trained weights of mini-batch SGD that adds every triplet's gradient.
+
+    A closed hinge adds gradient_of_loss's zeros; the permutation stream and
+    the update are train_projection's.
+    """
+
+    def raw(seq):
+        return embedder.embed_ids(seq.ids[: seq.real_length])
+
+    rng = np.random.default_rng(cfg.seed)
+    w = LinearProjection.seeded_init(embedder.d_in, d_out, cfg.seed).weights
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(triplets))
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            grad = np.zeros_like(w)
+            for idx in batch:
+                t = triplets[idx]
+                q, pos, neg = (raw(query_seqs[t.bug_id]), raw(doc_seqs[t.positive_doc]),
+                               raw(doc_seqs[t.negative_doc]))
+                grad += gradient_of_loss(q, pos, neg, LinearProjection(w), cfg.margin)
+            w = w - cfg.learning_rate * (grad / len(batch))
+    return w

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -506,6 +507,11 @@ def _assert_short_table_error(capsys, path, rows):
     assert f"{rows} rows" in payload["error"] and f"{rows + 1} ids" in payload["error"]
 
 
+def _train_args(corpus, vocab, out):
+    return ["train-projection", "--corpus", str(corpus), "--vocab", str(vocab),
+            "--out", str(out), "--d-in", "32", "--d-out", "16"]
+
+
 @pytest.mark.parametrize("command", ["index", "train-projection"])
 def test_file_embedder_short_of_the_vocabulary_exits_2(corpus_dir, capsys, tmp_path,
                                                        monkeypatch, command):
@@ -522,11 +528,46 @@ def test_file_embedder_short_of_the_vocabulary_exits_2(corpus_dir, capsys, tmp_p
     if command == "index":
         argv = _index_args(corpus, vocab, tmp_path / "session")
     else:
-        argv = ["train-projection", "--corpus", str(corpus), "--vocab", str(vocab),
-                "--out", str(tmp_path / "proj.fble"), "--d-in", "32", "--d-out", "16"]
+        argv = _train_args(corpus, vocab, tmp_path / "proj.fble")
     capsys.readouterr()
     assert main(argv + ["--embedder", f"file:{emb_path}"]) == 2
     _assert_short_table_error(capsys, emb_path, rows)
+
+
+@pytest.mark.parametrize("command", ["index", "train-projection"])
+def test_non_finite_file_embedder_exits_2_naming_the_row(corpus_dir, capsys, tmp_path, command):
+    import numpy as np
+    from fbl.embed import write_matrix_file
+    from fbl.encode import Vocabulary
+
+    base_tmp, corpus, vocab = corpus_dir
+    table = np.random.default_rng(0).standard_normal((len(Vocabulary.from_file(vocab)), 32))
+    table[5, 3] = np.inf
+    table[7, 0] = np.nan
+    emb_path = tmp_path / "bad.fble"
+    write_matrix_file(emb_path, table)
+    if command == "index":
+        argv = _index_args(corpus, vocab, tmp_path / "session")
+    else:
+        argv = _train_args(corpus, vocab, tmp_path / "proj.fble")
+    capsys.readouterr()
+    assert main(argv + ["--embedder", f"file:{emb_path}"]) == 2
+    payload = json.loads(capsys.readouterr().err)  # one JSON line, no numpy warning
+    assert payload == {"error": f"{emb_path}: row 5 of the token table is not finite",
+                       "kind": "data"}
+
+
+def test_train_projection_prints_one_mean_loss_per_epoch(corpus_dir, capsys, tmp_path):
+    base_tmp, corpus, vocab = corpus_dir
+    argv = _train_args(corpus, vocab, tmp_path / "proj.fble")
+    capsys.readouterr()
+    assert main(argv + ["--epochs", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "trained on 1 triplets for 0 epochs"
+    assert main(argv + ["--epochs", "2"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(
+        r"trained on 1 triplets for 2 epochs; mean loss per epoch: \d+\.\d{4}, \d+\.\d{4}", first
+    )
 
 
 def test_query_on_a_session_whose_embedder_is_short_exits_2(corpus_dir, capsys, tmp_path):
@@ -559,9 +600,7 @@ def test_train_projection_rejects_a_link_to_an_unknown_bug(corpus_dir, capsys, t
     with open(corpus / "links.jsonl", "a", encoding="utf-8") as fh:
         fh.write(json.dumps({"bug_id": "b9", "changeset_id": "c1"}) + "\n")
     capsys.readouterr()
-    argv = ["train-projection", "--corpus", str(corpus), "--vocab", str(vocab),
-            "--out", str(tmp_path / "proj.fble"), "--d-in", "32", "--d-out", "16"]
-    assert main(argv) == 2
+    assert main(_train_args(corpus, vocab, tmp_path / "proj.fble")) == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload == {"error": "link references unknown bug 'b9'", "kind": "data"}
 

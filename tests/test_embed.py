@@ -3,6 +3,8 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import train_projection_reference
+from fbl import embed
 from fbl.corpus import Triplet
 from fbl.embed import (
     EmbeddingMatrix,
@@ -19,7 +21,7 @@ from fbl.embed import (
     write_matrix_file,
 )
 from fbl.encode import EncodedSequence
-from fbl.errors import DimensionMismatch, FormatError
+from fbl.errors import DimensionMismatch, FormatError, NonFiniteLoss
 from fbl.pipeline import Config
 
 
@@ -98,6 +100,18 @@ def test_file_embedder_range_check(tmp_path):
     np.testing.assert_array_equal(emb.embed_ids([2])[0], np.eye(4)[2])
     with pytest.raises(ValueError):
         emb.embed_ids([4])
+
+
+def test_file_embedder_rejects_a_non_finite_row_naming_it(tmp_path):
+    p = tmp_path / "e.fble"
+    # a quiet NaN, a signalling one (whose cast to float64 warns), and inf
+    for bits in (0x7FC00000, 0x7F800001, 0x7F800000):
+        table = np.eye(4, dtype=np.float32)
+        table.view(np.uint32)[2, 1] = bits
+        table.view(np.uint32)[3, 0] = bits
+        write_matrix_file(p, table)
+        with pytest.raises(FormatError, match=r"e\.fble: row 2 "):
+            FileEmbedder.from_file(p)
 
 
 def test_embed_sequence_identity_projection():
@@ -255,7 +269,7 @@ def test_train_zero_epochs_returns_seeded_init():
     result = train_projection(triplets, queries, docs, emb, cfg, d_out=8)
     expected = LinearProjection.seeded_init(emb.d_in, 8, seed=33)
     np.testing.assert_array_equal(result.projection.weights, expected.weights)
-    assert len(result.epoch_losses) == 1
+    assert result.epoch_losses == []
 
 
 def test_train_reduces_loss_on_separable_set():
@@ -333,17 +347,81 @@ def _unit_mat(a):
 
 def test_unscorable_positive_aborts_training(tmp_path):
     # a token table with an all-zero row makes its documents unscorable;
-    # training must fail loudly rather than diverge silently
-    from fbl.errors import NonFiniteLoss
-
+    # training must fail loudly rather than diverge silently, also when the
+    # negative is unscorable too (a hinge of inf - inf, NaN)
     table = np.eye(4, dtype=np.float32)
     table[3] = 0.0
     p = tmp_path / "e.fble"
     write_matrix_file(p, table)
     emb = FileEmbedder.from_file(p)
     queries = {"b": _seq([0], limit=3, pad_id=1)}
-    docs = {"pos": _seq([3], limit=3, pad_id=1), "neg": _seq([2], limit=3, pad_id=1)}
     trips = [Triplet(bug_id="b", positive_doc="pos", negative_doc="neg")]
     cfg = TripletTrainConfig(learning_rate=0.1, epochs=1, batch_size=1, seed=0)
-    with pytest.raises(NonFiniteLoss):
-        train_projection(trips, queries, docs, emb, cfg, d_out=2)
+    for neg_token, loss in [(2, float("inf")), (3, float("nan"))]:
+        docs = {"pos": _seq([3], limit=3, pad_id=1), "neg": _seq([neg_token], limit=3, pad_id=1)}
+        raw = [emb.embed_ids(s.ids[: s.real_length]) for s in (queries["b"], docs["pos"], docs["neg"])]
+        proj = LinearProjection.seeded_init(4, 2, seed=0)
+        np.testing.assert_equal(loss_from_raw(*raw, proj, cfg.margin), loss)
+        with pytest.raises(NonFiniteLoss):
+            train_projection(trips, queries, docs, emb, cfg, d_out=2)
+
+
+def _mixed_setup():
+    """Multi-token texts over 11 tokens: at a seeded init with margin 0.2,
+    some hinges are open and some closed."""
+    rng = np.random.default_rng(8)
+    emb = ReferenceHashEmbedder(d_in=16, seed=5)
+    queries, docs, triplets = {}, {}, []
+    for i in range(7):
+        q = rng.integers(1, 12, size=3).tolist()
+        queries[f"b{i}"] = _seq(q, limit=4)
+        docs[f"p{i}"] = _seq([q[0]] + rng.integers(1, 12, size=3).tolist(), limit=5)
+        docs[f"n{i}"] = _seq(rng.integers(1, 12, size=4).tolist(), limit=5)
+        triplets.append(Triplet(bug_id=f"b{i}", positive_doc=f"p{i}", negative_doc=f"n{i}"))
+    return triplets, queries, docs, emb
+
+
+def _init_losses(triplets, queries, docs, emb, seed, margin, d_out=8):
+    """loss_from_raw of every triplet at the seeded init."""
+    proj = LinearProjection.seeded_init(emb.d_in, d_out, seed)
+
+    def raw(seq):
+        return emb.embed_ids(seq.ids[: seq.real_length])
+
+    return [loss_from_raw(raw(queries[t.bug_id]), raw(docs[t.positive_doc]),
+                          raw(docs[t.negative_doc]), proj, margin) for t in triplets]
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("batch_size", [1, 3, 7])  # 3 leaves a final batch of one
+def test_trained_weights_equal_sgd_over_every_triplet(seed, batch_size):
+    triplets, queries, docs, emb = _mixed_setup()
+    cfg = TripletTrainConfig(margin=0.2, learning_rate=0.5, epochs=3, batch_size=batch_size,
+                             seed=seed)
+    losses = _init_losses(triplets, queries, docs, emb, seed, cfg.margin)
+    assert 0.0 in losses and max(losses) > 0.0  # closed and open hinges both occur
+    result = train_projection(triplets, queries, docs, emb, cfg, d_out=8)
+    expected = train_projection_reference(triplets, queries, docs, emb, cfg, d_out=8)
+    assert result.projection.weights.tobytes() == expected.tobytes()
+
+
+def test_training_runs_no_loss_pass_outside_its_steps(monkeypatch):
+    triplets, queries, docs, emb = _mixed_setup()
+
+    def loss_pass(*args, **kwargs):
+        raise AssertionError("a loss pass ran outside the training steps")
+
+    monkeypatch.setattr(embed, "loss_from_raw", loss_pass)
+    cfg = TripletTrainConfig(margin=0.2, learning_rate=0.5, epochs=2, batch_size=3, seed=1)
+    result = train_projection(triplets, queries, docs, emb, cfg, d_out=8)
+    assert len(result.epoch_losses) == 2
+
+
+def test_epoch_loss_is_the_mean_of_its_steps_losses():
+    # one epoch of one batch: every step sees the seeded init
+    triplets, queries, docs, emb = _mixed_setup()
+    cfg = TripletTrainConfig(margin=0.2, learning_rate=0.5, epochs=1, batch_size=7, seed=3)
+    result = train_projection(triplets, queries, docs, emb, cfg, d_out=8)
+    losses = _init_losses(triplets, queries, docs, emb, cfg.seed, cfg.margin)
+    # the steps add their losses in the permutation's order
+    assert result.epoch_losses == [pytest.approx(np.mean(losses), rel=1e-12)]

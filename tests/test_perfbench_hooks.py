@@ -3,15 +3,16 @@
 perfbench times fbl by wrapping its functions by name from outside, so a
 renamed function or a changed kernel signature would break traced
 benchmark runs without failing any fbl test. This runs the hooks on one
-two-stage query.
+two-stage query and on one ``fbl train-projection``.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fbl import pipeline
+from fbl import cli, pipeline
 from fbl.embed import EmbeddingMatrix, PackedCorpus
 from fbl.index import build_index
 
@@ -61,3 +62,42 @@ def test_perfbench_hooks_resolve_and_count_the_runs_scanned(layers_and_tracer):
     assert [s.attrs["codes"] for s in scans] == [runs]
     assert runs < ids  # repeated rows share runs
     assert {s.name for s in t.spans} >= {"retrieve.two_stage", "index.candidates", "kernels.maxsim"}
+
+
+def _write_jsonl(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+
+def test_perfbench_hooks_trace_train_projection_and_restore(layers_and_tracer, tmp_path):
+    layers, tracer = layers_and_tracer
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    words = ["widget", "parser", "cache", "socket"]
+    _write_jsonl(corpus / "changesets.jsonl", [
+        {"id": f"c{i}", "log": "", "timestamp": f"2021-01-0{i + 1}T00:00:00+00:00",
+         "diff": f"diff --git a/F{i}.java b/F{i}.java\n--- a/F{i}.java\n+++ b/F{i}.java\n"
+                 f"@@ -1,0 +1,1 @@\n+{words[i]} {words[i - 1]}\n"}
+        for i in range(4)
+    ])
+    _write_jsonl(corpus / "bugs.jsonl", [
+        {"id": f"b{i}", "summary": words[i], "description": "",
+         "opened_at": f"2021-02-0{i + 1}T00:00:00+00:00"}
+        for i in range(2)
+    ])
+    _write_jsonl(corpus / "links.jsonl", [{"bug_id": f"b{i}", "changeset_id": f"c{i}"}
+                                          for i in range(2)])
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("\n".join(words) + "\n")
+    argv = ["train-projection", "--corpus", str(corpus), "--vocab", str(vocab),
+            "--out", str(tmp_path / "proj.fble"), "--d-in", "16", "--d-out", "8"]
+
+    t = tracer.Tracer()
+    layers.instrument(t)  # raises if a hooked name no longer resolves
+    patches = list(t._patches)
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        t.restore()
+    for owner, attr, raw in patches:
+        assert vars(owner)[attr] is raw, attr
+    assert [s.name for s in t.spans].count("embed.train") == 1
