@@ -35,7 +35,6 @@ from .retrieve import (
     PackedCorpus,
     RankedResult,
     aggregate_to_changeset,
-    maxsim,
     rank_exact,
     rank_two_stage,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "gradient_of_loss",
     "kernel_backend",
     "kmeans",
-    "maxsim",
     "parse_unified_diff",
     "rank_exact",
     "rank_two_stage",

@@ -1,6 +1,6 @@
 """Hot numeric kernels, one numpy function per operation.
 
-    maxsim_packed    late-interaction score of packed documents, in place
+    maxsim_packed    late-interaction score of packed documents, through the table
     assign_nearest   nearest centroid per point (k-means assignment)
     centroid_sums    per-cluster (weighted) sums and counts (k-means update)
     adc_topk_rows    per query row, the top embeddings of its probed partitions
@@ -17,26 +17,74 @@ BACKEND = "numpy"  # reported as fbl.kernel_backend and in the `fbl bench` CSV
 
 # -- late-interaction scoring -------------------------------------------------
 #
-# Documents are packed into one contiguous row block; document i of a call
-# owns rows starts[i]:ends[i] (zero rows already dropped), so any subset of a
-# pack is scored in place. Score per document: sum over query rows of the max
-# inner product against the document's rows, one GEMM per document, so a
-# document's score does not depend on which others are scored with it. A
-# document with no rows scores -inf.
+# Pack row p is table[refs[p]], and document i of a call owns pack rows
+# starts[i]:ends[i] (zero rows already dropped). Score: sum over query rows of
+# the max inner product against the document's rows, the maxima summed in
+# float64; -inf with no rows. A score never depends on which other documents
+# are scored with it, so re-scoring a subset gives the full scan's bits.
+#
+# A table with as many rows as refs is the rows (refs count 0..N-1), and each
+# document is one GEMM over its own rows. Otherwise the table is cut into
+# fixed, aligned blocks of _BLOCK rows, and the blocks a call touches are
+# multiplied in one batched GEMM, (blocks, _BLOCK, d) @ (d, q): a block's
+# product does not depend on which other blocks share the batch. Documents
+# gather their rows from the products by refs, longest first, in chunks of at
+# most _ROW_BUDGET rows once each is padded with -inf to its chunk's longest;
+# a chunk lies row j of each document, then row j + 1, so one max over the
+# leading axis reduces it. A table within the budget is multiplied once per
+# call, a larger one per chunk: no call holds the products of a whole corpus.
+
+_BLOCK = 8
+_ROW_BUDGET = 4096
 
 
 def maxsim_packed(
-    query: np.ndarray, rows: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    query: np.ndarray, table: np.ndarray, refs: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> np.ndarray:
-    out = np.empty(starts.shape[0], dtype=np.float64)
+    lengths = ends - starts
+    out = np.full(lengths.shape[0], -np.inf)
     qt = np.ascontiguousarray(query.T)
-    for i, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
-        if e <= s:
-            out[i] = -np.inf
-        else:
-            sims = rows[s:e] @ qt
-            out[i] = float(sims.max(axis=0).sum(dtype=np.float64))
+    if table.shape[0] == refs.shape[0]:
+        for i, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
+            if e > s:
+                out[i] = float((table[s:e] @ qt).max(axis=0).sum(dtype=np.float64))
+        return out
+    order = np.argsort(-lengths, kind="stable")
+    order = order[lengths[order] > 0]
+    lengths, done = lengths[order], np.cumsum(lengths[order])
+    ref = refs[concat_ranges(starts[order], ends[order])].astype(np.int64)
+    whole = _block_products(qt, table, ref) if table.shape[0] <= _ROW_BUDGET else None
+    c0 = 0
+    while c0 < lengths.shape[0]:
+        c1 = min(lengths.shape[0], c0 + max(1, _ROW_BUDGET // int(lengths[c0])))
+        chunk = ref[int(done[c0] - lengths[c0]) : int(done[c1 - 1])]
+        products, slot = whole or _block_products(qt, table, chunk)
+        at = slot[chunk // _BLOCK] * _BLOCK + chunk % _BLOCK
+        out[order[c0:c1]] = _max_sums(products, at, lengths[c0:c1])
+        c0 = c1
     return out
+
+
+def _block_products(qt, table, ref):
+    """Products of the blocks ref touches, then a row of -inf; and each block's slot."""
+    touched = np.zeros(-(-table.shape[0] // _BLOCK), dtype=bool)
+    touched[ref // _BLOCK] = True
+    rows = (np.flatnonzero(touched)[:, None] * _BLOCK + np.arange(_BLOCK)).ravel()
+    a = np.take(table, rows, axis=0, mode="clip")  # a short last block is padded
+    products = np.full((rows.shape[0] + 1, qt.shape[1]), -np.inf, dtype=np.float32)
+    out = products[:-1].reshape(-1, _BLOCK, qt.shape[1])
+    np.matmul(a.reshape(-1, _BLOCK, table.shape[1]), qt, out=out)
+    return products, np.cumsum(touched) - 1
+
+
+def _max_sums(products, at, lengths):
+    """Scores of documents (lengths > 0, the first the longest) whose rows are products[at]."""
+    m, n = lengths.shape[0], int(lengths[0])
+    row = np.arange(at.shape[0]) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    slots = np.full(n * m, products.shape[0] - 1)  # short documents pad with the -inf row
+    slots[row * m + np.repeat(np.arange(m), lengths)] = at
+    best = products[slots].reshape(n, m, products.shape[1]).max(axis=0)
+    return best.astype(np.float64).sum(axis=1)
 
 
 def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -138,6 +186,15 @@ def _adc_scan_probes(
     return rows, pos, acc
 
 
+def _row_cuts(neg: np.ndarray, lengths: np.ndarray, per_row: int) -> np.ndarray:
+    """Each row's per_row-th smallest of its own span of neg; +inf in a row of <= per_row."""
+    ends = np.cumsum(lengths)
+    cuts = np.full(lengths.shape[0], np.inf)
+    for i in np.flatnonzero(lengths > per_row).tolist():
+        cuts[i] = np.partition(neg[ends[i] - lengths[i] : ends[i]], per_row - 1)[per_row - 1]
+    return cuts
+
+
 def adc_topk_rows(luts, run_codes, run_offsets, starts, ends, bases, flat_ids, per_row):
     row_runs = (ends - starts).sum(axis=1)
     row_ids = (run_offsets[ends] - run_offsets[starts]).sum(axis=1)
@@ -153,11 +210,7 @@ def adc_topk_rows(luts, run_codes, run_offsets, starts, ends, bases, flat_ids, p
         if per_row < lengths.max(initial=0):
             # keep only runs scoring at least their row's per_row-th best run;
             # at least per_row ids score that high, so no kept id is lost
-            row_start = np.cumsum(lengths) - lengths
-            padded = np.full((r1 - r0, int(lengths.max())), np.inf)
-            padded[rows, np.arange(rows.shape[0]) - row_start[rows]] = -scores
-            cut = np.partition(padded, per_row - 1, axis=1)[:, per_row - 1]
-            keep = -scores <= cut[rows]
+            keep = -scores <= _row_cuts(-scores, lengths, per_row)[rows]
             rows, run, scores = rows[keep], run[keep], scores[keep]
         first = run_offsets[run]
         counts = run_offsets[run + 1] - first

@@ -49,19 +49,21 @@ class EmbeddingMatrix:
 
 
 class PackedCorpus(Mapping[str, EmbeddingMatrix]):
-    """Document embeddings as one contiguous (rows, offsets, ids) layout.
+    """Document embeddings as one (table, refs, offsets, ids) layout.
 
-    Document i owns rows[offsets[i]:offsets[i + 1]], and a row's index in
-    ``rows`` is its embedding id in the index. This is the only stacked form
-    of document embeddings: the index is built from it and borrows its
-    offsets and ids, ``docs.fblp`` stores it, and the scoring kernels read
-    it. Zero rows are dropped when packing, so no consumer needs a mask.
-    Read-only: looking up a document returns an ``EmbeddingMatrix`` whose
-    rows are a view into the row block.
+    ``table`` holds each distinct row once, in order of first appearance, and
+    pack row p is table[refs[p]] (without repeats the table is the rows).
+    Document i owns pack rows offsets[i]:offsets[i+1], and a pack row's index
+    is its embedding id. The index is built from the pack and borrows its
+    offsets and ids, ``docs.fblp`` stores it, and the scoring kernel reads it.
+    Zero rows are dropped when packing. Looking up a document gathers its rows.
     """
 
-    def __init__(self, rows: np.ndarray, offsets: np.ndarray, ids: Sequence[str]):
-        self.rows = rows  # (N, d) float32, contiguous
+    def __init__(
+        self, table: np.ndarray, refs: np.ndarray, offsets: np.ndarray, ids: Sequence[str]
+    ):
+        self.table = table  # (T, d) float32, the distinct rows
+        self.refs = refs  # (N,) uint32: pack row p is table[refs[p]]
         self.offsets = offsets  # (ndocs + 1,) int64
         self.ids = list(ids)
         self._pos = {doc_id: i for i, doc_id in enumerate(self.ids)}
@@ -70,6 +72,10 @@ class PackedCorpus(Mapping[str, EmbeddingMatrix]):
         # lexicographic rank of each id (the inverse of the sort order), for tie-breaks
         order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
         self.id_rank = np.argsort(np.asarray(order, dtype=np.int64))
+
+    @property
+    def n_rows(self) -> int:
+        return self.refs.shape[0]
 
     @classmethod
     def from_matrices(cls, matrices: Mapping[str, EmbeddingMatrix]) -> "PackedCorpus":
@@ -80,25 +86,33 @@ class PackedCorpus(Mapping[str, EmbeddingMatrix]):
             np.asarray(m.rows if isinstance(m, EmbeddingMatrix) else m, dtype=np.float32)
             for m in matrices.values()
         ]
-        if not blocks:
-            return cls(np.zeros((0, 1), dtype=np.float32), np.zeros(1, dtype=np.int64), [])
-        rows = np.concatenate(blocks)
-        ends = np.cumsum([b.shape[0] for b in blocks])
+        rows = np.concatenate(blocks) if blocks else np.zeros((0, 1), dtype=np.float32)
+        ends = np.cumsum([b.shape[0] for b in blocks], dtype=np.int64)
         keep = np.einsum("ij,ij->i", rows, rows) > 0  # a nonzero norm, without a temporary
         kept = np.concatenate(([0], np.cumsum(keep)))
         offsets = np.concatenate(([0], kept[ends])).astype(np.int64)
-        rows = rows if keep.all() else rows[keep]
-        return cls(np.ascontiguousarray(rows), offsets, matrices.keys())
+        rows = np.ascontiguousarray(rows if keep.all() else rows[keep])
+        return cls(*_distinct_rows(rows), offsets, matrices.keys())
 
     def __getitem__(self, doc_id: str) -> EmbeddingMatrix:
         i = self._pos[doc_id]
-        return EmbeddingMatrix(rows=self.rows[self.offsets[i] : self.offsets[i + 1]])
+        return EmbeddingMatrix(rows=self.table[self.refs[self.offsets[i] : self.offsets[i + 1]]])
 
     def __iter__(self):
         return iter(self.ids)
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(table, refs): the rows distinct by their bytes, in order of first appearance."""
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if first.shape[0] == rows.shape[0]:
+        return rows, np.arange(rows.shape[0], dtype=np.uint32)
+    order = np.argsort(first)  # np.unique orders by bytes
+    return rows[first[order]], np.argsort(order).astype(np.uint32)[inverse]
 
 
 class TokenEmbedder(Protocol):

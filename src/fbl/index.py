@@ -21,13 +21,11 @@ back, with no document table: the pack stored beside it owns that, and
 (monotone distortion trace); the stored centroids, codebooks, and all
 query-time math are float32.
 
-Training sees each distinct row once. A context-free embedder gives every
-occurrence of a token the same row, so a corpus holds at most |vocab|
-distinct rows; the build dedupes the rows by their bytes, trains the
-coarse quantizer and every PQ codebook on the distinct rows weighted by
-their multiplicity, assigns and encodes each distinct row once, and every
-copy takes its distinct row's partition and code. A corpus without
-repeated rows trains on its rows as they are.
+Training sees each distinct row once: the pack's table, which a
+context-free embedder keeps within |vocab| rows. The coarse quantizer and
+every PQ codebook train on the table weighted by each row's multiplicity,
+each table row is assigned and encoded once, and every pack row takes its
+table row's partition and code.
 """
 
 from __future__ import annotations
@@ -222,26 +220,6 @@ def _doc_indices(doc_offsets: np.ndarray, embedding_ids) -> np.ndarray:
     return docs
 
 
-def _distinct_rows(rows: np.ndarray):
-    """The distinct rows, by their bytes, in order of first appearance.
-
-    Returns (first, inverse, counts): distinct row j is rows[first[j]] and
-    occurs counts[j] (float64) times, and row i is distinct row inverse[i].
-    All three are None when no row repeats, so callers use rows as they are.
-    """
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    if first.shape[0] == rows.shape[0]:
-        return None, None, None
-    order = np.argsort(first)  # np.unique orders by bytes
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.shape[0])
-    return first[order], rank[inverse], counts[order].astype(np.float64)
-
-
 def build_index(
     doc_matrices: Mapping[str, EmbeddingMatrix],
     n_partitions: int,
@@ -253,29 +231,27 @@ def build_index(
     """Train coarse + PQ quantizers on the distinct rows and encode the corpus.
 
     Embedding ids are row indices of the packed corpus; the index borrows
-    the pack's offsets and ids, which map them back to documents. Rows
-    that repeat (a context-free embedder gives every occurrence of a token
-    the same row) are trained on, assigned and encoded once, weighted by
-    their multiplicity, and every copy takes its distinct row's partition
-    and code. Without repeats this is training on every row.
+    the pack's offsets and ids, which map them back to documents. Training
+    weighs each table row by how many pack rows refer to it; without repeats
+    the table is the rows, trained on unweighted.
     """
     pack = PackedCorpus.from_matrices(doc_matrices)
-    rows = pack.rows
-    total = rows.shape[0]
+    distinct = pack.table
+    total = pack.n_rows
     if total < n_partitions:
         raise InsufficientData(
             f"{total} embeddings < {n_partitions} partitions; lower --partitions"
         )
-    d = rows.shape[1]
+    d = distinct.shape[1]
     if d % n_subspaces != 0:
         raise ValueError(f"subspace count {n_subspaces} must divide dimension {d}")
     if not 1 <= n_codewords <= 256:
         raise ValueError("codebook size must be in [1, 256]")
     dsub = d // n_subspaces
 
-    first, inverse, weights = _distinct_rows(rows)
-    distinct = rows if first is None else rows[first]
     n_distinct = distinct.shape[0]
+    repeats = n_distinct < total
+    weights = np.bincount(pack.refs, minlength=n_distinct).astype(np.float64) if repeats else None
 
     train, train_w = distinct, weights
     if n_distinct > _TRAIN_SUBSAMPLE_CAP:
@@ -306,8 +282,8 @@ def build_index(
         sub = residuals[:, s * dsub : (s + 1) * dsub]
         lab, _ = _kernels.assign_nearest(sub, codebooks[s])
         codes[:, s] = lab.astype(np.uint8)
-    if inverse is not None:  # each row takes its distinct row's partition and code
-        part, codes = part[inverse], codes[inverse]
+    if repeats:  # each row takes its table row's partition and code
+        part, codes = part[pack.refs], codes[pack.refs]
 
     # by partition, then code (first subspace most significant); lexsort is
     # stable, so the ids of one (partition, code) run stay ascending
@@ -477,10 +453,10 @@ def load_index(path: str | Path, docs: PackedCorpus, data: bytes | None = None) 
             raise FormatError(
                 f"{path}: bad shape: {n_part} partitions, {m} subspaces, {k} codewords, dim {d}"
             )
-        if (n_emb, d) != docs.rows.shape:
+        if (n_emb, d) != (docs.n_rows, docs.table.shape[1]):
             raise FormatError(
                 f"{path}: indexes {n_emb} embeddings of dim {d}, but the doc pack holds "
-                f"{docs.rows.shape[0]} of dim {docs.rows.shape[1]}"
+                f"{docs.n_rows} of dim {docs.table.shape[1]}"
             )
         off = 4 + _FBLI_HEADER.size
         coarse, off = read_array(data, off, "<f4", n_part * d)

@@ -269,7 +269,7 @@ def sweep_latency(
     for target in sizes:
         # packed once, for the build and the queries, like a live session
         pack = PackedCorpus.from_matrices(_subsample_to_size(doc_matrices, target))
-        n_rows = pack.rows.shape[0]
+        n_rows = pack.n_rows
         p_eff = min(config.n_partitions, max(1, n_rows))
         cfg = replace(config, n_partitions=p_eff, nprobe=min(config.nprobe, p_eff))
         index = build_index(

@@ -42,31 +42,19 @@ def _as_pack(docs: Mapping[str, EmbeddingMatrix]) -> PackedCorpus:
     return docs if isinstance(docs, PackedCorpus) else PackedCorpus.from_matrices(docs)
 
 
-def maxsim(q: EmbeddingMatrix, d: EmbeddingMatrix) -> float:
-    """Sum over query rows of the max inner product against document rows.
-
-    Unit rows make the inner product a cosine. Returns -inf for a
-    document with no scorable rows.
-    """
-    q_rows = np.ascontiguousarray(np.asarray(q.rows, dtype=np.float32))
-    pack = PackedCorpus.from_matrices({"": d})
-    return float(_kernels.maxsim_packed(q_rows, pack.rows, pack.offsets[:1], pack.offsets[1:])[0])
-
-
 def _rank_positions(
     query: EmbeddingMatrix, pack: PackedCorpus, positions: np.ndarray
 ) -> list[tuple[str, float]]:
     """Score the documents at the given pack positions and sort the result.
 
-    Each document's rows are contiguous in the pack, so they are scored in
-    place, with the same GEMM as in the exhaustive scan: re-scored
-    candidates stay bitwise equal to it.
+    A score does not depend on which other positions are scored with it, so
+    re-scored candidates equal the exhaustive scan bit for bit.
     """
     if positions.size == 0:
         return []
     q_rows = np.ascontiguousarray(np.asarray(query.rows, dtype=np.float32))
     scores = _kernels.maxsim_packed(
-        q_rows, pack.rows, pack.offsets[positions], pack.offsets[positions + 1]
+        q_rows, pack.table, pack.refs, pack.offsets[positions], pack.offsets[positions + 1]
     )
     finite = np.nonzero(np.isfinite(scores))[0]
     order = finite[np.lexsort((pack.id_rank[positions[finite]], -scores[finite]))]

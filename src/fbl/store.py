@@ -5,16 +5,17 @@ A session directory holds everything a query needs:
     manifest.json   configuration fingerprint + artifact checksums
     index.fbli      the IVFPQ index: quantizers and inverted lists
     projection.fble the linear projection weights
-    docs.fblp       the packed corpus: doc offsets, one row block, doc ids
+    docs.fblp       the packed corpus: doc offsets, row refs, distinct-row table, doc ids
     vocab.txt       the vocabulary the session was encoded with
     embedder.fble   (only for file-backed embedders)
 
 ``index.fbli`` and ``docs.fblp`` hold the in-memory arrays of an
 ``IvfPqIndex`` and a ``PackedCorpus`` back to back, so loading is a
-validation pass plus views, with no per-document work. The pack is the
-only document table: the loaded index borrows its offsets and ids, and
-the loaded pack is what queries score against. The manifest records a
-sha256 of every artifact a save writes.
+validation pass plus views, with no per-document work or dedupe: the pack
+stores each distinct row once and a u4 ref per row (none without repeats).
+The pack is the only document table: the loaded index borrows its offsets
+and ids, and the loaded pack is what queries score against. The manifest
+records a sha256 of every artifact a save writes.
 
 Writes go through a uniquely named temp file + rename so a crashed save
 never leaves a half-written artifact behind. Loading reads each listed
@@ -49,7 +50,7 @@ from .index import (
 )
 
 FBLP_MAGIC = b"FBLP"
-FBLP_VERSION = 3
+FBLP_VERSION = 4
 
 MANIFEST_NAME = "manifest.json"
 INDEX_NAME = "index.fbli"
@@ -107,11 +108,12 @@ def _atomic_write(path: Path, writer) -> None:
 
 # -- document matrix pack (FBLP) --------------------------------------------------
 #
-# magic "FBLP", then a header (version, docs, dim, rows), then the pack's
-# arrays back to back, little-endian: offsets (docs+1) i8, rows (rows, dim)
-# f4, and the doc-id table.
+# magic "FBLP", then a header (version, docs, dim, rows, table rows), then
+# the pack's arrays back to back, little-endian: offsets (docs+1) i8, refs
+# (rows) u4, the table (table rows, dim) f4, and the doc-id table. Without
+# repeated rows the table holds every row and the refs are left out.
 
-_FBLP_HEADER = struct.Struct("<IIIQ")
+_FBLP_HEADER = struct.Struct("<IIIQQ")
 
 
 def write_ids(fh, ids: list[str]) -> None:
@@ -133,17 +135,19 @@ def read_ids(data: bytes, off: int, count: int) -> tuple[list[str], int]:
 
 def write_doc_pack(path: str | Path, matrices: Mapping[str, EmbeddingMatrix]) -> None:
     pack = PackedCorpus.from_matrices(matrices)
-    n_rows, dim = pack.rows.shape
+    n_table, dim = pack.table.shape
     with open(path, "wb") as fh:
         fh.write(FBLP_MAGIC)
-        fh.write(_FBLP_HEADER.pack(FBLP_VERSION, len(pack), dim, n_rows))
+        fh.write(_FBLP_HEADER.pack(FBLP_VERSION, len(pack), dim, pack.n_rows, n_table))
         fh.write(np.ascontiguousarray(pack.offsets, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(pack.rows, dtype="<f4").data)
+        if n_table < pack.n_rows:
+            fh.write(np.ascontiguousarray(pack.refs, dtype="<u4").tobytes())
+        fh.write(np.ascontiguousarray(pack.table, dtype="<f4").data)
         write_ids(fh, pack.ids)
 
 
 def read_doc_pack(path: str | Path, data: bytes | None = None) -> PackedCorpus:
-    """Read and validate an FBLP file; the rows stay a view of its bytes.
+    """Read and validate an FBLP file; the table and refs stay views of its bytes.
 
     ``data`` is the file's bytes when the caller has read them already.
     """
@@ -152,18 +156,25 @@ def read_doc_pack(path: str | Path, data: bytes | None = None) -> PackedCorpus:
     if data[:4] != FBLP_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {FBLP_MAGIC!r}")
     try:
-        version, n_docs, dim, n_rows = _FBLP_HEADER.unpack_from(data, 4)
+        version, n_docs, dim, n_rows, n_table = _FBLP_HEADER.unpack_from(data, 4)
         check_version(path, version, FBLP_VERSION)
+        if n_table > n_rows or (n_rows and not dim):  # the table's bytes bound the refs
+            raise FormatError(f"{path}: {n_table} table rows of width {dim} for {n_rows} rows")
         off = 4 + _FBLP_HEADER.size
         offsets, off = read_array(data, off, "<i8", n_docs + 1)
-        rows, off = read_array(data, off, "<f4", n_rows * dim)
+        refs, off = read_array(data, off, "<u4", n_rows if n_table < n_rows else 0)
+        table, off = read_array(data, off, "<f4", n_table * dim)
         ids, off = read_ids(data, off, n_docs)
         if off != len(data):
             raise FormatError(f"{path}: {len(data) - off} bytes past the doc-id table")
         if not offsets_span(offsets, n_rows):
             raise FormatError(f"{path}: doc offsets do not run from 0 up to {n_rows} rows")
+        if refs.size and int(refs.max()) >= n_table:
+            raise FormatError(f"{path}: row ref {int(refs.max())} >= table size {n_table}")
+        if n_table == n_rows:  # no row repeats: refs count the rows
+            refs = np.arange(n_rows, dtype=np.uint32)
         return PackedCorpus(
-            rows.reshape(n_rows, dim).astype(np.float32, copy=False), offsets.copy(), ids
+            table.reshape(n_table, dim).astype(np.float32, copy=False), refs, offsets.copy(), ids
         )
     except (struct.error, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: truncated or corrupt pack ({exc})") from exc

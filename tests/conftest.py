@@ -9,6 +9,17 @@ from fbl.diffs import Changeset, DiffLine, FileDiff, Hunk, LineKind
 from fbl.embed import LinearProjection, gradient_of_loss
 from fbl.encode import EncodedSequence, Vocabulary
 from fbl.index import _doc_indices
+from fbl.retrieve import rank_exact
+
+
+def maxsim(query, doc) -> float:
+    """The late-interaction score of one document, as ``rank_exact`` ranks it.
+
+    A one-document pack: an unscorable document is left out of the ranking,
+    which reads here as -inf.
+    """
+    entries = rank_exact(query, {"only:0:0": doc}).entries
+    return entries[0][1] if entries else float("-inf")
 
 
 def ts(day: int) -> datetime:

@@ -309,7 +309,7 @@ def test_config_validation():
 
 def test_maxsim_invariant_to_embedder_rescaling():
     # normalization absorbs any positive scale applied to raw embeddings
-    from fbl.retrieve import maxsim
+    from conftest import maxsim
 
     rng = np.random.default_rng(12)
     raw_q = rng.standard_normal((4, 8))

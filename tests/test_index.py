@@ -266,7 +266,8 @@ def test_runs_hold_each_distinct_code_of_a_partition_once():
         runs = idx.run_codes[idx.part_runs[p] : idx.part_runs[p + 1]]
         assert len({tuple(c) for c in runs}) == len(runs) == len({tuple(c) for c in part_codes})
     # each embedding keeps the (partition, code) its own assignment gives
-    rows = PackedCorpus.from_matrices(docs).rows
+    pack = PackedCorpus.from_matrices(docs)
+    rows = pack.table[pack.refs]
     part, _ = _kernels.assign_nearest(rows, idx.coarse)
     residuals = rows - idx.coarse[part]
     dsub = idx.dim // idx.n_subspaces
@@ -317,24 +318,29 @@ def test_unit_weights_build_the_bytes_of_the_unweighted_path(monkeypatch):
     docs, _ = _random_corpus(np.random.default_rng(16), n_docs=300, tokens_per_doc=6, dim=16)
     args = dict(n_partitions=12, n_subspaces=4, n_codewords=32, seed=2)
     plain = build_index(docs, **args)
+    kmeans = index_module.kmeans
+    seen = []
 
-    def unit_weights(rows):
-        n = rows.shape[0]
-        return np.arange(n), np.arange(n), np.ones(n)
+    def unit_weights(points, k, weights=None, **kw):
+        seen.append(weights)
+        return kmeans(points, k, weights=np.ones(points.shape[0]), **kw)
 
-    monkeypatch.setattr(index_module, "_distinct_rows", unit_weights)
+    monkeypatch.setattr(index_module, "kmeans", unit_weights)
     weighted = build_index(docs, **args)
+    assert seen and all(w is None for w in seen)
     for name in ("coarse", "codebooks", "part_runs", "run_offsets", "flat_ids", "run_codes"):
         assert getattr(weighted, name).tobytes() == getattr(plain, name).tobytes(), name
 
 
 def test_distinct_rows_are_in_first_appearance_order():
     rows = np.array([[2, 0], [1, 0], [2, 0], [0, 3], [1, 0], [2, 0]], dtype=np.float32)
-    first, inverse, counts = index_module._distinct_rows(rows)
-    assert first.tolist() == [0, 1, 3]
-    assert inverse.tolist() == [0, 1, 0, 2, 1, 0]
-    assert counts.tolist() == [3.0, 2.0, 1.0]
-    assert index_module._distinct_rows(rows[[0, 1, 3]]) == (None, None, None)
+    pack = PackedCorpus.from_matrices({"a:0:0": rows[:4], "b:0:0": rows[4:]})
+    assert pack.table.tolist() == [[2, 0], [1, 0], [0, 3]]
+    assert pack.refs.tolist() == [0, 1, 0, 2, 1, 0]
+    assert np.bincount(pack.refs).tolist() == [3, 2, 1]  # the training weights
+    distinct = PackedCorpus.from_matrices({"a:0:0": rows[[0, 1, 3]]})
+    assert distinct.table.tolist() == rows[[0, 1, 3]].tolist()
+    assert distinct.refs.tolist() == [0, 1, 2]
 
 
 def test_doc_of_maps_ids_past_empty_and_dead_docs():
@@ -677,10 +683,12 @@ def test_load_index_rejects_a_run_whose_ids_descend(tmp_path):
 def test_load_index_rejects_doc_offsets_off_total(tmp_path):
     # a pack whose offsets end short of the index's embeddings is not its pack
     idx, pack, p, _ = _saved_index(tmp_path)
-    shorter = PackedCorpus(pack.rows[:-4], pack.offsets[:-1], pack.ids[:-1])
+    shorter = PackedCorpus(pack.table, pack.refs[:-4], pack.offsets[:-1], pack.ids[:-1])
     with pytest.raises(FormatError, match=f"indexes {idx.n_embeddings} embeddings"):
         load_index(p, shorter)
-    wider = PackedCorpus(np.zeros((idx.n_embeddings, 16), np.float32), pack.offsets, pack.ids)
+    wider = PackedCorpus(
+        np.zeros((idx.n_embeddings, 16), np.float32), pack.refs, pack.offsets, pack.ids
+    )
     with pytest.raises(FormatError, match="of dim 16"):
         load_index(p, wider)
 

@@ -1,25 +1,40 @@
 """Every kernel against a plain reference form."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assign_nearest_reference
 from fbl import _kernels
+from fbl.embed import EmbeddingMatrix
+from fbl.index import build_index, candidate_docs
 
 # each kernel has one implementation; the id keeps the backend tag these
 # tests' names have always carried, so test histories stay comparable
 SAME_IDS = pytest.mark.parametrize("backend", [_kernels.BACKEND], ids=["numpy-_np"])
 
 
-def _packed_fixture(rng, ndocs=20, dim=8):
+def _unit(rows):
+    rows = rows.astype(np.float32)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _packed_fixture(rng, ndocs=20, dim=8, table_rows=None):
+    """Documents of 1-5 rows; with table_rows set, their rows repeat rows of a small table."""
     rows_per_doc = rng.integers(1, 6, size=ndocs)
     offsets = np.zeros(ndocs + 1, dtype=np.int64)
     offsets[1:] = np.cumsum(rows_per_doc)
-    rows = rng.standard_normal((offsets[-1], dim)).astype(np.float32)
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    query = rng.standard_normal((4, dim)).astype(np.float32)
-    query /= np.linalg.norm(query, axis=1, keepdims=True)
-    return query, rows, offsets
+    n = int(offsets[-1])
+    if table_rows is None:
+        table, refs = _unit(rng.standard_normal((n, dim))), np.arange(n, dtype=np.uint32)
+    else:
+        table = _unit(rng.standard_normal((table_rows, dim)))
+        refs = rng.integers(0, table_rows, size=n).astype(np.uint32)
+    query = _unit(rng.standard_normal((4, dim)))
+    return query, table, refs, offsets
 
 
 def _reference_maxsim(query, rows, offsets):
@@ -36,17 +51,19 @@ def _reference_maxsim(query, rows, offsets):
 @SAME_IDS
 def test_maxsim_packed_matches_reference(backend):
     rng = np.random.default_rng(0)
-    query, rows, offsets = _packed_fixture(rng)
-    got = _kernels.maxsim_packed(query, rows, offsets[:-1], offsets[1:])
-    np.testing.assert_allclose(got, _reference_maxsim(query, rows, offsets), rtol=1e-5)
+    for table_rows in (None, 11):
+        query, table, refs, offsets = _packed_fixture(rng, table_rows=table_rows)
+        got = _kernels.maxsim_packed(query, table, refs, offsets[:-1], offsets[1:])
+        want = _reference_maxsim(query, table[refs], offsets)
+        np.testing.assert_allclose(got, want, rtol=1e-5)
 
 
 @SAME_IDS
 def test_maxsim_packed_empty_doc_is_minus_inf(backend):
     rng = np.random.default_rng(1)
-    query, rows, _ = _packed_fixture(rng, ndocs=3)
-    offsets = np.array([0, 2, 2, rows.shape[0]], dtype=np.int64)  # middle doc empty
-    got = _kernels.maxsim_packed(query, rows, offsets[:-1], offsets[1:])
+    query, table, refs, _ = _packed_fixture(rng, ndocs=3)
+    offsets = np.array([0, 2, 2, refs.shape[0]], dtype=np.int64)  # middle doc empty
+    got = _kernels.maxsim_packed(query, table, refs, offsets[:-1], offsets[1:])
     assert got[1] == -np.inf
     assert np.isfinite(got[0]) and np.isfinite(got[2])
 
@@ -130,11 +147,97 @@ def test_weighted_centroid_sums_count_multiplicities_exactly():
 def test_maxsim_packed_scores_any_subset_in_place():
     # documents named by (start, end) in any order score as in the full scan
     rng = np.random.default_rng(2)
-    query, rows, offsets = _packed_fixture(rng)
-    full = _kernels.maxsim_packed(query, rows, offsets[:-1], offsets[1:])
+    query, table, refs, offsets = _packed_fixture(rng)
+    full = _kernels.maxsim_packed(query, table, refs, offsets[:-1], offsets[1:])
     pick = np.array([7, 0, 19, 7, 3])
-    got = _kernels.maxsim_packed(query, rows, offsets[pick], offsets[pick + 1])
+    got = _kernels.maxsim_packed(query, table, refs, offsets[pick], offsets[pick + 1])
     assert got.tobytes() == full[pick].tobytes()
+
+
+@st.composite
+def _packs(draw):
+    """A pack, with or without repeated rows, and a query of one or more rows.
+
+    Documents run from 0 to 20 rows, so many straddle 8-row table blocks,
+    and the row budget varies, so documents fall into one chunk or many and
+    the products are computed once or per chunk.
+    """
+    lengths = draw(st.lists(st.integers(0, 20), min_size=1, max_size=30))
+    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+    n = int(offsets[-1])
+    table_rows = draw(st.sampled_from([None, 1, 3, 9, 17]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([4, 16]))
+    if table_rows is None or table_rows >= n:  # no repeats: the table is the rows
+        table, refs = _unit(rng.standard_normal((n, dim))), np.arange(n, dtype=np.uint32)
+    else:
+        table = _unit(rng.standard_normal((table_rows, dim)))
+        refs = rng.integers(0, table_rows, size=n).astype(np.uint32)
+    query = _unit(rng.standard_normal((draw(st.integers(1, 5)), dim)))
+    budget = draw(st.sampled_from([1, 5, 16, _kernels._ROW_BUDGET]))
+    return query, table, refs, offsets, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(pack=_packs(), data=st.data())
+def test_maxsim_packed_scores_any_subset_with_the_full_scans_bits(pack, data):
+    query, table, refs, offsets, budget = pack
+    ndocs = offsets.shape[0] - 1
+    with mock.patch.object(_kernels, "_ROW_BUDGET", budget):
+        full = _kernels.maxsim_packed(query, table, refs, offsets[:-1], offsets[1:])
+        pick = np.asarray(data.draw(st.lists(st.integers(0, ndocs - 1), max_size=12)), np.int64)
+        got = _kernels.maxsim_packed(query, table, refs, offsets[pick], offsets[pick + 1])
+    assert got.tobytes() == full[pick].tobytes()
+    want = _reference_maxsim(query, table[refs], offsets)
+    assert np.array_equal(np.isinf(full), np.isinf(want))
+    finite = np.isfinite(want)  # float32 products: an absolute floor for sums near 0
+    np.testing.assert_allclose(full[finite], want[finite], rtol=1e-5, atol=1e-6 * len(query))
+
+
+def _padded_row_cuts(neg, lengths, per_row):
+    """The former cut: every row padded with +inf to the longest, then one partition."""
+    rows = np.repeat(np.arange(lengths.shape[0]), lengths)
+    start = np.cumsum(lengths) - lengths
+    padded = np.full((lengths.shape[0], int(lengths.max())), np.inf)
+    padded[rows, np.arange(rows.shape[0]) - start[rows]] = neg
+    return np.partition(padded, per_row - 1, axis=1)[:, per_row - 1]
+
+
+def test_row_cuts_keep_what_the_padded_partition_kept():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        lengths = rng.integers(0, 30, size=int(rng.integers(1, 9)))
+        if lengths.max() < 2:
+            continue
+        neg = rng.integers(-4, 5, size=int(lengths.sum())).astype(np.float64)  # many ties
+        rows = np.repeat(np.arange(lengths.shape[0]), lengths)
+        for per_row in range(1, int(lengths.max())):
+            got = neg <= _kernels._row_cuts(neg, lengths, per_row)[rows]
+            want = neg <= _padded_row_cuts(neg, lengths, per_row)[rows]
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_candidates_equal_those_of_the_padded_cut(seed):
+    # random indexes, with budgets that cut every row's runs and budgets that cut none
+    rng = np.random.default_rng(seed)
+    vocab = _unit(rng.standard_normal((60, 16)))
+    docs = {f"d{i:03d}:0:0": EmbeddingMatrix(rows=vocab[rng.integers(0, 60, size=int(n))])
+            for i, n in enumerate(rng.integers(1, 12, size=80))}
+    index = build_index(docs, n_partitions=8, n_subspaces=4, n_codewords=16, seed=seed)
+    for _ in range(6):
+        query = EmbeddingMatrix(rows=_unit(rng.standard_normal((5, 16))), is_query=True)
+        for n_prime, nprobe in ((5, 2), (40, 3), (10_000, 8), (None, 1)):
+            got = candidate_docs(index, query, n_prime, nprobe)
+            with mock.patch.object(_kernels, "_row_cuts", _padded_row_cuts):
+                want = candidate_docs(index, query, n_prime, nprobe)
+            assert np.array_equal(got, want)
+    calls = mock.Mock(wraps=_kernels._row_cuts)
+    with mock.patch.object(_kernels, "_row_cuts", calls):
+        candidate_docs(index, query, 5, 2)
+        assert calls.call_count == 1  # a small budget fires the cut
+        candidate_docs(index, query, None, 1)
+        assert calls.call_count == 1  # every id wanted: no cut
 
 
 def _adc_fixture(rng, nq=7, m=3, k=5):

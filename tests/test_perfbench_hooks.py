@@ -3,7 +3,7 @@
 perfbench times fbl by wrapping its functions by name from outside, so a
 renamed function or a changed kernel signature would break traced
 benchmark runs without failing any fbl test. This runs the hooks on one
-two-stage query and on one ``fbl train-projection``.
+two-stage query, one exact query and one ``fbl train-projection``.
 """
 
 import json
@@ -28,12 +28,12 @@ def layers_and_tracer(monkeypatch):
     return layers, tracer
 
 
-def test_perfbench_hooks_resolve_and_count_the_runs_scanned(layers_and_tracer):
-    layers, tracer = layers_and_tracer
+def _repeated_rows_session():
+    """(pack, index, query, config) over a context-free embedder's documents."""
     rng = np.random.default_rng(3)
     table = rng.standard_normal((12, 16)).astype(np.float32)
     table /= np.linalg.norm(table, axis=1, keepdims=True)
-    # a context-free embedder's documents: a few token vectors, repeated
+    # a few token vectors, repeated
     docs = {
         f"d{i}:0:0": EmbeddingMatrix(rows=table[rng.integers(0, 12, size=6)]) for i in range(30)
     }
@@ -41,6 +41,12 @@ def test_perfbench_hooks_resolve_and_count_the_runs_scanned(layers_and_tracer):
     index = build_index(pack, n_partitions=4, n_subspaces=4, n_codewords=16, seed=1)
     query = EmbeddingMatrix(rows=table[[0, 3, 3, 7]], is_query=True)
     config = pipeline.Config(n_partitions=4, nprobe=2, candidates=10, d_in=16, d_out=16)
+    return pack, index, query, config
+
+
+def test_perfbench_hooks_resolve_and_count_the_runs_scanned(layers_and_tracer):
+    layers, tracer = layers_and_tracer
+    pack, index, query, config = _repeated_rows_session()
 
     t = tracer.Tracer()
     layers.instrument(t)  # raises if a hooked name no longer resolves
@@ -62,6 +68,31 @@ def test_perfbench_hooks_resolve_and_count_the_runs_scanned(layers_and_tracer):
     assert [s.attrs["codes"] for s in scans] == [runs]
     assert runs < ids  # repeated rows share runs
     assert {s.name for s in t.spans} >= {"retrieve.two_stage", "index.candidates", "kernels.maxsim"}
+
+
+def test_perfbench_hooks_trace_an_exact_query(layers_and_tracer):
+    # perfbench's exact loop scores through the same kernel as re-scoring
+    layers, tracer = layers_and_tracer
+    pack, index, query, config = _repeated_rows_session()
+    assert pack.table.shape[0] < pack.n_rows
+    plain = pipeline.run_query(query, index, pack, config, k=len(pack), exact=True)
+
+    t = tracer.Tracer()
+    layers.instrument(t)
+    patches = list(t._patches)
+    try:
+        traced = pipeline.run_query(query, index, pack, config, k=len(pack), exact=True)
+    finally:
+        t.restore()
+    for owner, attr, raw in patches:
+        assert vars(owner)[attr] is raw, attr
+    assert traced.entries == plain.entries
+    spans = t.spans
+    exact = [i for i, s in enumerate(spans) if s.name == "retrieve.exact"]
+    kernel = [s for s in spans if s.name == "kernels.maxsim"]
+    assert len(exact) == 1 and len(kernel) == 1
+    assert kernel[0].parent == exact[0]
+    assert set(kernel[0].attrs) == {"rows", "docs"}
 
 
 def _write_jsonl(path, rows):

@@ -6,12 +6,12 @@ import random
 import numpy as np
 import pytest
 
+from conftest import maxsim
 from fbl.embed import EmbeddingMatrix
 from fbl.index import build_index
 from fbl.retrieve import (
     RankedResult,
     aggregate_to_changeset,
-    maxsim,
     rank_exact,
     rank_two_stage,
     write_jsonl,

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 from collections import Counter
 
 import numpy as np
@@ -123,10 +124,71 @@ def test_doc_pack_rejects_decreasing_doc_offsets(tmp_path):
     p = tmp_path / "docs.fblp"
     write_doc_pack(p, docs)
     raw = bytearray(p.read_bytes())
-    raw[24 + 8 : 24 + 16] = (5).to_bytes(8, "little")  # doc 0 ends past where doc 1 does
+    raw[32 + 8 : 32 + 16] = (5).to_bytes(8, "little")  # doc 0 ends past where doc 1 does
     p.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="doc offsets"):
         read_doc_pack(p)
+
+
+def _fblp_bytes(tmp_path, repeats: bool) -> tuple[bytearray, int, int]:
+    """A written pack's bytes, and where its refs and its table start (FBLP v4)."""
+    rows = _unit(np.random.default_rng(9).standard_normal((3, 4)))
+    pick = ([0, 1, 0], [2, 1, 1]) if repeats else ([0, 1], [2])
+    p = tmp_path / "docs.fblp"
+    write_doc_pack(p, {"a:0:0": rows[pick[0]], "b:0:0": rows[pick[1]]})
+    refs = 32 + 3 * 8
+    return bytearray(p.read_bytes()), refs, refs + (6 * 4 if repeats else 0)
+
+
+def _fblp_edits(tmp_path):
+    with_refs, refs, table = _fblp_bytes(tmp_path, repeats=True)
+    distinct, d_refs, _ = _fblp_bytes(tmp_path, repeats=False)
+    ref_past_table = bytearray(with_refs)
+    ref_past_table[refs + 4 : refs + 8] = (3).to_bytes(4, "little")  # the table holds 3 rows
+    table_over_rows = bytearray(with_refs)
+    table_over_rows[24:32] = (7).to_bytes(8, "little")  # 6 rows
+    identity_refs = distinct[:d_refs] + np.arange(3, dtype="<u4").tobytes() + distinct[d_refs:]
+    v3 = bytearray(with_refs)
+    v3[4:8] = (3).to_bytes(4, "little")
+    # no width: without a table to size them, a huge row count must not become refs
+    no_width = bytearray(distinct[:d_refs])
+    no_width[12:32] = struct.pack("<IQQ", 0, 1 << 40, 1 << 40)
+    no_width[d_refs - 8 : d_refs] = (1 << 40).to_bytes(8, "little")
+    no_width += distinct[-(2 * 4 + len("a:0:0b:0:0")) :]
+    return {
+        "ref_past_the_table": (ref_past_table, "row ref 3 >= table size 3"),
+        "table_over_rows": (table_over_rows, "7 table rows of width 4 for 6 rows"),
+        "rows_without_width": (no_width, "width 0"),
+        "refs_with_a_full_table": (identity_refs, None),
+        "no_refs_with_a_smaller_table": (with_refs[:refs] + with_refs[table:], None),
+        "truncated_table": (with_refs[: table + 10], None),
+        "version_3": (v3, "version 3.*re-run `fbl index`"),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["ref_past_the_table", "table_over_rows", "rows_without_width", "refs_with_a_full_table",
+     "no_refs_with_a_smaller_table", "truncated_table", "version_3"],
+)
+def test_doc_pack_v4_regions_are_untrusted(tmp_path, case):
+    blob, message = _fblp_edits(tmp_path)[case]
+    p = tmp_path / "bad.fblp"
+    p.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=message):
+        read_doc_pack(p)
+
+
+def test_doc_pack_stores_each_distinct_row_once(tmp_path):
+    # repeated rows: one table row each plus a u4 ref per row; distinct rows
+    # store no refs, and both read back as written
+    for repeats, size in ((True, 32 + 3 * 8 + 6 * 4 + 3 * 16), (False, 32 + 3 * 8 + 3 * 16)):
+        blob, _, _ = _fblp_bytes(tmp_path, repeats)
+        ids = 2 * 4 + len("a:0:0b:0:0")
+        assert len(blob) == size + ids
+        back = read_doc_pack(tmp_path / "docs.fblp")
+        assert back.table.shape == (3, 4) and not back.table.flags.owndata
+        assert back.refs.tolist() == ([0, 1, 0, 2, 1, 1] if repeats else [0, 1, 2])
 
 
 def test_session_roundtrip(tmp_path, session_pieces):
@@ -135,7 +197,7 @@ def test_session_roundtrip(tmp_path, session_pieces):
     arts = load_session(tmp_path)
     assert isinstance(arts, SessionArtifacts)
     assert arts.manifest == manifest
-    assert manifest.format_versions == {"fbli": 4, "fble": 1, "fblp": 3}
+    assert manifest.format_versions == {"fbli": 4, "fble": 1, "fblp": 4}
     # one document table: the index borrows the loaded pack's
     assert arts.index.doc_offsets is arts.doc_matrices.offsets
     assert arts.index.doc_ids is arts.doc_matrices.ids
@@ -357,8 +419,12 @@ def saved(tmp_path_factory):
     ids = runs + (index.run_codes.shape[0] + 1) * 8
     codes = ids + n * 8
     index_regions = [(0, 40), (part, runs), (runs, ids), (ids, codes), (codes, None)]
-    rows = 24 + (len(pack) + 1) * 8
-    pack_regions = [(0, rows), (rows + n * d * 4, None)]
+    # FBLP v4: header and offsets, refs, the table (left out: its bytes are
+    # values, not structure), doc ids
+    refs = 32 + (len(pack) + 1) * 8
+    table = refs + n * 4
+    assert pack.table.shape[0] < n  # the refs region is stored
+    pack_regions = [(0, refs), (refs, table), (table + pack.table.shape[0] * d * 4, None)]
     rng = np.random.default_rng(8)
     queries = [EmbeddingMatrix(rows=_unit(rng.standard_normal((3, 8))), is_query=True)
                for _ in range(2)]
