@@ -52,21 +52,21 @@ def maxsim_packed(
     order = np.argsort(-lengths, kind="stable")
     order = order[lengths[order] > 0]
     lengths, done = lengths[order], np.cumsum(lengths[order])
-    ref = refs[concat_ranges(starts[order], ends[order])].astype(np.int64)
+    ref = refs[concat_ranges(starts[order], ends[order])]
     whole = _block_products(qt, table, ref) if table.shape[0] <= _ROW_BUDGET else None
     c0 = 0
     while c0 < lengths.shape[0]:
         c1 = min(lengths.shape[0], c0 + max(1, _ROW_BUDGET // int(lengths[c0])))
         chunk = ref[int(done[c0] - lengths[c0]) : int(done[c1 - 1])]
-        products, slot = whole or _block_products(qt, table, chunk)
-        at = slot[chunk // _BLOCK] * _BLOCK + chunk % _BLOCK
-        out[order[c0:c1]] = _max_sums(products, at, lengths[c0:c1])
+        products, row_of = whole or _block_products(qt, table, chunk)
+        out[order[c0:c1]] = _max_sums(products, row_of[chunk], lengths[c0:c1])
         c0 = c1
     return out
 
 
 def _block_products(qt, table, ref):
-    """Products of the blocks ref touches, then a row of -inf; and each block's slot."""
+    """Products of the blocks ref touches, then a row of -inf; and the product row
+    of each table row (meaningful for the rows of touched blocks)."""
     touched = np.zeros(-(-table.shape[0] // _BLOCK), dtype=bool)
     touched[ref // _BLOCK] = True
     rows = (np.flatnonzero(touched)[:, None] * _BLOCK + np.arange(_BLOCK)).ravel()
@@ -74,16 +74,17 @@ def _block_products(qt, table, ref):
     products = np.full((rows.shape[0] + 1, qt.shape[1]), -np.inf, dtype=np.float32)
     out = products[:-1].reshape(-1, _BLOCK, qt.shape[1])
     np.matmul(a.reshape(-1, _BLOCK, table.shape[1]), qt, out=out)
-    return products, np.cumsum(touched) - 1
+    slot = np.cumsum(touched) - 1
+    return products, (slot[:, None] * _BLOCK + np.arange(_BLOCK)).ravel()
 
 
 def _max_sums(products, at, lengths):
     """Scores of documents (lengths > 0, the first the longest) whose rows are products[at]."""
     m, n = lengths.shape[0], int(lengths[0])
-    row = np.arange(at.shape[0]) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    slots = np.full(n * m, products.shape[0] - 1)  # short documents pad with the -inf row
-    slots[row * m + np.repeat(np.arange(m), lengths)] = at
-    best = products[slots].reshape(n, m, products.shape[1]).max(axis=0)
+    slots = np.full((n, m), products.shape[0] - 1)  # short documents pad with the -inf row
+    # slots.T walks document by document, as at does; its first lengths[i] are document i's
+    slots.T[np.arange(n) < lengths[:, None]] = at
+    best = products[slots.ravel()].reshape(n, m, products.shape[1]).max(axis=0)
     return best.astype(np.float64).sum(axis=1)
 
 

@@ -322,8 +322,13 @@ def _batched_row_search(
     probe_all = np.argpartition(-coarse_all, nprobe - 1, axis=1)[:, :nprobe]
     probe_all.sort(axis=1)  # ascending partitions = sequential code reads
     luts = np.empty((nq, m, index.n_codewords), dtype=np.float32)
-    for s in range(m):
-        luts[:, s, :] = q_rows[:, s * dsub : (s + 1) * dsub] @ index.codebooks[s].T
+    # every subspace's table in one batched product, (m, nq, dsub) @ (m, dsub, K),
+    # written straight into luts
+    np.matmul(
+        q_rows.reshape(nq, m, dsub).transpose(1, 0, 2),
+        index.codebooks.transpose(0, 2, 1),
+        out=luts.transpose(1, 0, 2),
+    )
     return _kernels.adc_topk_rows(
         luts,
         index.run_codes,

@@ -188,9 +188,7 @@ def run_query(
     bug_id: str = "",
 ) -> RankedResult:
     if exact:
-        result = rank_exact(query, docs, bug_id=bug_id)
-        result.entries = result.entries[:k]
-        return result
+        return rank_exact(query, docs, bug_id=bug_id, k=k)
     return rank_two_stage(
         query,
         index,

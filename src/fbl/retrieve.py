@@ -43,13 +43,16 @@ def _as_pack(docs: Mapping[str, EmbeddingMatrix]) -> PackedCorpus:
 
 
 def _rank_positions(
-    query: EmbeddingMatrix, pack: PackedCorpus, positions: np.ndarray
+    query: EmbeddingMatrix, pack: PackedCorpus, positions: np.ndarray, k: int
 ) -> list[tuple[str, float]]:
-    """Score the documents at the given pack positions and sort the result.
+    """Score the documents at the given pack positions; return the top ``k``, sorted.
 
     A score does not depend on which other positions are scored with it, so
-    re-scored candidates equal the exhaustive scan bit for bit.
+    re-scored candidates equal the exhaustive scan bit for bit. Only the
+    first ``k`` of the sorted order become entries.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if positions.size == 0:
         return []
     q_rows = np.ascontiguousarray(np.asarray(query.rows, dtype=np.float32))
@@ -57,7 +60,7 @@ def _rank_positions(
         q_rows, pack.table, pack.refs, pack.offsets[positions], pack.offsets[positions + 1]
     )
     finite = np.nonzero(np.isfinite(scores))[0]
-    order = finite[np.lexsort((pack.id_rank[positions[finite]], -scores[finite]))]
+    order = finite[np.lexsort((pack.id_rank[positions[finite]], -scores[finite]))[:k]]
     return [(pack.ids[positions[i]], float(scores[i])) for i in order]
 
 
@@ -65,12 +68,18 @@ def rank_exact(
     query: EmbeddingMatrix,
     docs: Mapping[str, EmbeddingMatrix],
     bug_id: str = "",
+    k: int | None = None,
 ) -> RankedResult:
-    """Score every document; the oracle the two-stage path is checked against."""
+    """Score every document and keep the top ``k`` (every scorable one when None).
+
+    This is the oracle the two-stage path is checked against.
+    """
     pack = _as_pack(docs)
     if len(pack) == 0:
         raise ValueError("at least one document is required")
-    entries = _rank_positions(query, pack, np.arange(len(pack), dtype=np.int64))
+    entries = _rank_positions(
+        query, pack, np.arange(len(pack), dtype=np.int64), len(pack) if k is None else k
+    )
     return RankedResult(bug_id=bug_id, entries=entries)
 
 
@@ -93,7 +102,7 @@ def rank_two_stage(
         np.array_equal(pack.offsets, index.doc_offsets) and pack.ids == index.doc_ids
     ):
         raise ValueError("the documents differ from those the index was built from")
-    entries = _rank_positions(query, pack, candidate_docs(index, query, n_prime, nprobe))[:k]
+    entries = _rank_positions(query, pack, candidate_docs(index, query, n_prime, nprobe), k)
     return RankedResult(bug_id=bug_id, entries=entries)
 
 

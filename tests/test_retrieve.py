@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import maxsim
-from fbl.embed import EmbeddingMatrix
-from fbl.index import build_index
+from fbl.embed import EmbeddingMatrix, PackedCorpus
+from fbl.index import build_index, candidate_docs
+from fbl.pipeline import Config, run_query
 from fbl.retrieve import (
     RankedResult,
+    _rank_positions,
     aggregate_to_changeset,
     rank_exact,
     rank_two_stage,
@@ -188,6 +190,94 @@ def test_two_stage_rejects_documents_other_than_the_indexed_ones():
     for other in (shorter, reordered):
         with pytest.raises(ValueError, match="the index was built from"):
             rank_two_stage(q, idx, other, n_prime=None, nprobe=2, k=5)
+
+
+def _token_session(n_docs=60, n_tokens=40, dim=16, n_partitions=8):
+    """(pack, index, queries) as a context-free embedder makes them: one row per token."""
+    rng = np.random.default_rng(7)
+    tokens = _unit_rows(rng.standard_normal((n_tokens, dim)))
+    docs = {
+        f"cs{i:03d}:0:0": _d(tokens[rng.integers(n_tokens, size=int(rng.integers(3, 11)))])
+        for i in range(n_docs)
+    }
+    pack = PackedCorpus.from_matrices(docs)
+    assert pack.table.shape[0] < pack.n_rows  # rows repeat
+    index = build_index(pack, n_partitions=n_partitions, n_subspaces=4, n_codewords=16, seed=3)
+    queries = [_q(tokens[rng.integers(n_tokens, size=6)]) for _ in range(5)]
+    return pack, index, queries
+
+
+def _config(candidates):
+    return Config(n_partitions=8, nprobe=2, candidates=candidates, d_in=16, d_out=16)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_rankers_reject_k_below_one(k):
+    pack, index, queries = _token_session()
+    q = queries[0]
+    calls = [
+        lambda: rank_exact(q, pack, k=k),
+        lambda: rank_two_stage(q, index, pack, n_prime=None, nprobe=2, k=k),
+        lambda: run_query(q, index, pack, _config(None), k=k),
+        lambda: run_query(q, index, pack, _config(None), k=k, exact=True),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            call()
+
+
+def test_two_stage_below_the_table_size_keeps_the_oracles_scores():
+    # rows repeat, and every budget is below the table's rows
+    pack, index, queries = _token_session()
+    pruned = False
+    for q in queries:
+        oracle = rank_exact(q, pack).entries
+        scores = dict(oracle)
+        for n_prime in (5, pack.table.shape[0] // 2, pack.table.shape[0] - 1):
+            for nprobe in (1, 2, index.n_partitions):
+                pruned |= candidate_docs(index, q, n_prime, nprobe).size < len(pack)
+                two = rank_two_stage(q, index, pack, n_prime=n_prime, nprobe=nprobe, k=10)
+                assert two.entries and all(scores[d] == s for d, s in two.entries)
+                assert two.entries == sorted(two.entries, key=lambda e: (-e[1], e[0]))
+        full = rank_two_stage(q, index, pack, n_prime=None, nprobe=index.n_partitions, k=len(pack))
+        assert full.entries == oracle
+    assert pruned
+
+
+def _tied_pack():
+    """Documents in tie groups (same rows, shuffled ids), and some that cannot score."""
+    rng = np.random.default_rng(11)
+    rows = _unit_rows(rng.standard_normal((6, 8)))
+    docs = {}
+    for i in rng.permutation(24):
+        # 6 groups of 4 identical documents: permuted copies of the same rows
+        group = rows[[i % 6, (i + 1) % 6]]
+        docs[f"d{i:02d}:0:0"] = _d(group[rng.permutation(2)])
+    docs["empty:0:0"] = _d(np.zeros((0, 8)))
+    docs["zeros:0:0"] = _d(np.zeros((3, 8)))
+    return PackedCorpus.from_matrices(docs), _q(rows[[0, 2, 5]])
+
+
+@pytest.mark.parametrize("case", ["tie", "one", "all", "beyond"])
+def test_rank_positions_top_k_equals_the_full_ranking_cut_at_k(case):
+    pack, q = _tied_pack()
+    positions = np.arange(len(pack), dtype=np.int64)
+    full = _rank_positions(q, pack, positions, len(pack))
+    assert [d for d, _ in full] == [d for d, _ in sorted(full, key=lambda e: (-e[1], e[0]))]
+    assert len(full) == len(pack) - 2  # the two -inf documents are left out
+    tie = next(i for i in range(1, len(full)) if full[i - 1][1] == full[i][1])
+    ks = {
+        "tie": [tie],  # full[tie - 1] and full[tie] tie across the cut
+        "one": [1],
+        "all": [len(full), len(pack)],
+        "beyond": [len(pack) + 5],
+    }[case]
+    subset = positions[1::2]  # candidates are an ascending subset of positions
+    part = _rank_positions(q, pack, subset, len(pack))
+    for k in ks:
+        assert _rank_positions(q, pack, positions, k) == full[:k]
+        assert _rank_positions(q, pack, subset, k) == part[:k]
+    assert rank_exact(q, pack, k=ks[0]).entries == full[: ks[0]]
 
 
 def test_aggregate_max_rule():
