@@ -12,11 +12,13 @@ The projection is trained with a margin loss over triplets
     loss = max(0, margin - score(q, pos) + score(q, neg))
 
 with score the late-interaction sum of per-query-row maxima. Training is
-plain mini-batch SGD. A step projects and normalises each raw matrix of a
-triplet once and computes the analytic gradient (including the row
-normalization Jacobian) only when the hinge is open; ``loss_from_raw`` and
-``gradient_of_loss`` share that forward pass, so the gradient can be
-checked against finite differences. An epoch's loss is the mean of the
+plain mini-batch SGD over a table holding each distinct token's raw row
+once. A step projects and normalises only the rows its triplets use, and
+computes the analytic gradient (including the row normalization Jacobian)
+only where a hinge is open: it sums each row's Jacobian coefficients and
+multiplies them by the raw rows in one GEMM. ``loss_from_raw`` and
+``gradient_of_loss`` run the same step on one triplet, so the gradient can
+be checked against finite differences. An epoch's loss is the mean of the
 losses its steps computed. Gradient and loss math run in float64; stored
 matrices are float32.
 """
@@ -116,6 +118,8 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TokenEmbedder(Protocol):
+    """Raw token vectors; row i of ``embed_ids(ids)`` depends only on ids[i] (context-free)."""
+
     d_in: int
 
     def embed_ids(self, ids: Sequence[int]) -> np.ndarray: ...
@@ -276,6 +280,13 @@ def _normalize_rows(mat: np.ndarray) -> np.ndarray:
     return mat / safe
 
 
+def _check_dims(embedder: TokenEmbedder, projection: LinearProjection) -> None:
+    if embedder.d_in != projection.d_in:
+        raise DimensionMismatch(
+            f"embedder d_in={embedder.d_in} != projection d_in={projection.d_in}"
+        )
+
+
 def embed_sequence(
     seq: EncodedSequence,
     embedder: TokenEmbedder,
@@ -283,72 +294,85 @@ def embed_sequence(
     is_query: bool = False,
 ) -> EmbeddingMatrix:
     """Unit-norm rows for every non-padding token of the sequence."""
-    if embedder.d_in != projection.d_in:
-        raise DimensionMismatch(
-            f"embedder d_in={embedder.d_in} != projection d_in={projection.d_in}"
-        )
+    _check_dims(embedder, projection)
     raw = embedder.embed_ids(seq.ids[: seq.real_length])
-    projected = raw @ projection.weights
-    rows = _normalize_rows(projected).astype(np.float32)
+    rows = _normalize_rows(raw @ projection.weights).astype(np.float32)
     return EmbeddingMatrix(rows=rows, is_query=is_query)
+
+
+def _distinct_ids(seqs: Sequence[Sequence[int]]) -> tuple[list[int], list[np.ndarray]]:
+    """(ids, refs): the distinct ids, ascending, and each sequence as indices into them."""
+    lengths = [len(s) for s in seqs]
+    flat = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs] + [np.zeros(0, np.int64)])
+    ids, inverse = np.unique(flat, return_inverse=True)
+    ends = np.cumsum(lengths).tolist()
+    return ids.tolist(), [inverse[end - n : end] for n, end in zip(lengths, ends)]
+
+
+def embed_distinct(
+    seqs: Sequence[Sequence[int]], embedder: TokenEmbedder, projection: LinearProjection
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(table, refs): each distinct id's float64 unit row, and each sequence's rows.
+
+    Row r of sequence i is table[refs[i][r]]: ``embed_ids`` runs once on the
+    distinct ids, then one GEMM and one normalisation, and since embedders
+    are context-free the rows are those ``embed_sequence`` gives.
+    """
+    _check_dims(embedder, projection)
+    ids, refs = _distinct_ids(seqs)
+    return _normalize_rows(embedder.embed_ids(ids) @ projection.weights), refs
 
 
 # -- loss and gradient ---------------------------------------------------------
 
 
-def _forward(raws: Sequence[np.ndarray], w: np.ndarray, margin: float):
-    """One triplet's loss, with each raw matrix projected and normalised once.
+def _step(raw: np.ndarray, triplets, w: np.ndarray, margin: float) -> tuple[float, np.ndarray]:
+    """Summed loss and d(loss)/dW of triplets whose rows index one raw table.
 
-    ``raws`` is (query, positive, negative); an unscorable document (no
-    non-zero row) scores -inf. A hinge at most 0 gives (0.0, None): no loss,
-    nothing to differentiate. Any other hinge, NaN included, is the loss,
-    returned with what ``_gradient`` needs: the query's unit rows, norms and
-    non-zero rows qi, and per document None (unscorable) or (j, s, ud, nd),
-    each qi row's best doc row (ties to the lowest index), their
-    similarities, and the doc's unit rows and norms.
+    Each triplet is (query, positive, negative) index arrays into ``raw``.
+    The rows the triplets use are projected and normalised once, and each
+    triplet scores from those unit rows; an unscorable document (no non-zero
+    row) scores -inf. A hinge at most 0 adds nothing. Any other hinge, NaN
+    included, adds its loss and, per used row, the coefficients of each
+    score's best-matching pairs (each query row's best doc row, ties to the
+    lowest index) through the row normalisation Jacobian. One GEMM of the
+    used raw rows and the summed coefficients gives the gradient.
     """
-    units = []
-    for raw in raws:
-        y = raw @ w
-        n = np.linalg.norm(y, axis=1)
-        units.append((y / np.where(n > 0, n, 1.0)[:, None], n))
-    uq, nq = units[0]
-    qi = np.nonzero(nq > 0)[0]
-    scores, docs = [], []
-    for ud, nd in units[1:]:
-        valid = nd > 0
-        if not valid.any():
-            scores.append(float("-inf"))
-            docs.append(None)
+    used, local = _distinct_ids([r for t in triplets for r in t])
+    y = raw[used] @ w
+    norms = np.linalg.norm(y, axis=1)
+    unit = y / np.where(norms > 0, norms, 1.0)[:, None]
+    pieces = iter(local)
+    loss, rows, terms = 0.0, [], []
+    for q, pos, neg in zip(pieces, pieces, pieces):
+        q = q[norms[q] > 0]
+        uq, best = unit[q], []
+        for d in (pos, neg):
+            d = d[norms[d] > 0]
+            sims = uq @ unit[d].T
+            best.append((d[np.argmax(sims, axis=1)], sims.max(axis=1)) if d.size else None)
+        s_pos, s_neg = (float("-inf") if b is None else float(b[1].sum()) for b in best)
+        hinge = margin - s_pos + s_neg
+        if hinge <= 0.0:
             continue
-        sims = uq @ ud.T
-        sims[:, ~valid] = -np.inf
-        j = np.argmax(sims[qi], axis=1)
-        s = sims[qi, j]
-        scores.append(float(s.sum()))
-        docs.append((j, s, ud, nd))
-    hinge = margin - scores[0] + scores[1]
-    if hinge <= 0.0:
-        return 0.0, None
-    return hinge, (uq, nq, qi, docs)
+        loss += hinge
+        for sign, pair in zip((-1.0, 1.0), best):
+            if pair is not None:
+                j, s = pair
+                v = unit[j]
+                rows += [q, j]
+                terms.append(sign * (v - s[:, None] * uq) / norms[q, None])
+                terms.append(sign * (uq - s[:, None] * v) / norms[j, None])
+    coef = np.zeros_like(unit)
+    if rows:
+        np.add.at(coef, np.concatenate(rows), np.concatenate(terms))
+    return loss, raw[used].T @ coef
 
 
-def _gradient(raws: Sequence[np.ndarray], cache) -> np.ndarray:
-    """d(hinge)/dW of a triplet whose hinge ``_forward`` found open.
-
-    Each score's gradient runs through the row normalisation Jacobian of its
-    best-matching pairs; an unscorable document contributes zero.
-    """
-    uq, nq, qi, docs = cache
-    grad = np.zeros((raws[0].shape[1], uq.shape[1]))
-    for sign, d_raw, doc in zip((-1.0, 1.0), raws[1:], docs):
-        if doc is not None:
-            j, s, ud, nd = doc
-            u, v = uq[qi], ud[j]
-            g = raws[0][qi].T @ ((v - s[:, None] * u) / nq[qi, None])
-            g += d_raw[j].T @ ((u - s[:, None] * v) / nd[j, None])
-            grad += sign * g
-    return grad
+def _one_triplet(*mats: np.ndarray):
+    """(raw, [triplet]): three raw matrices as one table and the triplet of its rows."""
+    ends = np.cumsum([m.shape[0] for m in mats]).tolist()
+    return np.concatenate(mats), [tuple(np.arange(e - m.shape[0], e) for m, e in zip(mats, ends))]
 
 
 def gradient_of_loss(
@@ -363,9 +387,7 @@ def gradient_of_loss(
     Inputs are raw (pre-projection) matrices. In the flat region of the
     hinge the gradient is exactly zero.
     """
-    raws = (q_raw, pos_raw, neg_raw)
-    _, cache = _forward(raws, projection.weights, margin)
-    return np.zeros_like(projection.weights) if cache is None else _gradient(raws, cache)
+    return _step(*_one_triplet(q_raw, pos_raw, neg_raw), projection.weights, margin)[1]
 
 
 def loss_from_raw(
@@ -375,11 +397,8 @@ def loss_from_raw(
     projection: LinearProjection,
     margin: float,
 ) -> float:
-    """Triplet loss computed from raw matrices; the target of gradient_of_loss.
-
-    Scores only: the forward pass that training and the gradient share.
-    """
-    return _forward((q_raw, pos_raw, neg_raw), projection.weights, margin)[0]
+    """Triplet loss computed from raw matrices; the target of gradient_of_loss."""
+    return _step(*_one_triplet(q_raw, pos_raw, neg_raw), projection.weights, margin)[0]
 
 
 # -- training ------------------------------------------------------------------
@@ -401,19 +420,19 @@ def train_projection(
 ) -> TrainResult:
     """Mini-batch SGD on the mean triplet loss; returns the trained projection.
 
-    A triplet whose hinge is closed adds neither loss nor gradient, so only
-    open hinges are differentiated.
+    The raw table holds each distinct token id of the triplets' texts once,
+    and every step runs on the rows its triplets use. A triplet whose hinge
+    is closed adds neither loss nor gradient.
     """
     if not triplets:
         raise ValueError("at least one triplet is required")
-
-    def raw(seq: EncodedSequence) -> np.ndarray:
-        return embedder.embed_ids(seq.ids[: seq.real_length])
-
-    raw_q = {b: raw(query_seqs[b]) for b in dict.fromkeys(t.bug_id for t in triplets)}
-    doc_ids = dict.fromkeys(d for t in triplets for d in (t.positive_doc, t.negative_doc))
-    raw_d = {d: raw(doc_seqs[d]) for d in doc_ids}
-    raws = [(raw_q[t.bug_id], raw_d[t.positive_doc], raw_d[t.negative_doc]) for t in triplets]
+    bugs = list(dict.fromkeys(t.bug_id for t in triplets))
+    docs = list(dict.fromkeys(d for t in triplets for d in (t.positive_doc, t.negative_doc)))
+    seqs = [query_seqs[b] for b in bugs] + [doc_seqs[d] for d in docs]
+    ids, refs = _distinct_ids([s.ids[: s.real_length] for s in seqs])
+    raw = embedder.embed_ids(ids)
+    q_refs, d_refs = dict(zip(bugs, refs)), dict(zip(docs, refs[len(bugs) :]))
+    rows = [(q_refs[t.bug_id], d_refs[t.positive_doc], d_refs[t.negative_doc]) for t in triplets]
 
     rng = np.random.default_rng(cfg.seed)
     w = LinearProjection.seeded_init(embedder.d_in, d_out, cfg.seed).weights
@@ -424,13 +443,7 @@ def train_projection(
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             w = LinearProjection(w).weights  # rejects non-finite weights
-            grad = np.zeros_like(w)
-            batch_loss = 0.0
-            for idx in batch:
-                loss, cache = _forward(raws[idx], w, cfg.margin)
-                if cache is not None:
-                    batch_loss += loss
-                    grad += _gradient(raws[idx], cache)
+            batch_loss, grad = _step(raw, [rows[i] for i in batch], w, cfg.margin)
             if not np.isfinite(batch_loss):
                 raise NonFiniteLoss(
                     f"non-finite loss at epoch {epoch + 1}, batch starting {start}"

@@ -160,8 +160,10 @@ def _kmeans_pp_init(
         total = wd2.sum()
         if total <= 0:
             idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=wd2 / total))
+        else:  # Generator.choice(n, p=wd2 / total)'s draw, without its O(n) checks of p
+            cdf = np.cumsum(wd2 / total)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         c = centroids[i] = pts[idx]
         if bounded:
             est = pts @ c

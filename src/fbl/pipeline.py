@@ -21,6 +21,7 @@ from .embed import (
     LinearProjection,
     ReferenceHashEmbedder,
     TokenEmbedder,
+    embed_distinct,
     embed_sequence,
 )
 from .encode import EncodedSequence, Strategy, Vocabulary, encode_document, encode_query
@@ -117,9 +118,11 @@ def embed_documents(
     embedder: TokenEmbedder,
     projection: LinearProjection,
 ) -> dict[str, EmbeddingMatrix]:
-    return {
-        doc_id: embed_sequence(seq, embedder, projection) for doc_id, seq in seqs.items()
-    }
+    """Each document's unit rows, gathered from one table of its distinct tokens."""
+    table, refs = embed_distinct([s.ids[: s.real_length] for s in seqs.values()], embedder,
+                                 projection)
+    table = table.astype(np.float32)
+    return {doc_id: EmbeddingMatrix(rows=table[r]) for doc_id, r in zip(seqs, refs)}
 
 
 def embed_query_text(

@@ -144,6 +144,43 @@ def test_embed_sequence_dimension_mismatch():
         embed_sequence(_seq([1], limit=4), emb, proj)
 
 
+def _embedders(tmp_path):
+    table = np.random.default_rng(6).standard_normal((12, 8)).astype(np.float32)
+    table[4] = 0.0  # a dead token: its rows stay zero
+    write_matrix_file(tmp_path / "e.fble", table)
+    return [ReferenceHashEmbedder(d_in=8, seed=3), FileEmbedder.from_file(tmp_path / "e.fble")]
+
+
+def test_embedder_rows_depend_only_on_their_id(tmp_path):
+    for emb in _embedders(tmp_path):
+        for ids in ([], [7], [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5], [4, 4, 0, 4]):
+            unique, inverse = np.unique(np.asarray(ids, dtype=np.int64), return_inverse=True)
+            got = emb.embed_ids(ids)
+            assert got.shape == (len(ids), 8)
+            np.testing.assert_array_equal(got, emb.embed_ids(unique.tolist())[inverse])
+
+
+def test_embed_documents_equals_embedding_each_document(tmp_path):
+    from fbl.pipeline import embed_documents
+
+    rng = np.random.default_rng(2)
+    seqs = {f"d{i}": _seq(rng.integers(0, 12, size=n).tolist(), limit=40)
+            for i, n in enumerate([5, 0, 31, 1, 0, 12, 37])}
+    seqs["dead"] = _seq([4, 4], limit=4)  # every row zero under the file table
+    proj = LinearProjection.seeded_init(8, 6, seed=1)
+    for emb in _embedders(tmp_path):
+        got = embed_documents(seqs, emb, proj)
+        assert list(got) == list(seqs)
+        for doc_id, seq in seqs.items():
+            want = embed_sequence(seq, emb, proj).rows
+            assert got[doc_id].rows.dtype == np.float32
+            assert got[doc_id].rows.tobytes() == want.tobytes() and got[doc_id].n_rows == len(want)
+    assert not got["dead"].rows.any() and got["d1"].n_rows == 0
+    assert embed_documents({}, emb, proj) == {}
+    with pytest.raises(DimensionMismatch):
+        embed_documents(seqs, emb, LinearProjection.seeded_init(16, 6, seed=1))
+
+
 def test_projection_rejects_widening():
     with pytest.raises(ValueError):
         LinearProjection(np.zeros((4, 8)))
@@ -402,7 +439,39 @@ def test_trained_weights_equal_sgd_over_every_triplet(seed, batch_size):
     assert 0.0 in losses and max(losses) > 0.0  # closed and open hinges both occur
     result = train_projection(triplets, queries, docs, emb, cfg, d_out=8)
     expected = train_projection_reference(triplets, queries, docs, emb, cfg, d_out=8)
-    assert result.projection.weights.tobytes() == expected.tobytes()
+    # a step sums per distinct row first, so float64 bits may differ in the
+    # last place; the float32 bytes that projection.fble stores may not
+    stored = np.ascontiguousarray(result.projection.weights, dtype="<f4")
+    assert stored.tobytes() == np.ascontiguousarray(expected, dtype="<f4").tobytes()
+    np.testing.assert_allclose(result.projection.weights, expected, rtol=1e-12)
+
+
+def test_distinct_row_step_equals_the_per_triplet_wrappers():
+    triplets, queries, docs, emb = _mixed_setup()
+    docs["empty"] = _seq([], limit=5)  # unscorable
+    triplets = triplets + [Triplet("b0", "p1", "empty"), Triplet("b2", "empty", "n3")]
+    names = list(queries) + list(docs)
+    seqs = [s.ids[: s.real_length] for s in list(queries.values()) + list(docs.values())]
+    ids, refs = embed._distinct_ids(seqs)
+    assert len(ids) < sum(map(len, seqs))  # tokens repeat within and across texts
+    raw, at = emb.embed_ids(ids), dict(zip(names, refs))
+    proj = LinearProjection.seeded_init(emb.d_in, 8, seed=3)
+
+    def per_triplet(t):
+        mats = [emb.embed_ids(s.ids[: s.real_length])
+                for s in (queries[t.bug_id], docs[t.positive_doc], docs[t.negative_doc])]
+        return (loss_from_raw(*mats, proj, 0.2), gradient_of_loss(*mats, proj, 0.2))
+
+    # the mixed set with an unscorable negative (a closed hinge), then an
+    # unscorable positive alone (an infinite loss with a finite gradient)
+    for batch in (triplets[:-1], triplets[-1:]):
+        expected = [per_triplet(t) for t in batch]
+        rows = [(at[t.bug_id], at[t.positive_doc], at[t.negative_doc]) for t in batch]
+        loss, grad = embed._step(raw, rows, proj.weights, 0.2)
+        np.testing.assert_allclose(loss, sum(x for x, _ in expected), rtol=1e-12)
+        np.testing.assert_allclose(grad, sum(g for _, g in expected), rtol=1e-12)
+    assert [x for x, _ in expected] == [float("inf")] and np.isfinite(grad).all()
+    assert per_triplet(triplets[-2])[0] == 0.0 and 0.0 in [per_triplet(t)[0] for t in triplets]
 
 
 def test_training_runs_no_loss_pass_outside_its_steps(monkeypatch):

@@ -161,6 +161,20 @@ def test_kmeans_pp_init_is_bit_identical_to_the_full_update(case):
             assert len(np.unique(got, axis=0)) == 5
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_kmeans_pp_draws_equal_generator_choice(weighted):
+    # few distinct points among many: after the first picks most d2 are 0,
+    # at the start, the middle and the end of the cumulative sum
+    rng = np.random.default_rng(21)
+    distinct = rng.standard_normal((6, 4))
+    pts = distinct[np.r_[np.zeros(20, dtype=int), rng.integers(6, size=200), np.ones(20, int)]]
+    weights = rng.integers(1, 9, size=pts.shape[0]).astype(np.float64) if weighted else None
+    for seed in range(150):
+        got = _kmeans_pp_init(pts, 5, np.random.default_rng(seed), weights)
+        ref = kmeans_pp_init_reference(pts, 5, np.random.default_rng(seed), weights)
+        assert got.tobytes() == ref.tobytes(), seed
+
+
 def test_build_index_is_bit_identical_with_the_reference_kernels(monkeypatch):
     rng = np.random.default_rng(12)
     corpora = [

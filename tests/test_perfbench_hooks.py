@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbl import cli, pipeline
+from fbl import cli, pipeline, store
 from fbl.embed import EmbeddingMatrix, PackedCorpus
 from fbl.index import build_index
 
@@ -99,8 +99,8 @@ def _write_jsonl(path, rows):
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
 
 
-def test_perfbench_hooks_trace_train_projection_and_restore(layers_and_tracer, tmp_path):
-    layers, tracer = layers_and_tracer
+def _tiny_corpus(tmp_path):
+    """(corpus dir, vocab file): four changesets, two bugs linked to them."""
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     words = ["widget", "parser", "cache", "socket"]
@@ -119,9 +119,11 @@ def test_perfbench_hooks_trace_train_projection_and_restore(layers_and_tracer, t
                                           for i in range(2)])
     vocab = tmp_path / "vocab.txt"
     vocab.write_text("\n".join(words) + "\n")
-    argv = ["train-projection", "--corpus", str(corpus), "--vocab", str(vocab),
-            "--out", str(tmp_path / "proj.fble"), "--d-in", "16", "--d-out", "8"]
+    return corpus, vocab
 
+
+def _traced_main(layers, tracer, argv):
+    """Spans of ``fbl`` run on argv with perfbench's hooks installed, then removed."""
     t = tracer.Tracer()
     layers.instrument(t)  # raises if a hooked name no longer resolves
     patches = list(t._patches)
@@ -131,4 +133,29 @@ def test_perfbench_hooks_trace_train_projection_and_restore(layers_and_tracer, t
         t.restore()
     for owner, attr, raw in patches:
         assert vars(owner)[attr] is raw, attr
-    assert [s.name for s in t.spans].count("embed.train") == 1
+    return t.spans
+
+
+def test_perfbench_hooks_trace_train_projection_and_restore(layers_and_tracer, tmp_path):
+    layers, tracer = layers_and_tracer
+    corpus, vocab = _tiny_corpus(tmp_path)
+    argv = ["train-projection", "--corpus", str(corpus), "--vocab", str(vocab),
+            "--out", str(tmp_path / "proj.fble"), "--d-in", "16", "--d-out", "8"]
+    spans = _traced_main(layers, tracer, argv)
+    assert [s.name for s in spans].count("embed.train") == 1
+
+
+def test_perfbench_hooks_trace_fbl_index_set_up(layers_and_tracer, tmp_path):
+    # perfbench's set-up metrics read these spans: embed.docs_s and embed.rows
+    # from the one document embedding, index.build_s from the one build
+    layers, tracer = layers_and_tracer
+    corpus, vocab = _tiny_corpus(tmp_path)
+    session = tmp_path / "session"
+    argv = ["index", "--corpus", str(corpus), "--vocab", str(vocab), "--session", str(session),
+            "--partitions", "2", "--subspaces", "2", "--codewords", "4", "--d-in", "16",
+            "--d-out", "8"]
+    spans = _traced_main(layers, tracer, argv)
+    embedded = [s for s in spans if s.name == "embed.docs"]
+    assert len(embedded) == 1 and [s.name for s in spans].count("index.build") == 1
+    pack = store.load_session(session).doc_matrices
+    assert pack.n_rows > 0 and embedded[0].attrs == {"rows": pack.n_rows}
