@@ -124,18 +124,17 @@ def assign_nearest(points: np.ndarray, centroids: np.ndarray):
     return labels, dists
 
 
-def centroid_sums(points: np.ndarray, labels: np.ndarray, k: int, weights=None):
-    """Per-cluster sums of w * x and totals of w (counts when weights is None).
+def centroid_sums(points: np.ndarray, labels: np.ndarray, k: int, weights: np.ndarray):
+    """Per-cluster sums of w * x and totals of w.
 
     The weighted points add in stable label order, so the sums do not
-    depend on how the labels were computed. Unweighted counts are int64.
+    depend on how the labels were computed.
     """
     counts = np.bincount(labels, weights=weights, minlength=k)
     sums = np.zeros((k, points.shape[1]), dtype=np.float64)
     order = np.argsort(labels, kind="stable")
     sorted_pts = points[order].astype(np.float64, copy=False)  # a fresh array
-    if weights is not None:
-        sorted_pts *= weights[order, None]
+    sorted_pts *= weights[order, None]
     sorted_lab = labels[order]
     if sorted_lab.size:
         # each cluster's block starts where the sorted label changes

@@ -6,6 +6,10 @@ a linear projection (d_in -> d_out), and L2-normalized per row. Raw vectors
 that are exactly zero stay zero after projection and are excluded from
 late-interaction maxima.
 
+Documents are embedded as one table: ``embed_distinct`` projects each
+distinct token once, and ``PackedCorpus.from_table``, the only code that
+packs, stores that table with every document's refs into it.
+
 The projection is trained with a margin loss over triplets
 (query, positive doc, negative doc):
 
@@ -80,8 +84,32 @@ class PackedCorpus(Mapping[str, EmbeddingMatrix]):
         return self.refs.shape[0]
 
     @classmethod
+    def from_table(
+        cls, table: np.ndarray, refs: np.ndarray, offsets: np.ndarray, ids: Sequence[str]
+    ) -> "PackedCorpus":
+        """Pack documents whose rows are table[refs[offsets[i]:offsets[i+1]]].
+
+        Zero rows are dropped and byte-equal table rows merge; the packed
+        table holds the rows used, in order of first appearance. Without
+        repeats the table is the rows, uncopied when already in that order.
+        """
+        table = np.ascontiguousarray(table, dtype=np.float32)
+        refs = np.asarray(refs, dtype=np.int64)
+        keep = (np.einsum("ij,ij->i", table, table) > 0)[refs]  # a nonzero norm
+        offsets, refs = np.concatenate(([0], np.cumsum(keep)))[offsets], refs[keep]
+        keys = table.view(np.dtype((np.void, table.dtype.itemsize * table.shape[1]))).ravel()
+        same = np.unique(keys, return_inverse=True)[1]  # table row -> its bytes' class
+        _, first, inverse = np.unique(same[refs], return_index=True, return_inverse=True)
+        if first.shape[0] == refs.shape[0]:  # no row repeats
+            rows = table if np.array_equal(refs, np.arange(table.shape[0])) else table[refs]
+            return cls(rows, np.arange(refs.shape[0], dtype=np.uint32), offsets, ids)
+        order = np.argsort(first)  # np.unique orders by class
+        table = table[refs[first[order]]]
+        return cls(table, np.argsort(order).astype(np.uint32)[inverse], offsets, ids)
+
+    @classmethod
     def from_matrices(cls, matrices: Mapping[str, EmbeddingMatrix]) -> "PackedCorpus":
-        """Pack document matrices (or raw row arrays); a pack passes through."""
+        """Pack document matrices (or raw row arrays) as their own table; a pack passes through."""
         if isinstance(matrices, PackedCorpus):
             return matrices
         blocks = [
@@ -89,12 +117,15 @@ class PackedCorpus(Mapping[str, EmbeddingMatrix]):
             for m in matrices.values()
         ]
         rows = np.concatenate(blocks) if blocks else np.zeros((0, 1), dtype=np.float32)
-        ends = np.cumsum([b.shape[0] for b in blocks], dtype=np.int64)
-        keep = np.einsum("ij,ij->i", rows, rows) > 0  # a nonzero norm, without a temporary
-        kept = np.concatenate(([0], np.cumsum(keep)))
-        offsets = np.concatenate(([0], kept[ends])).astype(np.int64)
-        rows = np.ascontiguousarray(rows if keep.all() else rows[keep])
-        return cls(*_distinct_rows(rows), offsets, matrices.keys())
+        offsets = np.cumsum([0] + [b.shape[0] for b in blocks], dtype=np.int64)
+        return cls.from_table(rows, np.arange(rows.shape[0]), offsets, matrices.keys())
+
+    def prefix(self, n_docs: int) -> "PackedCorpus":
+        """The first ``n_docs`` documents, as views: the table's first rows are theirs."""
+        n = int(self.offsets[n_docs])
+        t = int(self.refs[:n].max()) + 1 if n else 0
+        return PackedCorpus(self.table[:t], self.refs[:n], self.offsets[: n_docs + 1],
+                            self.ids[:n_docs])
 
     def __getitem__(self, doc_id: str) -> EmbeddingMatrix:
         i = self._pos[doc_id]
@@ -105,16 +136,6 @@ class PackedCorpus(Mapping[str, EmbeddingMatrix]):
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(table, refs): the rows distinct by their bytes, in order of first appearance."""
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if first.shape[0] == rows.shape[0]:
-        return rows, np.arange(rows.shape[0], dtype=np.uint32)
-    order = np.argsort(first)  # np.unique orders by bytes
-    return rows[first[order]], np.argsort(order).astype(np.uint32)[inverse]
 
 
 class TokenEmbedder(Protocol):

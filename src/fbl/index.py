@@ -71,9 +71,9 @@ def kmeans(
     as weights[i] copies of itself: seeds after the first are drawn in
     proportion to w * d^2 (the first is still a uniform draw over the
     points), a centroid is the weighted mean of its points and the
-    distortion is the weighted mean squared distance. Weights of 1 give
-    the unweighted run bit for bit, and scaling every weight by a power
-    of two changes no bit. With weights None every point weighs 1.
+    distortion is the weighted mean squared distance. Weights None are all
+    1, the unweighted run, and scaling every weight by a power of two
+    changes no bit.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
@@ -81,16 +81,15 @@ def kmeans(
         raise ValueError("kmeans needs at least one point")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (n,):
-            raise ValueError(
-                f"weights must hold one value per point ({n}), got shape {weights.shape}"
-            )
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite")
-        if not np.all(weights > 0):
-            raise ValueError(f"weights must be > 0, got {float(weights.min())}")
+    weights = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise ValueError(
+            f"weights must hold one value per point ({n}), got shape {weights.shape}"
+        )
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
+    if not np.all(weights > 0):
+        raise ValueError(f"weights must be > 0, got {float(weights.min())}")
     rng = np.random.default_rng(seed)
 
     if k >= n:
@@ -124,13 +123,13 @@ def kmeans(
 
 
 def _kmeans_pp_init(
-    pts: np.ndarray, k: int, rng: np.random.Generator, weights: np.ndarray | None = None
+    pts: np.ndarray, k: int, rng: np.random.Generator, weights: np.ndarray
 ) -> np.ndarray:
     """k-means++ seeds; every squared distance is the exact difference form.
 
     The first seed is a uniform draw; each later one is drawn in proportion
-    to w * d2, the weight (1 without weights) times the squared distance to
-    the nearest seed so far.
+    to w * d2, the weight times the squared distance to the nearest seed so
+    far.
 
     After each pick c, a point's distance falls only where the exact
     difference form ||x - c||^2 is below its current d2. A GEMM-form
@@ -156,7 +155,7 @@ def _kmeans_pp_init(
     bounded = bool(np.all(x2 < 1e300))
     x2_lo = x2 * (1.0 - slack)
     for i in range(1, k):
-        wd2 = d2 if weights is None else weights * d2
+        wd2 = weights * d2
         total = wd2.sum()
         if total <= 0:
             idx = int(rng.integers(n))
@@ -234,8 +233,8 @@ def build_index(
 
     Embedding ids are row indices of the packed corpus; the index borrows
     the pack's offsets and ids, which map them back to documents. Training
-    weighs each table row by how many pack rows refer to it; without repeats
-    the table is the rows, trained on unweighted.
+    weighs each table row by how many pack rows refer to it (all 1 without
+    repeats, where the table is the rows).
     """
     pack = PackedCorpus.from_matrices(doc_matrices)
     distinct = pack.table
@@ -252,31 +251,26 @@ def build_index(
     dsub = d // n_subspaces
 
     n_distinct = distinct.shape[0]
-    repeats = n_distinct < total
-    weights = np.bincount(pack.refs, minlength=n_distinct).astype(np.float64) if repeats else None
+    weights = np.bincount(pack.refs, minlength=n_distinct).astype(np.float64)
 
-    train, train_w = distinct, weights
+    pick = slice(None)  # the rows that train: all of them, up to the cap
     if n_distinct > _TRAIN_SUBSAMPLE_CAP:
         pick = np.sort(
             np.random.default_rng(seed).choice(n_distinct, _TRAIN_SUBSAMPLE_CAP, replace=False)
         )
-        train = distinct[pick]
-        train_w = None if weights is None else weights[pick]
 
     coarse = kmeans(
-        train, n_partitions, max_iters=max_iters, seed=seed, weights=train_w
+        distinct[pick], n_partitions, max_iters=max_iters, seed=seed, weights=weights[pick]
     ).centroids.astype(np.float32)
     part, _ = _kernels.assign_nearest(distinct, coarse)
     residuals = distinct - coarse[part]
 
-    train_res = residuals
-    if n_distinct > _TRAIN_SUBSAMPLE_CAP:
-        train_res = residuals[pick]
+    train_res = residuals[pick]
     codebooks = np.empty((n_subspaces, n_codewords, dsub), dtype=np.float32)
     for s in range(n_subspaces):
         sub = train_res[:, s * dsub : (s + 1) * dsub]
         codebooks[s] = kmeans(
-            sub, n_codewords, max_iters=max_iters, seed=seed + 1 + s, weights=train_w
+            sub, n_codewords, max_iters=max_iters, seed=seed + 1 + s, weights=weights[pick]
         ).centroids.astype(np.float32)
 
     codes = np.empty((n_distinct, n_subspaces), dtype=np.uint8)
@@ -284,8 +278,8 @@ def build_index(
         sub = residuals[:, s * dsub : (s + 1) * dsub]
         lab, _ = _kernels.assign_nearest(sub, codebooks[s])
         codes[:, s] = lab.astype(np.uint8)
-    if repeats:  # each row takes its table row's partition and code
-        part, codes = part[pack.refs], codes[pack.refs]
+    # each pack row takes its table row's partition and code
+    part, codes = part[pack.refs], codes[pack.refs]
 
     # by partition, then code (first subspace most significant); lexsort is
     # stable, so the ids of one (partition, code) run stay ascending

@@ -117,12 +117,13 @@ def embed_documents(
     seqs: Mapping[str, EncodedSequence],
     embedder: TokenEmbedder,
     projection: LinearProjection,
-) -> dict[str, EmbeddingMatrix]:
-    """Each document's unit rows, gathered from one table of its distinct tokens."""
+) -> PackedCorpus:
+    """The documents' pack, built from one table of their distinct tokens."""
     table, refs = embed_distinct([s.ids[: s.real_length] for s in seqs.values()], embedder,
                                  projection)
-    table = table.astype(np.float32)
-    return {doc_id: EmbeddingMatrix(rows=table[r]) for doc_id, r in zip(seqs, refs)}
+    offsets = np.cumsum([0] + [r.shape[0] for r in refs], dtype=np.int64)
+    flat = np.concatenate([np.zeros(0, dtype=np.int64), *refs])
+    return PackedCorpus.from_table(table, flat, offsets, seqs.keys())
 
 
 def embed_query_text(
@@ -150,9 +151,9 @@ def build_session(
     seqs = encode_documents(docs, config.strategy, vocab, config.doc_limit())
     if projection is None:
         projection = LinearProjection.seeded_init(config.d_in, config.d_out, config.seed)
-    matrices = PackedCorpus.from_matrices(embed_documents(seqs, embedder, projection))
+    pack = embed_documents(seqs, embedder, projection)
     index = build_index(
-        matrices,
+        pack,
         n_partitions=config.n_partitions,
         n_subspaces=config.n_subspaces,
         n_codewords=config.n_codewords,
@@ -178,24 +179,24 @@ def build_session(
         doc_limit=config.doc_limit(),
         query_limit=config.query_limit,
     )
-    return SessionArtifacts(manifest, index, projection, matrices)
+    return SessionArtifacts(manifest, index, projection, pack)
 
 
 def run_query(
     query: EmbeddingMatrix,
     index: IvfPqIndex,
-    docs: Mapping[str, EmbeddingMatrix],
+    pack: PackedCorpus,
     config: Config,
     k: int,
     exact: bool = False,
     bug_id: str = "",
 ) -> RankedResult:
     if exact:
-        return rank_exact(query, docs, bug_id=bug_id, k=k)
+        return rank_exact(query, pack, bug_id=bug_id, k=k)
     return rank_two_stage(
         query,
         index,
-        docs,
+        pack,
         n_prime=config.candidates,
         nprobe=min(config.nprobe, index.n_partitions),
         k=k,
@@ -235,19 +236,6 @@ def bench_row_csv(row: BenchRow) -> str:
     )
 
 
-def _subsample_to_size(
-    doc_matrices: Mapping[str, EmbeddingMatrix], target_embeddings: int
-) -> dict[str, EmbeddingMatrix]:
-    out: dict[str, EmbeddingMatrix] = {}
-    total = 0
-    for doc_id, mat in doc_matrices.items():
-        if total >= target_embeddings:
-            break
-        out[doc_id] = mat
-        total += mat.n_rows
-    return out
-
-
 def sweep_latency(
     doc_matrices: Mapping[str, EmbeddingMatrix],
     sizes: Sequence[int],
@@ -264,12 +252,15 @@ def sweep_latency(
     query loop runs in three rounds, alternating which path goes first, and
     reports its fastest round: load from other processes that slows one
     round does not reach the ratio.
+
+    The documents are packed once. Each size builds and queries the pack's
+    shortest document prefix holding at least that many rows (or all).
     """
     rng = np.random.default_rng(config.seed)
     rows_out: list[BenchRow] = []
+    whole = PackedCorpus.from_matrices(doc_matrices)
     for target in sizes:
-        # packed once, for the build and the queries, like a live session
-        pack = PackedCorpus.from_matrices(_subsample_to_size(doc_matrices, target))
+        pack = whole.prefix(int(np.searchsorted(whole.offsets[:-1], target)))
         n_rows = pack.n_rows
         p_eff = min(config.n_partitions, max(1, n_rows))
         cfg = replace(config, n_partitions=p_eff, nprobe=min(config.nprobe, p_eff))
@@ -281,15 +272,13 @@ def sweep_latency(
             seed=cfg.seed,
             max_iters=8,
         )
-        doc_ids = pack.ids
         queries = []
         for _ in range(n_queries):
             rows: list[np.ndarray] = []
             have = 0
             while have < query_rows:
-                pick = doc_ids[int(rng.integers(len(doc_ids)))]
-                rows.append(pack[pick].rows)
-                have += pack[pick].n_rows
+                rows.append(pack[pack.ids[int(rng.integers(len(pack)))]].rows)
+                have += rows[-1].shape[0]
             stacked = np.concatenate(rows)[:query_rows]
             queries.append(EmbeddingMatrix(np.ascontiguousarray(stacked), is_query=True))
 

@@ -8,20 +8,20 @@ unbounded candidates) it reproduces the exact ranking bit for bit, since
 both paths score a document with the same kernel and sort by the same
 total order (score descending, doc_id ascending).
 
-Both ranking entry points take any mapping of document matrices; a
-``PackedCorpus`` (what a loaded session holds) is used as it is, anything
-else is packed per call, so sessions serving many queries pack once.
+Both ranking entry points take a ``PackedCorpus``, what a loaded session
+holds, so a query makes no call into the packer.
 
 Documents that are empty after truncation score -inf and are excluded
 from rankings rather than ranked last: they are unscorable, not
-dissimilar.
+dissimilar. Likewise a query without a non-zero row ranks nothing on
+either path: no document can be scored against it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Mapping
+from typing import IO
 
 import numpy as np
 
@@ -35,11 +35,6 @@ from .index import IvfPqIndex, candidate_docs
 class RankedResult:
     bug_id: str
     entries: list[tuple[str, float]]  # (doc_id, score), score non-increasing
-
-
-def _as_pack(docs: Mapping[str, EmbeddingMatrix]) -> PackedCorpus:
-    # a loaded session's pack is used as it is: a query makes no call into the packer
-    return docs if isinstance(docs, PackedCorpus) else PackedCorpus.from_matrices(docs)
 
 
 def _rank_positions(
@@ -66,7 +61,7 @@ def _rank_positions(
 
 def rank_exact(
     query: EmbeddingMatrix,
-    docs: Mapping[str, EmbeddingMatrix],
+    pack: PackedCorpus,
     bug_id: str = "",
     k: int | None = None,
 ) -> RankedResult:
@@ -74,19 +69,21 @@ def rank_exact(
 
     This is the oracle the two-stage path is checked against.
     """
-    pack = _as_pack(docs)
     if len(pack) == 0:
         raise ValueError("at least one document is required")
-    entries = _rank_positions(
-        query, pack, np.arange(len(pack), dtype=np.int64), len(pack) if k is None else k
-    )
+    # no document is scored against a query without a non-zero row, as candidate_docs
+    # drops zero rows; beside live ones they stay, as the product's bits depend on them
+    q_rows = np.asarray(query.rows, dtype=np.float32)
+    live = np.einsum("ij,ij->i", q_rows, q_rows).any()
+    positions = np.arange(len(pack) if live else 0, dtype=np.int64)
+    entries = _rank_positions(query, pack, positions, len(pack) if k is None else k)
     return RankedResult(bug_id=bug_id, entries=entries)
 
 
 def rank_two_stage(
     query: EmbeddingMatrix,
     index: IvfPqIndex,
-    docs: Mapping[str, EmbeddingMatrix],
+    pack: PackedCorpus,
     n_prime: int | None,
     nprobe: int,
     k: int,
@@ -94,10 +91,9 @@ def rank_two_stage(
 ) -> RankedResult:
     """ANN candidate generation followed by exact re-scoring of candidates.
 
-    Candidates are positions in the index's document table, so ``docs``
+    Candidates are positions in the index's document table, so ``pack``
     must hold the documents the index was built from, in the same order.
     """
-    pack = _as_pack(docs)
     if pack.offsets is not index.doc_offsets and not (
         np.array_equal(pack.offsets, index.doc_offsets) and pack.ids == index.doc_ids
     ):

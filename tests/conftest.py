@@ -6,7 +6,7 @@ import pytest
 
 from fbl.corpus import Document, Granularity
 from fbl.diffs import Changeset, DiffLine, FileDiff, Hunk, LineKind
-from fbl.embed import LinearProjection, gradient_of_loss
+from fbl.embed import LinearProjection, PackedCorpus, gradient_of_loss
 from fbl.encode import EncodedSequence, Vocabulary
 from fbl.index import _doc_indices
 from fbl.retrieve import rank_exact
@@ -18,7 +18,7 @@ def maxsim(query, doc) -> float:
     A one-document pack: an unscorable document is left out of the ranking,
     which reads here as -inf.
     """
-    entries = rank_exact(query, {"only:0:0": doc}).entries
+    entries = rank_exact(query, PackedCorpus.from_matrices({"only:0:0": doc})).entries
     return entries[0][1] if entries else float("-inf")
 
 

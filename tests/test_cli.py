@@ -123,6 +123,24 @@ def test_ingest_index_query_pipeline(corpus_dir, capsys):
     assert top["rank"] == 1
 
 
+def test_index_packs_the_documents_once(corpus_dir, monkeypatch):
+    # the pack is built from the embedding's table; the build and the save
+    # receive that pack and pack nothing again
+    from fbl.embed import PackedCorpus
+
+    tmp_path, corpus, vocab = corpus_dir
+    pack = PackedCorpus.from_matrices
+    seen = []
+
+    def recording(matrices):
+        seen.append(type(matrices))
+        return pack(matrices)
+
+    monkeypatch.setattr(PackedCorpus, "from_matrices", staticmethod(recording))
+    assert main(_index_args(corpus, vocab, tmp_path / "session")) == 0
+    assert seen and all(kind is PackedCorpus for kind in seen)
+
+
 def test_query_exhaustive_flags_match_exact(corpus_dir, capsys):
     tmp_path, corpus, vocab = corpus_dir
     session = tmp_path / "session"

@@ -10,6 +10,7 @@ from fbl.embed import (
     EmbeddingMatrix,
     FileEmbedder,
     LinearProjection,
+    PackedCorpus,
     ReferenceHashEmbedder,
     TrainResult,
     TripletTrainConfig,
@@ -147,6 +148,7 @@ def test_embed_sequence_dimension_mismatch():
 def _embedders(tmp_path):
     table = np.random.default_rng(6).standard_normal((12, 8)).astype(np.float32)
     table[4] = 0.0  # a dead token: its rows stay zero
+    table[7] = table[2]  # two ids, byte-equal rows
     write_matrix_file(tmp_path / "e.fble", table)
     return [ReferenceHashEmbedder(d_in=8, seed=3), FileEmbedder.from_file(tmp_path / "e.fble")]
 
@@ -164,19 +166,28 @@ def test_embed_documents_equals_embedding_each_document(tmp_path):
     from fbl.pipeline import embed_documents
 
     rng = np.random.default_rng(2)
+    # ids repeat within and across documents, and two documents are empty
     seqs = {f"d{i}": _seq(rng.integers(0, 12, size=n).tolist(), limit=40)
             for i, n in enumerate([5, 0, 31, 1, 0, 12, 37])}
     seqs["dead"] = _seq([4, 4], limit=4)  # every row zero under the file table
+    seqs["twins"] = _seq([2, 7, 7, 2], limit=4)  # one row under the file table
     proj = LinearProjection.seeded_init(8, 6, seed=1)
     for emb in _embedders(tmp_path):
-        got = embed_documents(seqs, emb, proj)
-        assert list(got) == list(seqs)
-        for doc_id, seq in seqs.items():
-            want = embed_sequence(seq, emb, proj).rows
-            assert got[doc_id].rows.dtype == np.float32
-            assert got[doc_id].rows.tobytes() == want.tobytes() and got[doc_id].n_rows == len(want)
-    assert not got["dead"].rows.any() and got["d1"].n_rows == 0
-    assert embed_documents({}, emb, proj) == {}
+        for docs in (seqs, {}):
+            got = embed_documents(docs, emb, proj)
+            want = PackedCorpus.from_matrices(
+                {doc_id: embed_sequence(seq, emb, proj) for doc_id, seq in docs.items()}
+            )
+            assert got.table.dtype == np.float32 and got.refs.dtype == want.refs.dtype
+            assert got.table.tobytes() == want.table.tobytes()
+            assert got.refs.tobytes() == want.refs.tobytes()
+            assert got.offsets.tolist() == want.offsets.tolist()
+            assert got.ids == want.ids == list(docs)
+    # under the file table the dead document holds no row, and the twins one
+    got = embed_documents(seqs, emb, proj)
+    assert got["dead"].n_rows == 0 and got["d1"].n_rows == 0
+    twins = got.refs[got.offsets[-2] : got.offsets[-1]]
+    assert twins.size == 4 and np.unique(twins).size == 1
     with pytest.raises(DimensionMismatch):
         embed_documents(seqs, emb, LinearProjection.seeded_init(16, 6, seed=1))
 

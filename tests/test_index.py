@@ -153,7 +153,7 @@ def _seeding_inputs():
 def test_kmeans_pp_init_is_bit_identical_to_the_full_update(case):
     pts, k = _seeding_inputs()[case]
     multiplicities = np.random.default_rng(4).integers(1, 30, size=pts.shape[0])
-    for weights in (None, multiplicities.astype(np.float64)):
+    for weights in (np.ones(pts.shape[0]), multiplicities.astype(np.float64)):
         got = _kmeans_pp_init(pts, k, np.random.default_rng(3), weights)
         ref = kmeans_pp_init_reference(pts, k, np.random.default_rng(3), weights)
         assert got.tobytes() == ref.tobytes()
@@ -168,7 +168,8 @@ def test_kmeans_pp_draws_equal_generator_choice(weighted):
     rng = np.random.default_rng(21)
     distinct = rng.standard_normal((6, 4))
     pts = distinct[np.r_[np.zeros(20, dtype=int), rng.integers(6, size=200), np.ones(20, int)]]
-    weights = rng.integers(1, 9, size=pts.shape[0]).astype(np.float64) if weighted else None
+    weights = rng.integers(1, 9, size=pts.shape[0]) if weighted else np.ones(pts.shape[0])
+    weights = weights.astype(np.float64)
     for seed in range(150):
         got = _kmeans_pp_init(pts, 5, np.random.default_rng(seed), weights)
         ref = kmeans_pp_init_reference(pts, 5, np.random.default_rng(seed), weights)
@@ -327,23 +328,26 @@ def test_every_document_twice_builds_the_same_quantizers_and_runs(repeats):
 
 
 def test_unit_weights_build_the_bytes_of_the_unweighted_path(monkeypatch):
-    # a corpus without repeated rows trains unweighted on the rows as they
-    # are; forcing the weighted path with every weight 1 changes no byte
+    # weights None are unit weights at kmeans' boundary, bit for bit
+    pts = np.random.default_rng(16).standard_normal((400, 8))
+    plain = kmeans(pts, 12, seed=3)
+    unit = kmeans(pts, 12, seed=3, weights=np.ones(400))
+    assert plain.centroids.tobytes() == unit.centroids.tobytes()
+    assert plain.labels.tobytes() == unit.labels.tobytes()
+    assert plain.distortions == unit.distortions
+    # a corpus without repeated rows trains on its rows, each weighing 1
     docs, _ = _random_corpus(np.random.default_rng(16), n_docs=300, tokens_per_doc=6, dim=16)
-    args = dict(n_partitions=12, n_subspaces=4, n_codewords=32, seed=2)
-    plain = build_index(docs, **args)
-    kmeans = index_module.kmeans
+    train = index_module.kmeans
     seen = []
 
-    def unit_weights(points, k, weights=None, **kw):
+    def recording(points, k, weights=None, **kw):
         seen.append(weights)
-        return kmeans(points, k, weights=np.ones(points.shape[0]), **kw)
+        return train(points, k, weights=weights, **kw)
 
-    monkeypatch.setattr(index_module, "kmeans", unit_weights)
-    weighted = build_index(docs, **args)
-    assert seen and all(w is None for w in seen)
-    for name in ("coarse", "codebooks", "part_runs", "run_offsets", "flat_ids", "run_codes"):
-        assert getattr(weighted, name).tobytes() == getattr(plain, name).tobytes(), name
+    monkeypatch.setattr(index_module, "kmeans", recording)
+    build_index(docs, n_partitions=12, n_subspaces=4, n_codewords=32, seed=2)
+    assert len(seen) == 5
+    assert all(w.tolist() == [1.0] * 1800 for w in seen)
 
 
 def test_distinct_rows_are_in_first_appearance_order():
@@ -355,6 +359,26 @@ def test_distinct_rows_are_in_first_appearance_order():
     distinct = PackedCorpus.from_matrices({"a:0:0": rows[[0, 1, 3]]})
     assert distinct.table.tolist() == rows[[0, 1, 3]].tolist()
     assert distinct.refs.tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("repeats", [False, True], ids=["distinct_rows", "repeated_rows"])
+def test_a_pack_prefix_equals_packing_its_documents(repeats):
+    rng = np.random.default_rng(17)
+    if repeats:
+        docs, _ = _repeated_rows_corpus(rng, n_docs=40)
+    else:
+        docs, _ = _random_corpus(rng, n_docs=40, tokens_per_doc=5, dim=16)
+    docs["empty:0:0"] = EmbeddingMatrix(rows=np.zeros((0, 16), dtype=np.float32))
+    docs["zeros:0:0"] = EmbeddingMatrix(rows=np.zeros((2, 16), dtype=np.float32))
+    pack = PackedCorpus.from_matrices(docs)
+    assert (pack.table.shape[0] < pack.n_rows) == repeats
+    for m in (0, 1, len(docs) // 2, len(docs)):
+        got = pack.prefix(m)
+        want = PackedCorpus.from_matrices(dict(list(docs.items())[:m]))
+        assert got.table.tobytes() == want.table.tobytes(), m
+        assert got.refs.tolist() == want.refs.tolist(), m
+        assert got.offsets.tolist() == want.offsets.tolist(), m
+        assert got.ids == want.ids, m
 
 
 def test_doc_of_maps_ids_past_empty_and_dead_docs():

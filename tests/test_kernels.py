@@ -108,7 +108,7 @@ def test_centroid_sums(backend):
     rng = np.random.default_rng(5)
     points = rng.standard_normal((100, 4))
     labels = rng.integers(0, 7, size=100).astype(np.int64)
-    sums, counts = _kernels.centroid_sums(points, labels, 9)
+    sums, counts = _kernels.centroid_sums(points, labels, 9, np.ones(100))
     assert counts.sum() == 100
     assert counts[7] == 0 and counts[8] == 0
     for j in range(7):
@@ -130,16 +130,14 @@ def test_weighted_centroid_sums_count_multiplicities_exactly():
     sums, counts = _kernels.centroid_sums(points, labels, 12, mult.astype(np.float64))
     # the points as their multiplicities would repeat them
     exp_sums, exp_counts = _kernels.centroid_sums(
-        np.repeat(points, mult, axis=0), np.repeat(labels, mult), 12
+        np.repeat(points, mult, axis=0), np.repeat(labels, mult), 12, np.ones(mult.sum())
     )
     assert counts.tolist() == exp_counts.tolist()  # exact counts
     assert counts[11] == 0
     np.testing.assert_allclose(sums, exp_sums, rtol=1e-12, atol=1e-12)
-    # unit weights change no bit, and power-of-two weights scale exactly
-    plain, plain_counts = _kernels.centroid_sums(points, labels, 12)
-    unit, _ = _kernels.centroid_sums(points, labels, 12, np.ones(200))
+    # power-of-two weights scale exactly
+    plain, plain_counts = _kernels.centroid_sums(points, labels, 12, np.ones(200))
     doubled, doubled_counts = _kernels.centroid_sums(points, labels, 12, np.full(200, 2.0))
-    assert unit.tobytes() == plain.tobytes()
     assert doubled.tobytes() == (2.0 * plain).tobytes()
     assert doubled_counts.tolist() == (2 * plain_counts).tolist()
 

@@ -36,6 +36,9 @@ def _d(arr):
     return EmbeddingMatrix(rows=np.asarray(arr, dtype=np.float32))
 
 
+_pack = PackedCorpus.from_matrices
+
+
 E = np.eye(4, dtype=np.float32)
 
 
@@ -98,14 +101,14 @@ def test_maxsim_equals_row_count_iff_exact_duplicates():
 
 
 def test_rank_exact_single_doc():
-    res = rank_exact(_q(E[:1]), {"only:0:0": _d(E[:1])})
+    res = rank_exact(_q(E[:1]), _pack({"only:0:0": _d(E[:1])}))
     assert len(res.entries) == 1
     assert res.entries[0][0] == "only:0:0"
 
 
 def test_rank_exact_tie_breaks_by_doc_id():
     docs = {"bbb:0:0": _d(E[:1]), "aaa:0:0": _d(E[:1].copy())}
-    res = rank_exact(_q(E[:1]), docs)
+    res = rank_exact(_q(E[:1]), _pack(docs))
     assert [e[0] for e in res.entries] == ["aaa:0:0", "bbb:0:0"]
 
 
@@ -123,7 +126,7 @@ def test_rank_exact_five_doc_hand_fixture():
         "d4": _d(np.stack([-E[0]])),
         "d5": _d(E[2:3]),
     }
-    res = rank_exact(_q(E[:2]), docs)
+    res = rank_exact(_q(E[:2]), _pack(docs))
     assert [e[0] for e in res.entries] == ["d1", "d3", "d2", "d5", "d4"]
     scores = dict(res.entries)
     assert scores["d1"] == pytest.approx(2.0, abs=1e-6)
@@ -135,7 +138,7 @@ def test_rank_exact_five_doc_hand_fixture():
 
 def test_rank_exact_excludes_empty_documents():
     docs = {"real": _d(E[:1]), "empty": _d(np.zeros((2, 4)))}
-    res = rank_exact(_q(E[:1]), docs)
+    res = rank_exact(_q(E[:1]), _pack(docs))
     assert [e[0] for e in res.entries] == ["real"]
 
 
@@ -150,7 +153,7 @@ def _clustered_corpus(rng, n_docs=60, dim=16):
 
 def test_two_stage_exhaustive_equals_exact():
     rng = np.random.default_rng(3)
-    docs = _clustered_corpus(rng)
+    docs = _pack(_clustered_corpus(rng))
     idx = build_index(docs, n_partitions=8, n_subspaces=4, n_codewords=32, seed=1)
     for trial in range(5):
         q = _q(_unit_rows(rng.standard_normal((4, 16))))
@@ -161,7 +164,7 @@ def test_two_stage_exhaustive_equals_exact():
 
 def test_two_stage_k_truncates():
     rng = np.random.default_rng(4)
-    docs = _clustered_corpus(rng, n_docs=30)
+    docs = _pack(_clustered_corpus(rng, n_docs=30))
     idx = build_index(docs, n_partitions=4, n_subspaces=4, n_codewords=16, seed=2)
     q = _q(_unit_rows(rng.standard_normal((3, 16))))
     exact = rank_exact(q, docs)
@@ -171,7 +174,7 @@ def test_two_stage_k_truncates():
 
 def test_two_stage_k_beyond_candidates_returns_all():
     rng = np.random.default_rng(5)
-    docs = _clustered_corpus(rng, n_docs=10)
+    docs = _pack(_clustered_corpus(rng, n_docs=10))
     idx = build_index(docs, n_partitions=2, n_subspaces=4, n_codewords=8, seed=2)
     q = _q(_unit_rows(rng.standard_normal((2, 16))))
     two = rank_two_stage(q, idx, docs, n_prime=None, nprobe=2, k=10_000)
@@ -183,13 +186,31 @@ def test_two_stage_rejects_documents_other_than_the_indexed_ones():
     docs = _clustered_corpus(rng, n_docs=10)
     idx = build_index(docs, n_partitions=2, n_subspaces=4, n_codewords=8, seed=2)
     q = _q(_unit_rows(rng.standard_normal((2, 16))))
-    rank_two_stage(q, idx, dict(docs), n_prime=None, nprobe=2, k=5)  # equal, not the same
+    rank_two_stage(q, idx, _pack(docs), n_prime=None, nprobe=2, k=5)  # equal, not the same
     first = next(iter(docs))
     shorter = dict(docs, **{first: _d(docs[first].rows[:4])})  # offsets differ
     reordered = dict(reversed(docs.items()))  # equal lengths, so only the ids differ
     for other in (shorter, reordered):
         with pytest.raises(ValueError, match="the index was built from"):
-            rank_two_stage(q, idx, other, n_prime=None, nprobe=2, k=5)
+            rank_two_stage(q, idx, _pack(other), n_prime=None, nprobe=2, k=5)
+
+
+def test_a_query_without_a_non_zero_row_ranks_nothing():
+    # no document can be scored against it, on the oracle's path or the index's
+    rng = np.random.default_rng(12)
+    pack = _pack(_clustered_corpus(rng, n_docs=40))
+    idx = build_index(pack, n_partitions=8, n_subspaces=4, n_codewords=16, seed=2)
+    dead = _q(np.zeros((3, 16)))
+    assert rank_exact(dead, pack).entries == []
+    assert rank_two_stage(dead, idx, pack, n_prime=None, nprobe=8, k=40).entries == []
+    assert rank_two_stage(dead, idx, pack, n_prime=10, nprobe=2, k=10).entries == []
+    for exact in (True, False):
+        assert run_query(dead, idx, pack, _config(10), k=10, exact=exact).entries == []
+    # a zero row beside live ones is scored as it was, on both paths
+    live = _q(np.vstack([np.zeros((1, 16)), _unit_rows(rng.standard_normal((2, 16)))]))
+    exact = rank_exact(live, pack)
+    assert len(exact.entries) == 40
+    assert rank_two_stage(live, idx, pack, n_prime=None, nprobe=8, k=40).entries == exact.entries
 
 
 def _token_session(n_docs=60, n_tokens=40, dim=16, n_partitions=8):
