@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 data error (bad input files or
 session state), 3 internal error. Errors go to stderr as one JSON object.
 The FBL_SESSION environment variable supplies the default session
 directory for query/bench.
+Each command takes only the ``pipeline.Config`` flags it reads, defaulting
+to Config's values; one below the field's ``CONFIG_LEAST`` entry is a usage
+error naming the flag. query and bench read the rest from the manifest.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from .encode import Strategy, Vocabulary, encode_query
 from .errors import DataError, FblError, FormatError
 from .pipeline import (
     BENCH_CSV_HEADER,
+    CONFIG_LEAST,
+    MANIFEST_FIELDS,
     Config,
     bench_row_csv,
     build_session,
@@ -59,22 +64,32 @@ def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": message, "kind": kind}) + "\n")
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--granularity", choices=[g.value for g in Granularity], default="hunk")
-    p.add_argument("--strategy", choices=[s.value for s in Strategy], default="arcl")
-    p.add_argument("--partitions", type=int, default=320)
-    p.add_argument("--subspaces", type=int, default=16)
-    p.add_argument("--codewords", type=int, default=256)
-    p.add_argument("--nprobe", type=int, default=16)
-    p.add_argument("--candidates", default="1000", help="candidate embeddings, or 'all'")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--d-in", type=int, default=768)
-    p.add_argument("--d-out", type=int, default=128)
-    p.add_argument("--embedder", default="hash", help="'hash' or 'file:<path>'")
-    p.add_argument("--query-limit", type=int, default=256)
-    p.add_argument("--hunk-limit", type=int, default=256)
-    p.add_argument("--file-limit", type=int, default=512)
-    p.add_argument("--changeset-limit", type=int, default=512)
+# the integer Config fields each command's count flags set
+_ENCODING = ("query_limit", "hunk_limit", "file_limit", "changeset_limit", "seed", "d_in", "d_out")
+_INDEX_SHAPE = ("n_partitions", "n_subspaces", "n_codewords")
+_PROBE = ("nprobe", "candidates")
+
+
+def _flag(name: str) -> str:
+    """The flag that sets Config field `name`: n_partitions is --partitions."""
+    return "--" + name.removeprefix("n_").replace("_", "-")
+
+
+def _add_counts(p: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
+    """Flags for the integer Config fields `names`, defaulting to Config's values."""
+    for name in names:
+        p.add_argument(_flag(name), dest=name, default=getattr(Config, name),
+                       help="candidate embeddings, or 'all'" if name == "candidates" else None)
+    p.set_defaults(config_counts=names)
+
+
+def _add_config_flags(p: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
+    p.add_argument("--granularity", choices=[g.value for g in Granularity],
+                   default=Config.granularity.value)
+    p.add_argument("--strategy", choices=[s.value for s in Strategy],
+                   default=Config.strategy.value)
+    p.add_argument("--embedder", default=Config.embedder_kind, help="'hash' or 'file:<path>'")
+    _add_counts(p, names)
 
 
 def _positive(flag: str, raw, least: int = 1) -> int:
@@ -94,8 +109,13 @@ def _positive_real(flag: str, raw: float) -> float:
     return raw
 
 
-def _candidates(raw: str) -> int | None:
-    return None if raw == "all" else _positive("--candidates", raw)
+def _counts(args) -> dict:
+    """The Config fields the command's count flags set, checked against CONFIG_LEAST."""
+    return {
+        name: None if name == "candidates" and getattr(args, name) == "all"
+        else _positive(_flag(name), getattr(args, name), CONFIG_LEAST[name])
+        for name in args.config_counts
+    }
 
 
 def _config_from_args(args) -> Config:
@@ -105,22 +125,11 @@ def _config_from_args(args) -> Config:
             raise UsageError(EXIT_USAGE, f"bad --embedder {args.embedder!r}")
         embedder_kind, embedder_path = "file", args.embedder[5:]
     return Config(
-        granularity=Granularity(args.granularity),
-        strategy=Strategy(args.strategy),
-        query_limit=_positive("--query-limit", args.query_limit, least=3),
-        hunk_limit=_positive("--hunk-limit", args.hunk_limit, least=4),
-        file_limit=_positive("--file-limit", args.file_limit, least=4),
-        changeset_limit=_positive("--changeset-limit", args.changeset_limit, least=4),
-        n_partitions=_positive("--partitions", args.partitions),
-        candidates=_candidates(args.candidates),
-        nprobe=_positive("--nprobe", args.nprobe),
-        n_subspaces=_positive("--subspaces", args.subspaces),
-        n_codewords=_positive("--codewords", args.codewords),
-        seed=_positive("--seed", args.seed, least=0),
-        d_in=_positive("--d-in", args.d_in),
-        d_out=_positive("--d-out", args.d_out),
+        granularity=args.granularity,
+        strategy=args.strategy,
         embedder_kind=embedder_kind,
         embedder_path=embedder_path,
+        **_counts(args),
     )
 
 
@@ -157,13 +166,9 @@ def cmd_ingest(args) -> int:
     bugs = load_bugs(args.bugs) if args.bugs else []
     links = load_links(args.links) if args.links else []
     _check_links(changesets, bugs, links)
-    for name, src in (
-        ("changesets.jsonl", args.changesets),
-        ("bugs.jsonl", args.bugs),
-        ("links.jsonl", args.links),
-    ):
+    for dest, src in zip(_corpus_paths(out_dir), (args.changesets, args.bugs, args.links)):
         if src:
-            (out_dir / name).write_bytes(Path(src).read_bytes())
+            dest.write_bytes(Path(src).read_bytes())
     n_hunks = sum(len(fd.hunks) for cs in changesets for fd in cs.files)
     print(
         f"ingested {len(changesets)} changesets "
@@ -219,15 +224,15 @@ def cmd_index(args) -> int:
     config = _config_from_args(args)
     corpus_dir = Path(args.corpus)
     changesets, _, _ = _load_corpus_dir(corpus_dir)
-    vocab = Vocabulary.from_file(args.vocab)
+    vocab_bytes = Path(args.vocab).read_bytes()
     projection = LinearProjection.load(args.projection) if args.projection else None
     built = build_session(
         changesets,
-        vocab,
+        Vocabulary.from_bytes(vocab_bytes),
         config,
         projection=projection,
         corpus_hash=_corpus_hash(corpus_dir),
-        vocab_hash=store.sha256_file(args.vocab),
+        vocab_hash=store.sha256_bytes(vocab_bytes),
     )
     session_dir = Path(args.session or os.environ.get("FBL_SESSION", "session"))
     store.save_session(
@@ -236,7 +241,7 @@ def cmd_index(args) -> int:
         built.index,
         built.projection,
         built.doc_matrices,
-        vocab_text=Path(args.vocab).read_text(encoding="utf-8"),
+        vocab_text=vocab_bytes,
         embedder_matrix_path=config.embedder_path,
     )
     print(
@@ -247,6 +252,7 @@ def cmd_index(args) -> int:
 
 
 def _open_session(args):
+    probe = _counts(args)
     raw = args.session or os.environ.get("FBL_SESSION", "")
     if not raw:
         raise UsageError(EXIT_USAGE, "no session: pass --session or set FBL_SESSION")
@@ -257,28 +263,12 @@ def _open_session(args):
         if name not in m.checksums:
             raise FormatError(f"{session_dir / store.MANIFEST_NAME}: no checksum for {name}")
     vocab = Vocabulary.from_bytes(artifacts.vocab)
+    recorded = {name: getattr(m, name) for name in MANIFEST_FIELDS}
+    embedder_path = str(session_dir / store.EMBEDDER_NAME) if m.embedder_kind == "file" else None
     try:
-        config = Config(
-            granularity=Granularity(m.granularity),
-            strategy=Strategy(m.strategy),
-            query_limit=m.query_limit,
-            n_partitions=m.n_partitions,
-            n_subspaces=m.n_subspaces,
-            n_codewords=m.n_codewords,
-            seed=m.seed,
-            d_in=m.d_in,
-            d_out=m.d_out,
-            embedder_kind=m.embedder_kind,
-            embedder_path=(
-                str(session_dir / store.EMBEDDER_NAME) if m.embedder_kind == "file" else None
-            ),
-        )
+        config = Config(**recorded, **probe, embedder_path=embedder_path)
     except ValueError as exc:  # the values came from the session, not from flags
         raise FormatError(f"{session_dir / store.MANIFEST_NAME}: {exc}") from exc
-    if args.nprobe is not None:
-        config.nprobe = _positive("--nprobe", args.nprobe)
-    if args.candidates is not None:
-        config.candidates = _candidates(args.candidates)
     return artifacts, vocab, config
 
 
@@ -385,11 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=4)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--margin", type=float, default=0.5)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    _add_config_flags(p)
+    p.add_argument("--epochs", type=int, default=TripletTrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TripletTrainConfig.batch_size)
+    p.add_argument("--margin", type=float, default=TripletTrainConfig.margin)
+    p.add_argument("--learning-rate", type=float, default=TripletTrainConfig.learning_rate)
+    _add_config_flags(p, _ENCODING)
     p.set_defaults(func=cmd_train_projection)
 
     p = sub.add_parser("index", help="encode, embed, and index a corpus into a session")
@@ -397,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--session", default=None)
     p.add_argument("--projection", default=None)
-    _add_config_flags(p)
+    _add_config_flags(p, _ENCODING + _INDEX_SHAPE)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("query", help="rank documents for bug reports")
@@ -405,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bug-file")
     p.add_argument("--text")
     p.add_argument("--topk", type=int, default=10)
-    p.add_argument("--nprobe", type=int, default=None)
-    p.add_argument("--candidates", default=None, help="candidate embeddings, or 'all'")
+    _add_counts(p, _PROBE)
     p.add_argument("--exact", action="store_true", help="brute-force oracle ranking")
     p.add_argument("--aggregate", action="store_true", help="collapse to changeset level")
     p.add_argument("--format", choices=["jsonl", "trec"], default="jsonl")
@@ -426,8 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated embedding counts")
     p.add_argument("--queries", type=int, default=5)
     p.add_argument("--topk", type=int, default=10)
-    p.add_argument("--nprobe", type=int, default=None)
-    p.add_argument("--candidates", default=None)
+    _add_counts(p, _PROBE)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 

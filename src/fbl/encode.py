@@ -221,11 +221,15 @@ def _tokens_to_ids(tokens: list[str], vocab: Vocabulary) -> list[int]:
 _KIND_MARK = {LineKind.ADDED: A_MARK, LineKind.REMOVED: R_MARK, LineKind.CONTEXT: C_MARK}
 
 
+# the shortest limits: [CLS] [Q] [SEP] for a query, one mark more for a document
+QUERY_LEAST, DOC_LEAST = 3, 4
+
+
 def encode_document(
     doc: Document, strategy: Strategy, vocab: Vocabulary, limit: int
 ) -> EncodedSequence:
-    if limit < 4:
-        raise ValueError(f"document limit must be >= 4, got {limit}")
+    if limit < DOC_LEAST:
+        raise ValueError(f"document limit must be >= {DOC_LEAST}, got {limit}")
     lines: list[DiffLine] = doc.lines()
     stream: list[int] = [vocab.id_of(CLS)]
     if strategy is Strategy.D:
@@ -249,8 +253,8 @@ def encode_document(
 
 
 def encode_query(report: BugReport, vocab: Vocabulary, limit: int) -> EncodedSequence:
-    if limit < 3:
-        raise ValueError(f"query limit must be >= 3, got {limit}")
+    if limit < QUERY_LEAST:
+        raise ValueError(f"query limit must be >= {QUERY_LEAST}, got {limit}")
     stream = [vocab.id_of(CLS), vocab.id_of(Q_MARK)]
     stream.extend(_tokens_to_ids(wordpiece_tokenize(report.query_text(), vocab), vocab))
     return _finish(stream, vocab, limit)

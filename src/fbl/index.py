@@ -470,6 +470,8 @@ def load_index(path: str | Path, docs: PackedCorpus, data: bytes | None = None) 
         raise FormatError(f"{path}: truncated or corrupt index ({exc})") from exc
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} bytes past the codes")
+    if not (np.isfinite(coarse).all() and np.isfinite(codebooks).all()):
+        raise FormatError(f"{path}: a coarse centroid or codebook value is not finite")
     # every id and offset below indexes an array or a LUT at query time
     if not offsets_span(part_runs, n_runs):
         raise FormatError(f"{path}: partition offsets do not run from 0 up to {n_runs} runs")

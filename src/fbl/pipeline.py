@@ -24,17 +24,34 @@ from .embed import (
     embed_distinct,
     embed_sequence,
 )
-from .encode import EncodedSequence, Strategy, Vocabulary, encode_document, encode_query
+from .encode import (
+    DOC_LEAST, QUERY_LEAST, EncodedSequence, Strategy, Vocabulary, encode_document, encode_query,
+)
 from .errors import DataError
 from .index import IvfPqIndex, build_index
 from .retrieve import PackedCorpus, RankedResult, rank_exact, rank_two_stage
 from .store import Manifest, SessionArtifacts
 
 
+# each integer Config field's least value
+CONFIG_LEAST = {
+    "query_limit": QUERY_LEAST,
+    **dict.fromkeys(("hunk_limit", "file_limit", "changeset_limit"), DOC_LEAST),
+    "n_partitions": 1, "candidates": 1, "nprobe": 1, "n_subspaces": 1, "n_codewords": 1,
+    "seed": 0, "d_in": 1, "d_out": 1,
+}
+
+# the Config fields a session's manifest records under their own names
+MANIFEST_FIELDS = (
+    "granularity", "strategy", "query_limit", "n_partitions", "n_subspaces", "n_codewords",
+    "seed", "d_in", "d_out", "embedder_kind",
+)
+
+
 @dataclass
 class Config:
-    granularity: Granularity = Granularity.HUNK
-    strategy: Strategy = Strategy.ARCL
+    granularity: Granularity = Granularity.HUNK  # or its value
+    strategy: Strategy = Strategy.ARCL  # or its value
     query_limit: int = 256
     hunk_limit: int = 256
     file_limit: int = 512
@@ -51,26 +68,12 @@ class Config:
     embedder_path: str | None = None
 
     def __post_init__(self):
-        # the encoder's minima: [CLS] [Q] [SEP] for a query, one mark more for a document
-        if self.query_limit < 3:
-            raise ValueError(f"query_limit must be >= 3, got {self.query_limit}")
-        for name in ("hunk_limit", "file_limit", "changeset_limit"):
-            if getattr(self, name) < 4:
-                raise ValueError(f"{name} must be >= 4, got {getattr(self, name)}")
-        for name in (
-            "n_partitions",
-            "nprobe",
-            "n_subspaces",
-            "n_codewords",
-            "d_in",
-            "d_out",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.candidates is not None and self.candidates < 1:
-            raise ValueError("candidates must be positive (or None for all)")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        self.granularity = Granularity(self.granularity)
+        self.strategy = Strategy(self.strategy)
+        for name, least in CONFIG_LEAST.items():
+            value = getattr(self, name)
+            if value is not None and value < least:  # None candidates: all
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
     def doc_limit(self) -> int:
         return {
@@ -162,22 +165,15 @@ def build_session(
     proj_hash = hashlib.sha256(
         np.ascontiguousarray(projection.weights, dtype="<f4").tobytes()
     ).hexdigest()
+    recorded = {name: getattr(config, name) for name in MANIFEST_FIELDS}
+    recorded.update(granularity=config.granularity.value, strategy=config.strategy.value)
     manifest = Manifest(
         corpus_hash=corpus_hash,
-        granularity=config.granularity.value,
-        strategy=config.strategy.value,
         vocab_hash=vocab_hash,
-        embedder_kind=config.embedder_kind,
         embedder_seed=config.seed,
-        d_in=config.d_in,
-        d_out=config.d_out,
         projection_hash=proj_hash,
-        n_partitions=config.n_partitions,
-        n_subspaces=config.n_subspaces,
-        n_codewords=config.n_codewords,
-        seed=config.seed,
         doc_limit=config.doc_limit(),
-        query_limit=config.query_limit,
+        **recorded,
     )
     return SessionArtifacts(manifest, index, projection, pack)
 

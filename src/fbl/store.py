@@ -20,8 +20,8 @@ records a sha256 of every artifact a save writes.
 Writes go through a uniquely named temp file + rename so a crashed save
 never leaves a half-written artifact behind. Loading reads each listed
 artifact once, verifies the checksum of those bytes, and then checks magic
-bytes, format versions and every offset and id the query path indexes
-with.
+bytes, format versions, every offset and id the query path indexes with,
+and the values the writers guarantee (finite floats, a table in order).
 """
 
 from __future__ import annotations
@@ -171,11 +171,22 @@ def read_doc_pack(path: str | Path, data: bytes | None = None) -> PackedCorpus:
             raise FormatError(f"{path}: doc offsets do not run from 0 up to {n_rows} rows")
         if refs.size and int(refs.max()) >= n_table:
             raise FormatError(f"{path}: row ref {int(refs.max())} >= table size {n_table}")
+        if refs.size:  # every table row is used, in order of first appearance
+            seen = np.maximum.accumulate(refs, dtype=np.int64)
+            ahead = np.flatnonzero(np.diff(seen, prepend=-1) > 1)  # over 1 above all before it
+            if ahead.size:
+                raise FormatError(f"{path}: row ref {refs[ahead[0]]} at row {ahead[0]} is not "
+                                  "in order of first use")
+            if seen[-1] != n_table - 1:
+                raise FormatError(f"{path}: the refs use {seen[-1] + 1} of {n_table} table rows")
         if n_table == n_rows:  # no row repeats: refs count the rows
             refs = np.arange(n_rows, dtype=np.uint32)
-        return PackedCorpus(
-            table.reshape(n_table, dim).astype(np.float32, copy=False), refs, offsets.copy(), ids
-        )
+        table = table.reshape(n_table, dim).astype(np.float32, copy=False)
+        norms = np.einsum("ij,ij->i", table, table)
+        bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
+        if bad.size:  # packing writes unit rows and drops zero rows
+            raise FormatError(f"{path}: table row {int(bad[0])} has a zero or non-finite norm")
+        return PackedCorpus(table, refs, offsets.copy(), ids)
     except (struct.error, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: truncated or corrupt pack ({exc})") from exc
 
@@ -199,7 +210,7 @@ def save_session(
     index: IvfPqIndex,
     projection: LinearProjection,
     doc_matrices: Mapping[str, EmbeddingMatrix],
-    vocab_text: str | None = None,
+    vocab_text: str | bytes | None = None,  # bytes are stored as they are, text as UTF-8
     embedder_matrix_path: str | Path | None = None,
 ) -> None:
     directory = Path(directory)
@@ -210,10 +221,8 @@ def save_session(
     _atomic_write(directory / DOCS_NAME, lambda p: write_doc_pack(p, doc_matrices))
     written = [INDEX_NAME, PROJECTION_NAME, DOCS_NAME]
     if vocab_text is not None:
-        _atomic_write(
-            directory / VOCAB_NAME,
-            lambda p: Path(p).write_text(vocab_text, encoding="utf-8"),
-        )
+        vocab = vocab_text.encode("utf-8") if isinstance(vocab_text, str) else vocab_text
+        _atomic_write(directory / VOCAB_NAME, lambda p: Path(p).write_bytes(vocab))
         written.append(VOCAB_NAME)
     if embedder_matrix_path is not None:
         data = Path(embedder_matrix_path).read_bytes()

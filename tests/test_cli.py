@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -10,7 +12,8 @@ import pytest
 import fbl
 
 from fbl.cli import main
-from fbl.pipeline import Config
+from fbl.pipeline import CONFIG_LEAST, MANIFEST_FIELDS, Config
+from fbl.store import Manifest
 
 WORDS = [
     "widget", "handler", "parser", "buffer", "cursor", "stream", "socket",
@@ -349,6 +352,92 @@ def test_config_rejects_candidates_below_one():
     with pytest.raises(ValueError, match="seed"):
         Config(seed=-1)
     assert Config(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("name, least", sorted(CONFIG_LEAST.items()))
+def test_config_takes_each_count_down_to_its_least_value(name, least):
+    with pytest.raises(ValueError, match=f"{name} must be >= {least}"):
+        Config(**{name: least - 1})
+    assert getattr(Config(**{name: least}), name) == least
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("train-projection", flag)
+     for flag in ("--partitions", "--subspaces", "--codewords", "--nprobe", "--candidates")]
+    + [("index", "--nprobe"), ("index", "--candidates")],
+)
+def test_a_flag_the_command_does_not_read_exits_1(corpus_dir, capsys, tmp_path, command, flag):
+    _, corpus, vocab = corpus_dir
+    out = tmp_path / "out"
+    if command == "index":
+        argv = _index_args(corpus, vocab, out)
+    else:
+        argv = _train_args(corpus, vocab, out)
+    capsys.readouterr()
+    assert main(argv + [flag, "4"]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "usage" and f"unrecognized arguments: {flag} 4" in err["error"]
+    assert not out.exists()
+
+
+def test_index_without_config_flags_records_what_config_describes(tmp_path):
+    # enough rows for the default 320 partitions
+    changesets = tmp_path / "changesets.jsonl"
+    changesets.write_text("".join(
+        json.dumps({"id": f"c{i}", "diff": _diff(f"F{i}.java", [" ".join(WORDS * 5)] * 2),
+                    "timestamp": f"2021-01-0{i + 1}"}) + "\n"
+        for i in range(3)
+    ))
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("\n".join(WORDS) + "\n")
+    assert main(["ingest", "--changesets", str(changesets), "--out", str(tmp_path / "c")]) == 0
+    session = tmp_path / "session"
+    argv = ["index", "--corpus", str(tmp_path / "c"), "--vocab", str(vocab), "--session"]
+    assert main(argv + [str(session)]) == 0
+    manifest = json.loads((session / "manifest.json").read_text())
+    assert Config(**{name: manifest[name] for name in MANIFEST_FIELDS}) == Config()
+    assert (manifest["doc_limit"], manifest["embedder_seed"]) == (256, 42)
+    # the tuple names every field that the manifest and Config share
+    shared = {f.name for f in dataclasses.fields(Manifest)} & set(Config.__dataclass_fields__)
+    assert set(MANIFEST_FIELDS) == shared
+
+
+def test_train_projection_without_training_flags_trains_as_the_defaults(
+    corpus_dir, tmp_path, monkeypatch
+):
+    from fbl import cli
+    from fbl.embed import TripletTrainConfig
+
+    train, seen = cli.train_projection, []
+
+    def recording(triplets, queries, docs, embedder, cfg, **kwargs):
+        seen.append((embedder.d_in, cfg, kwargs))
+        return train(triplets, queries, docs, embedder, cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "train_projection", recording)
+    _, corpus, vocab = corpus_dir
+    argv = ["train-projection", "--corpus", str(corpus), "--vocab", str(vocab), "--out"]
+    assert main(argv + [str(tmp_path / "proj.fble")]) == 0
+    assert seen == [(768, TripletTrainConfig(seed=42), {"d_out": 128})]
+
+
+def test_index_stores_the_vocabulary_bytes_it_hashed(corpus_dir, capsys, tmp_path):
+    # CRLF line ends and a Latin-1 byte: parsed as `fbl query` parses them,
+    # stored as they are
+    _, corpus, vocab = corpus_dir
+    raw = vocab.read_bytes().replace(b"\n", b"\r\n") + b"caf\xe9\r\n"
+    odd = tmp_path / "vocab.txt"
+    odd.write_bytes(raw)
+    session = tmp_path / "session"
+    assert main(_index_args(corpus, odd, session)) == 0
+    assert (session / "vocab.txt").read_bytes() == raw
+    manifest = json.loads((session / "manifest.json").read_text())
+    digest = hashlib.sha256(raw).hexdigest()
+    assert manifest["vocab_hash"] == manifest["checksums"]["vocab.txt"] == digest
+    capsys.readouterr()
+    assert main(["query", "--session", str(session), "--text", "turbo encabulator"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["changeset_id"] == "c3"
 
 
 def test_session_env_var_default(corpus_dir, capsys, monkeypatch):

@@ -21,7 +21,7 @@ from fbl.embed import (
     write_matrix_file,
 )
 from fbl.errors import FormatError
-from fbl.index import build_index, candidate_docs, load_index
+from fbl.index import build_index, candidate_docs, load_index, save_index
 from fbl.retrieve import rank_exact, rank_two_stage
 from fbl.store import (
     DOCS_NAME,
@@ -37,6 +37,7 @@ from fbl.store import (
     read_doc_pack,
     save_session,
     write_doc_pack,
+    write_ids,
 )
 
 
@@ -189,6 +190,56 @@ def test_doc_pack_stores_each_distinct_row_once(tmp_path):
         back = read_doc_pack(tmp_path / "docs.fblp")
         assert back.table.shape == (3, 4) and not back.table.flags.owndata
         assert back.refs.tolist() == ([0, 1, 0, 2, 1, 1] if repeats else [0, 1, 2])
+
+
+def _fblp(path, table, refs, offsets, ids=("a:0:0", "b:0:0", "c:0:0")):
+    """Write an FBLP v4 file of the given arrays as they are, in any order."""
+    table = np.asarray(table, dtype="<f4")
+    with open(path, "wb") as fh:
+        fh.write(b"FBLP" + struct.pack("<IIIQQ", 4, len(ids), table.shape[1], len(refs),
+                                       table.shape[0]))
+        fh.write(np.asarray(offsets, dtype="<i8").tobytes())
+        fh.write(np.asarray(refs, dtype="<u4").tobytes() + table.tobytes())
+        write_ids(fh, list(ids))
+
+
+def test_doc_pack_rejects_refs_out_of_first_use_order(tmp_path):
+    # refs [2, 0, 1, 0]: PackedCorpus.prefix(2) would hand the kernel three
+    # table rows as if they were the four pack rows and swap a's and b's scores
+    table = _unit(np.random.default_rng(31).standard_normal((3, 4)))
+    p = tmp_path / "docs.fblp"
+    _fblp(p, table, [2, 0, 1, 0], [0, 1, 3, 4])
+    with pytest.raises(FormatError, match=f"{p}: row ref 2 at row 0 is not in order"):
+        read_doc_pack(p)
+    _fblp(p, table, [0, 1, 0, 1], [0, 1, 3, 4])  # table row 2 is never used
+    with pytest.raises(FormatError, match="the refs use 2 of 3 table rows"):
+        read_doc_pack(p)
+    _fblp(p, table, [0, 1, 2, 0], [0, 1, 3, 4])
+    pack = read_doc_pack(p)
+    np.testing.assert_array_equal(pack.prefix(2).table, table[:3])
+    np.testing.assert_array_equal(pack["b:0:0"].rows, table[[1, 2]])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+def test_doc_pack_rejects_a_non_finite_or_zero_table_row(tmp_path, value):
+    table = _unit(np.random.default_rng(37).standard_normal((3, 4)))
+    table[1, 2] = value
+    if value == 0:  # an all-zero row
+        table[1] = 0.0
+    p = tmp_path / "docs.fblp"
+    _fblp(p, table, [0, 1, 2, 1], [0, 1, 3, 4])
+    with pytest.raises(FormatError, match=f"{p}: table row 1 has a zero or non-finite norm"):
+        read_doc_pack(p)
+
+
+@pytest.mark.parametrize("region", ["coarse", "codebooks"])
+def test_index_rejects_a_non_finite_quantizer(tmp_path, session_pieces, region):
+    _, index, _, docs = session_pieces
+    p = tmp_path / INDEX_NAME
+    getattr(index, region).flat[3] = np.nan
+    save_index(index, p)
+    with pytest.raises(FormatError, match=f"{p}: a coarse centroid or codebook value"):
+        load_index(p, PackedCorpus.from_matrices(docs))
 
 
 def test_session_roundtrip(tmp_path, session_pieces):
@@ -425,6 +476,7 @@ def saved(tmp_path_factory):
     table = refs + n * 4
     assert pack.table.shape[0] < n  # the refs region is stored
     pack_regions = [(0, refs), (refs, table), (table + pack.table.shape[0] * d * 4, None)]
+    floats = {INDEX_NAME: (40, part), DOCS_NAME: (table, pack_regions[-1][0])}
     rng = np.random.default_rng(8)
     queries = [EmbeddingMatrix(rows=_unit(rng.standard_normal((3, 8))), is_query=True)
                for _ in range(2)]
@@ -435,6 +487,8 @@ def saved(tmp_path_factory):
         MANIFEST_NAME: ((directory / MANIFEST_NAME).read_bytes(), [(0, None)]),
         PROJECTION_NAME: ((directory / PROJECTION_NAME).read_bytes(), [(0, None)]),
         "session": (pack, projection, queries, raw_queries),
+        "floats": floats,  # the quantizers' and the table's byte ranges
+        "refs": (refs, table),
         # a manifest is read from its session; the other files stand alone
         "dirs": {MANIFEST_NAME: directory},
         "dir": tmp_path_factory.mktemp("corrupt"),
@@ -500,3 +554,38 @@ def test_overwritten_byte_raises_format_error_or_still_answers(saved, name, data
         candidate_docs(index, q, 10, 2)
         rank_two_stage(q, index, docs, n_prime=None, nprobe=index.n_partitions, k=5)
         rank_exact(q, docs)
+
+
+@pytest.mark.parametrize("name", [INDEX_NAME, DOCS_NAME])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_non_finite_float_raises_format_error(saved, name, data):
+    # any NaN or infinity, in any quantizer or table value
+    blob, _ = saved[name]
+    start, end = saved["floats"][name]
+    at = start + 4 * data.draw(st.integers(0, (end - start) // 4 - 1))
+    sign, fraction = data.draw(st.integers(0, 1)), data.draw(st.integers(0, (1 << 23) - 1))
+    value = struct.pack("<I", sign << 31 | 0xFF << 23 | fraction)
+    path = _corrupt_path(saved, name)
+    path.write_bytes(blob[:at] + value + blob[at + 4 :])
+    with pytest.raises(FormatError, match="finite"):
+        _open(saved, name, path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_a_table_out_of_first_use_order_raises_format_error(saved, data):
+    # the same documents, with the table rows stored in another order
+    blob, _ = saved[DOCS_NAME]
+    (start, end), (refs_at, table_at) = saved["floats"][DOCS_NAME], saved["refs"]
+    refs = np.frombuffer(blob, "<u4", (table_at - refs_at) // 4, refs_at)
+    table = np.frombuffer(blob, "<f4", (end - start) // 4, start).reshape(-1, 8)
+    n = table.shape[0]
+    order = np.asarray(data.draw(st.permutations(range(n)).filter(lambda o: o != sorted(o))))
+    moved = np.empty_like(table)
+    moved[order] = table
+    path = _corrupt_path(saved, DOCS_NAME)
+    path.write_bytes(blob[:refs_at] + order[refs].astype("<u4").tobytes() + moved.tobytes()
+                     + blob[end:])
+    with pytest.raises(FormatError, match="order of first use"):
+        read_doc_pack(path)
