@@ -20,21 +20,20 @@ BACKEND = "numpy"  # reported as fbl.kernel_backend and in the `fbl bench` CSV
 # Pack row p is table[refs[p]], and document i of a call owns pack rows
 # starts[i]:ends[i] (zero rows already dropped). Score: sum over query rows of
 # the max inner product against the document's rows, the maxima summed in
-# float64; -inf with no rows. A score never depends on which other documents
-# are scored with it, so re-scoring a subset gives the full scan's bits.
+# float64; -inf with no rows. A max ignores a repeated row, so packing keeps
+# each table row once per document. A score never depends on which other
+# documents are scored with it, so re-scoring a subset gives the full scan's
+# bits.
 #
 # A table with as many rows as refs is the rows (refs count 0..N-1), and each
-# document is one GEMM over its own rows. Otherwise the table is cut into
-# fixed, aligned blocks of _BLOCK rows, and the blocks a call touches are
-# multiplied in one batched GEMM, (blocks, _BLOCK, d) @ (d, q): a block's
-# product does not depend on which other blocks share the batch. Documents
-# gather their rows from the products by refs, longest first, in chunks of at
-# most _ROW_BUDGET rows once each is padded with -inf to its chunk's longest;
-# a chunk lies row j of each document, then row j + 1, so one max over the
-# leading axis reduces it. A table within the budget is multiplied once per
-# call, a larger one per chunk: no call holds the products of a whole corpus.
+# document is one GEMM over its own rows. Otherwise rows repeat, and the whole
+# table is multiplied once per call, so every call on the same table reads the
+# same product bits; a context-free embedder keeps the table within the
+# vocabulary. Documents gather their rows from that product by refs, longest
+# first, in chunks of at most _ROW_BUDGET rows once each is padded with -inf to
+# its chunk's longest; a chunk lies row j of each document, then row j + 1, so
+# one max over the leading axis reduces it.
 
-_BLOCK = 8
 _ROW_BUDGET = 4096
 
 
@@ -53,29 +52,15 @@ def maxsim_packed(
     order = order[lengths[order] > 0]
     lengths, done = lengths[order], np.cumsum(lengths[order])
     ref = refs[concat_ranges(starts[order], ends[order])]
-    whole = _block_products(qt, table, ref) if table.shape[0] <= _ROW_BUDGET else None
+    products = np.full((table.shape[0] + 1, qt.shape[1]), -np.inf, dtype=np.float32)
+    np.matmul(table, qt, out=products[:-1])  # the whole table, then a row of -inf
     c0 = 0
     while c0 < lengths.shape[0]:
         c1 = min(lengths.shape[0], c0 + max(1, _ROW_BUDGET // int(lengths[c0])))
         chunk = ref[int(done[c0] - lengths[c0]) : int(done[c1 - 1])]
-        products, row_of = whole or _block_products(qt, table, chunk)
-        out[order[c0:c1]] = _max_sums(products, row_of[chunk], lengths[c0:c1])
+        out[order[c0:c1]] = _max_sums(products, chunk, lengths[c0:c1])
         c0 = c1
     return out
-
-
-def _block_products(qt, table, ref):
-    """Products of the blocks ref touches, then a row of -inf; and the product row
-    of each table row (meaningful for the rows of touched blocks)."""
-    touched = np.zeros(-(-table.shape[0] // _BLOCK), dtype=bool)
-    touched[ref // _BLOCK] = True
-    rows = (np.flatnonzero(touched)[:, None] * _BLOCK + np.arange(_BLOCK)).ravel()
-    a = np.take(table, rows, axis=0, mode="clip")  # a short last block is padded
-    products = np.full((rows.shape[0] + 1, qt.shape[1]), -np.inf, dtype=np.float32)
-    out = products[:-1].reshape(-1, _BLOCK, qt.shape[1])
-    np.matmul(a.reshape(-1, _BLOCK, table.shape[1]), qt, out=out)
-    slot = np.cumsum(touched) - 1
-    return products, (slot[:, None] * _BLOCK + np.arange(_BLOCK)).ravel()
 
 
 def _max_sums(products, at, lengths):

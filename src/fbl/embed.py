@@ -62,7 +62,8 @@ class PackedCorpus(Mapping[str, EmbeddingMatrix]):
     Document i owns pack rows offsets[i]:offsets[i+1], and a pack row's index
     is its embedding id. The index is built from the pack and borrows its
     offsets and ids, ``docs.fblp`` stores it, and the scoring kernel reads it.
-    Zero rows are dropped when packing. Looking up a document gathers its rows.
+    Packing drops zero rows and keeps each table row at most once per
+    document. Looking up a document gathers its rows.
     """
 
     def __init__(
@@ -89,16 +90,22 @@ class PackedCorpus(Mapping[str, EmbeddingMatrix]):
     ) -> "PackedCorpus":
         """Pack documents whose rows are table[refs[offsets[i]:offsets[i+1]]].
 
-        Zero rows are dropped and byte-equal table rows merge; the packed
-        table holds the rows used, in order of first appearance. Without
-        repeats the table is the rows, uncopied when already in that order.
+        A document is a set of rows: zero rows are dropped, byte-equal table
+        rows merge, and each document keeps one ref per row it uses, in
+        order of first appearance (its score is a sum of maxima, which a
+        repeated row cannot change). The packed table holds the rows used,
+        in order of first appearance. Without repeats across documents the
+        table is the rows, uncopied when already in that order.
         """
         table = np.ascontiguousarray(table, dtype=np.float32)
         refs = np.asarray(refs, dtype=np.int64)
-        keep = (np.einsum("ij,ij->i", table, table) > 0)[refs]  # a nonzero norm
-        offsets, refs = np.concatenate(([0], np.cumsum(keep)))[offsets], refs[keep]
         keys = table.view(np.dtype((np.void, table.dtype.itemsize * table.shape[1]))).ravel()
         same = np.unique(keys, return_inverse=True)[1]  # table row -> its bytes' class
+        doc = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
+        live = np.flatnonzero((np.einsum("ij,ij->i", table, table) > 0)[refs])  # nonzero norms
+        pairs = doc[live] * table.shape[0] + same[refs[live]]  # one key per (document, class)
+        live = live[np.sort(np.unique(pairs, return_index=True)[1])]  # each pair's first ref
+        offsets, refs = np.searchsorted(live, offsets), refs[live]
         _, first, inverse = np.unique(same[refs], return_index=True, return_inverse=True)
         if first.shape[0] == refs.shape[0]:  # no row repeats
             rows = table if np.array_equal(refs, np.arange(table.shape[0])) else table[refs]

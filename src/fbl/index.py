@@ -23,9 +23,12 @@ query-time math are float32.
 
 Training sees each distinct row once: the pack's table, which a
 context-free embedder keeps within |vocab| rows. The coarse quantizer and
-every PQ codebook train on the table weighted by each row's multiplicity,
+every PQ codebook train on the table weighted by each row's multiplicity
+(the number of documents holding it, as a document holds a row once),
 each table row is assigned and encoded once, and every pack row takes its
-table row's partition and code.
+table row's partition and code. The partition count is capped at the
+table's rows: more coarse centroids would be copies of the same rows, and
+a query probing only copies would find nothing.
 """
 
 from __future__ import annotations
@@ -233,8 +236,8 @@ def build_index(
 
     Embedding ids are row indices of the packed corpus; the index borrows
     the pack's offsets and ids, which map them back to documents. Training
-    weighs each table row by how many pack rows refer to it (all 1 without
-    repeats, where the table is the rows).
+    weighs each table row by how many pack rows refer to it, the documents
+    holding it (all 1 without repeats, where the table is the rows).
     """
     pack = PackedCorpus.from_matrices(doc_matrices)
     distinct = pack.table
@@ -243,6 +246,7 @@ def build_index(
         raise InsufficientData(
             f"{total} embeddings < {n_partitions} partitions; lower --partitions"
         )
+    n_partitions = min(n_partitions, distinct.shape[0])  # more would be copies of a row
     d = distinct.shape[1]
     if d % n_subspaces != 0:
         raise ValueError(f"subspace count {n_subspaces} must divide dimension {d}")

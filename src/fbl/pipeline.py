@@ -258,7 +258,7 @@ def sweep_latency(
     for target in sizes:
         pack = whole.prefix(int(np.searchsorted(whole.offsets[:-1], target)))
         n_rows = pack.n_rows
-        p_eff = min(config.n_partitions, max(1, n_rows))
+        p_eff = min(config.n_partitions, max(1, pack.table.shape[0]))
         cfg = replace(config, n_partitions=p_eff, nprobe=min(config.nprobe, p_eff))
         index = build_index(
             pack,

@@ -3,6 +3,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from fbl.corpus import Document, Granularity
 from fbl.diffs import Changeset, DiffLine, FileDiff, Hunk, LineKind
@@ -20,6 +21,27 @@ def maxsim(query, doc) -> float:
     """
     entries = rank_exact(query, PackedCorpus.from_matrices({"only:0:0": doc})).entries
     return entries[0][1] if entries else float("-inf")
+
+
+@st.composite
+def repeated_row_docs(draw, dim=4):
+    """(table, refs, offsets): documents whose rows are table[refs[offsets[i]:offsets[i+1]]].
+
+    Rows repeat within and across documents, some table rows are zero and
+    some are byte-equal copies of others, as a context-free embedder's
+    dead and merged tokens make them.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_table = draw(st.integers(1, 9))
+    table = rng.standard_normal((n_table, dim)).astype(np.float32)
+    table /= np.linalg.norm(table, axis=1, keepdims=True)
+    table[rng.random(n_table) < 0.2] = 0.0
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n_table - 1),
+                                        st.integers(0, n_table - 1)), max_size=3)):
+        table[a] = table[b]
+    lengths = draw(st.lists(st.integers(0, 12), max_size=8))
+    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+    return table, rng.integers(n_table, size=int(offsets[-1])), offsets
 
 
 def ts(day: int) -> datetime:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fbl
@@ -382,15 +383,16 @@ def test_a_flag_the_command_does_not_read_exits_1(corpus_dir, capsys, tmp_path, 
 
 
 def test_index_without_config_flags_records_what_config_describes(tmp_path):
-    # enough rows for the default 320 partitions
+    # enough distinct rows for the default 320 partitions: 3 changesets of 120 words each
+    words = [f"q{a}{b}" for a in "abcdefghijklmnop" for b in "abcdefghijklmnopqrstuvw"][:360]
     changesets = tmp_path / "changesets.jsonl"
     changesets.write_text("".join(
-        json.dumps({"id": f"c{i}", "diff": _diff(f"F{i}.java", [" ".join(WORDS * 5)] * 2),
+        json.dumps({"id": f"c{i}", "diff": _diff(f"F{i}.java", [" ".join(words[i::3])] * 2),
                     "timestamp": f"2021-01-0{i + 1}"}) + "\n"
         for i in range(3)
     ))
     vocab = tmp_path / "vocab.txt"
-    vocab.write_text("\n".join(WORDS) + "\n")
+    vocab.write_text("\n".join(words) + "\n")
     assert main(["ingest", "--changesets", str(changesets), "--out", str(tmp_path / "c")]) == 0
     session = tmp_path / "session"
     argv = ["index", "--corpus", str(tmp_path / "c"), "--vocab", str(vocab), "--session"]
@@ -401,6 +403,51 @@ def test_index_without_config_flags_records_what_config_describes(tmp_path):
     # the tuple names every field that the manifest and Config share
     shared = {f.name for f in dataclasses.fields(Manifest)} & set(Config.__dataclass_fields__)
     assert set(MANIFEST_FIELDS) == shared
+
+
+def test_index_with_fewer_distinct_rows_than_partitions_queries_every_document(
+    tmp_path, capsys
+):
+    # hundreds of embeddings but a handful of distinct rows: 320 partitions
+    # would be copies of a few places, and `fbl query` probing them ranked nothing
+    changesets = tmp_path / "changesets.jsonl"
+    changesets.write_text("".join(
+        json.dumps({"id": f"c{i:02d}", "diff": _diff(f"F{i}.java", [" ".join(WORDS[:7])] * 2),
+                    "timestamp": f"2021-01-01T00:{i:02d}:00"}) + "\n"
+        for i in range(40)
+    ))
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("\n".join(WORDS[:7]) + "\n")
+    assert main(["ingest", "--changesets", str(changesets), "--out", str(tmp_path / "c")]) == 0
+    session = tmp_path / "session"
+    capsys.readouterr()
+    argv = ["index", "--corpus", str(tmp_path / "c"), "--vocab", str(vocab), "--session"]
+    assert main(argv + [str(session)]) == 0
+    found = re.search(r"\((\d+) embeddings, P=(\d+)\)", capsys.readouterr().out)
+    assert found and 0 < int(found[2]) < 320 <= int(found[1])
+    ranked = {}
+    for extra in (["--candidates", "all"], ["--exact"]):
+        query = ["query", "--session", str(session), "--text", "widget handler"]
+        assert main(query + extra) == 0
+        ranked[extra[0]] = [json.loads(line)["changeset_id"]
+                            for line in capsys.readouterr().out.splitlines()]
+    assert len(ranked["--exact"]) == 10
+    assert ranked["--candidates"] == ranked["--exact"]
+
+
+def test_bench_takes_at_most_one_partition_per_distinct_row():
+    from fbl.embed import EmbeddingMatrix
+    from fbl.pipeline import sweep_latency
+
+    rng = np.random.default_rng(8)
+    table = rng.standard_normal((6, 8)).astype(np.float32)
+    table /= np.linalg.norm(table, axis=1, keepdims=True)
+    docs = {f"c{i:02d}:0:0": EmbeddingMatrix(rows=table[rng.permutation(6)[:4]])
+            for i in range(30)}
+    config = Config(n_partitions=320, n_subspaces=2, n_codewords=16, d_in=8, d_out=8)
+    rows = sweep_latency(docs, [1, 200], config, n_queries=1, query_rows=4)
+    assert [(r.embeddings, r.docs, r.partitions) for r in rows] == [(4, 1, 4), (120, 30, 6)]
+    assert [r.nprobe for r in rows] == [4, 6]
 
 
 def test_train_projection_without_training_flags_trains_as_the_defaults(

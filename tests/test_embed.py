@@ -1,10 +1,13 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import train_projection_reference
-from fbl import embed
+from conftest import repeated_row_docs, train_projection_reference
+from fbl import _kernels, embed
 from fbl.corpus import Triplet
 from fbl.embed import (
     EmbeddingMatrix,
@@ -170,7 +173,8 @@ def test_embed_documents_equals_embedding_each_document(tmp_path):
     seqs = {f"d{i}": _seq(rng.integers(0, 12, size=n).tolist(), limit=40)
             for i, n in enumerate([5, 0, 31, 1, 0, 12, 37])}
     seqs["dead"] = _seq([4, 4], limit=4)  # every row zero under the file table
-    seqs["twins"] = _seq([2, 7, 7, 2], limit=4)  # one row under the file table
+    # ids 2 and 7 have byte-equal rows under the file table: one table row
+    seqs["twin2"], seqs["twin7"] = _seq([2, 2], limit=4), _seq([7], limit=4)
     proj = LinearProjection.seeded_init(8, 6, seed=1)
     for emb in _embedders(tmp_path):
         for docs in (seqs, {}):
@@ -183,13 +187,60 @@ def test_embed_documents_equals_embedding_each_document(tmp_path):
             assert got.refs.tobytes() == want.refs.tobytes()
             assert got.offsets.tolist() == want.offsets.tolist()
             assert got.ids == want.ids == list(docs)
-    # under the file table the dead document holds no row, and the twins one
+    # under the file table the dead document holds no row, and the twins one each,
+    # the same table row
     got = embed_documents(seqs, emb, proj)
     assert got["dead"].n_rows == 0 and got["d1"].n_rows == 0
-    twins = got.refs[got.offsets[-2] : got.offsets[-1]]
-    assert twins.size == 4 and np.unique(twins).size == 1
+    twins = got.refs[got.offsets[-3] : got.offsets[-1]]
+    assert twins.size == 2 and np.unique(twins).size == 1
     with pytest.raises(DimensionMismatch):
         embed_documents(seqs, emb, LinearProjection.seeded_init(16, 6, seed=1))
+
+
+def _ids(offsets):
+    return [f"d{i}:0:0" for i in range(offsets.shape[0] - 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=repeated_row_docs())
+def test_a_packed_document_is_its_distinct_rows_in_first_appearance_order(docs):
+    table, refs, offsets = docs
+    pack = PackedCorpus.from_table(table, refs, offsets, _ids(offsets))
+    keys = {row.tobytes() for row in pack.table}
+    assert len(keys) == pack.table.shape[0]  # byte-equal rows merged
+    for i in range(len(pack)):
+        got = pack.refs[pack.offsets[i] : pack.offsets[i + 1]]
+        assert np.unique(got).size == got.size  # no (document, table row) pair twice
+        want: list[bytes] = []
+        for r in refs[offsets[i] : offsets[i + 1]]:
+            if table[r].any() and table[r].tobytes() not in want:
+                want.append(table[r].tobytes())
+        assert [pack.table[j].tobytes() for j in got] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=repeated_row_docs(), budget=st.sampled_from([1, 3, _kernels._ROW_BUDGET]),
+       n_query=st.integers(1, 4))
+def test_a_pack_with_repeats_in_a_document_scores_as_its_set_pack(docs, budget, n_query):
+    table, refs, offsets = docs
+    ids = _ids(offsets)
+    pack = PackedCorpus.from_table(table, refs, offsets, ids)
+    assume(pack.table.shape[0] < pack.n_rows)  # rows repeat across documents
+    # the same documents, each live input row kept, repeats and all
+    row_of = {row.tobytes(): j for j, row in enumerate(pack.table)}
+    live = [[row_of[table[r].tobytes()] for r in refs[offsets[i] : offsets[i + 1]]
+             if table[r].any()] for i in range(len(ids))]
+    direct = PackedCorpus(pack.table, np.asarray(sum(live, []), dtype=np.uint32),
+                          np.cumsum([0] + [len(x) for x in live], dtype=np.int64), ids)
+    assert direct.n_rows >= pack.n_rows
+    query = np.random.default_rng(n_query).standard_normal((n_query, table.shape[1]))
+    query = (query / np.linalg.norm(query, axis=1, keepdims=True)).astype(np.float32)
+    with mock.patch.object(_kernels, "_ROW_BUDGET", budget):
+        want = _kernels.maxsim_packed(query, pack.table, pack.refs, pack.offsets[:-1],
+                                      pack.offsets[1:])
+        got = _kernels.maxsim_packed(query, direct.table, direct.refs, direct.offsets[:-1],
+                                     direct.offsets[1:])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_projection_rejects_widening():

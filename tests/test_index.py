@@ -227,8 +227,18 @@ def test_build_insufficient_data():
         build_index(docs, n_partitions=3, n_subspaces=2)
 
 
+def test_build_caps_the_partitions_at_the_distinct_rows():
+    # 6 pack rows of 3 distinct rows: a 4th centroid would copy one of them
+    rows = _unit_rows(np.eye(3, 4))
+    docs = {"a:0:0": EmbeddingMatrix(rows=rows), "b:0:0": EmbeddingMatrix(rows=rows[::-1])}
+    idx = build_index(docs, n_partitions=4, n_subspaces=2, n_codewords=2)
+    assert idx.n_partitions == 3
+    assert np.diff(idx.part_runs).min() > 0  # every partition holds rows
+    assert build_index(docs, n_partitions=3, n_subspaces=2, n_codewords=2).n_partitions == 3
+
+
 def test_build_rejects_bad_subspaces():
-    docs = {"a:0:0": _mat(np.ones((4, 6)))}
+    docs = {"a:0:0": _mat(np.eye(4, 6))}  # 4 distinct rows: enough for 2 partitions
     with pytest.raises(ValueError):
         build_index(docs, n_partitions=2, n_subspaces=4)
 
@@ -351,13 +361,14 @@ def test_unit_weights_build_the_bytes_of_the_unweighted_path(monkeypatch):
 
 
 def test_distinct_rows_are_in_first_appearance_order():
-    rows = np.array([[2, 0], [1, 0], [2, 0], [0, 3], [1, 0], [2, 0]], dtype=np.float32)
-    pack = PackedCorpus.from_matrices({"a:0:0": rows[:4], "b:0:0": rows[4:]})
+    # rows repeat across documents, each document holding a row once
+    rows = np.array([[2, 0], [1, 0], [0, 3], [1, 0], [2, 0], [2, 0]], dtype=np.float32)
+    pack = PackedCorpus.from_matrices({"a:0:0": rows[:3], "b:0:0": rows[3:5], "c:0:0": rows[5:]})
     assert pack.table.tolist() == [[2, 0], [1, 0], [0, 3]]
-    assert pack.refs.tolist() == [0, 1, 0, 2, 1, 0]
+    assert pack.refs.tolist() == [0, 1, 2, 1, 0, 0]
     assert np.bincount(pack.refs).tolist() == [3, 2, 1]  # the training weights
-    distinct = PackedCorpus.from_matrices({"a:0:0": rows[[0, 1, 3]]})
-    assert distinct.table.tolist() == rows[[0, 1, 3]].tolist()
+    distinct = PackedCorpus.from_matrices({"a:0:0": rows[:3]})
+    assert distinct.table.tolist() == rows[:3].tolist()
     assert distinct.refs.tolist() == [0, 1, 2]
 
 
@@ -460,13 +471,10 @@ def test_search_topk_saturation_returns_all_sorted():
 
 
 def test_search_tie_break_by_embedding_id():
-    # two identical vectors in different docs tie exactly
+    # identical vectors in different docs tie exactly
     v = np.zeros(4, dtype=np.float32)
     v[0] = 1.0
-    docs = {
-        "a:0:0": EmbeddingMatrix(rows=np.stack([v, v])),
-        "b:0:0": EmbeddingMatrix(rows=np.stack([v, v])),
-    }
+    docs = {f"{name}:0:0": EmbeddingMatrix(rows=v[None, :]) for name in "abcd"}
     idx = build_index(docs, n_partitions=1, n_subspaces=2, n_codewords=2, seed=0)
     hits = _one_row_search(idx, v, nprobe=1, topk=4)
     assert [h[0] for h in hits] == [0, 1, 2, 3]

@@ -265,6 +265,37 @@ def test_two_stage_below_the_table_size_keeps_the_oracles_scores():
     assert pruned
 
 
+@pytest.mark.parametrize("extra", [0, 1], ids=["at_the_row_budget", "one_row_over"])
+def test_tables_either_side_of_the_row_budget_keep_the_oracles_bits(extra):
+    # the whole table is multiplied once per call whatever its size, and a
+    # chunk holds at most _ROW_BUDGET rows: on either side of the budget every
+    # subset re-scores with the full scan's bits, and exhaustive two-stage is the oracle.
+    from fbl import _kernels
+
+    rng = np.random.default_rng(40 + extra)
+    n_table = _kernels._ROW_BUDGET + extra
+    table = _unit_rows(rng.standard_normal((n_table, 8)))
+    # every table row once, then as many repeats, cut into documents of 1-16 refs
+    refs = np.concatenate([rng.permutation(n_table), rng.integers(n_table, size=n_table)])
+    cuts = np.cumsum(rng.integers(1, 17, size=refs.shape[0]))
+    offsets = np.concatenate(([0], cuts[cuts < refs.shape[0]], [refs.shape[0]]))
+    ids = [f"cs{i:04d}:0:0" for i in range(offsets.shape[0] - 1)]
+    pack = PackedCorpus.from_table(table, refs, offsets, ids)
+    assert pack.table.shape[0] == n_table < pack.n_rows
+
+    index = build_index(pack, n_partitions=8, n_subspaces=2, n_codewords=16, seed=1, max_iters=4)
+    starts, ends = pack.offsets[:-1], pack.offsets[1:]
+    for q in [_unit_rows(rng.standard_normal((n, 8))) for n in (1, 5)]:
+        full = _kernels.maxsim_packed(q, pack.table, pack.refs, starts, ends)
+        for pick in [np.arange(len(pack))[::-1], rng.choice(len(pack), 50), np.array([3])]:
+            got = _kernels.maxsim_packed(q, pack.table, pack.refs, starts[pick], ends[pick])
+            assert got.tobytes() == full[pick].tobytes()
+        oracle = rank_exact(_q(q), pack).entries
+        assert len(oracle) == len(pack)
+        two = rank_two_stage(_q(q), index, pack, n_prime=None, nprobe=8, k=len(pack))
+        assert two.entries == oracle
+
+
 def _tied_pack():
     """Documents in tie groups (same rows, shuffled ids), and some that cannot score."""
     rng = np.random.default_rng(11)

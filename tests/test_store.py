@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import repeated_row_docs
 from fbl.cli import main
 from fbl.embed import (
     EmbeddingMatrix,
@@ -134,7 +135,7 @@ def test_doc_pack_rejects_decreasing_doc_offsets(tmp_path):
 def _fblp_bytes(tmp_path, repeats: bool) -> tuple[bytearray, int, int]:
     """A written pack's bytes, and where its refs and its table start (FBLP v4)."""
     rows = _unit(np.random.default_rng(9).standard_normal((3, 4)))
-    pick = ([0, 1, 0], [2, 1, 1]) if repeats else ([0, 1], [2])
+    pick = ([0, 1, 2], [2, 1, 0]) if repeats else ([0, 1], [2])  # rows repeat across docs
     p = tmp_path / "docs.fblp"
     write_doc_pack(p, {"a:0:0": rows[pick[0]], "b:0:0": rows[pick[1]]})
     refs = 32 + 3 * 8
@@ -189,7 +190,25 @@ def test_doc_pack_stores_each_distinct_row_once(tmp_path):
         assert len(blob) == size + ids
         back = read_doc_pack(tmp_path / "docs.fblp")
         assert back.table.shape == (3, 4) and not back.table.flags.owndata
-        assert back.refs.tolist() == ([0, 1, 0, 2, 1, 1] if repeats else [0, 1, 2])
+        assert back.refs.tolist() == ([0, 1, 2, 2, 1, 0] if repeats else [0, 1, 2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(docs=repeated_row_docs())
+def test_a_pack_of_document_sets_round_trips_through_fblp(tmp_path_factory, docs):
+    table, refs, offsets = docs
+    matrices = {f"d{i}:0:0": table[refs[offsets[i] : offsets[i + 1]]]
+                for i in range(offsets.shape[0] - 1)}
+    p = tmp_path_factory.mktemp("fblp") / "docs.fblp"
+    write_doc_pack(p, matrices)
+    back, want = read_doc_pack(p), PackedCorpus.from_matrices(matrices)
+    assert back.table.tobytes() == want.table.tobytes()
+    assert back.refs.tolist() == want.refs.tolist()
+    assert back.offsets.tolist() == want.offsets.tolist()
+    assert back.ids == want.ids == list(matrices)
+    for i in range(len(back)):  # each document holds a table row at most once
+        doc = back.refs[back.offsets[i] : back.offsets[i + 1]]
+        assert np.unique(doc).size == doc.size
 
 
 def _fblp(path, table, refs, offsets, ids=("a:0:0", "b:0:0", "c:0:0")):
