@@ -1,9 +1,10 @@
 """Changeset-based bug localization.
 
 Bug reports and code changes are embedded as matrices of unit-norm token
-vectors; all document token embeddings live in an IVFPQ index; queries run
-two-stage retrieval (ANN candidate generation, exact late-interaction
-re-ranking) with a brute-force oracle alongside for verification.
+vectors; each distinct document token embedding lives once in an IVFPQ
+index; queries run two-stage retrieval (ANN candidate generation, exact
+late-interaction re-ranking) with a brute-force oracle alongside for
+verification.
 """
 
 from ._kernels import BACKEND as kernel_backend

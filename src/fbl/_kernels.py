@@ -3,7 +3,7 @@
     maxsim_packed    late-interaction score of packed documents, through the table
     assign_nearest   nearest centroid per point (k-means assignment)
     centroid_sums    per-cluster (weighted) sums and counts (k-means update)
-    adc_topk_rows    per query row, the top embeddings of its probed partitions
+    adc_topk_rows    per query row, the top table rows of its probed partitions
 
 Each is deterministic: the same inputs give the same bits.
 """
@@ -132,16 +132,15 @@ def centroid_sums(points: np.ndarray, labels: np.ndarray, k: int, weights: np.nd
 
 # -- asymmetric distance scan -------------------------------------------------
 #
-# Inverted lists are runs: a run is one distinct PQ code of one partition and
-# the ascending embedding ids that share it, flat_ids[run_offsets[u]:
-# run_offsets[u+1]] for run u. luts[r, m, k] holds the inner product of query
-# row r's m-th subvector with codebook centroid k. Row r scans the runs
+# The inverted lists hold each table row once: entry j is table row rows[j],
+# with PQ code codes[j]. luts[r, m, k] holds the inner product of query row
+# r's m-th subvector with codebook centroid k. Row r scans the entries
 # starts[r, p]:ends[r, p] of its probed partitions; bases[r, p] is the
-# row-to-coarse-centroid term shared by every run of that partition. Each row
-# keeps its top `per_row` ids by (score desc, id asc); the rows' results are
-# concatenated. A run's ids share its score, so each run is scored once.
+# row-to-coarse-centroid term shared by every entry of that partition. Each
+# row keeps its top `per_row` table rows by (score desc, table row asc); the
+# rows' results are concatenated.
 
-_ADC_BLOCK_CODES = 1 << 18  # runs scored at once; bounds the scan's temporaries
+_ADC_BLOCK_CODES = 1 << 18  # codes scored at once; bounds the scan's temporaries
 
 
 def _adc_scan_probes(
@@ -180,51 +179,29 @@ def _row_cuts(neg: np.ndarray, lengths: np.ndarray, per_row: int) -> np.ndarray:
     return cuts
 
 
-def adc_topk_rows(luts, run_codes, run_offsets, starts, ends, bases, flat_ids, per_row):
-    row_runs = (ends - starts).sum(axis=1)
-    row_ids = (run_offsets[ends] - run_offsets[starts]).sum(axis=1)
-    nq = row_runs.shape[0]
-    step = max(1, _ADC_BLOCK_CODES // max(1, int(row_runs.max(initial=0))))
-    id_parts, score_parts = [], []
+def adc_topk_rows(luts, codes, rows, starts, ends, bases, per_row):
+    row_codes = (ends - starts).sum(axis=1)
+    nq = row_codes.shape[0]
+    step = max(1, _ADC_BLOCK_CODES // max(1, int(row_codes.max(initial=0))))
+    row_parts, score_parts = [], []
     for r0 in range(0, max(nq, 1), step):  # no rows still makes one (empty) block
         r1 = min(r0 + step, nq)
-        rows, run, scores = _adc_scan_probes(
-            luts[r0:r1], run_codes, starts[r0:r1], ends[r0:r1], bases[r0:r1]
+        qrow, pos, scores = _adc_scan_probes(
+            luts[r0:r1], codes, starts[r0:r1], ends[r0:r1], bases[r0:r1]
         )
-        lengths = row_runs[r0:r1]
+        lengths = row_codes[r0:r1]
         if per_row < lengths.max(initial=0):
-            # keep only runs scoring at least their row's per_row-th best run;
-            # at least per_row ids score that high, so no kept id is lost
-            keep = -scores <= _row_cuts(-scores, lengths, per_row)[rows]
-            rows, run, scores = rows[keep], run[keep], scores[keep]
-        first = run_offsets[run]
-        counts = run_offsets[run + 1] - first
-        if per_row < row_ids[r0:r1].max(initial=0) and counts.max(initial=0) > 1:
-            # count-aware trim: a run stays while fewer than per_row ids of its
-            # row score strictly higher, and expands to at most `room` ids, the
-            # places its score can still take. A run's ids ascend, so the ids
-            # of a tie group that place are among each run's first `room`.
-            # (Runs of one id need none: the cut above already kept just them.)
-            order = np.lexsort((-scores, rows))
-            rows, first, counts, scores = rows[order], first[order], counts[order], scores[order]
-            before = np.cumsum(counts) - counts  # ids in the runs sorted ahead
-            group = np.ones(rows.shape[0], dtype=bool)
-            group[1:] = (rows[1:] != rows[:-1]) | (scores[1:] != scores[:-1])
-            higher = before[np.flatnonzero(group)][np.cumsum(group) - 1]
-            room = per_row - (higher - before[np.searchsorted(rows, rows)])
-            keep = room > 0
-            rows, first, scores = rows[keep], first[keep], scores[keep]
-            counts = np.minimum(counts[keep], room[keep])
-        ids = np.take(flat_ids, concat_ranges(first, first + counts))
-        rows = np.repeat(rows, counts)
-        scores = np.repeat(scores, counts)
-        order = np.lexsort((ids, -scores, rows))
-        # rows stay ascending, so sorting leaves each row's span in place
-        rank = np.arange(order.shape[0]) - np.searchsorted(rows, rows)
+            # keep only codes scoring at least their row's per_row-th best
+            keep = -scores <= _row_cuts(-scores, lengths, per_row)[qrow]
+            qrow, pos, scores = qrow[keep], pos[keep], scores[keep]
+        found = np.take(rows, pos)
+        order = np.lexsort((found, -scores, qrow))
+        # query rows stay ascending, so sorting leaves each row's span in place
+        rank = np.arange(order.shape[0]) - np.searchsorted(qrow, qrow)
         order = order[rank < per_row]
-        id_parts.append(ids[order])
+        row_parts.append(found[order])
         score_parts.append(scores[order])
-    return np.concatenate(id_parts), np.concatenate(score_parts)
+    return np.concatenate(row_parts), np.concatenate(score_parts)
 
 
 # the scan stays reachable under this name for instrumentation that times

@@ -60,8 +60,9 @@ class PackedCorpus(Mapping[str, EmbeddingMatrix]):
     ``table`` holds each distinct row once, in order of first appearance, and
     pack row p is table[refs[p]] (without repeats the table is the rows).
     Document i owns pack rows offsets[i]:offsets[i+1], and a pack row's index
-    is its embedding id. The index is built from the pack and borrows its
-    offsets and ids, ``docs.fblp`` stores it, and the scoring kernel reads it.
+    is its embedding id. The index lists the table's rows and borrows the
+    refs, offsets and ids, ``docs.fblp`` stores the pack, and the scoring
+    kernel reads it.
     Packing drops zero rows and keeps each table row at most once per
     document. Looking up a document gathers its rows.
     """

@@ -41,7 +41,7 @@ class NonFiniteLoss(FblError):
 
 
 class InsufficientData(DataError):
-    """Not enough embeddings to build the requested index."""
+    """No embeddings to build an index from."""
 
 
 class EmptyIndex(DataError):

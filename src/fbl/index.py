@@ -1,34 +1,31 @@
 """From-scratch IVFPQ index over document token embeddings.
 
 The embedding space is partitioned by a k-means coarse quantizer; each
-embedding is stored in its partition's inverted list as a product-quantized
-residual code (M bytes, one per subspace). Embedding ids are the row
-indices of the ``PackedCorpus`` the index was built from, and the index
-borrows that pack's offsets and ids (``doc_offsets``, ``doc_ids``), so an id
-maps to its document's pack position with one binary search. Queries score
-candidates with asymmetric distance computation: an inner-product lookup
-table per subspace plus the query-to-coarse-centroid term, so the raw
-vectors never need to be touched during the scan.
+distinct embedding is stored in its partition's inverted list as a
+product-quantized residual code (M bytes, one per subspace). The distinct
+embeddings are the rows of the ``PackedCorpus`` table the index was built
+from: pack row p (embedding id p) is table row ``refs[p]``, and the index
+borrows the pack's refs, offsets and ids (``doc_refs``, ``doc_offsets``,
+``doc_ids``), so a hit table row maps to the documents holding it. Queries
+score candidates with asymmetric distance computation: an inner-product
+lookup table per subspace plus the query-to-coarse-centroid term, so the
+raw vectors never need to be touched during the scan.
 
-Inverted lists are runs: each partition's embeddings are ordered by
-(code, id), and a run is one distinct code with the ids that share it, so
-a scan scores every (partition, code) once however many embeddings repeat
-it. Partitions index into runs (``part_runs``) and runs into one id block
-(``run_offsets``), which keeps a multi-partition scan a single kernel
-call. On disk (FBLI v4) the index is these same arrays written back to
-back, with no document table: the pack stored beside it owns that, and
-``load_index`` takes it from the loaded pack. k-means trains in float64
-(monotone distortion trace); the stored centroids, codebooks, and all
-query-time math are float32.
+The inverted lists hold each table row once: ``rows`` lists the table rows
+by partition, ascending within one, and ``part_offsets`` splits it, so a
+multi-partition scan is a single kernel call and scores every distinct
+embedding once however many documents hold it. On disk (FBLI v5) the index
+is these same arrays written back to back, with no document table: the
+pack stored beside it owns that, and ``load_index`` takes it from the
+loaded pack. k-means trains in float64 (monotone distortion trace); the
+stored centroids, codebooks, and all query-time math are float32.
 
-Training sees each distinct row once: the pack's table, which a
-context-free embedder keeps within |vocab| rows. The coarse quantizer and
-every PQ codebook train on the table weighted by each row's multiplicity
-(the number of documents holding it, as a document holds a row once),
-each table row is assigned and encoded once, and every pack row takes its
-table row's partition and code. The partition count is capped at the
-table's rows: more coarse centroids would be copies of the same rows, and
-a query probing only copies would find nothing.
+Training sees each distinct row once too, which a context-free embedder
+keeps within |vocab| rows. The coarse quantizer and every PQ codebook
+train on the table weighted by each row's multiplicity (the number of
+documents holding it, as a document holds a row once). The partition count
+is capped at the table's rows: more coarse centroids would be copies of
+the same rows, and a query probing only copies would find nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from .embed import EmbeddingMatrix, PackedCorpus
 from .errors import EmptyIndex, FormatError, InsufficientData
 
 FBLI_MAGIC = b"FBLI"
-FBLI_VERSION = 4
+FBLI_VERSION = 5
 
 _TRAIN_SUBSAMPLE_CAP = 256_000
 
@@ -183,17 +180,12 @@ def _kmeans_pp_init(
 class IvfPqIndex:
     coarse: np.ndarray  # (P, d) float32 centroids
     codebooks: np.ndarray  # (M, K, d // M) float32
-    part_runs: np.ndarray  # (P + 1,) int64: partition p owns runs part_runs[p]:part_runs[p+1]
-    run_offsets: np.ndarray  # (U + 1,) int64: run u owns flat_ids[run_offsets[u]:run_offsets[u+1]]
-    flat_ids: np.ndarray  # (N,) uint64 embedding ids by partition, then code; ascending in a run
-    run_codes: np.ndarray  # (U, M) uint8, the code each run's ids share
+    part_offsets: np.ndarray  # (P + 1,) int64: partition p owns rows[o[p]:o[p+1]]
+    rows: np.ndarray  # (T,) uint32 table rows by partition, ascending within one
+    codes: np.ndarray  # (T, M) uint8, the code of each entry of rows
+    doc_refs: np.ndarray  # the pack's refs: embedding id e is table row doc_refs[e]
     doc_offsets: np.ndarray  # the pack's offsets: doc i owns embedding ids [o[i], o[i+1])
     doc_ids: list[str]  # the pack's ids
-
-    @property
-    def part_offsets(self) -> np.ndarray:
-        """(P + 1,) int64: partition p owns flat_ids[part_offsets[p]:part_offsets[p+1]]."""
-        return self.run_offsets[self.part_runs]
 
     @property
     def n_partitions(self) -> int:
@@ -213,13 +205,13 @@ class IvfPqIndex:
 
     @property
     def n_embeddings(self) -> int:
-        return int(self.flat_ids.shape[0])
+        return int(self.doc_refs.shape[0])
 
 
 def _doc_indices(doc_offsets: np.ndarray, embedding_ids) -> np.ndarray:
     """The document holding each embedding id (empty documents hold none)."""
     ids = np.asarray(embedding_ids)
-    docs = np.searchsorted(doc_offsets.astype(ids.dtype), ids, side="right")
+    docs = np.searchsorted(doc_offsets.astype(ids.dtype, copy=False), ids, side="right")
     docs -= 1
     return docs
 
@@ -232,20 +224,18 @@ def build_index(
     seed: int = 0,
     max_iters: int = 25,
 ) -> IvfPqIndex:
-    """Train coarse + PQ quantizers on the distinct rows and encode the corpus.
+    """Train coarse + PQ quantizers on the distinct rows and encode them.
 
-    Embedding ids are row indices of the packed corpus; the index borrows
-    the pack's offsets and ids, which map them back to documents. Training
+    The inverted lists hold the pack's table rows; the index borrows the
+    pack's refs, offsets and ids, which map them back to documents. Training
     weighs each table row by how many pack rows refer to it, the documents
-    holding it (all 1 without repeats, where the table is the rows).
+    holding it (all 1 without repeats, where the table is the rows). The
+    partition count is capped at the table's rows.
     """
     pack = PackedCorpus.from_matrices(doc_matrices)
     distinct = pack.table
-    total = pack.n_rows
-    if total < n_partitions:
-        raise InsufficientData(
-            f"{total} embeddings < {n_partitions} partitions; lower --partitions"
-        )
+    if pack.n_rows == 0:
+        raise InsufficientData("no embeddings to index: every document is empty")
     n_partitions = min(n_partitions, distinct.shape[0])  # more would be copies of a row
     d = distinct.shape[1]
     if d % n_subspaces != 0:
@@ -282,26 +272,17 @@ def build_index(
         sub = residuals[:, s * dsub : (s + 1) * dsub]
         lab, _ = _kernels.assign_nearest(sub, codebooks[s])
         codes[:, s] = lab.astype(np.uint8)
-    # each pack row takes its table row's partition and code
-    part, codes = part[pack.refs], codes[pack.refs]
-
-    # by partition, then code (first subspace most significant); lexsort is
-    # stable, so the ids of one (partition, code) run stay ascending
-    order = np.lexsort((*codes.T[::-1], part))
-    part, codes = part[order], codes[order]
-    new_run = np.ones(total, dtype=bool)
-    new_run[1:] = (part[1:] != part[:-1]) | np.any(codes[1:] != codes[:-1], axis=1)
-    run_starts = np.flatnonzero(new_run)
-    part_runs = np.zeros(n_partitions + 1, dtype=np.int64)
-    part_runs[1:] = np.cumsum(np.bincount(part[run_starts], minlength=n_partitions))
+    rows = np.argsort(part, kind="stable")  # by partition, ascending within one
+    part_offsets = np.zeros(n_partitions + 1, dtype=np.int64)
+    part_offsets[1:] = np.cumsum(np.bincount(part, minlength=n_partitions))
 
     return IvfPqIndex(
         coarse=coarse,
         codebooks=codebooks,
-        part_runs=part_runs,
-        run_offsets=np.append(run_starts, total).astype(np.int64),
-        flat_ids=order.astype(np.uint64),
-        run_codes=codes[run_starts],
+        part_offsets=part_offsets,
+        rows=rows.astype(np.uint32),
+        codes=codes[rows],
+        doc_refs=pack.refs,
         doc_offsets=pack.offsets,
         doc_ids=pack.ids,
     )
@@ -310,10 +291,10 @@ def build_index(
 def _batched_row_search(
     index: IvfPqIndex, q_rows: np.ndarray, nprobe: int, per_row: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each query row's top per_row embeddings over its nprobe nearest partitions.
+    """Each query row's top per_row table rows over its nprobe nearest partitions.
 
-    Returns (embedding ids, scores), each row's hits ordered by (score desc,
-    id asc) and the rows concatenated in order.
+    Returns (table rows, scores), each query row's hits ordered by (score
+    desc, table row asc) and the query rows concatenated in order.
     """
     nq = q_rows.shape[0]
     m = index.n_subspaces
@@ -331,12 +312,11 @@ def _batched_row_search(
     )
     return _kernels.adc_topk_rows(
         luts,
-        index.run_codes,
-        index.run_offsets,
-        index.part_runs[probe_all],
-        index.part_runs[probe_all + 1],
+        index.codes,
+        index.rows,
+        index.part_offsets[probe_all],
+        index.part_offsets[probe_all + 1],
         np.take_along_axis(coarse_all, probe_all, axis=1),
-        index.flat_ids,
         per_row,
     )
 
@@ -350,10 +330,11 @@ def candidate_docs(
     """Ascending pack positions (int64) of the documents a query's hits land in.
 
     Each query row fetches its share (ceil(n_prime / rows)) of the
-    n_prime nearest embeddings; when n_prime is None or covers the whole
-    index, every row fetches everything. The result is a set: each
-    candidate appears once, and ascending positions read the pack front
-    to back when the candidates are re-scored.
+    n_prime nearest distinct embeddings (table rows); when n_prime is None
+    or covers the whole table, every row fetches everything. A hit table
+    row brings in every document holding it. The result is a set: each
+    candidate appears once, and ascending positions read the pack front to
+    back when the candidates are re-scored.
     """
     if n_prime is not None and n_prime < 1:
         raise ValueError(f"candidate count must be >= 1 (or None for all), got {n_prime}")
@@ -365,26 +346,28 @@ def candidate_docs(
     q_rows = np.ascontiguousarray(q_rows[np.linalg.norm(q_rows, axis=1) > 0])
     if q_rows.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    total = index.n_embeddings
-    if n_prime is None or n_prime >= total:
-        per_row = total
+    n_table = index.rows.shape[0]
+    if n_prime is None or n_prime >= n_table:
+        per_row = n_table
     else:
         per_row = -(-int(n_prime) // q_rows.shape[0])  # ceil division
 
-    all_ids, _ = _batched_row_search(index, q_rows, nprobe, per_row)
-    docs = _doc_indices(index.doc_offsets, all_ids)
+    found, _ = _batched_row_search(index, q_rows, nprobe, per_row)
+    hit = np.zeros(n_table, dtype=bool)
+    hit[found] = True
+    docs = _doc_indices(index.doc_offsets, np.flatnonzero(hit[index.doc_refs]))
     n_docs = index.doc_offsets.shape[0] - 1
     return np.flatnonzero(np.bincount(docs, minlength=n_docs)).astype(np.int64, copy=False)
 
 
 # -- serialization (FBLI) -------------------------------------------------------
 #
-# magic "FBLI", then a header (version, P, M, K, dim, embeddings N, runs U),
-# then the index's arrays back to back, little-endian: coarse (P, dim) f4,
-# codebooks (M, K, dim/M) f4, part_runs (P+1) i8, run_offsets (U+1) i8,
-# flat_ids (N) u8, run_codes (U, M) u1. The document table is the doc pack's.
+# magic "FBLI", then a header (version, P, M, K, dim, table rows T), then
+# the index's arrays back to back, little-endian: coarse (P, dim) f4,
+# codebooks (M, K, dim/M) f4, part_offsets (P+1) i8, rows (T) u4, codes
+# (T, M) u1. The document table is the doc pack's.
 
-_FBLI_HEADER = struct.Struct("<IIIIIQQ")
+_FBLI_HEADER = struct.Struct("<IIIIIQ")
 
 
 def check_version(path: Path, version: int, expected: int) -> None:
@@ -418,17 +401,15 @@ def save_index(index: IvfPqIndex, path: str | Path) -> None:
                 index.n_subspaces,
                 index.n_codewords,
                 index.dim,
-                index.n_embeddings,
-                index.run_codes.shape[0],
+                index.rows.shape[0],
             )
         )
         for arr, dtype in (
             (index.coarse, "<f4"),
             (index.codebooks, "<f4"),
-            (index.part_runs, "<i8"),
-            (index.run_offsets, "<i8"),
-            (index.flat_ids, "<u8"),
-            (index.run_codes, "u1"),
+            (index.part_offsets, "<i8"),
+            (index.rows, "<u4"),
+            (index.codes, "u1"),
         ):
             fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
@@ -443,63 +424,52 @@ def _is_permutation(ids: np.ndarray, n: int) -> bool:
 def load_index(path: str | Path, docs: PackedCorpus, data: bytes | None = None) -> IvfPqIndex:
     """Read and validate an FBLI file over the pack it was built from.
 
-    The index borrows the pack's offsets and ids, so its header must count
-    the pack's rows and dimension. ``data`` is the file's bytes when the
-    caller has read them already.
+    The index borrows the pack's refs, offsets and ids, so its header must
+    count the pack's table rows and dimension. ``data`` is the file's bytes
+    when the caller has read them already.
     """
     path = Path(path)
     data = path.read_bytes() if data is None else data
     if data[:4] != FBLI_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {FBLI_MAGIC!r}")
     try:
-        version, n_part, m, k, d, n_emb, n_runs = _FBLI_HEADER.unpack_from(data, 4)
+        version, n_part, m, k, d, n_table = _FBLI_HEADER.unpack_from(data, 4)
         check_version(path, version, FBLI_VERSION)
         if n_part < 1 or m < 1 or not 1 <= k <= 256 or d % m != 0:
             raise FormatError(
                 f"{path}: bad shape: {n_part} partitions, {m} subspaces, {k} codewords, dim {d}"
             )
-        if (n_emb, d) != (docs.n_rows, docs.table.shape[1]):
+        if (n_table, d) != docs.table.shape:
             raise FormatError(
-                f"{path}: indexes {n_emb} embeddings of dim {d}, but the doc pack holds "
-                f"{docs.n_rows} of dim {docs.table.shape[1]}"
+                f"{path}: indexes {n_table} table rows of dim {d}, but the doc pack holds "
+                f"{docs.table.shape[0]} of dim {docs.table.shape[1]}"
             )
         off = 4 + _FBLI_HEADER.size
         coarse, off = read_array(data, off, "<f4", n_part * d)
         codebooks, off = read_array(data, off, "<f4", k * d)
-        part_runs, off = read_array(data, off, "<i8", n_part + 1)
-        run_offsets, off = read_array(data, off, "<i8", n_runs + 1)
-        flat_ids, off = read_array(data, off, "<u8", n_emb)
-        run_codes, off = read_array(data, off, "u1", n_runs * m)
+        part_offsets, off = read_array(data, off, "<i8", n_part + 1)
+        rows, off = read_array(data, off, "<u4", n_table)
+        codes, off = read_array(data, off, "u1", n_table * m)
     except (struct.error, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: truncated or corrupt index ({exc})") from exc
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} bytes past the codes")
     if not (np.isfinite(coarse).all() and np.isfinite(codebooks).all()):
         raise FormatError(f"{path}: a coarse centroid or codebook value is not finite")
-    # every id and offset below indexes an array or a LUT at query time
-    if not offsets_span(part_runs, n_runs):
-        raise FormatError(f"{path}: partition offsets do not run from 0 up to {n_runs} runs")
-    if not offsets_span(run_offsets, n_emb):
-        raise FormatError(f"{path}: run offsets do not run from 0 up to {n_emb}")
-    run_lengths = np.diff(run_offsets)
-    if not np.all(run_lengths > 0):
-        raise FormatError(f"{path}: run {int(np.argmin(run_lengths))} holds no ids")
-    if not _is_permutation(flat_ids, n_emb):
-        raise FormatError(f"{path}: inverted-list ids are not each of 0..{n_emb - 1} once")
-    # candidate generation takes a run's first ids as its smallest
-    in_run = np.ones(max(n_emb - 1, 0), dtype=bool)
-    in_run[run_offsets[1:-1] - 1] = False
-    if not np.all(flat_ids[1:][in_run] > flat_ids[:-1][in_run]):
-        raise FormatError(f"{path}: the ids of a run are not ascending")
-    if run_codes.size and int(run_codes.max()) >= k:
-        raise FormatError(f"{path}: code {int(run_codes.max())} >= codebook size {k}")
+    # every offset, row and code below indexes an array or a LUT at query time
+    if not offsets_span(part_offsets, n_table):
+        raise FormatError(f"{path}: partition offsets do not run from 0 up to {n_table} rows")
+    if not _is_permutation(rows, n_table):
+        raise FormatError(f"{path}: inverted-list rows are not each of 0..{n_table - 1} once")
+    if codes.size and int(codes.max()) >= k:
+        raise FormatError(f"{path}: code {int(codes.max())} >= codebook size {k}")
     return IvfPqIndex(
         coarse=coarse.reshape(n_part, d).copy(),
         codebooks=codebooks.reshape(m, k, d // m).copy(),
-        part_runs=part_runs.copy(),
-        run_offsets=run_offsets.copy(),
-        flat_ids=flat_ids.copy(),
-        run_codes=run_codes.reshape(n_runs, m).copy(),
+        part_offsets=part_offsets.copy(),
+        rows=rows.copy(),
+        codes=codes.reshape(n_table, m).copy(),
+        doc_refs=docs.refs,
         doc_offsets=docs.offsets,
         doc_ids=docs.ids,
     )

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -258,14 +258,12 @@ def sweep_latency(
     for target in sizes:
         pack = whole.prefix(int(np.searchsorted(whole.offsets[:-1], target)))
         n_rows = pack.n_rows
-        p_eff = min(config.n_partitions, max(1, pack.table.shape[0]))
-        cfg = replace(config, n_partitions=p_eff, nprobe=min(config.nprobe, p_eff))
         index = build_index(
             pack,
-            n_partitions=cfg.n_partitions,
-            n_subspaces=cfg.n_subspaces,
-            n_codewords=min(cfg.n_codewords, max(1, n_rows)),
-            seed=cfg.seed,
+            n_partitions=config.n_partitions,
+            n_subspaces=config.n_subspaces,
+            n_codewords=min(config.n_codewords, max(1, n_rows)),
+            seed=config.seed,
             max_iters=8,
         )
         queries = []
@@ -279,15 +277,15 @@ def sweep_latency(
             queries.append(EmbeddingMatrix(np.ascontiguousarray(stacked), is_query=True))
 
         # one untimed run of each path first, so caches are warm when timing starts
-        run_query(queries[0], index, pack, cfg, k=k, exact=True)
-        run_query(queries[0], index, pack, cfg, k=k, exact=False)
+        run_query(queries[0], index, pack, config, k=k, exact=True)
+        run_query(queries[0], index, pack, config, k=k, exact=False)
 
         fastest = {True: float("inf"), False: float("inf")}  # per-query mean, by exact
         for r in range(3):
             for exact in (r % 2 == 0, r % 2 == 1):
                 t0 = time.perf_counter()
                 for q in queries:
-                    run_query(q, index, pack, cfg, k=k, exact=exact)
+                    run_query(q, index, pack, config, k=k, exact=exact)
                 fastest[exact] = min(fastest[exact], (time.perf_counter() - t0) / len(queries))
         exact_mean, two_stage_mean = fastest[True], fastest[False]
 
@@ -295,9 +293,9 @@ def sweep_latency(
             BenchRow(
                 embeddings=n_rows,
                 docs=len(pack),
-                partitions=cfg.n_partitions,
-                nprobe=cfg.nprobe,
-                candidates=cfg.candidates,
+                partitions=index.n_partitions,
+                nprobe=min(config.nprobe, index.n_partitions),
+                candidates=config.candidates,
                 queries=len(queries),
                 exact_mean_s=exact_mean,
                 two_stage_mean_s=two_stage_mean,

@@ -91,12 +91,13 @@ def rank_two_stage(
 ) -> RankedResult:
     """ANN candidate generation followed by exact re-scoring of candidates.
 
-    Candidates are positions in the index's document table, so ``pack``
-    must hold the documents the index was built from, in the same order.
+    Candidates are positions in the index's document table, found through
+    its refs, so ``pack`` must hold the documents the index was built from,
+    in the same order and with the same refs.
     """
-    if pack.offsets is not index.doc_offsets and not (
-        np.array_equal(pack.offsets, index.doc_offsets) and pack.ids == index.doc_ids
-    ):
+    pieces = zip((pack.refs, pack.offsets, pack.ids),
+                 (index.doc_refs, index.doc_offsets, index.doc_ids))
+    if not all(ours is theirs or np.array_equal(ours, theirs) for ours, theirs in pieces):
         raise ValueError("the documents differ from those the index was built from")
     entries = _rank_positions(query, pack, candidate_docs(index, query, n_prime, nprobe), k)
     return RankedResult(bug_id=bug_id, entries=entries)

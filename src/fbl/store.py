@@ -13,8 +13,8 @@ A session directory holds everything a query needs:
 ``IvfPqIndex`` and a ``PackedCorpus`` back to back, so loading is a
 validation pass plus views, with no per-document work or dedupe: the pack
 stores each distinct row once and a u4 ref per row (none without repeats).
-The pack is the only document table: the loaded index borrows its offsets
-and ids, and the loaded pack is what queries score against. The manifest
+The pack is the only document table: the loaded index borrows its refs,
+offsets and ids, and the loaded pack is what queries score against. The manifest
 records a sha256 of every artifact a save writes.
 
 Writes go through a uniquely named temp file + rename so a crashed save

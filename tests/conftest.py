@@ -176,15 +176,23 @@ def kmeans_pp_init_reference(pts, k, rng, weights=None):
 # -- index inspection: an embedding id's document, partition and decoded vector
 
 
+def _entry_of(index):
+    """The inverted-list entry of every embedding id, through its table row."""
+    entry = np.empty(index.rows.shape[0], dtype=np.int64)
+    entry[index.rows] = np.arange(index.rows.shape[0])
+    return entry[index.doc_refs]
+
+
 def flat_codes(index):
-    """(N, M): the code of every flat_ids entry, each run's code repeated per id."""
-    return np.repeat(index.run_codes, np.diff(index.run_offsets), axis=0)
+    """(N, M): the code of every embedding id, its table row's."""
+    return index.codes[_entry_of(index)]
 
 
 def partition(index, p):
-    """(embedding ids, codes) of one partition, one code per id."""
-    s, e = index.part_offsets[p], index.part_offsets[p + 1]
-    return index.flat_ids[s:e], flat_codes(index)[s:e]
+    """(embedding ids, codes) of one partition, one code per id, ids ascending."""
+    entry = _entry_of(index)
+    ids = np.flatnonzero((entry >= index.part_offsets[p]) & (entry < index.part_offsets[p + 1]))
+    return ids, index.codes[entry[ids]]
 
 
 def doc_of(index, embedding_id):
@@ -194,19 +202,15 @@ def doc_of(index, embedding_id):
     return index.doc_ids[doc], embedding_id - int(index.doc_offsets[doc])
 
 
-def _flat_pos(index, embedding_id):
-    return int(np.nonzero(index.flat_ids == embedding_id)[0][0])
-
-
 def partition_of(index, embedding_id):
-    flat_pos = _flat_pos(index, embedding_id)
-    return int(np.searchsorted(index.part_offsets, flat_pos, side="right") - 1)
+    entry = _entry_of(index)[int(embedding_id)]
+    return int(np.searchsorted(index.part_offsets, entry, side="right") - 1)
 
 
 def reconstruct(index, embedding_id):
     """Decode one embedding back to its approximate vector."""
     p = partition_of(index, embedding_id)
-    code = flat_codes(index)[_flat_pos(index, embedding_id)]
+    code = flat_codes(index)[int(embedding_id)]
     dsub = index.dim // index.n_subspaces
     out = index.coarse[p].copy()
     for s in range(index.n_subspaces):
@@ -214,37 +218,73 @@ def reconstruct(index, embedding_id):
     return out
 
 
-def candidate_docs_reference(index, query_matrix, n_prime, nprobe):
-    """candidate_docs by the flat scan: every embedding scored on its own.
+def _probed_entries(index, query_matrix, nprobe):
+    """Per live query row, (score, table row) of every entry of its probed partitions.
 
     Probes, LUTs and the float64 sum of terms are candidate_docs's own, so
-    the scores are its bits; runs play no part. Returns the ascending
-    positions of the documents the kept hits land in.
+    the scores are its bits.
     """
     q_rows = np.asarray(query_matrix.rows, dtype=np.float32)
     q_rows = np.ascontiguousarray(q_rows[np.linalg.norm(q_rows, axis=1) > 0])
-    total = index.n_embeddings
-    per_row = total if n_prime is None or n_prime >= total else -(-n_prime // len(q_rows))
     coarse = (q_rows @ index.coarse.T).astype(np.float64)
     probes = np.sort(np.argpartition(-coarse, nprobe - 1, axis=1)[:, :nprobe], axis=1)
     m = index.n_subspaces
     dsub = index.dim // m
-    codes = flat_codes(index)
     offsets = index.part_offsets
     luts = [q_rows[:, s * dsub : (s + 1) * dsub] @ index.codebooks[s].T for s in range(m)]
-    hit = set()
+    out = []
     for r in range(len(q_rows)):
-        hits = []
+        entries = []
         for p in probes[r]:
-            c = codes[offsets[p] : offsets[p + 1]]
+            c = index.codes[offsets[p] : offsets[p + 1]]
             score = luts[0][r, c[:, 0]].astype(np.float64)
             for s in range(1, m):
                 score += luts[s][r, c[:, s]]
             score += coarse[r, p]
-            hits += zip((-score).tolist(), index.flat_ids[offsets[p] : offsets[p + 1]].tolist())
-        for _, embedding_id in sorted(hits)[:per_row]:
-            hit.add(int(_doc_indices(index.doc_offsets, embedding_id)))
-    return np.asarray(sorted(hit), dtype=np.int64)
+            entries += zip(score.tolist(), index.rows[offsets[p] : offsets[p + 1]].tolist())
+        out.append(entries)
+    return out
+
+
+def _per_row(n_prime, total, n_rows):
+    return total if n_prime is None or n_prime >= total else -(-n_prime // n_rows)
+
+
+def candidate_docs_reference(index, query_matrix, n_prime, nprobe):
+    """candidate_docs by the flat scan: every table row scored on its own.
+
+    Each query row keeps its top ceil(n_prime / rows) table rows by (score
+    desc, row asc), and a kept row brings in every document holding it.
+    Returns the ascending positions of those documents.
+    """
+    rows = _probed_entries(index, query_matrix, nprobe)
+    per_row = _per_row(n_prime, index.rows.shape[0], len(rows))
+    hit = set()
+    for entries in rows:
+        hit.update(t for _, t in sorted(entries, key=lambda e: (-e[0], e[1]))[:per_row])
+    held = np.flatnonzero(np.isin(index.doc_refs, sorted(hit)))
+    return np.unique(_doc_indices(index.doc_offsets, held)).astype(np.int64)
+
+
+def candidate_docs_per_embedding(index, query_matrix, n_prime, nprobe):
+    """Candidates when every embedding (pack row) counts against the budget.
+
+    Each query row keeps its top ceil(n_prime / rows) embedding ids by
+    (score desc, id asc), an id scoring as its table row. This is what
+    candidate_docs gave while its lists held pack rows; on a pack without
+    repeated rows, where each table row is one pack row, the two agree.
+    """
+    rows = _probed_entries(index, query_matrix, nprobe)
+    per_row = _per_row(n_prime, index.n_embeddings, len(rows))
+    ids_of = {}
+    for e, t in enumerate(index.doc_refs.tolist()):
+        ids_of.setdefault(t, []).append(e)
+    hit = set()
+    for entries in rows:
+        hits = sorted((-score, e) for score, t in entries for e in ids_of.get(t, []))
+        hit.update(e for _, e in hits[:per_row])
+    held = np.asarray(sorted(hit), dtype=np.int64)
+    return np.unique(_doc_indices(index.doc_offsets, held)).astype(np.int64)
 
 
 # -- training reference: the SGD rule train_projection must equal bit for bit

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import (
     assign_nearest_reference,
+    candidate_docs_per_embedding,
     candidate_docs_reference,
     doc_of,
     flat_codes,
@@ -190,8 +191,7 @@ def test_build_index_is_bit_identical_with_the_reference_kernels(monkeypatch):
             patch.setattr(_kernels, "assign_nearest", assign_nearest_reference)
             ref = build_index(docs, **args)
         for name in (
-            "coarse", "codebooks", "part_runs", "run_offsets", "flat_ids", "run_codes",
-            "doc_offsets",
+            "coarse", "codebooks", "part_offsets", "rows", "codes", "doc_refs", "doc_offsets",
         ):
             assert getattr(fast, name).tobytes() == getattr(ref, name).tobytes(), name
 
@@ -222,9 +222,16 @@ def test_build_centroid_aligned_reconstructs_exactly():
 
 
 def test_build_insufficient_data():
-    docs = {"a:0:0": _mat(np.ones((2, 4)))}
-    with pytest.raises(InsufficientData):
-        build_index(docs, n_partitions=3, n_subspaces=2)
+    # only a pack without rows is too small: fewer rows than partitions cap P
+    empty = {"a:0:0": EmbeddingMatrix(rows=np.zeros((0, 4), dtype=np.float32)),
+             "dead:0:0": EmbeddingMatrix(rows=np.zeros((2, 4), dtype=np.float32))}
+    for docs in ({}, empty):
+        with pytest.raises(InsufficientData, match="no embeddings"):
+            build_index(docs, n_partitions=3, n_subspaces=2)
+    two = {"a:0:0": _mat(np.eye(2, 4))}
+    idx = build_index(two, n_partitions=3, n_subspaces=2, n_codewords=2)
+    assert idx.n_partitions == 2
+    assert np.diff(idx.part_offsets).tolist() == [1, 1]
 
 
 def test_build_caps_the_partitions_at_the_distinct_rows():
@@ -233,7 +240,7 @@ def test_build_caps_the_partitions_at_the_distinct_rows():
     docs = {"a:0:0": EmbeddingMatrix(rows=rows), "b:0:0": EmbeddingMatrix(rows=rows[::-1])}
     idx = build_index(docs, n_partitions=4, n_subspaces=2, n_codewords=2)
     assert idx.n_partitions == 3
-    assert np.diff(idx.part_runs).min() > 0  # every partition holds rows
+    assert np.diff(idx.part_offsets).min() > 0  # every partition holds rows
     assert build_index(docs, n_partitions=3, n_subspaces=2, n_codewords=2).n_partitions == 3
 
 
@@ -260,9 +267,8 @@ def test_registry_bijection():
     idx = build_index(docs, n_partitions=4, n_subspaces=2, n_codewords=16, seed=1)
     pairs = {doc_of(idx, e) for e in range(idx.n_embeddings)}
     assert len(pairs) == idx.n_embeddings == 25 * 5
-    assert idx.flat_ids.size == idx.n_embeddings
-    lengths = np.diff(idx.part_offsets)
-    assert lengths.sum() == idx.n_embeddings
+    # no row repeats: each embedding is one table row, listed once
+    assert idx.rows.size == np.diff(idx.part_offsets).sum() == idx.n_embeddings
 
 
 def _repeated_rows_corpus(rng, n_docs=60, vocab=40, dim=16):
@@ -277,47 +283,35 @@ def _repeated_rows_corpus(rng, n_docs=60, vocab=40, dim=16):
     return docs, table
 
 
-def test_runs_hold_each_distinct_code_of_a_partition_once():
+def test_each_table_row_is_listed_once_in_its_own_partition_with_its_own_code():
     docs, _ = _repeated_rows_corpus(np.random.default_rng(5))
     idx = build_index(docs, n_partitions=6, n_subspaces=4, n_codewords=16, seed=2)
-    assert idx.run_codes.shape[0] < idx.n_embeddings  # repeated rows share runs
-    assert np.all(np.diff(idx.run_offsets) > 0)
-    codes = flat_codes(idx)
-    for p in range(idx.n_partitions):
-        ids, part_codes = partition(idx, p)
-        # ordered by (code, id); a run is a maximal block of one code
-        key = [tuple(c) + (int(e),) for c, e in zip(part_codes, ids)]
-        assert key == sorted(key)
-        runs = idx.run_codes[idx.part_runs[p] : idx.part_runs[p + 1]]
-        assert len({tuple(c) for c in runs}) == len(runs) == len({tuple(c) for c in part_codes})
-    # each embedding keeps the (partition, code) its own assignment gives
     pack = PackedCorpus.from_matrices(docs)
-    rows = pack.table[pack.refs]
-    part, _ = _kernels.assign_nearest(rows, idx.coarse)
-    residuals = rows - idx.coarse[part]
+    assert pack.table.shape[0] < pack.n_rows  # repeated rows are listed once
+    assert np.array_equal(np.sort(idx.rows), np.arange(pack.table.shape[0]))
+    part_of_entry = np.repeat(np.arange(6), np.diff(idx.part_offsets))
+    for p in range(idx.n_partitions):  # ascending within a partition
+        assert np.all(np.diff(idx.rows[part_of_entry == p].astype(np.int64)) > 0)
+    # each table row keeps the (partition, code) its own assignment gives
+    part, _ = _kernels.assign_nearest(pack.table, idx.coarse)
+    residuals = pack.table - idx.coarse[part]
     dsub = idx.dim // idx.n_subspaces
     want = np.stack([
         _kernels.assign_nearest(residuals[:, s * dsub : (s + 1) * dsub], idx.codebooks[s])[0]
         for s in range(idx.n_subspaces)
     ], axis=1)
-    by_id = np.argsort(idx.flat_ids)
-    assert np.array_equal(np.repeat(np.arange(6), np.diff(idx.part_offsets))[by_id], part)
-    assert np.array_equal(codes[by_id], want)
-
-
-def _run_of(idx):
-    """The run index of every embedding id."""
-    run_of = np.empty(idx.n_embeddings, dtype=np.int64)
-    run_of[idx.flat_ids.astype(np.int64)] = np.repeat(
-        np.arange(idx.run_codes.shape[0]), np.diff(idx.run_offsets)
-    )
-    return run_of
+    by_row = np.argsort(idx.rows)
+    assert np.array_equal(part_of_entry[by_row], part)
+    assert np.array_equal(idx.codes[by_row], want)
+    # and every embedding takes its table row's code
+    assert np.array_equal(flat_codes(idx), want[pack.refs])
 
 
 @pytest.mark.parametrize("repeats", [False, True], ids=["distinct_rows", "repeated_rows"])
 def test_every_document_twice_builds_the_same_quantizers_and_runs(repeats):
     # doubling every multiplicity scales each weight by two, which is exact,
-    # so training sees the same distinct rows and draws the same seeds
+    # so training sees the same distinct rows and draws the same seeds, and
+    # lists the same table rows
     rng = np.random.default_rng(15)
     if repeats:
         docs, _ = _repeated_rows_corpus(rng, n_docs=120, vocab=80)
@@ -328,13 +322,11 @@ def test_every_document_twice_builds_the_same_quantizers_and_runs(repeats):
     args = dict(n_partitions=8, n_subspaces=4, n_codewords=16, seed=6)
     once_idx = build_index(docs, **args)
     twice_idx = build_index(twice, **args)
-    for name in ("coarse", "codebooks", "part_runs", "run_codes"):
+    for name in ("coarse", "codebooks", "part_offsets", "rows", "codes"):
         assert getattr(twice_idx, name).tobytes() == getattr(once_idx, name).tobytes(), name
     n = once_idx.n_embeddings
     assert twice_idx.n_embeddings == 2 * n
-    run_of = _run_of(twice_idx)
-    assert np.array_equal(run_of[:n], _run_of(once_idx))
-    assert np.array_equal(run_of[n:], run_of[:n])
+    assert np.array_equal(twice_idx.doc_refs, np.tile(once_idx.doc_refs, 2))
 
 
 def test_unit_weights_build_the_bytes_of_the_unweighted_path(monkeypatch):
@@ -440,7 +432,7 @@ def test_pq_reconstruction_mse_improves_with_k():
 
 
 def _one_row_search(idx, query_vec, nprobe, topk):
-    """A one-row query through the batched candidate path, as (id, score) pairs."""
+    """A one-row query through the batched candidate path, as (table row, score) pairs."""
     q_rows = np.ascontiguousarray(query_vec, dtype=np.float32)[None, :]
     ids, scores = _batched_row_search(idx, q_rows, nprobe, topk)
     return [(int(i), float(s)) for i, s in zip(ids, scores)]
@@ -449,7 +441,7 @@ def _one_row_search(idx, query_vec, nprobe, topk):
 def test_search_lossless_limit_matches_exact_argmax():
     docs, centers = _centroid_aligned_corpus(dim=8, n_centers=4, reps=6)
     idx = build_index(docs, n_partitions=4, n_subspaces=4, n_codewords=4, seed=0)
-    all_rows = np.vstack([docs[doc_of(idx, e)[0]].rows[doc_of(idx, e)[1]] for e in range(idx.n_embeddings)])
+    all_rows = PackedCorpus.from_matrices(docs).table  # the hits' rows
     rng = np.random.default_rng(2)
     for _ in range(10):
         q = _unit_rows(rng.standard_normal((1, 8)))[0]
@@ -461,33 +453,35 @@ def test_search_lossless_limit_matches_exact_argmax():
 
 
 def test_search_topk_saturation_returns_all_sorted():
-    docs, _ = _centroid_aligned_corpus()
+    docs, centers = _centroid_aligned_corpus()
     idx = build_index(docs, n_partitions=4, n_subspaces=4, n_codewords=4, seed=0)
     q = np.ones(8, dtype=np.float32) / np.sqrt(8)
     hits = _one_row_search(idx, q, nprobe=4, topk=10_000)
-    assert len(hits) == idx.n_embeddings
+    assert len(hits) == idx.rows.shape[0] == len(centers)  # each distinct row once
     scores = [s for _, s in hits]
     assert scores == sorted(scores, reverse=True)
 
 
 def test_search_tie_break_by_embedding_id():
-    # identical vectors in different docs tie exactly
-    v = np.zeros(4, dtype=np.float32)
-    v[0] = 1.0
-    docs = {f"{name}:0:0": EmbeddingMatrix(rows=v[None, :]) for name in "abcd"}
-    idx = build_index(docs, n_partitions=1, n_subspaces=2, n_codewords=2, seed=0)
-    hits = _one_row_search(idx, v, nprobe=1, topk=4)
+    # one partition and one codeword: distinct rows share the one code, so
+    # their scores tie exactly and the table row (the distinct embedding's
+    # id) breaks the tie
+    v = _unit_rows(np.eye(4) + 0.5)
+    docs = {f"{name}:0:0": EmbeddingMatrix(rows=v[[i]]) for i, name in enumerate("dcba")}
+    idx = build_index(docs, n_partitions=1, n_subspaces=2, n_codewords=1, seed=0)
+    hits = _one_row_search(idx, v[3], nprobe=1, topk=4)
     assert [h[0] for h in hits] == [0, 1, 2, 3]
+    assert len({h[1] for h in hits}) == 1
 
 
 def test_search_empty_index():
     idx = IvfPqIndex(
         coarse=np.zeros((1, 4), dtype=np.float32),
         codebooks=np.zeros((2, 1, 2), dtype=np.float32),
-        part_runs=np.zeros(2, dtype=np.int64),
-        run_offsets=np.zeros(1, dtype=np.int64),
-        flat_ids=np.zeros(0, dtype=np.uint64),
-        run_codes=np.zeros((0, 2), dtype=np.uint8),
+        part_offsets=np.zeros(2, dtype=np.int64),
+        rows=np.zeros(0, dtype=np.uint32),
+        codes=np.zeros((0, 2), dtype=np.uint8),
+        doc_refs=np.zeros(0, dtype=np.uint32),
         doc_offsets=np.zeros(1, dtype=np.int64),
         doc_ids=[],
     )
@@ -574,6 +568,41 @@ def test_candidate_docs_on_repeated_rows_matches_the_flat_scan(nprobe):
             assert got.tolist() == want.tolist()
 
 
+@pytest.mark.parametrize("nprobe", [1, 3, 8])
+def test_candidate_docs_without_repeats_equal_the_per_embedding_scan(nprobe):
+    # each table row is one pack row, so counting distinct rows counts embeddings
+    rng = np.random.default_rng(19)
+    docs, _ = _random_corpus(rng, n_docs=60, tokens_per_doc=5, dim=16)
+    docs["empty:0:0"] = EmbeddingMatrix(rows=np.zeros((0, 16), dtype=np.float32))
+    idx = build_index(docs, n_partitions=8, n_subspaces=4, n_codewords=16, seed=3)
+    assert idx.rows.shape[0] == idx.n_embeddings
+    for _ in range(4):
+        q = EmbeddingMatrix(rows=_unit_rows(rng.standard_normal((5, 16))), is_query=True)
+        for n_prime in (1, 7, 50, None):
+            want = candidate_docs_per_embedding(idx, q, n_prime, nprobe)
+            assert candidate_docs(idx, q, n_prime, nprobe).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_candidate_docs_on_repeated_rows_hold_the_per_embedding_scans(seed):
+    # a budget of distinct rows reaches at least the documents a budget of
+    # embeddings reached; rows drawn from a continuous distribution do not
+    # tie at the cut
+    rng = np.random.default_rng(seed)
+    docs, table = _repeated_rows_corpus(rng, n_docs=80, vocab=60)
+    idx = build_index(docs, n_partitions=6, n_subspaces=8, n_codewords=64, seed=seed)
+    assert idx.rows.shape[0] < idx.n_embeddings
+    grew = 0
+    for _ in range(6):
+        q = EmbeddingMatrix(rows=_unit_rows(rng.standard_normal((4, 16))), is_query=True)
+        for n_prime, nprobe in ((1, 2), (7, 3), (50, 6), (None, 1)):
+            got = set(candidate_docs(idx, q, n_prime, nprobe).tolist())
+            was = set(candidate_docs_per_embedding(idx, q, n_prime, nprobe).tolist())
+            assert got >= was
+            grew += got > was
+    assert grew  # and a repeated row's other documents come in
+
+
 @pytest.mark.parametrize("n_prime", [0, -1, -5, -100])
 def test_candidates_reject_count_below_one(n_prime):
     rng = np.random.default_rng(8)
@@ -651,12 +680,11 @@ def _saved_index(tmp_path, docs=None):
 
 
 def _fbli_layout(idx):
-    """Byte offsets of part_runs, run_offsets, flat_ids and run_codes in FBLI v4."""
-    p_count, d, n, u = idx.n_partitions, idx.dim, idx.n_embeddings, idx.run_codes.shape[0]
-    part = 4 + 36 + p_count * d * 4 + idx.n_codewords * d * 4
-    runs = part + (p_count + 1) * 8
-    ids = runs + (u + 1) * 8
-    return part, runs, ids, ids + n * 8
+    """Byte offsets of part_offsets, rows and codes in FBLI v5."""
+    p_count, d = idx.n_partitions, idx.dim
+    part = 4 + 28 + p_count * d * 4 + idx.n_codewords * d * 4
+    rows = part + (p_count + 1) * 8
+    return part, rows, rows + idx.rows.shape[0] * 4
 
 
 def _put_i8(raw, at, value):
@@ -666,15 +694,25 @@ def _put_i8(raw, at, value):
 def test_fbli_ends_with_the_codes(tmp_path):
     idx, _, _, raw = _saved_index(tmp_path)
     *_, codes = _fbli_layout(idx)
-    assert bytes(raw[codes:]) == idx.run_codes.tobytes()  # no document table follows
+    assert bytes(raw[codes:]) == idx.codes.tobytes()  # no document table follows
 
 
 def test_load_index_rejects_list_id_out_of_range(tmp_path):
     idx, pack, p, raw = _saved_index(tmp_path)
-    _, _, ids, _ = _fbli_layout(idx)
-    raw[ids : ids + 8] = idx.n_embeddings.to_bytes(8, "little")
+    _, rows, _ = _fbli_layout(idx)
+    raw[rows : rows + 4] = idx.rows.shape[0].to_bytes(4, "little")
     p.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="inverted-list ids"):
+    with pytest.raises(FormatError, match="inverted-list rows"):
+        load_index(p, pack)
+
+
+def test_load_index_rejects_a_row_listed_twice(tmp_path):
+    docs, _ = _repeated_rows_corpus(np.random.default_rng(5))
+    idx, pack, p, raw = _saved_index(tmp_path, docs)
+    _, rows, _ = _fbli_layout(idx)
+    raw[rows + 4 : rows + 8] = raw[rows : rows + 4]  # the first entry's row, twice
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="inverted-list rows"):
         load_index(p, pack)
 
 
@@ -690,50 +728,22 @@ def test_load_index_rejects_code_out_of_range(tmp_path):
 def test_load_index_rejects_partition_counts_off_total(tmp_path):
     idx, pack, p, raw = _saved_index(tmp_path)
     part, *_ = _fbli_layout(idx)
-    _put_i8(raw, part + idx.n_partitions * 8, idx.run_codes.shape[0] - 1)
+    _put_i8(raw, part + idx.n_partitions * 8, idx.rows.shape[0] - 1)
     p.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="partition offsets"):
         load_index(p, pack)
 
 
-def test_load_index_rejects_run_offsets_off_total(tmp_path):
-    idx, pack, p, raw = _saved_index(tmp_path)
-    _, runs, _, _ = _fbli_layout(idx)
-    _put_i8(raw, runs + idx.run_codes.shape[0] * 8, idx.n_embeddings - 1)
-    p.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="run offsets"):
-        load_index(p, pack)
-
-
-def test_load_index_rejects_an_empty_run(tmp_path):
-    idx, pack, p, raw = _saved_index(tmp_path)
-    _, runs, _, _ = _fbli_layout(idx)
-    _put_i8(raw, runs + 8, 0)  # run 0 ends where it starts
-    p.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="run 0 holds no ids"):
-        load_index(p, pack)
-
-
-def test_load_index_rejects_a_run_whose_ids_descend(tmp_path):
-    docs, _ = _repeated_rows_corpus(np.random.default_rng(5))
-    idx, pack, p, raw = _saved_index(tmp_path, docs)
-    _, _, ids, _ = _fbli_layout(idx)
-    u = int(np.argmax(np.diff(idx.run_offsets)))  # a run of several ids
-    a = ids + int(idx.run_offsets[u]) * 8
-    raw[a : a + 16] = raw[a + 8 : a + 16] + raw[a : a + 8]  # swap its first two ids
-    p.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="ids of a run are not ascending"):
-        load_index(p, pack)
-
-
 def test_load_index_rejects_doc_offsets_off_total(tmp_path):
-    # a pack whose offsets end short of the index's embeddings is not its pack
+    # a pack whose offsets end short of the index's embeddings is not its
+    # pack: without repeats its table is shorter than the index's list
     idx, pack, p, _ = _saved_index(tmp_path)
-    shorter = PackedCorpus(pack.table, pack.refs[:-4], pack.offsets[:-1], pack.ids[:-1])
-    with pytest.raises(FormatError, match=f"indexes {idx.n_embeddings} embeddings"):
+    shorter = pack.prefix(len(pack) - 1)
+    assert shorter.table.shape[0] < idx.rows.shape[0]
+    with pytest.raises(FormatError, match=f"indexes {idx.rows.shape[0]} table rows"):
         load_index(p, shorter)
     wider = PackedCorpus(
-        np.zeros((idx.n_embeddings, 16), np.float32), pack.refs, pack.offsets, pack.ids
+        np.zeros((idx.rows.shape[0], 16), np.float32), pack.refs, pack.offsets, pack.ids
     )
     with pytest.raises(FormatError, match="of dim 16"):
         load_index(p, wider)
@@ -741,8 +751,9 @@ def test_load_index_rejects_doc_offsets_off_total(tmp_path):
 
 def test_load_index_rejects_version_1_naming_the_fix(tmp_path):
     _, pack, p, raw = _saved_index(tmp_path)
-    # v2 held its own copy of the document table, v3 one code per embedding
-    for version in (1, 2, 3):
+    # v2 held its own copy of the document table, v3 one code per embedding,
+    # v4 runs of pack rows
+    for version in (1, 2, 3, 4):
         raw[4:8] = version.to_bytes(4, "little")
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=f"version {version}.*re-run `fbl index`"):

@@ -239,78 +239,69 @@ def test_candidates_equal_those_of_the_padded_cut(seed):
 
 
 def _adc_fixture(rng, nq=7, m=3, k=5):
-    """Inverted lists of runs, with integer-valued LUTs and bases.
+    """Inverted lists of table rows, with integer-valued LUTs and bases.
 
-    Every score is exact, so distinct codes tie often. Some runs are long
-    enough to straddle any per_row cut, and two partitions are empty.
+    Every score is exact, so distinct codes tie often. Each partition lists
+    its rows ascending, the partitions are not in row order, and two
+    partitions are empty.
     """
-    part_runs = np.array([0, 3, 3, 6, 9, 9, 12, 16], dtype=np.int64)
-    n_runs = int(part_runs[-1])
-    lengths = rng.integers(1, 4, size=n_runs)
-    lengths[[1, 4, 10, 13]] = [9, 6, 11, 5]
-    run_offsets = np.zeros(n_runs + 1, dtype=np.int64)
-    run_offsets[1:] = np.cumsum(lengths)
-    flat_ids = rng.permutation(int(run_offsets[-1])).astype(np.uint64)  # not in scan order
-    for u in range(n_runs):  # but ascending within each run
-        flat_ids[run_offsets[u] : run_offsets[u + 1]].sort()
+    part_offsets = np.array([0, 5, 5, 9, 14, 14, 19, 26], dtype=np.int64)
+    rows = rng.permutation(int(part_offsets[-1])).astype(np.uint32)  # not in scan order
+    for p in range(7):  # but ascending within each partition
+        rows[part_offsets[p] : part_offsets[p + 1]].sort()
     luts = rng.integers(-3, 4, size=(nq, m, k)).astype(np.float32)
-    run_codes = rng.integers(0, k, size=(n_runs, m)).astype(np.uint8)
+    codes = rng.integers(0, k, size=(rows.shape[0], m)).astype(np.uint8)
     probes = np.stack([rng.choice(7, size=3, replace=False) for _ in range(nq)])
-    probes[0] = [1, 4, 0]  # empty, empty, then 3 runs of 11+ ids
+    probes[0] = [1, 4, 0]  # empty, empty, then 5 rows
     probes[1] = [4, 1, 4]  # scans nothing
-    starts = part_runs[probes]
-    ends = part_runs[probes + 1]
+    starts = part_offsets[probes]
+    ends = part_offsets[probes + 1]
     bases = rng.integers(-2, 3, size=probes.shape).astype(np.float64)
-    return luts, run_codes, run_offsets, starts, ends, bases, flat_ids
+    return luts, codes, rows, starts, ends, bases
 
 
-def _reference_topk(luts, run_codes, run_offsets, starts, ends, bases, flat_ids, per_row):
-    """Every id scored on its own, then each row sorted by (score desc, id asc) and truncated."""
-    ids, scores = [], []
+def _reference_topk(luts, codes, rows, starts, ends, bases, per_row):
+    """Every entry scored on its own, then each query row sorted by (score desc, row asc)
+    and truncated."""
+    found, scores = [], []
     for r in range(starts.shape[0]):
         hits = []
         for p in range(starts.shape[1]):
-            for u in range(starts[r, p], ends[r, p]):
-                for i in range(run_offsets[u], run_offsets[u + 1]):
-                    code = run_codes[u]
-                    score = sum(float(luts[r, s, code[s]]) for s in range(luts.shape[1]))
-                    hits.append((-(score + bases[r, p]), int(flat_ids[i])))
-        for neg, eid in sorted(hits)[:per_row]:
-            ids.append(eid)
+            for j in range(starts[r, p], ends[r, p]):
+                score = sum(float(luts[r, s, codes[j, s]]) for s in range(luts.shape[1]))
+                hits.append((-(score + bases[r, p]), int(rows[j])))
+        for neg, row in sorted(hits)[:per_row]:
+            found.append(row)
             scores.append(-neg)
-    return np.asarray(ids, dtype=np.uint64), np.asarray(scores, dtype=np.float64)
+    return np.asarray(found, dtype=np.uint32), np.asarray(scores, dtype=np.float64)
 
 
 @pytest.mark.parametrize("block_codes", [1 << 18, 12])
 @pytest.mark.parametrize("per_row", [1, 4, 9, 100])
 @SAME_IDS
 def test_adc_topk_rows_matches_reference(backend, per_row, block_codes, monkeypatch):
-    # a 12-run cap splits the query into several row blocks; per_row 100
-    # keeps every id
+    # a 12-code cap splits the query into several row blocks; per_row 100
+    # keeps every row
     monkeypatch.setattr(_kernels, "_ADC_BLOCK_CODES", block_codes)
     rng = np.random.default_rng(6)
     args = _adc_fixture(rng)
-    ids, scores = _kernels.adc_topk_rows(*args, per_row)
-    want_ids, want_scores = _reference_topk(*args, per_row)
-    np.testing.assert_array_equal(ids, want_ids)
+    found, scores = _kernels.adc_topk_rows(*args, per_row)
+    want_found, want_scores = _reference_topk(*args, per_row)
+    np.testing.assert_array_equal(found, want_found)
     np.testing.assert_array_equal(scores, want_scores)
-    assert ids.dtype == np.uint64 and scores.dtype == np.float64
+    assert found.dtype == np.uint32 and scores.dtype == np.float64
 
 
 def test_adc_topk_rows_ties_straddle_the_cut():
-    # the fixture really exercises the tie-breaks: at some row's 4th place
-    # two runs of distinct codes tie, and some run's ids fall on both sides
-    luts, run_codes, run_offsets, starts, ends, bases, flat_ids = args = _adc_fixture(
-        np.random.default_rng(6)
-    )
-    ids, full = _reference_topk(*args, 10_000)
-    run_of = np.empty(flat_ids.shape[0], dtype=np.int64)
-    run_of[flat_ids.astype(np.int64)] = np.repeat(np.arange(len(run_codes)), np.diff(run_offsets))
-    row_ids = (run_offsets[ends] - run_offsets[starts]).sum(axis=1)
-    split = np.cumsum(row_ids)[:-1]
-    rows = list(zip(np.split(full, split), np.split(run_of[ids.astype(np.int64)], split)))
-    assert any(s.size > 4 and s[3] == s[4] and u[3] != u[4] for s, u in rows)
-    assert any(s.size > 4 and u[3] == u[4] for s, u in rows)
-    # per_row 1 cuts every scanning row's runs; 9 keeps every run but cuts ids
-    row_runs = (ends - starts).sum(axis=1)
-    assert 1 < row_runs[row_runs > 0].min() and row_runs.max() < 9 < row_ids[row_ids > 0].min()
+    # the fixture really exercises the tie-breaks: at some query row's 4th
+    # place two table rows of distinct codes tie
+    luts, codes, rows, starts, ends, bases = args = _adc_fixture(np.random.default_rng(6))
+    found, full = _reference_topk(*args, 10_000)
+    code_of = {int(t): tuple(c) for t, c in zip(rows, codes)}
+    row_codes = (ends - starts).sum(axis=1)
+    split = np.cumsum(row_codes)[:-1]
+    ranked = list(zip(np.split(full, split), np.split(found, split)))
+    assert any(s.size > 4 and s[3] == s[4] and code_of[int(t[3])] != code_of[int(t[4])]
+               for s, t in ranked)
+    # per_row 1 cuts every scanning query row; 9 cuts some; 100 keeps every row
+    assert 1 < row_codes[row_codes > 0].min() and 9 < row_codes.max() < 100

@@ -44,7 +44,7 @@ def _repeated_rows_session():
     return pack, index, query, config
 
 
-def test_perfbench_hooks_resolve_and_count_the_runs_scanned(layers_and_tracer):
+def test_perfbench_hooks_resolve_and_count_the_codes_scanned(layers_and_tracer):
     layers, tracer = layers_and_tracer
     pack, index, query, config = _repeated_rows_session()
 
@@ -59,14 +59,16 @@ def test_perfbench_hooks_resolve_and_count_the_runs_scanned(layers_and_tracer):
     for owner, attr, raw in patches:
         assert vars(owner)[attr] is raw, attr
 
-    # the scan span counts runs: each query row's probed partitions' runs
+    # the scan span counts codes: the entries of each query row's probed partitions
     coarse = query.rows @ index.coarse.T
     probed = np.argsort(-coarse, axis=1, kind="stable")[:, :2]
-    runs = int((index.part_runs[probed + 1] - index.part_runs[probed]).sum())
-    ids = int((index.part_offsets[probed + 1] - index.part_offsets[probed]).sum())
+    entries = int((index.part_offsets[probed + 1] - index.part_offsets[probed]).sum())
+    part_of = np.empty(index.rows.shape[0], dtype=np.int64)  # each table row's partition
+    part_of[index.rows] = np.repeat(np.arange(index.n_partitions), np.diff(index.part_offsets))
+    pack_rows = sum(int(np.isin(part_of[pack.refs], row).sum()) for row in probed)
     scans = [s for s in t.spans if s.name == "kernels.adc_scan"]
-    assert [s.attrs["codes"] for s in scans] == [runs]
-    assert runs < ids  # repeated rows share runs
+    assert [s.attrs["codes"] for s in scans] == [entries]
+    assert entries < pack_rows  # a repeated row is listed once
     assert {s.name for s in t.spans} >= {"retrieve.two_stage", "index.candidates", "kernels.maxsim"}
 
 

@@ -195,6 +195,21 @@ def test_two_stage_rejects_documents_other_than_the_indexed_ones():
             rank_two_stage(q, idx, _pack(other), n_prime=None, nprobe=2, k=5)
 
 
+def test_two_stage_rejects_a_pack_whose_refs_differ():
+    # candidates come through the index's refs: the same offsets and ids over
+    # other refs hold other documents
+    table = _unit_rows(np.random.default_rng(7).standard_normal((6, 16)))
+    docs = {f"d{i}:0:0": _d(table[[i % 6, (i + 1) % 6]]) for i in range(6)}
+    pack = _pack(docs)
+    idx = build_index(pack, n_partitions=2, n_subspaces=4, n_codewords=4, seed=2)
+    q = _q(table[:2])
+    assert pack.table.shape[0] < pack.n_rows
+    other = PackedCorpus(pack.table, pack.refs[::-1].copy(), pack.offsets, pack.ids)
+    rank_two_stage(q, idx, pack, n_prime=None, nprobe=2, k=5)
+    with pytest.raises(ValueError, match="the index was built from"):
+        rank_two_stage(q, idx, other, n_prime=None, nprobe=2, k=5)
+
+
 def test_a_query_without_a_non_zero_row_ranks_nothing():
     # no document can be scored against it, on the oracle's path or the index's
     rng = np.random.default_rng(12)

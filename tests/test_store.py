@@ -267,8 +267,9 @@ def test_session_roundtrip(tmp_path, session_pieces):
     arts = load_session(tmp_path)
     assert isinstance(arts, SessionArtifacts)
     assert arts.manifest == manifest
-    assert manifest.format_versions == {"fbli": 4, "fble": 1, "fblp": 4}
+    assert manifest.format_versions == {"fbli": 5, "fble": 1, "fblp": 4}
     # one document table: the index borrows the loaded pack's
+    assert arts.index.doc_refs is arts.doc_matrices.refs
     assert arts.index.doc_offsets is arts.doc_matrices.offsets
     assert arts.index.doc_ids is arts.doc_matrices.ids
     np.testing.assert_array_equal(
@@ -303,7 +304,7 @@ def test_index_of_another_size_raises_format_error(tmp_path, session_pieces):
     data = json.loads(path.read_text())
     data["checksums"][INDEX_NAME] = hashlib.sha256(swapped).hexdigest()
     path.write_text(json.dumps(data))
-    with pytest.raises(FormatError, match="indexes 44 embeddings"):
+    with pytest.raises(FormatError, match="indexes 44 table rows"):
         load_session(tmp_path / "a")
 
 
@@ -472,30 +473,29 @@ def saved(tmp_path_factory):
     """A saved session: each artifact's bytes and regions, the session, and queries."""
     manifest, _, projection, docs = _pieces()
     docs["empty:0:0"] = EmbeddingMatrix(rows=np.zeros((0, 8), dtype=np.float32))
-    # rows that repeat others', so some runs hold several ids
+    # rows that repeat others', so the index lists fewer rows than the pack holds
     docs["repeat:0:0"] = EmbeddingMatrix(
         rows=np.concatenate([docs["c0:0:0"].rows, docs["c1:0:0"].rows[:2]])
     )
     pack = PackedCorpus.from_matrices(docs)
     index = build_index(pack, n_partitions=4, n_subspaces=2, n_codewords=8, seed=1)
-    assert np.diff(index.run_offsets).max() > 1
+    assert index.rows.shape[0] < index.n_embeddings
     directory = tmp_path_factory.mktemp("session")
     save_session(directory, manifest, index, projection, pack)
     n, p, d, k = index.n_embeddings, index.n_partitions, index.dim, index.n_codewords
-    # (start, end) byte ranges of the header, offset, id and code regions of each
-    # file; FBLI v4: part_runs, run_offsets, flat_ids, run_codes
-    part = 40 + p * d * 4 + k * d * 4
-    runs = part + (p + 1) * 8
-    ids = runs + (index.run_codes.shape[0] + 1) * 8
-    codes = ids + n * 8
-    index_regions = [(0, 40), (part, runs), (runs, ids), (ids, codes), (codes, None)]
+    # (start, end) byte ranges of the header, offset, row and code regions of each
+    # file; FBLI v5: part_offsets, rows, codes
+    part = 32 + p * d * 4 + k * d * 4
+    rows = part + (p + 1) * 8
+    codes = rows + index.rows.shape[0] * 4
+    index_regions = [(0, 32), (part, rows), (rows, codes), (codes, None)]
     # FBLP v4: header and offsets, refs, the table (left out: its bytes are
     # values, not structure), doc ids
     refs = 32 + (len(pack) + 1) * 8
     table = refs + n * 4
     assert pack.table.shape[0] < n  # the refs region is stored
     pack_regions = [(0, refs), (refs, table), (table + pack.table.shape[0] * d * 4, None)]
-    floats = {INDEX_NAME: (40, part), DOCS_NAME: (table, pack_regions[-1][0])}
+    floats = {INDEX_NAME: (32, part), DOCS_NAME: (table, pack_regions[-1][0])}
     rng = np.random.default_rng(8)
     queries = [EmbeddingMatrix(rows=_unit(rng.standard_normal((3, 8))), is_query=True)
                for _ in range(2)]
