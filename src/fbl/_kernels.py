@@ -3,7 +3,7 @@
     maxsim_packed    late-interaction score of packed documents, through the table
     assign_nearest   nearest centroid per point (k-means assignment)
     centroid_sums    per-cluster (weighted) sums and counts (k-means update)
-    adc_topk_rows    per query row, the top table rows of its probed partitions
+    adc_topk_rows    per query row, the best-scoring table rows of its probed partitions
 
 Each is deterministic: the same inputs give the same bits.
 """
@@ -137,8 +137,9 @@ def centroid_sums(points: np.ndarray, labels: np.ndarray, k: int, weights: np.nd
 # r's m-th subvector with codebook centroid k. Row r scans the entries
 # starts[r, p]:ends[r, p] of its probed partitions; bases[r, p] is the
 # row-to-coarse-centroid term shared by every entry of that partition. Each
-# row keeps its top `per_row` table rows by (score desc, table row asc); the
-# rows' results are concatenated.
+# row keeps the table rows of the entries scoring at least its `per_row`-th
+# best, ties included, in probe order (query rows ascending); no order or
+# score is returned, as candidate generation reads only the set.
 
 _ADC_BLOCK_CODES = 1 << 18  # codes scored at once; bounds the scan's temporaries
 
@@ -183,25 +184,19 @@ def adc_topk_rows(luts, codes, rows, starts, ends, bases, per_row):
     row_codes = (ends - starts).sum(axis=1)
     nq = row_codes.shape[0]
     step = max(1, _ADC_BLOCK_CODES // max(1, int(row_codes.max(initial=0))))
-    row_parts, score_parts = [], []
+    parts = []
     for r0 in range(0, max(nq, 1), step):  # no rows still makes one (empty) block
         r1 = min(r0 + step, nq)
-        qrow, pos, scores = _adc_scan_probes(
-            luts[r0:r1], codes, starts[r0:r1], ends[r0:r1], bases[r0:r1]
-        )
         lengths = row_codes[r0:r1]
-        if per_row < lengths.max(initial=0):
-            # keep only codes scoring at least their row's per_row-th best
-            keep = -scores <= _row_cuts(-scores, lengths, per_row)[qrow]
-            qrow, pos, scores = qrow[keep], pos[keep], scores[keep]
-        found = np.take(rows, pos)
-        order = np.lexsort((found, -scores, qrow))
-        # query rows stay ascending, so sorting leaves each row's span in place
-        rank = np.arange(order.shape[0]) - np.searchsorted(qrow, qrow)
-        order = order[rank < per_row]
-        row_parts.append(found[order])
-        score_parts.append(scores[order])
-    return np.concatenate(row_parts), np.concatenate(score_parts)
+        if per_row >= lengths.max(initial=0):  # no row is cut: every entry, unscored
+            pos = concat_ranges(starts[r0:r1].ravel(), ends[r0:r1].ravel())
+        else:  # codes scoring at least their row's per_row-th best
+            qrow, pos, scores = _adc_scan_probes(
+                luts[r0:r1], codes, starts[r0:r1], ends[r0:r1], bases[r0:r1]
+            )
+            pos = pos[-scores <= _row_cuts(-scores, lengths, per_row)[qrow]]
+        parts.append(np.take(rows, pos))
+    return np.concatenate(parts)
 
 
 # the scan stays reachable under this name for instrumentation that times

@@ -79,7 +79,8 @@ def _add_counts(p: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
     """Flags for the integer Config fields `names`, defaulting to Config's values."""
     for name in names:
         p.add_argument(_flag(name), dest=name, default=getattr(Config, name),
-                       help="candidate embeddings, or 'all'" if name == "candidates" else None)
+                       help="distinct embeddings to fetch, split over the query's rows (a "
+                       "row keeps all tied at its cut), or 'all'" if name == "candidates" else None)
     p.set_defaults(config_counts=names)
 
 
@@ -348,6 +349,8 @@ def cmd_bench(args) -> int:
     _positive("--topk", args.topk)
     n_queries = _positive("--queries", args.queries)
     sizes = [_positive("--sizes", s) for s in args.sizes.split(",") if s]
+    if not sizes:
+        raise UsageError(EXIT_USAGE, f"--sizes must name at least one size, got {args.sizes!r}")
     artifacts, _, config = _open_session(args)
     rows = sweep_latency(artifacts.doc_matrices, sizes, config, n_queries=n_queries, k=args.topk)
     lines = [BENCH_CSV_HEADER] + [bench_row_csv(r) for r in rows]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import random
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -71,9 +72,14 @@ class Triplet:
     negative_doc: str
 
 
+# the ":<file_idx>:<hunk_idx>" that explode appends to a changeset id
+_DOC_SUFFIX = re.compile(r":(?:[0-9]+|\*):(?:[0-9]+|\*)\Z")
+
+
 def changeset_of_doc(doc_id: str) -> str:
-    """Recover the origin changeset id from a document id."""
-    return doc_id.rsplit(":", 2)[0]
+    """The origin changeset id of a document id; any other id (a changeset's) as it is."""
+    suffix = _DOC_SUFFIX.search(doc_id)
+    return doc_id[: suffix.start()] if suffix else doc_id
 
 
 def explode(cs: Changeset, granularity: Granularity) -> list[Document]:
@@ -214,6 +220,8 @@ def load_changesets(path: str | Path) -> list[Changeset]:
     seen: set[str] = set()
     for where, obj in _iter_jsonl(Path(path)):
         cs_id = _text(obj, "id", where)
+        if _DOC_SUFFIX.search(cs_id):
+            raise DataError(f"{where}: changeset id {cs_id!r} ends like a document id's suffix")
         if cs_id in seen:
             raise DataError(f"{where}: duplicate changeset id {cs_id!r}")
         seen.add(cs_id)

@@ -290,12 +290,9 @@ def build_index(
 
 def _batched_row_search(
     index: IvfPqIndex, q_rows: np.ndarray, nprobe: int, per_row: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each query row's top per_row table rows over its nprobe nearest partitions.
-
-    Returns (table rows, scores), each query row's hits ordered by (score
-    desc, table row asc) and the query rows concatenated in order.
-    """
+) -> np.ndarray:
+    """The table rows each query row keeps of its nprobe nearest partitions'
+    entries: those scoring at least its per_row-th best, ties included."""
     nq = q_rows.shape[0]
     m = index.n_subspaces
     dsub = index.dim // m
@@ -329,12 +326,12 @@ def candidate_docs(
 ) -> np.ndarray:
     """Ascending pack positions (int64) of the documents a query's hits land in.
 
-    Each query row fetches its share (ceil(n_prime / rows)) of the
-    n_prime nearest distinct embeddings (table rows); when n_prime is None
-    or covers the whole table, every row fetches everything. A hit table
-    row brings in every document holding it. The result is a set: each
-    candidate appears once, and ascending positions read the pack front to
-    back when the candidates are re-scored.
+    Each query row fetches its share (ceil(n_prime / rows)) of the n_prime
+    nearest distinct embeddings (table rows, ties at its cut kept); when
+    n_prime is None or covers the whole table, every row fetches everything.
+    A hit table row brings in every document holding it. The result is a
+    set: each candidate appears once, and ascending positions read the pack
+    front to back when the candidates are re-scored.
     """
     if n_prime is not None and n_prime < 1:
         raise ValueError(f"candidate count must be >= 1 (or None for all), got {n_prime}")
@@ -352,9 +349,8 @@ def candidate_docs(
     else:
         per_row = -(-int(n_prime) // q_rows.shape[0])  # ceil division
 
-    found, _ = _batched_row_search(index, q_rows, nprobe, per_row)
     hit = np.zeros(n_table, dtype=bool)
-    hit[found] = True
+    hit[_batched_row_search(index, q_rows, nprobe, per_row)] = True
     docs = _doc_indices(index.doc_offsets, np.flatnonzero(hit[index.doc_refs]))
     n_docs = index.doc_offsets.shape[0] - 1
     return np.flatnonzero(np.bincount(docs, minlength=n_docs)).astype(np.int64, copy=False)

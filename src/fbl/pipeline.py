@@ -70,6 +70,8 @@ class Config:
     def __post_init__(self):
         self.granularity = Granularity(self.granularity)
         self.strategy = Strategy(self.strategy)
+        if self.embedder_kind not in ("hash", "file"):
+            raise ValueError(f"unknown embedder kind {self.embedder_kind!r}")
         for name, least in CONFIG_LEAST.items():
             value = getattr(self, name)
             if value is not None and value < least:  # None candidates: all
@@ -94,20 +96,18 @@ def make_embedder(
     """
     if config.embedder_kind == "hash":
         return ReferenceHashEmbedder(d_in=config.d_in, seed=config.seed)
-    if config.embedder_kind == "file":
-        if not config.embedder_path:
-            raise ValueError("file embedder needs a path")
-        emb = FileEmbedder.from_file(config.embedder_path, data)
-        if emb.d_in != config.d_in:
-            raise ValueError(f"embedder file dim {emb.d_in} != configured d_in {config.d_in}")
-        rows = emb.matrix.shape[0]
-        if vocab is not None and rows < len(vocab):
-            raise DataError(
-                f"{config.embedder_path}: {rows} rows cannot embed the {len(vocab)} ids "
-                "of the vocabulary"
-            )
-        return emb
-    raise ValueError(f"unknown embedder kind {config.embedder_kind!r}")
+    if not config.embedder_path:  # Config admits only "hash" and "file"
+        raise ValueError("file embedder needs a path")
+    emb = FileEmbedder.from_file(config.embedder_path, data)
+    if emb.d_in != config.d_in:
+        raise ValueError(f"embedder file dim {emb.d_in} != configured d_in {config.d_in}")
+    rows = emb.matrix.shape[0]
+    if vocab is not None and rows < len(vocab):
+        raise DataError(
+            f"{config.embedder_path}: {rows} rows cannot embed the {len(vocab)} ids "
+            "of the vocabulary"
+        )
+    return emb
 
 
 def encode_documents(

@@ -253,15 +253,18 @@ def _per_row(n_prime, total, n_rows):
 def candidate_docs_reference(index, query_matrix, n_prime, nprobe):
     """candidate_docs by the flat scan: every table row scored on its own.
 
-    Each query row keeps its top ceil(n_prime / rows) table rows by (score
-    desc, row asc), and a kept row brings in every document holding it.
-    Returns the ascending positions of those documents.
+    Each query row keeps every table row scoring at least its
+    ceil(n_prime / rows)-th best (all of them when it scans no more), and a
+    kept row brings in every document holding it. Returns the ascending
+    positions of those documents.
     """
     rows = _probed_entries(index, query_matrix, nprobe)
     per_row = _per_row(n_prime, index.rows.shape[0], len(rows))
     hit = set()
     for entries in rows:
-        hit.update(t for _, t in sorted(entries, key=lambda e: (-e[0], e[1]))[:per_row])
+        best = sorted((score for score, _ in entries), reverse=True)
+        cut = best[per_row - 1] if len(best) > per_row else -np.inf
+        hit.update(t for score, t in entries if score >= cut)
     held = np.flatnonzero(np.isin(index.doc_refs, sorted(hit)))
     return np.unique(_doc_indices(index.doc_offsets, held)).astype(np.int64)
 

@@ -221,6 +221,39 @@ def test_evaluate_end_to_end(corpus_dir, capsys, tmp_path):
     assert report["overall"]["p@1"] == 1.0
 
 
+def test_changeset_ids_with_colons_score_alike_from_every_run(tmp_path, capsys):
+    # a JSONL run names changesets, a TREC run documents; read back, both
+    # must name the linked changeset, with or without --aggregate
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    changesets = [
+        {"id": "repo:aaa", "diff": _diff("A.java", PLANT), "timestamp": "2021-01-01"},
+        {"id": "repo:bbb", "diff": _diff("B.java", WORDS[:5]), "timestamp": "2021-01-02"},
+    ]
+    bug = {"id": "b1", "summary": " ".join(PLANT[:3]), "opened_at": "2021-02-01"}
+    (corpus / "changesets.jsonl").write_text("".join(json.dumps(c) + "\n" for c in changesets))
+    (corpus / "bugs.jsonl").write_text(json.dumps(bug) + "\n")
+    links = corpus / "links.jsonl"
+    links.write_text(json.dumps({"bug_id": "b1", "changeset_id": "repo:aaa"}) + "\n")
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("\n".join(WORDS + PLANT) + "\n")
+    session = tmp_path / "session"
+    assert main(_index_args(corpus, vocab, session)) == 0
+    for fmt in ("jsonl", "trec"):
+        for aggregate in ([], ["--aggregate"]):
+            run = tmp_path / f"run.{fmt}"
+            assert main(["query", "--session", str(session), "--bug-file",
+                         str(corpus / "bugs.jsonl"), "--exact", "--format", fmt,
+                         "--out", str(run)] + aggregate) == 0
+            if fmt == "jsonl":
+                named = {json.loads(line)["changeset_id"] for line in run.read_text().splitlines()}
+                assert named == {"repo:aaa", "repo:bbb"}
+            capsys.readouterr()
+            assert main(["evaluate", "--run", str(run), "--qrels", str(links)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["overall"]["mrr"] == 1.0, (fmt, aggregate)
+
+
 def test_train_projection_command(corpus_dir, capsys, tmp_path):
     base_tmp, corpus, vocab = corpus_dir
     proj = tmp_path / "proj.fble"
@@ -542,10 +575,12 @@ _GOOD_RUN = {"bug_id": "b1", "doc_id": "c0:0:0", "rank": 1, "score": 0.5}
         ("changesets.jsonl", "[1]", "ingest"),
         ("changesets.jsonl", json.dumps({**_GOOD_CHANGESET, "id": "c1", "timestamp": "yesterday"}),
          "ingest"),
+        ("changesets.jsonl", json.dumps({**_GOOD_CHANGESET, "id": "abc:0:1"}), "ingest"),
         ("run.jsonl", "{bad json", "evaluate"),
         ("run.trec", "b1 Q0 c0:0:0 first 0.5 fbl", "evaluate"),
     ],
-    ids=["line_not_an_object", "bad_timestamp", "bad_json_run_line", "non_integer_trec_rank"],
+    ids=["line_not_an_object", "bad_timestamp", "document_suffix_id", "bad_json_run_line",
+         "non_integer_trec_rank"],
 )
 def test_malformed_input_line_exits_2_naming_file_and_line(
     tmp_path, capsys, name, bad_line, command
@@ -599,6 +634,28 @@ def test_query_on_a_bad_manifest_exits_2(corpus_dir, capsys, edit):
     capsys.readouterr()
     assert main(["query", "--session", str(session), "--text", "widget"]) == 2
     assert "manifest.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["query", "bench"])
+def test_an_unknown_embedder_kind_in_the_manifest_exits_2(corpus_dir, capsys, command):
+    base_tmp, corpus, vocab = corpus_dir
+    session = base_tmp / "session"
+    assert main(_index_args(corpus, vocab, session)) == 0
+    manifest = session / "manifest.json"
+    manifest.write_bytes(_set("embedder_kind", "foo")(manifest.read_bytes()))
+    capsys.readouterr()
+    argv = {"query": ["--text", "widget"], "bench": ["--sizes", "20", "--queries", "1"]}[command]
+    assert main([command, "--session", str(session)] + argv) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["kind"] == "data" and "manifest.json" in payload["error"]
+
+
+def test_bench_without_a_size_exits_1_before_reading_the_session(tmp_path, capsys):
+    missing = tmp_path / "no_session"
+    for sizes in (",", ""):
+        assert main(["bench", "--session", str(missing), "--sizes", sizes]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["kind"] == "usage" and "--sizes" in payload["error"]
 
 
 def test_data_error_on_malformed_diff(tmp_path, capsys):

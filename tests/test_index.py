@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from conftest import (
@@ -432,10 +434,23 @@ def test_pq_reconstruction_mse_improves_with_k():
 
 
 def _one_row_search(idx, query_vec, nprobe, topk):
-    """A one-row query through the batched candidate path, as (table row, score) pairs."""
+    """The table rows a one-row query keeps through the batched candidate path."""
     q_rows = np.ascontiguousarray(query_vec, dtype=np.float32)[None, :]
-    ids, scores = _batched_row_search(idx, q_rows, nprobe, topk)
-    return [(int(i), float(s)) for i, s in zip(ids, scores)]
+    return _batched_row_search(idx, q_rows, nprobe, topk).tolist()
+
+
+def _one_row_scores(idx, query_vec, nprobe):
+    """The ADC score of every table row a one-row query probes, {table row: score}.
+
+    The scan reads the candidate path's own probes, look-up tables and
+    coarse terms, so these are the scores its cut compares.
+    """
+    q_rows = np.ascontiguousarray(query_vec, dtype=np.float32)[None, :]
+    with mock.patch.object(_kernels, "adc_topk_rows", wraps=_kernels.adc_topk_rows) as kernel:
+        _batched_row_search(idx, q_rows, nprobe, 1)
+    luts, codes, rows, starts, ends, bases, _ = kernel.call_args.args
+    _, pos, scores = _kernels._adc_scan_probes(luts, codes, starts, ends, bases)
+    return dict(zip(rows[pos].tolist(), scores.tolist()))
 
 
 def test_search_lossless_limit_matches_exact_argmax():
@@ -446,32 +461,33 @@ def test_search_lossless_limit_matches_exact_argmax():
     for _ in range(10):
         q = _unit_rows(rng.standard_normal((1, 8)))[0]
         hits = _one_row_search(idx, q, nprobe=idx.n_partitions, topk=1)
+        scores = _one_row_scores(idx, q, nprobe=idx.n_partitions)
         exact_scores = all_rows @ q
         best = float(exact_scores.max())
-        assert hits[0][1] == pytest.approx(best, abs=1e-5)
-        assert exact_scores[hits[0][0]] == pytest.approx(best, abs=1e-5)
+        assert hits
+        for hit in hits:
+            assert scores[hit] == pytest.approx(best, abs=1e-5)
+            assert exact_scores[hit] == pytest.approx(best, abs=1e-5)
 
 
-def test_search_topk_saturation_returns_all_sorted():
+def test_search_topk_saturation_returns_all_in_probe_order():
     docs, centers = _centroid_aligned_corpus()
     idx = build_index(docs, n_partitions=4, n_subspaces=4, n_codewords=4, seed=0)
     q = np.ones(8, dtype=np.float32) / np.sqrt(8)
     hits = _one_row_search(idx, q, nprobe=4, topk=10_000)
     assert len(hits) == idx.rows.shape[0] == len(centers)  # each distinct row once
-    scores = [s for _, s in hits]
-    assert scores == sorted(scores, reverse=True)
+    assert hits == idx.rows.tolist()  # every partition probed, in partition order
+    assert len(_one_row_scores(idx, q, nprobe=4)) == len(hits)
 
 
-def test_search_tie_break_by_embedding_id():
+def test_search_keeps_every_row_tied_at_the_cut():
     # one partition and one codeword: distinct rows share the one code, so
-    # their scores tie exactly and the table row (the distinct embedding's
-    # id) breaks the tie
+    # their scores tie exactly, and a cut at the first place keeps all four
     v = _unit_rows(np.eye(4) + 0.5)
     docs = {f"{name}:0:0": EmbeddingMatrix(rows=v[[i]]) for i, name in enumerate("dcba")}
     idx = build_index(docs, n_partitions=1, n_subspaces=2, n_codewords=1, seed=0)
-    hits = _one_row_search(idx, v[3], nprobe=1, topk=4)
-    assert [h[0] for h in hits] == [0, 1, 2, 3]
-    assert len({h[1] for h in hits}) == 1
+    assert len(set(_one_row_scores(idx, v[3], nprobe=1).values())) == 1
+    assert sorted(_one_row_search(idx, v[3], nprobe=1, topk=1)) == [0, 1, 2, 3]
 
 
 def test_search_empty_index():
@@ -502,7 +518,7 @@ def test_search_recall_against_exact_scan():
     for _ in range(10):
         raw = centers[rng.integers(64)][None] + 0.15 * rng.standard_normal((1, 32))
         q = _unit_rows(raw)[0]
-        approx = {e for e, _ in _one_row_search(idx, q, nprobe=8, topk=100)}
+        approx = set(_one_row_search(idx, q, nprobe=8, topk=100))
         exact = set(np.argsort(-(rows @ q), kind="stable")[:100].tolist())
         hits_total += len(approx & exact)
     assert hits_total / 10 >= 90
@@ -663,6 +679,7 @@ def test_index_roundtrip_identical_search(tmp_path):
     assert _one_row_search(idx, q, nprobe=8, topk=20) == _one_row_search(
         back, q, nprobe=8, topk=20
     )
+    assert _one_row_scores(idx, q, nprobe=8) == _one_row_scores(back, q, nprobe=8)
     # byte-identical re-serialization
     p2 = tmp_path / "idx2.fbli"
     save_index(back, p2)
@@ -775,7 +792,7 @@ def test_k1_codebooks_degenerate_to_coarse_ranking():
     docs, _ = _random_corpus(rng, n_docs=40, tokens_per_doc=3, dim=8)
     idx = build_index(docs, n_partitions=6, n_subspaces=8, n_codewords=1, seed=2)
     q = _unit_rows(rng.standard_normal((1, 8)))[0]
-    hits = _one_row_search(idx, q, nprobe=6, topk=idx.n_embeddings)
+    scores = _one_row_scores(idx, q, nprobe=6)
     coarse_sims = idx.coarse @ q
     shift = float(sum(idx.codebooks[s, 0] @ q[s : s + 1] for s in range(8)))
     # every embedding's score equals its partition's coarse sim plus the shift
@@ -784,5 +801,6 @@ def test_k1_codebooks_degenerate_to_coarse_ranking():
         ids, _ = partition(idx, p)
         for e in ids:
             by_part[int(e)] = p
-    for emb_id, score in hits:
+    assert len(scores) == idx.rows.shape[0]
+    for emb_id, score in scores.items():
         assert score == pytest.approx(coarse_sims[by_part[emb_id]] + shift, abs=1e-5)

@@ -260,20 +260,27 @@ def _adc_fixture(rng, nq=7, m=3, k=5):
     return luts, codes, rows, starts, ends, bases
 
 
-def _reference_topk(luts, codes, rows, starts, ends, bases, per_row):
-    """Every entry scored on its own, then each query row sorted by (score desc, row asc)
-    and truncated."""
-    found, scores = [], []
+def _reference_scores(luts, codes, rows, starts, ends, bases):
+    """Per query row, (score, table row) of every probed entry, each scored on its own,
+    in probe order."""
+    out = []
     for r in range(starts.shape[0]):
         hits = []
         for p in range(starts.shape[1]):
             for j in range(starts[r, p], ends[r, p]):
                 score = sum(float(luts[r, s, codes[j, s]]) for s in range(luts.shape[1]))
-                hits.append((-(score + bases[r, p]), int(rows[j])))
-        for neg, row in sorted(hits)[:per_row]:
-            found.append(row)
-            scores.append(-neg)
-    return np.asarray(found, dtype=np.uint32), np.asarray(scores, dtype=np.float64)
+                hits.append((score + bases[r, p], int(rows[j])))
+        out.append(hits)
+    return out
+
+
+def _reference_topk(luts, codes, rows, starts, ends, bases, per_row):
+    """Each query row's entries scoring at least its per_row-th best, in probe order."""
+    found = []
+    for hits in _reference_scores(luts, codes, rows, starts, ends, bases):
+        best = sorted((s for s, _ in hits), reverse=True)
+        found += [row for s, row in hits if len(hits) <= per_row or s >= best[per_row - 1]]
+    return np.asarray(found, dtype=np.uint32)
 
 
 @pytest.mark.parametrize("block_codes", [1 << 18, 12])
@@ -285,23 +292,52 @@ def test_adc_topk_rows_matches_reference(backend, per_row, block_codes, monkeypa
     monkeypatch.setattr(_kernels, "_ADC_BLOCK_CODES", block_codes)
     rng = np.random.default_rng(6)
     args = _adc_fixture(rng)
-    found, scores = _kernels.adc_topk_rows(*args, per_row)
-    want_found, want_scores = _reference_topk(*args, per_row)
-    np.testing.assert_array_equal(found, want_found)
-    np.testing.assert_array_equal(scores, want_scores)
-    assert found.dtype == np.uint32 and scores.dtype == np.float64
+    found = _kernels.adc_topk_rows(*args, per_row)
+    np.testing.assert_array_equal(found, _reference_topk(*args, per_row))
+    assert found.dtype == np.uint32
 
 
 def test_adc_topk_rows_ties_straddle_the_cut():
-    # the fixture really exercises the tie-breaks: at some query row's 4th
+    # the fixture really exercises the cut's ties: at some query row's 4th
     # place two table rows of distinct codes tie
     luts, codes, rows, starts, ends, bases = args = _adc_fixture(np.random.default_rng(6))
-    found, full = _reference_topk(*args, 10_000)
     code_of = {int(t): tuple(c) for t, c in zip(rows, codes)}
+    ranked = [sorted(hits, key=lambda h: -h[0]) for hits in _reference_scores(*args)]
+    assert any(len(h) > 4 and h[3][0] == h[4][0] and code_of[h[3][1]] != code_of[h[4][1]]
+               for h in ranked)
     row_codes = (ends - starts).sum(axis=1)
-    split = np.cumsum(row_codes)[:-1]
-    ranked = list(zip(np.split(full, split), np.split(found, split)))
-    assert any(s.size > 4 and s[3] == s[4] and code_of[int(t[3])] != code_of[int(t[4])]
-               for s, t in ranked)
     # per_row 1 cuts every scanning query row; 9 cuts some; 100 keeps every row
     assert 1 < row_codes[row_codes > 0].min() and 9 < row_codes.max() < 100
+
+
+def test_adc_topk_rows_keeps_every_row_tied_at_the_cut():
+    luts, codes, rows, starts, ends, bases = args = _adc_fixture(np.random.default_rng(6))
+    for r, hits in enumerate(_reference_scores(*args)):
+        ranked = sorted(hits, key=lambda h: -h[0])
+        if len(ranked) > 4 and ranked[3][0] == ranked[4][0]:
+            one = (luts[r : r + 1], codes, rows, starts[r : r + 1], ends[r : r + 1],
+                   bases[r : r + 1])
+            found = _kernels.adc_topk_rows(*one, 4).tolist()
+            assert {ranked[3][1], ranked[4][1]} <= set(found) and len(found) > 4
+            break
+    else:
+        pytest.fail("no query row ties at its 4th place")
+
+
+def test_adc_topk_rows_scores_nothing_when_no_row_is_cut(monkeypatch):
+    luts, codes, rows, starts, ends, bases = args = _adc_fixture(np.random.default_rng(6))
+    row_codes = (ends - starts).sum(axis=1)
+    # the longest row is over a 12-code cap, so each row is a block of its own
+    monkeypatch.setattr(_kernels, "_ADC_BLOCK_CODES", 12)
+    assert row_codes.max() > 12
+    scan = mock.Mock(wraps=_kernels._adc_scan_probes)
+    monkeypatch.setattr(_kernels, "_adc_scan_probes", scan)
+    found = _kernels.adc_topk_rows(*args, int(row_codes.max()))
+    assert scan.call_count == 0
+    np.testing.assert_array_equal(found, rows[_kernels.concat_ranges(starts.ravel(), ends.ravel())])
+    # one row over budget: only its block is scored
+    budget = int(np.sort(row_codes)[-2])
+    assert (row_codes > budget).sum() == 1
+    found = _kernels.adc_topk_rows(*args, budget)
+    assert scan.call_count == 1
+    np.testing.assert_array_equal(found, _reference_topk(*args, budget))

@@ -44,6 +44,12 @@ def _repeated_rows_session():
     return pack, index, query, config
 
 
+def _probed(index, query, nprobe):
+    """Each query row's nprobe nearest partitions."""
+    coarse = query.rows @ index.coarse.T
+    return np.argsort(-coarse, axis=1, kind="stable")[:, :nprobe]
+
+
 def test_perfbench_hooks_resolve_and_count_the_codes_scanned(layers_and_tracer):
     layers, tracer = layers_and_tracer
     pack, index, query, config = _repeated_rows_session()
@@ -60,8 +66,7 @@ def test_perfbench_hooks_resolve_and_count_the_codes_scanned(layers_and_tracer):
         assert vars(owner)[attr] is raw, attr
 
     # the scan span counts codes: the entries of each query row's probed partitions
-    coarse = query.rows @ index.coarse.T
-    probed = np.argsort(-coarse, axis=1, kind="stable")[:, :2]
+    probed = _probed(index, query, 2)
     entries = int((index.part_offsets[probed + 1] - index.part_offsets[probed]).sum())
     part_of = np.empty(index.rows.shape[0], dtype=np.int64)  # each table row's partition
     part_of[index.rows] = np.repeat(np.arange(index.n_partitions), np.diff(index.part_offsets))
@@ -70,6 +75,24 @@ def test_perfbench_hooks_resolve_and_count_the_codes_scanned(layers_and_tracer):
     assert [s.attrs["codes"] for s in scans] == [entries]
     assert entries < pack_rows  # a repeated row is listed once
     assert {s.name for s in t.spans} >= {"retrieve.two_stage", "index.candidates", "kernels.maxsim"}
+
+
+def test_perfbench_hooks_count_the_codes_of_a_query_that_cuts_no_row(layers_and_tracer):
+    # a budget covering the table scores nothing, yet the scan span still
+    # opens once and counts the probed entries
+    layers, tracer = layers_and_tracer
+    pack, index, query, config = _repeated_rows_session()
+    config.candidates = None
+    t = tracer.Tracer()
+    layers.instrument(t)
+    try:
+        pipeline.run_query(query, index, pack, config, k=5)
+    finally:
+        t.restore()
+    probed = _probed(index, query, 2)
+    entries = int((index.part_offsets[probed + 1] - index.part_offsets[probed]).sum())
+    scans = [s for s in t.spans if s.name == "kernels.adc_scan"]
+    assert [s.attrs["codes"] for s in scans] == [entries]
 
 
 def test_perfbench_hooks_trace_an_exact_query(layers_and_tracer):
