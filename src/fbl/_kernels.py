@@ -133,13 +133,15 @@ def centroid_sums(points: np.ndarray, labels: np.ndarray, k: int, weights: np.nd
 # -- asymmetric distance scan -------------------------------------------------
 #
 # The inverted lists hold each table row once: entry j is table row rows[j],
-# with PQ code codes[j]. luts[r, m, k] holds the inner product of query row
-# r's m-th subvector with codebook centroid k. Row r scans the entries
-# starts[r, p]:ends[r, p] of its probed partitions; bases[r, p] is the
-# row-to-coarse-centroid term shared by every entry of that partition. Each
-# row keeps the table rows of the entries scoring at least its `per_row`-th
-# best, ties included, in probe order (query rows ascending); no order or
-# score is returned, as candidate generation reads only the set.
+# with PQ code codes[j]. Query row r scans the entries starts[r, p]:ends[r, p]
+# of its probed partitions; bases[r, p] is the row-to-coarse-centroid term
+# shared by every entry of that partition. Each row keeps the table rows of
+# the entries scoring at least its `per_row`-th best, ties included, in probe
+# order (query rows ascending); no order or score is returned, as candidate
+# generation reads only the set. A row scanning at most `per_row` entries
+# keeps them all, so when no row is cut nothing is scored and no look-up
+# table is built. Otherwise luts[r, m, k], the inner product of query row r's
+# m-th subvector with codebook centroid k, is built for every row at once.
 
 _ADC_BLOCK_CODES = 1 << 18  # codes scored at once; bounds the scan's temporaries
 
@@ -180,22 +182,29 @@ def _row_cuts(neg: np.ndarray, lengths: np.ndarray, per_row: int) -> np.ndarray:
     return cuts
 
 
-def adc_topk_rows(luts, codes, rows, starts, ends, bases, per_row):
-    row_codes = (ends - starts).sum(axis=1)
-    nq = row_codes.shape[0]
-    step = max(1, _ADC_BLOCK_CODES // max(1, int(row_codes.max(initial=0))))
+def adc_topk_rows(q_rows, codebooks, codes, starts, ends, bases, rows, per_row):
+    lengths = (ends - starts).sum(axis=1)
+    if per_row >= lengths.max(initial=0):  # no row is cut: every entry, unscored
+        return np.take(rows, concat_ranges(starts.ravel(), ends.ravel()))
+    nq = q_rows.shape[0]
+    m, k, dsub = codebooks.shape
+    luts = np.empty((nq, m, k), dtype=np.float32)
+    # every subspace's table in one batched product, (m, nq, dsub) @ (m, dsub, K),
+    # written straight into luts
+    np.matmul(
+        q_rows.reshape(nq, m, dsub).transpose(1, 0, 2),
+        codebooks.transpose(0, 2, 1),
+        out=luts.transpose(1, 0, 2),
+    )
+    step = max(1, _ADC_BLOCK_CODES // int(lengths.max()))
     parts = []
-    for r0 in range(0, max(nq, 1), step):  # no rows still makes one (empty) block
-        r1 = min(r0 + step, nq)
-        lengths = row_codes[r0:r1]
-        if per_row >= lengths.max(initial=0):  # no row is cut: every entry, unscored
-            pos = concat_ranges(starts[r0:r1].ravel(), ends[r0:r1].ravel())
-        else:  # codes scoring at least their row's per_row-th best
-            qrow, pos, scores = _adc_scan_probes(
-                luts[r0:r1], codes, starts[r0:r1], ends[r0:r1], bases[r0:r1]
-            )
-            pos = pos[-scores <= _row_cuts(-scores, lengths, per_row)[qrow]]
-        parts.append(np.take(rows, pos))
+    for r0 in range(0, nq, step):  # codes scoring at least their row's per_row-th best
+        block = slice(r0, r0 + step)
+        qrow, pos, scores = _adc_scan_probes(
+            luts[block], codes, starts[block], ends[block], bases[block]
+        )
+        keep = -scores <= _row_cuts(-scores, lengths[block], per_row)[qrow]
+        parts.append(np.take(rows, pos[keep]))
     return np.concatenate(parts)
 
 

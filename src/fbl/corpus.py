@@ -205,6 +205,14 @@ def _text(obj: dict, key: str, where: str, default: str | None = None) -> str:
     return obj[key]
 
 
+def _id(obj: dict, where: str, kind: str) -> str:
+    """An "id" field; one that is empty or holds whitespace cannot be a TREC run column."""
+    value = _text(obj, "id", where)
+    if value.split() != [value]:
+        raise DataError(f"{where}: {kind} id {value!r} is empty or holds whitespace")
+    return value
+
+
 def _timestamp(obj: dict, key: str, where: str) -> datetime:
     try:
         dt = datetime.fromisoformat(_text(obj, key, where))
@@ -219,7 +227,7 @@ def load_changesets(path: str | Path) -> list[Changeset]:
     out: list[Changeset] = []
     seen: set[str] = set()
     for where, obj in _iter_jsonl(Path(path)):
-        cs_id = _text(obj, "id", where)
+        cs_id = _id(obj, where, "changeset")
         if _DOC_SUFFIX.search(cs_id):
             raise DataError(f"{where}: changeset id {cs_id!r} ends like a document id's suffix")
         if cs_id in seen:
@@ -240,7 +248,7 @@ def load_bugs(path: str | Path) -> list[BugReport]:
     out: list[BugReport] = []
     seen: set[str] = set()
     for where, obj in _iter_jsonl(Path(path)):
-        bug_id = _text(obj, "id", where)
+        bug_id = _id(obj, where, "bug")
         if bug_id in seen:
             raise DataError(f"{where}: duplicate bug id {bug_id!r}")
         seen.add(bug_id)

@@ -33,7 +33,7 @@ class EmptyGoldSet(DataError):
 
 
 class DimensionMismatch(FblError):
-    """Embedder and projection disagree on the input dimension."""
+    """Embedder, projection or configuration disagree on a dimension."""
 
 
 class NonFiniteLoss(FblError):

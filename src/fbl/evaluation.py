@@ -140,7 +140,7 @@ def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
                 if line.startswith("{"):
                     obj = json.loads(line)
                     bug_id, rank, score = obj["bug_id"], obj["rank"], obj["score"]
-                    doc_id = obj.get("changeset_id", obj["doc_id"])
+                    doc_id = obj["changeset_id"] if "changeset_id" in obj else obj["doc_id"]
                 else:
                     parts = line.split()
                     if len(parts) < 6:

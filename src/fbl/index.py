@@ -208,14 +208,6 @@ class IvfPqIndex:
         return int(self.doc_refs.shape[0])
 
 
-def _doc_indices(doc_offsets: np.ndarray, embedding_ids) -> np.ndarray:
-    """The document holding each embedding id (empty documents hold none)."""
-    ids = np.asarray(embedding_ids)
-    docs = np.searchsorted(doc_offsets.astype(ids.dtype, copy=False), ids, side="right")
-    docs -= 1
-    return docs
-
-
 def build_index(
     doc_matrices: Mapping[str, EmbeddingMatrix],
     n_partitions: int,
@@ -288,36 +280,6 @@ def build_index(
     )
 
 
-def _batched_row_search(
-    index: IvfPqIndex, q_rows: np.ndarray, nprobe: int, per_row: int
-) -> np.ndarray:
-    """The table rows each query row keeps of its nprobe nearest partitions'
-    entries: those scoring at least its per_row-th best, ties included."""
-    nq = q_rows.shape[0]
-    m = index.n_subspaces
-    dsub = index.dim // m
-    coarse_all = (q_rows @ index.coarse.T).astype(np.float64)  # (nq, P)
-    probe_all = np.argpartition(-coarse_all, nprobe - 1, axis=1)[:, :nprobe]
-    probe_all.sort(axis=1)  # ascending partitions = sequential code reads
-    luts = np.empty((nq, m, index.n_codewords), dtype=np.float32)
-    # every subspace's table in one batched product, (m, nq, dsub) @ (m, dsub, K),
-    # written straight into luts
-    np.matmul(
-        q_rows.reshape(nq, m, dsub).transpose(1, 0, 2),
-        index.codebooks.transpose(0, 2, 1),
-        out=luts.transpose(1, 0, 2),
-    )
-    return _kernels.adc_topk_rows(
-        luts,
-        index.codes,
-        index.rows,
-        index.part_offsets[probe_all],
-        index.part_offsets[probe_all + 1],
-        np.take_along_axis(coarse_all, probe_all, axis=1),
-        per_row,
-    )
-
-
 def candidate_docs(
     index: IvfPqIndex,
     query_matrix: EmbeddingMatrix,
@@ -329,9 +291,12 @@ def candidate_docs(
     Each query row fetches its share (ceil(n_prime / rows)) of the n_prime
     nearest distinct embeddings (table rows, ties at its cut kept); when
     n_prime is None or covers the whole table, every row fetches everything.
-    A hit table row brings in every document holding it. The result is a
-    set: each candidate appears once, and ascending positions read the pack
-    front to back when the candidates are re-scored.
+    Each row probes its nprobe nearest partitions, and one kernel call keeps
+    its share of their entries; the call builds the look-up tables and
+    scores codes only when some row scans more than its share. A hit table
+    row brings in every document holding it. The result is a set: each
+    candidate appears once, and ascending positions read the pack front to
+    back when the candidates are re-scored.
     """
     if n_prime is not None and n_prime < 1:
         raise ValueError(f"candidate count must be >= 1 (or None for all), got {n_prime}")
@@ -349,11 +314,24 @@ def candidate_docs(
     else:
         per_row = -(-int(n_prime) // q_rows.shape[0])  # ceil division
 
+    coarse = (q_rows @ index.coarse.T).astype(np.float64)  # (rows, P)
+    probes = np.argpartition(-coarse, nprobe - 1, axis=1)[:, :nprobe]
+    probes.sort(axis=1)  # ascending partitions = sequential code reads
+    kept = _kernels.adc_topk_rows(
+        q_rows,
+        index.codebooks,
+        index.codes,
+        index.part_offsets[probes],
+        index.part_offsets[probes + 1],
+        np.take_along_axis(coarse, probes, axis=1),
+        index.rows,
+        per_row,
+    )
     hit = np.zeros(n_table, dtype=bool)
-    hit[_batched_row_search(index, q_rows, nprobe, per_row)] = True
-    docs = _doc_indices(index.doc_offsets, np.flatnonzero(hit[index.doc_refs]))
-    n_docs = index.doc_offsets.shape[0] - 1
-    return np.flatnonzero(np.bincount(docs, minlength=n_docs)).astype(np.int64, copy=False)
+    hit[kept] = True
+    # embedding id e lies in document searchsorted(offsets, e, "right") - 1
+    docs = np.searchsorted(index.doc_offsets, np.flatnonzero(hit[index.doc_refs]), side="right")
+    return np.flatnonzero(np.bincount(docs, minlength=index.doc_offsets.shape[0])[1:])
 
 
 # -- serialization (FBLI) -------------------------------------------------------

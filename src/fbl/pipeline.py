@@ -27,7 +27,7 @@ from .embed import (
 from .encode import (
     DOC_LEAST, QUERY_LEAST, EncodedSequence, Strategy, Vocabulary, encode_document, encode_query,
 )
-from .errors import DataError
+from .errors import DataError, DimensionMismatch
 from .index import IvfPqIndex, build_index
 from .retrieve import PackedCorpus, RankedResult, rank_exact, rank_two_stage
 from .store import Manifest, SessionArtifacts
@@ -149,6 +149,10 @@ def build_session(
     vocab_hash: str = "",
 ) -> SessionArtifacts:
     """Encode, embed, and index a corpus under one configuration."""
+    if projection is not None and projection.d_out != config.d_out:
+        raise DimensionMismatch(
+            f"projection d_out={projection.d_out} != configured d_out={config.d_out}"
+        )
     embedder = make_embedder(config, vocab=vocab)
     docs = explode_corpus(changesets, config.granularity)
     seqs = encode_documents(docs, config.strategy, vocab, config.doc_limit())

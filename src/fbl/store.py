@@ -289,6 +289,8 @@ def load_session(directory: str | Path) -> SessionArtifacts:
     doc pack must be listed. ``doc_matrices`` is the packed corpus as
     stored, ready to rank against; the index borrows its document table.
     The vocabulary and embedder come back as bytes, for the caller to parse.
+    The manifest's d_in and d_out must be the projection's shape, and d_out
+    the index's dimension.
     """
     directory = Path(directory)
     manifest = load_manifest(directory)
@@ -305,6 +307,15 @@ def load_session(directory: str | Path) -> SessionArtifacts:
     doc_matrices = read_doc_pack(directory / DOCS_NAME, data[DOCS_NAME])
     index = load_index(directory / INDEX_NAME, doc_matrices, data[INDEX_NAME])
     projection = LinearProjection.load(directory / PROJECTION_NAME, data[PROJECTION_NAME])
+    if (manifest.d_in, manifest.d_out) != projection.weights.shape:
+        raise FormatError(
+            f"{directory / MANIFEST_NAME}: d_in {manifest.d_in} and d_out {manifest.d_out}, but "
+            f"{PROJECTION_NAME} is {projection.d_in} x {projection.d_out}"
+        )
+    if index.dim != manifest.d_out:
+        raise FormatError(
+            f"{directory / MANIFEST_NAME}: d_out {manifest.d_out}, but the index has dim {index.dim}"
+        )
     return SessionArtifacts(
         manifest, index, projection, doc_matrices, data.get(VOCAB_NAME), data.get(EMBEDDER_NAME)
     )

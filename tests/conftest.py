@@ -9,8 +9,12 @@ from fbl.corpus import Document, Granularity
 from fbl.diffs import Changeset, DiffLine, FileDiff, Hunk, LineKind
 from fbl.embed import LinearProjection, PackedCorpus, gradient_of_loss
 from fbl.encode import EncodedSequence, Vocabulary
-from fbl.index import _doc_indices
 from fbl.retrieve import rank_exact
+
+
+def _doc_indices(doc_offsets, embedding_ids):
+    """The document holding each embedding id (empty documents hold none)."""
+    return np.searchsorted(doc_offsets, embedding_ids, side="right") - 1
 
 
 def maxsim(query, doc) -> float:

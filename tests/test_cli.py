@@ -600,6 +600,25 @@ def test_malformed_input_line_exits_2_naming_file_and_line(
     assert f"{path}:2:" in payload["error"]
 
 
+@pytest.mark.parametrize("flag", ["--changesets", "--bugs"])
+@pytest.mark.parametrize("bad_id", ["fix a", "", " c1", "c1\t"],
+                         ids=["inner_space", "empty", "leading_space", "trailing_tab"])
+def test_ingest_rejects_an_id_a_trec_run_cannot_carry(tmp_path, capsys, flag, bad_id):
+    # a TREC line splits on whitespace, so such an id would not read back
+    changesets, bugs = tmp_path / "changesets.jsonl", tmp_path / "bugs.jsonl"
+    bad = {"id": bad_id, "summary": "crash", "opened_at": "2021-01-01"}
+    changesets.write_text(json.dumps(_GOOD_CHANGESET) + "\n" + (
+        json.dumps({**_GOOD_CHANGESET, "id": bad_id}) + "\n" if flag == "--changesets" else ""))
+    bugs.write_text(json.dumps({**bad, "id": "b1"}) + "\n" + (
+        json.dumps(bad) + "\n" if flag == "--bugs" else ""))
+    argv = ["ingest", "--changesets", str(changesets), "--bugs", str(bugs),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    path = changesets if flag == "--changesets" else bugs
+    assert payload["kind"] == "data" and f"{path}:2:" in payload["error"]
+
+
 def _non_utf8(blob: bytes) -> bytes:
     return blob[:20] + b"\xff" + blob[21:]
 
@@ -622,8 +641,9 @@ def _no_vocab_checksum(blob: bytes) -> bytes:
 @pytest.mark.parametrize(
     "edit",
     [_non_utf8, _set("checksums", 5), _set("granularity", "paragraph"), _set("d_in", -3),
-     _no_vocab_checksum],
-    ids=["non_utf8", "checksums_int", "unknown_granularity", "negative_d_in", "no_vocab_checksum"],
+     _no_vocab_checksum, _set("d_out", 8)],
+    ids=["non_utf8", "checksums_int", "unknown_granularity", "negative_d_in", "no_vocab_checksum",
+         "d_out_not_the_projections"],
 )
 def test_query_on_a_bad_manifest_exits_2(corpus_dir, capsys, edit):
     base_tmp, corpus, vocab = corpus_dir
@@ -721,6 +741,18 @@ def _assert_short_table_error(capsys, path, rows):
 def _train_args(corpus, vocab, out):
     return ["train-projection", "--corpus", str(corpus), "--vocab", str(vocab),
             "--out", str(out), "--d-in", "32", "--d-out", "16"]
+
+
+def test_index_with_a_projection_of_another_d_out_exits_2(corpus_dir, capsys, tmp_path):
+    base_tmp, corpus, vocab = corpus_dir
+    proj = tmp_path / "p8.fble"
+    assert main(_train_args(corpus, vocab, proj)[:-1] + ["8", "--epochs", "0"]) == 0
+    session = tmp_path / "session"
+    capsys.readouterr()
+    assert main(_index_args(corpus, vocab, session) + ["--projection", str(proj)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "projection d_out=8 != configured d_out=16" in payload["error"]
+    assert not session.exists()
 
 
 @pytest.mark.parametrize("command", ["index", "train-projection"])

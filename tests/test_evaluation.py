@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_changeset, make_hunk, ts
 from fbl.corpus import BugReport, GoldLink
-from fbl.errors import EmptyGoldSet
+from fbl.errors import DataError, EmptyGoldSet
 from fbl.evaluation import (
     average_precision,
     categorize,
@@ -172,6 +172,19 @@ def test_read_run_jsonl_and_trec(tmp_path):
     t.write_text("b1 Q0 c1:0:0 1 0.900000 tag\nb1 Q0 c2:0:0 2 0.500000 tag\n")
     run2 = read_run(t)
     assert run2 == {"b1": [("c1:0:0", 0.9), ("c2:0:0", 0.5)]}
+
+
+def test_read_run_jsonl_needs_a_doc_id_only_without_a_changeset_id(tmp_path):
+    j = tmp_path / "run.jsonl"
+    rows = [
+        {"bug_id": "b1", "rank": 1, "score": 2.0, "changeset_id": "fix_a"},
+        {"bug_id": "b1", "rank": 2, "score": 1.0, "doc_id": "fix_b:0:0"},
+    ]
+    j.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    assert read_run(j) == {"b1": [("fix_a", 2.0), ("fix_b:0:0", 1.0)]}
+    j.write_text(json.dumps({"bug_id": "b1", "rank": 1, "score": 2.0}) + "\n")
+    with pytest.raises(DataError, match="missing field 'doc_id'"):
+        read_run(j)
 
 
 def test_metrics_report_structure():

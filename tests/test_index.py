@@ -19,7 +19,6 @@ from fbl.embed import EmbeddingMatrix, PackedCorpus
 from fbl.errors import EmptyIndex, FormatError, InsufficientData
 from fbl.index import (
     IvfPqIndex,
-    _batched_row_search,
     _kmeans_pp_init,
     build_index,
     candidate_docs,
@@ -433,24 +432,33 @@ def test_pq_reconstruction_mse_improves_with_k():
 # -- search -----------------------------------------------------------------------
 
 
+def _one_row_call(idx, query_vec, nprobe):
+    """The arguments but per_row that candidate_docs passes adc_topk_rows for a one-row query."""
+    query = EmbeddingMatrix(rows=np.asarray(query_vec, dtype=np.float32)[None, :])
+    with mock.patch.object(_kernels, "adc_topk_rows", wraps=_kernels.adc_topk_rows) as kernel:
+        candidate_docs(idx, query, 1, nprobe)
+    return kernel.call_args.args[:-1]
+
+
 def _one_row_search(idx, query_vec, nprobe, topk):
-    """The table rows a one-row query keeps through the batched candidate path."""
-    q_rows = np.ascontiguousarray(query_vec, dtype=np.float32)[None, :]
-    return _batched_row_search(idx, q_rows, nprobe, topk).tolist()
+    """The table rows a one-row query keeps through the candidate kernel."""
+    return _kernels.adc_topk_rows(*_one_row_call(idx, query_vec, nprobe), topk).tolist()
 
 
 def _one_row_scores(idx, query_vec, nprobe):
     """The ADC score of every table row a one-row query probes, {table row: score}.
 
-    The scan reads the candidate path's own probes, look-up tables and
-    coarse terms, so these are the scores its cut compares.
+    A budget of 1 cuts a row that probes two or more entries, so the kernel
+    scans every one of them: these are the scores its cut compares.
     """
-    q_rows = np.ascontiguousarray(query_vec, dtype=np.float32)[None, :]
-    with mock.patch.object(_kernels, "adc_topk_rows", wraps=_kernels.adc_topk_rows) as kernel:
-        _batched_row_search(idx, q_rows, nprobe, 1)
-    luts, codes, rows, starts, ends, bases, _ = kernel.call_args.args
-    _, pos, scores = _kernels._adc_scan_probes(luts, codes, starts, ends, bases)
-    return dict(zip(rows[pos].tolist(), scores.tolist()))
+    args = _one_row_call(idx, query_vec, nprobe)
+    scan, scans = _kernels._adc_scan_probes, []
+    with mock.patch.object(
+        _kernels, "_adc_scan_probes", side_effect=lambda *a: scans.append(scan(*a)) or scans[-1]
+    ):
+        _kernels.adc_topk_rows(*args, 1)
+    ((_, pos, scores),) = scans
+    return dict(zip(args[-1][pos].tolist(), scores.tolist()))
 
 
 def test_search_lossless_limit_matches_exact_argmax():

@@ -260,6 +260,21 @@ def _adc_fixture(rng, nq=7, m=3, k=5):
     return luts, codes, rows, starts, ends, bases
 
 
+def _kernel_args(luts, codes, rows, starts, ends, bases):
+    """adc_topk_rows's arguments but per_row, with query rows and codebooks
+    whose products are exactly the fixture's look-up tables.
+
+    Each subspace of query row r is 1 at column r and 0 elsewhere, and
+    codebooks[s, c, r] = luts[r, s, c], so every table entry is one
+    integer plus zeros, and ties stay exact.
+    """
+    nq, m, _ = luts.shape
+    q_rows = np.zeros((nq, m, nq), dtype=np.float32)
+    q_rows[np.arange(nq), :, np.arange(nq)] = 1.0
+    codebooks = np.ascontiguousarray(luts.transpose(1, 2, 0))
+    return q_rows.reshape(nq, m * nq), codebooks, codes, starts, ends, bases, rows
+
+
 def _reference_scores(luts, codes, rows, starts, ends, bases):
     """Per query row, (score, table row) of every probed entry, each scored on its own,
     in probe order."""
@@ -292,7 +307,7 @@ def test_adc_topk_rows_matches_reference(backend, per_row, block_codes, monkeypa
     monkeypatch.setattr(_kernels, "_ADC_BLOCK_CODES", block_codes)
     rng = np.random.default_rng(6)
     args = _adc_fixture(rng)
-    found = _kernels.adc_topk_rows(*args, per_row)
+    found = _kernels.adc_topk_rows(*_kernel_args(*args), per_row)
     np.testing.assert_array_equal(found, _reference_topk(*args, per_row))
     assert found.dtype == np.uint32
 
@@ -315,8 +330,8 @@ def test_adc_topk_rows_keeps_every_row_tied_at_the_cut():
     for r, hits in enumerate(_reference_scores(*args)):
         ranked = sorted(hits, key=lambda h: -h[0])
         if len(ranked) > 4 and ranked[3][0] == ranked[4][0]:
-            one = (luts[r : r + 1], codes, rows, starts[r : r + 1], ends[r : r + 1],
-                   bases[r : r + 1])
+            one = _kernel_args(luts[r : r + 1], codes, rows, starts[r : r + 1],
+                               ends[r : r + 1], bases[r : r + 1])
             found = _kernels.adc_topk_rows(*one, 4).tolist()
             assert {ranked[3][1], ranked[4][1]} <= set(found) and len(found) > 4
             break
@@ -327,17 +342,29 @@ def test_adc_topk_rows_keeps_every_row_tied_at_the_cut():
 def test_adc_topk_rows_scores_nothing_when_no_row_is_cut(monkeypatch):
     luts, codes, rows, starts, ends, bases = args = _adc_fixture(np.random.default_rng(6))
     row_codes = (ends - starts).sum(axis=1)
-    # the longest row is over a 12-code cap, so each row is a block of its own
-    monkeypatch.setattr(_kernels, "_ADC_BLOCK_CODES", 12)
-    assert row_codes.max() > 12
     scan = mock.Mock(wraps=_kernels._adc_scan_probes)
     monkeypatch.setattr(_kernels, "_adc_scan_probes", scan)
-    found = _kernels.adc_topk_rows(*args, int(row_codes.max()))
+    found = _kernels.adc_topk_rows(*_kernel_args(*args), int(row_codes.max()))
     assert scan.call_count == 0
     np.testing.assert_array_equal(found, rows[_kernels.concat_ranges(starts.ravel(), ends.ravel())])
-    # one row over budget: only its block is scored
+    # one row over budget: the query is scored, and rows at or under it keep every entry
     budget = int(np.sort(row_codes)[-2])
     assert (row_codes > budget).sum() == 1
-    found = _kernels.adc_topk_rows(*args, budget)
+    found = _kernels.adc_topk_rows(*_kernel_args(*args), budget)
     assert scan.call_count == 1
     np.testing.assert_array_equal(found, _reference_topk(*args, budget))
+
+
+def test_adc_topk_rows_builds_no_table_when_no_row_is_cut():
+    luts, codes, rows, starts, ends, bases = args = _adc_fixture(np.random.default_rng(6))
+    q_rows = _kernel_args(*args)[0]
+    row_codes = (ends - starts).sum(axis=1)
+    unusable = np.zeros((1, 1, 1), dtype=np.float32)  # no product with q_rows exists
+    found = _kernels.adc_topk_rows(
+        q_rows, unusable, codes, starts, ends, bases, rows, int(row_codes.max())
+    )
+    np.testing.assert_array_equal(found, rows[_kernels.concat_ranges(starts.ravel(), ends.ravel())])
+    with pytest.raises(ValueError):  # one row over budget: the tables are built
+        _kernels.adc_topk_rows(
+            q_rows, unusable, codes, starts, ends, bases, rows, int(np.sort(row_codes)[-2])
+        )

@@ -441,6 +441,29 @@ def test_manifest_field_of_wrong_type_raises_format_error(tmp_path, session_piec
         load_session(tmp_path)
 
 
+@pytest.mark.parametrize("field,value", [("d_in", 12), ("d_out", 4)])
+def test_manifest_dims_other_than_the_projections_raise_format_error(
+    tmp_path, session_pieces, field, value
+):
+    manifest, index, projection, docs = session_pieces
+    save_session(tmp_path, manifest, index, projection, docs)
+    path = tmp_path / MANIFEST_NAME
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match=f"manifest.json.*{PROJECTION_NAME} is 16 x 8"):
+        load_session(tmp_path)
+
+
+def test_an_index_of_another_dim_than_d_out_raises_format_error(tmp_path, session_pieces):
+    # manifest and projection agree on d_out 4, but the index rows are 8-d
+    manifest, index, _, docs = session_pieces
+    manifest.d_out = 4
+    save_session(tmp_path, manifest, index, LinearProjection.seeded_init(16, 4, seed=2), docs)
+    with pytest.raises(FormatError, match="manifest.json: d_out 4, but the index has dim 8"):
+        load_session(tmp_path)
+
+
 def test_save_leaves_a_stray_temp_file_alone(tmp_path, session_pieces):
     # another writer's temp file under the old fixed name is neither read nor removed
     manifest, index, projection, docs = session_pieces
