@@ -6,8 +6,9 @@ session state), 3 internal error. Errors go to stderr as one JSON object.
 The FBL_SESSION environment variable supplies the default session
 directory for query/bench.
 Each command takes only the ``pipeline.Config`` flags it reads, defaulting
-to Config's values; one below the field's ``CONFIG_LEAST`` entry is a usage
-error naming the flag. query and bench read the rest from the manifest.
+to Config's values (--doc-limit to its granularity's); one below the
+field's ``CONFIG_LEAST`` entry is a usage error naming the flag. query and
+bench read the rest from the manifest.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 # the integer Config fields each command's count flags set
-_ENCODING = ("query_limit", "hunk_limit", "file_limit", "changeset_limit", "seed", "d_in", "d_out")
+_ENCODING = ("query_limit", "doc_limit", "seed", "d_in", "d_out")
 _INDEX_SHAPE = ("n_partitions", "n_subspaces", "n_codewords")
 _PROBE = ("nprobe", "candidates")
 
@@ -116,6 +117,7 @@ def _counts(args) -> dict:
         name: None if name == "candidates" and getattr(args, name) == "all"
         else _positive(_flag(name), getattr(args, name), CONFIG_LEAST[name])
         for name in args.config_counts
+        if getattr(args, name) is not None  # no --doc-limit: Config picks the granularity's
     }
 
 
@@ -125,12 +127,22 @@ def _config_from_args(args) -> Config:
         if not args.embedder.startswith("file:"):
             raise UsageError(EXIT_USAGE, f"bad --embedder {args.embedder!r}")
         embedder_kind, embedder_path = "file", args.embedder[5:]
+    counts = _counts(args)
+    # the shape's cross-field rules, on the flags of the command that sets them
+    d_in, d_out = counts["d_in"], counts["d_out"]
+    codewords, subspaces = counts.get("n_codewords", 1), counts.get("n_subspaces", 1)
+    if d_out > d_in:
+        raise UsageError(EXIT_USAGE, f"--d-out {d_out} must not exceed --d-in {d_in}")
+    if codewords > 256:  # a code is one byte
+        raise UsageError(EXIT_USAGE, f"--codewords must be at most 256, got {codewords}")
+    if d_out % subspaces:
+        raise UsageError(EXIT_USAGE, f"--subspaces {subspaces} must divide --d-out {d_out}")
     return Config(
         granularity=args.granularity,
         strategy=args.strategy,
         embedder_kind=embedder_kind,
         embedder_path=embedder_path,
-        **_counts(args),
+        **counts,
     )
 
 
@@ -206,7 +218,7 @@ def cmd_train_projection(args) -> int:
     train_links, _ = corpus.split_train_test(links, bug_map)
     docs = corpus.explode_corpus(changesets, config.granularity)
     triplets = corpus.build_triplets(train_links, docs, seed=config.seed)
-    doc_seqs = encode_documents(docs, config.strategy, vocab, config.doc_limit())
+    doc_seqs = encode_documents(docs, config.strategy, vocab, config.doc_limit)
     query_seqs = {
         b.bug_id: encode_query(b, vocab, config.query_limit) for b in bugs
     }
@@ -287,10 +299,8 @@ def cmd_query(args) -> int:
                 opened_at=datetime.now(timezone.utc),
             )
         ]
-    elif args.bug_file:
-        reports = load_bugs(args.bug_file)
     else:
-        raise UsageError(EXIT_USAGE, "query needs --text or --bug-file")
+        reports = load_bugs(args.bug_file)
 
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -318,8 +328,12 @@ def cmd_query(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if (args.bugs is None) != (args.changesets is None):
+        raise UsageError(EXIT_USAGE, "--bugs and --changesets go together: pass both or neither")
     run = evaluation.read_run(args.run)
     links = load_links(args.qrels)
+    if not links:
+        raise DataError(f"{args.qrels}: no links to score against")
     qrels = evaluation.qrels_from_links(links)
     # aggregate document entries to changeset level before scoring
     results: dict[str, list[str]] = {}
@@ -327,7 +341,7 @@ def cmd_evaluate(args) -> int:
         ranked = retrieve.aggregate_to_changeset(retrieve.RankedResult(bug_id, list(entries)))
         results[bug_id] = [cs for cs, _ in ranked.entries]
     categories = None
-    if args.bugs and args.changesets:
+    if args.bugs is not None:
         bugs = load_bugs(args.bugs)
         changesets = {c.changeset_id: c for c in load_changesets(args.changesets)}
         names = evaluation.gold_class_names(links, changesets)
@@ -395,8 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="rank documents for bug reports")
     p.add_argument("--session", default=None)
-    p.add_argument("--bug-file")
-    p.add_argument("--text")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--bug-file")
+    given.add_argument("--text")
     p.add_argument("--topk", type=int, default=10)
     _add_counts(p, _PROBE)
     p.add_argument("--exact", action="store_true", help="brute-force oracle ranking")

@@ -141,6 +141,8 @@ def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
                     obj = json.loads(line)
                     bug_id, rank, score = obj["bug_id"], obj["rank"], obj["score"]
                     doc_id = obj["changeset_id"] if "changeset_id" in obj else obj["doc_id"]
+                    if not (isinstance(bug_id, str) and isinstance(doc_id, str)):
+                        raise DataError(f"{path}:{line_no}: a bug or document id is not a string")
                 else:
                     parts = line.split()
                     if len(parts) < 6:

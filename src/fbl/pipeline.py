@@ -35,16 +35,15 @@ from .store import Manifest, SessionArtifacts
 
 # each integer Config field's least value
 CONFIG_LEAST = {
-    "query_limit": QUERY_LEAST,
-    **dict.fromkeys(("hunk_limit", "file_limit", "changeset_limit"), DOC_LEAST),
+    "query_limit": QUERY_LEAST, "doc_limit": DOC_LEAST,
     "n_partitions": 1, "candidates": 1, "nprobe": 1, "n_subspaces": 1, "n_codewords": 1,
     "seed": 0, "d_in": 1, "d_out": 1,
 }
 
 # the Config fields a session's manifest records under their own names
 MANIFEST_FIELDS = (
-    "granularity", "strategy", "query_limit", "n_partitions", "n_subspaces", "n_codewords",
-    "seed", "d_in", "d_out", "embedder_kind",
+    "granularity", "strategy", "query_limit", "doc_limit", "n_partitions", "n_subspaces",
+    "n_codewords", "seed", "d_in", "d_out", "embedder_kind",
 )
 
 
@@ -53,9 +52,7 @@ class Config:
     granularity: Granularity = Granularity.HUNK  # or its value
     strategy: Strategy = Strategy.ARCL  # or its value
     query_limit: int = 256
-    hunk_limit: int = 256
-    file_limit: int = 512
-    changeset_limit: int = 512
+    doc_limit: int | None = None  # None means the granularity's default
     n_partitions: int = 320
     candidates: int | None = 1000  # None means exhaustive
     nprobe: int = 16
@@ -70,19 +67,14 @@ class Config:
     def __post_init__(self):
         self.granularity = Granularity(self.granularity)
         self.strategy = Strategy(self.strategy)
+        if self.doc_limit is None:
+            self.doc_limit = 256 if self.granularity is Granularity.HUNK else 512
         if self.embedder_kind not in ("hash", "file"):
             raise ValueError(f"unknown embedder kind {self.embedder_kind!r}")
         for name, least in CONFIG_LEAST.items():
             value = getattr(self, name)
             if value is not None and value < least:  # None candidates: all
                 raise ValueError(f"{name} must be >= {least}, got {value}")
-
-    def doc_limit(self) -> int:
-        return {
-            Granularity.HUNK: self.hunk_limit,
-            Granularity.FILE: self.file_limit,
-            Granularity.CHANGESET: self.changeset_limit,
-        }[self.granularity]
 
 
 def make_embedder(
@@ -155,7 +147,7 @@ def build_session(
         )
     embedder = make_embedder(config, vocab=vocab)
     docs = explode_corpus(changesets, config.granularity)
-    seqs = encode_documents(docs, config.strategy, vocab, config.doc_limit())
+    seqs = encode_documents(docs, config.strategy, vocab, config.doc_limit)
     if projection is None:
         projection = LinearProjection.seeded_init(config.d_in, config.d_out, config.seed)
     pack = embed_documents(seqs, embedder, projection)
@@ -176,7 +168,6 @@ def build_session(
         vocab_hash=vocab_hash,
         embedder_seed=config.seed,
         projection_hash=proj_hash,
-        doc_limit=config.doc_limit(),
         **recorded,
     )
     return SessionArtifacts(manifest, index, projection, pack)

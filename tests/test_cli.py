@@ -326,7 +326,7 @@ def test_out_of_range_counts_exit_1_naming_the_flag(corpus_dir, capsys):
     for flag, value in [
         ("--margin", "nan"), ("--margin", "0"), ("--learning-rate", "nan"),
         ("--learning-rate", "inf"), ("--learning-rate", "-1"), ("--epochs", "-1"),
-        ("--batch-size", "0"), ("--seed", "-1"),
+        ("--batch-size", "0"), ("--seed", "-1"), ("--d-out", "64"),
     ]:
         capsys.readouterr()
         assert main([*train, flag, value]) == 1
@@ -339,8 +339,7 @@ def test_out_of_range_counts_exit_1_naming_the_flag(corpus_dir, capsys):
     assert err["kind"] == "usage" and "--seed" in err["error"]
     index_flags = [
         "--candidates", "--partitions", "--subspaces", "--codewords", "--nprobe",
-        "--query-limit", "--hunk-limit", "--file-limit", "--changeset-limit",
-        "--d-in", "--d-out",
+        "--query-limit", "--doc-limit", "--d-in", "--d-out",
     ]
     for flag in index_flags:
         for value in ("0", "-1"):
@@ -348,12 +347,12 @@ def test_out_of_range_counts_exit_1_naming_the_flag(corpus_dir, capsys):
             assert main(_index_args(corpus, vocab, tmp_path / "s2") + [flag, value]) == 1
             err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
             assert err["kind"] == "usage" and flag in err["error"], (flag, value)
-    # below the encoder's minima, and rejected before the corpus is read: the
-    # corpus directory does not exist
+    # below the encoder's minima or outside the index's shape, and rejected
+    # before the corpus is read: the corpus directory does not exist
     no_corpus = _index_args(tmp_path / "no-corpus", vocab, tmp_path / "s3")
     for flag, value in [
-        ("--query-limit", "2"), ("--hunk-limit", "3"), ("--file-limit", "3"),
-        ("--changeset-limit", "3"),
+        ("--query-limit", "2"), ("--doc-limit", "3"), ("--codewords", "300"),
+        ("--subspaces", "7"), ("--d-out", "1000"),
     ]:
         capsys.readouterr()
         assert main(no_corpus + [flag, value]) == 1, flag
@@ -399,7 +398,9 @@ def test_config_takes_each_count_down_to_its_least_value(name, least):
     "command, flag",
     [("train-projection", flag)
      for flag in ("--partitions", "--subspaces", "--codewords", "--nprobe", "--candidates")]
-    + [("index", "--nprobe"), ("index", "--candidates")],
+    + [("index", "--nprobe"), ("index", "--candidates")]
+    + [(command, flag) for command in ("train-projection", "index")
+       for flag in ("--hunk-limit", "--file-limit", "--changeset-limit")],
 )
 def test_a_flag_the_command_does_not_read_exits_1(corpus_dir, capsys, tmp_path, command, flag):
     _, corpus, vocab = corpus_dir
@@ -436,6 +437,40 @@ def test_index_without_config_flags_records_what_config_describes(tmp_path):
     # the tuple names every field that the manifest and Config share
     shared = {f.name for f in dataclasses.fields(Manifest)} & set(Config.__dataclass_fields__)
     assert set(MANIFEST_FIELDS) == shared
+
+
+def test_index_records_the_config_it_built_with(corpus_dir, tmp_path, monkeypatch):
+    from fbl import cli, pipeline
+
+    build, encode, built, limits = cli.build_session, pipeline.encode_documents, [], []
+
+    def building(changesets, vocab, config, **kwargs):
+        built.append(config)
+        return build(changesets, vocab, config, **kwargs)
+
+    def encoding(docs, strategy, vocab, limit):
+        seqs = encode(docs, strategy, vocab, limit)
+        limits.extend(s.limit for s in seqs.values())
+        return seqs
+
+    monkeypatch.setattr(cli, "build_session", building)
+    monkeypatch.setattr(pipeline, "encode_documents", encoding)
+    _, corpus, vocab = corpus_dir
+    session = tmp_path / "session"
+    argv = _index_args(corpus, vocab, session)
+    assert main(argv + ["--granularity", "file", "--doc-limit", "100", "--query-limit", "64"]) == 0
+    manifest = json.loads((session / "manifest.json").read_text())
+    assert [Config(**{name: manifest[name] for name in MANIFEST_FIELDS})] == built
+    assert (built[0].doc_limit, built[0].query_limit) == (100, 64)
+    assert limits and set(limits) == {100}
+
+
+def test_train_projection_does_not_ask_subspaces_to_divide_d_out(corpus_dir, tmp_path):
+    # --subspaces belongs to `fbl index`, so only --d-in bounds --d-out here
+    _, corpus, vocab = corpus_dir
+    out = tmp_path / "p12.fble"
+    assert main(_train_args(corpus, vocab, out) + ["--d-out", "12"]) == 0
+    assert out.exists()
 
 
 def test_index_with_fewer_distinct_rows_than_partitions_queries_every_document(
@@ -578,9 +613,11 @@ _GOOD_RUN = {"bug_id": "b1", "doc_id": "c0:0:0", "rank": 1, "score": 0.5}
         ("changesets.jsonl", json.dumps({**_GOOD_CHANGESET, "id": "abc:0:1"}), "ingest"),
         ("run.jsonl", "{bad json", "evaluate"),
         ("run.trec", "b1 Q0 c0:0:0 first 0.5 fbl", "evaluate"),
+        ("run.jsonl", json.dumps({**_GOOD_RUN, "doc_id": 5}), "evaluate"),
+        ("run.jsonl", json.dumps({**_GOOD_RUN, "bug_id": 7}), "evaluate"),
     ],
     ids=["line_not_an_object", "bad_timestamp", "document_suffix_id", "bad_json_run_line",
-         "non_integer_trec_rank"],
+         "non_integer_trec_rank", "integer_doc_id", "integer_bug_id"],
 )
 def test_malformed_input_line_exits_2_naming_file_and_line(
     tmp_path, capsys, name, bad_line, command
@@ -598,6 +635,35 @@ def test_malformed_input_line_exits_2_naming_file_and_line(
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["kind"] == "data"
     assert f"{path}:2:" in payload["error"]
+
+
+def test_query_takes_exactly_one_input(tmp_path, capsys):
+    # rejected before the session is opened: it does not exist
+    missing = ["query", "--session", str(tmp_path / "missing")]
+    for extra in (["--text", "widget", "--bug-file", str(tmp_path / "bugs.jsonl")], []):
+        capsys.readouterr()
+        assert main(missing + extra) == 1, extra
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["kind"] == "usage" and "--text" in err["error"] and "--bug-file" in err["error"]
+
+
+def test_evaluate_takes_bugs_and_changesets_together(tmp_path, capsys):
+    # rejected before the run is read: it does not exist
+    argv = ["evaluate", "--run", str(tmp_path / "run.jsonl"), "--qrels", str(tmp_path / "q")]
+    for flag in ("--bugs", "--changesets"):
+        capsys.readouterr()
+        assert main(argv + [flag, str(tmp_path / "x.jsonl")]) == 1, flag
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["kind"] == "usage" and "--bugs" in err["error"] and "--changesets" in err["error"]
+
+
+def test_evaluate_against_qrels_without_links_exits_2_naming_the_file(tmp_path, capsys):
+    run, links = tmp_path / "run.jsonl", tmp_path / "links.jsonl"
+    run.write_text(json.dumps(_GOOD_RUN) + "\n")
+    links.write_text("\n")
+    assert main(["evaluate", "--run", str(run), "--qrels", str(links)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "data" and str(links) in err["error"]
 
 
 @pytest.mark.parametrize("flag", ["--changesets", "--bugs"])
@@ -641,9 +707,9 @@ def _no_vocab_checksum(blob: bytes) -> bytes:
 @pytest.mark.parametrize(
     "edit",
     [_non_utf8, _set("checksums", 5), _set("granularity", "paragraph"), _set("d_in", -3),
-     _no_vocab_checksum, _set("d_out", 8)],
+     _no_vocab_checksum, _set("d_out", 8), _set("doc_limit", 3)],
     ids=["non_utf8", "checksums_int", "unknown_granularity", "negative_d_in", "no_vocab_checksum",
-         "d_out_not_the_projections"],
+         "d_out_not_the_projections", "doc_limit_below_4"],
 )
 def test_query_on_a_bad_manifest_exits_2(corpus_dir, capsys, edit):
     base_tmp, corpus, vocab = corpus_dir

@@ -398,12 +398,15 @@ def test_config_validation():
         with pytest.raises(ValueError, match="learning_rate"):
             TripletTrainConfig(learning_rate=bad)
     # the encoder's minima: a query needs 3 tokens, a document 4
-    for name, least in [("query_limit", 3), ("hunk_limit", 4), ("file_limit", 4),
-                        ("changeset_limit", 4)]:
+    for name, least in [("query_limit", 3), ("doc_limit", 4)]:
         for bad in (least - 1, 0, -1):
             with pytest.raises(ValueError, match=name):
                 Config(**{name: bad})
         assert getattr(Config(**{name: least}), name) == least
+    # an unset document limit is the granularity's
+    for granularity, limit in [("hunk", 256), ("file", 512), ("changeset", 512)]:
+        assert Config(granularity=granularity).doc_limit == limit
+        assert Config(granularity=granularity, doc_limit=100).doc_limit == 100
 
 
 def test_maxsim_invariant_to_embedder_rescaling():
