@@ -182,6 +182,8 @@ def cmd_ingest(args) -> int:
     for dest, src in zip(_corpus_paths(out_dir), (args.changesets, args.bugs, args.links)):
         if src:
             dest.write_bytes(Path(src).read_bytes())
+        else:  # an earlier ingest's file would outlive this one's report
+            dest.unlink(missing_ok=True)
     n_hunks = sum(len(fd.hunks) for cs in changesets for fd in cs.files)
     print(
         f"ingested {len(changesets)} changesets "
@@ -450,6 +452,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except FileNotFoundError as exc:
         _emit_error("data", f"file not found: {exc.filename}")
+        return EXIT_DATA
+    except OSError as exc:  # such as an output file path that names a directory
+        _emit_error("data", f"{exc.filename}: {exc.strerror}")
         return EXIT_DATA
     except DataError as exc:
         _emit_error("data", str(exc))

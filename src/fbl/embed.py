@@ -1,9 +1,9 @@
 """Token embedders, the trainable projection, and triplet-margin training.
 
-An encoded sequence becomes a matrix of unit-norm vectors: each non-padding
-token id is mapped to a raw vector by a pluggable embedder, pushed through
-a linear projection (d_in -> d_out), and L2-normalized per row. Raw vectors
-that are exactly zero stay zero after projection and are excluded from
+An encoded sequence becomes a matrix of unit-norm vectors: each token id
+is mapped to a raw vector by a pluggable embedder, pushed through a linear
+projection (d_in -> d_out), and L2-normalized per row. Raw vectors that are
+exactly zero stay zero after projection and are excluded from
 late-interaction maxima.
 
 Documents are embedded as one table: ``embed_distinct`` projects each
@@ -322,9 +322,9 @@ def embed_sequence(
     projection: LinearProjection,
     is_query: bool = False,
 ) -> EmbeddingMatrix:
-    """Unit-norm rows for every non-padding token of the sequence."""
+    """Unit-norm rows for every token of the sequence."""
     _check_dims(embedder, projection)
-    raw = embedder.embed_ids(seq.ids[: seq.real_length])
+    raw = embedder.embed_ids(seq.ids)
     rows = _normalize_rows(raw @ projection.weights).astype(np.float32)
     return EmbeddingMatrix(rows=rows, is_query=is_query)
 
@@ -458,7 +458,7 @@ def train_projection(
     bugs = list(dict.fromkeys(t.bug_id for t in triplets))
     docs = list(dict.fromkeys(d for t in triplets for d in (t.positive_doc, t.negative_doc)))
     seqs = [query_seqs[b] for b in bugs] + [doc_seqs[d] for d in docs]
-    ids, refs = _distinct_ids([s.ids[: s.real_length] for s in seqs])
+    ids, refs = _distinct_ids([s.ids for s in seqs])
     raw = embedder.embed_ids(ids)
     q_refs, d_refs = dict(zip(bugs, refs)), dict(zip(docs, refs[len(bugs) :]))
     rows = [(q_refs[t.bug_id], d_refs[t.positive_doc], d_refs[t.negative_doc]) for t in triplets]

@@ -21,8 +21,8 @@ lines behind one [D] marker. ``ARC`` groups lines by modification kind,
 each group behind its [A]/[R]/[C] marker (markers are emitted even for
 empty groups). ``ARCL`` keeps original line order and emits a marker at
 every point where the modification kind changes. Queries get a single [Q]
-marker. Every sequence is [CLS]-led, [SEP]-terminated (the separator
-survives truncation), and padded to its exact length limit.
+marker. Every sequence is [CLS]-led and [SEP]-terminated, and holds at
+most its limit of tokens (the separator survives truncation).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ A_MARK = "[A]"
 R_MARK = "[R]"
 C_MARK = "[C]"
 
+# from_tokens appends missing ones in this order; [PAD] is never emitted but keeps its id
 SPECIAL_TOKENS = (PAD, UNK, CLS, SEP, Q_MARK, D_MARK, A_MARK, R_MARK, C_MARK)
 
 _MAX_SUBWORD_CHARS = 100
@@ -61,16 +62,9 @@ class Vocabulary:
     token_to_id: dict[str, int]
     id_to_token: list[str]
 
-    def __post_init__(self):
-        self._special_ids = {t: self.token_to_id[t] for t in SPECIAL_TOKENS}
-
-    @property
-    def pad_id(self) -> int:
-        return self._special_ids[PAD]
-
     @property
     def unk_id(self) -> int:
-        return self._special_ids[UNK]
+        return self.token_to_id[UNK]
 
     def id_of(self, token: str) -> int:
         return self.token_to_id[token]
@@ -118,8 +112,12 @@ class Vocabulary:
 @dataclass(frozen=True)
 class EncodedSequence:
     ids: tuple[int, ...]
-    real_length: int
     limit: int
+
+    @property
+    def real_length(self) -> int:
+        # kept for perfbench's encode hook, which reads it and slices by it
+        return len(self.ids)
 
 
 def _split_camel(run: str) -> list[str]:
@@ -205,12 +203,10 @@ def wordpiece_tokenize(text: str, vocab: Vocabulary) -> list[str]:
 
 
 def _finish(stream: list[int], vocab: Vocabulary, limit: int) -> EncodedSequence:
-    """Truncate to limit-1, terminate with [SEP], pad to exactly limit."""
+    """Truncate to limit-1 and terminate with [SEP]."""
     body = stream[: limit - 1]
     body.append(vocab.id_of(SEP))
-    real = len(body)
-    body.extend([vocab.pad_id] * (limit - real))
-    return EncodedSequence(ids=tuple(body), real_length=real, limit=limit)
+    return EncodedSequence(ids=tuple(body), limit=limit)
 
 
 def _tokens_to_ids(tokens: list[str], vocab: Vocabulary) -> list[int]:

@@ -114,8 +114,7 @@ def embed_documents(
     projection: LinearProjection,
 ) -> PackedCorpus:
     """The documents' pack, built from one table of their distinct tokens."""
-    table, refs = embed_distinct([s.ids[: s.real_length] for s in seqs.values()], embedder,
-                                 projection)
+    table, refs = embed_distinct([s.ids for s in seqs.values()], embedder, projection)
     offsets = np.cumsum([0] + [r.shape[0] for r in refs], dtype=np.int64)
     flat = np.concatenate([np.zeros(0, dtype=np.int64), *refs])
     return PackedCorpus.from_table(table, flat, offsets, seqs.keys())

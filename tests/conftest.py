@@ -97,8 +97,8 @@ def random_hunk(rng: random.Random, words=("alpha", "beta", "gamma", "delta")) -
 
 
 def decode(seq: EncodedSequence, vocab: Vocabulary) -> list[str]:
-    """Surface forms of the real (non-padding) tokens."""
-    return [vocab.id_to_token[i] for i in seq.ids[: seq.real_length]]
+    """Surface forms of the sequence's tokens."""
+    return [vocab.id_to_token[i] for i in seq.ids]
 
 
 def render_unified_diff(cs: Changeset) -> str:
@@ -305,7 +305,7 @@ def train_projection_reference(triplets, query_seqs, doc_seqs, embedder, cfg, d_
     """
 
     def raw(seq):
-        return embedder.embed_ids(seq.ids[: seq.real_length])
+        return embedder.embed_ids(seq.ids)
 
     rng = np.random.default_rng(cfg.seed)
     w = LinearProjection.seeded_init(embedder.d_in, d_out, cfg.seed).weights

@@ -465,6 +465,18 @@ def test_index_records_the_config_it_built_with(corpus_dir, tmp_path, monkeypatc
     assert limits and set(limits) == {100}
 
 
+def test_a_doc_limit_past_every_document_writes_the_default_files(corpus_dir, tmp_path):
+    _, corpus, vocab = corpus_dir
+    wrote = []
+    for i, limit in enumerate(([], ["--doc-limit", "20000"])):
+        out = tmp_path / f"run{i}"
+        assert main(_index_args(corpus, vocab, out / "session") + limit) == 0
+        assert main(_train_args(corpus, vocab, out / "proj.fble") + ["--epochs", "2"] + limit) == 0
+        wrote.append([(out / name).read_bytes()
+                      for name in ("session/docs.fblp", "session/index.fbli", "proj.fble")])
+    assert wrote[0] == wrote[1]
+
+
 def test_train_projection_does_not_ask_subspaces_to_divide_d_out(corpus_dir, tmp_path):
     # --subspaces belongs to `fbl index`, so only --d-in bounds --d-out here
     _, corpus, vocab = corpus_dir
@@ -581,6 +593,40 @@ def test_exit_codes(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()[-1]
     assert json.loads(err)["kind"] in ("data", "usage") or "error" in json.loads(err)
+
+
+def test_ingest_leaves_only_the_files_it_was_given(corpus_dir, capsys, tmp_path):
+    base_tmp, corpus, vocab = corpus_dir
+    argv = ["ingest", "--changesets", str(base_tmp / "src" / "changesets.jsonl")]
+    assert main(argv + ["--out", str(corpus)]) == 0
+    assert "0 bugs, 0 links" in capsys.readouterr().out
+    assert not (corpus / "bugs.jsonl").exists() and not (corpus / "links.jsonl").exists()
+    assert main(_train_args(corpus, vocab, tmp_path / "proj.fble")) == 2
+    assert "training needs links.jsonl" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("command", ["ingest", "index", "query", "train-projection"])
+def test_an_output_path_that_cannot_be_written_exits_2_naming_it(corpus_dir, capsys, tmp_path,
+                                                                 command):
+    base_tmp, corpus, vocab = corpus_dir
+    a_file, a_dir = tmp_path / "taken", tmp_path / "dir"
+    a_file.write_text("x")
+    a_dir.mkdir()
+    session = base_tmp / "session"
+    if command == "query":
+        assert main(_index_args(corpus, vocab, session)) == 0
+    argv, bad = {
+        "ingest": (["ingest", "--changesets", str(corpus / "changesets.jsonl"), "--out",
+                    str(a_file)], a_file),
+        "index": (_index_args(corpus, vocab, a_file), a_file),
+        "query": (["query", "--session", str(session), "--text", "widget", "--out", str(a_dir)],
+                  a_dir),
+        "train-projection": (_train_args(corpus, vocab, a_dir), a_dir),
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["kind"] == "data" and str(bad) in payload["error"]
 
 
 def test_stderr_is_one_json_line(tmp_path):

@@ -29,9 +29,8 @@ from fbl.errors import DimensionMismatch, FormatError, NonFiniteLoss
 from fbl.pipeline import Config
 
 
-def _seq(ids, limit, pad_id=0):
-    padded = list(ids) + [pad_id] * (limit - len(ids))
-    return EncodedSequence(ids=tuple(padded), real_length=len(ids), limit=limit)
+def _seq(ids, limit):
+    return EncodedSequence(ids=tuple(ids), limit=limit)
 
 
 def test_hash_embedder_deterministic_across_instances():
@@ -121,7 +120,7 @@ def test_file_embedder_rejects_a_non_finite_row_naming_it(tmp_path):
 def test_embed_sequence_identity_projection():
     emb = ReferenceHashEmbedder(d_in=8, seed=1)
     proj = LinearProjection(np.eye(8))
-    seq = _seq([5, 6, 7], limit=6, pad_id=0)
+    seq = _seq([5, 6, 7], limit=6)
     mat = embed_sequence(seq, emb, proj)
     np.testing.assert_allclose(mat.rows, emb.embed_ids([5, 6, 7]).astype(np.float32), atol=1e-7)
 
@@ -132,13 +131,6 @@ def test_embed_sequence_unit_norm_rows():
     seq = _seq(list(range(10)), limit=12)
     mat = embed_sequence(seq, emb, proj)
     np.testing.assert_allclose(np.linalg.norm(mat.rows, axis=1), 1.0, atol=1e-6)
-
-
-def test_embed_sequence_drops_padding():
-    emb = ReferenceHashEmbedder(d_in=8, seed=1)
-    proj = LinearProjection(np.eye(8))
-    seq = _seq([1, 2, 3, 4, 5], limit=8, pad_id=0)
-    assert embed_sequence(seq, emb, proj).n_rows == 5
 
 
 def test_embed_sequence_dimension_mismatch():
@@ -349,9 +341,9 @@ def _training_setup(n_bugs=6, d_in=16):
     for i in range(n_bugs):
         q_tok = 100 + i
         n_tok = 200 + i
-        queries[f"b{i}"] = _seq([q_tok], limit=limit, pad_id=0)
-        docs[f"p{i}"] = _seq([q_tok], limit=limit, pad_id=0)
-        docs[f"n{i}"] = _seq([n_tok], limit=limit, pad_id=0)
+        queries[f"b{i}"] = _seq([q_tok], limit=limit)
+        docs[f"p{i}"] = _seq([q_tok], limit=limit)
+        docs[f"n{i}"] = _seq([n_tok], limit=limit)
         triplets.append(Triplet(bug_id=f"b{i}", positive_doc=f"p{i}", negative_doc=f"n{i}"))
     return triplets, queries, docs, emb
 
@@ -456,12 +448,12 @@ def test_unscorable_positive_aborts_training(tmp_path):
     p = tmp_path / "e.fble"
     write_matrix_file(p, table)
     emb = FileEmbedder.from_file(p)
-    queries = {"b": _seq([0], limit=3, pad_id=1)}
+    queries = {"b": _seq([0], limit=3)}
     trips = [Triplet(bug_id="b", positive_doc="pos", negative_doc="neg")]
     cfg = TripletTrainConfig(learning_rate=0.1, epochs=1, batch_size=1, seed=0)
     for neg_token, loss in [(2, float("inf")), (3, float("nan"))]:
-        docs = {"pos": _seq([3], limit=3, pad_id=1), "neg": _seq([neg_token], limit=3, pad_id=1)}
-        raw = [emb.embed_ids(s.ids[: s.real_length]) for s in (queries["b"], docs["pos"], docs["neg"])]
+        docs = {"pos": _seq([3], limit=3), "neg": _seq([neg_token], limit=3)}
+        raw = [emb.embed_ids(s.ids) for s in (queries["b"], docs["pos"], docs["neg"])]
         proj = LinearProjection.seeded_init(4, 2, seed=0)
         np.testing.assert_equal(loss_from_raw(*raw, proj, cfg.margin), loss)
         with pytest.raises(NonFiniteLoss):
@@ -488,7 +480,7 @@ def _init_losses(triplets, queries, docs, emb, seed, margin, d_out=8):
     proj = LinearProjection.seeded_init(emb.d_in, d_out, seed)
 
     def raw(seq):
-        return emb.embed_ids(seq.ids[: seq.real_length])
+        return emb.embed_ids(seq.ids)
 
     return [loss_from_raw(raw(queries[t.bug_id]), raw(docs[t.positive_doc]),
                           raw(docs[t.negative_doc]), proj, margin) for t in triplets]
@@ -516,14 +508,14 @@ def test_distinct_row_step_equals_the_per_triplet_wrappers():
     docs["empty"] = _seq([], limit=5)  # unscorable
     triplets = triplets + [Triplet("b0", "p1", "empty"), Triplet("b2", "empty", "n3")]
     names = list(queries) + list(docs)
-    seqs = [s.ids[: s.real_length] for s in list(queries.values()) + list(docs.values())]
+    seqs = [s.ids for s in list(queries.values()) + list(docs.values())]
     ids, refs = embed._distinct_ids(seqs)
     assert len(ids) < sum(map(len, seqs))  # tokens repeat within and across texts
     raw, at = emb.embed_ids(ids), dict(zip(names, refs))
     proj = LinearProjection.seeded_init(emb.d_in, 8, seed=3)
 
     def per_triplet(t):
-        mats = [emb.embed_ids(s.ids[: s.real_length])
+        mats = [emb.embed_ids(s.ids)
                 for s in (queries[t.bug_id], docs[t.positive_doc], docs[t.negative_doc])]
         return (loss_from_raw(*mats, proj, 0.2), gradient_of_loss(*mats, proj, 0.2))
 

@@ -114,9 +114,7 @@ def _doc(golden_hunk):
 def test_golden_arcl(golden_hunk, tiny_vocab):
     seq = encode_document(_doc(golden_hunk), Strategy.ARCL, tiny_vocab, limit=16)
     assert decode(seq, tiny_vocab) == ["[CLS]", "[C]", "a", "[A]", "b", "c", "[R]", "d", "[SEP]"]
-    assert seq.real_length == 9
-    assert len(seq.ids) == 16
-    assert all(i == tiny_vocab.pad_id for i in seq.ids[9:])
+    assert len(seq.ids) == 9
 
 
 def test_golden_arc(golden_hunk, tiny_vocab):
@@ -145,14 +143,13 @@ def test_query_empty_report(tiny_vocab):
     report = BugReport("b1", "", "", opened_at=ts(1))
     seq = encode_query(report, tiny_vocab, limit=8)
     assert decode(seq, tiny_vocab) == ["[CLS]", "[Q]", "[SEP]"]
-    assert seq.real_length == 3
+    assert len(seq.ids) == 3
 
 
 def test_query_truncation_keeps_sep(tiny_vocab):
     report = BugReport("b1", "crash on save " * 20, "", opened_at=ts(1))
     seq = encode_query(report, tiny_vocab, limit=10)
     assert len(seq.ids) == 10
-    assert seq.real_length == 10
     toks = decode(seq, tiny_vocab)
     assert toks[-1] == SEP
     assert toks.count(SEP) == 1
@@ -166,14 +163,28 @@ def test_limit_preconditions(tiny_vocab, golden_hunk):
         encode_document(_doc(golden_hunk), Strategy.D, tiny_vocab, limit=3)
 
 
+def test_a_limit_past_the_stream_keeps_exactly_the_stream(golden_hunk, tiny_vocab):
+    seq = encode_document(_doc(golden_hunk), Strategy.ARCL, tiny_vocab, limit=10**6)
+    assert decode(seq, tiny_vocab) == ["[CLS]", "[C]", "a", "[A]", "b", "c", "[R]", "d", "[SEP]"]
+    assert len(seq.ids) == 9 and seq.limit == 10**6
+    report = BugReport("b1", "crash on save", "", opened_at=ts(1))
+    assert encode_query(report, tiny_vocab, limit=10**6).ids == encode_query(
+        report, tiny_vocab, limit=16).ids
+    rng = random.Random(7)
+    for _ in range(30):
+        doc = hunk_doc("cs", random_hunk(rng))
+        for strat in Strategy:
+            fits = encode_document(doc, strat, tiny_vocab, limit=256)
+            assert len(fits.ids) < 256
+            assert encode_document(doc, strat, tiny_vocab, limit=10**6).ids == fits.ids
+
+
 def _invariants(seq: EncodedSequence, vocab: Vocabulary):
     toks = [vocab.id_to_token[i] for i in seq.ids]
-    assert len(seq.ids) == seq.limit
+    assert len(seq.ids) <= seq.limit
     assert toks[0] == CLS
-    real = toks[: seq.real_length]
-    assert real.count(SEP) == 1 and real[-1] == SEP
-    assert all(t == PAD for t in toks[seq.real_length :])
-    assert PAD not in real
+    assert toks.count(SEP) == 1 and toks[-1] == SEP
+    assert PAD not in toks
 
 
 def test_sequence_invariants_random_hunks(tiny_vocab):
@@ -187,7 +198,7 @@ def test_sequence_invariants_random_hunks(tiny_vocab):
 
 def test_strategies_share_content_multiset_when_untruncated(tiny_vocab):
     rng = random.Random(5)
-    markers = {"[A]", "[R]", "[C]", "[D]", CLS, SEP, PAD}
+    markers = {"[A]", "[R]", "[C]", "[D]", CLS, SEP}
     for _ in range(60):
         doc = hunk_doc("cs", random_hunk(rng))
         seqs = {
