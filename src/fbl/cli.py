@@ -23,11 +23,7 @@ from pathlib import Path
 
 from . import _kernels, corpus, evaluation, retrieve, store
 from .corpus import Granularity, load_bugs, load_changesets, load_links
-from .embed import (
-    LinearProjection,
-    TripletTrainConfig,
-    train_projection,
-)
+from .embed import TripletTrainConfig, train_projection
 from .encode import Strategy, Vocabulary, encode_query
 from .errors import DataError, FblError, FormatError
 from .pipeline import (
@@ -161,6 +157,26 @@ def _corpus_hash(corpus_dir: Path) -> str:
     return store.sha256_bytes("\n".join(parts).encode())
 
 
+def _writable(raw: str, directory: bool = False) -> Path:
+    """An output path, checked before the command does any work.
+
+    A file's directory must exist and the file must not be a directory. A
+    directory, which the save makes with its parents, must not be a file or
+    lie under one.
+    """
+    path = Path(raw)
+    if directory:
+        up = next(p for p in (path, *path.parents) if p.exists())
+        problem = None if up.is_dir() else f"{up} exists and is not a directory"
+    elif path.is_dir():
+        problem = "is a directory"
+    else:
+        problem = None if path.parent.is_dir() else f"no directory {path.parent}"
+    if problem:
+        raise DataError(f"{path}: {problem}")
+    return path
+
+
 def _check_links(changesets, bugs, links) -> None:
     """Every link must name a bug and a changeset of the corpus."""
     bug_ids = {b.bug_id for b in bugs}
@@ -209,6 +225,7 @@ def cmd_train_projection(args) -> int:
         batch_size=_positive("--batch-size", args.batch_size),
         seed=config.seed,
     )
+    out = _writable(args.out)
     corpus_dir = Path(args.corpus)
     changesets, bugs, links = _load_corpus_dir(corpus_dir)
     if not links:
@@ -227,7 +244,7 @@ def cmd_train_projection(args) -> int:
     result = train_projection(
         triplets, query_seqs, doc_seqs, embedder, cfg, d_out=config.d_out
     )
-    result.projection.save(args.out)
+    store.save_projection(result.projection, out)
     done = f"trained on {len(triplets)} triplets for {cfg.epochs} epochs"
     trace = ", ".join(f"{x:.4f}" for x in result.epoch_losses)
     print(f"{done}; mean loss per epoch: {trace}" if trace else done)
@@ -237,19 +254,20 @@ def cmd_train_projection(args) -> int:
 
 def cmd_index(args) -> int:
     config = _config_from_args(args)
+    session = args.session or os.environ.get("FBL_SESSION", "session")
+    session_dir = _writable(session, directory=True)
     corpus_dir = Path(args.corpus)
     changesets, _, _ = _load_corpus_dir(corpus_dir)
     vocab_bytes = Path(args.vocab).read_bytes()
-    projection = LinearProjection.load(args.projection) if args.projection else None
+    projection = store.load_projection(args.projection) if args.projection else None
     built = build_session(
         changesets,
-        Vocabulary.from_bytes(vocab_bytes),
+        Vocabulary.from_bytes(vocab_bytes, args.vocab),
         config,
         projection=projection,
         corpus_hash=_corpus_hash(corpus_dir),
         vocab_hash=store.sha256_bytes(vocab_bytes),
     )
-    session_dir = Path(args.session or os.environ.get("FBL_SESSION", "session"))
     store.save_session(
         session_dir,
         built.manifest,
@@ -277,7 +295,7 @@ def _open_session(args):
     for name in [store.VOCAB_NAME] + [store.EMBEDDER_NAME] * (m.embedder_kind == "file"):
         if name not in m.checksums:
             raise FormatError(f"{session_dir / store.MANIFEST_NAME}: no checksum for {name}")
-    vocab = Vocabulary.from_bytes(artifacts.vocab)
+    vocab = Vocabulary.from_bytes(artifacts.vocab, session_dir / store.VOCAB_NAME)
     recorded = {name: getattr(m, name) for name in MANIFEST_FIELDS}
     embedder_path = str(session_dir / store.EMBEDDER_NAME) if m.embedder_kind == "file" else None
     try:
@@ -367,6 +385,8 @@ def cmd_bench(args) -> int:
     sizes = [_positive("--sizes", s) for s in args.sizes.split(",") if s]
     if not sizes:
         raise UsageError(EXIT_USAGE, f"--sizes must name at least one size, got {args.sizes!r}")
+    if args.out:
+        _writable(args.out)
     artifacts, _, config = _open_session(args)
     rows = sweep_latency(artifacts.doc_matrices, sizes, config, n_queries=n_queries, k=args.topk)
     lines = [BENCH_CSV_HEADER] + [bench_row_csv(r) for r in rows]

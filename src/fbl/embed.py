@@ -29,19 +29,14 @@ matrices are float32.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .corpus import Triplet
 from .encode import EncodedSequence
-from .errors import DimensionMismatch, FormatError, NonFiniteLoss
-
-FBLE_MAGIC = b"FBLE"
-FBLE_VERSION = 1
+from .errors import DimensionMismatch, NonFiniteLoss
 
 
 @dataclass
@@ -193,14 +188,6 @@ class FileEmbedder:
             raise ValueError(f"row {bad[0]} of the token table is not finite")
         self.d_in = self.matrix.shape[1]
 
-    @classmethod
-    def from_file(cls, path: str | Path, data: bytes | None = None) -> "FileEmbedder":
-        matrix = read_matrix_file(path, data)
-        try:
-            return cls(matrix)
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-
     def embed_ids(self, ids: Sequence[int]) -> np.ndarray:
         arr = np.asarray(ids, dtype=np.int64)
         if arr.size and (arr.min() < 0 or arr.max() >= self.matrix.shape[0]):
@@ -239,16 +226,6 @@ class LinearProjection:
         rng = np.random.default_rng(seed)
         return cls(rng.uniform(-bound, bound, size=(d_in, d_out)))
 
-    def save(self, path: str | Path) -> None:
-        write_matrix_file(path, self.weights)
-
-    @classmethod
-    def load(cls, path: str | Path, data: bytes | None = None) -> "LinearProjection":
-        try:
-            return cls(read_matrix_file(path, data))
-        except ValueError as exc:
-            raise FormatError(f"{path}: not a usable projection ({exc})") from exc
-
 
 @dataclass
 class TripletTrainConfig:
@@ -265,39 +242,6 @@ class TripletTrainConfig:
             raise ValueError("learning_rate must be finite and > 0")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
-
-
-# -- binary matrix file (FBLE) -------------------------------------------------
-
-
-def write_matrix_file(path: str | Path, matrix: np.ndarray) -> None:
-    arr = np.ascontiguousarray(matrix, dtype="<f4")
-    if arr.ndim != 2:
-        raise ValueError("FBLE files hold 2-D matrices")
-    with open(path, "wb") as fh:
-        fh.write(FBLE_MAGIC)
-        fh.write(struct.pack("<III", FBLE_VERSION, arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes())
-
-
-def read_matrix_file(path: str | Path, data: bytes | None = None) -> np.ndarray:
-    """Read and validate an FBLE file, or its bytes when given as ``data``."""
-    path = Path(path)
-    data = path.read_bytes() if data is None else data
-    if data[:4] != FBLE_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {FBLE_MAGIC!r}")
-    if len(data) < 16:
-        raise FormatError(f"{path}: truncated header")
-    version, rows, dim = struct.unpack_from("<III", data, 4)
-    if version != FBLE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    # the size check comes first, so a corrupt header never sizes an allocation
-    size = 16 + rows * dim * 4
-    if len(data) < size:
-        raise FormatError(f"{path}: truncated payload")
-    if len(data) > size:
-        raise FormatError(f"{path}: {len(data) - size} bytes past the {rows}x{dim} payload")
-    return np.frombuffer(data, dtype="<f4", offset=16).reshape(rows, dim).copy()
 
 
 # -- embedding -----------------------------------------------------------------

@@ -92,21 +92,24 @@ class Vocabulary:
         return cls(token_to_id, id_to_token)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "Vocabulary":
-        """Parse a plain-text vocab (one token per line, id = line number).
+    def from_bytes(cls, data: bytes, path: str | Path) -> "Vocabulary":
+        """Parse a plain-text vocab (one token per line, id = line number) read from path.
 
         Lines end at \\n, \\r or \\r\\n, as in a file read as text; bytes
-        that are not UTF-8 become U+FFFD.
+        that are not UTF-8 become U+FFFD. Errors name the path.
         """
         text = data.decode("utf-8", errors="replace")
         tokens = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
         while tokens and tokens[-1] == "":
             tokens.pop()  # trailing newline artifacts
-        return cls.from_tokens(tokens)
+        try:
+            return cls.from_tokens(tokens)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Vocabulary":
-        return cls.from_bytes(Path(path).read_bytes())
+        return cls.from_bytes(Path(path).read_bytes(), path)
 
 
 @dataclass(frozen=True)

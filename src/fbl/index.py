@@ -14,11 +14,10 @@ raw vectors never need to be touched during the scan.
 The inverted lists hold each table row once: ``rows`` lists the table rows
 by partition, ascending within one, and ``part_offsets`` splits it, so a
 multi-partition scan is a single kernel call and scores every distinct
-embedding once however many documents hold it. On disk (FBLI v5) the index
-is these same arrays written back to back, with no document table: the
-pack stored beside it owns that, and ``load_index`` takes it from the
-loaded pack. k-means trains in float64 (monotone distortion trace); the
-stored centroids, codebooks, and all query-time math are float32.
+embedding once however many documents hold it. ``store`` reads and writes
+these arrays (FBLI). k-means trains in float64 (monotone distortion
+trace); the stored centroids, codebooks, and all query-time math are
+float32.
 
 Training sees each distinct row once too, which a context-free embedder
 keeps within |vocab| rows. The coarse quantizer and every PQ codebook
@@ -30,19 +29,14 @@ the same rows, and a query probing only copies would find nothing.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from . import _kernels
 from .embed import EmbeddingMatrix, PackedCorpus
-from .errors import EmptyIndex, FormatError, InsufficientData
-
-FBLI_MAGIC = b"FBLI"
-FBLI_VERSION = 5
+from .errors import EmptyIndex, InsufficientData
 
 _TRAIN_SUBSAMPLE_CAP = 256_000
 
@@ -332,118 +326,3 @@ def candidate_docs(
     # embedding id e lies in document searchsorted(offsets, e, "right") - 1
     docs = np.searchsorted(index.doc_offsets, np.flatnonzero(hit[index.doc_refs]), side="right")
     return np.flatnonzero(np.bincount(docs, minlength=index.doc_offsets.shape[0])[1:])
-
-
-# -- serialization (FBLI) -------------------------------------------------------
-#
-# magic "FBLI", then a header (version, P, M, K, dim, table rows T), then
-# the index's arrays back to back, little-endian: coarse (P, dim) f4,
-# codebooks (M, K, dim/M) f4, part_offsets (P+1) i8, rows (T) u4, codes
-# (T, M) u1. The document table is the doc pack's.
-
-_FBLI_HEADER = struct.Struct("<IIIIIQ")
-
-
-def check_version(path: Path, version: int, expected: int) -> None:
-    if version != expected:
-        raise FormatError(
-            f"{path}: format version {version} is not supported (expected {expected}); "
-            "re-run `fbl index` to rebuild the session"
-        )
-
-
-def read_array(data: bytes, off: int, dtype: str, count: int) -> tuple[np.ndarray, int]:
-    """A read-only view of count items at byte offset off, and the offset past them."""
-    end = off + count * np.dtype(dtype).itemsize
-    if end > len(data):
-        raise ValueError(f"{count} x {dtype} at byte {off} runs past the end")
-    return np.frombuffer(data, dtype=dtype, count=count, offset=off), end
-
-
-def offsets_span(offsets: np.ndarray, total: int) -> bool:
-    """True when offsets start at 0, never decrease and end at total."""
-    return offsets[0] == 0 and offsets[-1] == total and bool(np.all(np.diff(offsets) >= 0))
-
-
-def save_index(index: IvfPqIndex, path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(FBLI_MAGIC)
-        fh.write(
-            _FBLI_HEADER.pack(
-                FBLI_VERSION,
-                index.n_partitions,
-                index.n_subspaces,
-                index.n_codewords,
-                index.dim,
-                index.rows.shape[0],
-            )
-        )
-        for arr, dtype in (
-            (index.coarse, "<f4"),
-            (index.codebooks, "<f4"),
-            (index.part_offsets, "<i8"),
-            (index.rows, "<u4"),
-            (index.codes, "u1"),
-        ):
-            fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-
-
-def _is_permutation(ids: np.ndarray, n: int) -> bool:
-    """True when ids holds each of 0..n-1 exactly once."""
-    if ids.shape[0] != n or (n and int(ids.max()) >= n):
-        return False
-    return bool(np.all(np.bincount(ids.astype(np.int64), minlength=n) == 1))
-
-
-def load_index(path: str | Path, docs: PackedCorpus, data: bytes | None = None) -> IvfPqIndex:
-    """Read and validate an FBLI file over the pack it was built from.
-
-    The index borrows the pack's refs, offsets and ids, so its header must
-    count the pack's table rows and dimension. ``data`` is the file's bytes
-    when the caller has read them already.
-    """
-    path = Path(path)
-    data = path.read_bytes() if data is None else data
-    if data[:4] != FBLI_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {FBLI_MAGIC!r}")
-    try:
-        version, n_part, m, k, d, n_table = _FBLI_HEADER.unpack_from(data, 4)
-        check_version(path, version, FBLI_VERSION)
-        if n_part < 1 or m < 1 or not 1 <= k <= 256 or d % m != 0:
-            raise FormatError(
-                f"{path}: bad shape: {n_part} partitions, {m} subspaces, {k} codewords, dim {d}"
-            )
-        if (n_table, d) != docs.table.shape:
-            raise FormatError(
-                f"{path}: indexes {n_table} table rows of dim {d}, but the doc pack holds "
-                f"{docs.table.shape[0]} of dim {docs.table.shape[1]}"
-            )
-        off = 4 + _FBLI_HEADER.size
-        coarse, off = read_array(data, off, "<f4", n_part * d)
-        codebooks, off = read_array(data, off, "<f4", k * d)
-        part_offsets, off = read_array(data, off, "<i8", n_part + 1)
-        rows, off = read_array(data, off, "<u4", n_table)
-        codes, off = read_array(data, off, "u1", n_table * m)
-    except (struct.error, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: truncated or corrupt index ({exc})") from exc
-    if off != len(data):
-        raise FormatError(f"{path}: {len(data) - off} bytes past the codes")
-    if not (np.isfinite(coarse).all() and np.isfinite(codebooks).all()):
-        raise FormatError(f"{path}: a coarse centroid or codebook value is not finite")
-    # every offset, row and code below indexes an array or a LUT at query time
-    if not offsets_span(part_offsets, n_table):
-        raise FormatError(f"{path}: partition offsets do not run from 0 up to {n_table} rows")
-    if not _is_permutation(rows, n_table):
-        raise FormatError(f"{path}: inverted-list rows are not each of 0..{n_table - 1} once")
-    if codes.size and int(codes.max()) >= k:
-        raise FormatError(f"{path}: code {int(codes.max())} >= codebook size {k}")
-    return IvfPqIndex(
-        coarse=coarse.reshape(n_part, d).copy(),
-        codebooks=codebooks.reshape(m, k, d // m).copy(),
-        part_offsets=part_offsets.copy(),
-        rows=rows.copy(),
-        codes=codes.reshape(n_table, m).copy(),
-        doc_refs=docs.refs,
-        doc_offsets=docs.offsets,
-        doc_ids=docs.ids,
-    )

@@ -17,7 +17,6 @@ from . import _kernels
 from .corpus import BugReport, Changeset, Document, Granularity, explode_corpus
 from .embed import (
     EmbeddingMatrix,
-    FileEmbedder,
     LinearProjection,
     ReferenceHashEmbedder,
     TokenEmbedder,
@@ -30,7 +29,7 @@ from .encode import (
 from .errors import DataError, DimensionMismatch
 from .index import IvfPqIndex, build_index
 from .retrieve import PackedCorpus, RankedResult, rank_exact, rank_two_stage
-from .store import Manifest, SessionArtifacts
+from .store import Manifest, SessionArtifacts, load_embedder
 
 
 # each integer Config field's least value
@@ -90,7 +89,7 @@ def make_embedder(
         return ReferenceHashEmbedder(d_in=config.d_in, seed=config.seed)
     if not config.embedder_path:  # Config admits only "hash" and "file"
         raise ValueError("file embedder needs a path")
-    emb = FileEmbedder.from_file(config.embedder_path, data)
+    emb = load_embedder(config.embedder_path, data)
     if emb.d_in != config.d_in:
         raise ValueError(f"embedder file dim {emb.d_in} != configured d_in {config.d_in}")
     rows = emb.matrix.shape[0]

@@ -1,4 +1,4 @@
-"""Session persistence: manifest, index, projection, and document matrices.
+"""Every binary format fbl reads or writes, and session persistence.
 
 A session directory holds everything a query needs:
 
@@ -9,19 +9,33 @@ A session directory holds everything a query needs:
     vocab.txt       the vocabulary the session was encoded with
     embedder.fble   (only for file-backed embedders)
 
-``index.fbli`` and ``docs.fblp`` hold the in-memory arrays of an
-``IvfPqIndex`` and a ``PackedCorpus`` back to back, so loading is a
-validation pass plus views, with no per-document work or dedupe: the pack
-stores each distinct row once and a u4 ref per row (none without repeats).
-The pack is the only document table: the loaded index borrows its refs,
-offsets and ids, and the loaded pack is what queries score against. The manifest
-records a sha256 of every artifact a save writes.
+A binary file is a 4-byte magic, a header (u32 version, then counts) and
+arrays back to back, little-endian, ending with the last one:
+
+    FBLE v1  (rows, dim); the matrix (rows, dim) f4: a projection or a token
+             table, stored in a session or passed by a user
+    FBLI v5  (P, M, K, dim, u64 table rows T); coarse (P, dim) f4, codebooks
+             (M, K, dim/M) f4, part_offsets (P+1) i8, rows (T) u4, codes
+             (T, M) u1: an ``IvfPqIndex``'s arrays, with no document table
+    FBLP v4  (docs, dim, u64 rows, u64 table rows); offsets (docs+1) i8,
+             refs (rows) u4, left out without repeated rows, the table
+             (table rows, dim) f4, and each doc id's UTF-8 byte length u4,
+             then the ids' bytes
+
+One reader, ``_Reader``, parses all three: it checks the magic, that the
+header fits, and the version; hands out each array, in file order, as a
+read-only view of the bytes once it is known to fit; and checks that the
+last array ends the bytes. The pack is the only document table: the
+loaded index borrows its refs, offsets and ids, and the loaded pack, its
+table and refs views of the file, is what queries score against. The
+manifest records a sha256 of every artifact a save writes.
 
 Writes go through a uniquely named temp file + rename so a crashed save
-never leaves a half-written artifact behind. Loading reads each listed
-artifact once, verifies the checksum of those bytes, and then checks magic
-bytes, format versions, every offset and id the query path indexes with,
-and the values the writers guarantee (finite floats, a table in order).
+never leaves a half-written artifact behind, a projection saved on its own
+included. Loading reads each listed artifact once, verifies the checksum
+of those bytes, and then checks magic bytes, format versions, every offset
+and id the query path indexes with, and the values the writers guarantee
+(finite floats, a table in order).
 """
 
 from __future__ import annotations
@@ -31,26 +45,24 @@ import json
 import os
 import secrets
 import struct
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .embed import FBLE_VERSION, EmbeddingMatrix, LinearProjection, PackedCorpus
+from .embed import EmbeddingMatrix, FileEmbedder, LinearProjection, PackedCorpus
 from .errors import FormatError
-from .index import (
-    FBLI_VERSION,
-    IvfPqIndex,
-    check_version,
-    load_index,
-    offsets_span,
-    read_array,
-    save_index,
-)
+from .index import IvfPqIndex
 
-FBLP_MAGIC = b"FBLP"
-FBLP_VERSION = 4
+
+# magic, version, header (the version, then the counts), and what to do about another version
+_Format = namedtuple("_Format", "magic version header fix")
+_REBUILD = "re-run `fbl index` to rebuild the session"
+_FBLE = _Format(b"FBLE", 1, struct.Struct("<III"), "write the matrix again in that version")
+_FBLI = _Format(b"FBLI", 5, struct.Struct("<IIIIIQ"), _REBUILD)
+_FBLP = _Format(b"FBLP", 4, struct.Struct("<IIIQQ"), _REBUILD)
 
 MANIFEST_NAME = "manifest.json"
 INDEX_NAME = "index.fbli"
@@ -59,7 +71,7 @@ DOCS_NAME = "docs.fblp"
 VOCAB_NAME = "vocab.txt"
 EMBEDDER_NAME = "embedder.fble"
 
-_FORMAT_VERSIONS = {"fbli": FBLI_VERSION, "fble": FBLE_VERSION, "fblp": FBLP_VERSION}
+_FORMAT_VERSIONS = {"fbli": _FBLI.version, "fble": _FBLE.version, "fblp": _FBLP.version}
 
 
 @dataclass
@@ -106,14 +118,164 @@ def _atomic_write(path: Path, writer) -> None:
         raise
 
 
-# -- document matrix pack (FBLP) --------------------------------------------------
-#
-# magic "FBLP", then a header (version, docs, dim, rows, table rows), then
-# the pack's arrays back to back, little-endian: offsets (docs+1) i8, refs
-# (rows) u4, the table (table rows, dim) f4, and the doc-id table. Without
-# repeated rows the table holds every row and the refs are left out.
+# -- the one reader ------------------------------------------------------------------
 
-_FBLP_HEADER = struct.Struct("<IIIQQ")
+
+class _Reader:
+    """A binary artifact's bytes, read front to back; each fault is a FormatError naming it.
+
+    ``header`` holds the header's fields after the version.
+    """
+
+    def __init__(self, path: str | Path, data: bytes | None, fmt: _Format):
+        self.path = path = Path(path)
+        self.data = data = path.read_bytes() if data is None else data
+        if data[:4] != fmt.magic:
+            raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {fmt.magic!r}")
+        if len(data) < 4 + fmt.header.size:
+            raise FormatError(f"{path}: truncated header")
+        version, *self.header = fmt.header.unpack_from(data, 4)
+        if version != fmt.version:
+            raise FormatError(f"{path}: format version {version} is not supported (expected "
+                              f"{fmt.version}); {fmt.fix}")
+        self.off = 4 + fmt.header.size
+
+    def array(self, dtype: str, count: int, what: str) -> np.ndarray:
+        """A read-only view of the next ``count`` items, once they are known to fit."""
+        # checked first, so a corrupt header never sizes an allocation
+        end = self.off + count * np.dtype(dtype).itemsize
+        if end > len(self.data):
+            raise FormatError(f"{self.path}: truncated {what} ({count} x {dtype} at byte "
+                              f"{self.off})")
+        arr = np.frombuffer(self.data, dtype=dtype, count=count, offset=self.off)
+        self.off = end
+        return arr
+
+    def end(self, what: str) -> None:
+        """The last array, named ``what``, must end the bytes."""
+        if self.off != len(self.data):
+            raise FormatError(f"{self.path}: {len(self.data) - self.off} bytes past the {what}")
+
+
+def _offsets_span(offsets: np.ndarray, total: int) -> bool:
+    """True when offsets start at 0, never decrease and end at total."""
+    return offsets[0] == 0 and offsets[-1] == total and bool(np.all(np.diff(offsets) >= 0))
+
+
+# -- matrices: projections and token tables (FBLE) ---------------------------------
+
+
+def write_matrix_file(path: str | Path, matrix: np.ndarray) -> None:
+    arr = np.ascontiguousarray(matrix, dtype="<f4")
+    if arr.ndim != 2:
+        raise ValueError("FBLE files hold 2-D matrices")
+    with open(path, "wb") as fh:
+        fh.write(_FBLE.magic + _FBLE.header.pack(_FBLE.version, *arr.shape))
+        fh.write(arr.data)
+
+
+def read_matrix_file(path: str | Path, data: bytes | None = None) -> np.ndarray:
+    """Read and validate an FBLE file, or its bytes when given as ``data``."""
+    r = _Reader(path, data, _FBLE)
+    rows, dim = r.header
+    matrix = r.array("<f4", rows * dim, "payload").reshape(rows, dim)
+    r.end(f"{rows}x{dim} payload")
+    return matrix
+
+
+def save_projection(projection: LinearProjection, path: str | Path) -> None:
+    """Write the weights as FBLE, through a temp file + rename."""
+    _atomic_write(Path(path), lambda p: write_matrix_file(p, projection.weights))
+
+
+def load_projection(path: str | Path, data: bytes | None = None) -> LinearProjection:
+    try:
+        return LinearProjection(read_matrix_file(path, data))
+    except ValueError as exc:
+        raise FormatError(f"{path}: not a usable projection ({exc})") from exc
+
+
+def load_embedder(path: str | Path, data: bytes | None = None) -> FileEmbedder:
+    """The token table of an FBLE file; ``data`` is its bytes when already read."""
+    try:
+        return FileEmbedder(read_matrix_file(path, data))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+# -- the index (FBLI) ----------------------------------------------------------------
+
+
+def save_index(index: IvfPqIndex, path: str | Path) -> None:
+    with open(path, "wb") as fh:
+        fh.write(_FBLI.magic + _FBLI.header.pack(
+            _FBLI.version, index.n_partitions, index.n_subspaces, index.n_codewords, index.dim,
+            index.rows.shape[0],
+        ))
+        for arr, dtype in (
+            (index.coarse, "<f4"),
+            (index.codebooks, "<f4"),
+            (index.part_offsets, "<i8"),
+            (index.rows, "<u4"),
+            (index.codes, "u1"),
+        ):
+            fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+
+
+def _is_permutation(ids: np.ndarray, n: int) -> bool:
+    """True when ids holds each of 0..n-1 exactly once."""
+    if ids.shape[0] != n or (n and int(ids.max()) >= n):
+        return False
+    return bool(np.all(np.bincount(ids.astype(np.int64), minlength=n) == 1))
+
+
+def load_index(path: str | Path, docs: PackedCorpus, data: bytes | None = None) -> IvfPqIndex:
+    """Read and validate an FBLI file over the pack it was built from.
+
+    The index borrows the pack's refs, offsets and ids, so its header must
+    count the pack's table rows and dimension. ``data`` is the file's bytes
+    when the caller has read them already.
+    """
+    r = _Reader(path, data, _FBLI)
+    path = r.path
+    n_part, m, k, d, n_table = r.header
+    if n_part < 1 or m < 1 or not 1 <= k <= 256 or d % m != 0:
+        raise FormatError(
+            f"{path}: bad shape: {n_part} partitions, {m} subspaces, {k} codewords, dim {d}"
+        )
+    if (n_table, d) != docs.table.shape:
+        raise FormatError(
+            f"{path}: indexes {n_table} table rows of dim {d}, but the doc pack holds "
+            f"{docs.table.shape[0]} of dim {docs.table.shape[1]}"
+        )
+    coarse = r.array("<f4", n_part * d, "coarse centroids")
+    codebooks = r.array("<f4", k * d, "codebooks")
+    part_offsets = r.array("<i8", n_part + 1, "partition offsets")
+    rows = r.array("<u4", n_table, "inverted-list rows")
+    codes = r.array("u1", n_table * m, "codes")
+    r.end("codes")
+    if not (np.isfinite(coarse).all() and np.isfinite(codebooks).all()):
+        raise FormatError(f"{path}: a coarse centroid or codebook value is not finite")
+    # every offset, row and code below indexes an array or a LUT at query time
+    if not _offsets_span(part_offsets, n_table):
+        raise FormatError(f"{path}: partition offsets do not run from 0 up to {n_table} rows")
+    if not _is_permutation(rows, n_table):
+        raise FormatError(f"{path}: inverted-list rows are not each of 0..{n_table - 1} once")
+    if codes.size and int(codes.max()) >= k:
+        raise FormatError(f"{path}: code {int(codes.max())} >= codebook size {k}")
+    return IvfPqIndex(
+        coarse=coarse.reshape(n_part, d).copy(),
+        codebooks=codebooks.reshape(m, k, d // m).copy(),
+        part_offsets=part_offsets.copy(),
+        rows=rows.copy(),
+        codes=codes.reshape(n_table, m).copy(),
+        doc_refs=docs.refs,
+        doc_offsets=docs.offsets,
+        doc_ids=docs.ids,
+    )
+
+
+# -- the document matrix pack (FBLP) -----------------------------------------------
 
 
 def write_ids(fh, ids: list[str]) -> None:
@@ -123,22 +285,13 @@ def write_ids(fh, ids: list[str]) -> None:
     fh.write(b"".join(raw))
 
 
-def read_ids(data: bytes, off: int, count: int) -> tuple[list[str], int]:
-    lengths, off = read_array(data, off, "<u4", count)
-    ends = off + np.cumsum(lengths, dtype=np.int64)
-    if count and ends[-1] > len(data):
-        raise ValueError("doc-id table runs past the end")
-    starts = (ends - lengths).tolist()
-    ids = [data[a:b].decode("utf-8") for a, b in zip(starts, ends.tolist())]
-    return ids, int(ends[-1]) if count else off
-
-
 def write_doc_pack(path: str | Path, matrices: Mapping[str, EmbeddingMatrix]) -> None:
     pack = PackedCorpus.from_matrices(matrices)
     n_table, dim = pack.table.shape
     with open(path, "wb") as fh:
-        fh.write(FBLP_MAGIC)
-        fh.write(_FBLP_HEADER.pack(FBLP_VERSION, len(pack), dim, pack.n_rows, n_table))
+        fh.write(_FBLP.magic + _FBLP.header.pack(
+            _FBLP.version, len(pack), dim, pack.n_rows, n_table
+        ))
         fh.write(np.ascontiguousarray(pack.offsets, dtype="<i8").tobytes())
         if n_table < pack.n_rows:
             fh.write(np.ascontiguousarray(pack.refs, dtype="<u4").tobytes())
@@ -151,44 +304,43 @@ def read_doc_pack(path: str | Path, data: bytes | None = None) -> PackedCorpus:
 
     ``data`` is the file's bytes when the caller has read them already.
     """
-    path = Path(path)
-    data = path.read_bytes() if data is None else data
-    if data[:4] != FBLP_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {FBLP_MAGIC!r}")
+    r = _Reader(path, data, _FBLP)
+    path = r.path
+    n_docs, dim, n_rows, n_table = r.header
+    if n_table > n_rows or (n_rows and not dim):  # the table's bytes bound the refs
+        raise FormatError(f"{path}: {n_table} table rows of width {dim} for {n_rows} rows")
+    offsets = r.array("<i8", n_docs + 1, "doc offsets")
+    refs = r.array("<u4", n_rows if n_table < n_rows else 0, "row refs")
+    table = r.array("<f4", n_table * dim, "table")
+    lengths = r.array("<u4", n_docs, "doc-id lengths")
+    ends = np.cumsum(lengths, dtype=np.int64)
+    names = r.array("u1", int(ends[-1]) if n_docs else 0, "doc ids").tobytes()
+    r.end("doc-id table")
+    if not _offsets_span(offsets, n_rows):
+        raise FormatError(f"{path}: doc offsets do not run from 0 up to {n_rows} rows")
+    if refs.size and int(refs.max()) >= n_table:
+        raise FormatError(f"{path}: row ref {int(refs.max())} >= table size {n_table}")
+    if refs.size:  # every table row is used, in order of first appearance
+        seen = np.maximum.accumulate(refs, dtype=np.int64)
+        ahead = np.flatnonzero(np.diff(seen, prepend=-1) > 1)  # over 1 above all before it
+        if ahead.size:
+            raise FormatError(f"{path}: row ref {refs[ahead[0]]} at row {ahead[0]} is not "
+                              "in order of first use")
+        if seen[-1] != n_table - 1:
+            raise FormatError(f"{path}: the refs use {seen[-1] + 1} of {n_table} table rows")
+    if n_table == n_rows:  # no row repeats: refs count the rows
+        refs = np.arange(n_rows, dtype=np.uint32)
+    table = table.reshape(n_table, dim).astype(np.float32, copy=False)
+    norms = np.einsum("ij,ij->i", table, table)
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
+    if bad.size:  # packing writes unit rows and drops zero rows
+        raise FormatError(f"{path}: table row {int(bad[0])} has a zero or non-finite norm")
     try:
-        version, n_docs, dim, n_rows, n_table = _FBLP_HEADER.unpack_from(data, 4)
-        check_version(path, version, FBLP_VERSION)
-        if n_table > n_rows or (n_rows and not dim):  # the table's bytes bound the refs
-            raise FormatError(f"{path}: {n_table} table rows of width {dim} for {n_rows} rows")
-        off = 4 + _FBLP_HEADER.size
-        offsets, off = read_array(data, off, "<i8", n_docs + 1)
-        refs, off = read_array(data, off, "<u4", n_rows if n_table < n_rows else 0)
-        table, off = read_array(data, off, "<f4", n_table * dim)
-        ids, off = read_ids(data, off, n_docs)
-        if off != len(data):
-            raise FormatError(f"{path}: {len(data) - off} bytes past the doc-id table")
-        if not offsets_span(offsets, n_rows):
-            raise FormatError(f"{path}: doc offsets do not run from 0 up to {n_rows} rows")
-        if refs.size and int(refs.max()) >= n_table:
-            raise FormatError(f"{path}: row ref {int(refs.max())} >= table size {n_table}")
-        if refs.size:  # every table row is used, in order of first appearance
-            seen = np.maximum.accumulate(refs, dtype=np.int64)
-            ahead = np.flatnonzero(np.diff(seen, prepend=-1) > 1)  # over 1 above all before it
-            if ahead.size:
-                raise FormatError(f"{path}: row ref {refs[ahead[0]]} at row {ahead[0]} is not "
-                                  "in order of first use")
-            if seen[-1] != n_table - 1:
-                raise FormatError(f"{path}: the refs use {seen[-1] + 1} of {n_table} table rows")
-        if n_table == n_rows:  # no row repeats: refs count the rows
-            refs = np.arange(n_rows, dtype=np.uint32)
-        table = table.reshape(n_table, dim).astype(np.float32, copy=False)
-        norms = np.einsum("ij,ij->i", table, table)
-        bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
-        if bad.size:  # packing writes unit rows and drops zero rows
-            raise FormatError(f"{path}: table row {int(bad[0])} has a zero or non-finite norm")
+        ids = [names[a:b].decode("utf-8") for a, b in zip((ends - lengths).tolist(),
+                                                            ends.tolist())]
         return PackedCorpus(table, refs, offsets.copy(), ids)
-    except (struct.error, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: truncated or corrupt pack ({exc})") from exc
+    except ValueError as exc:  # an id that is not UTF-8, or one that repeats
+        raise FormatError(f"{path}: bad doc-id table ({exc})") from exc
 
 
 # -- session save/load -------------------------------------------------------------
@@ -217,7 +369,7 @@ def save_session(
     directory.mkdir(parents=True, exist_ok=True)
 
     _atomic_write(directory / INDEX_NAME, lambda p: save_index(index, p))
-    _atomic_write(directory / PROJECTION_NAME, lambda p: projection.save(p))
+    save_projection(projection, directory / PROJECTION_NAME)
     _atomic_write(directory / DOCS_NAME, lambda p: write_doc_pack(p, doc_matrices))
     written = [INDEX_NAME, PROJECTION_NAME, DOCS_NAME]
     if vocab_text is not None:
@@ -306,7 +458,7 @@ def load_session(directory: str | Path) -> SessionArtifacts:
             raise FormatError(f"{directory / name}: checksum mismatch")
     doc_matrices = read_doc_pack(directory / DOCS_NAME, data[DOCS_NAME])
     index = load_index(directory / INDEX_NAME, doc_matrices, data[INDEX_NAME])
-    projection = LinearProjection.load(directory / PROJECTION_NAME, data[PROJECTION_NAME])
+    projection = load_projection(directory / PROJECTION_NAME, data[PROJECTION_NAME])
     if (manifest.d_in, manifest.d_out) != projection.weights.shape:
         raise FormatError(
             f"{directory / MANIFEST_NAME}: d_in {manifest.d_in} and d_out {manifest.d_out}, but "

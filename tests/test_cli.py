@@ -1,4 +1,6 @@
+import builtins
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -629,6 +631,95 @@ def test_an_output_path_that_cannot_be_written_exits_2_naming_it(corpus_dir, cap
     assert payload["kind"] == "data" and str(bad) in payload["error"]
 
 
+@pytest.mark.parametrize(
+    "command,bad",
+    [("train-projection", "dir"), ("train-projection", "nodir/p.fble"), ("index", "taken"),
+     ("index", "taken/session"), ("bench", "dir"), ("bench", "nodir/b.csv")],
+)
+def test_an_unusable_output_path_exits_2_before_any_work(corpus_dir, capsys, tmp_path,
+                                                          monkeypatch, command, bad):
+    base_tmp, corpus, vocab = corpus_dir
+    (tmp_path / "taken").write_text("x")
+    (tmp_path / "dir").mkdir()
+    session = base_tmp / "session"
+    if command == "bench":
+        assert main(_index_args(corpus, vocab, session)) == 0
+    reached = []
+    for name in ("train_projection", "build_session", "sweep_latency"):
+        monkeypatch.setattr(fbl.cli, name, lambda *a, name=name, **k: reached.append(name))
+    out = tmp_path / bad
+    argv = {
+        "train-projection": _train_args(corpus, vocab, out),
+        "index": _index_args(corpus, vocab, out),
+        "bench": ["bench", "--session", str(session), "--sizes", "20", "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert reached == []
+    assert json.loads(capsys.readouterr().err)["error"].startswith(f"{out}: ")
+
+
+def test_a_failed_projection_write_leaves_the_earlier_file(corpus_dir, capsys, tmp_path,
+                                                           monkeypatch):
+    base_tmp, corpus, vocab = corpus_dir
+    out = tmp_path / "out" / "proj.fble"
+    out.parent.mkdir()
+    assert main(_train_args(corpus, vocab, out) + ["--epochs", "0"]) == 0
+    before = out.read_bytes()
+    real_open = builtins.open
+
+    class FullDisk:  # the first write (the FBLE magic and header) lands; the next fails
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(data)
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return FullDisk(fh) if mode == "wb" else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    assert main(_train_args(corpus, vocab, out)) == 2
+    monkeypatch.undo()
+    assert out.read_bytes() == before
+    assert list(out.parent.iterdir()) == [out]  # no temp file left behind
+
+
+@pytest.mark.parametrize("command", ["index", "train-projection", "query"])
+def test_a_vocabulary_with_a_repeated_token_exits_2_naming_its_file(corpus_dir, capsys, tmp_path,
+                                                                     command):
+    base_tmp, corpus, vocab = corpus_dir
+    dup = tmp_path / "dup.txt"
+    dup.write_text(vocab.read_text() + "widget\n")
+    session = tmp_path / "session"
+    if command == "query":  # the session's own vocab.txt, with the manifest vouching for it
+        assert main(_index_args(corpus, vocab, session)) == 0
+        dup = session / "vocab.txt"
+        dup.write_text(vocab.read_text() + "widget\n")
+        data = json.loads((session / "manifest.json").read_text())
+        data["checksums"]["vocab.txt"] = hashlib.sha256(dup.read_bytes()).hexdigest()
+        (session / "manifest.json").write_text(json.dumps(data))
+    argv = {
+        "index": _index_args(corpus, dup, session),
+        "train-projection": _train_args(corpus, dup, tmp_path / "proj.fble"),
+        "query": ["query", "--session", str(session), "--text", "widget"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"{dup}: duplicate vocabulary token 'widget'"
+
+
 def test_stderr_is_one_json_line(tmp_path):
     # a fresh interpreter, so import-time output would land on stderr too
     env = {k: v for k, v in os.environ.items() if k != "FBL_SESSION"}
@@ -811,7 +902,7 @@ def test_data_error_on_malformed_diff(tmp_path, capsys):
 
 def test_file_embedder_roundtrip(corpus_dir, capsys, tmp_path):
     import numpy as np
-    from fbl.embed import write_matrix_file
+    from fbl.store import write_matrix_file
     from fbl.encode import Vocabulary
 
     base_tmp, corpus, vocab = corpus_dir
@@ -835,7 +926,7 @@ def test_file_embedder_roundtrip(corpus_dir, capsys, tmp_path):
 def _short_table(vocab, path):
     """An FBLE table one row short of the vocabulary; returns its row count."""
     import numpy as np
-    from fbl.embed import write_matrix_file
+    from fbl.store import write_matrix_file
     from fbl.encode import Vocabulary
 
     rows = len(Vocabulary.from_file(vocab)) - 1
@@ -892,7 +983,7 @@ def test_file_embedder_short_of_the_vocabulary_exits_2(corpus_dir, capsys, tmp_p
 @pytest.mark.parametrize("command", ["index", "train-projection"])
 def test_non_finite_file_embedder_exits_2_naming_the_row(corpus_dir, capsys, tmp_path, command):
     import numpy as np
-    from fbl.embed import write_matrix_file
+    from fbl.store import write_matrix_file
     from fbl.encode import Vocabulary
 
     base_tmp, corpus, vocab = corpus_dir
@@ -929,7 +1020,7 @@ def test_query_on_a_session_whose_embedder_is_short_exits_2(corpus_dir, capsys, 
     import hashlib
 
     import numpy as np
-    from fbl.embed import write_matrix_file
+    from fbl.store import write_matrix_file
     from fbl.encode import Vocabulary
 
     base_tmp, corpus, vocab = corpus_dir

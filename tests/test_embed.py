@@ -11,7 +11,6 @@ from fbl import _kernels, embed
 from fbl.corpus import Triplet
 from fbl.embed import (
     EmbeddingMatrix,
-    FileEmbedder,
     LinearProjection,
     PackedCorpus,
     ReferenceHashEmbedder,
@@ -20,13 +19,12 @@ from fbl.embed import (
     embed_sequence,
     gradient_of_loss,
     loss_from_raw,
-    read_matrix_file,
     train_projection,
-    write_matrix_file,
 )
 from fbl.encode import EncodedSequence
 from fbl.errors import DimensionMismatch, FormatError, NonFiniteLoss
 from fbl.pipeline import Config
+from fbl.store import load_embedder, load_projection, read_matrix_file, write_matrix_file
 
 
 def _seq(ids, limit):
@@ -76,6 +74,17 @@ def test_fble_rejects_bytes_past_the_payload(tmp_path):
         read_matrix_file(p)
 
 
+def test_fble_of_another_version_names_the_file_but_no_session_rebuild(tmp_path):
+    # an FBLE is also a user's input (--projection, --embedder file:), not only a session's
+    p = tmp_path / "m.fble"
+    write_matrix_file(p, np.ones((2, 3), dtype=np.float32))
+    raw = p.read_bytes()
+    p.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
+    with pytest.raises(FormatError, match=r"m\.fble: format version 2") as exc:
+        read_matrix_file(p)
+    assert "fbl index" not in str(exc.value)
+
+
 def test_fble_header_claiming_a_huge_payload_raises_format_error(tmp_path):
     # checked against the file's size; the header never sizes a read
     p = tmp_path / "m.fble"
@@ -92,13 +101,13 @@ def test_projection_with_non_finite_weight_raises_format_error(tmp_path):
         weights.view(np.uint32)[1, 1] = bits
         write_matrix_file(p, weights)
         with pytest.raises(FormatError, match="proj.fble"):
-            LinearProjection.load(p)
+            load_projection(p)
 
 
 def test_file_embedder_range_check(tmp_path):
     p = tmp_path / "e.fble"
     write_matrix_file(p, np.eye(4, dtype=np.float32))
-    emb = FileEmbedder.from_file(p)
+    emb = load_embedder(p)
     assert emb.d_in == 4
     np.testing.assert_array_equal(emb.embed_ids([2])[0], np.eye(4)[2])
     with pytest.raises(ValueError):
@@ -114,7 +123,7 @@ def test_file_embedder_rejects_a_non_finite_row_naming_it(tmp_path):
         table.view(np.uint32)[3, 0] = bits
         write_matrix_file(p, table)
         with pytest.raises(FormatError, match=r"e\.fble: row 2 "):
-            FileEmbedder.from_file(p)
+            load_embedder(p)
 
 
 def test_embed_sequence_identity_projection():
@@ -145,7 +154,7 @@ def _embedders(tmp_path):
     table[4] = 0.0  # a dead token: its rows stay zero
     table[7] = table[2]  # two ids, byte-equal rows
     write_matrix_file(tmp_path / "e.fble", table)
-    return [ReferenceHashEmbedder(d_in=8, seed=3), FileEmbedder.from_file(tmp_path / "e.fble")]
+    return [ReferenceHashEmbedder(d_in=8, seed=3), load_embedder(tmp_path / "e.fble")]
 
 
 def test_embedder_rows_depend_only_on_their_id(tmp_path):
@@ -447,7 +456,7 @@ def test_unscorable_positive_aborts_training(tmp_path):
     table[3] = 0.0
     p = tmp_path / "e.fble"
     write_matrix_file(p, table)
-    emb = FileEmbedder.from_file(p)
+    emb = load_embedder(p)
     queries = {"b": _seq([0], limit=3)}
     trips = [Triplet(bug_id="b", positive_doc="pos", negative_doc="neg")]
     cfg = TripletTrainConfig(learning_rate=0.1, epochs=1, batch_size=1, seed=0)

@@ -48,8 +48,8 @@ def test_vocab_from_bytes_splits_lines_as_text_mode_reading_does(tmp_path):
     with open(p, encoding="utf-8", errors="replace") as fh:
         want = [line.rstrip("\r\n") for line in fh][:-2]
     assert want == ["a", "b", "c\x0cd", "e\u2028f", "g\ufffdh"]
-    assert Vocabulary.from_bytes(blob).id_to_token[: len(want)] == want
-    assert Vocabulary.from_file(p).id_to_token == Vocabulary.from_bytes(blob).id_to_token
+    assert Vocabulary.from_bytes(blob, p).id_to_token[: len(want)] == want
+    assert Vocabulary.from_file(p).id_to_token == Vocabulary.from_bytes(blob, p).id_to_token
 
 
 def test_vocab_save_load_roundtrip(tmp_path):

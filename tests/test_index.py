@@ -23,9 +23,8 @@ from fbl.index import (
     build_index,
     candidate_docs,
     kmeans,
-    load_index,
-    save_index,
 )
+from fbl.store import load_index, save_index
 
 
 def _unit_rows(arr) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ast
 import builtins
 import dataclasses
 import hashlib
@@ -6,12 +7,14 @@ import json
 import os
 import struct
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fbl
 from conftest import repeated_row_docs
 from fbl.cli import main
 from fbl.embed import (
@@ -19,10 +22,9 @@ from fbl.embed import (
     LinearProjection,
     PackedCorpus,
     _normalize_rows,
-    write_matrix_file,
 )
 from fbl.errors import FormatError
-from fbl.index import build_index, candidate_docs, load_index, save_index
+from fbl.index import build_index, candidate_docs
 from fbl.retrieve import rank_exact, rank_two_stage
 from fbl.store import (
     DOCS_NAME,
@@ -34,11 +36,15 @@ from fbl.store import (
     Manifest,
     SessionArtifacts,
     _atomic_write,
+    load_index,
+    load_projection,
     load_session,
     read_doc_pack,
+    save_index,
     save_session,
     write_doc_pack,
     write_ids,
+    write_matrix_file,
 )
 
 
@@ -165,13 +171,16 @@ def _fblp_edits(tmp_path):
         "no_refs_with_a_smaller_table": (with_refs[:refs] + with_refs[table:], None),
         "truncated_table": (with_refs[: table + 10], None),
         "version_3": (v3, "version 3.*re-run `fbl index`"),
+        "id_not_utf8": (distinct[:-1] + b"\xff", "utf-8"),
+        "repeated_id": (distinct[:-5] + b"a:0:0", "must be unique"),
     }
 
 
 @pytest.mark.parametrize(
     "case",
     ["ref_past_the_table", "table_over_rows", "rows_without_width", "refs_with_a_full_table",
-     "no_refs_with_a_smaller_table", "truncated_table", "version_3"],
+     "no_refs_with_a_smaller_table", "truncated_table", "version_3", "id_not_utf8",
+     "repeated_id"],
 )
 def test_doc_pack_v4_regions_are_untrusted(tmp_path, case):
     blob, message = _fblp_edits(tmp_path)[case]
@@ -551,7 +560,7 @@ def _open(saved, name, path):
         if name == DOCS_NAME:
             docs = read_doc_pack(path)
         elif name == PROJECTION_NAME:
-            projection = LinearProjection.load(path)
+            projection = load_projection(path)
         index_path = path if name == INDEX_NAME else saved["dirs"][MANIFEST_NAME] / INDEX_NAME
         index = load_index(index_path, docs)
     projected = [_normalize_rows(raw @ projection.weights).astype(np.float32)
@@ -564,6 +573,16 @@ _ARTIFACTS = [INDEX_NAME, DOCS_NAME, MANIFEST_NAME, PROJECTION_NAME]
 
 def _corrupt_path(saved, name):
     return saved["dirs"].get(name, saved["dir"]) / name
+
+
+@pytest.mark.parametrize("name", _ARTIFACTS)
+def test_a_byte_appended_raises_format_error_naming_the_file(saved, name):
+    blob, _ = saved[name]
+    path = _corrupt_path(saved, name)
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(FormatError) as exc:
+        _open(saved, name, path)
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("name", _ARTIFACTS)
@@ -631,3 +650,18 @@ def test_a_table_out_of_first_use_order_raises_format_error(saved, data):
                      + blob[end:])
     with pytest.raises(FormatError, match="order of first use"):
         read_doc_pack(path)
+
+
+def _imports(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_only_the_store_module_imports_struct():
+    # every binary layout is parsed by store's one checked reader, so a new
+    # format region lands beside the others
+    src = Path(fbl.__file__).parent
+    assert {p.name for p in src.glob("*.py") if "struct" in set(_imports(p))} == {"store.py"}
