@@ -307,6 +307,8 @@ def _open_session(args):
 
 def cmd_query(args) -> int:
     _positive("--topk", args.topk)
+    if args.out:
+        _writable(args.out)
     artifacts, vocab, config = _open_session(args)
     embedder = make_embedder(config, artifacts.embedder, vocab=vocab)
 
@@ -350,6 +352,8 @@ def cmd_query(args) -> int:
 def cmd_evaluate(args) -> int:
     if (args.bugs is None) != (args.changesets is None):
         raise UsageError(EXIT_USAGE, "--bugs and --changesets go together: pass both or neither")
+    if args.out:
+        _writable(args.out)
     run = evaluation.read_run(args.run)
     links = load_links(args.qrels)
     if not links:

@@ -634,7 +634,8 @@ def test_an_output_path_that_cannot_be_written_exits_2_naming_it(corpus_dir, cap
 @pytest.mark.parametrize(
     "command,bad",
     [("train-projection", "dir"), ("train-projection", "nodir/p.fble"), ("index", "taken"),
-     ("index", "taken/session"), ("bench", "dir"), ("bench", "nodir/b.csv")],
+     ("index", "taken/session"), ("bench", "dir"), ("bench", "nodir/b.csv"), ("query", "dir"),
+     ("query", "nodir/run.jsonl"), ("evaluate", "dir"), ("evaluate", "nodir/m.json")],
 )
 def test_an_unusable_output_path_exits_2_before_any_work(corpus_dir, capsys, tmp_path,
                                                           monkeypatch, command, bad):
@@ -642,16 +643,22 @@ def test_an_unusable_output_path_exits_2_before_any_work(corpus_dir, capsys, tmp
     (tmp_path / "taken").write_text("x")
     (tmp_path / "dir").mkdir()
     session = base_tmp / "session"
-    if command == "bench":
+    if command in ("bench", "query"):
         assert main(_index_args(corpus, vocab, session)) == 0
+    run = tmp_path / "run.jsonl"
+    run.write_text(json.dumps(_GOOD_RUN) + "\n")
     reached = []
-    for name in ("train_projection", "build_session", "sweep_latency"):
+    for name in ("train_projection", "build_session", "sweep_latency", "run_query"):
         monkeypatch.setattr(fbl.cli, name, lambda *a, name=name, **k: reached.append(name))
+    monkeypatch.setattr(fbl.evaluation, "read_run", lambda *a, **k: reached.append("read_run"))
     out = tmp_path / bad
     argv = {
         "train-projection": _train_args(corpus, vocab, out),
         "index": _index_args(corpus, vocab, out),
         "bench": ["bench", "--session", str(session), "--sizes", "20", "--out", str(out)],
+        "query": ["query", "--session", str(session), "--text", "widget", "--out", str(out)],
+        "evaluate": ["evaluate", "--run", str(run), "--qrels", str(corpus / "links.jsonl"),
+                     "--out", str(out)],
     }[command]
     capsys.readouterr()
     assert main(argv) == 2

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +18,7 @@ from conftest import (
     reconstruct,
 )
 
+import fbl
 from fbl import _kernels
 from fbl import index as index_module
 from fbl.embed import EmbeddingMatrix, PackedCorpus
@@ -194,6 +200,47 @@ def test_build_index_is_bit_identical_with_the_reference_kernels(monkeypatch):
             "coarse", "codebooks", "part_offsets", "rows", "codes", "doc_refs", "doc_offsets",
         ):
             assert getattr(fast, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+_BUILD_IN_A_CHILD = """
+import hashlib, json, os, sys
+if sys.argv[1] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import fbl.cli
+futures_imported = "concurrent.futures" in sys.modules
+import numpy as np
+from fbl import _kernels
+from fbl.embed import EmbeddingMatrix
+from fbl.index import build_index
+rows = np.random.default_rng(24).standard_normal((1700, 16)).astype(np.float32)
+docs = {f"d{i:03d}:0:0": EmbeddingMatrix(rows=rows[10 * i : 10 * i + 10]) for i in range(170)}
+index = build_index(docs, n_partitions=16, n_subspaces=4, n_codewords=32, seed=3, max_iters=5)
+digest = hashlib.sha256()
+for name in ("coarse", "codebooks", "part_offsets", "rows", "codes"):
+    digest.update(getattr(index, name).tobytes())
+for part in _kernels.assign_nearest(rows, index.coarse):  # the distances too
+    digest.update(part.tobytes())
+print(json.dumps({"workers": _kernels._WORKERS, "futures_imported": futures_imported,
+                  "digest": digest.hexdigest()}))
+"""
+
+
+def test_build_index_has_the_same_bits_on_one_cpu_and_on_every_cpu():
+    # 1,700 distinct rows: four 512-row blocks, split into a run per core
+    env = dict(os.environ)
+    paths = [str(Path(fbl.__file__).parents[1]), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    got = {}
+    for cpus, blas_threads in (("one-cpu", "1"), ("every-cpu", "2")):
+        proc = subprocess.run([sys.executable, "-c", _BUILD_IN_A_CHILD, cpus],
+                              env={**env, "OPENBLAS_NUM_THREADS": blas_threads},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        got[cpus] = json.loads(proc.stdout)
+    assert got["one-cpu"]["workers"] == 1
+    assert got["every-cpu"]["workers"] == len(os.sched_getaffinity(0))
+    assert not got["one-cpu"]["futures_imported"] and not got["every-cpu"]["futures_imported"]
+    assert got["one-cpu"]["digest"] == got["every-cpu"]["digest"]
 
 
 # -- build ------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Every kernel against a plain reference form."""
 
+import os
+import signal
+import time
 from unittest import mock
 
 import numpy as np
@@ -101,6 +104,85 @@ def test_assign_tie_breaks_to_lowest_index(backend):
     points = np.array([[1.0, 0.0]])
     labels, _ = _kernels.assign_nearest(points, centroids)
     assert labels[0] == 0
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}-workers")
+def workers(request, monkeypatch):
+    """assign_nearest on request.param workers, from a new pool that is shut down after."""
+    monkeypatch.setattr(_kernels, "_WORKERS", request.param)
+    monkeypatch.setattr(_kernels, "_pool", None)
+    yield request.param
+    if _kernels._pool is not None:
+        _kernels._pool.shutdown()
+
+
+def _assign_case(n, dtype, strided, dim=8, k=32):
+    """Points (a strided view if asked) and centroids that all appear twice."""
+    rng = np.random.default_rng(n)
+    points = rng.standard_normal((n, 2 * dim)).astype(dtype)
+    points = points[:, :dim] if strided else np.ascontiguousarray(points[:, :dim])
+    half = rng.standard_normal((k, dim)).astype(dtype)
+    return points, np.concatenate([half, half])
+
+
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [0, 300, 512, 3 * 512 + 77])
+def test_assign_nearest_has_the_same_bits_on_any_worker_count(workers, n, dtype, strided):
+    points, centroids = _assign_case(n, dtype, strided)
+    labels, dists = _kernels.assign_nearest(points, centroids)
+    ref_labels, ref_dists = assign_nearest_reference(points, centroids)
+    assert labels.dtype == np.int64 and dists.dtype == np.float64
+    assert labels.shape == dists.shape == (n,)
+    assert labels.tobytes() == ref_labels.tobytes()
+    assert dists.tobytes() == ref_dists.tobytes()
+
+
+@pytest.mark.parametrize("workers", [2, 3], indirect=True)
+def test_an_error_in_a_workers_run_reaches_the_caller(workers):
+    points, centroids = _assign_case(4 * 512, np.float32, False)
+    with pytest.raises(ValueError) as want:
+        assign_nearest_reference(points, centroids[:, :5])
+    with pytest.raises(ValueError) as got:  # every run fails, the workers' too
+        _kernels.assign_nearest(points, centroids[:, :5])
+    assert str(got.value) == str(want.value)
+    done = []
+
+    def run(b0, b1):
+        if b0 == 1:  # only the second run, which a worker takes, fails
+            raise ValueError(f"blocks {b0}-{b1}")
+        time.sleep(0.05 * b0)  # the last run ends last
+        done.append((b0, b1))
+
+    with pytest.raises(ValueError, match="^blocks 1-"):
+        _kernels._spread(run, workers)
+    assert sorted(done) == [(b, b + 1) for b in range(workers) if b != 1]  # all ended first
+    labels, _ = _kernels.assign_nearest(points, centroids)  # the pool still works
+    assert labels.tobytes() == assign_nearest_reference(points, centroids)[0].tobytes()
+
+
+@pytest.mark.parametrize("workers", [2], indirect=True)
+def test_a_child_forked_after_a_threaded_call_completes_a_multi_block_call(workers):
+    points, centroids = _assign_case(4 * 512, np.float64, True)
+    want = [a.tobytes() for a in assign_nearest_reference(points, centroids)]
+    _kernels.assign_nearest(points, centroids)
+    assert _kernels._pool is not None  # its thread now idles, and a child will not have it
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            got = [a.tobytes() for a in _kernels.assign_nearest(points, centroids)]
+            code = 0 if got == want else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if status[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert status[0] == pid, "the child's call did not finish in 60 s"
+    assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 @SAME_IDS
