@@ -47,14 +47,12 @@ EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """A bad flag or flag combination: exits EXIT_USAGE."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are 1 here
-        raise UsageError(EXIT_USAGE, f"usage: {message}")
+        raise UsageError(f"usage: {message}")
 
 
 def _emit_error(kind: str, message: str) -> None:
@@ -97,13 +95,13 @@ def _positive(flag: str, raw, least: int = 1) -> int:
         kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
             least, f"an integer >= {least}"
         )
-        raise UsageError(EXIT_USAGE, f"{flag} must be {kind}, got {raw!r}")
+        raise UsageError(f"{flag} must be {kind}, got {raw!r}")
     return value
 
 
 def _positive_real(flag: str, raw: float) -> float:
     if not (math.isfinite(raw) and raw > 0):
-        raise UsageError(EXIT_USAGE, f"{flag} must be a positive finite number, got {raw!r}")
+        raise UsageError(f"{flag} must be a positive finite number, got {raw!r}")
     return raw
 
 
@@ -121,18 +119,18 @@ def _config_from_args(args) -> Config:
     embedder_kind, embedder_path = "hash", None
     if args.embedder != "hash":
         if not args.embedder.startswith("file:"):
-            raise UsageError(EXIT_USAGE, f"bad --embedder {args.embedder!r}")
+            raise UsageError(f"bad --embedder {args.embedder!r}")
         embedder_kind, embedder_path = "file", args.embedder[5:]
     counts = _counts(args)
     # the shape's cross-field rules, on the flags of the command that sets them
     d_in, d_out = counts["d_in"], counts["d_out"]
     codewords, subspaces = counts.get("n_codewords", 1), counts.get("n_subspaces", 1)
     if d_out > d_in:
-        raise UsageError(EXIT_USAGE, f"--d-out {d_out} must not exceed --d-in {d_in}")
+        raise UsageError(f"--d-out {d_out} must not exceed --d-in {d_in}")
     if codewords > 256:  # a code is one byte
-        raise UsageError(EXIT_USAGE, f"--codewords must be at most 256, got {codewords}")
+        raise UsageError(f"--codewords must be at most 256, got {codewords}")
     if d_out % subspaces:
-        raise UsageError(EXIT_USAGE, f"--subspaces {subspaces} must divide --d-out {d_out}")
+        raise UsageError(f"--subspaces {subspaces} must divide --d-out {d_out}")
     return Config(
         granularity=args.granularity,
         strategy=args.strategy,
@@ -258,7 +256,9 @@ def cmd_index(args) -> int:
     session_dir = _writable(session, directory=True)
     corpus_dir = Path(args.corpus)
     changesets, _, _ = _load_corpus_dir(corpus_dir)
+    # each input is read once: the session stores the bytes the build parsed
     vocab_bytes = Path(args.vocab).read_bytes()
+    embedder = Path(config.embedder_path).read_bytes() if config.embedder_path else None
     projection = store.load_projection(args.projection) if args.projection else None
     built = build_session(
         changesets,
@@ -267,16 +267,10 @@ def cmd_index(args) -> int:
         projection=projection,
         corpus_hash=_corpus_hash(corpus_dir),
         vocab_hash=store.sha256_bytes(vocab_bytes),
+        embedder_bytes=embedder,
     )
-    store.save_session(
-        session_dir,
-        built.manifest,
-        built.index,
-        built.projection,
-        built.doc_matrices,
-        vocab_text=vocab_bytes,
-        embedder_matrix_path=config.embedder_path,
-    )
+    store.save_session(session_dir, built.manifest, built.index, built.projection,
+                       built.doc_matrices, vocab_bytes, embedder)
     print(
         f"indexed {len(built.doc_matrices)} documents "
         f"({built.index.n_embeddings} embeddings, P={built.index.n_partitions}) -> {session_dir}"
@@ -288,13 +282,10 @@ def _open_session(args):
     probe = _counts(args)
     raw = args.session or os.environ.get("FBL_SESSION", "")
     if not raw:
-        raise UsageError(EXIT_USAGE, "no session: pass --session or set FBL_SESSION")
+        raise UsageError("no session: pass --session or set FBL_SESSION")
     session_dir = Path(raw)
     artifacts = store.load_session(session_dir)
     m = artifacts.manifest
-    for name in [store.VOCAB_NAME] + [store.EMBEDDER_NAME] * (m.embedder_kind == "file"):
-        if name not in m.checksums:
-            raise FormatError(f"{session_dir / store.MANIFEST_NAME}: no checksum for {name}")
     vocab = Vocabulary.from_bytes(artifacts.vocab, session_dir / store.VOCAB_NAME)
     recorded = {name: getattr(m, name) for name in MANIFEST_FIELDS}
     embedder_path = str(session_dir / store.EMBEDDER_NAME) if m.embedder_kind == "file" else None
@@ -351,7 +342,7 @@ def cmd_query(args) -> int:
 
 def cmd_evaluate(args) -> int:
     if (args.bugs is None) != (args.changesets is None):
-        raise UsageError(EXIT_USAGE, "--bugs and --changesets go together: pass both or neither")
+        raise UsageError("--bugs and --changesets go together: pass both or neither")
     if args.out:
         _writable(args.out)
     run = evaluation.read_run(args.run)
@@ -388,7 +379,7 @@ def cmd_bench(args) -> int:
     n_queries = _positive("--queries", args.queries)
     sizes = [_positive("--sizes", s) for s in args.sizes.split(",") if s]
     if not sizes:
-        raise UsageError(EXIT_USAGE, f"--sizes must name at least one size, got {args.sizes!r}")
+        raise UsageError(f"--sizes must name at least one size, got {args.sizes!r}")
     if args.out:
         _writable(args.out)
     artifacts, _, config = _open_session(args)
@@ -473,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except UsageError as exc:
         _emit_error("usage", str(exc))
-        return exc.code
+        return EXIT_USAGE
     except FileNotFoundError as exc:
         _emit_error("data", f"file not found: {exc.filename}")
         return EXIT_DATA

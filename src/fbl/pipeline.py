@@ -137,13 +137,14 @@ def build_session(
     projection: LinearProjection | None = None,
     corpus_hash: str = "",
     vocab_hash: str = "",
+    embedder_bytes: bytes | None = None,  # a file embedder's table, when already read
 ) -> SessionArtifacts:
     """Encode, embed, and index a corpus under one configuration."""
     if projection is not None and projection.d_out != config.d_out:
         raise DimensionMismatch(
             f"projection d_out={projection.d_out} != configured d_out={config.d_out}"
         )
-    embedder = make_embedder(config, vocab=vocab)
+    embedder = make_embedder(config, embedder_bytes, vocab=vocab)
     docs = explode_corpus(changesets, config.granularity)
     seqs = encode_documents(docs, config.strategy, vocab, config.doc_limit)
     if projection is None:

@@ -22,20 +22,22 @@ arrays back to back, little-endian, ending with the last one:
              (table rows, dim) f4, and each doc id's UTF-8 byte length u4,
              then the ids' bytes
 
-One reader, ``_Reader``, parses all three: it checks the magic, that the
+One writer and one reader. ``_write`` streams a file's pieces (each
+format's generator yields the magic, the header and the arrays in the
+order ``_Reader`` reads them) through a uniquely named temp file and a
+rename, hashing them as it goes. ``_Reader`` checks the magic, that the
 header fits, and the version; hands out each array, in file order, as a
 read-only view of the bytes once it is known to fit; and checks that the
 last array ends the bytes. The pack is the only document table: the
-loaded index borrows its refs, offsets and ids, and the loaded pack, its
-table and refs views of the file, is what queries score against. The
-manifest records a sha256 of every artifact a save writes.
+loaded index borrows its refs, offsets and ids, and queries score against
+the loaded pack, whose table and refs are views of the file.
 
-Writes go through a uniquely named temp file + rename so a crashed save
-never leaves a half-written artifact behind, a projection saved on its own
-included. Loading reads each listed artifact once, verifies the checksum
-of those bytes, and then checks magic bytes, format versions, every offset
-and id the query path indexes with, and the values the writers guarantee
-(finite floats, a table in order).
+A save writes each artifact once, records the sha256 of the bytes written
+and reads nothing back. Loading reads each listed artifact once, verifies
+those bytes' checksum, and checks the session as a whole: the vocabulary
+is listed, and the embedder when file-backed; every offset and id a query
+indexes with; what the writers guarantee (finite floats, a table in
+order, a pack with embeddings); and the manifest's dimensions.
 """
 
 from __future__ import annotations
@@ -107,18 +109,32 @@ def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _atomic_write(path: Path, writer) -> None:
+# -- the one writer and the one reader -----------------------------------------------
+
+
+def _write(path: str | Path, pieces) -> str:
+    """Write byte pieces to ``path`` through a temp file + rename; the sha256 of the bytes."""
+    path = Path(path)
     # a unique temp name, so concurrent saves into one directory never share one
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(8)}.tmp")
+    digest = hashlib.sha256()
     try:
-        writer(tmp)
+        with open(tmp, "wb") as fh:
+            for piece in pieces:
+                digest.update(piece)
+                fh.write(piece)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return digest.hexdigest()
 
 
-# -- the one reader ------------------------------------------------------------------
+def _pieces(fmt: _Format, header, *arrays):
+    """A binary file's bytes in order: magic and header, then each (array, dtype)."""
+    yield fmt.magic + fmt.header.pack(fmt.version, *header)
+    for arr, dtype in arrays:
+        yield np.ascontiguousarray(arr, dtype=dtype).data
 
 
 class _Reader:
@@ -165,13 +181,16 @@ def _offsets_span(offsets: np.ndarray, total: int) -> bool:
 # -- matrices: projections and token tables (FBLE) ---------------------------------
 
 
-def write_matrix_file(path: str | Path, matrix: np.ndarray) -> None:
+def _fble_pieces(matrix: np.ndarray):
     arr = np.ascontiguousarray(matrix, dtype="<f4")
     if arr.ndim != 2:
         raise ValueError("FBLE files hold 2-D matrices")
-    with open(path, "wb") as fh:
-        fh.write(_FBLE.magic + _FBLE.header.pack(_FBLE.version, *arr.shape))
-        fh.write(arr.data)
+    return _pieces(_FBLE, arr.shape, (arr, "<f4"))
+
+
+def write_matrix_file(path: str | Path, matrix: np.ndarray) -> None:
+    """Write a 2-D matrix as FBLE, through a temp file + rename."""
+    _write(path, _fble_pieces(matrix))
 
 
 def read_matrix_file(path: str | Path, data: bytes | None = None) -> np.ndarray:
@@ -184,8 +203,7 @@ def read_matrix_file(path: str | Path, data: bytes | None = None) -> np.ndarray:
 
 
 def save_projection(projection: LinearProjection, path: str | Path) -> None:
-    """Write the weights as FBLE, through a temp file + rename."""
-    _atomic_write(Path(path), lambda p: write_matrix_file(p, projection.weights))
+    write_matrix_file(path, projection.weights)
 
 
 def load_projection(path: str | Path, data: bytes | None = None) -> LinearProjection:
@@ -206,20 +224,11 @@ def load_embedder(path: str | Path, data: bytes | None = None) -> FileEmbedder:
 # -- the index (FBLI) ----------------------------------------------------------------
 
 
-def save_index(index: IvfPqIndex, path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_FBLI.magic + _FBLI.header.pack(
-            _FBLI.version, index.n_partitions, index.n_subspaces, index.n_codewords, index.dim,
-            index.rows.shape[0],
-        ))
-        for arr, dtype in (
-            (index.coarse, "<f4"),
-            (index.codebooks, "<f4"),
-            (index.part_offsets, "<i8"),
-            (index.rows, "<u4"),
-            (index.codes, "u1"),
-        ):
-            fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+def _fbli_pieces(index: IvfPqIndex):
+    header = (index.n_partitions, index.n_subspaces, index.n_codewords, index.dim,
+              index.rows.shape[0])
+    return _pieces(_FBLI, header, (index.coarse, "<f4"), (index.codebooks, "<f4"),
+                   (index.part_offsets, "<i8"), (index.rows, "<u4"), (index.codes, "u1"))
 
 
 def _is_permutation(ids: np.ndarray, n: int) -> bool:
@@ -278,25 +287,18 @@ def load_index(path: str | Path, docs: PackedCorpus, data: bytes | None = None) 
 # -- the document matrix pack (FBLP) -----------------------------------------------
 
 
-def write_ids(fh, ids: list[str]) -> None:
-    """A doc-id table: every id's UTF-8 byte length (u4), then the bytes."""
-    raw = [doc_id.encode("utf-8") for doc_id in ids]
-    fh.write(np.asarray([len(r) for r in raw], dtype="<u4").tobytes())
-    fh.write(b"".join(raw))
-
-
-def write_doc_pack(path: str | Path, matrices: Mapping[str, EmbeddingMatrix]) -> None:
-    pack = PackedCorpus.from_matrices(matrices)
+def _fblp_pieces(pack: PackedCorpus):
+    """The pack's FBLP bytes; the refs are left out when the table is the rows."""
     n_table, dim = pack.table.shape
-    with open(path, "wb") as fh:
-        fh.write(_FBLP.magic + _FBLP.header.pack(
-            _FBLP.version, len(pack), dim, pack.n_rows, n_table
-        ))
-        fh.write(np.ascontiguousarray(pack.offsets, dtype="<i8").tobytes())
-        if n_table < pack.n_rows:
-            fh.write(np.ascontiguousarray(pack.refs, dtype="<u4").tobytes())
-        fh.write(np.ascontiguousarray(pack.table, dtype="<f4").data)
-        write_ids(fh, pack.ids)
+    names = [doc_id.encode("utf-8") for doc_id in pack.ids]
+    return _pieces(
+        _FBLP, (len(pack), dim, pack.n_rows, n_table),
+        (pack.offsets, "<i8"),
+        (pack.refs[: pack.n_rows if n_table < pack.n_rows else 0], "<u4"),
+        (pack.table, "<f4"),
+        ([len(name) for name in names], "<u4"),  # the doc-id table: byte lengths, then bytes
+        (np.frombuffer(b"".join(names), dtype="u1"), "u1"),
+    )
 
 
 def read_doc_pack(path: str | Path, data: bytes | None = None) -> PackedCorpus:
@@ -352,7 +354,7 @@ class SessionArtifacts:
     index: IvfPqIndex
     projection: LinearProjection
     doc_matrices: PackedCorpus
-    vocab: bytes | None = None  # vocab.txt and embedder.fble, when the manifest lists them
+    vocab: bytes | None = None  # a loaded session's vocab.txt, and embedder.fble when file-backed
     embedder: bytes | None = None
 
 
@@ -362,34 +364,29 @@ def save_session(
     index: IvfPqIndex,
     projection: LinearProjection,
     doc_matrices: Mapping[str, EmbeddingMatrix],
-    vocab_text: str | bytes | None = None,  # bytes are stored as they are, text as UTF-8
-    embedder_matrix_path: str | Path | None = None,
+    vocab_text: str | bytes,  # bytes are stored as they are, text as UTF-8
+    embedder: bytes | None = None,  # a file-backed embedder's FBLE bytes
 ) -> None:
+    """Write each artifact once, then the manifest with the sha256 of the bytes written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-
-    _atomic_write(directory / INDEX_NAME, lambda p: save_index(index, p))
-    save_projection(projection, directory / PROJECTION_NAME)
-    _atomic_write(directory / DOCS_NAME, lambda p: write_doc_pack(p, doc_matrices))
-    written = [INDEX_NAME, PROJECTION_NAME, DOCS_NAME]
-    if vocab_text is not None:
-        vocab = vocab_text.encode("utf-8") if isinstance(vocab_text, str) else vocab_text
-        _atomic_write(directory / VOCAB_NAME, lambda p: Path(p).write_bytes(vocab))
-        written.append(VOCAB_NAME)
-    if embedder_matrix_path is not None:
-        data = Path(embedder_matrix_path).read_bytes()
-        _atomic_write(directory / EMBEDDER_NAME, lambda p: Path(p).write_bytes(data))
-        written.append(EMBEDDER_NAME)
-
-    manifest.checksums = {name: sha256_file(directory / name) for name in written}
+    vocab = vocab_text.encode("utf-8") if isinstance(vocab_text, str) else vocab_text
+    artifacts = {
+        INDEX_NAME: _fbli_pieces(index),
+        PROJECTION_NAME: _fble_pieces(projection.weights),
+        DOCS_NAME: _fblp_pieces(PackedCorpus.from_matrices(doc_matrices)),
+        VOCAB_NAME: [vocab],
+    }
+    if embedder is not None:
+        artifacts[EMBEDDER_NAME] = [embedder]
+    manifest.checksums = {name: _write(directory / name, pieces)
+                          for name, pieces in artifacts.items()}
     payload = json.dumps(asdict(manifest), indent=2, sort_keys=True)
-    _atomic_write(
-        directory / MANIFEST_NAME, lambda p: Path(p).write_text(payload, encoding="utf-8")
-    )
+    _write(directory / MANIFEST_NAME, [payload.encode("utf-8")])
 
 
-_PARSED_NAMES = (INDEX_NAME, PROJECTION_NAME, DOCS_NAME)
-_ARTIFACT_NAMES = {*_PARSED_NAMES, VOCAB_NAME, EMBEDDER_NAME}
+_REQUIRED_NAMES = (INDEX_NAME, PROJECTION_NAME, DOCS_NAME, VOCAB_NAME)
+_ARTIFACT_NAMES = {*_REQUIRED_NAMES, EMBEDDER_NAME}
 
 
 def _is(value, kind: type) -> bool:
@@ -434,19 +431,22 @@ def load_manifest(directory: str | Path) -> Manifest:
 
 
 def load_session(directory: str | Path) -> SessionArtifacts:
-    """Load all artifacts, verifying checksums.
+    """Load all artifacts, verifying checksums, and check the session as a whole.
 
     Every artifact the manifest lists is read once, and the bytes whose
-    checksum is verified are the bytes parsed; the index, projection and
-    doc pack must be listed. ``doc_matrices`` is the packed corpus as
-    stored, ready to rank against; the index borrows its document table.
-    The vocabulary and embedder come back as bytes, for the caller to parse.
-    The manifest's d_in and d_out must be the projection's shape, and d_out
-    the index's dimension.
+    checksum is verified are the bytes parsed; the index, projection, doc
+    pack and vocabulary must be listed, and the embedder too when the
+    manifest says it is file-backed. ``doc_matrices`` is the packed corpus
+    as stored, ready to rank against, and must hold an embedding; the index
+    borrows its document table. The vocabulary and embedder come back as
+    bytes, for the caller to parse. The manifest's d_in and d_out must be
+    the projection's shape, d_out the index's dimension, and d_in the
+    embedder's width.
     """
     directory = Path(directory)
     manifest = load_manifest(directory)
-    for name in _PARSED_NAMES:
+    required = _REQUIRED_NAMES + (EMBEDDER_NAME,) * (manifest.embedder_kind == "file")
+    for name in required:
         if name not in manifest.checksums:
             raise FormatError(f"{directory / MANIFEST_NAME}: no checksum for {name}")
     data = {}
@@ -457,6 +457,8 @@ def load_session(directory: str | Path) -> SessionArtifacts:
         if sha256_bytes(data[name]) != recorded:
             raise FormatError(f"{directory / name}: checksum mismatch")
     doc_matrices = read_doc_pack(directory / DOCS_NAME, data[DOCS_NAME])
+    if not doc_matrices.n_rows:
+        raise FormatError(f"{directory / DOCS_NAME}: the pack holds no embeddings")
     index = load_index(directory / INDEX_NAME, doc_matrices, data[INDEX_NAME])
     projection = load_projection(directory / PROJECTION_NAME, data[PROJECTION_NAME])
     if (manifest.d_in, manifest.d_out) != projection.weights.shape:
@@ -468,6 +470,11 @@ def load_session(directory: str | Path) -> SessionArtifacts:
         raise FormatError(
             f"{directory / MANIFEST_NAME}: d_out {manifest.d_out}, but the index has dim {index.dim}"
         )
+    if manifest.embedder_kind == "file":  # the table's width, from its header
+        _, dim = _Reader(directory / EMBEDDER_NAME, data[EMBEDDER_NAME], _FBLE).header
+        if dim != manifest.d_in:
+            raise FormatError(f"{directory / EMBEDDER_NAME}: dim {dim}, but the manifest's d_in "
+                              f"is {manifest.d_in}")
     return SessionArtifacts(
         manifest, index, projection, doc_matrices, data.get(VOCAB_NAME), data.get(EMBEDDER_NAME)
     )

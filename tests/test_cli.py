@@ -2,6 +2,7 @@ import builtins
 import dataclasses
 import errno
 import hashlib
+import io
 import json
 import os
 import re
@@ -1069,3 +1070,86 @@ def test_query_deterministic_across_runs(corpus_dir, capsys, tmp_path):
     assert main(args) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_a_session_embedder_of_another_width_than_d_in_exits_2_naming_it(corpus_dir, capsys,
+                                                                         tmp_path):
+    from fbl.encode import Vocabulary
+    from fbl.store import write_matrix_file
+
+    base_tmp, corpus, vocab = corpus_dir
+    rows = len(Vocabulary.from_file(vocab))
+    full = tmp_path / "full.fble"
+    write_matrix_file(full, np.ones((rows, 32)))
+    session = tmp_path / "session"
+    assert main(_index_args(corpus, vocab, session) + ["--embedder", f"file:{full}"]) == 0
+    # a narrower table, with a checksum that matches it
+    emb_path = session / "embedder.fble"
+    write_matrix_file(emb_path, np.ones((rows, 12)))
+    manifest = session / "manifest.json"
+    data = json.loads(manifest.read_bytes())
+    data["checksums"]["embedder.fble"] = hashlib.sha256(emb_path.read_bytes()).hexdigest()
+    manifest.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["query", "--session", str(session), "--text", "turbo"]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {"error": f"{emb_path}: dim 12, but the manifest's d_in is 32",
+                       "kind": "data"}
+
+
+def test_index_reads_the_embedder_file_once(corpus_dir, capsys, tmp_path, monkeypatch):
+    # the table the documents are embedded with is the table the session stores
+    from fbl.encode import Vocabulary
+    from fbl.store import write_matrix_file
+
+    base_tmp, corpus, vocab = corpus_dir
+    emb_path = tmp_path / "emb.fble"
+    rows = len(Vocabulary.from_file(vocab))
+    write_matrix_file(emb_path, np.random.default_rng(1).standard_normal((rows, 32)))
+    opened = []
+    real_open = io.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(os.path.basename(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    session = tmp_path / "session"
+    assert main(_index_args(corpus, vocab, session) + ["--embedder", f"file:{emb_path}"]) == 0
+    monkeypatch.undo()
+    assert opened.count("emb.fble") == 1
+    assert (session / "embedder.fble").read_bytes() == emb_path.read_bytes()
+
+
+_FBL_IN_A_CHILD = """
+import os, sys
+if sys.argv[1] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from fbl.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_index_and_query_write_the_same_bytes_on_one_cpu_and_on_every_cpu(corpus_dir,
+                                                                          tmp_path):
+    base_tmp, corpus, vocab = corpus_dir
+    env = dict(os.environ)
+    paths = [str(Path(fbl.__file__).parents[1]), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    got = {}
+    for cpus, blas_threads in (("one-cpu", "1"), ("every-cpu", "2")):
+        session = tmp_path / cpus
+        run = tmp_path / f"{cpus}.jsonl"
+        for argv in (_index_args(corpus, vocab, session),
+                     ["query", "--session", str(session), "--bug-file",
+                      str(corpus / "bugs.jsonl"), "--topk", "5", "--out", str(run)]):
+            proc = subprocess.run([sys.executable, "-c", _FBL_IN_A_CHILD, cpus, *argv],
+                                  env={**env, "OPENBLAS_NUM_THREADS": blas_threads},
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        got[cpus] = {p.name: p.read_bytes() for p in session.iterdir()}, run.read_bytes()
+    assert sorted(got["one-cpu"][0]) == ["docs.fblp", "index.fbli", "manifest.json",
+                                         "projection.fble", "vocab.txt"]
+    assert got["one-cpu"] == got["every-cpu"]
+    assert len(got["one-cpu"][1].splitlines()) == 10  # two bugs, five documents each

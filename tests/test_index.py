@@ -30,7 +30,7 @@ from fbl.index import (
     candidate_docs,
     kmeans,
 )
-from fbl.store import load_index, save_index
+from fbl.store import _fbli_pieces, _write, load_index
 
 
 def _unit_rows(arr) -> np.ndarray:
@@ -303,8 +303,8 @@ def test_build_deterministic_serialization(tmp_path):
     idx1 = build_index(docs, n_partitions=8, n_subspaces=4, n_codewords=16, seed=7)
     idx2 = build_index(docs, n_partitions=8, n_subspaces=4, n_codewords=16, seed=7)
     p1, p2 = tmp_path / "a.fbli", tmp_path / "b.fbli"
-    save_index(idx1, p1)
-    save_index(idx2, p2)
+    _write(p1, _fbli_pieces(idx1))
+    _write(p2, _fbli_pieces(idx2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -726,7 +726,7 @@ def test_index_roundtrip_identical_search(tmp_path):
     pack = PackedCorpus.from_matrices(docs)
     idx = build_index(pack, n_partitions=8, n_subspaces=4, n_codewords=32, seed=6)
     p = tmp_path / "idx.fbli"
-    save_index(idx, p)
+    _write(p, _fbli_pieces(idx))
     back = load_index(p, pack)
     assert back.doc_offsets is pack.offsets and back.doc_ids is pack.ids
     q = _unit_rows(rng.standard_normal((1, 16)))[0]
@@ -736,7 +736,7 @@ def test_index_roundtrip_identical_search(tmp_path):
     assert _one_row_scores(idx, q, nprobe=8) == _one_row_scores(back, q, nprobe=8)
     # byte-identical re-serialization
     p2 = tmp_path / "idx2.fbli"
-    save_index(back, p2)
+    _write(p2, _fbli_pieces(back))
     assert p.read_bytes() == p2.read_bytes()
 
 
@@ -746,7 +746,7 @@ def _saved_index(tmp_path, docs=None):
     pack = PackedCorpus.from_matrices(docs)
     idx = build_index(pack, n_partitions=4, n_subspaces=2, n_codewords=8, seed=0)
     p = tmp_path / "idx.fbli"
-    save_index(idx, p)
+    _write(p, _fbli_pieces(idx))
     return idx, pack, p, bytearray(p.read_bytes())
 
 

@@ -24,7 +24,7 @@ from fbl.embed import (
     _normalize_rows,
 )
 from fbl.errors import FormatError
-from fbl.index import build_index, candidate_docs
+from fbl.index import IvfPqIndex, build_index, candidate_docs
 from fbl.retrieve import rank_exact, rank_two_stage
 from fbl.store import (
     DOCS_NAME,
@@ -35,17 +35,24 @@ from fbl.store import (
     VOCAB_NAME,
     Manifest,
     SessionArtifacts,
-    _atomic_write,
+    _fbli_pieces,
+    _fblp_pieces,
+    _write,
     load_index,
     load_projection,
+    load_manifest,
     load_session,
     read_doc_pack,
-    save_index,
     save_session,
-    write_doc_pack,
-    write_ids,
     write_matrix_file,
 )
+
+VOCAB = "a\nb\n"
+
+
+def write_doc_pack(path, matrices):
+    """Pack document matrices and write them as FBLP through the store's writer."""
+    _write(path, _fblp_pieces(PackedCorpus.from_matrices(matrices)))
 
 
 def _unit(a):
@@ -228,7 +235,8 @@ def _fblp(path, table, refs, offsets, ids=("a:0:0", "b:0:0", "c:0:0")):
                                        table.shape[0]))
         fh.write(np.asarray(offsets, dtype="<i8").tobytes())
         fh.write(np.asarray(refs, dtype="<u4").tobytes() + table.tobytes())
-        write_ids(fh, list(ids))
+        raw = [doc_id.encode("utf-8") for doc_id in ids]
+        fh.write(np.asarray([len(r) for r in raw], dtype="<u4").tobytes() + b"".join(raw))
 
 
 def test_doc_pack_rejects_refs_out_of_first_use_order(tmp_path):
@@ -265,14 +273,14 @@ def test_index_rejects_a_non_finite_quantizer(tmp_path, session_pieces, region):
     _, index, _, docs = session_pieces
     p = tmp_path / INDEX_NAME
     getattr(index, region).flat[3] = np.nan
-    save_index(index, p)
+    _write(p, _fbli_pieces(index))
     with pytest.raises(FormatError, match=f"{p}: a coarse centroid or codebook value"):
         load_index(p, PackedCorpus.from_matrices(docs))
 
 
 def test_session_roundtrip(tmp_path, session_pieces):
     manifest, index, projection, docs = session_pieces
-    save_session(tmp_path, manifest, index, projection, docs, vocab_text="a\nb\n")
+    save_session(tmp_path, manifest, index, projection, docs, VOCAB)
     arts = load_session(tmp_path)
     assert isinstance(arts, SessionArtifacts)
     assert arts.manifest == manifest
@@ -293,19 +301,19 @@ def test_session_reserialization_is_byte_identical(tmp_path, session_pieces):
     manifest, index, projection, docs = session_pieces
     d1 = tmp_path / "s1"
     d2 = tmp_path / "s2"
-    save_session(d1, manifest, index, projection, docs)
+    save_session(d1, manifest, index, projection, docs, VOCAB)
     arts = load_session(d1)
-    save_session(d2, arts.manifest, arts.index, arts.projection, arts.doc_matrices)
-    for name in (INDEX_NAME, DOCS_NAME, "projection.fble"):
+    save_session(d2, arts.manifest, arts.index, arts.projection, arts.doc_matrices, arts.vocab)
+    for name in (INDEX_NAME, DOCS_NAME, PROJECTION_NAME, VOCAB_NAME, MANIFEST_NAME):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
 def test_index_of_another_size_raises_format_error(tmp_path, session_pieces):
     manifest, index, projection, docs = session_pieces
-    save_session(tmp_path / "a", manifest, index, projection, docs)
+    save_session(tmp_path / "a", manifest, index, projection, docs, VOCAB)
     fewer = dict(list(docs.items())[:-1])
     other = build_index(fewer, n_partitions=4, n_subspaces=2, n_codewords=8, seed=1)
-    save_session(tmp_path / "b", manifest, other, projection, fewer)
+    save_session(tmp_path / "b", manifest, other, projection, fewer, VOCAB)
     # b's index under a's pack, with the manifest vouching for it
     swapped = (tmp_path / "b" / INDEX_NAME).read_bytes()
     (tmp_path / "a" / INDEX_NAME).write_bytes(swapped)
@@ -323,7 +331,7 @@ def test_load_session_opens_each_artifact_once(tmp_path, session_pieces, monkeyp
     write_matrix_file(emb, np.random.default_rng(4).standard_normal((16, 16)))
     session = tmp_path / "session"
     save_session(session, dataclasses.replace(manifest, embedder_kind="file"), index,
-                 projection, docs, vocab_text="a\nb\n", embedder_matrix_path=emb)
+                 projection, docs, VOCAB, emb.read_bytes())
     opened = Counter()
     real_open = io.open
 
@@ -344,10 +352,107 @@ def test_load_session_opens_each_artifact_once(tmp_path, session_pieces, monkeyp
     assert opened == once
 
 
+def test_save_session_opens_each_artifact_once_for_writing(tmp_path, session_pieces,
+                                                           monkeypatch):
+    # the checksums are of the bytes written: nothing is read back
+    manifest, index, projection, docs = session_pieces
+    opened = Counter()
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        # a temp file is named after its artifact: index.fbli.<pid>.<token>.tmp
+        opened[".".join(os.path.basename(file).split(".")[:2]), mode] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    embedder = b"FBLE" + struct.pack("<III", 1, 1, 16) + bytes(64)
+    save_session(tmp_path, dataclasses.replace(manifest, embedder_kind="file"), index,
+                 projection, docs, VOCAB, embedder)
+    names = [MANIFEST_NAME, INDEX_NAME, DOCS_NAME, PROJECTION_NAME, VOCAB_NAME, EMBEDDER_NAME]
+    assert opened == {(name, "wb"): 1 for name in names}
+    monkeypatch.undo()
+    assert (tmp_path / EMBEDDER_NAME).read_bytes() == embedder
+    assert load_session(tmp_path).embedder == embedder
+
+
+# a session of hand-made arrays (no k-means or GEMM), and the sha256 of each file it
+# saves to, taken when every artifact had its own writer
+_GOLDEN_VOCAB = b"[PAD]\r\nfoo\n\xff\n"  # stored as given
+_GOLDEN = {
+    EMBEDDER_NAME: "2214beceef8898a57541307b67dae92ac1528feebae37e1ffbbe12a8a28a27c6",
+    INDEX_NAME: "f24aec75914cab63c65cf9629e3259abbbefc7aecddf43fda5aa615d63c82563",
+    PROJECTION_NAME: "440733a482e6fade17f6a4251df8fdb091223cf55893aa29baa2885ce58aaec2",
+    VOCAB_NAME: "0b4b19e5d2f056ddbbf37e3c531be6e716d2961d99742e680b9b14debe48c1da",
+}
+_GOLDEN_BY_PACK = {
+    True: {DOCS_NAME: "9c8ef4338cd59fc5e3047ef1cd922d9924e179b9fdd01736fd47261ef6313543",
+           MANIFEST_NAME: "c7cdca832481c026193548bee8ec4607eb1b8e04591d90c04618e8359123db2e"},
+    False: {DOCS_NAME: "4cc20695d27a510170381768ad5d2720d1c2593dc780d3a04dc6db21f800b9ca",
+            MANIFEST_NAME: "3b113a9f8f7bdeaa368505aa40deac180b76c94781308d1959b138afd79f2f2e"},
+}
+
+
+def _fixed_session(repeats: bool, rows: bool = True):
+    """(manifest, index, projection, pack, token table) of fixed arrays; two documents."""
+    table = np.array([[1, 0, 0, 0], [0, 0.6, 0.8, 0], [0.5, -0.5, 0.5, -0.5]], dtype=np.float32)
+    refs, offsets = ([0, 1, 2, 2, 0], [0, 3, 5]) if repeats else ([0, 1, 2], [0, 2, 3])
+    if not rows:
+        table, refs, offsets = table[:0], [], [0, 0, 0]
+    pack = PackedCorpus(table, np.asarray(refs, dtype=np.uint32),
+                        np.asarray(offsets, dtype=np.int64), ["Main.java:0:0", "Ünï.java:1:2"])
+    t = table.shape[0]
+    index = IvfPqIndex(
+        coarse=np.array([[1, 0, 0, 0], [0, 0.5, 0.5, 0]], dtype=np.float32),
+        codebooks=np.arange(12, dtype=np.float32).reshape(2, 3, 2) / 4,
+        part_offsets=np.array([0, 2, 3], dtype=np.int64).clip(max=t),
+        rows=np.array([0, 2, 1], dtype=np.uint32)[:t],
+        codes=np.array([[0, 2], [1, 1], [2, 0]], dtype=np.uint8)[:t],
+        doc_refs=pack.refs, doc_offsets=pack.offsets, doc_ids=pack.ids,
+    )
+    projection = LinearProjection(np.arange(24).reshape(6, 4) / 8 - 1)
+    manifest = Manifest(
+        corpus_hash="c", granularity="hunk", strategy="arcl", vocab_hash="v",
+        embedder_kind="file", embedder_seed=3, d_in=6, d_out=4, projection_hash="p",
+        n_partitions=2, n_subspaces=2, n_codewords=3, seed=3, doc_limit=8,
+    )
+    return manifest, index, projection, pack, np.arange(30).reshape(5, 6) / 4 - 3
+
+
+@pytest.mark.parametrize("repeats", [True, False], ids=["repeated_rows", "distinct_rows"])
+def test_every_session_file_has_its_golden_bytes(tmp_path, repeats):
+    manifest, index, projection, pack, token_table = _fixed_session(repeats)
+    emb = tmp_path / "emb.fble"
+    write_matrix_file(emb, token_table)
+    session = tmp_path / "session"
+    save_session(session, manifest, index, projection, pack, _GOLDEN_VOCAB, emb.read_bytes())
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in session.iterdir()}
+    assert digests == {**_GOLDEN, **_GOLDEN_BY_PACK[repeats]}
+    assert hashlib.sha256(emb.read_bytes()).hexdigest() == _GOLDEN[EMBEDDER_NAME]
+    # the manifest's checksums are the digests of the files on disk
+    del digests[MANIFEST_NAME]
+    assert manifest.checksums == digests == load_manifest(session).checksums
+    assert load_session(session).doc_matrices.refs.tolist() == pack.refs.tolist()
+
+
+def test_a_session_whose_pack_holds_no_embeddings_exits_2_naming_the_pack(tmp_path, capsys):
+    # no writer makes one (building an index needs rows), so it is made by hand
+    manifest, index, projection, pack, _ = _fixed_session(repeats=False, rows=False)
+    manifest.embedder_kind = "hash"
+    save_session(tmp_path, manifest, index, projection, pack, VOCAB)
+    with pytest.raises(FormatError, match=f"{tmp_path / DOCS_NAME}: the pack holds no embed"):
+        load_session(tmp_path)
+    for argv in (["query", "--text", "a"], ["query", "--text", "a", "--exact"],
+                 ["bench", "--sizes", "1"]):
+        assert main(argv + ["--session", str(tmp_path)]) == 2, argv
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"].startswith(f"{tmp_path / DOCS_NAME}: "), argv
+
+
 @pytest.mark.parametrize("name", [INDEX_NAME, DOCS_NAME, PROJECTION_NAME])
 def test_a_parsed_artifact_without_a_checksum_raises(tmp_path, session_pieces, name):
     manifest, index, projection, docs = session_pieces
-    save_session(tmp_path, manifest, index, projection, docs)
+    save_session(tmp_path, manifest, index, projection, docs, VOCAB)
     path = tmp_path / MANIFEST_NAME
     data = json.loads(path.read_text())
     del data["checksums"][name]
@@ -358,7 +463,7 @@ def test_a_parsed_artifact_without_a_checksum_raises(tmp_path, session_pieces, n
 
 def test_session_of_an_older_format_names_the_fix(tmp_path, session_pieces):
     manifest, index, projection, docs = session_pieces
-    save_session(tmp_path, manifest, index, projection, docs)
+    save_session(tmp_path, manifest, index, projection, docs, VOCAB)
     path = tmp_path / MANIFEST_NAME
     data = json.loads(path.read_text())
     data["format_versions"]["fblp"] = 2
@@ -370,7 +475,7 @@ def test_session_of_an_older_format_names_the_fix(tmp_path, session_pieces):
 
 def test_session_corrupted_magic_names_file(tmp_path, session_pieces):
     manifest, index, projection, docs = session_pieces
-    save_session(tmp_path, manifest, index, projection, docs)
+    save_session(tmp_path, manifest, index, projection, docs, VOCAB)
     target = tmp_path / INDEX_NAME
     blob = bytearray(target.read_bytes())
     blob[:4] = b"EVIL"
@@ -382,7 +487,7 @@ def test_session_corrupted_magic_names_file(tmp_path, session_pieces):
 
 def test_session_checksum_violation(tmp_path, session_pieces):
     manifest, index, projection, docs = session_pieces
-    save_session(tmp_path, manifest, index, projection, docs)
+    save_session(tmp_path, manifest, index, projection, docs, VOCAB)
     target = tmp_path / DOCS_NAME
     blob = bytearray(target.read_bytes())
     blob[-1] ^= 0xFF
@@ -394,7 +499,7 @@ def test_session_checksum_violation(tmp_path, session_pieces):
 
 def test_session_vocab_checksum_violation(tmp_path, session_pieces):
     manifest, index, projection, docs = session_pieces
-    save_session(tmp_path, manifest, index, projection, docs, vocab_text="a\nb\n")
+    save_session(tmp_path, manifest, index, projection, docs, VOCAB)
     target = tmp_path / VOCAB_NAME
     blob = bytearray(target.read_bytes())
     blob[0] ^= 0x01
@@ -419,7 +524,7 @@ def test_manifest_missing(tmp_path):
 )
 def test_unparsable_manifest_raises_format_error(tmp_path, session_pieces, edit):
     manifest, index, projection, docs = session_pieces
-    save_session(tmp_path, manifest, index, projection, docs)
+    save_session(tmp_path, manifest, index, projection, docs, VOCAB)
     path = tmp_path / MANIFEST_NAME
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(FormatError, match="manifest"):
@@ -432,7 +537,7 @@ def test_unparsable_manifest_raises_format_error(tmp_path, session_pieces, edit)
         ("checksums", 5),
         ("checksums", {INDEX_NAME: 7}),
         ("checksums", {"../outside.bin": "00"}),
-        ("checksums", {VOCAB_NAME: "00"}),  # an artifact this save did not write
+        ("checksums", {VOCAB_NAME: "00"}),  # no checksum for the index, the pack or the projection
         ("n_partitions", "4"),
         ("d_in", True),
         ("granularity", None),
@@ -441,7 +546,7 @@ def test_unparsable_manifest_raises_format_error(tmp_path, session_pieces, edit)
 )
 def test_manifest_field_of_wrong_type_raises_format_error(tmp_path, session_pieces, field, value):
     manifest, index, projection, docs = session_pieces
-    save_session(tmp_path, manifest, index, projection, docs)
+    save_session(tmp_path, manifest, index, projection, docs, VOCAB)
     path = tmp_path / MANIFEST_NAME
     data = json.loads(path.read_text())
     data[field] = value
@@ -455,7 +560,7 @@ def test_manifest_dims_other_than_the_projections_raise_format_error(
     tmp_path, session_pieces, field, value
 ):
     manifest, index, projection, docs = session_pieces
-    save_session(tmp_path, manifest, index, projection, docs)
+    save_session(tmp_path, manifest, index, projection, docs, VOCAB)
     path = tmp_path / MANIFEST_NAME
     data = json.loads(path.read_text())
     data[field] = value
@@ -468,7 +573,8 @@ def test_an_index_of_another_dim_than_d_out_raises_format_error(tmp_path, sessio
     # manifest and projection agree on d_out 4, but the index rows are 8-d
     manifest, index, _, docs = session_pieces
     manifest.d_out = 4
-    save_session(tmp_path, manifest, index, LinearProjection.seeded_init(16, 4, seed=2), docs)
+    save_session(tmp_path, manifest, index, LinearProjection.seeded_init(16, 4, seed=2), docs,
+                 VOCAB)
     with pytest.raises(FormatError, match="manifest.json: d_out 4, but the index has dim 8"):
         load_session(tmp_path)
 
@@ -478,7 +584,7 @@ def test_save_leaves_a_stray_temp_file_alone(tmp_path, session_pieces):
     manifest, index, projection, docs = session_pieces
     stray = tmp_path / (INDEX_NAME + ".tmp")
     stray.write_bytes(b"half of another writer's index")
-    save_session(tmp_path, manifest, index, projection, docs)
+    save_session(tmp_path, manifest, index, projection, docs, VOCAB)
     assert stray.read_bytes() == b"half of another writer's index"
     assert load_session(tmp_path).index.n_embeddings == index.n_embeddings
     assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == [stray.name]
@@ -488,12 +594,12 @@ def test_save_leaves_a_stray_temp_file_alone(tmp_path, session_pieces):
 
 
 def test_failed_write_removes_its_temp_file(tmp_path):
-    def writer(path):
-        path.write_bytes(b"partial")
+    def pieces():
+        yield b"partial"
         raise OSError("disk full")
 
     with pytest.raises(OSError, match="disk full"):
-        _atomic_write(tmp_path / INDEX_NAME, writer)
+        _write(tmp_path / INDEX_NAME, pieces())
     assert list(tmp_path.iterdir()) == []
 
 
@@ -513,7 +619,7 @@ def saved(tmp_path_factory):
     index = build_index(pack, n_partitions=4, n_subspaces=2, n_codewords=8, seed=1)
     assert index.rows.shape[0] < index.n_embeddings
     directory = tmp_path_factory.mktemp("session")
-    save_session(directory, manifest, index, projection, pack)
+    save_session(directory, manifest, index, projection, pack, VOCAB)
     n, p, d, k = index.n_embeddings, index.n_partitions, index.dim, index.n_codewords
     # (start, end) byte ranges of the header, offset, row and code regions of each
     # file; FBLI v5: part_offsets, rows, codes
