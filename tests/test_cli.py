@@ -1072,6 +1072,29 @@ def test_query_deterministic_across_runs(corpus_dir, capsys, tmp_path):
     assert first == second
 
 
+def test_a_bugs_ranking_does_not_depend_on_the_other_bugs_in_the_file(corpus_dir, capsys,
+                                                                      tmp_path):
+    # queries share tokens, so a bug's rows come from the projection's memo
+    # filled by whichever bugs came before it
+    base_tmp, corpus, vocab = corpus_dir
+    session = base_tmp / "session"
+    assert main(_index_args(corpus, vocab, session)) == 0
+    bugs = [{"id": f"q{i}", "summary": " ".join((WORDS + PLANT)[i : i + 3 + i % 4]),
+             "description": PLANT[i % 5], "opened_at": "2021-03-01T00:00:00+00:00"}
+            for i in range(12)]
+    runs = []
+    for order in (bugs, bugs[::-1]):
+        (tmp_path / "bugs.jsonl").write_text("".join(json.dumps(b) + "\n" for b in order))
+        capsys.readouterr()
+        assert main(["query", "--session", str(session), "--bug-file",
+                     str(tmp_path / "bugs.jsonl"), "--topk", "5"]) == 0
+        lines: dict[str, list[str]] = {}
+        for line in capsys.readouterr().out.splitlines():
+            lines.setdefault(json.loads(line)["bug_id"], []).append(line)
+        runs.append(lines)
+    assert set(runs[0]) == {b["id"] for b in bugs} and runs[0] == runs[1]
+
+
 def test_a_session_embedder_of_another_width_than_d_in_exits_2_naming_it(corpus_dir, capsys,
                                                                          tmp_path):
     from fbl.encode import Vocabulary

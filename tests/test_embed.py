@@ -11,11 +11,14 @@ from fbl import _kernels, embed
 from fbl.corpus import Triplet
 from fbl.embed import (
     EmbeddingMatrix,
+    FileEmbedder,
     LinearProjection,
     PackedCorpus,
     ReferenceHashEmbedder,
     TrainResult,
     TripletTrainConfig,
+    _normalize_rows,
+    embed_distinct,
     embed_sequence,
     gradient_of_loss,
     loss_from_raw,
@@ -196,6 +199,79 @@ def test_embed_documents_equals_embedding_each_document(tmp_path):
     assert twins.size == 2 and np.unique(twins).size == 1
     with pytest.raises(DimensionMismatch):
         embed_documents(seqs, emb, LinearProjection.seeded_init(16, 6, seed=1))
+
+
+@pytest.fixture(scope="module")
+def embedders(tmp_path_factory):
+    return _embedders(tmp_path_factory.mktemp("embedders"))
+
+
+def _projected(emb, proj, ids):
+    """The reference rows: the ids' raw rows through one GEMM and one normalisation."""
+    return _normalize_rows(emb.embed_ids(ids) @ proj.weights).astype(np.float32)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_memo_rows_equal_projecting_the_ids_whatever_the_fill_order(embedders, data):
+    # one projection under three embedders, and a second projection under the
+    # first; under the file table id 4 is dead and ids 2 and 7 are twins
+    p, q = LinearProjection.seeded_init(8, 6, seed=1), LinearProjection.seeded_init(8, 6, seed=2)
+    pairs = [(embedders[0], p), (embedders[1], p), (embedders[0], q),
+             (ReferenceHashEmbedder(d_in=8, seed=4), p)]
+    seqs = st.lists(st.lists(st.integers(0, 11), max_size=12), min_size=1, max_size=3)
+    calls = data.draw(st.lists(st.tuples(st.sampled_from(range(4)), seqs), max_size=8))
+    for k, batch in calls + [(k, [[0, 1, 3, 2, 7, 4]]) for k in range(4)]:
+        emb, proj = pairs[k]
+        if len(batch) == 1:
+            got = [embed_sequence(_seq(batch[0], limit=12), emb, proj).rows]
+        else:
+            table, refs = embed_distinct(batch, emb, proj)
+            got = [table[r] for r in refs]
+        for ids, rows in zip(batch, got):
+            assert rows.dtype == np.float32 and rows.shape == (len(ids), 6)
+            assert rows.tobytes() == _projected(emb, proj, ids).tobytes()
+            assert rows.tobytes() == b"".join(_projected(emb, proj, [i]).tobytes() for i in ids)
+    # the four memos hold different rows for the same live ids
+    rows = [embed_sequence(_seq([0, 1, 3], limit=3), emb, proj).rows.tobytes()
+            for emb, proj in pairs]
+    assert len(set(rows)) == 4
+
+
+def test_the_memo_asks_the_embedder_only_for_the_ids_it_lacks(embedders):
+    asked = []
+
+    class Counting:
+        d_in = 8
+
+        def embed_ids(self, ids):
+            asked.append(list(ids))
+            return embedders[0].embed_ids(ids)
+
+    emb, proj = Counting(), LinearProjection.seeded_init(8, 6, seed=1)
+    embed_distinct([[3, 1, 3], [5]], emb, proj)
+    embed_sequence(_seq([5, 1, 9, 9, 2], limit=5), emb, proj)
+    embed_sequence(_seq([9, 3], limit=2), emb, proj)
+    assert asked == [[1, 3, 5], [2, 9]]
+
+
+class _Table(np.ndarray):
+    """An ndarray subclass: ``np.asarray`` gives a view of it, not it."""
+
+
+def test_projection_weights_and_file_tables_are_read_only():
+    w = np.random.default_rng(0).standard_normal((8, 6))
+    for make, held in ((LinearProjection, "weights"), (FileEmbedder, "matrix")):
+        for given in (w, w[:, :4], w.view(_Table), w.tolist(), w.astype(np.float32)):
+            arr = getattr(make(given), held)
+            want = np.asarray(given, dtype=np.float64).copy()
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+            w[0, 0] += 1.0  # the caller's array was copied, not frozen or shared
+            np.testing.assert_array_equal(arr, want)
+    # an array that is already read-only is kept as it is, as each training step relies on
+    w.flags.writeable = False
+    assert LinearProjection(w).weights is w and FileEmbedder(w).matrix is w
 
 
 def _ids(offsets):

@@ -7,6 +7,7 @@ two-stage query, one exact query and one ``fbl train-projection``.
 """
 
 import json
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -184,3 +185,27 @@ def test_perfbench_hooks_trace_fbl_index_set_up(layers_and_tracer, tmp_path):
     assert len(embedded) == 1 and [s.name for s in spans].count("index.build") == 1
     pack = store.load_session(session).doc_matrices
     assert pack.n_rows > 0 and embedded[0].attrs == {"rows": pack.n_rows}
+
+
+def test_perfbench_hooks_time_a_query_embedding_as_one_sequence(layers_and_tracer):
+    # embed.query_ms reads the embed.sequence span: the query's one look-up
+    from fbl.corpus import BugReport
+    from fbl.embed import LinearProjection
+    from fbl.encode import Vocabulary
+
+    layers, tracer = layers_and_tracer
+    vocab = Vocabulary.from_tokens(["widget", "parser", "cache"])
+    config = pipeline.Config(d_in=16, d_out=8)
+    embedder, projection = pipeline.make_embedder(config), LinearProjection.seeded_init(16, 8, 1)
+    report = BugReport("b", "widget parser widget", "cache", datetime(2021, 1, 1))
+    t = tracer.Tracer()
+    layers.instrument(t)
+    try:
+        rows = pipeline.embed_query_text(report, vocab, config, embedder, projection).rows
+    finally:
+        t.restore()
+    spans = t.spans
+    outer = [i for i, s in enumerate(spans) if s.name == "query.embed"]
+    inner = [s for s in spans if s.name == "embed.sequence"]
+    assert len(outer) == 1 and len(inner) == 1 and inner[0].parent == outer[0]
+    assert rows.shape[0] > 0
