@@ -4,7 +4,7 @@ Subcommands: ingest, train-projection, index, query, evaluate, bench.
 Exit codes: 0 success, 1 usage error, 2 data error (bad input files or
 session state), 3 internal error. Errors go to stderr as one JSON object.
 The FBL_SESSION environment variable supplies the default session
-directory for query/bench.
+directory for index (else ./session), query and bench.
 Each command takes only the ``pipeline.Config`` flags it reads, defaulting
 to Config's values (--doc-limit to its granularity's); one below the
 field's ``CONFIG_LEAST`` entry is a usage error naming the flag. query and
@@ -25,17 +25,17 @@ from . import _kernels, corpus, evaluation, retrieve, store
 from .corpus import Granularity, load_bugs, load_changesets, load_links
 from .embed import TripletTrainConfig, train_projection
 from .encode import Strategy, Vocabulary, encode_query
-from .errors import DataError, FblError, FormatError
+from .errors import DataError, FblError
 from .pipeline import (
     BENCH_CSV_HEADER,
     CONFIG_LEAST,
-    MANIFEST_FIELDS,
     Config,
     bench_row_csv,
     build_session,
     embed_query_text,
     encode_documents,
     make_embedder,
+    open_session,
     run_query,
     sweep_latency,
 )
@@ -250,10 +250,17 @@ def cmd_train_projection(args) -> int:
     return EXIT_OK
 
 
+def _session_dir(args, fallback: str = "") -> str:
+    """--session, else FBL_SESSION, else `fallback`; none of them is a usage error."""
+    raw = args.session or os.environ.get("FBL_SESSION", fallback)
+    if not raw:
+        raise UsageError("no session: pass --session or set FBL_SESSION")
+    return raw
+
+
 def cmd_index(args) -> int:
     config = _config_from_args(args)
-    session = args.session or os.environ.get("FBL_SESSION", "session")
-    session_dir = _writable(session, directory=True)
+    session_dir = _writable(_session_dir(args, "session"), directory=True)
     corpus_dir = Path(args.corpus)
     changesets, _, _ = _load_corpus_dir(corpus_dir)
     # each input is read once: the session stores the bytes the build parsed
@@ -278,51 +285,28 @@ def cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _open_session(args):
-    probe = _counts(args)
-    raw = args.session or os.environ.get("FBL_SESSION", "")
-    if not raw:
-        raise UsageError("no session: pass --session or set FBL_SESSION")
-    session_dir = Path(raw)
-    artifacts = store.load_session(session_dir)
-    m = artifacts.manifest
-    vocab = Vocabulary.from_bytes(artifacts.vocab, session_dir / store.VOCAB_NAME)
-    recorded = {name: getattr(m, name) for name in MANIFEST_FIELDS}
-    embedder_path = str(session_dir / store.EMBEDDER_NAME) if m.embedder_kind == "file" else None
-    try:
-        config = Config(**recorded, **probe, embedder_path=embedder_path)
-    except ValueError as exc:  # the values came from the session, not from flags
-        raise FormatError(f"{session_dir / store.MANIFEST_NAME}: {exc}") from exc
-    return artifacts, vocab, config
-
-
 def cmd_query(args) -> int:
     _positive("--topk", args.topk)
     if args.out:
         _writable(args.out)
-    artifacts, vocab, config = _open_session(args)
-    embedder = make_embedder(config, artifacts.embedder, vocab=vocab)
+    probe = _counts(args)
+    session = open_session(_session_dir(args), **probe)
+    arts, config = session.artifacts, session.config
+    embedder = session.embedder  # a table short of the vocabulary exits before --out opens
 
     if args.text is not None:
-        reports = [
-            corpus.BugReport(
-                bug_id="adhoc",
-                summary=args.text,
-                description="",
-                opened_at=datetime.now(timezone.utc),
-            )
-        ]
+        reports = [corpus.BugReport("adhoc", args.text, "", datetime.now(timezone.utc))]
     else:
         reports = load_bugs(args.bug_file)
 
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for report in reports:
-            q = embed_query_text(report, vocab, config, embedder, artifacts.projection)
+            q = embed_query_text(report, session.vocab, config, embedder, arts.projection)
             result = run_query(
                 q,
-                artifacts.index,
-                artifacts.doc_matrices,
+                arts.index,
+                arts.doc_matrices,
                 config,
                 k=args.topk,
                 exact=args.exact,
@@ -382,8 +366,10 @@ def cmd_bench(args) -> int:
         raise UsageError(f"--sizes must name at least one size, got {args.sizes!r}")
     if args.out:
         _writable(args.out)
-    artifacts, _, config = _open_session(args)
-    rows = sweep_latency(artifacts.doc_matrices, sizes, config, n_queries=n_queries, k=args.topk)
+    probe = _counts(args)
+    session = open_session(_session_dir(args), **probe)
+    rows = sweep_latency(session.artifacts.doc_matrices, sizes, session.config,
+                         n_queries=n_queries, k=args.topk)
     lines = [BENCH_CSV_HEADER] + [bench_row_csv(r) for r in rows]
     payload = "\n".join(lines) + "\n"
     if args.out:

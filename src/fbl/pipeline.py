@@ -1,4 +1,4 @@
-"""End-to-end plumbing: configuration, session building, querying, benching.
+"""End-to-end plumbing: configuration, building and opening sessions, querying, benching.
 
 This is the layer the CLI drives. Everything is deterministic given the
 config seed; the bench functions are the only place wall clocks appear.
@@ -9,11 +9,13 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from functools import cached_property
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, store
 from .corpus import BugReport, Changeset, Document, Granularity, explode_corpus
 from .embed import (
     EmbeddingMatrix,
@@ -26,7 +28,7 @@ from .embed import (
 from .encode import (
     DOC_LEAST, QUERY_LEAST, EncodedSequence, Strategy, Vocabulary, encode_document, encode_query,
 )
-from .errors import DataError, DimensionMismatch
+from .errors import DataError, DimensionMismatch, FormatError
 from .index import IvfPqIndex, build_index
 from .retrieve import PackedCorpus, RankedResult, rank_exact, rank_two_stage
 from .store import Manifest, SessionArtifacts, load_embedder
@@ -170,6 +172,35 @@ def build_session(
         **recorded,
     )
     return SessionArtifacts(manifest, index, projection, pack)
+
+
+@dataclass(frozen=True)
+class OpenSession:
+    """A loaded session, with the vocabulary and Config its queries run under."""
+
+    artifacts: SessionArtifacts
+    vocab: Vocabulary
+    config: Config
+
+    @cached_property
+    def embedder(self) -> TokenEmbedder:
+        """Made on first use, so a command that embeds no text parses no table."""
+        return make_embedder(self.config, self.artifacts.embedder, vocab=self.vocab)
+
+
+def open_session(directory: str | Path, **probe) -> OpenSession:
+    """The session at ``directory``, served with the ``probe`` fields (nprobe, candidates)."""
+    directory = Path(directory)
+    artifacts = store.load_session(directory)  # through the module, where tracers wrap it
+    m = artifacts.manifest
+    vocab = Vocabulary.from_bytes(artifacts.vocab, directory / store.VOCAB_NAME)
+    recorded = {name: getattr(m, name) for name in MANIFEST_FIELDS}
+    embedder_path = str(directory / store.EMBEDDER_NAME) if m.embedder_kind == "file" else None
+    try:
+        config = Config(**recorded, **probe, embedder_path=embedder_path)
+    except ValueError as exc:  # the values came from the session, not from the caller
+        raise FormatError(f"{directory / store.MANIFEST_NAME}: {exc}") from exc
+    return OpenSession(artifacts, vocab, config)
 
 
 def run_query(

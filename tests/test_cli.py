@@ -1176,3 +1176,74 @@ def test_index_and_query_write_the_same_bytes_on_one_cpu_and_on_every_cpu(corpus
                                          "projection.fble", "vocab.txt"]
     assert got["one-cpu"] == got["every-cpu"]
     assert len(got["one-cpu"][1].splitlines()) == 10  # two bugs, five documents each
+
+
+def _file_embedder_session(corpus_dir, tmp_path, *flags):
+    """A session indexed with a file embedder covering the vocabulary."""
+    from fbl.encode import Vocabulary
+    from fbl.store import write_matrix_file
+
+    _, corpus, vocab = corpus_dir
+    table = tmp_path / "table.fble"
+    rows = len(Vocabulary.from_file(vocab))
+    write_matrix_file(table, np.random.default_rng(0).standard_normal((rows, 32)))
+    session = tmp_path / "session"
+    argv = _index_args(corpus, vocab, session) + ["--embedder", f"file:{table}", *flags]
+    assert main(argv) == 0
+    return session
+
+
+def test_open_session_gives_back_the_config_index_built_with(corpus_dir, tmp_path, monkeypatch):
+    from fbl import cli, pipeline
+    from fbl.errors import FormatError
+
+    build, built = cli.build_session, []
+
+    def building(changesets, vocab, config, **kwargs):
+        built.append(config)
+        return build(changesets, vocab, config, **kwargs)
+
+    monkeypatch.setattr(cli, "build_session", building)
+    session = _file_embedder_session(corpus_dir, tmp_path, "--granularity", "file", "--strategy",
+                                     "d", "--doc-limit", "100", "--query-limit", "64")
+    opened = pipeline.open_session(session, nprobe=3, candidates=None)
+    assert opened.config.embedder_path == str(session / "embedder.fble")
+    assert [opened.config] == [dataclasses.replace(
+        config, nprobe=3, candidates=None, embedder_path=str(session / "embedder.fble")
+    ) for config in built]
+    manifest = session / "manifest.json"
+    manifest.write_bytes(_set("doc_limit", 2)(manifest.read_bytes()))
+    with pytest.raises(FormatError, match=re.escape(str(manifest))):
+        pipeline.open_session(session)
+
+
+def test_a_command_makes_the_session_embedder_at_most_once(corpus_dir, capsys, tmp_path,
+                                                          monkeypatch):
+    # bench embeds no text, so it never parses the table; every query of one
+    # `fbl query` shares one embedder, and so one projection row memo
+    from fbl import pipeline
+
+    session = _file_embedder_session(corpus_dir, tmp_path)
+    make, calls = pipeline.make_embedder, []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fbl bench made an embedder")
+
+    monkeypatch.setattr(pipeline, "make_embedder", refuse)
+    assert main(["bench", "--session", str(session), "--sizes", "20", "--queries", "1"]) == 0
+
+    def making(*args, **kwargs):
+        calls.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "make_embedder", making)
+    bugs = tmp_path / "bugs.jsonl"
+    bugs.write_text("".join(
+        json.dumps({"id": f"q{i}", "summary": " ".join(WORDS[i : i + 3]), "description": "",
+                    "opened_at": "2021-03-01T00:00:00+00:00"}) + "\n" for i in range(4)
+    ))
+    capsys.readouterr()
+    assert main(["query", "--session", str(session), "--bug-file", str(bugs)]) == 0
+    assert {json.loads(line)["bug_id"] for line in capsys.readouterr().out.splitlines()} == {
+        "q0", "q1", "q2", "q3"}
+    assert len(calls) == 1

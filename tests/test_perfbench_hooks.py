@@ -209,3 +209,17 @@ def test_perfbench_hooks_time_a_query_embedding_as_one_sequence(layers_and_trace
     inner = [s for s in spans if s.name == "embed.sequence"]
     assert len(outer) == 1 and len(inner) == 1 and inner[0].parent == outer[0]
     assert rows.shape[0] > 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "perfbench's workloads.serve builds its Config from the manifest by hand and leaves out "
+    "query_limit (the FOUND on serve in CHANGES.md); it passes once serve calls open_session"))
+def test_perfbench_serves_the_config_fbl_query_runs(layers_and_tracer, tmp_path):
+    corpus, vocab = _tiny_corpus(tmp_path)
+    session = tmp_path / "session"
+    assert cli.main(["index", "--corpus", str(corpus), "--vocab", str(vocab), "--session",
+                     str(session), "--partitions", "2", "--subspaces", "2", "--codewords", "4",
+                     "--d-in", "16", "--d-out", "8", "--query-limit", "64"]) == 0
+    import workloads
+
+    assert workloads.serve(session).config == pipeline.open_session(session).config

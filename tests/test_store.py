@@ -771,3 +771,25 @@ def test_only_the_store_module_imports_struct():
     # format region lands beside the others
     src = Path(fbl.__file__).parent
     assert {p.name for p in src.glob("*.py") if "struct" in set(_imports(p))} == {"store.py"}
+
+
+def _named_and_called(path):
+    """(every name the module mentions, the names of the functions it calls)."""
+    names, called = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+            names.add(getattr(node, "id", None) or getattr(node, "attr", None) or node.name)
+        if isinstance(node, ast.Call):
+            called.add(getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+    return names, called
+
+
+def test_only_the_pipeline_turns_a_manifest_into_a_config():
+    # both directions of the manifest-Config mapping, and the one way to open
+    # a session, live in pipeline.py; a second opener would fail here
+    src = Path(fbl.__file__).parent
+    found = {p.name: _named_and_called(p) for p in src.glob("*.py")}
+    assert {name for name, (names, _) in found.items() if "MANIFEST_FIELDS" in names} == {
+        "pipeline.py"}
+    assert {name for name, (_, called) in found.items()
+            if "load_session" in called} - {"store.py"} == {"pipeline.py"}
