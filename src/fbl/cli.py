@@ -1,21 +1,21 @@
 """Command-line entry point.
 
 Subcommands: ingest, train-projection, index, query, evaluate, bench.
-Exit codes: 0 success, 1 usage error, 2 data error (bad input files or
-session state), 3 internal error. Errors go to stderr as one JSON object.
-The FBL_SESSION environment variable supplies the default session
-directory for index (else ./session), query and bench.
+Exit codes, by exception type alone: 0 success, 1 ``UsageError``, 2
+``DataError``, any other ``FblError`` or ``OSError`` (bad input files or
+session state), 3 anything else (an internal error). Errors go to stderr
+as one JSON object. The FBL_SESSION environment variable supplies the
+default session directory for index (else ./session), query and bench.
 Each command takes only the ``pipeline.Config`` flags it reads, defaulting
-to Config's values (--doc-limit to its granularity's); one below the
-field's ``CONFIG_LEAST`` entry is a usage error naming the flag. query and
-bench read the rest from the manifest.
+to Config's values (--doc-limit to its granularity's); the config types
+judge them, and a ``FieldError`` is a usage error naming the flag. query
+and bench read the rest from the manifest.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -25,10 +25,9 @@ from . import _kernels, corpus, evaluation, retrieve, store
 from .corpus import Granularity, load_bugs, load_changesets, load_links
 from .embed import TripletTrainConfig, train_projection
 from .encode import Strategy, Vocabulary, encode_query
-from .errors import DataError, FblError
+from .errors import DataError, FblError, FieldError
 from .pipeline import (
     BENCH_CSV_HEADER,
-    CONFIG_LEAST,
     Config,
     bench_row_csv,
     build_session,
@@ -70,10 +69,17 @@ def _flag(name: str) -> str:
     return "--" + name.removeprefix("n_").replace("_", "-")
 
 
+def _int_or_all(raw: str) -> int | None:
+    if raw != "all" and not raw.removeprefix("-").isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer or 'all', got {raw!r}")
+    return None if raw == "all" else int(raw)
+
+
 def _add_counts(p: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
     """Flags for the integer Config fields `names`, defaulting to Config's values."""
     for name in names:
         p.add_argument(_flag(name), dest=name, default=getattr(Config, name),
+                       type=_int_or_all if name == "candidates" else int,
                        help="distinct embeddings to fetch, split over the query's rows (a "
                        "row keeps all tied at its cut), or 'all'" if name == "candidates" else None)
     p.set_defaults(config_counts=names)
@@ -88,31 +94,25 @@ def _add_config_flags(p: argparse.ArgumentParser, names: tuple[str, ...]) -> Non
     _add_counts(p, names)
 
 
-def _positive(flag: str, raw, least: int = 1) -> int:
-    """The flag's integer value; one below `least` is a usage error naming the flag."""
+def _positive(flag: str, raw) -> int:
+    """The flag's integer value; one below 1 is a usage error naming the flag."""
     value = int(raw) if str(raw).isdecimal() else -1
-    if value < least:
-        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
-            least, f"an integer >= {least}"
-        )
-        raise UsageError(f"{flag} must be {kind}, got {raw!r}")
+    if value < 1:
+        raise UsageError(f"{flag} must be a positive integer, got {raw!r}")
     return value
 
 
-def _positive_real(flag: str, raw: float) -> float:
-    if not (math.isfinite(raw) and raw > 0):
-        raise UsageError(f"{flag} must be a positive finite number, got {raw!r}")
-    return raw
+def _judged(kind, **fields):
+    """``kind(**fields)``: a field the type rejects is a usage error naming its flag."""
+    try:
+        return kind(**fields)
+    except FieldError as exc:
+        raise UsageError(f"{_flag(exc.field)} {exc.problem}") from None
 
 
 def _counts(args) -> dict:
-    """The Config fields the command's count flags set, checked against CONFIG_LEAST."""
-    return {
-        name: None if name == "candidates" and getattr(args, name) == "all"
-        else _positive(_flag(name), getattr(args, name), CONFIG_LEAST[name])
-        for name in args.config_counts
-        if getattr(args, name) is not None  # no --doc-limit: Config picks the granularity's
-    }
+    """The Config fields the command's count flags set, as parsed."""
+    return {name: getattr(args, name) for name in args.config_counts}
 
 
 def _config_from_args(args) -> Config:
@@ -121,23 +121,14 @@ def _config_from_args(args) -> Config:
         if not args.embedder.startswith("file:"):
             raise UsageError(f"bad --embedder {args.embedder!r}")
         embedder_kind, embedder_path = "file", args.embedder[5:]
-    counts = _counts(args)
+    config = _judged(Config, granularity=args.granularity, strategy=args.strategy,
+                     embedder_kind=embedder_kind, embedder_path=embedder_path, **_counts(args))
     # the shape's cross-field rules, on the flags of the command that sets them
-    d_in, d_out = counts["d_in"], counts["d_out"]
-    codewords, subspaces = counts.get("n_codewords", 1), counts.get("n_subspaces", 1)
-    if d_out > d_in:
-        raise UsageError(f"--d-out {d_out} must not exceed --d-in {d_in}")
-    if codewords > 256:  # a code is one byte
-        raise UsageError(f"--codewords must be at most 256, got {codewords}")
-    if d_out % subspaces:
-        raise UsageError(f"--subspaces {subspaces} must divide --d-out {d_out}")
-    return Config(
-        granularity=args.granularity,
-        strategy=args.strategy,
-        embedder_kind=embedder_kind,
-        embedder_path=embedder_path,
-        **counts,
-    )
+    if config.d_out > config.d_in:
+        raise UsageError(f"--d-out {config.d_out} must not exceed --d-in {config.d_in}")
+    if "n_subspaces" in args.config_counts and config.d_out % config.n_subspaces:
+        raise UsageError(f"--subspaces {config.n_subspaces} must divide --d-out {config.d_out}")
+    return config
 
 
 def _corpus_paths(corpus_dir: Path) -> tuple[Path, Path, Path]:
@@ -216,13 +207,8 @@ def _load_corpus_dir(corpus_dir: Path):
 
 def cmd_train_projection(args) -> int:
     config = _config_from_args(args)
-    cfg = TripletTrainConfig(
-        margin=_positive_real("--margin", args.margin),
-        learning_rate=_positive_real("--learning-rate", args.learning_rate),
-        epochs=_positive("--epochs", args.epochs, least=0),
-        batch_size=_positive("--batch-size", args.batch_size),
-        seed=config.seed,
-    )
+    cfg = _judged(TripletTrainConfig, margin=args.margin, learning_rate=args.learning_rate,
+                  epochs=args.epochs, batch_size=args.batch_size, seed=config.seed)
     out = _writable(args.out)
     corpus_dir = Path(args.corpus)
     changesets, bugs, links = _load_corpus_dir(corpus_dir)
@@ -290,6 +276,7 @@ def cmd_query(args) -> int:
     if args.out:
         _writable(args.out)
     probe = _counts(args)
+    _judged(Config, **probe)  # before the session is read
     session = open_session(_session_dir(args), **probe)
     arts, config = session.artifacts, session.config
     embedder = session.embedder  # a table short of the vocabulary exits before --out opens
@@ -367,6 +354,7 @@ def cmd_bench(args) -> int:
     if args.out:
         _writable(args.out)
     probe = _counts(args)
+    _judged(Config, **probe)  # before the session is read
     session = open_session(_session_dir(args), **probe)
     rows = sweep_latency(session.artifacts.doc_matrices, sizes, session.config,
                          n_queries=n_queries, k=args.topk)
@@ -457,16 +445,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # such as an output file path that names a directory
         _emit_error("data", f"{exc.filename}: {exc.strerror}")
         return EXIT_DATA
-    except DataError as exc:
-        _emit_error("data", str(exc))
+    except FblError as exc:  # DataError reports its kind as "data"
+        _emit_error("data" if isinstance(exc, DataError) else type(exc).__name__, str(exc))
         return EXIT_DATA
-    except FblError as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return EXIT_DATA
-    except (ValueError, KeyError) as exc:
-        _emit_error("usage", str(exc))
-        return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - safety net
+    except Exception as exc:  # a bug: no input should reach here
         _emit_error("internal", f"{type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .corpus import Triplet
 from .encode import EncodedSequence
-from .errors import DimensionMismatch, NonFiniteLoss
+from .errors import DimensionMismatch, FieldError, NonFiniteLoss
 
 
 @dataclass
@@ -243,12 +243,12 @@ class TripletTrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not (np.isfinite(self.margin) and self.margin > 0):
-            raise ValueError("margin must be finite and > 0")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and > 0")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        for name in ("margin", "learning_rate"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise FieldError(name, "must be finite and > 0")
+        for name, least in (("epochs", 0), ("batch_size", 1)):
+            if getattr(self, name) < least:
+                raise FieldError(name, f"must be >= {least}, got {getattr(self, name)}")
 
 
 # -- embedding -----------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: anything derived from ``DataError``
-exits 2 (bad input data or on-disk state), everything else unexpected
-exits 3.
+The CLI picks an exit code by exception type alone: its own
+``UsageError`` exits 1; ``DataError``, every other ``FblError`` and
+``OSError`` exit 2; anything else, a ``ValueError`` included, is a bug and
+exits 3. A ``FieldError`` never reaches that choice: the CLI reports it as
+a ``UsageError`` naming the flag, and ``pipeline.open_session`` as a
+``FormatError`` naming the manifest.
 """
 
 from __future__ import annotations
@@ -10,6 +13,14 @@ from __future__ import annotations
 
 class FblError(Exception):
     """Base class for all package errors."""
+
+
+class FieldError(ValueError):
+    """A configuration field holds a value its type does not admit."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field} {problem}")
+        self.field, self.problem = field, problem
 
 
 class DataError(FblError):

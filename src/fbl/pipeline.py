@@ -28,7 +28,7 @@ from .embed import (
 from .encode import (
     DOC_LEAST, QUERY_LEAST, EncodedSequence, Strategy, Vocabulary, encode_document, encode_query,
 )
-from .errors import DataError, DimensionMismatch, FormatError
+from .errors import DataError, DimensionMismatch, FieldError, FormatError
 from .index import IvfPqIndex, build_index
 from .retrieve import PackedCorpus, RankedResult, rank_exact, rank_two_stage
 from .store import Manifest, SessionArtifacts, load_embedder
@@ -75,7 +75,9 @@ class Config:
         for name, least in CONFIG_LEAST.items():
             value = getattr(self, name)
             if value is not None and value < least:  # None candidates: all
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+                raise FieldError(name, f"must be >= {least}, got {value}")
+        if self.n_codewords > 256:  # a code is one byte
+            raise FieldError("n_codewords", f"must be at most 256, got {self.n_codewords}")
 
 
 def make_embedder(
@@ -93,7 +95,7 @@ def make_embedder(
         raise ValueError("file embedder needs a path")
     emb = load_embedder(config.embedder_path, data)
     if emb.d_in != config.d_in:
-        raise ValueError(f"embedder file dim {emb.d_in} != configured d_in {config.d_in}")
+        raise DimensionMismatch(f"{config.embedder_path}: dim {emb.d_in} != d_in {config.d_in}")
     rows = emb.matrix.shape[0]
     if vocab is not None and rows < len(vocab):
         raise DataError(
@@ -142,10 +144,9 @@ def build_session(
     embedder_bytes: bytes | None = None,  # a file embedder's table, when already read
 ) -> SessionArtifacts:
     """Encode, embed, and index a corpus under one configuration."""
-    if projection is not None and projection.d_out != config.d_out:
-        raise DimensionMismatch(
-            f"projection d_out={projection.d_out} != configured d_out={config.d_out}"
-        )
+    for name in ("d_out", "d_in") if projection is not None else ():
+        if (got := getattr(projection, name)) != (want := getattr(config, name)):
+            raise DimensionMismatch(f"projection {name}={got} != configured {name}={want}")
     embedder = make_embedder(config, embedder_bytes, vocab=vocab)
     docs = explode_corpus(changesets, config.granularity)
     seqs = encode_documents(docs, config.strategy, vocab, config.doc_limit)

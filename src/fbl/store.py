@@ -37,7 +37,8 @@ and reads nothing back. Loading reads each listed artifact once, verifies
 those bytes' checksum, and checks the session as a whole: the vocabulary
 is listed, and the embedder when file-backed; every offset and id a query
 indexes with; what the writers guarantee (finite floats, a table in
-order, a pack with embeddings); and the manifest's dimensions.
+order, a pack with embeddings); and the manifest's dimensions and
+quantizer shape against the artifacts.
 """
 
 from __future__ import annotations
@@ -440,8 +441,8 @@ def load_session(directory: str | Path) -> SessionArtifacts:
     as stored, ready to rank against, and must hold an embedding; the index
     borrows its document table. The vocabulary and embedder come back as
     bytes, for the caller to parse. The manifest's d_in and d_out must be
-    the projection's shape, d_out the index's dimension, and d_in the
-    embedder's width.
+    the projection's shape, d_out the index's dimension, n_subspaces and
+    n_codewords the index's, and d_in the embedder's width.
     """
     directory = Path(directory)
     manifest = load_manifest(directory)
@@ -466,10 +467,12 @@ def load_session(directory: str | Path) -> SessionArtifacts:
             f"{directory / MANIFEST_NAME}: d_in {manifest.d_in} and d_out {manifest.d_out}, but "
             f"{PROJECTION_NAME} is {projection.d_in} x {projection.d_out}"
         )
-    if index.dim != manifest.d_out:
-        raise FormatError(
-            f"{directory / MANIFEST_NAME}: d_out {manifest.d_out}, but the index has dim {index.dim}"
-        )
+    for name, shape, built in (("d_out", "dim", index.dim),
+                               ("n_subspaces", "n_subspaces", index.n_subspaces),
+                               ("n_codewords", "n_codewords", index.n_codewords)):
+        if getattr(manifest, name) != built:  # the index header is the shape queries run on
+            raise FormatError(f"{directory / MANIFEST_NAME}: {name} {getattr(manifest, name)}, "
+                              f"but the index has {shape} {built}")
     if manifest.embedder_kind == "file":  # the table's width, from its header
         _, dim = _Reader(directory / EMBEDDER_NAME, data[EMBEDDER_NAME], _FBLE).header
         if dim != manifest.d_in:

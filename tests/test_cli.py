@@ -881,6 +881,97 @@ def test_an_unknown_embedder_kind_in_the_manifest_exits_2(corpus_dir, capsys, co
     assert payload["kind"] == "data" and "manifest.json" in payload["error"]
 
 
+@pytest.mark.parametrize("command", ["query", "bench"])
+@pytest.mark.parametrize("field, value", [("n_subspaces", 7), ("n_codewords", 300)])
+def test_a_manifest_whose_quantizer_is_not_the_index_s_exits_2(corpus_dir, capsys, command,
+                                                                field, value):
+    # the index header holds the shape queries run on, and the manifest
+    # must agree with it; 7 subspaces would not divide d_out 16
+    base_tmp, corpus, vocab = corpus_dir
+    session = base_tmp / "session"
+    assert main(_index_args(corpus, vocab, session)) == 0
+    manifest = session / "manifest.json"
+    manifest.write_bytes(_set(field, value)(manifest.read_bytes()))
+    capsys.readouterr()
+    argv = {"query": ["--text", "widget"], "bench": ["--sizes", "20", "--queries", "1"]}[command]
+    assert main([command, "--session", str(session)] + argv) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["kind"] == "data" and "manifest.json" in payload["error"]
+    assert f"{field} {value}" in payload["error"]
+
+
+@pytest.mark.parametrize("command", ["query", "bench"])
+def test_a_probe_flag_out_of_range_exits_1_before_reading_the_session(tmp_path, capsys,
+                                                                      command):
+    argv = {"query": ["--text", "widget"], "bench": ["--sizes", "20"]}[command]
+    for flag in ("--nprobe", "--candidates"):
+        assert main([command, "--session", str(tmp_path / "missing"), *argv, flag, "0"]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["kind"] == "usage" and flag in payload["error"]
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_an_unexpected_error_in_a_command_exits_3_as_internal(corpus_dir, capsys, monkeypatch,
+                                                             error):
+    # the exit code follows the exception type: a ValueError or KeyError that
+    # escapes a command is a bug, not a usage error
+    from fbl import cli
+
+    base_tmp, corpus, vocab = corpus_dir
+    session = base_tmp / "session"
+    assert main(_index_args(corpus, vocab, session)) == 0
+
+    def broken(*args, **kwargs):
+        raise error("no such state")
+
+    monkeypatch.setattr(cli, "run_query", broken)
+    capsys.readouterr()
+    assert main(["query", "--session", str(session), "--text", "widget"]) == 3
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["kind"] == "internal" and error.__name__ in payload["error"]
+
+
+def test_an_embedder_table_of_another_width_than_d_in_exits_2(corpus_dir, capsys, tmp_path):
+    from fbl.encode import Vocabulary
+    from fbl.store import write_matrix_file
+
+    _, corpus, vocab = corpus_dir
+    table = tmp_path / "narrow.fble"
+    write_matrix_file(table, np.ones((len(Vocabulary.from_file(vocab)), 32)))
+    session = tmp_path / "session"
+    argv = ["index", "--corpus", str(corpus), "--vocab", str(vocab), "--session", str(session),
+            "--embedder", f"file:{table}"]  # at the default --d-in 768
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["kind"] == "DimensionMismatch"
+    assert "32" in payload["error"] and "768" in payload["error"] and str(table) in payload["error"]
+    assert not session.exists()
+
+
+def test_a_projection_of_another_d_in_exits_2_before_any_document_is_encoded(
+        corpus_dir, capsys, tmp_path, monkeypatch):
+    from fbl import pipeline
+
+    _, corpus, vocab = corpus_dir
+    proj = tmp_path / "p32.fble"
+    assert main(_train_args(corpus, vocab, proj) + ["--epochs", "0"]) == 0  # 32 -> 16
+    encode, calls = pipeline.encode_documents, []
+
+    def encoding(*args, **kwargs):
+        calls.append(args)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "encode_documents", encoding)
+    session = tmp_path / "session"
+    argv = _index_args(corpus, vocab, session) + ["--projection", str(proj), "--d-in", "64"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["kind"] == "DimensionMismatch"
+    assert "projection d_in=32 != configured d_in=64" in payload["error"]
+    assert calls == [] and not session.exists()
+
+
 def test_bench_without_a_size_exits_1_before_reading_the_session(tmp_path, capsys):
     missing = tmp_path / "no_session"
     for sizes in (",", ""):

@@ -223,3 +223,28 @@ def test_perfbench_serves_the_config_fbl_query_runs(layers_and_tracer, tmp_path)
     import workloads
 
     assert workloads.serve(session).config == pipeline.open_session(session).config
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "perfbench's _maxsim hook reads maxsim_packed's refs argument as document offsets (the "
+    "FOUND on _maxsim in CHANGES.md); it passes once the hook sums ends - starts"))
+def test_perfbench_counts_the_rows_and_documents_maxsim_scores(layers_and_tracer, monkeypatch):
+    from fbl import _kernels
+
+    layers, tracer = layers_and_tracer
+    pack, index, query, config = _repeated_rows_session()
+    score, calls = _kernels.maxsim_packed, []
+
+    def scoring(q, table, refs, starts, ends):
+        calls.append({"rows": int((ends - starts).sum()), "docs": len(starts)})
+        return score(q, table, refs, starts, ends)
+
+    monkeypatch.setattr(_kernels, "maxsim_packed", scoring)
+    t = tracer.Tracer()
+    layers.instrument(t)
+    try:
+        pipeline.run_query(query, index, pack, config, k=5, exact=True)
+    finally:
+        t.restore()
+    assert calls == [{"rows": pack.n_rows, "docs": len(pack)}]
+    assert [s.attrs for s in t.spans if s.name == "kernels.maxsim"] == calls

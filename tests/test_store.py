@@ -793,3 +793,27 @@ def test_only_the_pipeline_turns_a_manifest_into_a_config():
         "pipeline.py"}
     assert {name for name, (_, called) in found.items()
             if "load_session" in called} - {"store.py"} == {"pipeline.py"}
+
+
+def test_each_config_rule_has_one_owner():
+    # the config types judge their fields, the CLI only names the flag that
+    # set one, and the exit code follows the exception type alone
+    import argparse
+
+    from fbl import cli
+    from fbl.pipeline import CONFIG_LEAST
+
+    src = Path(fbl.__file__).parent
+    assert {p.name for p in src.glob("*.py")
+            if "CONFIG_LEAST" in _named_and_called(p)[0]} == {"pipeline.py"}
+    caught = set()
+    for node in ast.walk(ast.parse((src / "cli.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught |= {getattr(n, "id", None) or getattr(n, "attr", None)
+                       for n in ast.walk(node.type)}
+    assert not caught & {"ValueError", "KeyError"}
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices.values()
+    options = {flag for p in commands for a in p._actions for flag in a.option_strings}
+    fields = set(CONFIG_LEAST) | {"n_codewords", "margin", "learning_rate", "epochs", "batch_size"}
+    assert {cli._flag(name) for name in fields} <= options
