@@ -6,12 +6,14 @@
     adc_topk_rows    per query row, the best-scoring table rows of its probed partitions
 
 Each is deterministic: the same inputs give the same bits, whatever the
-thread, core or BLAS-thread count.
+thread, core or BLAS-thread count. _spread splits work over the usable
+cores: assign_nearest's row blocks, and build_index's PQ subspaces.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 
@@ -98,6 +100,9 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 # the GIL. A block's arithmetic does not depend on its neighbours or on who
 # runs it, so the bits are those of 8192-row blocks on one thread, which
 # test_assign_nearest_np_is_bit_identical_to_the_allocating_form checks.
+# _spread serves build_index's PQ subspaces too, each trained and encoded
+# whole by one thread; a _spread inside a part runs on that thread, so a
+# subspace's assign_nearest never waits for the pool thread running it.
 
 _BLOCK_ROWS = 512
 try:
@@ -105,6 +110,7 @@ try:
 except AttributeError:  # no CPU affinity on this platform
     _WORKERS = os.cpu_count() or 1
 _pool = None  # made by the first call that splits its blocks
+_part = threading.local()  # .running: this thread runs one of a _spread's parts
 
 
 def _forget_pool():
@@ -120,19 +126,26 @@ def _spread(run, n_blocks: int) -> None:
     """run(b0, b1) over blocks 0..n_blocks-1, one contiguous run per worker.
 
     The caller takes the first run. Every run ends before this returns, and
-    an error in any of them is raised here.
+    an error in any of them is raised here. Called inside a part, it runs
+    every block on the calling thread.
     """
     global _pool
-    parts = max(1, min(_WORKERS, n_blocks))
+    parts = 1 if getattr(_part, "running", False) else max(1, min(_WORKERS, n_blocks))
+    if parts == 1:
+        run(0, n_blocks)
+        return
     cuts = [n_blocks * i // parts for i in range(parts + 1)]
-    if parts > 1 and _pool is None:
+    if _pool is None:
         from concurrent.futures import ThreadPoolExecutor  # about 4 ms; not at import
 
-        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="fbl-kernels")
+        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="fbl-kernels",
+                                   initializer=setattr, initargs=(_part, "running", True))
     others = [_pool.submit(run, b0, b1) for b0, b1 in zip(cuts[1:-1], cuts[2:])]
+    _part.running = True  # a pool thread runs nothing but parts, so its flag stays set
     try:
         run(cuts[0], cuts[1])
     finally:
+        _part.running = False
         for f in others:
             f.exception()  # waits, so no run writes after an error returns
     for f in others:

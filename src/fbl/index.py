@@ -39,6 +39,9 @@ from .embed import EmbeddingMatrix, PackedCorpus
 from .errors import EmptyIndex, InsufficientData
 
 _TRAIN_SUBSAMPLE_CAP = 256_000
+# PQ subspaces train one run per core from this many training rows; below it
+# k-means is mostly Python, and threads contending for the GIL gained nothing
+_SPREAD_SUBSPACES_ROWS = 8192
 
 
 @dataclass
@@ -245,19 +248,23 @@ def build_index(
     part, _ = _kernels.assign_nearest(distinct, coarse)
     residuals = distinct - coarse[part]
 
-    train_res = residuals[pick]
+    train_res, train_w = residuals[pick], weights[pick]
     codebooks = np.empty((n_subspaces, n_codewords, dsub), dtype=np.float32)
-    for s in range(n_subspaces):
-        sub = train_res[:, s * dsub : (s + 1) * dsub]
-        codebooks[s] = kmeans(
-            sub, n_codewords, max_iters=max_iters, seed=seed + 1 + s, weights=weights[pick]
-        ).centroids.astype(np.float32)
-
     codes = np.empty((n_distinct, n_subspaces), dtype=np.uint8)
-    for s in range(n_subspaces):
-        sub = residuals[:, s * dsub : (s + 1) * dsub]
-        lab, _ = _kernels.assign_nearest(sub, codebooks[s])
-        codes[:, s] = lab.astype(np.uint8)
+
+    def train(s0, s1):  # each subspace's codebook, then its column of codes
+        for s in range(s0, s1):
+            cols = slice(s * dsub, (s + 1) * dsub)
+            codebooks[s] = kmeans(
+                train_res[:, cols], n_codewords, max_iters=max_iters, seed=seed + 1 + s,
+                weights=train_w,
+            ).centroids.astype(np.float32)
+            codes[:, s] = _kernels.assign_nearest(residuals[:, cols], codebooks[s])[0]
+
+    if train_res.shape[0] >= _SPREAD_SUBSPACES_ROWS:
+        _kernels._spread(train, n_subspaces)
+    else:
+        train(0, n_subspaces)
     rows = np.argsort(part, kind="stable")  # by partition, ascending within one
     part_offsets = np.zeros(n_partitions + 1, dtype=np.int64)
     part_offsets[1:] = np.cumsum(np.bincount(part, minlength=n_partitions))

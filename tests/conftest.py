@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from fbl import _kernels
 from fbl.corpus import Document, Granularity
 from fbl.diffs import Changeset, DiffLine, FileDiff, Hunk, LineKind
 from fbl.embed import LinearProjection, PackedCorpus, gradient_of_loss
@@ -119,6 +120,16 @@ def render_unified_diff(cs: Changeset) -> str:
             for dl in h.lines:
                 out.append(dl.kind.value + dl.text)
     return "\n".join(out) + ("\n" if out else "")
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}-workers")
+def workers(request, monkeypatch):
+    """The kernels on request.param workers, from a new pool that is shut down after."""
+    monkeypatch.setattr(_kernels, "_WORKERS", request.param)
+    monkeypatch.setattr(_kernels, "_pool", None)
+    yield request.param
+    if _kernels._pool is not None:
+        _kernels._pool.shutdown()
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -241,6 +242,50 @@ def test_build_index_has_the_same_bits_on_one_cpu_and_on_every_cpu():
     assert got["every-cpu"]["workers"] == len(os.sched_getaffinity(0))
     assert not got["one-cpu"]["futures_imported"] and not got["every-cpu"]["futures_imported"]
     assert got["one-cpu"]["digest"] == got["every-cpu"]["digest"]
+
+
+def _sixteen_wide_corpus(n_rows=index_module._SPREAD_SUBSPACES_ROWS + 8):
+    """Distinct rows enough to train the subspaces on every worker, unless told fewer."""
+    rows = np.random.default_rng(29).standard_normal((n_rows, 16)).astype(np.float32)
+    return {f"d{i:05d}:0:0": EmbeddingMatrix(rows=rows[i : i + 8]) for i in range(0, n_rows, 8)}
+
+
+@pytest.mark.parametrize("workers", [2, 3], indirect=True)
+@pytest.mark.parametrize("n_subspaces", [4, 16])  # 3 workers split both unevenly
+def test_build_index_has_the_same_bits_on_any_worker_count(workers, n_subspaces, monkeypatch):
+    docs = _sixteen_wide_corpus()
+    args = dict(n_partitions=16, n_subspaces=n_subspaces, n_codewords=32, seed=3, max_iters=5)
+    got = build_index(docs, **args)
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "_WORKERS", 1)
+        want = build_index(docs, **args)
+    for name in ("coarse", "codebooks", "part_offsets", "rows", "codes"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("workers", [2], indirect=True)
+@pytest.mark.parametrize("spread", [True, False], ids=["spread", "few-rows"])
+def test_an_error_in_a_workers_subspace_reaches_build_index_s_caller(workers, spread, monkeypatch):
+    # a table under _SPREAD_SUBSPACES_ROWS trains its subspaces on the calling thread
+    n_rows = index_module._SPREAD_SUBSPACES_ROWS + (8 if spread else -8)
+    raised_in, real = [], index_module.kmeans
+
+    def kmeans(*args, seed, **kwargs):
+        if seed == 3 + 1 + 3:  # subspace 3 of 4: the worker's run
+            raised_in.append(threading.current_thread())
+            raise RuntimeError("subspace 3")
+        return real(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(index_module, "kmeans", kmeans)
+    with pytest.raises(RuntimeError, match="^subspace 3$"):
+        build_index(_sixteen_wide_corpus(n_rows), n_partitions=16, n_subspaces=4, n_codewords=32,
+                    seed=3, max_iters=5)
+    assert len(raised_in) == 1 and (raised_in[0] is threading.main_thread()) is not spread
+    rows = np.random.default_rng(3).standard_normal((4 * 512, 16))
+    centroids = rows[:32].copy()
+    labels, dists = _kernels.assign_nearest(rows, centroids)  # the pool still serves
+    ref_labels, ref_dists = assign_nearest_reference(rows, centroids)
+    assert labels.tobytes() == ref_labels.tobytes() and dists.tobytes() == ref_dists.tobytes()
 
 
 # -- build ------------------------------------------------------------------------

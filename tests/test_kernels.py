@@ -2,6 +2,7 @@
 
 import os
 import signal
+import threading
 import time
 from unittest import mock
 
@@ -106,16 +107,6 @@ def test_assign_tie_breaks_to_lowest_index(backend):
     assert labels[0] == 0
 
 
-@pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}-workers")
-def workers(request, monkeypatch):
-    """assign_nearest on request.param workers, from a new pool that is shut down after."""
-    monkeypatch.setattr(_kernels, "_WORKERS", request.param)
-    monkeypatch.setattr(_kernels, "_pool", None)
-    yield request.param
-    if _kernels._pool is not None:
-        _kernels._pool.shutdown()
-
-
 def _assign_case(n, dtype, strided, dim=8, k=32):
     """Points (a strided view if asked) and centroids that all appear twice."""
     rng = np.random.default_rng(n)
@@ -161,28 +152,74 @@ def test_an_error_in_a_workers_run_reaches_the_caller(workers):
     assert labels.tobytes() == assign_nearest_reference(points, centroids)[0].tobytes()
 
 
+def _exit_code_of_a_child(check, seconds=60):
+    """Run check() in a forked child, which exits 0 if it returns True; kill it after `seconds`."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if check() else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + seconds
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if status[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert status[0] == pid, f"the child's call did not finish in {seconds} s"
+    return os.waitstatus_to_exitcode(status[1])
+
+
 @pytest.mark.parametrize("workers", [2], indirect=True)
 def test_a_child_forked_after_a_threaded_call_completes_a_multi_block_call(workers):
     points, centroids = _assign_case(4 * 512, np.float64, True)
     want = [a.tobytes() for a in assign_nearest_reference(points, centroids)]
     _kernels.assign_nearest(points, centroids)
     assert _kernels._pool is not None  # its thread now idles, and a child will not have it
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            got = [a.tobytes() for a in _kernels.assign_nearest(points, centroids)]
-            code = 0 if got == want else 3
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 60
-    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.02)
-    if status[0] == 0:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    assert status[0] == pid, "the child's call did not finish in 60 s"
-    assert os.waitstatus_to_exitcode(status[1]) == 0
+
+    def check():
+        return [a.tobytes() for a in _kernels.assign_nearest(points, centroids)] == want
+
+    assert _exit_code_of_a_child(check) == 0
+
+
+@pytest.mark.parametrize("workers", [2], indirect=True)
+def test_a_spread_inside_a_part_runs_on_its_thread_and_finishes(workers):
+    # the pool has one thread: a part whose own spread waited for the pool
+    # would wait for itself, so the check runs in a child that can be killed
+    points, centroids = _assign_case(4 * 512, np.float32, False)
+    want = [a.tobytes() for a in assign_nearest_reference(points, centroids)]
+
+    def check():
+        got = {}
+
+        def run(b0, b1):
+            for b in range(b0, b1):
+                got[b] = [a.tobytes() for a in _kernels.assign_nearest(points, centroids)]
+
+        _kernels._spread(run, 2)
+        return got == {0: want, 1: want}
+
+    assert _exit_code_of_a_child(check) == 0
+
+
+@pytest.mark.parametrize("workers", [2, 3], indirect=True)
+def test_a_failed_part_clears_its_flag_and_a_later_call_still_splits(workers):
+    def fail(b0, b1):
+        raise ValueError(f"part {b0}")
+
+    with pytest.raises(ValueError, match="^part 0$"):  # every part fails; the caller's is raised
+        _kernels._spread(fail, workers)
+    assert not getattr(_kernels._part, "running", False)
+    barrier, threads = threading.Barrier(workers, timeout=30), set()
+
+    def run(b0, b1):  # every part waits for the others, so each runs on its own thread
+        threads.add(threading.get_ident())
+        barrier.wait()
+
+    _kernels._spread(run, workers)
+    assert len(threads) == workers
 
 
 @SAME_IDS
