@@ -7,9 +7,10 @@ session state), 3 anything else (an internal error). Errors go to stderr
 as one JSON object. The FBL_SESSION environment variable supplies the
 default session directory for index (else ./session), query and bench.
 Each command takes only the ``pipeline.Config`` flags it reads, defaulting
-to Config's values (--doc-limit to its granularity's); the config types
-judge them, and a ``FieldError`` is a usage error naming the flag. query
-and bench read the rest from the manifest.
+to Config's values (--doc-limit to its granularity's, --codewords to the
+size the table gives); the config types judge them, and a ``FieldError``
+is a usage error naming the flag. query and bench read the rest from the
+manifest.
 """
 
 from __future__ import annotations
@@ -75,13 +76,19 @@ def _int_or_all(raw: str) -> int | None:
     return None if raw == "all" else int(raw)
 
 
+_HELP = {
+    "candidates": "distinct embeddings to fetch, split over the query's rows (a row keeps all "
+    "tied at its cut), or 'all'",
+    "n_codewords": "PQ codewords per subspace, at most 256 (default: sized to the table, the "
+    "largest power of two <= min(256, distinct rows / 39))",
+}
+
+
 def _add_counts(p: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
     """Flags for the integer Config fields `names`, defaulting to Config's values."""
     for name in names:
         p.add_argument(_flag(name), dest=name, default=getattr(Config, name),
-                       type=_int_or_all if name == "candidates" else int,
-                       help="distinct embeddings to fetch, split over the query's rows (a "
-                       "row keeps all tied at its cut), or 'all'" if name == "candidates" else None)
+                       type=_int_or_all if name == "candidates" else int, help=_HELP.get(name))
     p.set_defaults(config_counts=names)
 
 

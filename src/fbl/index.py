@@ -24,7 +24,10 @@ keeps within |vocab| rows. The coarse quantizer and every PQ codebook
 train on the table weighted by each row's multiplicity (the number of
 documents holding it, as a document holds a row once). The partition count
 is capped at the table's rows: more coarse centroids would be copies of
-the same rows, and a query probing only copies would find nothing.
+the same rows, and a query probing only copies would find nothing. An
+unset codebook size is sized to the table (``codewords_for``), and each
+quantizer trains on at most 256 rows per centroid, faiss's bounds
+(Johnson et al., arXiv 1702.08734).
 """
 
 from __future__ import annotations
@@ -38,7 +41,11 @@ from . import _kernels
 from .embed import EmbeddingMatrix, PackedCorpus
 from .errors import EmptyIndex, InsufficientData
 
-_TRAIN_SUBSAMPLE_CAP = 256_000
+# training rows per centroid: fewer than _MIN_PER_CENTROID leave centroids
+# that fit a handful of rows (faiss warns below 39), and more than
+# _MAX_PER_CENTROID add time but no accuracy (faiss subsamples above 256)
+_MIN_PER_CENTROID = 39
+_MAX_PER_CENTROID = 256
 # PQ subspaces train one run per core from this many training rows; below it
 # k-means is mostly Python, and threads contending for the GIL gained nothing
 _SPREAD_SUBSPACES_ROWS = 8192
@@ -173,6 +180,25 @@ def _kmeans_pp_init(
     return centroids
 
 
+def codewords_for(n_rows: int) -> int:
+    """The codebook size for a table of n_rows distinct rows.
+
+    The largest power of two that is at most 256 and leaves each codeword
+    at least _MIN_PER_CENTROID training rows; 1 below twice that.
+    """
+    fit = min(256, n_rows // _MIN_PER_CENTROID)
+    return 1 << max(fit.bit_length() - 1, 0)
+
+
+def _training_rows(n_rows: int, n_centroids: int, seed: int) -> slice | np.ndarray:
+    """The rows a k-means of n_centroids trains on: all, or a seeded draw of
+    _MAX_PER_CENTROID per centroid, ascending."""
+    cap = _MAX_PER_CENTROID * n_centroids
+    if n_rows <= cap:
+        return slice(None)
+    return np.sort(np.random.default_rng(seed).choice(n_rows, cap, replace=False))
+
+
 @dataclass
 class IvfPqIndex:
     coarse: np.ndarray  # (P, d) float32 centroids
@@ -209,7 +235,7 @@ def build_index(
     doc_matrices: Mapping[str, EmbeddingMatrix],
     n_partitions: int,
     n_subspaces: int,
-    n_codewords: int = 256,
+    n_codewords: int | None = 256,
     seed: int = 0,
     max_iters: int = 25,
 ) -> IvfPqIndex:
@@ -219,35 +245,35 @@ def build_index(
     pack's refs, offsets and ids, which map them back to documents. Training
     weighs each table row by how many pack rows refer to it, the documents
     holding it (all 1 without repeats, where the table is the rows). The
-    partition count is capped at the table's rows.
+    partition count is capped at the table's rows, and n_codewords None
+    is ``codewords_for`` the table's rows. The coarse k-means trains on at
+    most 256 rows per partition and each PQ codebook on at most 256 per
+    codeword, each a seeded draw of the table's rows.
     """
     pack = PackedCorpus.from_matrices(doc_matrices)
     distinct = pack.table
     if pack.n_rows == 0:
         raise InsufficientData("no embeddings to index: every document is empty")
-    n_partitions = min(n_partitions, distinct.shape[0])  # more would be copies of a row
-    d = distinct.shape[1]
+    n_distinct, d = distinct.shape
+    n_partitions = min(n_partitions, n_distinct)  # more would be copies of a row
+    if n_codewords is None:
+        n_codewords = codewords_for(n_distinct)
     if d % n_subspaces != 0:
         raise ValueError(f"subspace count {n_subspaces} must divide dimension {d}")
     if not 1 <= n_codewords <= 256:
         raise ValueError("codebook size must be in [1, 256]")
     dsub = d // n_subspaces
 
-    n_distinct = distinct.shape[0]
     weights = np.bincount(pack.refs, minlength=n_distinct).astype(np.float64)
 
-    pick = slice(None)  # the rows that train: all of them, up to the cap
-    if n_distinct > _TRAIN_SUBSAMPLE_CAP:
-        pick = np.sort(
-            np.random.default_rng(seed).choice(n_distinct, _TRAIN_SUBSAMPLE_CAP, replace=False)
-        )
-
+    pick = _training_rows(n_distinct, n_partitions, seed)
     coarse = kmeans(
         distinct[pick], n_partitions, max_iters=max_iters, seed=seed, weights=weights[pick]
     ).centroids.astype(np.float32)
     part, _ = _kernels.assign_nearest(distinct, coarse)
     residuals = distinct - coarse[part]
 
+    pick = _training_rows(n_distinct, n_codewords, seed + 1)
     train_res, train_w = residuals[pick], weights[pick]
     codebooks = np.empty((n_subspaces, n_codewords, dsub), dtype=np.float32)
     codes = np.empty((n_distinct, n_subspaces), dtype=np.uint8)

@@ -58,7 +58,7 @@ class Config:
     candidates: int | None = 1000  # None means exhaustive
     nprobe: int = 16
     n_subspaces: int = 16
-    n_codewords: int = 256
+    n_codewords: int | None = None  # None means sized to the table (index.codewords_for)
     seed: int = 42
     d_in: int = 768
     d_out: int = 128
@@ -74,9 +74,9 @@ class Config:
             raise ValueError(f"unknown embedder kind {self.embedder_kind!r}")
         for name, least in CONFIG_LEAST.items():
             value = getattr(self, name)
-            if value is not None and value < least:  # None candidates: all
+            if value is not None and value < least:  # None candidates: all, codewords: sized
                 raise FieldError(name, f"must be >= {least}, got {value}")
-        if self.n_codewords > 256:  # a code is one byte
+        if self.n_codewords is not None and self.n_codewords > 256:  # a code is one byte
             raise FieldError("n_codewords", f"must be at most 256, got {self.n_codewords}")
 
 
@@ -143,7 +143,11 @@ def build_session(
     vocab_hash: str = "",
     embedder_bytes: bytes | None = None,  # a file embedder's table, when already read
 ) -> SessionArtifacts:
-    """Encode, embed, and index a corpus under one configuration."""
+    """Encode, embed, and index a corpus under one configuration.
+
+    The manifest records the index's partition count and codebook size,
+    which the table may have capped or sized.
+    """
     for name in ("d_out", "d_in") if projection is not None else ():
         if (got := getattr(projection, name)) != (want := getattr(config, name)):
             raise DimensionMismatch(f"projection {name}={got} != configured {name}={want}")
@@ -164,7 +168,8 @@ def build_session(
         np.ascontiguousarray(projection.weights, dtype="<f4").tobytes()
     ).hexdigest()
     recorded = {name: getattr(config, name) for name in MANIFEST_FIELDS}
-    recorded.update(granularity=config.granularity.value, strategy=config.strategy.value)
+    recorded.update(granularity=config.granularity.value, strategy=config.strategy.value,
+                    n_partitions=index.n_partitions, n_codewords=index.n_codewords)
     manifest = Manifest(
         corpus_hash=corpus_hash,
         vocab_hash=vocab_hash,
@@ -270,7 +275,8 @@ def sweep_latency(
 
     Queries are stitched from sampled document rows (bug reports run longer
     than hunks, hence query_rows). Quantizer quality barely affects scan
-    latency, so index builds here run few k-means iterations. Each path's
+    latency, so index builds here run few k-means iterations; an unset
+    codebook size is sized to each prefix's table. Each path's
     query loop runs in three rounds, alternating which path goes first, and
     reports its fastest round: load from other processes that slows one
     round does not reach the ratio.
@@ -283,12 +289,11 @@ def sweep_latency(
     whole = PackedCorpus.from_matrices(doc_matrices)
     for target in sizes:
         pack = whole.prefix(int(np.searchsorted(whole.offsets[:-1], target)))
-        n_rows = pack.n_rows
         index = build_index(
             pack,
             n_partitions=config.n_partitions,
             n_subspaces=config.n_subspaces,
-            n_codewords=min(config.n_codewords, max(1, n_rows)),
+            n_codewords=config.n_codewords,
             seed=config.seed,
             max_iters=8,
         )
@@ -317,7 +322,7 @@ def sweep_latency(
 
         rows_out.append(
             BenchRow(
-                embeddings=n_rows,
+                embeddings=pack.n_rows,
                 docs=len(pack),
                 partitions=index.n_partitions,
                 nprobe=min(config.nprobe, index.n_partitions),

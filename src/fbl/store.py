@@ -441,11 +441,16 @@ def load_session(directory: str | Path) -> SessionArtifacts:
     as stored, ready to rank against, and must hold an embedding; the index
     borrows its document table. The vocabulary and embedder come back as
     bytes, for the caller to parse. The manifest's d_in and d_out must be
-    the projection's shape, d_out the index's dimension, n_subspaces and
-    n_codewords the index's, and d_in the embedder's width.
+    the projection's shape, d_out the index's dimension, n_partitions,
+    n_subspaces and n_codewords the index's, d_in the embedder's width,
+    and its seed, which seeds the query side's hash embedder, the
+    embedder_seed the documents were embedded with.
     """
     directory = Path(directory)
     manifest = load_manifest(directory)
+    if manifest.seed != manifest.embedder_seed:
+        raise FormatError(f"{directory / MANIFEST_NAME}: seed {manifest.seed}, but the documents "
+                          f"were embedded with embedder_seed {manifest.embedder_seed}")
     required = _REQUIRED_NAMES + (EMBEDDER_NAME,) * (manifest.embedder_kind == "file")
     for name in required:
         if name not in manifest.checksums:
@@ -468,6 +473,7 @@ def load_session(directory: str | Path) -> SessionArtifacts:
             f"{PROJECTION_NAME} is {projection.d_in} x {projection.d_out}"
         )
     for name, shape, built in (("d_out", "dim", index.dim),
+                               ("n_partitions", "n_partitions", index.n_partitions),
                                ("n_subspaces", "n_subspaces", index.n_subspaces),
                                ("n_codewords", "n_codewords", index.n_codewords)):
         if getattr(manifest, name) != built:  # the index header is the shape queries run on

@@ -17,7 +17,8 @@ import fbl
 
 from fbl.cli import main
 from fbl.pipeline import CONFIG_LEAST, MANIFEST_FIELDS, Config
-from fbl.store import Manifest
+from fbl.index import codewords_for
+from fbl.store import Manifest, load_session
 
 WORDS = [
     "widget", "handler", "parser", "buffer", "cursor", "stream", "socket",
@@ -435,7 +436,11 @@ def test_index_without_config_flags_records_what_config_describes(tmp_path):
     argv = ["index", "--corpus", str(tmp_path / "c"), "--vocab", str(vocab), "--session"]
     assert main(argv + [str(session)]) == 0
     manifest = json.loads((session / "manifest.json").read_text())
-    assert Config(**{name: manifest[name] for name in MANIFEST_FIELDS}) == Config()
+    # the unset codebook size is recorded as the one the table sized: 8 for ~360 rows
+    index = load_session(session).index
+    assert index.n_codewords == codewords_for(index.rows.shape[0]) == 8
+    described = dataclasses.replace(Config(), n_codewords=index.n_codewords)
+    assert Config(**{name: manifest[name] for name in MANIFEST_FIELDS}) == described
     assert (manifest["doc_limit"], manifest["embedder_seed"]) == (256, 42)
     # the tuple names every field that the manifest and Config share
     shared = {f.name for f in dataclasses.fields(Manifest)} & set(Config.__dataclass_fields__)
@@ -443,13 +448,19 @@ def test_index_without_config_flags_records_what_config_describes(tmp_path):
 
 
 def test_index_records_the_config_it_built_with(corpus_dir, tmp_path, monkeypatch):
+    # with the partition count and codebook size the index was built with:
+    # 64 partitions are capped at the table's rows
     from fbl import cli, pipeline
 
     build, encode, built, limits = cli.build_session, pipeline.encode_documents, [], []
 
     def building(changesets, vocab, config, **kwargs):
-        built.append(config)
-        return build(changesets, vocab, config, **kwargs)
+        artifacts = build(changesets, vocab, config, **kwargs)
+        index = artifacts.index
+        assert index.n_partitions < config.n_partitions
+        built.append(dataclasses.replace(config, n_partitions=index.n_partitions,
+                                         n_codewords=index.n_codewords))
+        return artifacts
 
     def encoding(docs, strategy, vocab, limit):
         seqs = encode(docs, strategy, vocab, limit)
@@ -461,7 +472,8 @@ def test_index_records_the_config_it_built_with(corpus_dir, tmp_path, monkeypatc
     _, corpus, vocab = corpus_dir
     session = tmp_path / "session"
     argv = _index_args(corpus, vocab, session)
-    assert main(argv + ["--granularity", "file", "--doc-limit", "100", "--query-limit", "64"]) == 0
+    assert main(argv + ["--granularity", "file", "--doc-limit", "100", "--query-limit", "64",
+                        "--partitions", "64"]) == 0
     manifest = json.loads((session / "manifest.json").read_text())
     assert [Config(**{name: manifest[name] for name in MANIFEST_FIELDS})] == built
     assert (built[0].doc_limit, built[0].query_limit) == (100, 64)
@@ -882,7 +894,8 @@ def test_an_unknown_embedder_kind_in_the_manifest_exits_2(corpus_dir, capsys, co
 
 
 @pytest.mark.parametrize("command", ["query", "bench"])
-@pytest.mark.parametrize("field, value", [("n_subspaces", 7), ("n_codewords", 300)])
+@pytest.mark.parametrize("field, value",
+                         [("n_partitions", 3), ("n_subspaces", 7), ("n_codewords", 300)])
 def test_a_manifest_whose_quantizer_is_not_the_index_s_exits_2(corpus_dir, capsys, command,
                                                                 field, value):
     # the index header holds the shape queries run on, and the manifest
@@ -898,6 +911,59 @@ def test_a_manifest_whose_quantizer_is_not_the_index_s_exits_2(corpus_dir, capsy
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["kind"] == "data" and "manifest.json" in payload["error"]
     assert f"{field} {value}" in payload["error"]
+
+
+@pytest.mark.parametrize("command", ["query", "bench"])
+def test_a_manifest_whose_seed_is_not_its_embedder_seed_exits_2(corpus_dir, capsys, command):
+    # seed seeds the query side's hash embedder; another one than the
+    # documents were embedded with would rank with other token rows
+    base_tmp, corpus, vocab = corpus_dir
+    session = base_tmp / "session"
+    assert main(_index_args(corpus, vocab, session)) == 0
+    manifest = session / "manifest.json"
+    manifest.write_bytes(_set("seed", 8)(manifest.read_bytes()))
+    capsys.readouterr()
+    argv = {"query": ["--text", "widget"], "bench": ["--sizes", "20", "--queries", "1"]}[command]
+    assert main([command, "--session", str(session)] + argv) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["kind"] == "data" and "manifest.json" in payload["error"]
+    assert "seed 8" in payload["error"] and "embedder_seed 7" in payload["error"]
+
+
+def _without_codewords(argv):
+    at = argv.index("--codewords")
+    return argv[:at] + argv[at + 2:]
+
+
+def test_index_without_codewords_records_the_size_the_table_gave(corpus_dir, tmp_path):
+    from fbl import pipeline
+
+    _, corpus, vocab = corpus_dir
+    for flags, want in (([], None), (["--codewords", "256"], 256)):
+        session = tmp_path / f"session{len(flags)}"
+        assert main(_without_codewords(_index_args(corpus, vocab, session)) + flags) == 0
+        index = load_session(session).index
+        want = want or codewords_for(index.rows.shape[0])
+        manifest = json.loads((session / "manifest.json").read_text())
+        assert manifest["n_codewords"] == index.n_codewords == want
+        assert pipeline.open_session(session).config.n_codewords == want
+
+
+def test_the_codebook_size_changes_no_run_where_no_row_is_cut(corpus_dir, tmp_path):
+    # 1000 candidates fetch every row of the table, so no query reads a code
+    _, corpus, vocab = corpus_dir
+    runs = []
+    for flags in ([], ["--codewords", "256"]):
+        session = tmp_path / f"session{len(flags)}"
+        assert main(_without_codewords(_index_args(corpus, vocab, session)) + flags) == 0
+        assert load_session(session).index.rows.shape[0] < 1000
+        for exact in ([], ["--exact"]):
+            out = tmp_path / f"run{len(flags)}{len(exact)}.jsonl"
+            assert main(["query", "--session", str(session), "--bug-file",
+                         str(corpus / "bugs.jsonl"), "--out", str(out)] + exact) == 0
+            runs.append(out.read_bytes())
+    assert runs[0] == runs[2] and runs[1] == runs[3]
+    assert json.loads(runs[0].splitlines()[0])["bug_id"] == "b1"
 
 
 @pytest.mark.parametrize("command", ["query", "bench"])
@@ -1291,12 +1357,17 @@ def test_open_session_gives_back_the_config_index_built_with(corpus_dir, tmp_pat
     build, built = cli.build_session, []
 
     def building(changesets, vocab, config, **kwargs):
-        built.append(config)
-        return build(changesets, vocab, config, **kwargs)
+        artifacts = build(changesets, vocab, config, **kwargs)
+        index = artifacts.index
+        built.append(dataclasses.replace(config, n_partitions=index.n_partitions,
+                                         n_codewords=index.n_codewords))
+        return artifacts
 
     monkeypatch.setattr(cli, "build_session", building)
     session = _file_embedder_session(corpus_dir, tmp_path, "--granularity", "file", "--strategy",
-                                     "d", "--doc-limit", "100", "--query-limit", "64")
+                                     "d", "--doc-limit", "100", "--query-limit", "64",
+                                     "--partitions", "64")
+    assert built[0].n_partitions < 64  # capped at the table's rows
     opened = pipeline.open_session(session, nprobe=3, candidates=None)
     assert opened.config.embedder_path == str(session / "embedder.fble")
     assert [opened.config] == [dataclasses.replace(

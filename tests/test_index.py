@@ -29,6 +29,7 @@ from fbl.index import (
     _kmeans_pp_init,
     build_index,
     candidate_docs,
+    codewords_for,
     kmeans,
 )
 from fbl.store import _fbli_pieces, _write, load_index
@@ -334,6 +335,54 @@ def test_build_caps_the_partitions_at_the_distinct_rows():
     assert idx.n_partitions == 3
     assert np.diff(idx.part_offsets).min() > 0  # every partition holds rows
     assert build_index(docs, n_partitions=3, n_subspaces=2, n_codewords=2).n_partitions == 3
+
+
+@pytest.mark.parametrize("n_rows, k", [
+    (1, 1), (38, 1), (39, 1), (77, 1), (78, 2), (623, 8), (624, 16), (847, 16),
+    (9_983, 128), (9_984, 256), (10**6, 256),
+])
+def test_an_unset_codebook_size_leaves_each_codeword_39_rows(n_rows, k):
+    # the largest power of two <= min(256, rows / 39); 1 below 78 rows
+    assert codewords_for(n_rows) == k
+
+
+def test_an_unset_codebook_size_is_sized_to_the_distinct_rows():
+    # 14 docs hold 256 rows of an 80-row table: K is sized on the 80 distinct
+    # rows (80 / 39 gives 2), not on the 256 pack rows (which would give 4)
+    rng = np.random.default_rng(4)
+    table = _unit_rows(rng.standard_normal((80, 8)))
+    docs = {f"d{i:02d}:0:0": EmbeddingMatrix(rows=table[rng.permutation(80)[:8]])
+            for i in range(12)}
+    docs["all:0:0"] = EmbeddingMatrix(rows=table)
+    docs["again:0:0"] = EmbeddingMatrix(rows=table[::-1].copy())
+    idx = build_index(docs, n_partitions=4, n_subspaces=2, n_codewords=None, seed=1)
+    assert idx.rows.shape[0] == 80 and idx.n_codewords == 2
+    sized = build_index(docs, n_partitions=4, n_subspaces=2, n_codewords=2, seed=1)
+    for name in ("coarse", "codebooks", "part_offsets", "rows", "codes"):
+        assert getattr(idx, name).tobytes() == getattr(sized, name).tobytes(), name
+
+
+@pytest.mark.parametrize("n_partitions, n_codewords", [(2, 2), (1, 4), (8, 1)])
+def test_each_quantizer_trains_on_at_most_256_rows_per_centroid(monkeypatch, n_partitions,
+                                                                n_codewords):
+    # 1,100 distinct rows: above the coarse cap at P = 1 and 2 (256 and 512
+    # rows), above the PQ cap at K = 1, 2 and 4 (256, 512 and 1,024 rows)
+    rows = _unit_rows(np.random.default_rng(31).standard_normal((1100, 8)))
+    docs = {f"d{i:04d}:0:0": EmbeddingMatrix(rows=rows[i : i + 10]) for i in range(0, 1100, 10)}
+    real, trained = index_module.kmeans, []
+
+    def kmeans(points, k, **kwargs):
+        trained.append((k, points.shape[0]))
+        return real(points, k, **kwargs)
+
+    monkeypatch.setattr(index_module, "kmeans", kmeans)
+    args = dict(n_partitions=n_partitions, n_subspaces=4, n_codewords=n_codewords, seed=5,
+                max_iters=4)
+    built = [build_index(docs, **args) for _ in range(2)]
+    coarse, pq = min(1100, 256 * n_partitions), min(1100, 256 * n_codewords)
+    assert trained == 2 * ([(n_partitions, coarse)] + [(n_codewords, pq)] * 4)
+    for name in ("coarse", "codebooks", "part_offsets", "rows", "codes"):
+        assert getattr(built[0], name).tobytes() == getattr(built[1], name).tobytes(), name
 
 
 def test_build_rejects_bad_subspaces():

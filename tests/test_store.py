@@ -74,7 +74,7 @@ def _pieces():
         strategy="arcl",
         vocab_hash="vh",
         embedder_kind="hash",
-        embedder_seed=42,
+        embedder_seed=1,
         d_in=16,
         d_out=8,
         projection_hash="ph",
