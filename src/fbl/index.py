@@ -25,8 +25,8 @@ train on the table weighted by each row's multiplicity (the number of
 documents holding it, as a document holds a row once). The partition count
 is capped at the table's rows: more coarse centroids would be copies of
 the same rows, and a query probing only copies would find nothing. An
-unset codebook size is sized to the table (``codewords_for``), and each
-quantizer trains on at most 256 rows per centroid, faiss's bounds
+unset codebook size is sized to the table (``codewords_for``), at least
+39 training rows per codeword, the bound below which faiss warns
 (Johnson et al., arXiv 1702.08734).
 """
 
@@ -41,11 +41,10 @@ from . import _kernels
 from .embed import EmbeddingMatrix, PackedCorpus
 from .errors import EmptyIndex, InsufficientData
 
-# training rows per centroid: fewer than _MIN_PER_CENTROID leave centroids
-# that fit a handful of rows (faiss warns below 39), and more than
-# _MAX_PER_CENTROID add time but no accuracy (faiss subsamples above 256)
+_TRAIN_SUBSAMPLE_CAP = 256_000
+# the fewest training rows per codeword an unset codebook size leaves;
+# faiss warns below 39
 _MIN_PER_CENTROID = 39
-_MAX_PER_CENTROID = 256
 # PQ subspaces train one run per core from this many training rows; below it
 # k-means is mostly Python, and threads contending for the GIL gained nothing
 _SPREAD_SUBSPACES_ROWS = 8192
@@ -190,15 +189,6 @@ def codewords_for(n_rows: int) -> int:
     return 1 << max(fit.bit_length() - 1, 0)
 
 
-def _training_rows(n_rows: int, n_centroids: int, seed: int) -> slice | np.ndarray:
-    """The rows a k-means of n_centroids trains on: all, or a seeded draw of
-    _MAX_PER_CENTROID per centroid, ascending."""
-    cap = _MAX_PER_CENTROID * n_centroids
-    if n_rows <= cap:
-        return slice(None)
-    return np.sort(np.random.default_rng(seed).choice(n_rows, cap, replace=False))
-
-
 @dataclass
 class IvfPqIndex:
     coarse: np.ndarray  # (P, d) float32 centroids
@@ -235,7 +225,7 @@ def build_index(
     doc_matrices: Mapping[str, EmbeddingMatrix],
     n_partitions: int,
     n_subspaces: int,
-    n_codewords: int | None = 256,
+    n_codewords: int | None = None,
     seed: int = 0,
     max_iters: int = 25,
 ) -> IvfPqIndex:
@@ -246,9 +236,7 @@ def build_index(
     weighs each table row by how many pack rows refer to it, the documents
     holding it (all 1 without repeats, where the table is the rows). The
     partition count is capped at the table's rows, and n_codewords None
-    is ``codewords_for`` the table's rows. The coarse k-means trains on at
-    most 256 rows per partition and each PQ codebook on at most 256 per
-    codeword, each a seeded draw of the table's rows.
+    is ``codewords_for`` the table's rows.
     """
     pack = PackedCorpus.from_matrices(doc_matrices)
     distinct = pack.table
@@ -266,14 +254,18 @@ def build_index(
 
     weights = np.bincount(pack.refs, minlength=n_distinct).astype(np.float64)
 
-    pick = _training_rows(n_distinct, n_partitions, seed)
+    pick = slice(None)  # the rows that train: all of them, up to the cap
+    if n_distinct > _TRAIN_SUBSAMPLE_CAP:
+        pick = np.sort(
+            np.random.default_rng(seed).choice(n_distinct, _TRAIN_SUBSAMPLE_CAP, replace=False)
+        )
+
     coarse = kmeans(
         distinct[pick], n_partitions, max_iters=max_iters, seed=seed, weights=weights[pick]
     ).centroids.astype(np.float32)
     part, _ = _kernels.assign_nearest(distinct, coarse)
     residuals = distinct - coarse[part]
 
-    pick = _training_rows(n_distinct, n_codewords, seed + 1)
     train_res, train_w = residuals[pick], weights[pick]
     codebooks = np.empty((n_subspaces, n_codewords, dsub), dtype=np.float32)
     codes = np.empty((n_distinct, n_subspaces), dtype=np.uint8)

@@ -275,8 +275,10 @@ def sweep_latency(
 
     Queries are stitched from sampled document rows (bug reports run longer
     than hunks, hence query_rows). Quantizer quality barely affects scan
-    latency, so index builds here run few k-means iterations; an unset
-    codebook size is sized to each prefix's table. Each path's
+    latency, so index builds here run few k-means iterations. Every prefix
+    builds with the config's codebook size: ``fbl bench`` passes the one its
+    session was built with, and a library caller whose n_codewords is None
+    gets each prefix's table-sized one. Each path's
     query loop runs in three rounds, alternating which path goes first, and
     reports its fastest round: load from other processes that slows one
     round does not reach the ratio.

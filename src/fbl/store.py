@@ -450,7 +450,8 @@ def load_session(directory: str | Path) -> SessionArtifacts:
     manifest = load_manifest(directory)
     if manifest.seed != manifest.embedder_seed:
         raise FormatError(f"{directory / MANIFEST_NAME}: seed {manifest.seed}, but the documents "
-                          f"were embedded with embedder_seed {manifest.embedder_seed}")
+                          f"were embedded with embedder_seed {manifest.embedder_seed}; "
+                          f"{_REBUILD}")
     required = _REQUIRED_NAMES + (EMBEDDER_NAME,) * (manifest.embedder_kind == "file")
     for name in required:
         if name not in manifest.checksums:
@@ -478,7 +479,7 @@ def load_session(directory: str | Path) -> SessionArtifacts:
                                ("n_codewords", "n_codewords", index.n_codewords)):
         if getattr(manifest, name) != built:  # the index header is the shape queries run on
             raise FormatError(f"{directory / MANIFEST_NAME}: {name} {getattr(manifest, name)}, "
-                              f"but the index has {shape} {built}")
+                              f"but the index has {shape} {built}; {_REBUILD}")
     if manifest.embedder_kind == "file":  # the table's width, from its header
         _, dim = _Reader(directory / EMBEDDER_NAME, data[EMBEDDER_NAME], _FBLE).header
         if dim != manifest.d_in:

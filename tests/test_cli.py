@@ -895,11 +895,14 @@ def test_an_unknown_embedder_kind_in_the_manifest_exits_2(corpus_dir, capsys, co
 
 @pytest.mark.parametrize("command", ["query", "bench"])
 @pytest.mark.parametrize("field, value",
-                         [("n_partitions", 3), ("n_subspaces", 7), ("n_codewords", 300)])
+                         [("n_partitions", 3), ("n_partitions", 320), ("n_subspaces", 7),
+                          ("n_codewords", 300)])
 def test_a_manifest_whose_quantizer_is_not_the_index_s_exits_2(corpus_dir, capsys, command,
                                                                 field, value):
     # the index header holds the shape queries run on, and the manifest
-    # must agree with it; 7 subspaces would not divide d_out 16
+    # must agree with it; 7 subspaces would not divide d_out 16. Sessions
+    # from before the manifest recorded the built partition count hold
+    # the asked one (320 by default) over a capped index: rebuild them
     base_tmp, corpus, vocab = corpus_dir
     session = base_tmp / "session"
     assert main(_index_args(corpus, vocab, session)) == 0
@@ -911,6 +914,7 @@ def test_a_manifest_whose_quantizer_is_not_the_index_s_exits_2(corpus_dir, capsy
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["kind"] == "data" and "manifest.json" in payload["error"]
     assert f"{field} {value}" in payload["error"]
+    assert payload["error"].endswith("re-run `fbl index` to rebuild the session")
 
 
 @pytest.mark.parametrize("command", ["query", "bench"])
@@ -928,6 +932,7 @@ def test_a_manifest_whose_seed_is_not_its_embedder_seed_exits_2(corpus_dir, caps
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["kind"] == "data" and "manifest.json" in payload["error"]
     assert "seed 8" in payload["error"] and "embedder_seed 7" in payload["error"]
+    assert "re-run `fbl index`" in payload["error"]
 
 
 def _without_codewords(argv):

@@ -362,29 +362,6 @@ def test_an_unset_codebook_size_is_sized_to_the_distinct_rows():
         assert getattr(idx, name).tobytes() == getattr(sized, name).tobytes(), name
 
 
-@pytest.mark.parametrize("n_partitions, n_codewords", [(2, 2), (1, 4), (8, 1)])
-def test_each_quantizer_trains_on_at_most_256_rows_per_centroid(monkeypatch, n_partitions,
-                                                                n_codewords):
-    # 1,100 distinct rows: above the coarse cap at P = 1 and 2 (256 and 512
-    # rows), above the PQ cap at K = 1, 2 and 4 (256, 512 and 1,024 rows)
-    rows = _unit_rows(np.random.default_rng(31).standard_normal((1100, 8)))
-    docs = {f"d{i:04d}:0:0": EmbeddingMatrix(rows=rows[i : i + 10]) for i in range(0, 1100, 10)}
-    real, trained = index_module.kmeans, []
-
-    def kmeans(points, k, **kwargs):
-        trained.append((k, points.shape[0]))
-        return real(points, k, **kwargs)
-
-    monkeypatch.setattr(index_module, "kmeans", kmeans)
-    args = dict(n_partitions=n_partitions, n_subspaces=4, n_codewords=n_codewords, seed=5,
-                max_iters=4)
-    built = [build_index(docs, **args) for _ in range(2)]
-    coarse, pq = min(1100, 256 * n_partitions), min(1100, 256 * n_codewords)
-    assert trained == 2 * ([(n_partitions, coarse)] + [(n_codewords, pq)] * 4)
-    for name in ("coarse", "codebooks", "part_offsets", "rows", "codes"):
-        assert getattr(built[0], name).tobytes() == getattr(built[1], name).tobytes(), name
-
-
 def test_build_rejects_bad_subspaces():
     docs = {"a:0:0": _mat(np.eye(4, 6))}  # 4 distinct rows: enough for 2 partitions
     with pytest.raises(ValueError):
