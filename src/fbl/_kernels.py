@@ -7,7 +7,8 @@
 
 Each is deterministic: the same inputs give the same bits, whatever the
 thread, core or BLAS-thread count. _spread splits work over the usable
-cores: assign_nearest's row blocks, and build_index's PQ subspaces.
+cores: assign_nearest's row blocks, from three blocks up, and build_index's
+PQ subspaces.
 """
 
 from __future__ import annotations
@@ -94,11 +95,14 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 # assign_nearest builds ||x||^2 + ||c||^2 - 2 x.c in blocks of _BLOCK_ROWS
 # points: a (512, 256) float64 block is 1 MB and stays in a core's 2 MB L2
 # (on a 2-core VM, blocks of 256 and 512 rows built balanced_20k in 2.23 s,
-# 1024 in 2.28 s and 2048 in 2.38 s). The blocks split into one contiguous
-# run per usable core; the caller runs the first and a process-wide thread
-# pool the others, since the GEMM, the ufuncs, argmin and the gather release
-# the GIL. A block's arithmetic does not depend on its neighbours or on who
-# runs it, so the bits are those of 8192-row blocks on one thread, which
+# 1024 in 2.28 s and 2048 in 2.38 s). From three blocks up they split into
+# one contiguous run per usable core; the caller runs the first and a
+# process-wide thread pool the others, since the GEMM, the ufuncs, argmin and
+# the gather release the GIL. One or two blocks run on the caller: on 847 x 8
+# float32 points and 16 centroids a call took 88 us there and 174 us split
+# over two workers (2-core VM, best of 7 x 500 calls). A block's arithmetic
+# does not depend on its neighbours or on who runs it, so the bits are those
+# of 8192-row blocks on one thread, which
 # test_assign_nearest_np_is_bit_identical_to_the_allocating_form checks.
 # _spread serves build_index's PQ subspaces too, each trained and encoded
 # whole by one thread; a _spread inside a part runs on that thread, so a
@@ -173,7 +177,11 @@ def assign_nearest(points: np.ndarray, centroids: np.ndarray):
             labels[s:e] = lab
             dists[s:e] = np.maximum(d2[np.arange(e - s), lab], 0.0)
 
-    _spread(run, -(-n // _BLOCK_ROWS))
+    n_blocks = -(-n // _BLOCK_ROWS)
+    if n_blocks <= 2:
+        run(0, n_blocks)
+    else:
+        _spread(run, n_blocks)
     return labels, dists
 
 

@@ -228,10 +228,13 @@ def cmd_train_projection(args) -> int:
     train_links, _ = corpus.split_train_test(links, bug_map)
     docs = corpus.explode_corpus(changesets, config.granularity)
     triplets = corpus.build_triplets(train_links, docs, seed=config.seed)
-    doc_seqs = encode_documents(docs, config.strategy, vocab, config.doc_limit)
-    query_seqs = {
-        b.bug_id: encode_query(b, vocab, config.query_limit) for b in bugs
-    }
+    # training reads only the texts its triplets name
+    named_docs = {d for t in triplets for d in (t.positive_doc, t.negative_doc)}
+    named_bugs = {t.bug_id for t in triplets}
+    doc_seqs = encode_documents([d for d in docs if d.doc_id in named_docs], config.strategy,
+                                vocab, config.doc_limit)
+    query_seqs = {b.bug_id: encode_query(b, vocab, config.query_limit)
+                  for b in bugs if b.bug_id in named_bugs}
     result = train_projection(
         triplets, query_seqs, doc_seqs, embedder, cfg, d_out=config.d_out
     )

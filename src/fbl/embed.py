@@ -24,7 +24,8 @@ plain mini-batch SGD over a table holding each distinct token's raw row
 once. A step projects and normalises only the rows its triplets use, and
 computes the analytic gradient (including the row normalization Jacobian)
 only where a hinge is open: it sums each row's Jacobian coefficients and
-multiplies them by the raw rows in one GEMM. ``loss_from_raw`` and
+multiplies them by the raw rows an open hinge touched in one GEMM (on
+project_cli a median of 79 of a step's 281 rows). ``loss_from_raw`` and
 ``gradient_of_loss`` run the same step on one triplet, so the gradient can
 be checked against finite differences. An epoch's loss is the mean of the
 losses its steps computed. Gradient and loss math run in float64; stored
@@ -317,20 +318,23 @@ def _step(raw: np.ndarray, triplets, w: np.ndarray, margin: float) -> tuple[floa
     row) scores -inf. A hinge at most 0 adds nothing. Any other hinge, NaN
     included, adds its loss and, per used row, the coefficients of each
     score's best-matching pairs (each query row's best doc row, ties to the
-    lowest index) through the row normalisation Jacobian. One GEMM of the
-    used raw rows and the summed coefficients gives the gradient.
+    lowest index) through the row normalisation Jacobian. The coefficients
+    add, in pair order, into the distinct rows an open hinge touched, and one
+    GEMM of those rows' raw vectors and their sums gives the gradient: a row
+    no open hinge touched adds only zeros.
     """
     used, local = _distinct_ids([r for t in triplets for r in t])
     y = raw[used] @ w
     norms = np.linalg.norm(y, axis=1)
-    unit = y / np.where(norms > 0, norms, 1.0)[:, None]
+    live = norms > 0
+    unit = y / np.where(live, norms, 1.0)[:, None]
     pieces = iter(local)
-    loss, rows, terms = 0.0, [], []
+    loss, rows, partners, maxima, signs = 0.0, [], [], [], []
     for q, pos, neg in zip(pieces, pieces, pieces):
-        q = q[norms[q] > 0]
+        q = q[live[q]]
         uq, best = unit[q], []
         for d in (pos, neg):
-            d = d[norms[d] > 0]
+            d = d[live[d]]
             sims = uq @ unit[d].T
             best.append((d[np.argmax(sims, axis=1)], sims.max(axis=1)) if d.size else None)
         s_pos, s_neg = (float("-inf") if b is None else float(b[1].sum()) for b in best)
@@ -339,16 +343,23 @@ def _step(raw: np.ndarray, triplets, w: np.ndarray, margin: float) -> tuple[floa
             continue
         loss += hinge
         for sign, pair in zip((-1.0, 1.0), best):
-            if pair is not None:
+            if pair is not None:  # each pair moves its query rows, then its best doc rows
                 j, s = pair
-                v = unit[j]
                 rows += [q, j]
-                terms.append(sign * (v - s[:, None] * uq) / norms[q, None])
-                terms.append(sign * (uq - s[:, None] * v) / norms[j, None])
-    coef = np.zeros_like(unit)
-    if rows:
-        np.add.at(coef, np.concatenate(rows), np.concatenate(terms))
-    return loss, raw[used].T @ coef
+                partners += [j, q]
+                maxima += [s, s]
+                signs.append(np.full(2 * q.shape[0], sign))
+    if not rows:
+        return loss, np.zeros_like(w)
+    a, b, s = np.concatenate(rows), np.concatenate(partners), np.concatenate(maxima)[:, None]
+    terms = np.concatenate(signs)[:, None] * (unit[b] - s * unit[a]) / norms[a, None]
+    touched, slot = np.unique(a, return_inverse=True)
+    coef = np.zeros((touched.shape[0], unit.shape[1]))
+    # a flat add.at is faster than a row-wise one, and adds each element's terms in
+    # the same order
+    cols = np.arange(unit.shape[1])
+    np.add.at(coef.ravel(), (slot[:, None] * unit.shape[1] + cols).ravel(), terms.ravel())
+    return loss, raw[np.asarray(used)[touched]].T @ coef
 
 
 def _one_triplet(*mats: np.ndarray):

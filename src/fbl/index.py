@@ -41,7 +41,6 @@ from . import _kernels
 from .embed import EmbeddingMatrix, PackedCorpus
 from .errors import EmptyIndex, InsufficientData
 
-_TRAIN_SUBSAMPLE_CAP = 256_000
 # the fewest training rows per codeword an unset codebook size leaves;
 # faiss warns below 39
 _MIN_PER_CENTROID = 39
@@ -254,19 +253,12 @@ def build_index(
 
     weights = np.bincount(pack.refs, minlength=n_distinct).astype(np.float64)
 
-    pick = slice(None)  # the rows that train: all of them, up to the cap
-    if n_distinct > _TRAIN_SUBSAMPLE_CAP:
-        pick = np.sort(
-            np.random.default_rng(seed).choice(n_distinct, _TRAIN_SUBSAMPLE_CAP, replace=False)
-        )
-
     coarse = kmeans(
-        distinct[pick], n_partitions, max_iters=max_iters, seed=seed, weights=weights[pick]
+        distinct, n_partitions, max_iters=max_iters, seed=seed, weights=weights
     ).centroids.astype(np.float32)
     part, _ = _kernels.assign_nearest(distinct, coarse)
     residuals = distinct - coarse[part]
 
-    train_res, train_w = residuals[pick], weights[pick]
     codebooks = np.empty((n_subspaces, n_codewords, dsub), dtype=np.float32)
     codes = np.empty((n_distinct, n_subspaces), dtype=np.uint8)
 
@@ -274,12 +266,12 @@ def build_index(
         for s in range(s0, s1):
             cols = slice(s * dsub, (s + 1) * dsub)
             codebooks[s] = kmeans(
-                train_res[:, cols], n_codewords, max_iters=max_iters, seed=seed + 1 + s,
-                weights=train_w,
+                residuals[:, cols], n_codewords, max_iters=max_iters, seed=seed + 1 + s,
+                weights=weights,
             ).centroids.astype(np.float32)
             codes[:, s] = _kernels.assign_nearest(residuals[:, cols], codebooks[s])[0]
 
-    if train_res.shape[0] >= _SPREAD_SUBSPACES_ROWS:
+    if n_distinct >= _SPREAD_SUBSPACES_ROWS:
         _kernels._spread(train, n_subspaces)
     else:
         train(0, n_subspaces)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fbl import _kernels
 from fbl.corpus import Document, Granularity
 from fbl.diffs import Changeset, DiffLine, FileDiff, Hunk, LineKind
-from fbl.embed import LinearProjection, PackedCorpus, gradient_of_loss
+from fbl.embed import LinearProjection, PackedCorpus, _distinct_ids, gradient_of_loss
 from fbl.encode import EncodedSequence, Vocabulary
 from fbl.retrieve import rank_exact
 
@@ -305,7 +305,44 @@ def candidate_docs_per_embedding(index, query_matrix, n_prime, nprobe):
     return np.unique(_doc_indices(index.doc_offsets, held)).astype(np.int64)
 
 
-# -- training reference: the SGD rule train_projection must equal bit for bit
+# -- training references: the step and SGD rule training must equal bit for bit
+
+
+def step_reference(raw, triplets, w, margin):
+    """``embed._step`` as it was before it multiplied only the rows an open hinge touched.
+
+    Every used row, touched or not, takes part in the gradient's GEMM, with
+    a zero coefficient where no open hinge touched it.
+    """
+    used, local = _distinct_ids([r for t in triplets for r in t])
+    y = raw[used] @ w
+    norms = np.linalg.norm(y, axis=1)
+    unit = y / np.where(norms > 0, norms, 1.0)[:, None]
+    pieces = iter(local)
+    loss, rows, terms = 0.0, [], []
+    for q, pos, neg in zip(pieces, pieces, pieces):
+        q = q[norms[q] > 0]
+        uq, best = unit[q], []
+        for d in (pos, neg):
+            d = d[norms[d] > 0]
+            sims = uq @ unit[d].T
+            best.append((d[np.argmax(sims, axis=1)], sims.max(axis=1)) if d.size else None)
+        s_pos, s_neg = (float("-inf") if b is None else float(b[1].sum()) for b in best)
+        hinge = margin - s_pos + s_neg
+        if hinge <= 0.0:
+            continue
+        loss += hinge
+        for sign, pair in zip((-1.0, 1.0), best):
+            if pair is not None:
+                j, s = pair
+                v = unit[j]
+                rows += [q, j]
+                terms.append(sign * (v - s[:, None] * uq) / norms[q, None])
+                terms.append(sign * (uq - s[:, None] * v) / norms[j, None])
+    coef = np.zeros_like(unit)
+    if rows:
+        np.add.at(coef, np.concatenate(rows), np.concatenate(terms))
+    return loss, raw[used].T @ coef
 
 
 def train_projection_reference(triplets, query_seqs, doc_seqs, embedder, cfg, d_out):

@@ -564,6 +564,73 @@ def test_train_projection_without_training_flags_trains_as_the_defaults(
     assert seen == [(768, TripletTrainConfig(seed=42), {"d_out": 128})]
 
 
+def _two_hunk_corpus(tmp_path):
+    """(corpus, vocab): ten changesets of two hunks each and six linked bugs, ingested."""
+    src = tmp_path / "src"
+    src.mkdir()
+    changesets = [
+        {"id": f"c{i}", "log": f"change {i}", "timestamp": f"2021-01-{i + 1:02d}T00:00:00+00:00",
+         "diff": _diff(f"a/F{i}.java", WORDS[i : i + 3]) + _diff(f"b/G{i}.java", PLANT[i % 5 :])}
+        for i in range(10)
+    ]
+    bugs = [
+        {"id": f"b{i}", "summary": " ".join(WORDS[i : i + 2]), "description": PLANT[i % 5],
+         "opened_at": f"2021-02-{i + 1:02d}T00:00:00+00:00"}
+        for i in range(6)
+    ]
+    links = [{"bug_id": f"b{i}", "changeset_id": f"c{i}"} for i in range(6)]
+    for name, rows in (("changesets", changesets), ("bugs", bugs), ("links", links)):
+        (src / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("\n".join(WORDS + PLANT) + "\n")
+    corpus = tmp_path / "corpus"
+    assert main(["ingest", "--changesets", str(src / "changesets.jsonl"),
+                 "--bugs", str(src / "bugs.jsonl"), "--links", str(src / "links.jsonl"),
+                 "--out", str(corpus)]) == 0
+    return corpus, vocab
+
+
+def test_train_projection_encodes_only_its_triplets_texts_and_trains_the_same_bytes(
+    tmp_path, monkeypatch
+):
+    from fbl import cli, corpus as fbl_corpus, store
+    from fbl.embed import TripletTrainConfig, train_projection
+    from fbl.encode import Vocabulary, encode_query
+    from fbl.pipeline import encode_documents, make_embedder
+
+    corpus, vocab = _two_hunk_corpus(tmp_path)
+    seen = []
+
+    def recording(triplets, queries, docs, embedder, cfg, **kwargs):
+        seen.append((triplets, set(queries), set(docs)))
+        return train_projection(triplets, queries, docs, embedder, cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "train_projection", recording)
+    out = tmp_path / "cli.fble"
+    assert main(["train-projection", "--corpus", str(corpus), "--vocab", str(vocab),
+                 "--out", str(out), "--epochs", "3", "--batch-size", "2"]) == 0
+    # the library call fed every document's and every bug's sequence
+    config, vocabulary = Config(), Vocabulary.from_file(vocab)
+    bugs = fbl_corpus.load_bugs(corpus / "bugs.jsonl")
+    train_links, _ = fbl_corpus.split_train_test(
+        fbl_corpus.load_links(corpus / "links.jsonl"), {b.bug_id: b for b in bugs})
+    docs = fbl_corpus.explode_corpus(
+        fbl_corpus.load_changesets(corpus / "changesets.jsonl"), config.granularity)
+    triplets = fbl_corpus.build_triplets(train_links, docs, seed=config.seed)
+    result = train_projection(
+        triplets, {b.bug_id: encode_query(b, vocabulary, config.query_limit) for b in bugs},
+        encode_documents(docs, config.strategy, vocabulary, config.doc_limit),
+        make_embedder(config, vocab=vocabulary),
+        TripletTrainConfig(epochs=3, batch_size=2, seed=config.seed), d_out=config.d_out)
+    store.save_projection(result.projection, tmp_path / "every_text.fble")
+    assert out.read_bytes() == (tmp_path / "every_text.fble").read_bytes()
+    [(trained_on, bug_ids, doc_ids)] = seen
+    assert trained_on == triplets and len(triplets) == 6  # two hunks for each of 3 bugs
+    assert bug_ids == {t.bug_id for t in triplets} < {b.bug_id for b in bugs}
+    named = {d for t in triplets for d in (t.positive_doc, t.negative_doc)}
+    assert doc_ids == named < {d.doc_id for d in docs}
+
+
 def test_index_stores_the_vocabulary_bytes_it_hashed(corpus_dir, capsys, tmp_path):
     # CRLF line ends and a Latin-1 byte: parsed as `fbl query` parses them,
     # stored as they are

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import repeated_row_docs, train_projection_reference
+from conftest import repeated_row_docs, step_reference, train_projection_reference
 from fbl import _kernels, embed
 from fbl.corpus import Triplet
 from fbl.embed import (
@@ -614,6 +614,28 @@ def test_distinct_row_step_equals_the_per_triplet_wrappers():
         np.testing.assert_allclose(grad, sum(g for _, g in expected), rtol=1e-12)
     assert [x for x, _ in expected] == [float("inf")] and np.isfinite(grad).all()
     assert per_triplet(triplets[-2])[0] == 0.0 and 0.0 in [per_triplet(t)[0] for t in triplets]
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_a_step_has_the_bits_of_the_step_over_every_used_row(seed):
+    triplets, queries, docs, emb = _mixed_setup()
+    docs["empty"] = _seq([], limit=5)  # unscorable
+    triplets = triplets + [Triplet("b0", "p1", "empty"), Triplet("b2", "empty", "n3")]
+    names = list(queries) + list(docs)
+    ids, refs = embed._distinct_ids([s.ids for s in list(queries.values()) + list(docs.values())])
+    raw, at = emb.embed_ids(ids), dict(zip(names, refs))
+    rows = [(at[t.bug_id], at[t.positive_doc], at[t.negative_doc]) for t in triplets]
+    w = LinearProjection.seeded_init(emb.d_in, 8, seed).weights
+    closed = [r for r in rows if step_reference(raw, [r], w, 0.2)[0] == 0.0]
+    assert 0 < len(closed) < len(rows)  # open and closed hinges both occur
+    batches = [rows[i : i + size] for size in (1, 3, 7) for i in range(0, len(rows), size)]
+    for batch in batches + [closed]:
+        loss, grad = embed._step(raw, batch, w, 0.2)
+        want_loss, want_grad = step_reference(raw, batch, w, 0.2)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.dtype == want_grad.dtype and grad.shape == want_grad.shape
+        assert grad.tobytes() == want_grad.tobytes()
+    assert not embed._step(raw, closed, w, 0.2)[1].any()
 
 
 def test_training_runs_no_loss_pass_outside_its_steps(monkeypatch):

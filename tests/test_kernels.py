@@ -129,6 +129,17 @@ def test_assign_nearest_has_the_same_bits_on_any_worker_count(workers, n, dtype,
     assert dists.tobytes() == ref_dists.tobytes()
 
 
+@pytest.mark.parametrize("n", [0, 1, 512, 513, 2 * 512])
+def test_an_assignment_of_at_most_two_blocks_stays_on_the_calling_thread(workers, n):
+    points, centroids = _assign_case(n, np.float32, False)
+    labels, dists = _kernels.assign_nearest(points, centroids)
+    assert _kernels._pool is None
+    ref_labels, ref_dists = assign_nearest_reference(points, centroids)
+    assert labels.tobytes() == ref_labels.tobytes() and dists.tobytes() == ref_dists.tobytes()
+    _kernels.assign_nearest(*_assign_case(2 * 512 + 1, np.float32, False))  # three blocks
+    assert (_kernels._pool is not None) == (workers > 1)
+
+
 @pytest.mark.parametrize("workers", [2, 3], indirect=True)
 def test_an_error_in_a_workers_run_reaches_the_caller(workers):
     points, centroids = _assign_case(4 * 512, np.float32, False)
