@@ -96,63 +96,53 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 # points: a (512, 256) float64 block is 1 MB and stays in a core's 2 MB L2
 # (on a 2-core VM, blocks of 256 and 512 rows built balanced_20k in 2.23 s,
 # 1024 in 2.28 s and 2048 in 2.38 s). From three blocks up they split into
-# one contiguous run per usable core; the caller runs the first and a
-# process-wide thread pool the others, since the GEMM, the ufuncs, argmin and
-# the gather release the GIL. One or two blocks run on the caller: on 847 x 8
-# float32 points and 16 centroids a call took 88 us there and 174 us split
-# over two workers (2-core VM, best of 7 x 500 calls). A block's arithmetic
-# does not depend on its neighbours or on who runs it, so the bits are those
-# of 8192-row blocks on one thread, which
+# one contiguous run per usable core; the caller runs the first and threads
+# made for that call the others, since the GEMM, the ufuncs, argmin and the
+# gather release the GIL. Making and joining them costs about 66 us a call
+# more than a live pool would (2-core VM), under 1 ms of a balanced_20k
+# build, and no thread outlives the call. One or two blocks run on the
+# caller: on 847 x 8 float32 points and 16 centroids a call took 88 us there
+# and 174 us split over two workers (2-core VM, best of 7 x 500 calls). A
+# block's arithmetic does not depend on its neighbours or on who runs it, so
+# the bits are those of 8192-row blocks on one thread, which
 # test_assign_nearest_np_is_bit_identical_to_the_allocating_form checks.
 # _spread serves build_index's PQ subspaces too, each trained and encoded
-# whole by one thread; a _spread inside a part runs on that thread, so a
-# subspace's assign_nearest never waits for the pool thread running it.
+# whole by one thread; a _spread inside a part runs on that thread, since
+# nested spreads with threads of their own ran four threads on two cores
+# and built balanced_20k slower (BENCH_32.json).
 
 _BLOCK_ROWS = 512
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no CPU affinity on this platform
     _WORKERS = os.cpu_count() or 1
-_pool = None  # made by the first call that splits its blocks
 _part = threading.local()  # .running: this thread runs one of a _spread's parts
-
-
-def _forget_pool():
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _spread(run, n_blocks: int) -> None:
     """run(b0, b1) over blocks 0..n_blocks-1, one contiguous run per worker.
 
-    The caller takes the first run. Every run ends before this returns, and
-    an error in any of them is raised here. Called inside a part, it runs
-    every block on the calling thread.
+    The caller takes the first run and threads made for this call the
+    others. Every run ends before this returns or raises, and an error in
+    any of them is raised here. Called inside a part, it runs every block
+    on the calling thread.
     """
-    global _pool
     parts = 1 if getattr(_part, "running", False) else max(1, min(_WORKERS, n_blocks))
     if parts == 1:
         run(0, n_blocks)
         return
-    cuts = [n_blocks * i // parts for i in range(parts + 1)]
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor  # about 4 ms; not at import
+    from concurrent.futures import ThreadPoolExecutor  # about 4 ms; not at import
 
-        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="fbl-kernels",
-                                   initializer=setattr, initargs=(_part, "running", True))
-    others = [_pool.submit(run, b0, b1) for b0, b1 in zip(cuts[1:-1], cuts[2:])]
-    _part.running = True  # a pool thread runs nothing but parts, so its flag stays set
-    try:
-        run(cuts[0], cuts[1])
-    finally:
-        _part.running = False
-        for f in others:
-            f.exception()  # waits, so no run writes after an error returns
-    for f in others:
+    cuts = [n_blocks * i // parts for i in range(parts + 1)]
+    with ThreadPoolExecutor(parts - 1, thread_name_prefix="fbl-kernels",
+                            initializer=setattr, initargs=(_part, "running", True)) as pool:
+        others = [pool.submit(run, b0, b1) for b0, b1 in zip(cuts[1:-1], cuts[2:])]
+        _part.running = True
+        try:
+            run(cuts[0], cuts[1])
+        finally:
+            _part.running = False
+    for f in others:  # leaving the block joined every thread
         f.result()
 
 

@@ -26,7 +26,7 @@ from . import _kernels, corpus, evaluation, retrieve, store
 from .corpus import Granularity, load_bugs, load_changesets, load_links
 from .embed import TripletTrainConfig, train_projection
 from .encode import Strategy, Vocabulary, encode_query
-from .errors import DataError, FblError, FieldError
+from .errors import DataError, FblError, FieldError, NonFiniteLoss
 from .pipeline import (
     BENCH_CSV_HEADER,
     Config,
@@ -235,9 +235,10 @@ def cmd_train_projection(args) -> int:
                                 vocab, config.doc_limit)
     query_seqs = {b.bug_id: encode_query(b, vocab, config.query_limit)
                   for b in bugs if b.bug_id in named_bugs}
-    result = train_projection(
-        triplets, query_seqs, doc_seqs, embedder, cfg, d_out=config.d_out
-    )
+    try:
+        result = train_projection(triplets, query_seqs, doc_seqs, embedder, cfg, d_out=config.d_out)
+    except NonFiniteLoss as exc:
+        raise NonFiniteLoss(f"{exc} (--learning-rate {args.learning_rate:g})") from None
     store.save_projection(result.projection, out)
     done = f"trained on {len(triplets)} triplets for {cfg.epochs} epochs"
     trace = ", ".join(f"{x:.4f}" for x in result.epoch_losses)

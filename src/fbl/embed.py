@@ -435,7 +435,6 @@ def train_projection(
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            w = LinearProjection(w).weights  # rejects non-finite weights
             batch_loss, grad = _step(raw, [rows[i] for i in batch], w, cfg.margin)
             if not np.isfinite(batch_loss):
                 raise NonFiniteLoss(
@@ -444,5 +443,10 @@ def train_projection(
             epoch_loss += batch_loss
             w = w - cfg.learning_rate * (grad / len(batch))
             w.flags.writeable = False  # so LinearProjection(w) keeps w uncopied
+            # the loss does not see w's scale, so a large step grows w unnoticed
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.isfinite(w.astype(np.float32)).all():
+                    raise NonFiniteLoss(f"weights beyond float32 at epoch {epoch + 1}, "
+                                        f"batch starting {start}: the learning rate is too large")
         losses.append(epoch_loss / len(triplets))
     return TrainResult(projection=LinearProjection(w), epoch_losses=losses)

@@ -51,29 +51,27 @@ def precision_at_k(ranked_ids: Sequence[str], relevant: set[str], k: int) -> flo
     return hits / k
 
 
-def mrr(results: Mapping[str, Sequence[str]], qrels: Mapping[str, set[str]]) -> float:
+def _mean(per_bug, results, qrels) -> float:
+    """per_bug(ranked ids, relevant ids) averaged over qrels' bugs, a missing run ranking nothing."""
     if not qrels:
         raise ValueError("qrels must contain at least one bug")
-    total = sum(reciprocal_rank(results.get(b, ()), rel) for b, rel in qrels.items())
-    return total / len(qrels)
+    return sum(per_bug(results.get(b, ()), rel) for b, rel in qrels.items()) / len(qrels)
+
+
+def mrr(results: Mapping[str, Sequence[str]], qrels: Mapping[str, set[str]]) -> float:
+    return _mean(reciprocal_rank, results, qrels)
 
 
 def mean_average_precision(
     results: Mapping[str, Sequence[str]], qrels: Mapping[str, set[str]]
 ) -> float:
-    if not qrels:
-        raise ValueError("qrels must contain at least one bug")
-    total = sum(average_precision(results.get(b, ()), rel) for b, rel in qrels.items())
-    return total / len(qrels)
+    return _mean(average_precision, results, qrels)
 
 
 def mean_precision_at_k(
     results: Mapping[str, Sequence[str]], qrels: Mapping[str, set[str]], k: int
 ) -> float:
-    if not qrels:
-        raise ValueError("qrels must contain at least one bug")
-    total = sum(precision_at_k(results.get(b, ()), rel, k) for b, rel in qrels.items())
-    return total / len(qrels)
+    return _mean(lambda ranked, rel: precision_at_k(ranked, rel, k), results, qrels)
 
 
 # -- localization-hint categorization -------------------------------------------

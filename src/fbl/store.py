@@ -183,9 +183,12 @@ def _offsets_span(offsets: np.ndarray, total: int) -> bool:
 
 
 def _fble_pieces(matrix: np.ndarray):
-    arr = np.ascontiguousarray(matrix, dtype="<f4")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
+        arr = np.ascontiguousarray(matrix, dtype="<f4")
     if arr.ndim != 2:
         raise ValueError("FBLE files hold 2-D matrices")
+    if not np.isfinite(arr).all():
+        raise ValueError("FBLE files hold finite float32 values")
     return _pieces(_FBLE, arr.shape, (arr, "<f4"))
 
 

@@ -1,4 +1,5 @@
 import random
+import struct
 from datetime import datetime, timezone
 
 import numpy as np
@@ -97,6 +98,12 @@ def random_hunk(rng: random.Random, words=("alpha", "beta", "gamma", "delta")) -
     return make_hunk(lines)
 
 
+def write_unchecked_fble(path, matrix) -> None:
+    """An FBLE file of matrix's float32 values, written without the writer's finiteness check."""
+    arr = np.ascontiguousarray(matrix, dtype="<f4")
+    path.write_bytes(b"FBLE" + struct.pack("<III", 1, *arr.shape) + arr.tobytes())
+
+
 def decode(seq: EncodedSequence, vocab: Vocabulary) -> list[str]:
     """Surface forms of the sequence's tokens."""
     return [vocab.id_to_token[i] for i in seq.ids]
@@ -124,12 +131,9 @@ def render_unified_diff(cs: Changeset) -> str:
 
 @pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}-workers")
 def workers(request, monkeypatch):
-    """The kernels on request.param workers, from a new pool that is shut down after."""
+    """The kernels on request.param workers."""
     monkeypatch.setattr(_kernels, "_WORKERS", request.param)
-    monkeypatch.setattr(_kernels, "_pool", None)
-    yield request.param
-    if _kernels._pool is not None:
-        _kernels._pool.shutdown()
+    return request.param
 
 
 @pytest.fixture

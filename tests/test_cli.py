@@ -283,6 +283,24 @@ def test_train_projection_command(corpus_dir, capsys, tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("rate", ["1e40", "1e200", "1e308"])
+def test_train_projection_whose_weights_outgrow_float32_exits_2_and_writes_nothing(
+    corpus_dir, capsys, tmp_path, rate
+):
+    # an open hinge at any scale (margin 100); the loss does not see the
+    # weights' scale, so only their size tells
+    _, corpus, vocab = corpus_dir
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["train-projection", "--corpus", str(corpus), "--vocab", str(vocab),
+               "--out", str(out / "proj.fble"), "--d-in", "32", "--d-out", "16", "--epochs", "3",
+               "--learning-rate", rate, "--margin", "100", "--seed", "7"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "NonFiniteLoss" and "--learning-rate" in err["error"]
+    assert list(out.iterdir()) == []
+
+
 def test_bench_emits_csv(corpus_dir, capsys, tmp_path):
     base_tmp, corpus, vocab = corpus_dir
     session = base_tmp / "session"
@@ -1220,7 +1238,7 @@ def test_file_embedder_short_of_the_vocabulary_exits_2(corpus_dir, capsys, tmp_p
 @pytest.mark.parametrize("command", ["index", "train-projection"])
 def test_non_finite_file_embedder_exits_2_naming_the_row(corpus_dir, capsys, tmp_path, command):
     import numpy as np
-    from fbl.store import write_matrix_file
+    from conftest import write_unchecked_fble
     from fbl.encode import Vocabulary
 
     base_tmp, corpus, vocab = corpus_dir
@@ -1228,7 +1246,7 @@ def test_non_finite_file_embedder_exits_2_naming_the_row(corpus_dir, capsys, tmp
     table[5, 3] = np.inf
     table[7, 0] = np.nan
     emb_path = tmp_path / "bad.fble"
-    write_matrix_file(emb_path, table)
+    write_unchecked_fble(emb_path, table)
     if command == "index":
         argv = _index_args(corpus, vocab, tmp_path / "session")
     else:

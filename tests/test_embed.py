@@ -6,7 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import repeated_row_docs, step_reference, train_projection_reference
+from conftest import (
+    repeated_row_docs,
+    step_reference,
+    train_projection_reference,
+    write_unchecked_fble,
+)
 from fbl import _kernels, embed
 from fbl.corpus import Triplet
 from fbl.embed import (
@@ -61,6 +66,17 @@ def test_fble_roundtrip(tmp_path):
     np.testing.assert_array_equal(back, mat)
 
 
+@pytest.mark.parametrize("value", [1e39, -1e200, np.inf, np.nan])
+def test_fble_writer_refuses_a_value_float32_cannot_hold(tmp_path, value):
+    # what LinearProjection and FileEmbedder reject never reaches a file
+    p = tmp_path / "m.fble"
+    mat = np.ones((2, 3))
+    mat[1, 2] = value
+    with pytest.raises(ValueError, match="finite float32"):
+        write_matrix_file(p, mat)
+    assert not p.exists() and list(tmp_path.iterdir()) == []
+
+
 def test_fble_bad_magic(tmp_path):
     p = tmp_path / "m.fble"
     p.write_bytes(b"XXXX" + b"\x00" * 16)
@@ -102,7 +118,7 @@ def test_projection_with_non_finite_weight_raises_format_error(tmp_path):
     for bits in (0x7FC00000, 0x7F800001):
         weights = np.ones((4, 2), dtype=np.float32)
         weights.view(np.uint32)[1, 1] = bits
-        write_matrix_file(p, weights)
+        write_unchecked_fble(p, weights)
         with pytest.raises(FormatError, match="proj.fble"):
             load_projection(p)
 
@@ -124,7 +140,7 @@ def test_file_embedder_rejects_a_non_finite_row_naming_it(tmp_path):
         table = np.eye(4, dtype=np.float32)
         table.view(np.uint32)[2, 1] = bits
         table.view(np.uint32)[3, 0] = bits
-        write_matrix_file(p, table)
+        write_unchecked_fble(p, table)
         with pytest.raises(FormatError, match=r"e\.fble: row 2 "):
             load_embedder(p)
 

@@ -129,15 +129,35 @@ def test_assign_nearest_has_the_same_bits_on_any_worker_count(workers, n, dtype,
     assert dists.tobytes() == ref_dists.tobytes()
 
 
+@pytest.fixture
+def executors(monkeypatch):
+    """Every thread pool made from here on, in order; _spread imports its class at call time."""
+    import concurrent.futures
+
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    return made
+
+
+def _kernel_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("fbl-kernels")]
+
+
 @pytest.mark.parametrize("n", [0, 1, 512, 513, 2 * 512])
-def test_an_assignment_of_at_most_two_blocks_stays_on_the_calling_thread(workers, n):
+def test_an_assignment_of_at_most_two_blocks_stays_on_the_calling_thread(workers, executors, n):
     points, centroids = _assign_case(n, np.float32, False)
     labels, dists = _kernels.assign_nearest(points, centroids)
-    assert _kernels._pool is None
+    assert executors == []
     ref_labels, ref_dists = assign_nearest_reference(points, centroids)
     assert labels.tobytes() == ref_labels.tobytes() and dists.tobytes() == ref_dists.tobytes()
     _kernels.assign_nearest(*_assign_case(2 * 512 + 1, np.float32, False))  # three blocks
-    assert (_kernels._pool is not None) == (workers > 1)
+    assert len(executors) == (workers > 1)
 
 
 @pytest.mark.parametrize("workers", [2, 3], indirect=True)
@@ -183,11 +203,11 @@ def _exit_code_of_a_child(check, seconds=60):
 
 
 @pytest.mark.parametrize("workers", [2], indirect=True)
-def test_a_child_forked_after_a_threaded_call_completes_a_multi_block_call(workers):
+def test_a_child_forked_after_a_threaded_call_completes_a_multi_block_call(workers, executors):
     points, centroids = _assign_case(4 * 512, np.float64, True)
     want = [a.tobytes() for a in assign_nearest_reference(points, centroids)]
     _kernels.assign_nearest(points, centroids)
-    assert _kernels._pool is not None  # its thread now idles, and a child will not have it
+    assert len(executors) == 1 and not _kernel_threads()  # its thread ended with the call
 
     def check():
         return [a.tobytes() for a in _kernels.assign_nearest(points, centroids)] == want
@@ -196,9 +216,9 @@ def test_a_child_forked_after_a_threaded_call_completes_a_multi_block_call(worke
 
 
 @pytest.mark.parametrize("workers", [2], indirect=True)
-def test_a_spread_inside_a_part_runs_on_its_thread_and_finishes(workers):
-    # the pool has one thread: a part whose own spread waited for the pool
-    # would wait for itself, so the check runs in a child that can be killed
+def test_a_spread_inside_a_part_runs_on_its_thread_and_finishes(workers, executors):
+    # a part's own spread makes no threads, so two parts never run four
+    # threads on two cores; the check runs in a child that can be killed
     points, centroids = _assign_case(4 * 512, np.float32, False)
     want = [a.tobytes() for a in assign_nearest_reference(points, centroids)]
 
@@ -210,7 +230,7 @@ def test_a_spread_inside_a_part_runs_on_its_thread_and_finishes(workers):
                 got[b] = [a.tobytes() for a in _kernels.assign_nearest(points, centroids)]
 
         _kernels._spread(run, 2)
-        return got == {0: want, 1: want}
+        return got == {0: want, 1: want} and len(executors) == 1
 
     assert _exit_code_of_a_child(check) == 0
 
@@ -231,6 +251,24 @@ def test_a_failed_part_clears_its_flag_and_a_later_call_still_splits(workers):
 
     _kernels._spread(run, workers)
     assert len(threads) == workers
+
+
+@pytest.mark.parametrize("workers", [2], indirect=True)
+def test_no_kernel_thread_outlives_a_call_that_returns_or_raises(workers, executors):
+    rows = np.random.default_rng(31).standard_normal((8192 + 8, 16)).astype(np.float32)
+    docs = {f"d{i:05d}:0:0": EmbeddingMatrix(rows=rows[i : i + 8]) for i in range(0, len(rows), 8)}
+    build_index(docs, n_partitions=16, n_subspaces=4, n_codewords=32, seed=3, max_iters=2)
+    assert executors and not _kernel_threads()  # its subspaces and assignments split, then ended
+    for failing in (0, 1):  # the caller's part, then the worker's
+
+        def fail(b0, b1):
+            if b0 == failing:
+                raise ValueError(f"part {b0}")
+            time.sleep(0.05)  # the other part is still running when this one raises
+
+        with pytest.raises(ValueError, match=f"^part {failing}$"):
+            _kernels._spread(fail, 2)
+        assert not _kernel_threads()
 
 
 @SAME_IDS
