@@ -91,7 +91,8 @@ class PackedCorpus(Mapping[str, EmbeddingMatrix]):
     ) -> "PackedCorpus":
         """Pack documents whose rows are table[refs[offsets[i]:offsets[i+1]]].
 
-        A document is a set of rows: zero rows are dropped, byte-equal table
+        A document is a set of rows: zero rows are dropped, a row whose
+        squared norm is not finite raises ValueError, byte-equal table
         rows merge, and each document keeps one ref per row it uses, in
         order of first appearance (its score is a sum of maxima, which a
         repeated row cannot change). The packed table holds the rows used,
@@ -103,7 +104,11 @@ class PackedCorpus(Mapping[str, EmbeddingMatrix]):
         keys = table.view(np.dtype((np.void, table.dtype.itemsize * table.shape[1]))).ravel()
         same = np.unique(keys, return_inverse=True)[1]  # table row -> its bytes' class
         doc = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
-        live = np.flatnonzero((np.einsum("ij,ij->i", table, table) > 0)[refs])  # nonzero norms
+        norms = np.einsum("ij,ij->i", table, table)[refs]
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:  # NaN, inf, or a norm whose square overflows float32
+            raise ValueError(f"table row {refs[bad[0]]} has a squared norm that is not finite")
+        live = np.flatnonzero(norms > 0)  # zero rows drop
         pairs = doc[live] * table.shape[0] + same[refs[live]]  # one key per (document, class)
         live = live[np.sort(np.unique(pairs, return_index=True)[1])]  # each pair's first ref
         offsets, refs = np.searchsorted(live, offsets), refs[live]

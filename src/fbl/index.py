@@ -65,9 +65,13 @@ def kmeans(
 ) -> KmeansResult:
     """Lloyd's algorithm from a seeded k-means++ start.
 
-    Stops when assignments are stable or max_iters is hit. An empty
+    Stops when assignments are stable or max_iters is hit. Seeds are drawn
+    by the squared distance assignment uses, ||x||^2 + ||c||^2 - 2 x.c
+    clamped at 0, so seeding, assignment, the distortion trace and the
+    re-seeding of an empty cluster measure distance one way. An empty
     cluster is re-seeded with the point farthest from its current
-    centroid, which keeps the distortion trace non-increasing.
+    centroid, which keeps the distortion trace non-increasing. Every
+    point's squared norm must be finite.
 
     ``weights`` (one positive, finite value per point) makes point i count
     as weights[i] copies of itself: seeds after the first are drawn in
@@ -83,6 +87,9 @@ def kmeans(
         raise ValueError("kmeans needs at least one point")
     if k < 1:
         raise ValueError("k must be >= 1")
+    bad = np.flatnonzero(~np.isfinite(np.einsum("nd,nd->n", pts, pts)))
+    if bad.size:  # NaN, inf, or a norm whose square overflows
+        raise ValueError(f"point {bad[0]} has a squared norm that is not finite")
     weights = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
     if weights.shape != (n,):
         raise ValueError(
@@ -127,36 +134,27 @@ def kmeans(
 def _kmeans_pp_init(
     pts: np.ndarray, k: int, rng: np.random.Generator, weights: np.ndarray
 ) -> np.ndarray:
-    """k-means++ seeds; every squared distance is the exact difference form.
+    """k-means++ seeds, with distances measured as assign_nearest measures them.
 
     The first seed is a uniform draw; each later one is drawn in proportion
     to w * d2, the weight times the squared distance to the nearest seed so
-    far.
-
-    After each pick c, a point's distance falls only where the exact
-    difference form ||x - c||^2 is below its current d2. A GEMM-form
-    estimate ||x||^2 - 2 x.c + ||c||^2, lowered by a slack, finds those
-    points, and only they get the exact update. With u = eps/2 and
-    S = ||x||^2 + ||c||^2, in any summation order the difference form is
-    within 2(d + 2)u S of the true distance (which is at most 2S) and the
-    estimate within (2d + 5)u S, plus at most (5d + 2) * 2^-1075 from
-    products that underflow. The slack exceeds the sum of both, so no
-    point whose exact distance falls is skipped. Row sums do not depend on
-    the other rows, so d2, every draw and the centroids equal those of a
-    loop that updates every point. The bound needs ||x||^2 far from
-    overflow; otherwise every point is updated.
+    far. After each pick c, a point's distance to c is
+    ||x||^2 + ||c||^2 - 2 x.c clamped at 0, with assign_nearest's operations
+    in its order, so d2 holds the bits assign_nearest gives against the
+    seeds so far.
     """
     n, dim = pts.shape
     centroids = np.empty((k, dim), dtype=np.float64)
-    first = int(rng.integers(n))
-    centroids[0] = pts[first]
-    d2 = np.sum((pts - centroids[0]) ** 2, axis=1)
-    slack = (2 * dim + 7) * np.finfo(np.float64).eps  # (4d + 14)u > (4d + 9)u
-    floor = (4 * dim + 9) * np.finfo(np.float64).smallest_subnormal
+    idx = int(rng.integers(n))
+    centroids[0] = pts[idx]
     x2 = np.einsum("nd,nd->n", pts, pts)
-    bounded = bool(np.all(x2 < 1e300))
-    x2_lo = x2 * (1.0 - slack)
+    d2 = np.full(n, np.inf)
     for i in range(1, k):
+        g = pts @ centroids[i - 1]
+        g *= -2.0
+        g += x2[idx]
+        g += x2
+        np.minimum(d2, np.maximum(g, 0.0), out=d2)
         wd2 = weights * d2
         total = wd2.sum()
         if total <= 0:
@@ -165,16 +163,7 @@ def _kmeans_pp_init(
             cdf = np.cumsum(wd2 / total)
             cdf /= cdf[-1]
             idx = int(cdf.searchsorted(rng.random(), side="right"))
-        c = centroids[i] = pts[idx]
-        if bounded:
-            est = pts @ c
-            est *= -2.0
-            est += x2_lo
-            est += float(c @ c) * (1.0 - slack) - floor
-            near = np.flatnonzero(est < d2)
-        else:
-            near = np.arange(n)
-        d2[near] = np.minimum(d2[near], np.sum((pts[near] - c) ** 2, axis=1))
+        centroids[i] = pts[idx]
     return centroids
 
 

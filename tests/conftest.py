@@ -172,15 +172,16 @@ def assign_nearest_reference(points, centroids):
 
 
 def kmeans_pp_init_reference(pts, k, rng, weights=None):
-    """k-means++ seeding that updates every point's exact distance at every pick.
+    """k-means++ seeding that measures each pick's distances with assign_nearest_reference.
 
-    Later picks are drawn in proportion to weight * d2 (weight 1 without weights).
+    Later picks are drawn in proportion to weight * d2 (weight 1 without
+    weights) by Generator.choice.
     """
     n = pts.shape[0]
     w = np.ones(n) if weights is None else weights
     centroids = np.empty((k, pts.shape[1]), dtype=np.float64)
     centroids[0] = pts[int(rng.integers(n))]
-    d2 = np.sum((pts - centroids[0]) ** 2, axis=1)
+    d2 = assign_nearest_reference(pts, centroids[0:1])[1]
     for i in range(1, k):
         total = (w * d2).sum()
         if total <= 0:
@@ -188,7 +189,7 @@ def kmeans_pp_init_reference(pts, k, rng, weights=None):
         else:
             idx = int(rng.choice(n, p=w * d2 / total))
         centroids[i] = pts[idx]
-        d2 = np.minimum(d2, np.sum((pts - centroids[i]) ** 2, axis=1))
+        d2 = np.minimum(d2, assign_nearest_reference(pts, centroids[i : i + 1])[1])
     return centroids
 
 

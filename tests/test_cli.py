@@ -16,9 +16,10 @@ import pytest
 import fbl
 
 from fbl.cli import main
+from fbl.embed import LinearProjection
 from fbl.pipeline import CONFIG_LEAST, MANIFEST_FIELDS, Config
 from fbl.index import codewords_for
-from fbl.store import Manifest, load_session
+from fbl.store import Manifest, load_projection, load_session
 
 WORDS = [
     "widget", "handler", "parser", "buffer", "cursor", "stream", "socket",
@@ -269,14 +270,17 @@ def test_train_projection_command(corpus_dir, capsys, tmp_path):
             "--out", str(proj),
             "--d-in", "32", "--d-out", "16",
             "--epochs", "2", "--batch-size", "2",
-            "--learning-rate", "0.05", "--margin", "1.0",
+            "--learning-rate", "0.05", "--margin", "5",
             "--seed", "7",
         ]
     )
     assert rc == 0
-    assert proj.exists()
     out = capsys.readouterr().out
-    assert "triplets" in out
+    # margin 5 leaves the fixture's triplet an open hinge, so every epoch trains
+    losses = [float(x) for x in re.search(r"mean loss per epoch: (.*)", out)[1].split(", ")]
+    assert len(losses) == 2 and min(losses) > 0, out
+    seeded = LinearProjection.seeded_init(32, 16, 7).weights.astype(np.float32)
+    assert not np.array_equal(load_projection(proj).weights.astype(np.float32), seeded)
     # the trained projection is loadable by index
     session = base_tmp / "session_trained"
     rc = main(_index_args(corpus, vocab, session) + ["--projection", str(proj)])

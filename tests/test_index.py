@@ -124,6 +124,20 @@ def test_kmeans_rejects_bad_weights_naming_the_problem(weights, problem):
         kmeans(pts, k=3, weights=weights)
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        np.r_[np.ones((9, 3)), [[0.0, np.nan, 1.0]]],
+        # norms about 1e155 in 16 dimensions: the squared norms overflow
+        1e155 * (1.0 + 1e-4 * np.random.default_rng(11).standard_normal((500, 16))),
+    ],
+    ids=["nan_point", "near_overflow"],
+)
+def test_kmeans_rejects_points_whose_squared_norm_is_not_finite(points):
+    with pytest.raises(ValueError, match="squared norm that is not finite"):
+        kmeans(points, k=3)
+
+
 def test_kmeans_k_exceeds_points_pads_by_reuse():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     res = kmeans(pts, k=5, seed=0)
@@ -138,23 +152,22 @@ def _seeding_inputs():
     sub_vectors = 0.1 * rng.standard_normal((4000, 8))
     far = 1e3 * _unit_rows(rng.standard_normal((2000, 32))).astype(np.float64) + 5.0
     few = rng.standard_normal((5, 16))[rng.integers(5, size=400)]
-    # distances within a cluster sit far below the GEMM form's rounding
-    # error, so only the exact update tells its points apart
+    # distances within a cluster sit below the rounding error of
+    # ||x||^2 + ||c||^2 - 2 x.c, so their d2 is rounding residue or the clamp's 0
     dupes = rng.standard_normal((8, 16))[rng.integers(8, size=800)]
     dupes += 1e-9 * rng.standard_normal(dupes.shape)
-    # products underflow: only the slack's absolute floor covers their error
+    # the products underflow into subnormals
     tiny = 1e-162 * (dupes[:300] + 1e-3 * rng.standard_normal((300, 16)))
-    # squared norms overflow, distances do not: the GEMM bound does not
-    # hold, so every point takes the exact update
-    huge = 1e155 * (1.0 + 1e-4 * rng.standard_normal((500, 16)))
     return {
         "clustered_d128": (clustered, 96),
         "sub_vectors_d8": (sub_vectors, 256),
         "norm_1e3": (far, 64),
-        "fewer_distinct_than_k": (few, 12),  # picks 6 to 12 take the total <= 0 branch
+        # once the five are picked, d2 is 0 or rounding residue of a few 1e-15
+        "fewer_distinct_than_k": (few, 12),
         "near_duplicates": (dupes, 40),
         "underflow": (tiny, 20),
-        "near_overflow": (huge, 16),
+        # small integers: every d2 is exact, so picks 2 to 4 take the total <= 0 branch
+        "one_row_repeated": (np.tile([1.0, -2.0, 3.0, 0.5], (50, 1)), 4),
     }
 
 

@@ -268,6 +268,19 @@ def test_doc_pack_rejects_a_non_finite_or_zero_table_row(tmp_path, value):
         read_doc_pack(p)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 3e38])  # 3e38 squared overflows
+def test_packing_refuses_a_row_whose_squared_norm_is_not_finite(tmp_path, session_pieces, value):
+    manifest, index, projection, _ = session_pieces
+    rows = _unit(np.random.default_rng(41).standard_normal((40, 4)))
+    rows[5, 1] = value
+    docs = {f"c{i}:0:0": EmbeddingMatrix(rows=rows[4 * i : 4 * i + 4]) for i in range(10)}
+    with pytest.raises(ValueError, match="table row 5 has a squared norm that is not finite"):
+        PackedCorpus.from_matrices(docs)
+    with pytest.raises(ValueError, match="table row 5 "):
+        save_session(tmp_path, manifest, index, projection, docs, VOCAB)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("region", ["coarse", "codebooks"])
 def test_index_rejects_a_non_finite_quantizer(tmp_path, session_pieces, region):
     _, index, _, docs = session_pieces
