@@ -379,18 +379,14 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="fbl", description="Changeset-based bug localization")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="validate and stage corpus JSONL files")
+def _ingest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--changesets", required=True)
     p.add_argument("--bugs")
     p.add_argument("--links")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("train-projection", help="train the embedding projection on triplets")
+
+def _train_projection_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
@@ -399,17 +395,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=float, default=TripletTrainConfig.margin)
     p.add_argument("--learning-rate", type=float, default=TripletTrainConfig.learning_rate)
     _add_config_flags(p, _ENCODING)
-    p.set_defaults(func=cmd_train_projection)
 
-    p = sub.add_parser("index", help="encode, embed, and index a corpus into a session")
+
+def _index_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--session", default=None)
     p.add_argument("--projection", default=None)
     _add_config_flags(p, _ENCODING + _INDEX_SHAPE)
-    p.set_defaults(func=cmd_index)
 
-    p = sub.add_parser("query", help="rank documents for bug reports")
+
+def _query_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--session", default=None)
     given = p.add_mutually_exclusive_group(required=True)
     given.add_argument("--bug-file")
@@ -420,30 +416,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aggregate", action="store_true", help="collapse to changeset level")
     p.add_argument("--format", choices=["jsonl", "trec"], default="jsonl")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("evaluate", help="score a run file against qrels")
+
+def _evaluate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True, help="links.jsonl")
     p.add_argument("--bugs", help="bugs.jsonl for NL/PL/FL categorization")
     p.add_argument("--changesets", help="changesets.jsonl for gold class names")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("bench", help="latency sweep: exact vs two-stage")
+
+def _bench_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--session", default=None)
     p.add_argument("--sizes", required=True, help="comma-separated embedding counts")
     p.add_argument("--queries", type=int, default=5)
     p.add_argument("--topk", type=int, default=10)
     _add_counts(p, _PROBE)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
 
+
+# (name, help, flag adder, handler) of each command, in the order help lists them
+_COMMANDS = (
+    ("ingest", "validate and stage corpus JSONL files", _ingest_flags, cmd_ingest),
+    ("train-projection", "train the embedding projection on triplets", _train_projection_flags,
+     cmd_train_projection),
+    ("index", "encode, embed, and index a corpus into a session", _index_flags, cmd_index),
+    ("query", "rank documents for bug reports", _query_flags, cmd_query),
+    ("evaluate", "score a run file against qrels", _evaluate_flags, cmd_evaluate),
+    ("bench", "latency sweep: exact vs two-stage", _bench_flags, cmd_bench),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone.
+
+    A subcommand's parser, its help and its errors do not depend on which
+    other subcommands exist, so a call that names its command parses as the
+    full parser would, without building the others.
+    """
+    parser = _Parser(prog="fbl", description="Changeset-based bug localization")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_flags, handler in _COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_flags(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    named = argv[0] if argv and argv[0] in {c[0] for c in _COMMANDS} else None
+    parser = build_parser(named)  # fbl, fbl -h and an unknown command get every command's
     try:
         args = parser.parse_args(argv)
         return args.func(args)

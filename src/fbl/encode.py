@@ -78,13 +78,14 @@ class Vocabulary:
     @classmethod
     def from_tokens(cls, tokens: list[str]) -> "Vocabulary":
         """Build a vocabulary from surface forms, appending missing specials."""
-        token_to_id: dict[str, int] = {}
-        id_to_token: list[str] = []
-        for tok in tokens:
-            if tok in token_to_id:
-                raise FormatError(f"duplicate vocabulary token {tok!r}")
-            token_to_id[tok] = len(id_to_token)
-            id_to_token.append(tok)
+        id_to_token = list(tokens)
+        token_to_id = dict(zip(id_to_token, range(len(id_to_token))))
+        if len(token_to_id) < len(id_to_token):  # name the first repeat in file order
+            seen: set[str] = set()
+            for tok in id_to_token:
+                if tok in seen:
+                    raise FormatError(f"duplicate vocabulary token {tok!r}")
+                seen.add(tok)
         for special in SPECIAL_TOKENS:
             if special not in token_to_id:
                 token_to_id[special] = len(id_to_token)

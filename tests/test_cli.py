@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import dataclasses
 import errno
@@ -15,6 +16,7 @@ import pytest
 
 import fbl
 
+from fbl import cli
 from fbl.cli import main
 from fbl.embed import LinearProjection
 from fbl.pipeline import CONFIG_LEAST, MANIFEST_FIELDS, Config
@@ -844,6 +846,67 @@ def test_stderr_is_one_json_line(tmp_path):
         assert proc.returncode == 1, argv
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["kind"] == "usage", (argv, lines)
+
+
+COMMANDS = ["ingest", "train-projection", "index", "query", "evaluate", "bench"]
+
+
+def _answer(argv, capsys):
+    """(exit code, stdout, stderr) of ``main(argv)``; help exits through SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _answer_of_the_full_parser(argv, capsys, monkeypatch):
+    """The answer when main parses every call with every command's parser."""
+    full = cli.build_parser
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", lambda command=None: full())
+        return _answer(argv, capsys)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_named_command_answers_as_the_full_parser_does(capsys, monkeypatch, command):
+    code, out, err = _answer([command, "--help"], capsys)
+    assert code == 0 and out.startswith(f"usage: fbl {command} [-h]") and not err
+    assert (code, out, err) == _answer_of_the_full_parser([command, "--help"], capsys, monkeypatch)
+    # each command has a required flag: called with none, it exits 1 with one JSON line
+    code, out, err = _answer([command], capsys)
+    assert code == 1 and not out and json.loads(err)["kind"] == "usage" and "required" in err
+    assert (code, out, err) == _answer_of_the_full_parser([command], capsys, monkeypatch)
+
+
+def test_a_call_naming_no_command_lists_every_command(capsys):
+    listed = "{" + ",".join(COMMANDS) + "}"
+    code, out, err = _answer(["-h"], capsys)
+    assert code == 0 and out.startswith(f"usage: fbl [-h] {listed} ...") and not err
+    assert all(f"    {command} " in out for command in COMMANDS)
+    assert _answer([], capsys) == (1, "", json.dumps(
+        {"error": "usage: the following arguments are required: command", "kind": "usage"}) + "\n")
+    choices = ", ".join(f"'{command}'" for command in COMMANDS)
+    assert _answer(["nosuch"], capsys) == (1, "", json.dumps(
+        {"error": f"usage: argument command: invalid choice: 'nosuch' (choose from {choices})",
+         "kind": "usage"}) + "\n")
+
+
+def test_a_named_command_builds_only_its_own_parser(tmp_path, monkeypatch):
+    made = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        made.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["query", "--session", str(tmp_path / "missing"), "--text", "widget"]) == 2
+    assert made == ["query"]
+    made.clear()
+    assert main(["nosuch"]) == 1
+    assert made == COMMANDS
 
 
 _GOOD_CHANGESET = {"id": "c0", "diff": _diff("A.java", ["int x;"]), "timestamp": "2021-01-01"}

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import decode, hunk_doc, make_hunk, random_hunk, ts
 from fbl.corpus import BugReport
@@ -38,6 +40,44 @@ def test_vocab_duplicate_rejected(tmp_path):
     p.write_text("alpha\nalpha\n")
     with pytest.raises(FormatError):
         Vocabulary.from_file(p)
+    # the message names the path and the first token seen again, in file order
+    p.write_text("beta\nalpha\ngamma\nalpha\nbeta\n")
+    with pytest.raises(FormatError) as exc:
+        Vocabulary.from_file(p)
+    assert str(exc.value) == f"{p}: duplicate vocabulary token 'alpha'"
+
+
+def _vocab_by_loop(tokens):
+    """``Vocabulary.from_tokens`` as one ordered loop, the reference its one-pass build equals."""
+    token_to_id, id_to_token = {}, []
+    for tok in tokens:
+        if tok in token_to_id:
+            raise FormatError(f"duplicate vocabulary token {tok!r}")
+        token_to_id[tok] = len(id_to_token)
+        id_to_token.append(tok)
+    for special in SPECIAL_TOKENS:
+        if special not in token_to_id:
+            token_to_id[special] = len(id_to_token)
+            id_to_token.append(special)
+    return token_to_id, id_to_token
+
+
+_VOCAB_TOKEN = st.text(max_size=4) | st.sampled_from(SPECIAL_TOKENS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(_VOCAB_TOKEN, unique=True, max_size=40) | st.lists(_VOCAB_TOKEN, max_size=12))
+def test_vocab_from_tokens_equals_the_ordered_loop(tokens):
+    try:
+        want_to_id, want_to_token = _vocab_by_loop(tokens)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            Vocabulary.from_tokens(tokens)
+        assert str(got.value) == str(exc)
+        return
+    v = Vocabulary.from_tokens(tokens)
+    assert v.id_to_token == want_to_token
+    assert list(v.token_to_id.items()) == list(want_to_id.items())  # in insertion order too
 
 
 def test_vocab_from_bytes_splits_lines_as_text_mode_reading_does(tmp_path):
