@@ -278,10 +278,12 @@ def embed_sequence(
 
 
 def _distinct_ids(seqs: Sequence[Sequence[int]]) -> tuple[list[int], list[np.ndarray]]:
-    """(ids, refs): the distinct ids, ascending, and each sequence as int64 indices into them."""
-    ids = sorted(set().union(*seqs))
-    index_of = dict(zip(ids, range(len(ids)))).__getitem__
-    return ids, [np.fromiter(map(index_of, s), dtype=np.int64, count=len(s)) for s in seqs]
+    """(ids, refs): the distinct ids, ascending, and each sequence as indices into them."""
+    lengths = [len(s) for s in seqs]
+    flat = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs] + [np.zeros(0, np.int64)])
+    ids, inverse = np.unique(flat, return_inverse=True)
+    ends = np.cumsum(lengths).tolist()
+    return ids.tolist(), [inverse[end - n : end] for n, end in zip(lengths, ends)]
 
 
 def embed_distinct(
@@ -326,15 +328,12 @@ def _step(raw: np.ndarray, triplets, w: np.ndarray, margin: float) -> tuple[floa
     GEMM of those rows' raw vectors and their sums gives the gradient: a row
     no open hinge touched adds only zeros.
     """
-    # the rows come as index arrays, which np.unique takes faster than _distinct_ids' dict pass
-    flat = [r for t in triplets for r in t]
-    used, inverse = np.unique(np.concatenate(flat), return_inverse=True)
+    used, local = _distinct_ids([r for t in triplets for r in t])
     y = raw[used] @ w
     norms = np.linalg.norm(y, axis=1)
     live = norms > 0
     unit = y / np.where(live, norms, 1.0)[:, None]
-    ends = np.cumsum([r.shape[0] for r in flat]).tolist()
-    pieces = iter([inverse[end - r.shape[0] : end] for r, end in zip(flat, ends)])
+    pieces = iter(local)
     loss, rows, partners, maxima, signs = 0.0, [], [], [], []
     for q, pos, neg in zip(pieces, pieces, pieces):
         q = q[live[q]]
@@ -365,7 +364,7 @@ def _step(raw: np.ndarray, triplets, w: np.ndarray, margin: float) -> tuple[floa
     # the same order
     cols = np.arange(unit.shape[1])
     np.add.at(coef.ravel(), (slot[:, None] * unit.shape[1] + cols).ravel(), terms.ravel())
-    return loss, raw[used[touched]].T @ coef
+    return loss, raw[np.asarray(used)[touched]].T @ coef
 
 
 def _one_triplet(*mats: np.ndarray):

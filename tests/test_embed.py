@@ -604,30 +604,6 @@ def test_trained_weights_equal_sgd_over_every_triplet(seed, batch_size):
     np.testing.assert_allclose(result.projection.weights, expected, rtol=1e-12)
 
 
-def _distinct_ids_by_unique(seqs):
-    """``embed._distinct_ids`` through ``np.unique``, the reference its dict pass equals."""
-    lengths = [len(s) for s in seqs]
-    flat = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs] + [np.zeros(0, np.int64)])
-    ids, inverse = np.unique(flat, return_inverse=True)
-    ends = np.cumsum(lengths).tolist()
-    return ids.tolist(), [inverse[end - n : end] for n, end in zip(lengths, ends)]
-
-
-_TOKEN_ID = st.integers(0, 20) | st.integers(0, 2**62)
-
-
-@settings(max_examples=300, deadline=None)
-@given(seqs=st.lists(st.lists(_TOKEN_ID, max_size=30).map(tuple), max_size=8))
-def test_distinct_ids_equal_the_unique_form(seqs):
-    ids, refs = embed._distinct_ids(seqs)
-    want_ids, want_refs = _distinct_ids_by_unique(seqs)
-    assert ids == want_ids and all(type(i) is int for i in ids)
-    assert len(refs) == len(want_refs)
-    for got, want in zip(refs, want_refs):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
 def test_distinct_row_step_equals_the_per_triplet_wrappers():
     triplets, queries, docs, emb = _mixed_setup()
     docs["empty"] = _seq([], limit=5)  # unscorable
