@@ -7,10 +7,10 @@ session state), 3 anything else (an internal error). Errors go to stderr
 as one JSON object. The FBL_SESSION environment variable supplies the
 default session directory for index (else ./session), query and bench.
 Each command takes only the ``pipeline.Config`` flags it reads, defaulting
-to Config's values (--doc-limit to its granularity's, --codewords to the
-size the table gives); the config types judge them, and a ``FieldError``
-is a usage error naming the flag. query and bench read the rest from the
-manifest.
+to Config's values (--doc-limit to its granularity's, --partitions and
+--codewords to the size the table gives); the config types judge them,
+and a ``FieldError`` is a usage error naming the flag. query and bench
+read the rest from the manifest.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ def _int_or_all(raw: str) -> int | None:
 _HELP = {
     "candidates": "distinct embeddings to fetch, split over the query's rows (a row keeps all "
     "tied at its cut), or 'all'",
+    "n_partitions": "coarse partitions, at most the table's distinct rows (default: sized to "
+    "the table, the largest power of two <= min(256, distinct rows / 39))",
     "n_codewords": "PQ codewords per subspace, at most 256 (default: sized to the table, the "
     "largest power of two <= min(256, distinct rows / 39))",
 }

@@ -188,12 +188,20 @@ def _read_only(given, arr: np.ndarray) -> np.ndarray:
 
 
 class FileEmbedder:
-    """Static token-id-indexed matrix loaded from an FBLE file."""
+    """Static token-id-indexed matrix loaded from an FBLE file.
+
+    A float32 or float64 table is kept as given (read-only); any other is
+    widened to float64 once. ``embed_ids`` widens only the rows it gathers,
+    which float32 holds exactly in float64.
+    """
 
     def __init__(self, matrix: np.ndarray):
-        # a signalling NaN warns when cast; the finiteness check below rejects it
-        with np.errstate(invalid="ignore"):
-            self.matrix = _read_only(matrix, np.asarray(matrix, dtype=np.float64))
+        arr = np.asarray(matrix)
+        if arr.dtype not in (np.float32, np.float64):
+            # a signalling NaN warns when cast; the finiteness check below rejects it
+            with np.errstate(invalid="ignore"):
+                arr = arr.astype(np.float64)
+        self.matrix = _read_only(matrix, arr)
         bad = np.nonzero(~np.isfinite(self.matrix).all(axis=1))[0]
         if bad.size:
             raise ValueError(f"row {bad[0]} of the token table is not finite")
@@ -205,7 +213,7 @@ class FileEmbedder:
             raise ValueError(
                 f"token id out of embedder range [0, {self.matrix.shape[0]})"
             )
-        return self.matrix[arr] if arr.size else np.zeros((0, self.d_in))
+        return self.matrix[arr].astype(np.float64, copy=False)
 
 
 @dataclass

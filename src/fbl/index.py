@@ -25,9 +25,9 @@ train on the table weighted by each row's multiplicity (the number of
 documents holding it, as a document holds a row once). The partition count
 is capped at the table's rows: more coarse centroids would be copies of
 the same rows, and a query probing only copies would find nothing. An
-unset codebook size is sized to the table (``codewords_for``), at least
-39 training rows per codeword, the bound below which faiss warns
-(Johnson et al., arXiv 1702.08734).
+unset partition count or codebook size is sized to the table
+(``centroids_for``), at least 39 training rows per centroid, the bound
+below which faiss warns (Johnson et al., arXiv 1702.08734).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from . import _kernels
 from .embed import EmbeddingMatrix, PackedCorpus
 from .errors import EmptyIndex, InsufficientData
 
-# the fewest training rows per codeword an unset codebook size leaves;
+# the fewest training rows per centroid an unset quantizer size leaves;
 # faiss warns below 39
 _MIN_PER_CENTROID = 39
 # PQ subspaces train one run per core from this many training rows; below it
@@ -167,10 +167,10 @@ def _kmeans_pp_init(
     return centroids
 
 
-def codewords_for(n_rows: int) -> int:
-    """The codebook size for a table of n_rows distinct rows.
+def centroids_for(n_rows: int) -> int:
+    """The partition count or codebook size for a table of n_rows distinct rows.
 
-    The largest power of two that is at most 256 and leaves each codeword
+    The largest power of two that is at most 256 and leaves each centroid
     at least _MIN_PER_CENTROID training rows; 1 below twice that.
     """
     fit = min(256, n_rows // _MIN_PER_CENTROID)
@@ -211,7 +211,7 @@ class IvfPqIndex:
 
 def build_index(
     doc_matrices: Mapping[str, EmbeddingMatrix],
-    n_partitions: int,
+    n_partitions: int | None,
     n_subspaces: int,
     n_codewords: int | None = None,
     seed: int = 0,
@@ -223,17 +223,19 @@ def build_index(
     pack's refs, offsets and ids, which map them back to documents. Training
     weighs each table row by how many pack rows refer to it, the documents
     holding it (all 1 without repeats, where the table is the rows). The
-    partition count is capped at the table's rows, and n_codewords None
-    is ``codewords_for`` the table's rows.
+    partition count is capped at the table's rows, and n_partitions or
+    n_codewords None is ``centroids_for`` the table's rows.
     """
     pack = PackedCorpus.from_matrices(doc_matrices)
     distinct = pack.table
     if pack.n_rows == 0:
         raise InsufficientData("no embeddings to index: every document is empty")
     n_distinct, d = distinct.shape
+    if n_partitions is None:
+        n_partitions = centroids_for(n_distinct)
     n_partitions = min(n_partitions, n_distinct)  # more would be copies of a row
     if n_codewords is None:
-        n_codewords = codewords_for(n_distinct)
+        n_codewords = centroids_for(n_distinct)
     if d % n_subspaces != 0:
         raise ValueError(f"subspace count {n_subspaces} must divide dimension {d}")
     if not 1 <= n_codewords <= 256:
@@ -296,7 +298,10 @@ def candidate_docs(
     scores codes only when some row scans more than its share. A hit table
     row brings in every document holding it. The result is a set: each
     candidate appears once, and ascending positions read the pack front to
-    back when the candidates are re-scored.
+    back when the candidates are re-scored. When the budget covers the table
+    and every partition is probed, each row keeps the whole table, and the
+    result is every document with a row, read off the offsets with no scan.
+    A query with no nonzero row has no candidates.
     """
     if n_prime is not None and n_prime < 1:
         raise ValueError(f"candidate count must be >= 1 (or None for all), got {n_prime}")
@@ -310,6 +315,8 @@ def candidate_docs(
         return np.zeros(0, dtype=np.int64)
     n_table = index.rows.shape[0]
     if n_prime is None or n_prime >= n_table:
+        if nprobe == index.n_partitions:  # every row keeps every entry of every partition
+            return np.flatnonzero(np.diff(index.doc_offsets) > 0)
         per_row = n_table
     else:
         per_row = -(-int(n_prime) // q_rows.shape[0])  # ceil division

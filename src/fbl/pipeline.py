@@ -54,11 +54,11 @@ class Config:
     strategy: Strategy = Strategy.ARCL  # or its value
     query_limit: int = 256
     doc_limit: int | None = None  # None means the granularity's default
-    n_partitions: int = 320
+    n_partitions: int | None = None  # None means sized to the table (index.centroids_for)
     candidates: int | None = 1000  # None means exhaustive
     nprobe: int = 16
     n_subspaces: int = 16
-    n_codewords: int | None = None  # None means sized to the table (index.codewords_for)
+    n_codewords: int | None = None  # None means sized to the table (index.centroids_for)
     seed: int = 42
     d_in: int = 768
     d_out: int = 128
@@ -74,7 +74,7 @@ class Config:
             raise ValueError(f"unknown embedder kind {self.embedder_kind!r}")
         for name, least in CONFIG_LEAST.items():
             value = getattr(self, name)
-            if value is not None and value < least:  # None candidates: all, codewords: sized
+            if value is not None and value < least:  # None candidates: all, P and K: sized
                 raise FieldError(name, f"must be >= {least}, got {value}")
         if self.n_codewords is not None and self.n_codewords > 256:  # a code is one byte
             raise FieldError("n_codewords", f"must be at most 256, got {self.n_codewords}")
@@ -276,12 +276,12 @@ def sweep_latency(
     Queries are stitched from sampled document rows (bug reports run longer
     than hunks, hence query_rows). Quantizer quality barely affects scan
     latency, so index builds here run few k-means iterations. Every prefix
-    builds with the config's codebook size: ``fbl bench`` passes the one its
-    session was built with, and a library caller whose n_codewords is None
-    gets each prefix's table-sized one. Each path's
-    query loop runs in three rounds, alternating which path goes first, and
-    reports its fastest round: load from other processes that slows one
-    round does not reach the ratio.
+    builds with the config's partition count and codebook size: ``fbl bench``
+    passes the ones its session was built with, and a library caller whose
+    n_partitions or n_codewords is None gets each prefix's table-sized one.
+    Each path's query loop runs in three rounds, alternating which path goes
+    first, and reports its fastest round: load from other processes that
+    slows one round does not reach the ratio.
 
     The documents are packed once. Each size builds and queries the pack's
     shortest document prefix holding at least that many rows (or all).

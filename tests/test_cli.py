@@ -20,7 +20,7 @@ from fbl import cli
 from fbl.cli import main
 from fbl.embed import LinearProjection
 from fbl.pipeline import CONFIG_LEAST, MANIFEST_FIELDS, Config
-from fbl.index import codewords_for
+from fbl.index import centroids_for
 from fbl.store import Manifest, load_projection, load_session
 
 WORDS = [
@@ -445,7 +445,7 @@ def test_a_flag_the_command_does_not_read_exits_1(corpus_dir, capsys, tmp_path, 
 
 
 def test_index_without_config_flags_records_what_config_describes(tmp_path):
-    # enough distinct rows for the default 320 partitions: 3 changesets of 120 words each
+    # 3 changesets of 120 words each: about 360 distinct rows
     words = [f"q{a}{b}" for a in "abcdefghijklmnop" for b in "abcdefghijklmnopqrstuvw"][:360]
     changesets = tmp_path / "changesets.jsonl"
     changesets.write_text("".join(
@@ -460,10 +460,12 @@ def test_index_without_config_flags_records_what_config_describes(tmp_path):
     argv = ["index", "--corpus", str(tmp_path / "c"), "--vocab", str(vocab), "--session"]
     assert main(argv + [str(session)]) == 0
     manifest = json.loads((session / "manifest.json").read_text())
-    # the unset codebook size is recorded as the one the table sized: 8 for ~360 rows
+    # the unset partition count and codebook size are recorded as the ones
+    # the table sized: 8 for ~360 rows
     index = load_session(session).index
-    assert index.n_codewords == codewords_for(index.rows.shape[0]) == 8
-    described = dataclasses.replace(Config(), n_codewords=index.n_codewords)
+    assert index.n_partitions == index.n_codewords == centroids_for(index.rows.shape[0]) == 8
+    described = dataclasses.replace(Config(), n_partitions=index.n_partitions,
+                                    n_codewords=index.n_codewords)
     assert Config(**{name: manifest[name] for name in MANIFEST_FIELDS}) == described
     assert (manifest["doc_limit"], manifest["embedder_seed"]) == (256, 42)
     # the tuple names every field that the manifest and Config share
@@ -528,7 +530,8 @@ def test_index_with_fewer_distinct_rows_than_partitions_queries_every_document(
     tmp_path, capsys
 ):
     # hundreds of embeddings but a handful of distinct rows: 320 partitions
-    # would be copies of a few places, and `fbl query` probing them ranked nothing
+    # would be copies of a few places, and `fbl query` probing them ranked
+    # nothing (an unset count is sized below the rows, so the test asks for 320)
     changesets = tmp_path / "changesets.jsonl"
     changesets.write_text("".join(
         json.dumps({"id": f"c{i:02d}", "diff": _diff(f"F{i}.java", [" ".join(WORDS[:7])] * 2),
@@ -540,7 +543,8 @@ def test_index_with_fewer_distinct_rows_than_partitions_queries_every_document(
     assert main(["ingest", "--changesets", str(changesets), "--out", str(tmp_path / "c")]) == 0
     session = tmp_path / "session"
     capsys.readouterr()
-    argv = ["index", "--corpus", str(tmp_path / "c"), "--vocab", str(vocab), "--session"]
+    argv = ["index", "--corpus", str(tmp_path / "c"), "--vocab", str(vocab), "--partitions",
+            "320", "--session"]
     assert main(argv + [str(session)]) == 0
     found = re.search(r"\((\d+) embeddings, P=(\d+)\)", capsys.readouterr().out)
     assert found and 0 < int(found[2]) < 320 <= int(found[1])
@@ -1100,7 +1104,7 @@ def test_index_without_codewords_records_the_size_the_table_gave(corpus_dir, tmp
         session = tmp_path / f"session{len(flags)}"
         assert main(_without_codewords(_index_args(corpus, vocab, session)) + flags) == 0
         index = load_session(session).index
-        want = want or codewords_for(index.rows.shape[0])
+        want = want or centroids_for(index.rows.shape[0])
         manifest = json.loads((session / "manifest.json").read_text())
         assert manifest["n_codewords"] == index.n_codewords == want
         assert pipeline.open_session(session).config.n_codewords == want

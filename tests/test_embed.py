@@ -133,6 +133,18 @@ def test_file_embedder_range_check(tmp_path):
         emb.embed_ids([4])
 
 
+def test_file_embedder_keeps_its_float32_table_and_widens_only_the_rows_asked(tmp_path):
+    p = tmp_path / "e.fble"
+    table = np.random.default_rng(2).standard_normal((6, 4)).astype(np.float32)
+    write_matrix_file(p, table)
+    emb = load_embedder(p)
+    assert emb.matrix.dtype == np.float32 and not emb.matrix.flags.writeable
+    got = emb.embed_ids([5, 0, 5])
+    want = table.astype(np.float64)[[5, 0, 5]]  # the rows a float64 copy of the table gave
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert emb.embed_ids([]).shape == (0, 4) and emb.embed_ids([]).dtype == np.float64
+
+
 def test_file_embedder_rejects_a_non_finite_row_naming_it(tmp_path):
     p = tmp_path / "e.fble"
     # a quiet NaN, a signalling one (whose cast to float64 warns), and inf

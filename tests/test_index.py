@@ -17,7 +17,10 @@ from conftest import (
     kmeans_pp_init_reference,
     partition,
     reconstruct,
+    repeated_row_docs,
 )
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fbl
 from fbl import _kernels
@@ -29,7 +32,7 @@ from fbl.index import (
     _kmeans_pp_init,
     build_index,
     candidate_docs,
-    codewords_for,
+    centroids_for,
     kmeans,
 )
 from fbl.store import _fbli_pieces, _write, load_index
@@ -354,9 +357,22 @@ def test_build_caps_the_partitions_at_the_distinct_rows():
     (1, 1), (38, 1), (39, 1), (77, 1), (78, 2), (623, 8), (624, 16), (847, 16),
     (9_983, 128), (9_984, 256), (10**6, 256),
 ])
-def test_an_unset_codebook_size_leaves_each_codeword_39_rows(n_rows, k):
+def test_an_unset_quantizer_size_leaves_each_centroid_39_rows(n_rows, k):
     # the largest power of two <= min(256, rows / 39); 1 below 78 rows
-    assert codewords_for(n_rows) == k
+    assert centroids_for(n_rows) == k
+
+
+@pytest.mark.parametrize("n_rows, size", [(77, 1), (78, 2), (847, 16), (9_984, 256)])
+def test_an_unset_partition_count_and_codebook_size_are_both_sized_to_the_table(n_rows, size):
+    # one rule for both quantizers; an explicit size builds the same bytes
+    rng = np.random.default_rng(n_rows)
+    docs = {"a:0:0": _mat(rng.standard_normal((n_rows, 4)))}
+    idx = build_index(docs, n_partitions=None, n_subspaces=2, n_codewords=None, max_iters=2)
+    assert idx.rows.shape[0] == n_rows
+    assert (idx.n_partitions, idx.n_codewords) == (size, size)
+    asked = build_index(docs, n_partitions=size, n_subspaces=2, n_codewords=size, max_iters=2)
+    for name in ("coarse", "codebooks", "part_offsets", "rows", "codes"):
+        assert getattr(idx, name).tobytes() == getattr(asked, name).tobytes(), name
 
 
 def test_an_unset_codebook_size_is_sized_to_the_distinct_rows():
@@ -755,6 +771,42 @@ def test_candidate_docs_on_repeated_rows_hold_the_per_embedding_scans(seed):
             assert got >= was
             grew += got > was
     assert grew  # and a repeated row's other documents come in
+
+
+@settings(max_examples=150, deadline=None)
+@given(docs=repeated_row_docs(), data=st.data())
+def test_candidate_docs_probing_everything_for_the_whole_table_is_the_full_scan(docs, data):
+    # with every partition probed and a budget covering the table,
+    # candidate_docs answers from the offsets; the documents holding what
+    # the scan over every partition keeps must be the same set
+    table, refs, offsets = docs
+    ids = [f"d{i}:0:0" for i in range(offsets.shape[0] - 1)]
+    pack = PackedCorpus.from_table(table, refs, offsets, ids)
+    assume(pack.n_rows > 0)
+    n_table = pack.table.shape[0]
+    idx = build_index(pack, n_partitions=data.draw(st.integers(1, n_table)), n_subspaces=2,
+                      n_codewords=data.draw(st.integers(1, 4)), max_iters=3)
+    n_prime = data.draw(st.one_of(st.none(), st.integers(n_table, n_table + 3)))
+    picked = data.draw(st.lists(st.integers(0, table.shape[0] - 1), min_size=1, max_size=5))
+    q_rows = np.ascontiguousarray(table[picked])
+    query = EmbeddingMatrix(rows=q_rows, is_query=True)
+    got = candidate_docs(idx, query, n_prime, idx.n_partitions)
+    zero = EmbeddingMatrix(rows=np.zeros((2, table.shape[1]), dtype=np.float32), is_query=True)
+    assert candidate_docs(idx, zero, n_prime, idx.n_partitions).size == 0
+
+    live = q_rows[np.linalg.norm(q_rows, axis=1) > 0]
+    if live.shape[0] == 0:  # an all-zero query has no candidates
+        assert got.dtype == np.int64 and got.size == 0
+        return
+    every = np.broadcast_to(np.arange(idx.n_partitions), (live.shape[0], idx.n_partitions))
+    kept = _kernels.adc_topk_rows(
+        live, idx.codebooks, idx.codes, idx.part_offsets[every], idx.part_offsets[every + 1],
+        (live @ idx.coarse.T).astype(np.float64), idx.rows, n_table,
+    )
+    doc_of_row = np.repeat(np.arange(len(pack)), np.diff(idx.doc_offsets))
+    want = np.unique(doc_of_row[np.isin(idx.doc_refs, kept)])
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert got.tolist() == candidate_docs_reference(idx, query, n_prime, idx.n_partitions).tolist()
 
 
 @pytest.mark.parametrize("n_prime", [0, -1, -5, -100])
