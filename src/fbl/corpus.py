@@ -178,20 +178,40 @@ def split_train_test(
 # Timestamps are ISO-8601 strings.
 
 
-def _iter_jsonl(path: Path):
-    """(``path:line``, object) for every non-blank line; each must be a JSON object."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what surrogateescape makes of a byte not UTF-8
+
+
+def read_lines(path: Path):
+    """(``path:line``, stripped line) for every non-blank line of a UTF-8 text file.
+
+    JSONL inputs and run files share this reader. A byte that is not UTF-8
+    is a DataError naming its line, never a replacement character.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_no}: bad JSON ({exc})") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{line_no}: not a JSON object")
-            yield f"{path}:{line_no}", obj
+            if _NOT_UTF8.search(line):
+                raise DataError(f"{path}:{line_no}: a byte that is not UTF-8")
+            yield f"{path}:{line_no}", line
+
+
+def parse_json_line(where: str, line: str):
+    """The value of one JSON line; bad JSON, or nesting too deep to parse, is a DataError."""
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{where}: bad JSON ({exc})") from exc
+
+
+def _iter_jsonl(path: Path):
+    """(``path:line``, object) for every non-blank line; each must be a JSON object."""
+    for where, line in read_lines(path):
+        obj = parse_json_line(where, line)
+        if not isinstance(obj, dict):
+            raise DataError(f"{where}: not a JSON object")
+        yield where, obj
 
 
 def _text(obj: dict, key: str, where: str, default: str | None = None) -> str:

@@ -190,14 +190,14 @@ def _read_only(given, arr: np.ndarray) -> np.ndarray:
 class FileEmbedder:
     """Static token-id-indexed matrix loaded from an FBLE file.
 
-    A float32 or float64 table is kept as given (read-only); any other is
-    widened to float64 once. ``embed_ids`` widens only the rows it gathers,
-    which float32 holds exactly in float64.
+    A float16, float32 or float64 table is kept as given (read-only); any
+    other is widened to float64 once. ``embed_ids`` widens only the rows it
+    gathers, which float16 and float32 hold exactly in float64.
     """
 
     def __init__(self, matrix: np.ndarray):
         arr = np.asarray(matrix)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float16, np.float32, np.float64):
             # a signalling NaN warns when cast; the finiteness check below rejects it
             with np.errstate(invalid="ignore"):
                 arr = arr.astype(np.float64)

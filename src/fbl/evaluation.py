@@ -12,12 +12,11 @@ covers ``Name.java`` and ``pkg.Name`` spellings.
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import BugReport, Changeset, GoldLink
+from .corpus import BugReport, Changeset, GoldLink, parse_json_line, read_lines
 from .errors import DataError, EmptyGoldSet
 
 CATEGORY_NOT_LOCALIZED = "NL"
@@ -127,31 +126,26 @@ def qrels_from_links(links: Iterable[GoldLink]) -> dict[str, set[str]]:
 
 def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     """Read a run file, JSONL or TREC format, into bug -> ranked (id, score)."""
-    path = Path(path)
     raw: dict[str, list[tuple[int, str, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                if line.startswith("{"):
-                    obj = json.loads(line)
-                    bug_id, rank, score = obj["bug_id"], obj["rank"], obj["score"]
-                    doc_id = obj["changeset_id"] if "changeset_id" in obj else obj["doc_id"]
-                    if not (isinstance(bug_id, str) and isinstance(doc_id, str)):
-                        raise DataError(f"{path}:{line_no}: a bug or document id is not a string")
-                else:
-                    parts = line.split()
-                    if len(parts) < 6:
-                        raise DataError(f"{path}:{line_no}: not a TREC run line")
-                    bug_id, _, doc_id, rank, score = parts[:5]
-                # str() first, so a fractional or boolean rank fails instead of truncating
-                raw.setdefault(bug_id, []).append((int(str(rank)), doc_id, float(score)))
-            except KeyError as exc:
-                raise DataError(f"{path}:{line_no}: missing field {exc}") from exc
-            except (ValueError, TypeError) as exc:  # bad JSON, a rank or score of the wrong kind
-                raise DataError(f"{path}:{line_no}: bad run line ({exc})") from exc
+    for where, line in read_lines(Path(path)):
+        try:
+            if line.startswith("{"):
+                obj = parse_json_line(where, line)
+                bug_id, rank, score = obj["bug_id"], obj["rank"], obj["score"]
+                doc_id = obj["changeset_id"] if "changeset_id" in obj else obj["doc_id"]
+                if not (isinstance(bug_id, str) and isinstance(doc_id, str)):
+                    raise DataError(f"{where}: a bug or document id is not a string")
+            else:
+                parts = line.split()
+                if len(parts) < 6:
+                    raise DataError(f"{where}: not a TREC run line")
+                bug_id, _, doc_id, rank, score = parts[:5]
+            # str() first, so a fractional or boolean rank fails instead of truncating
+            raw.setdefault(bug_id, []).append((int(str(rank)), doc_id, float(score)))
+        except KeyError as exc:
+            raise DataError(f"{where}: missing field {exc}") from exc
+        except (ValueError, TypeError) as exc:  # a rank or score of the wrong kind
+            raise DataError(f"{where}: bad run line ({exc})") from exc
     out: dict[str, list[tuple[str, float]]] = {}
     for bug_id, rows in raw.items():
         rows.sort(key=lambda r: r[0])

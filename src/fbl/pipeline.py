@@ -111,16 +111,27 @@ def encode_documents(
     return {d.doc_id: encode_document(d, strategy, vocab, limit) for d in docs}
 
 
+def _float16_values(values: np.ndarray) -> np.ndarray:
+    """``values`` rounded to float16 values, in their own dtype; one past float16's range stays."""
+    with np.errstate(over="ignore"):
+        half = values.astype(np.float16)
+    return np.where(np.isfinite(half), half, values)
+
+
 def embed_documents(
     seqs: Mapping[str, EncodedSequence],
     embedder: TokenEmbedder,
     projection: LinearProjection,
 ) -> PackedCorpus:
-    """The documents' pack, built from one table of their distinct tokens."""
+    """The documents' pack, built from one table of their distinct tokens.
+
+    The table is rounded to float16 values before packing, so rows equal
+    after rounding merge and ``docs.fblp`` stores the table at 2 bytes a value.
+    """
     table, refs = embed_distinct([s.ids for s in seqs.values()], embedder, projection)
     offsets = np.cumsum([0] + [r.shape[0] for r in refs], dtype=np.int64)
     flat = np.concatenate([np.zeros(0, dtype=np.int64), *refs])
-    return PackedCorpus.from_table(table, flat, offsets, seqs.keys())
+    return PackedCorpus.from_table(_float16_values(table), flat, offsets, seqs.keys())
 
 
 def embed_query_text(
@@ -146,7 +157,9 @@ def build_session(
     """Encode, embed, and index a corpus under one configuration.
 
     The manifest records the index's partition count and codebook size,
-    which the table may have capped or sized.
+    which the table may have capped or sized. The projection, seeded or
+    given, is rounded to float16 values once, and the session embeds and
+    stores that one, at 2 bytes a value.
     """
     for name in ("d_out", "d_in") if projection is not None else ():
         if (got := getattr(projection, name)) != (want := getattr(config, name)):
@@ -156,6 +169,7 @@ def build_session(
     seqs = encode_documents(docs, config.strategy, vocab, config.doc_limit)
     if projection is None:
         projection = LinearProjection.seeded_init(config.d_in, config.d_out, config.seed)
+    projection = LinearProjection(_float16_values(projection.weights))
     pack = embed_documents(seqs, embedder, projection)
     index = build_index(
         pack,

@@ -12,15 +12,25 @@ A session directory holds everything a query needs:
 A binary file is a 4-byte magic, a header (u32 version, then counts) and
 arrays back to back, little-endian, ending with the last one:
 
-    FBLE v1  (rows, dim); the matrix (rows, dim) f4: a projection or a token
-             table, stored in a session or passed by a user
+    FBLE v2  (rows, dim, width); the matrix (rows, dim) at width bytes per
+             value: a projection or a token table, stored in a session or
+             passed by a user. Version 1 files, (rows, dim) and f4 values
+             with no width field, still read, and the writer keeps writing
+             them when the values need 4 bytes, so those files keep their bytes
     FBLI v5  (P, M, K, dim, u64 table rows T); coarse (P, dim) f4, codebooks
              (M, K, dim/M) f4, part_offsets (P+1) i8, rows (T) u4, codes
              (T, M) u1: an ``IvfPqIndex``'s arrays, with no document table
-    FBLP v4  (docs, dim, u64 rows, u64 table rows); offsets (docs+1) i8,
-             refs (rows) u4, left out without repeated rows, the table
-             (table rows, dim) f4, and each doc id's UTF-8 byte length u4,
-             then the ids' bytes
+    FBLP v5  (docs, dim, u64 rows, u64 table rows, width); offsets (docs+1)
+             i8, refs (rows) u4, left out without repeated rows, the table
+             (table rows, dim) at width bytes per value, and each doc id's
+             UTF-8 byte length u4, then the ids' bytes
+
+A width is 2 (``<f2``) exactly when every value survives the float16 round
+trip bit for bit, and 4 (``<f4``) otherwise. The reader widens a ``<f2``
+table once, to a read-only float32 array; an FBLE matrix reads as stored,
+and a projection widens it to float64 once. ``pipeline`` rounds a CLI
+session's projection and table to float16 values, so both store at half
+size; a table of float32 rows that are not float16 values keeps its bytes.
 
 One writer and one reader. ``_write`` streams a file's pieces (each
 format's generator yields the magic, the header and the arrays in the
@@ -30,13 +40,15 @@ header fits, and the version; hands out each array, in file order, as a
 read-only view of the bytes once it is known to fit; and checks that the
 last array ends the bytes. The pack is the only document table: the
 loaded index borrows its refs, offsets and ids, and queries score against
-the loaded pack, whose table and refs are views of the file.
+the loaded pack, whose refs, and its table when stored at 4 bytes, are
+views of the file.
 
 A save writes each artifact once, records the sha256 of the bytes written
-and reads nothing back. Loading reads each listed artifact once, verifies
-those bytes' checksum, and checks the session as a whole: the vocabulary
-is listed, and the embedder when file-backed; every offset and id a query
-indexes with; what the writers guarantee (finite floats, a table in
+and reads nothing back; the manifest is sealed with the sha256 of its own
+canonical body. Loading checks that seal, reads each listed artifact once,
+verifies those bytes' checksum, and checks the session as a whole: the
+vocabulary is listed, and the embedder when file-backed; every offset and
+id a query indexes with; what the writers guarantee (finite floats, a table in
 order, a pack with embeddings); and the manifest's dimensions and
 quantizer shape against the artifacts.
 """
@@ -63,9 +75,11 @@ from .index import IvfPqIndex
 # magic, version, header (the version, then the counts), and what to do about another version
 _Format = namedtuple("_Format", "magic version header fix")
 _REBUILD = "re-run `fbl index` to rebuild the session"
-_FBLE = _Format(b"FBLE", 1, struct.Struct("<III"), "write the matrix again in that version")
+_FBLE = _Format(b"FBLE", 2, struct.Struct("<IIII"), "write the matrix again in that version")
+_FBLE_V1 = _FBLE._replace(version=1, header=struct.Struct("<III"))  # f4 values, no width field
 _FBLI = _Format(b"FBLI", 5, struct.Struct("<IIIIIQ"), _REBUILD)
-_FBLP = _Format(b"FBLP", 4, struct.Struct("<IIIQQ"), _REBUILD)
+_FBLP = _Format(b"FBLP", 5, struct.Struct("<IIIQQI"), _REBUILD)
+_BLOCK = 1 << 16  # values per step of the float16 check
 
 MANIFEST_NAME = "manifest.json"
 INDEX_NAME = "index.fbli"
@@ -96,6 +110,13 @@ class Manifest:
     query_limit: int = 256  # `fbl query` encodes bug reports to this many tokens
     format_versions: dict = field(default_factory=_FORMAT_VERSIONS.copy)
     checksums: dict = field(default_factory=dict)
+    digest: str = ""  # save_session seals the other fields with manifest_digest
+
+
+def manifest_digest(body: Mapping) -> str:
+    """The sha256 of a manifest's canonical JSON: sorted keys, no spaces, no digest field."""
+    rest = {key: value for key, value in body.items() if key != "digest"}
+    return sha256_bytes(json.dumps(rest, sort_keys=True, separators=(",", ":")).encode("utf-8"))
 
 
 def sha256_file(path: str | Path) -> str:
@@ -138,24 +159,46 @@ def _pieces(fmt: _Format, header, *arrays):
         yield np.ascontiguousarray(arr, dtype=dtype).data
 
 
+def _narrowed(values: np.ndarray) -> np.ndarray:
+    """float32 ``values`` as ``<f2`` when each survives the round trip bit for bit, else as given.
+
+    The check runs a block at a time and stops at the first block that
+    fails, so float32 rows that are not float16 values cost one block.
+    """
+    flat = values.reshape(-1)
+    half = np.empty(flat.shape, dtype="<f2")
+    with np.errstate(over="ignore"):  # a value past float16's range fails the check below
+        for start in range(0, flat.size, _BLOCK):
+            block, out = flat[start : start + _BLOCK], half[start : start + _BLOCK]
+            out[...] = block
+            if not np.array_equal(out.astype(np.float32).view(np.uint32), block.view(np.uint32)):
+                return values
+    return half.reshape(values.shape)
+
+
 class _Reader:
     """A binary artifact's bytes, read front to back; each fault is a FormatError naming it.
 
     ``header`` holds the header's fields after the version.
     """
 
-    def __init__(self, path: str | Path, data: bytes | None, fmt: _Format):
+    def __init__(self, path: str | Path, data: bytes | None, fmt: _Format, *older: _Format):
         self.path = path = Path(path)
         self.data = data = path.read_bytes() if data is None else data
         if data[:4] != fmt.magic:
             raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {fmt.magic!r}")
-        if len(data) < 4 + fmt.header.size:
+        if len(data) < 8:
             raise FormatError(f"{path}: truncated header")
-        version, *self.header = fmt.header.unpack_from(data, 4)
-        if version != fmt.version:
-            raise FormatError(f"{path}: format version {version} is not supported (expected "
+        self.version = int.from_bytes(data[4:8], "little")
+        known = {f.version: f for f in (fmt, *older)}
+        if self.version not in known:
+            raise FormatError(f"{path}: format version {self.version} is not supported (expected "
                               f"{fmt.version}); {fmt.fix}")
-        self.off = 4 + fmt.header.size
+        header = known[self.version].header
+        if len(data) < 4 + header.size:
+            raise FormatError(f"{path}: truncated header")
+        self.header = list(header.unpack_from(data, 4)[1:])
+        self.off = 4 + header.size
 
     def array(self, dtype: str, count: int, what: str) -> np.ndarray:
         """A read-only view of the next ``count`` items, once they are known to fit."""
@@ -167,6 +210,12 @@ class _Reader:
         arr = np.frombuffer(self.data, dtype=dtype, count=count, offset=self.off)
         self.off = end
         return arr
+
+    def floats(self, width: int, count: int, what: str) -> np.ndarray:
+        """A read-only view of the next ``count`` values, stored at ``width`` bytes each."""
+        if width not in (2, 4):
+            raise FormatError(f"{self.path}: {width} bytes per value; expected 2 or 4")
+        return self.array(f"<f{width}", count, what)
 
     def end(self, what: str) -> None:
         """The last array, named ``what``, must end the bytes."""
@@ -189,7 +238,10 @@ def _fble_pieces(matrix: np.ndarray):
         raise ValueError("FBLE files hold 2-D matrices")
     if not np.isfinite(arr).all():
         raise ValueError("FBLE files hold finite float32 values")
-    return _pieces(_FBLE, arr.shape, (arr, "<f4"))
+    half = _narrowed(arr)
+    if half is arr:  # 4 bytes a value: version 1, byte for byte as before widths
+        return _pieces(_FBLE_V1, arr.shape, (arr, "<f4"))
+    return _pieces(_FBLE, (*arr.shape, 2), (half, "<f2"))
 
 
 def write_matrix_file(path: str | Path, matrix: np.ndarray) -> None:
@@ -198,10 +250,14 @@ def write_matrix_file(path: str | Path, matrix: np.ndarray) -> None:
 
 
 def read_matrix_file(path: str | Path, data: bytes | None = None) -> np.ndarray:
-    """Read and validate an FBLE file, or its bytes when given as ``data``."""
-    r = _Reader(path, data, _FBLE)
-    rows, dim = r.header
-    matrix = r.array("<f4", rows * dim, "payload").reshape(rows, dim)
+    """Read and validate an FBLE file, or its bytes when given as ``data``.
+
+    The matrix is a read-only view of the values as stored, float16 or
+    float32; ``LinearProjection`` widens it to float64 once.
+    """
+    r = _Reader(path, data, _FBLE, _FBLE_V1)
+    rows, dim, width = r.header if r.version == 2 else (*r.header, 4)
+    matrix = r.floats(width, rows * dim, "payload").reshape(rows, dim)
     r.end(f"{rows}x{dim} payload")
     return matrix
 
@@ -294,30 +350,32 @@ def load_index(path: str | Path, docs: PackedCorpus, data: bytes | None = None) 
 def _fblp_pieces(pack: PackedCorpus):
     """The pack's FBLP bytes; the refs are left out when the table is the rows."""
     n_table, dim = pack.table.shape
+    table = _narrowed(np.ascontiguousarray(pack.table, dtype="<f4"))
     names = [doc_id.encode("utf-8") for doc_id in pack.ids]
     return _pieces(
-        _FBLP, (len(pack), dim, pack.n_rows, n_table),
+        _FBLP, (len(pack), dim, pack.n_rows, n_table, table.dtype.itemsize),
         (pack.offsets, "<i8"),
         (pack.refs[: pack.n_rows if n_table < pack.n_rows else 0], "<u4"),
-        (pack.table, "<f4"),
+        (table, table.dtype),
         ([len(name) for name in names], "<u4"),  # the doc-id table: byte lengths, then bytes
         (np.frombuffer(b"".join(names), dtype="u1"), "u1"),
     )
 
 
 def read_doc_pack(path: str | Path, data: bytes | None = None) -> PackedCorpus:
-    """Read and validate an FBLP file; the table and refs stay views of its bytes.
+    """Read and validate an FBLP file; the refs, and a 4-byte table, stay views of its bytes.
 
     ``data`` is the file's bytes when the caller has read them already.
     """
     r = _Reader(path, data, _FBLP)
     path = r.path
-    n_docs, dim, n_rows, n_table = r.header
+    n_docs, dim, n_rows, n_table, width = r.header
     if n_table > n_rows or (n_rows and not dim):  # the table's bytes bound the refs
         raise FormatError(f"{path}: {n_table} table rows of width {dim} for {n_rows} rows")
     offsets = r.array("<i8", n_docs + 1, "doc offsets")
     refs = r.array("<u4", n_rows if n_table < n_rows else 0, "row refs")
-    table = r.array("<f4", n_table * dim, "table")
+    table = r.floats(width, n_table * dim, "table").astype(np.float32, copy=False)
+    table.flags.writeable = False  # a widened <f2 table is read-only, as a view of the bytes is
     lengths = r.array("<u4", n_docs, "doc-id lengths")
     ends = np.cumsum(lengths, dtype=np.int64)
     names = r.array("u1", int(ends[-1]) if n_docs else 0, "doc ids").tobytes()
@@ -336,7 +394,7 @@ def read_doc_pack(path: str | Path, data: bytes | None = None) -> PackedCorpus:
             raise FormatError(f"{path}: the refs use {seen[-1] + 1} of {n_table} table rows")
     if n_table == n_rows:  # no row repeats: refs count the rows
         refs = np.arange(n_rows, dtype=np.uint32)
-    table = table.reshape(n_table, dim).astype(np.float32, copy=False)
+    table = table.reshape(n_table, dim)
     norms = np.einsum("ij,ij->i", table, table)
     bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
     if bad.size:  # packing writes unit rows and drops zero rows
@@ -385,6 +443,7 @@ def save_session(
         artifacts[EMBEDDER_NAME] = [embedder]
     manifest.checksums = {name: _write(directory / name, pieces)
                           for name, pieces in artifacts.items()}
+    manifest.digest = manifest_digest(asdict(manifest))
     payload = json.dumps(asdict(manifest), indent=2, sort_keys=True)
     _write(directory / MANIFEST_NAME, [payload.encode("utf-8")])
 
@@ -415,6 +474,7 @@ def _manifest_problem(data) -> str | None:
 
 
 def load_manifest(directory: str | Path) -> Manifest:
+    """The session's manifest, once its field types, format versions and digest check out."""
     path = Path(directory) / MANIFEST_NAME
     if not path.exists():
         raise FormatError(f"{path}: manifest not found")
@@ -429,6 +489,9 @@ def load_manifest(directory: str | Path) -> Manifest:
                 f"{path}: session formats {found} are not {_FORMAT_VERSIONS}; "
                 "re-run `fbl index` to rebuild the session"
             )
+        if data.get("digest") != manifest_digest(data):
+            raise FormatError(f"{path}: the fields do not match the manifest's digest; "
+                              f"{_REBUILD}")
         return Manifest(**data)
     except (ValueError, TypeError, RecursionError) as exc:
         raise FormatError(f"{path}: bad manifest ({exc})") from exc
@@ -437,6 +500,7 @@ def load_manifest(directory: str | Path) -> Manifest:
 def load_session(directory: str | Path) -> SessionArtifacts:
     """Load all artifacts, verifying checksums, and check the session as a whole.
 
+    The manifest must carry the digest ``save_session`` sealed it with.
     Every artifact the manifest lists is read once, and the bytes whose
     checksum is verified are the bytes parsed; the index, projection, doc
     pack and vocabulary must be listed, and the embedder too when the
@@ -484,7 +548,7 @@ def load_session(directory: str | Path) -> SessionArtifacts:
             raise FormatError(f"{directory / MANIFEST_NAME}: {name} {getattr(manifest, name)}, "
                               f"but the index has {shape} {built}; {_REBUILD}")
     if manifest.embedder_kind == "file":  # the table's width, from its header
-        _, dim = _Reader(directory / EMBEDDER_NAME, data[EMBEDDER_NAME], _FBLE).header
+        dim = _Reader(directory / EMBEDDER_NAME, data[EMBEDDER_NAME], _FBLE, _FBLE_V1).header[1]
         if dim != manifest.d_in:
             raise FormatError(f"{directory / EMBEDDER_NAME}: dim {dim}, but the manifest's d_in "
                               f"is {manifest.d_in}")

@@ -1,3 +1,4 @@
+import json
 import random
 import struct
 from datetime import datetime, timezone
@@ -12,6 +13,7 @@ from fbl.diffs import Changeset, DiffLine, FileDiff, Hunk, LineKind
 from fbl.embed import LinearProjection, PackedCorpus, _distinct_ids, gradient_of_loss
 from fbl.encode import EncodedSequence, Vocabulary
 from fbl.retrieve import rank_exact
+from fbl.store import manifest_digest
 
 
 def _doc_indices(doc_offsets, embedding_ids):
@@ -96,6 +98,11 @@ def random_hunk(rng: random.Random, words=("alpha", "beta", "gamma", "delta")) -
     if not has_mod:
         lines.append(("+", rng.choice(words)))
     return make_hunk(lines)
+
+
+def reseal(data: dict) -> str:
+    """An edited manifest's JSON with its digest taken again, so a load reaches the later checks."""
+    return json.dumps({**data, "digest": manifest_digest(data)})
 
 
 def write_unchecked_fble(path, matrix) -> None:

@@ -7,14 +7,19 @@ import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fbl
+from conftest import reseal
 
 from fbl import cli
 from fbl.cli import main
@@ -823,7 +828,7 @@ def test_a_vocabulary_with_a_repeated_token_exits_2_naming_its_file(corpus_dir, 
         dup.write_text(vocab.read_text() + "widget\n")
         data = json.loads((session / "manifest.json").read_text())
         data["checksums"]["vocab.txt"] = hashlib.sha256(dup.read_bytes()).hexdigest()
-        (session / "manifest.json").write_text(json.dumps(data))
+        (session / "manifest.json").write_text(reseal(data))
     argv = {
         "index": _index_args(corpus, dup, session),
         "train-projection": _train_args(corpus, dup, tmp_path / "proj.fble"),
@@ -1003,10 +1008,11 @@ def _non_utf8(blob: bytes) -> bytes:
 
 
 def _set(field, value):
+    """An edit of one manifest field, sealed again so the load reaches the check after the seal."""
     def edit(blob: bytes) -> bytes:
         data = json.loads(blob)
         data[field] = value
-        return json.dumps(data).encode()
+        return reseal(data).encode()
 
     return edit
 
@@ -1014,7 +1020,7 @@ def _set(field, value):
 def _no_vocab_checksum(blob: bytes) -> bytes:
     data = json.loads(blob)
     del data["checksums"]["vocab.txt"]
-    return json.dumps(data).encode()
+    return reseal(data).encode()
 
 
 @pytest.mark.parametrize(
@@ -1360,7 +1366,7 @@ def test_query_on_a_session_whose_embedder_is_short_exits_2(corpus_dir, capsys, 
     manifest = session / "manifest.json"
     data = json.loads(manifest.read_bytes())
     data["checksums"]["embedder.fble"] = hashlib.sha256(emb_path.read_bytes()).hexdigest()
-    manifest.write_text(json.dumps(data))
+    manifest.write_text(reseal(data))
     capsys.readouterr()
     # "turbo" and the query marks all have rows; only the vocabulary's last id has none
     assert main(["query", "--session", str(session), "--text", "turbo"]) == 2
@@ -1430,7 +1436,7 @@ def test_a_session_embedder_of_another_width_than_d_in_exits_2_naming_it(corpus_
     manifest = session / "manifest.json"
     data = json.loads(manifest.read_bytes())
     data["checksums"]["embedder.fble"] = hashlib.sha256(emb_path.read_bytes()).hexdigest()
-    manifest.write_text(json.dumps(data))
+    manifest.write_text(reseal(data))
     capsys.readouterr()
     assert main(["query", "--session", str(session), "--text", "turbo"]) == 2
     payload = json.loads(capsys.readouterr().err)
@@ -1570,3 +1576,191 @@ def test_a_command_makes_the_session_embedder_at_most_once(corpus_dir, capsys, t
     assert {json.loads(line)["bug_id"] for line in capsys.readouterr().out.splitlines()} == {
         "q0", "q1", "q2", "q3"}
     assert len(calls) == 1
+
+
+# -- half-width sessions and the sealed manifest --------------------------------------
+
+
+def test_a_cli_session_stores_its_table_and_projection_at_2_bytes_a_value(corpus_dir, capsys):
+    from fbl.store import read_doc_pack, read_matrix_file
+
+    tmp_path, corpus, vocab = corpus_dir
+    session = tmp_path / "session"
+    assert main(["index", "--corpus", str(corpus), "--vocab", str(vocab), "--session",
+                 str(session)]) == 0  # CLI defaults: a seeded projection
+    docs, proj = (session / "docs.fblp").read_bytes(), (session / "projection.fble").read_bytes()
+    n_docs, dim, n_rows, n_table, width = struct.unpack_from("<IIQQI", docs, 8)
+    assert docs[4:8] == (5).to_bytes(4, "little") and width == 2
+    assert struct.unpack_from("<IIII", proj, 4) == (2, 768, 128, 2)  # version, d_in, d_out, width
+    table, weights = read_doc_pack(session / "docs.fblp").table, read_matrix_file(
+        session / "projection.fble")
+    assert table.dtype == np.float32 and not table.flags.writeable and weights.dtype == np.float16
+    assert np.array_equal(table.astype(np.float16).astype(np.float32), table)
+    assert np.array_equal(load_projection(session / "projection.fble").weights, weights)
+    # exhaustive two-stage ranking is the oracle's, entry for entry, scores included
+    n_part = load_session(session).index.n_partitions
+    base = ["query", "--session", str(session), "--bug-file", str(corpus / "bugs.jsonl")]
+    capsys.readouterr()
+    assert main(base + ["--exact"]) == 0
+    exact = capsys.readouterr().out
+    assert main(base + ["--nprobe", str(n_part), "--candidates", "all"]) == 0
+    assert capsys.readouterr().out == exact and len(exact.splitlines()) == 16
+
+
+def test_train_projection_writes_float32_weights_as_fble_version_1(corpus_dir, tmp_path):
+    # training does not round: its weights are no float16 values, so the file
+    # keeps the layout it had before FBLE gained a width field, byte for byte
+    from fbl.store import read_matrix_file
+
+    _, corpus, vocab = corpus_dir
+    out = tmp_path / "proj.fble"
+    assert main(_train_args(corpus, vocab, out)) == 0
+    weights = read_matrix_file(out)
+    assert weights.dtype == np.float32 and out.read_bytes() == (b"FBLE" + struct.pack("<III", 1, 32, 16)
+                                + weights.astype("<f4").tobytes())
+    assert not np.array_equal(weights.astype(np.float16).astype(np.float32), weights)
+
+
+def test_index_rounds_a_given_projection_to_float16_values_but_one_past_their_range(
+        corpus_dir, tmp_path):
+    from fbl.store import write_matrix_file
+
+    _, corpus, vocab = corpus_dir
+    weights = LinearProjection.seeded_init(32, 16, seed=3).weights.copy()
+    weights[0, 0] = 1e5  # float16's largest value is 65,504
+    proj = tmp_path / "proj.fble"
+    write_matrix_file(proj, weights)
+    weights = load_projection(proj).weights  # float32 values, as `fbl index` reads them
+    session = tmp_path / "session"
+    assert main(_index_args(corpus, vocab, session) + ["--projection", str(proj)]) == 0
+    stored = load_session(session).projection.weights
+    assert stored[0, 0] == 1e5 and (session / "projection.fble").read_bytes()[4] == 1
+    want = weights.copy()
+    want[1:, 0] = weights[1:, 0].astype(np.float16)
+    want[:, 1:] = weights[:, 1:].astype(np.float16)
+    assert np.array_equal(stored, want)
+
+
+def _other_value(field, value):
+    """Another value of a manifest field that Config would accept."""
+    others = {"granularity": "file", "strategy": "d", "embedder_kind": "file"}
+    return others.get(field, value + 1 if isinstance(value, int) else value)
+
+
+@pytest.mark.parametrize("command", ["query", "bench"])
+def test_an_edited_manifest_field_exits_2_naming_the_manifest(corpus_dir, capsys, command):
+    # a query_limit of 5 loads, and would rank with five tokens a bug, unless
+    # the seal catches it
+    base_tmp, corpus, vocab = corpus_dir
+    session = base_tmp / "session"
+    assert main(_index_args(corpus, vocab, session)) == 0
+    path = session / "manifest.json"
+    sealed = path.read_bytes()
+    argv = {"query": ["--text", "widget"], "bench": ["--sizes", "20", "--queries", "1"]}[command]
+    for field in MANIFEST_FIELDS:
+        data = json.loads(sealed)
+        data[field] = 5 if field == "query_limit" else _other_value(field, data[field])
+        assert data[field] != json.loads(sealed)[field]
+        path.write_text(json.dumps(data, indent=2, sort_keys=True))
+        capsys.readouterr()
+        assert main([command, "--session", str(session)] + argv) == 2, field
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["kind"] == "data" and payload["error"].startswith(f"{path}: "), field
+        assert "digest" in payload["error"], field
+        assert payload["error"].endswith("re-run `fbl index` to rebuild the session"), field
+    path.write_bytes(sealed)
+    assert main([command, "--session", str(session)] + argv) == 0
+
+
+def test_a_manifest_without_a_digest_exits_2(corpus_dir, capsys):
+    base_tmp, corpus, vocab = corpus_dir
+    session = base_tmp / "session"
+    assert main(_index_args(corpus, vocab, session)) == 0
+    path = session / "manifest.json"
+    data = json.loads(path.read_bytes())
+    del data["digest"]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["query", "--session", str(session), "--text", "widget"]) == 2
+    assert "digest" in json.loads(capsys.readouterr().err)["error"]
+
+
+# -- no input line reaches exit 3 ------------------------------------------------------
+
+_GOOD_BUG = {"id": "b1", "summary": "crash", "opened_at": "2021-01-01"}
+_GOOD_LINK = {"bug_id": "b1", "changeset_id": "c0"}
+_GOOD_LINES = {
+    "changesets": json.dumps(_GOOD_CHANGESET),
+    "bugs": json.dumps(_GOOD_BUG),
+    "links": json.dumps(_GOOD_LINK),
+    "jsonl_run": json.dumps(_GOOD_RUN),
+    "trec_run": "b1 Q0 c0:0:0 1 0.5 fbl",
+}
+
+
+def _argv_reading(kind, path, tmp_path):
+    """A command that reads ``path`` as input ``kind``, with good files for its other inputs."""
+    run, links = tmp_path / "good_run.jsonl", tmp_path / "good_links.jsonl"
+    run.write_text(_GOOD_LINES["jsonl_run"] + "\n")
+    links.write_text(_GOOD_LINES["links"] + "\n")
+    if kind == "changesets":
+        return ["ingest", "--changesets", str(path), "--out", str(tmp_path / "out")]
+    if kind == "links":
+        return ["evaluate", "--run", str(run), "--qrels", str(path)]
+    return ["evaluate", "--run", str(path), "--qrels", str(links)]
+
+
+@pytest.mark.parametrize("fault", ["deep_nesting", "not_utf8"])
+@pytest.mark.parametrize("kind", list(_GOOD_LINES))
+def test_a_malformed_input_line_exits_2_never_3(corpus_dir, tmp_path, capsys, kind, fault):
+    # 100,000 nested brackets overflow the JSON parser's recursion, and a byte
+    # that is not UTF-8 fails decoding: both are data errors naming the line
+    base_tmp, corpus, vocab = corpus_dir
+    good = _GOOD_LINES[kind].encode()
+    bad = b"[" * 100_000 if fault == "deep_nesting" else good[:-3] + b"\xff" + good[-3:]
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes(good + b"\n" + bad + b"\n")
+    if kind == "bugs":  # as `fbl query --bug-file` reads them
+        session = base_tmp / "session"
+        assert main(_index_args(corpus, vocab, session)) == 0
+        argv = ["query", "--session", str(session), "--bug-file", str(path)]
+    else:
+        argv = _argv_reading(kind, path, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["kind"] == "data" and payload["error"].startswith(f"{path}:2: ")
+    if fault == "not_utf8":
+        assert payload["error"] == f"{path}:2: a byte that is not UTF-8"
+
+
+_KEYS = sorted({*_GOOD_CHANGESET, *_GOOD_BUG, *_GOOD_LINK, *_GOOD_RUN, "log", "description"})
+_LINES = st.one_of(
+    st.binary(max_size=40),
+    st.text(max_size=40).map(str.encode),
+    st.integers(1, 100_000).map(lambda n: b"[" * n),
+    st.integers(1, 100_000).map(lambda n: b'{"id":' * n),
+    st.dictionaries(st.sampled_from(_KEYS),
+                    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                              st.text(max_size=12), st.lists(st.integers(), max_size=2)),
+                    max_size=6).map(lambda d: json.dumps(d).encode()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["changesets", "bugs", "links", "jsonl_run", "trec_run"]),
+       lines=st.lists(_LINES, min_size=1, max_size=3))
+def test_a_drawn_input_file_never_exits_3(kind, lines):
+    # bugs go through `fbl ingest --bugs`, which parses them as `fbl query --bug-file` does
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        if kind == "bugs":
+            changesets = tmp_path / "changesets.jsonl"
+            changesets.write_text(_GOOD_LINES["changesets"] + "\n")
+            argv = ["ingest", "--changesets", str(changesets), "--bugs", str(path),
+                    "--out", str(tmp_path / "out")]
+        else:
+            argv = _argv_reading(kind, path, tmp_path)
+        assert main(argv) in (0, 1, 2)

@@ -98,8 +98,8 @@ def test_fble_of_another_version_names_the_file_but_no_session_rebuild(tmp_path)
     p = tmp_path / "m.fble"
     write_matrix_file(p, np.ones((2, 3), dtype=np.float32))
     raw = p.read_bytes()
-    p.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
-    with pytest.raises(FormatError, match=r"m\.fble: format version 2") as exc:
+    p.write_bytes(raw[:4] + struct.pack("<I", 3) + raw[8:])
+    with pytest.raises(FormatError, match=r"m\.fble: format version 3") as exc:
         read_matrix_file(p)
     assert "fbl index" not in str(exc.value)
 
@@ -133,12 +133,14 @@ def test_file_embedder_range_check(tmp_path):
         emb.embed_ids([4])
 
 
-def test_file_embedder_keeps_its_float32_table_and_widens_only_the_rows_asked(tmp_path):
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_file_embedder_keeps_its_stored_table_and_widens_only_the_rows_asked(tmp_path, dtype):
+    # a table of float16 values is stored, loaded and kept at 2 bytes a value
     p = tmp_path / "e.fble"
-    table = np.random.default_rng(2).standard_normal((6, 4)).astype(np.float32)
+    table = np.random.default_rng(2).standard_normal((6, 4)).astype(dtype)
     write_matrix_file(p, table)
     emb = load_embedder(p)
-    assert emb.matrix.dtype == np.float32 and not emb.matrix.flags.writeable
+    assert emb.matrix.dtype == dtype and not emb.matrix.flags.writeable
     got = emb.embed_ids([5, 0, 5])
     want = table.astype(np.float64)[[5, 0, 5]]  # the rows a float64 copy of the table gave
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
@@ -211,8 +213,10 @@ def test_embed_documents_equals_embedding_each_document(tmp_path):
     for emb in _embedders(tmp_path):
         for docs in (seqs, {}):
             got = embed_documents(docs, emb, proj)
+            # the table is each row of embed_sequence, rounded to a float16 value
             want = PackedCorpus.from_matrices(
-                {doc_id: embed_sequence(seq, emb, proj) for doc_id, seq in docs.items()}
+                {doc_id: embed_sequence(seq, emb, proj).rows.astype(np.float16)
+                 for doc_id, seq in docs.items()}
             )
             assert got.table.dtype == np.float32 and got.refs.dtype == want.refs.dtype
             assert got.table.tobytes() == want.table.tobytes()

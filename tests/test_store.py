@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import struct
 from collections import Counter
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fbl
-from conftest import repeated_row_docs
+from conftest import repeated_row_docs, reseal
 from fbl.cli import main
 from fbl.embed import (
     EmbeddingMatrix,
@@ -38,11 +39,13 @@ from fbl.store import (
     _fbli_pieces,
     _fblp_pieces,
     _write,
+    load_embedder,
     load_index,
     load_projection,
     load_manifest,
     load_session,
     read_doc_pack,
+    read_matrix_file,
     save_session,
     write_matrix_file,
 )
@@ -125,7 +128,7 @@ def test_doc_pack_version_1_names_the_fix(tmp_path):
     p = tmp_path / "docs.fblp"
     write_doc_pack(p, {"a:0:0": EmbeddingMatrix(rows=_unit(np.ones((1, 4))))})
     raw = bytearray(p.read_bytes())
-    for version in (1, 2):  # v2 held a row-dtype flag
+    for version in (1, 2, 4):  # v2 held a row-dtype flag, v4 no width
         raw[4:8] = version.to_bytes(4, "little")
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=f"version {version}.*re-run `fbl index`"):
@@ -139,19 +142,19 @@ def test_doc_pack_rejects_decreasing_doc_offsets(tmp_path):
     p = tmp_path / "docs.fblp"
     write_doc_pack(p, docs)
     raw = bytearray(p.read_bytes())
-    raw[32 + 8 : 32 + 16] = (5).to_bytes(8, "little")  # doc 0 ends past where doc 1 does
+    raw[36 + 8 : 36 + 16] = (5).to_bytes(8, "little")  # doc 0 ends past where doc 1 does
     p.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="doc offsets"):
         read_doc_pack(p)
 
 
 def _fblp_bytes(tmp_path, repeats: bool) -> tuple[bytearray, int, int]:
-    """A written pack's bytes, and where its refs and its table start (FBLP v4)."""
+    """A written pack's bytes, and where its refs and its table start (FBLP v5, f4 table)."""
     rows = _unit(np.random.default_rng(9).standard_normal((3, 4)))
     pick = ([0, 1, 2], [2, 1, 0]) if repeats else ([0, 1], [2])  # rows repeat across docs
     p = tmp_path / "docs.fblp"
     write_doc_pack(p, {"a:0:0": rows[pick[0]], "b:0:0": rows[pick[1]]})
-    refs = 32 + 3 * 8
+    refs = 36 + 3 * 8
     return bytearray(p.read_bytes()), refs, refs + (6 * 4 if repeats else 0)
 
 
@@ -189,7 +192,7 @@ def _fblp_edits(tmp_path):
      "no_refs_with_a_smaller_table", "truncated_table", "version_3", "id_not_utf8",
      "repeated_id"],
 )
-def test_doc_pack_v4_regions_are_untrusted(tmp_path, case):
+def test_doc_pack_v5_regions_are_untrusted(tmp_path, case):
     blob, message = _fblp_edits(tmp_path)[case]
     p = tmp_path / "bad.fblp"
     p.write_bytes(bytes(blob))
@@ -200,7 +203,7 @@ def test_doc_pack_v4_regions_are_untrusted(tmp_path, case):
 def test_doc_pack_stores_each_distinct_row_once(tmp_path):
     # repeated rows: one table row each plus a u4 ref per row; distinct rows
     # store no refs, and both read back as written
-    for repeats, size in ((True, 32 + 3 * 8 + 6 * 4 + 3 * 16), (False, 32 + 3 * 8 + 3 * 16)):
+    for repeats, size in ((True, 36 + 3 * 8 + 6 * 4 + 3 * 16), (False, 36 + 3 * 8 + 3 * 16)):
         blob, _, _ = _fblp_bytes(tmp_path, repeats)
         ids = 2 * 4 + len("a:0:0b:0:0")
         assert len(blob) == size + ids
@@ -228,15 +231,156 @@ def test_a_pack_of_document_sets_round_trips_through_fblp(tmp_path_factory, docs
 
 
 def _fblp(path, table, refs, offsets, ids=("a:0:0", "b:0:0", "c:0:0")):
-    """Write an FBLP v4 file of the given arrays as they are, in any order."""
+    """Write an FBLP v5 file of the given arrays as they are, in any order, at 4 bytes a value."""
     table = np.asarray(table, dtype="<f4")
     with open(path, "wb") as fh:
-        fh.write(b"FBLP" + struct.pack("<IIIQQ", 4, len(ids), table.shape[1], len(refs),
-                                       table.shape[0]))
+        fh.write(b"FBLP" + struct.pack("<IIIQQI", 5, len(ids), table.shape[1], len(refs),
+                                       table.shape[0], 4))
         fh.write(np.asarray(offsets, dtype="<i8").tobytes())
         fh.write(np.asarray(refs, dtype="<u4").tobytes() + table.tobytes())
         raw = [doc_id.encode("utf-8") for doc_id in ids]
         fh.write(np.asarray([len(r) for r in raw], dtype="<u4").tobytes() + b"".join(raw))
+
+
+# -- value widths: a float16 value is stored in 2 bytes, any other float32 in 4 --------
+
+# -0.0, the smallest and largest float16 subnormals and float16's largest value,
+# then values a float16 cannot hold: between two subnormals, under the smallest,
+# past the largest, and one float32 ulp off 1.0
+_HALF_EDGES = [-0.0, 2.0**-24, -(2.0**-14 - 2.0**-24), 65504.0]
+_NOT_HALF = [1.5 * 2.0**-24, 2.0**-26, 65520.0, np.nextafter(np.float32(1), np.float32(2))]
+_HALF_VALUES = st.one_of(
+    st.sampled_from(_HALF_EDGES),
+    st.floats(width=16, allow_nan=False, allow_infinity=False),
+)
+_FLOAT32_VALUES = st.one_of(
+    _HALF_VALUES,
+    st.sampled_from(_NOT_HALF),
+    st.floats(-1e6, 1e6, width=32),
+)
+
+
+@st.composite
+def _value_arrays(draw, max_rows=5):
+    """A float32 (rows, dim) array of float16 values, or of any finite float32 values."""
+    rows, dim = draw(st.integers(1, max_rows)), draw(st.integers(1, 6))
+    values = _HALF_VALUES if draw(st.booleans()) else _FLOAT32_VALUES
+    flat = draw(st.lists(values, min_size=rows * dim, max_size=rows * dim))
+    return np.asarray(flat, dtype=np.float32).reshape(rows, dim)
+
+
+def _is_half(values: np.ndarray) -> bool:
+    with np.errstate(over="ignore"):
+        back = values.astype(np.float16).astype(np.float32)
+    return back.tobytes() == values.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix=_value_arrays())
+def test_an_fble_matrix_keeps_its_bits_at_the_width_its_values_allow(tmp_path_factory, matrix):
+    p = tmp_path_factory.mktemp("fble") / "m.fble"
+    write_matrix_file(p, matrix)
+    blob, half = p.read_bytes(), _is_half(matrix)
+    if half:  # version 2, width 2
+        assert struct.unpack_from("<IIII", blob, 4) == (2, *matrix.shape, 2)
+        assert blob[20:] == matrix.astype("<f2").tobytes()
+    else:  # version 1: the float32 layout, byte for byte
+        assert blob == b"FBLE" + struct.pack("<III", 1, *matrix.shape) + matrix.tobytes()
+    back = read_matrix_file(p)  # as stored
+    assert back.dtype == (np.float16 if half else np.float32) and not back.flags.writeable
+    assert back.astype(np.float32).tobytes() == matrix.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_value_arrays(max_rows=6))
+def test_an_fblp_table_keeps_its_bits_at_the_width_its_values_allow(tmp_path_factory, table):
+    # packing lets through no zero row: give each one a 1.0, a float16 value like the 0.0 it was
+    table[np.einsum("ij,ij->i", table, table) == 0, 0] = 1.0
+    n = table.shape[0]
+    pack = PackedCorpus(table, np.arange(n, dtype=np.uint32), np.array([0, 1, n]),
+                        ["a:0:0", "b:0:0"])
+    p = tmp_path_factory.mktemp("fblp") / "docs.fblp"
+    _write(p, _fblp_pieces(pack))
+    blob, width = p.read_bytes(), 2 if _is_half(table) else 4
+    assert struct.unpack_from("<I", blob, 32)[0] == width
+    start = 36 + 3 * 8  # distinct rows: no refs
+    assert blob[start : start + table.size * width] == table.astype(f"<f{width}").tobytes()
+    back = read_doc_pack(p)
+    assert back.table.dtype == np.float32 and not back.table.flags.writeable
+    assert back.table.tobytes() == table.tobytes()
+    assert back.refs.tolist() == list(range(n)) and back.ids == pack.ids
+
+
+def test_float32_rows_that_are_no_float16_values_keep_their_table_bytes(tmp_path):
+    # as a library caller's unit rows are: the table stays f4, and only the
+    # header moves from FBLP v4
+    blob, refs, table_at = _fblp_bytes(tmp_path, repeats=True)
+    rows = _unit(np.random.default_rng(9).standard_normal((3, 4)))
+    assert blob[32:36] == (4).to_bytes(4, "little")
+    assert blob[table_at : table_at + rows.nbytes] == rows.astype("<f4").tobytes()
+
+
+def _half_fble(tmp_path, values=((0.5, -0.25), (1.0, 2.0))):
+    p = tmp_path / "half.fble"
+    write_matrix_file(p, np.asarray(values))
+    assert p.read_bytes()[4] == 2
+    return p
+
+
+def _half_fblp(tmp_path):
+    p = tmp_path / "half.fblp"
+    write_doc_pack(p, {"a:0:0": np.array([[0.5, -0.5], [1.0, 0.0]]), "b:0:0": np.eye(2)[1:]})
+    assert p.read_bytes()[32:36] == (2).to_bytes(4, "little")
+    return p
+
+
+@pytest.mark.parametrize("width", [0, 1, 3, 8, 1 << 31])
+def test_a_width_other_than_2_or_4_raises_format_error_naming_the_file(tmp_path, width):
+    fble, fblp = _half_fble(tmp_path), _half_fblp(tmp_path)
+    for path, at, read in ((fble, 16, read_matrix_file), (fblp, 32, read_doc_pack)):
+        blob = path.read_bytes()
+        path.write_bytes(blob[:at] + struct.pack("<I", width) + blob[at + 4 :])
+        with pytest.raises(FormatError, match=f"^{path}: {width} bytes per value; expected 2"):
+            read(path)
+
+
+def test_a_truncated_half_width_payload_raises_format_error_naming_the_file(tmp_path):
+    fble, fblp = _half_fble(tmp_path), _half_fblp(tmp_path)
+    fble.write_bytes(fble.read_bytes()[:-1])
+    with pytest.raises(FormatError, match=f"^{fble}: truncated payload \\(4 x <f2"):
+        read_matrix_file(fble)
+    # the table ends 2 x 2 bytes before the doc-id table's 2 lengths and 10 bytes
+    blob = fblp.read_bytes()
+    fblp.write_bytes(blob[: len(blob) - 18 - 1])
+    with pytest.raises(FormatError, match=f"^{fblp}: truncated table \\(6 x <f2"):
+        read_doc_pack(fblp)
+
+
+@pytest.mark.parametrize("bits", [0x7C00, 0xFC00, 0x7E00, 0x7C01], ids=["inf", "-inf", "nan",
+                                                                        "signalling_nan"])
+def test_a_non_finite_half_width_value_raises_format_error_naming_the_file(tmp_path, bits):
+    fble, fblp = _half_fble(tmp_path), _half_fblp(tmp_path)
+    value = struct.pack("<H", bits)
+    blob = fble.read_bytes()
+    fble.write_bytes(blob[:22] + value + blob[24:])  # the second value
+    for load in (load_projection, load_embedder):
+        with pytest.raises(FormatError, match=f"^{fble}: "):
+            load(fble)
+    blob = fblp.read_bytes()
+    at = 36 + 3 * 8  # the first table value
+    fblp.write_bytes(blob[:at] + value + blob[at + 2 :])
+    with pytest.raises(FormatError, match=f"^{fblp}: table row 0 has a zero or non-finite norm"):
+        read_doc_pack(fblp)
+
+
+def test_an_fble_of_version_1_still_loads(tmp_path):
+    # users supply FBLE files (--projection, --embedder file:) that predate widths
+    weights = np.random.default_rng(3).standard_normal((6, 4)).astype(np.float32)
+    p = tmp_path / "v1.fble"
+    p.write_bytes(b"FBLE" + struct.pack("<III", 1, 6, 4) + weights.astype("<f4").tobytes())
+    assert read_matrix_file(p).tobytes() == weights.tobytes()
+    assert np.array_equal(load_projection(p).weights, weights.astype(np.float64))
+    assert load_embedder(p).matrix.tobytes() == weights.tobytes()
 
 
 def test_doc_pack_rejects_refs_out_of_first_use_order(tmp_path):
@@ -297,7 +441,7 @@ def test_session_roundtrip(tmp_path, session_pieces):
     arts = load_session(tmp_path)
     assert isinstance(arts, SessionArtifacts)
     assert arts.manifest == manifest
-    assert manifest.format_versions == {"fbli": 5, "fble": 1, "fblp": 4}
+    assert manifest.format_versions == {"fbli": 5, "fble": 2, "fblp": 5}
     # one document table: the index borrows the loaded pack's
     assert arts.index.doc_refs is arts.doc_matrices.refs
     assert arts.index.doc_offsets is arts.doc_matrices.offsets
@@ -333,7 +477,7 @@ def test_index_of_another_size_raises_format_error(tmp_path, session_pieces):
     path = tmp_path / "a" / MANIFEST_NAME
     data = json.loads(path.read_text())
     data["checksums"][INDEX_NAME] = hashlib.sha256(swapped).hexdigest()
-    path.write_text(json.dumps(data))
+    path.write_text(reseal(data))
     with pytest.raises(FormatError, match="indexes 44 table rows"):
         load_session(tmp_path / "a")
 
@@ -390,20 +534,26 @@ def test_save_session_opens_each_artifact_once_for_writing(tmp_path, session_pie
 
 
 # a session of hand-made arrays (no k-means or GEMM), and the sha256 of each file it
-# saves to, taken when every artifact had its own writer
+# saves to, taken when every artifact had its own writer; a pack's is of its FBLP v4
+# bytes, which v5 keeps after its header when the table stays at 4 bytes a value
 _GOLDEN_VOCAB = b"[PAD]\r\nfoo\n\xff\n"  # stored as given
 _GOLDEN = {
-    EMBEDDER_NAME: "2214beceef8898a57541307b67dae92ac1528feebae37e1ffbbe12a8a28a27c6",
     INDEX_NAME: "f24aec75914cab63c65cf9629e3259abbbefc7aecddf43fda5aa615d63c82563",
-    PROJECTION_NAME: "440733a482e6fade17f6a4251df8fdb091223cf55893aa29baa2885ce58aaec2",
     VOCAB_NAME: "0b4b19e5d2f056ddbbf37e3c531be6e716d2961d99742e680b9b14debe48c1da",
 }
 _GOLDEN_BY_PACK = {
     True: {DOCS_NAME: "9c8ef4338cd59fc5e3047ef1cd922d9924e179b9fdd01736fd47261ef6313543",
-           MANIFEST_NAME: "c7cdca832481c026193548bee8ec4607eb1b8e04591d90c04618e8359123db2e"},
+           MANIFEST_NAME: "7e55dc20f33779a7d7426bb356a22f525a72ca465b34aba917888266801402b5"},
     False: {DOCS_NAME: "4cc20695d27a510170381768ad5d2720d1c2593dc780d3a04dc6db21f800b9ca",
-            MANIFEST_NAME: "3b113a9f8f7bdeaa368505aa40deac180b76c94781308d1959b138afd79f2f2e"},
+            MANIFEST_NAME: "ace35e68bbfc420790c45fa782e9ed688788600bdeec61db467a2a51f8c95600"},
 }
+
+
+def _as_fblp_v4(blob: bytes) -> bytes:
+    """An FBLP v5 file of a 4-byte table as the v4 bytes it held before the width field."""
+    n_docs, dim, n_rows, n_table, width = struct.unpack_from("<IIQQI", blob, 8)
+    assert width == 4
+    return blob[:4] + struct.pack("<IIIQQ", 4, n_docs, dim, n_rows, n_table) + blob[36:]
 
 
 def _fixed_session(repeats: bool, rows: bool = True):
@@ -439,9 +589,17 @@ def test_every_session_file_has_its_golden_bytes(tmp_path, repeats):
     write_matrix_file(emb, token_table)
     session = tmp_path / "session"
     save_session(session, manifest, index, projection, pack, _GOLDEN_VOCAB, emb.read_bytes())
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in session.iterdir()}
-    assert digests == {**_GOLDEN, **_GOLDEN_BY_PACK[repeats]}
-    assert hashlib.sha256(emb.read_bytes()).hexdigest() == _GOLDEN[EMBEDDER_NAME]
+    blobs = {p.name: p.read_bytes() for p in session.iterdir()}
+    digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
+    # the table's 0.6 is no float16 value, so the pack keeps its f4 bytes; the
+    # projection's and the token table's eighths and quarters all are
+    golden = {**_GOLDEN, **_GOLDEN_BY_PACK[repeats]}
+    assert hashlib.sha256(_as_fblp_v4(blobs[DOCS_NAME])).hexdigest() == golden.pop(DOCS_NAME)
+    for name, matrix in ((PROJECTION_NAME, projection.weights), (EMBEDDER_NAME, token_table)):
+        assert blobs[name] == (b"FBLE" + struct.pack("<IIII", 2, *matrix.shape, 2)
+                               + matrix.astype("<f2").tobytes()), name
+    assert {name: digests[name] for name in golden} == golden
+    assert emb.read_bytes() == blobs[EMBEDDER_NAME]
     # the manifest's checksums are the digests of the files on disk
     del digests[MANIFEST_NAME]
     assert manifest.checksums == digests == load_manifest(session).checksums
@@ -469,7 +627,7 @@ def test_a_parsed_artifact_without_a_checksum_raises(tmp_path, session_pieces, n
     path = tmp_path / MANIFEST_NAME
     data = json.loads(path.read_text())
     del data["checksums"][name]
-    path.write_text(json.dumps(data))
+    path.write_text(reseal(data))
     with pytest.raises(FormatError, match=f"no checksum for {name}"):
         load_session(tmp_path)
 
@@ -481,7 +639,7 @@ def test_session_of_an_older_format_names_the_fix(tmp_path, session_pieces):
     data = json.loads(path.read_text())
     data["format_versions"]["fblp"] = 2
     data["matrix_dtype"] = "f32"  # the field v2 sessions recorded
-    path.write_text(json.dumps(data))
+    path.write_text(reseal(data))
     with pytest.raises(FormatError, match="re-run `fbl index`"):
         load_session(tmp_path)
 
@@ -577,7 +735,7 @@ def test_manifest_dims_other_than_the_projections_raise_format_error(
     path = tmp_path / MANIFEST_NAME
     data = json.loads(path.read_text())
     data[field] = value
-    path.write_text(json.dumps(data))
+    path.write_text(reseal(data))
     with pytest.raises(FormatError, match=f"manifest.json.*{PROJECTION_NAME} is 16 x 8"):
         load_session(tmp_path)
 
@@ -619,20 +777,28 @@ def test_failed_write_removes_its_temp_file(tmp_path):
 # -- untrusted artifacts ------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def saved(tmp_path_factory):
-    """A saved session: each artifact's bytes and regions, the session, and queries."""
+@pytest.fixture(scope="module", params=[4, 2], ids=["f4", "f2"])
+def saved(tmp_path_factory, request):
+    """A saved session: each artifact's bytes and regions, the session, and queries.
+
+    Its pack and projection are stored at ``request.param`` bytes a value:
+    at 2 the rows and weights are float16 values, as ``fbl index`` makes them.
+    """
+    width = request.param
     manifest, _, projection, docs = _pieces()
+    docs = {d: m.rows.astype(f"<f{width}") for d, m in docs.items()}
+    if width == 2:
+        projection = LinearProjection(projection.weights.astype(np.float16))
     docs["empty:0:0"] = EmbeddingMatrix(rows=np.zeros((0, 8), dtype=np.float32))
     # rows that repeat others', so the index lists fewer rows than the pack holds
-    docs["repeat:0:0"] = EmbeddingMatrix(
-        rows=np.concatenate([docs["c0:0:0"].rows, docs["c1:0:0"].rows[:2]])
-    )
+    docs["repeat:0:0"] = np.concatenate([docs["c0:0:0"], docs["c1:0:0"][:2]])
     pack = PackedCorpus.from_matrices(docs)
     index = build_index(pack, n_partitions=4, n_subspaces=2, n_codewords=8, seed=1)
     assert index.rows.shape[0] < index.n_embeddings
     directory = tmp_path_factory.mktemp("session")
     save_session(directory, manifest, index, projection, pack, VOCAB)
+    assert (directory / DOCS_NAME).read_bytes()[32:36] == width.to_bytes(4, "little")
+    assert (directory / PROJECTION_NAME).read_bytes()[4] == {2: 2, 4: 1}[width]  # FBLE version
     n, p, d, k = index.n_embeddings, index.n_partitions, index.dim, index.n_codewords
     # (start, end) byte ranges of the header, offset, row and code regions of each
     # file; FBLI v5: part_offsets, rows, codes
@@ -640,12 +806,12 @@ def saved(tmp_path_factory):
     rows = part + (p + 1) * 8
     codes = rows + index.rows.shape[0] * 4
     index_regions = [(0, 32), (part, rows), (rows, codes), (codes, None)]
-    # FBLP v4: header and offsets, refs, the table (left out: its bytes are
+    # FBLP v5: header and offsets, refs, the table (left out: its bytes are
     # values, not structure), doc ids
-    refs = 32 + (len(pack) + 1) * 8
+    refs = 36 + (len(pack) + 1) * 8
     table = refs + n * 4
     assert pack.table.shape[0] < n  # the refs region is stored
-    pack_regions = [(0, refs), (refs, table), (table + pack.table.shape[0] * d * 4, None)]
+    pack_regions = [(0, refs), (refs, table), (table + pack.table.shape[0] * d * width, None)]
     floats = {INDEX_NAME: (32, part), DOCS_NAME: (table, pack_regions[-1][0])}
     rng = np.random.default_rng(8)
     queries = [EmbeddingMatrix(rows=_unit(rng.standard_normal((3, 8))), is_query=True)
@@ -658,6 +824,7 @@ def saved(tmp_path_factory):
         PROJECTION_NAME: ((directory / PROJECTION_NAME).read_bytes(), [(0, None)]),
         "session": (pack, projection, queries, raw_queries),
         "floats": floats,  # the quantizers' and the table's byte ranges
+        "width": {INDEX_NAME: 4, DOCS_NAME: width},  # bytes a value in those ranges
         "refs": (refs, table),
         # a manifest is read from its session; the other files stand alone
         "dirs": {MANIFEST_NAME: directory},
@@ -743,11 +910,14 @@ def test_a_non_finite_float_raises_format_error(saved, name, data):
     # any NaN or infinity, in any quantizer or table value
     blob, _ = saved[name]
     start, end = saved["floats"][name]
-    at = start + 4 * data.draw(st.integers(0, (end - start) // 4 - 1))
-    sign, fraction = data.draw(st.integers(0, 1)), data.draw(st.integers(0, (1 << 23) - 1))
-    value = struct.pack("<I", sign << 31 | 0xFF << 23 | fraction)
+    width = saved["width"][name]
+    at = start + width * data.draw(st.integers(0, (end - start) // width - 1))
+    mantissa = 8 * width - 1 - (8 if width == 4 else 5)  # f4: 8 exponent bits, f2: 5
+    sign, fraction = data.draw(st.integers(0, 1)), data.draw(st.integers(0, (1 << mantissa) - 1))
+    exponent = (1 << (8 * width - 1 - mantissa)) - 1  # all ones: an infinity or a NaN
+    value = (sign << (8 * width - 1) | exponent << mantissa | fraction).to_bytes(width, "little")
     path = _corrupt_path(saved, name)
-    path.write_bytes(blob[:at] + value + blob[at + 4 :])
+    path.write_bytes(blob[:at] + value + blob[at + width :])
     with pytest.raises(FormatError, match="finite"):
         _open(saved, name, path)
 
@@ -759,7 +929,9 @@ def test_a_table_out_of_first_use_order_raises_format_error(saved, data):
     blob, _ = saved[DOCS_NAME]
     (start, end), (refs_at, table_at) = saved["floats"][DOCS_NAME], saved["refs"]
     refs = np.frombuffer(blob, "<u4", (table_at - refs_at) // 4, refs_at)
-    table = np.frombuffer(blob, "<f4", (end - start) // 4, start).reshape(-1, 8)
+    dtype = f"<f{saved['width'][DOCS_NAME]}"
+    table = np.frombuffer(blob, dtype, (end - start) // np.dtype(dtype).itemsize, start)
+    table = table.reshape(-1, 8)
     n = table.shape[0]
     order = np.asarray(data.draw(st.permutations(range(n)).filter(lambda o: o != sorted(o))))
     moved = np.empty_like(table)
@@ -769,6 +941,21 @@ def test_a_table_out_of_first_use_order_raises_format_error(saved, data):
                      + blob[end:])
     with pytest.raises(FormatError, match="order of first use"):
         read_doc_pack(path)
+
+
+def test_readme_names_the_format_versions_the_store_reads():
+    # README's "Binary formats" list and its format table each name every
+    # format once, at the version the store reads, so a bump cannot leave them behind
+    from fbl.store import _FORMAT_VERSIONS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Binary formats\n")[1].split("\n## ")[0]
+    bullets = "\n".join(re.findall(r"^\* .*(?:\n  .*)*", section, re.M))
+    listed = re.findall(r"\b(FBL[A-Z]) v(\d+)\b", bullets)
+    tabled = re.findall(r"^\| `[^`]+` \(`(FBL[A-Z])`, v(\d+)\) \|", readme, re.M)
+    want = sorted((name.upper(), str(version)) for name, version in _FORMAT_VERSIONS.items())
+    assert sorted(listed) == want
+    assert sorted(tabled) == want
 
 
 def _imports(path):
